@@ -54,21 +54,21 @@ def _add_param_flags(p: argparse.ArgumentParser):
 
 
 def _read_input(path: str):
+    """(graph or None, hypergraph) for a file; the graph when r=2."""
     h = hg.read_hypergraph(path)
-    if h.r == 2:
-        parts = h.part_of if any(p != hg.UNPARTITIONED for p in h.part_of) else None
-        return hg.SimpleGraph(h.n, h.edges, parts), h
-    return None, h
+    return (hg.as_graph(h) if h.r == 2 else None), h
 
 
-def _write_witness(emb, path):
-    payload = emb.as_json() if emb is not None else None
-    out = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _emit(text: str, path):
     if path:
         with open(path, "w") as fh:
-            fh.write(out)
+            fh.write(text)
     else:
-        sys.stdout.write(out)
+        sys.stdout.write(text)
+
+
+def _emit_json(payload, path):
+    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", path)
 
 
 # ---------------------------------------------------------------------------
@@ -143,38 +143,30 @@ def _cmd_verify(args) -> int:
             if witness is not None:
                 break
     elif check == "density":
-        params = _load_params(args) if args.params else None
-        rep = ver.density_report(h if g is None else g, params)
-        text = reports.emit_report(rep, args.format,
-                                   params.to_json() if params else {})
-        if args.report_out:
-            with open(args.report_out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return EXIT_HOLDS if rep.verdict == "holds" else EXIT_VIOLATED
+        return _density(args, g, h, args.report_out)
     else:
         raise ValueError(f"unknown check {check}")
     if witness is None:
         print(f"{check}: holds")
         return EXIT_HOLDS
-    _write_witness(witness, args.witness_out)
+    _emit_json(witness.as_json(), args.witness_out)
     print(f"{check}: violated")
     return EXIT_VIOLATED
 
 
-def _cmd_report(args) -> int:
-    g, h = _read_input(args.file)
+def _density(args, g, h, out) -> int:
+    """Density report of the graph (r=2) or hypergraph, written to `out`
+    or stdout; shared by `verify --check density` and `report`."""
     params = _load_params(args) if args.params else None
     rep = ver.density_report(h if g is None else g, params)
-    text = reports.emit_report(rep, args.format,
-                               params.to_json() if params else {})
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(reports.emit_report(rep, args.format,
+                              params.to_json() if params else {}), out)
     return EXIT_HOLDS if rep.verdict == "holds" else EXIT_VIOLATED
+
+
+def _cmd_report(args) -> int:
+    g, h = _read_input(args.file)
+    return _density(args, g, h, args.out)
 
 
 def _cmd_optimize(args) -> int:
@@ -187,12 +179,11 @@ def _cmd_optimize(args) -> int:
 def _cmd_drc(args) -> int:
     with open(args.params) as fh:
         p = drcmod.DrcParams.from_json(json.load(fh))
-    _, h = _read_input(args.file)
+    g, h = _read_input(args.file)
     seed = args.seed if args.seed is not None else 0
     if args.action == "find-set":
-        if h.r != 2:
+        if g is None:
             raise ValueError("find-set needs a graph file (r=2)")
-        g = hg.SimpleGraph(h.n, h.edges)
         u = drcmod.drc_find_set(g, p, seed=seed)
         if u is None:
             print("find-set: no verified set within the retry budget")
@@ -217,12 +208,7 @@ def _cmd_drc(args) -> int:
                    "tk4": tk4.as_json() if tk4 else None}
     else:
         raise ValueError(f"unknown drc action {args.action}")
-    out = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    _emit_json(payload, args.out)
     return EXIT_HOLDS
 
 

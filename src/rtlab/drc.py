@@ -16,7 +16,9 @@ from itertools import combinations
 from .hypergraph import (UNPARTITIONED, PartitionedHypergraph, SimpleGraph,
                          clean_low_codegree)
 from .rng import substream
-from .verifiers import Embedding, contained_edge, recheck_tk
+from .verifiers import (BudgetExceeded, Embedding, _Counter, contained_edge,
+                        private_edges, recheck_tk, recheck_tkf_core,
+                        resolve_budget, tk_embedding)
 
 DEFAULT_RETRIES = 64
 
@@ -343,41 +345,29 @@ def _f_witness_once(h, labels, params, seed, trial):
     witness = FWitness(xs=e1, ys=e2, zs=e3, edges_used=edges_used)
     if not recheck_f_witness(h, witness):
         raise PipelineFailure("verification", "assembled witness failed recheck")
-    witness.tk = _extend_to_tk6(h, witness)
+    # core subdivision on x1,x2,y1,y2,z1,z2 with a fresh third vertex per pair
+    witness.tk = _tk_extension(h.pair_cover_index(),
+                               [*e1[:2], *e2[:2], *e3[:2]], {})
     return witness
 
 
-def _extend_to_tk6(h: PartitionedHypergraph, w: FWitness) -> Embedding | None:
-    """Core subdivision on x1,x2,y1,y2,z1,z2: each core pair gets its own
-    hyperedge with a fresh third vertex."""
-    cores = [w.xs[0], w.xs[1], w.ys[0], w.ys[1], w.zs[0], w.zs[1]]
-    cover: dict = {}
-    for e in h.sorted_edges():
-        for a, b in combinations(e, 2):
-            cover.setdefault((a, b), []).append(e)
-    used = set(cores)
-    chosen = []
-    for a, b in combinations(sorted(cores), 2):
-        got = None
-        for e in cover.get((a, b), []):
-            extras = [v for v in e if v != a and v != b]
-            if all(v not in used for v in extras):
-                got = e
-                break
-        if got is None:
-            return None
-        used.update(v for v in got if v != a and v != b)
-        chosen.append(got)
-    vm = {i: v for i, v in enumerate(sorted(cores))}
-    roles = {i: "core" for i in range(6)}
-    nxt = 6
-    for e in chosen:
-        for v in e:
-            if v not in vm.values():
-                vm[nxt] = v
-                roles[nxt] = "subdivision"
-                nxt += 1
-    return Embedding(vm, roles, chosen)
+def _tk_extension(cover: dict, cores, fixed: dict) -> Embedding | None:
+    """Core subdivision on the sorted cores: every pair outside `fixed`
+    gets its own hyperedge whose other vertices are fresh, the vertices of
+    the `fixed` edges included.  The extension is optional, so None also
+    stands for a search that ran out of its node budget."""
+    cores = sorted(cores)
+    pairs = list(combinations(cores, 2))
+    free = [p for p in pairs if p not in fixed]
+    used = set(cores).union(*fixed.values())
+    try:
+        chosen = private_edges(cover, free, used, _Counter(resolve_budget()))
+    except BudgetExceeded:
+        return None
+    if chosen is None:
+        return None
+    edges = {**fixed, **dict(zip(free, chosen))}
+    return tk_embedding(cores, [edges[p] for p in pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -415,81 +405,34 @@ def _tkf5_once(h, labels, eps, threshold):
     cleaned = clean_low_codegree(hp, threshold)
     if not cleaned.edges:
         raise PipelineFailure("cleaning", "no edges survive the codegree sweep")
-    codeg: dict = {}
-    for e in cleaned.edges:
-        for a, b in combinations(e, 2):
-            if labels[a] != labels[b]:
-                codeg[(a, b)] = codeg.get((a, b), 0) + 1
-    if not codeg:
-        raise PipelineFailure("no-qualifying-pair", "no covered cross pair")
+    # every pair of a three-partite edge is a cross pair
+    cleaned_cover = cleaned.pair_cover_index()
     need = eps * h.n
-    top = max(codeg.values())
-    best = min(p for p in codeg if codeg[p] == top)
-    if codeg[best] < need:
+    top = max(len(es) for es in cleaned_cover.values())
+    best = min(p for p, es in cleaned_cover.items() if len(es) == top)
+    if top < need:
         raise PipelineFailure("no-qualifying-pair",
-                              f"max codegree {codeg[best]} below eps*n = {need:.1f}")
+                              f"max codegree {top} below eps*n = {need:.1f}")
     x, y = best
-    third = ({0, 1, 2} - {labels[x], labels[y]}).pop()
-    z_set = sorted(v for e in cleaned.edges if x in e and y in e
-                   for v in e if v not in (x, y) and labels[v] == third)
+    z_set = sorted(v for e in cleaned_cover[best] for v in e if v not in best)
     e_in_z = contained_edge(h, z_set)
     if e_in_z is None:
         raise PipelineFailure("no-edge-in-link", "link set spans no hyperedge")
 
+    cover = h.pair_cover_index()
     cores5 = sorted([x, y, *e_in_z])
-    cover_pairs = []
-    for a, b in combinations(cores5, 2):
-        e = next((ed for ed in cleaned.sorted_edges() if a in ed and b in ed),
-                 None)
-        if e is None:
-            e = next((ed for ed in h.sorted_edges() if a in ed and b in ed),
-                     None)
-        cover_pairs.append(e)
+    cover_pairs = [(cleaned_cover.get(p) or cover.get(p) or [None])[0]
+                   for p in combinations(cores5, 2)]
     tkf5 = Embedding({i: v for i, v in enumerate(cores5)},
                      {i: "core" for i in range(5)}, cover_pairs)
-    from .verifiers import recheck_tkf_core
     if not recheck_tkf_core(h, tkf5):
         raise PipelineFailure("verification", "five-core witness failed recheck")
 
-    tk4 = _extend_to_tk4(h, x, y, e_in_z)
+    # x, y and two vertices of E; the third vertex of E is the fresh one
+    tk4 = _tk_extension(cover, [x, y, *e_in_z[:2]], {e_in_z[:2]: e_in_z})
     if tk4 is not None and not recheck_tk(h, tk4, 4):
         raise PipelineFailure("verification", "four-core extension failed recheck")
     return tkf5, tk4
-
-
-def _extend_to_tk4(h, x, y, e_in_z) -> Embedding | None:
-    z1, z2, z3 = e_in_z
-    cores = [x, y, z1, z2]
-    used = set(cores) | {z3}
-    chosen = {(z1, z2): e_in_z}  # third vertex z3 is the fresh one
-    cover: dict = {}
-    for e in h.sorted_edges():
-        for a, b in combinations(e, 2):
-            cover.setdefault((a, b), []).append(e)
-    for pair in combinations(sorted(cores), 2):
-        if pair == tuple(sorted((z1, z2))):
-            continue
-        got = None
-        for e in cover.get(pair, []):
-            extras = [v for v in e if v not in pair]
-            if all(v not in used for v in extras):
-                got = e
-                break
-        if got is None:
-            return None
-        used.update(got)
-        chosen[pair] = got
-    vm = {i: v for i, v in enumerate(sorted(cores))}
-    roles = {i: "core" for i in range(4)}
-    nxt = 4
-    edges_used = [chosen[p] for p in combinations(sorted(cores), 2)]
-    for e in edges_used:
-        for v in e:
-            if v not in vm.values():
-                vm[nxt] = v
-                roles[nxt] = "subdivision"
-                nxt += 1
-    return Embedding(vm, roles, edges_used)
 
 
 def recheck_tk4(h: PartitionedHypergraph, emb: Embedding) -> bool:

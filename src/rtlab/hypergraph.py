@@ -70,14 +70,6 @@ class SimpleGraph:
         return SimpleGraph(len(vs), edges, parts)
 
 
-def complete_graph(n: int) -> SimpleGraph:
-    return SimpleGraph(n, frozenset(combinations(range(n), 2)))
-
-
-def empty_graph(n: int) -> SimpleGraph:
-    return SimpleGraph(n, frozenset())
-
-
 def complete_join(g: SimpleGraph, t_graph: SimpleGraph) -> SimpleGraph:
     """Disjoint union of the two graphs plus all edges between them."""
     shift = g.n
@@ -182,8 +174,19 @@ def shadow(h: PartitionedHypergraph) -> SimpleGraph:
     edges = set()
     for e in h.edges:
         edges.update(combinations(e, 2))
-    parts = h.part_of if any(p != UNPARTITIONED for p in h.part_of) else None
-    return SimpleGraph(h.n, frozenset(edges), parts)
+    return SimpleGraph(h.n, frozenset(edges), _graph_labels(h))
+
+
+def as_graph(h: PartitionedHypergraph) -> SimpleGraph:
+    """The r=2 hypergraph as a SimpleGraph."""
+    if h.r != 2:
+        raise ValueError(f"expected a graph (r=2), found r={h.r}")
+    return SimpleGraph(h.n, h.edges, _graph_labels(h))
+
+
+def _graph_labels(h: PartitionedHypergraph) -> tuple | None:
+    # SimpleGraph spells "no parts" as None, not as all-UNPARTITIONED labels
+    return h.part_of if any(p != UNPARTITIONED for p in h.part_of) else None
 
 
 def blowup(h: PartitionedHypergraph, t: int) -> PartitionedHypergraph:
@@ -308,8 +311,4 @@ def write_graph(g: SimpleGraph, path: str) -> None:
 
 
 def read_graph(path: str) -> SimpleGraph:
-    h = read_hypergraph(path)
-    if h.r != 2:
-        raise ValueError(f"expected a graph file (r=2), found r={h.r}")
-    parts = h.part_of if any(p != UNPARTITIONED for p in h.part_of) else None
-    return SimpleGraph(h.n, h.edges, parts)
+    return as_graph(read_hypergraph(path))

@@ -75,9 +75,3 @@ def emit_report(report: VerificationReport, fmt: str = "csv",
         ]) + "\n")
     return buf.getvalue()
 
-
-def write_report(report: VerificationReport, path: str, fmt: str = "csv",
-                 params: dict | None = None) -> None:
-    text = emit_report(report, fmt, params)
-    with open(path, "w") as fh:
-        fh.write(text)

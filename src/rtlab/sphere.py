@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .rng import substream
 
@@ -122,14 +121,6 @@ def cap_from_euclidean_radius(center: np.ndarray, a: float) -> SphericalCap:
     return SphericalCap(center, 1.0 - a * a / 2.0)
 
 
-def cap_from_base_diameter(center: np.ndarray, diam: float) -> SphericalCap:
-    """Smaller-than-hemisphere cap whose rim sphere has the given diameter."""
-    rho = diam / 2.0
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"cap base diameter must be in [0, 2], got {diam}")
-    return SphericalCap(center, math.sqrt(1.0 - rho * rho))
-
-
 def threshold_for_base_diameter(diam: float) -> float:
     rho = diam / 2.0
     if not 0.0 <= rho <= 1.0:
@@ -138,53 +129,81 @@ def threshold_for_base_diameter(diam: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# cap measure by adaptive quadrature
+# cap measure in closed form
 
-_half_cache: dict[int, float] = {}
-
-_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
-
-
-def _density(k: int):
-    # surface density along the axis coordinate x = cos(angle): (1-x^2)^((k-2)/2)
-    e = (k - 2) / 2.0
-    return lambda x: (1.0 - x * x) ** e if abs(x) < 1.0 else 0.0
+_CF_EPS = 1e-16
+_CF_TINY = 1e-300
+_CF_MAX_TERMS = 100_000
 
 
-def _half_integral(k: int) -> float:
-    if k not in _half_cache:
-        val, _ = integrate.quad(_density(k), 0.0, 1.0, **_QUAD_OPTS)
-        _half_cache[k] = val
-    return _half_cache[k]
+def _beta_continued_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta function, evaluated by
+    the modified Lentz method (Numerical Recipes, section 6.4)."""
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+    h = d
+    for m in range(1, _CF_MAX_TERMS):
+        m2 = 2 * m
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+            c = 1.0 + aa / c
+            if abs(c) < _CF_TINY:
+                c = _CF_TINY
+            h *= d * c
+        if abs(d * c - 1.0) < _CF_EPS:
+            return h
+    raise ArithmeticError(f"incomplete beta fraction did not converge "
+                          f"(a={a}, b={b}, x={x})")
+
+
+def _log_gamma_ratio(a: float) -> float:
+    """ln(Gamma(a + 1/2) / Gamma(a)).  For large a the asymptotic series
+    replaces the difference of two large lgamma values, whose rounding
+    would otherwise reach 1e-12 near a = 2500."""
+    if a < 16.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+    return (0.5 * math.log(a) - 1.0 / (8.0 * a) + 1.0 / (192.0 * a ** 3)
+            - 1.0 / (640.0 * a ** 5) + 17.0 / (14336.0 * a ** 7)
+            - 31.0 / (18432.0 * a ** 9))
+
+
+def _incomplete_beta_half(a: float, x: float, y: float) -> float:
+    """Regularized incomplete beta I_x(a, 1/2) for 0 < x < 1, with y = 1 - x
+    passed in separately: recomputed as 1 - x it would round to 0 once
+    y < 1e-16, and mu(s) for |s| < 1e-8 would collapse to exactly 1/2."""
+    log_x = math.log1p(-y) if y < 0.5 else math.log(x)
+    log_front = (_log_gamma_ratio(a) - 0.5 * math.log(math.pi)
+                 + a * log_x + 0.5 * math.log(y))
+    if x < (a + 1.0) / (a + 2.5):
+        return math.exp(log_front) * _beta_continued_fraction(a, 0.5, x) / a
+    return 1.0 - 2.0 * math.exp(log_front) * _beta_continued_fraction(0.5, a, y)
 
 
 def cap_measure(k: int, s: float) -> float:
     """Normalized measure of the cap {x in S^k : x . c >= s}.
 
-    Computed as the quadrature of the axial surface density over [s, 1],
-    normalized by the full-sphere integral.  Strictly decreasing in s,
-    with mu(-1) = 1, mu(0) = 1/2, mu(1) = 0.
+    Closed form mu(s) = I_{1-s^2}(k/2, 1/2) / 2 for s > 0, mirrored for
+    s < 0, where I is the regularized incomplete beta function.  Strictly
+    decreasing in s, with mu(-1) = 1, mu(0) = 1/2, mu(1) = 0.  Against
+    40-digit references the absolute error stays below 5e-13 for every k
+    up to 10^6; the relative error is below 2e-13 for k <= 5000.
     """
     if k < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {k}")
     if not -1.0 <= s <= 1.0:
         raise ValueError(f"cap threshold must be in [-1, 1], got {s}")
-    half = _half_integral(k)
     if s == 0.0:
         return 0.5
     if s == 1.0:
         return 0.0
     if s == -1.0:
         return 1.0
-    f = _density(k)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        if s > 0.0:
-            num, _ = integrate.quad(f, s, 1.0, **_QUAD_OPTS)
-            return num / (2.0 * half)
-        num, _ = integrate.quad(f, s, 0.0, points=[0.0] if k > 400 else None,
-                                **_QUAD_OPTS)
-        return (num + half) / (2.0 * half)
+    tail = _incomplete_beta_half(k / 2.0, (1.0 - s) * (1.0 + s), s * s)
+    return tail / 2.0 if s > 0.0 else 1.0 - tail / 2.0
 
 
 def cap_intersection_measure_mc(k: int, centers: np.ndarray, s: float,
@@ -192,7 +211,7 @@ def cap_intersection_measure_mc(k: int, centers: np.ndarray, s: float,
     """Monte Carlo estimate of mu(intersection of caps {x . c_i >= s})."""
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     hits = 0
-    batch = 200_000
+    batch = 4_000  # rows per draw; (batch, k+1) floats stay small at large k
     left = samples
     while left > 0:
         b = min(batch, left)

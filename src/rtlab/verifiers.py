@@ -276,6 +276,54 @@ def recheck_tkf_core(h: PartitionedHypergraph, emb: Embedding) -> bool:
     return True
 
 
+def private_edges(cover: dict, pairs: list, used: set,
+                  counter: _Counter) -> list | None:
+    """One covering edge per core pair, each edge's vertices outside its
+    pair fresh: not in `used` and not in any other chosen edge.
+
+    `cover` is a pair-cover index.  Depth-first over first-fit choices in
+    the index order, one budget node per tentative choice; returns the
+    edges in pair order, or None when no such choice exists.
+    """
+    used = set(used)
+    chosen: list = []
+
+    def extend(i: int) -> bool:
+        if i == len(pairs):
+            return True
+        a, b = pairs[i]
+        for e in cover.get((a, b), []):
+            extras = [v for v in e if v != a and v != b]
+            if any(v in used for v in extras):
+                continue
+            counter.tick()
+            used.update(extras)
+            chosen.append(e)
+            if extend(i + 1):
+                return True
+            chosen.pop()
+            used.difference_update(extras)
+        return False
+
+    return chosen if extend(0) else None
+
+
+def tk_embedding(cores, edges_used: list) -> Embedding:
+    """Subdivision embedding: the sorted cores, then each edge's fresh
+    vertices in edge order."""
+    cores = sorted(cores)
+    vm = dict(enumerate(cores))
+    roles = {i: "core" for i in vm}
+    core_set = set(cores)
+    for e in edges_used:
+        for v in e:
+            if v not in core_set:
+                nxt = len(vm)
+                vm[nxt] = v
+                roles[nxt] = "subdivision"
+    return Embedding(vm, roles, edges_used)
+
+
 def find_tk(h: PartitionedHypergraph, s: int, budget=None) -> Embedding | None:
     """Embedding of the r-uniform K_s subdivision: s core vertices plus,
     for every core pair, a hyperedge through the pair whose other r-2
@@ -289,34 +337,11 @@ def find_tk(h: PartitionedHypergraph, s: int, budget=None) -> Embedding | None:
         sh_adj[a].add(b)
         sh_adj[b].add(a)
 
-    pairs_of = lambda cores: list(combinations(sorted(cores), 2))
-
-    def assign(cores, pair_idx, used, chosen):
-        pairs = pairs_of(cores)
-        if pair_idx == len(pairs):
-            return list(chosen)
-        a, b = pairs[pair_idx]
-        for e in cover.get((a, b), []):
-            extras = [v for v in e if v != a and v != b]
-            if any(v in used for v in extras):
-                continue
-            counter.tick()
-            used.update(extras)
-            chosen.append(e)
-            res = assign(cores, pair_idx + 1, used, chosen)
-            if res is not None:
-                return res
-            chosen.pop()
-            used.difference_update(extras)
-        return None
-
     def pick_cores(start, cores):
         if len(cores) == s:
-            used = set(cores)
-            res = assign(cores, 0, used, [])
-            if res is not None:
-                return sorted(cores), res
-            return None
+            chosen = private_edges(cover, list(combinations(cores, 2)),
+                                   set(cores), counter)
+            return None if chosen is None else tk_embedding(cores, chosen)
         for v in range(start, h.n):
             if all(v in sh_adj[c] for c in cores):
                 counter.tick()
@@ -325,20 +350,7 @@ def find_tk(h: PartitionedHypergraph, s: int, budget=None) -> Embedding | None:
                     return got
         return None
 
-    got = pick_cores(0, [])
-    if got is None:
-        return None
-    cores, edges_used = got
-    vm = {i: v for i, v in enumerate(cores)}
-    roles = {i: "core" for i in range(s)}
-    nxt = s
-    for e in edges_used:
-        for v in e:
-            if v not in cores:
-                vm[nxt] = v
-                roles[nxt] = "subdivision"
-                nxt += 1
-    return Embedding(vm, roles, edges_used)
+    return pick_cores(0, [])
 
 
 def recheck_tk(h: PartitionedHypergraph, emb: Embedding, s: int) -> bool:

@@ -1,11 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations
+
+import pytest
 
 from rtlab.cli import main
 from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph,
                               complete_uniform, write_graph, write_hypergraph)
 from rtlab.reports import emit_report
+from rtlab.sphere import cap_measure
 from rtlab.verifiers import density_report
 
 
@@ -110,6 +116,11 @@ def test_report_byte_reproducible(tmp_path):
     assert main(["report", "--params", params, "--out", str(r1), str(hg)]) == 0
     assert main(["report", "--params", params, "--out", str(r2), str(hg)]) == 0
     assert r1.read_bytes() == r2.read_bytes()
+    # `verify --check density` writes the same report as `report`
+    r3 = tmp_path / "r3.csv"
+    assert main(["verify", "--check", "density", "--params", params,
+                 "--report-out", str(r3), str(hg)]) == 0
+    assert r3.read_bytes() == r1.read_bytes()
 
 
 def test_construct_pipeline_reproducible(tmp_path):
@@ -229,3 +240,21 @@ def test_empty_report_header_only():
     lines = text.strip().splitlines()
     assert lines[0].startswith("# property=density")
     assert lines[-1].startswith("quantity,")
+
+
+def test_runs_without_scipy():
+    # the runtime needs numpy only: with scipy blocked, the CLI still
+    # imports and computes a cap measure
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import rtlab.cli\n"
+            "sys.exit(rtlab.cli.main(['sphere', 'cap-measure', '--k', '5', "
+            "'--s', '0.3']))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) == pytest.approx(cap_measure(5, 0.3), abs=1e-12)

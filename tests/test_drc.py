@@ -202,6 +202,24 @@ def test_find_tkf5_planted_recovery():
     assert tk4 is not None and recheck_tk4(h, tk4)
 
 
+def test_find_tkf5_tk4_extension_found_past_first_fit():
+    # parts: 0 = x (A), 1 = y (B), Z = {2, 3, 4} (C), fresh vertices 5..9 (A).
+    # x y gets the link edges xyz, E = Z is an edge, and each pair of the
+    # four cores x, y, 2, 3 has private edges; first fit gives x y the edge
+    # through 5, which the pair (1, 3) needs, so only the second choice
+    # (0, 1, 6) extends to a four-core subdivision
+    edges = [(0, 1, 2), (0, 1, 3), (0, 1, 4), (2, 3, 4), (0, 1, 5), (0, 1, 6),
+             (0, 2, 7), (0, 3, 8), (1, 2, 9), (1, 3, 5)]
+    h = PartitionedHypergraph(10, 3, frozenset(edges),
+                              (0, 1, 2, 2, 2, 0, 0, 0, 0, 0))
+    tkf5, tk4 = find_tkf5_tk4(h, eps=0.1, codegree_threshold=0)
+    assert sorted(tkf5.vertex_map.values()) == [0, 1, 2, 3, 4]
+    assert tk4 is not None and recheck_tk4(h, tk4)
+    assert tk4.edges_used == [(0, 1, 6), (0, 2, 7), (0, 3, 8), (1, 2, 9),
+                              (1, 3, 5), (2, 3, 4)]
+    assert list(tk4.vertex_map.values()) == [0, 1, 2, 3, 6, 7, 8, 9, 5, 4]
+
+
 # ---------------------------------------------------------------------------
 # asymptotic thresholds
 

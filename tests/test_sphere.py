@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtlab.rng import substream
-from rtlab.sphere import (SQRT2, SphericalCap, build_partition, cap_measure,
+from rtlab.sphere import (SQRT2, SphericalCap, build_partition,
+                          cap_intersection_measure_mc, cap_measure,
                           check_p4, distance, estimate_domain_measures,
                           estimate_dt, find_eps_k, p4_best_margin,
                           pairwise_distances, read_partition,
@@ -124,6 +126,45 @@ def test_cap_measure_extremes_and_monotone():
         assert cap_measure(k, 1.0) == 0.0
         grid = [cap_measure(k, s) for s in np.linspace(-1, 1, 41)]
         assert all(a > b for a, b in zip(grid, grid[1:]))
+
+
+def exact_cap_measure(k, s):
+    # even k: the axial density (1-x^2)^((k-2)/2) is a polynomial, so the
+    # cap integral and the sphere integral are exact rationals in s
+    m = (k - 2) // 2
+    s = Fraction(s)
+
+    def antiderivative(x):
+        return sum(Fraction(math.comb(m, j) * (-1) ** j, 2 * j + 1)
+                   * x ** (2 * j + 1) for j in range(m + 1))
+
+    full = antiderivative(Fraction(1))
+    return (full - antiderivative(s)) / (2 * full)
+
+
+@pytest.mark.parametrize("k", [2, 4, 6, 10, 30, 32, 64, 128, 300])
+def test_cap_measure_exact_rational_oracle(k):
+    for s in (-0.999999, -0.7, -0.2, -1e-6, -1e-9, 1e-9, 1e-6, 0.05, 0.3,
+              0.6, 0.9, 0.999999):
+        want = float(exact_cap_measure(k, s))
+        assert cap_measure(k, s) == pytest.approx(want, rel=1e-12,
+                                                  abs=1e-300), (k, s)
+
+
+@pytest.mark.parametrize("k", [401, 5000])
+def test_cap_measure_strictly_monotone_through_zero(k):
+    assert cap_measure(k, 1e-9) < 0.5 < cap_measure(k, -1e-9)
+
+
+def test_cap_intersection_mc_independent_of_batching():
+    # generator draws fill row-major, so drawing the samples in batches
+    # gives the same points, and the same hit count, as one draw
+    k, s, n = 30, 0.1, 10_001
+    centers = np.eye(k + 1)[:2]
+    got = cap_intersection_measure_mc(k, centers, s, n, substream(3, "mc"))
+    pts = sample_uniform_points(k, n, substream(3, "mc"))
+    hits = np.count_nonzero(np.all(pts @ centers.T >= s, axis=1))
+    assert got == hits / n
 
 
 def test_cap_measure_rejects_out_of_range():

@@ -8,9 +8,10 @@ from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph,
                               complete_uniform, turan_hypergraph)
 from rtlab.rng import substream
 from rtlab.sphere import build_partition
-from rtlab.verifiers import (BudgetExceeded, alpha_t, far_pair_matching,
-                             find_clique, find_tk, find_tkf_core,
-                             hyper_independence, minimal_tkf_bound,
+from rtlab.verifiers import (BudgetExceeded, _Counter, alpha_t,
+                             far_pair_matching, find_clique, find_tk,
+                             find_tkf_core, hyper_independence,
+                             minimal_tkf_bound, private_edges,
                              recheck_clique, recheck_sparse_pattern,
                              recheck_split_core, recheck_tk,
                              recheck_tkf_core, scan_sparse_patterns,
@@ -195,6 +196,30 @@ def test_tk_planted_in_sphere_hypergraph():
     h2 = PartitionedHypergraph(h.n, 3, frozenset(h.edges | planted), h.part_of)
     emb = find_tk(h2, 4)
     assert emb is not None and recheck_tk(h2, emb, 4)
+    # pinned output: the search order and the embedding layout are stable
+    assert emb.as_json() == {
+        "vertex_map": {"0": 8, "1": 9, "2": 14, "3": 15, "4": 2, "5": 5,
+                       "6": 17, "7": 25, "8": 16, "9": 7},
+        "roles": {str(i): "core" if i < 4 else "subdivision"
+                  for i in range(10)},
+        "edges_used": [[2, 8, 9], [5, 8, 14], [8, 15, 17], [9, 14, 25],
+                       [9, 15, 16], [7, 14, 15]],
+    }
+
+
+def test_private_edges_backtracks_past_first_fit():
+    # first fit gives pair (0, 1) the edge through 5, the only fresh vertex
+    # pair (1, 3) has; the search must go back and take the edge through 6
+    cover = {(0, 1): [(0, 1, 5), (0, 1, 6)], (0, 2): [(0, 2, 7)],
+             (1, 3): [(1, 3, 5)]}
+    pairs = [(0, 1), (0, 2), (1, 3)]
+    counter = _Counter(100)
+    got = private_edges(cover, pairs, {0, 1, 2, 3}, counter)
+    assert got == [(0, 1, 6), (0, 2, 7), (1, 3, 5)]
+    assert counter.nodes == 5
+    assert private_edges(cover, pairs, {0, 1, 2, 3, 6}, _Counter(100)) is None
+    with pytest.raises(BudgetExceeded):
+        private_edges(cover, pairs, {0, 1, 2, 3}, _Counter(2))
 
 
 def test_tkf_core_single_edge():
