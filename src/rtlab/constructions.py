@@ -303,9 +303,11 @@ def _cliques_of_size(adj_rows: list, n: int, size: int) -> list:
 def random_blowup(inside: PartitionedHypergraph, t: int, gamma: float,
                   ell: int, seed: int, budget=None) -> PartitionedHypergraph:
     """t-blowup of the given edges, each kept independently with
-    probability p = t^(1+gamma-r); then one hyperedge (the
-    lexicographically last) is deleted from every connected sub-collection
-    with v <= ell vertices and v + (1+gamma-r)(m-1) < r."""
+    probability p = t^(1+gamma-r); then pattern deletion: each round the
+    sparse-pattern scan looks for a connected sub-collection with
+    v <= ell vertices and v + (1+gamma-r)(m-1) < r among the survivors
+    and deletes the lexicographically last edge of its witness.  The
+    final scan finds none and certifies the result."""
     if t < 1:
         raise ValueError("blowup factor must be >= 1")
     if not 0.0 < gamma < 1.0:

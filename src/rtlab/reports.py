@@ -36,18 +36,11 @@ def _json_value(v):
     return v
 
 
-def _stable_counters(counters: dict) -> dict:
-    # wall-clock counters would break byte-reproducibility of emitted files
-    return {k: v for k, v in counters.items()
-            if "elapsed" not in k and "time" not in k}
-
-
 def emit_report(report: VerificationReport, fmt: str = "csv",
                 params: dict | None = None) -> str:
     """Render a report to text; fmt is 'csv' or 'json'."""
     if fmt == "json":
         payload = report.as_json()
-        payload["counters"] = _stable_counters(report.counters)
         payload["params"] = dict(sorted((params or {}).items()))
         payload["rows"] = [
             {k: _json_value(row.get(k)) for k in CSV_COLUMNS if k != "value_decimal"}
@@ -60,9 +53,8 @@ def emit_report(report: VerificationReport, fmt: str = "csv",
     buf.write(f"# property={report.property_name} verdict={report.verdict}\n")
     for key in sorted((params or {})):
         buf.write(f"# param {key}={params[key]}\n")
-    counters = _stable_counters(report.counters)
-    for key in sorted(counters):
-        buf.write(f"# counter {key}={counters[key]}\n")
+    for key in sorted(report.counters):
+        buf.write(f"# counter {key}={report.counters[key]}\n")
     buf.write(",".join(CSV_COLUMNS) + "\n")
     for row in report.rows:
         exact, dec = _split_value(row.get("value"))

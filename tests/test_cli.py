@@ -88,6 +88,12 @@ def test_verify_alpha_t_with_bound(tmp_path, capsys):
                  "--bound", "2", str(path)]) == 0
     assert main(["verify", "--check", "alpha_t", "--t", "3",
                  "--bound", "1", str(path)]) == 1
+    edgeless = tmp_path / "edgeless.g"
+    write_graph(SimpleGraph(1500, frozenset()), str(edgeless))
+    capsys.readouterr()
+    assert main(["verify", "--check", "alpha_t", "--t", "3",
+                 str(edgeless)]) == 0
+    assert capsys.readouterr().out.strip() == "alpha_3 = 1500"
 
 
 def test_verify_tkf_and_split_core(tmp_path):

@@ -13,7 +13,8 @@ from rtlab.constructions import (ConstructionParams, PartTooLarge,
                                  theta_lower_bound, tuple_vertices)
 from rtlab.hypergraph import PartitionedHypergraph, SimpleGraph, shadow
 from rtlab.sphere import SQRT2, build_partition
-from rtlab.verifiers import find_clique
+from rtlab.verifiers import (BudgetExceeded, blowup_deletion_condition,
+                             find_clique, scan_sparse_patterns)
 
 
 def small_params(**kw):
@@ -256,6 +257,81 @@ def test_random_blowup_no_surviving_patterns():
     w = scan_sparse_patterns(out, 3, 9,
                              condition=blowup_deletion_condition(3, 0.3))
     assert w is None
+
+
+# ---------------------------------------------------------------------------
+# pattern deletion on seeded corpora
+
+README_PARAMS = dict(r=3, z=14, alpha=0.3, beta=0.3, epsilon=0.5, k=5,
+                     blowup_t=3, gamma=0.3, pattern_cap=10)
+# edges deleted by the former pass, which took the last edge of every
+# satisfying sub-collection its enumeration reached; the repeated scan
+# must delete no more
+CRIT5_DELETED_BEFORE = [85, 138, 41, 139, 50, 33, 88, 186, 138, 37]
+CRIT6_DELETED_BEFORE = {3: 128, 4: 135, 5: 111}
+
+
+@pytest.fixture(scope="module")
+def deletion_corpus():
+    """(label, pattern cap, hypergraph, former deleted count) for the
+    seeded instances of acceptance criteria 5 and 6."""
+    out = []
+    k, z, theta = 6, 12, 0.5
+    for seed, before in enumerate(CRIT5_DELETED_BEFORE):
+        p = ConstructionParams(r=3, z=z, alpha=0.3, beta=0.3,
+                               epsilon=theta * math.sqrt(k), k=k, seed=seed,
+                               blowup_t=5, gamma=0.3)
+        part = build_partition(k, z, theta, seed, balance_iters=8,
+                               diag_samples=4000)
+        h = sphere_hypergraph(p, part)
+        inside = PartitionedHypergraph(h.n, 3, frozenset(h.inside_edges()),
+                                       h.part_of)
+        out.append((f"crit5-seed{seed}", 9,
+                    random_blowup(inside, 5, 0.3, 9, seed=seed), before))
+    for seed, before in CRIT6_DELETED_BEFORE.items():
+        p = ConstructionParams(r=3, z=20, alpha=0.3, beta=0.3,
+                               epsilon=0.5 * math.sqrt(5), k=5, seed=seed,
+                               blowup_t=3, gamma=0.3, pattern_cap=10)
+        out.append((f"crit6-seed{seed}", 10, full_construction(p), before))
+    return out
+
+
+def _parts_pattern_free(h, cap):
+    cond = blowup_deletion_condition(3, 0.3)
+    return all(scan_sparse_patterns(h.induced(h.part_vertices(q)), 3, cap,
+                                    condition=cond) is None
+               for q in range(h.parts))
+
+
+def test_deletion_corpus_pattern_free(deletion_corpus):
+    for label, cap, h, _ in deletion_corpus:
+        assert _parts_pattern_free(h, cap), label
+
+
+def test_deletion_corpus_deletes_no_more_than_before(deletion_corpus):
+    for label, _, h, before in deletion_corpus:
+        assert h.meta["deleted_patterns_edges"] <= before, label
+
+
+@pytest.fixture(scope="module")
+def readme_seed4():
+    p = ConstructionParams(seed=4, **README_PARAMS)
+    return p, p.build_partition()
+
+
+def test_readme_seed4_builds_within_budget(readme_seed4):
+    p, part = readme_seed4
+    h = full_construction(p, part, budget=80_000)
+    assert _parts_pattern_free(h, p.pattern_cap)
+
+
+def test_deletion_budget_spans_all_rounds(readme_seed4):
+    # no single scan on this instance needs 1,000 nodes, so exhausting
+    # 20,000 means every round draws on one budget
+    p, part = readme_seed4
+    with pytest.raises(BudgetExceeded) as exc:
+        full_construction(p, part, budget=20_000)
+    assert exc.value.nodes > 20_000
 
 
 # ---------------------------------------------------------------------------

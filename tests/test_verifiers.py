@@ -127,6 +127,8 @@ def test_alpha_t_edgeless():
     g = SimpleGraph(7, frozenset())
     assert alpha_t(g, 2) == 7
     assert alpha_t(g, 3) == 7
+    # deeper than the interpreter's recursion limit
+    assert alpha_t(SimpleGraph(1500, frozenset()), 3) == 1500
 
 
 def test_alpha_t_agrees_with_brute_force():
