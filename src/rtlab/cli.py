@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: construct, verify, report, optimize, drc, sphere.  Exit
-codes: 0 property holds / success, 1 property violated (witness written
-as JSON), 2 input error, 3 search budget exceeded.  Flags mirror the
-params.json keys and override file values; all randomness flows from the
-single seed.
+codes: 0 property holds / success, 1 property violated (witness rechecked,
+then written as JSON), 2 input error, 3 search budget exceeded, 4 internal
+error (any other exception, including a witness that fails its recheck).
+Flags mirror the params.json keys and override file values; all
+randomness flows from the single seed.
 """
 
 import argparse
@@ -22,6 +23,7 @@ EXIT_HOLDS = 0
 EXIT_VIOLATED = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 PARAM_KEYS = ["r", "z", "alpha", "beta", "epsilon", "k", "blowup_t", "gamma",
               "pattern_cap", "seed"]
@@ -115,6 +117,7 @@ def _cmd_verify(args) -> int:
         if args.s is None:
             raise ValueError("clique check needs --s")
         witness = ver.find_clique(g, args.s, args.budget)
+        recheck = lambda w: ver.recheck_clique(g, w)
     elif check == "alpha_t":
         if g is None:
             raise ValueError("alpha_t needs a graph file (r=2)")
@@ -129,19 +132,30 @@ def _cmd_verify(args) -> int:
         if args.s is None:
             raise ValueError("tk check needs --s")
         witness = ver.find_tk(h, args.s, args.budget)
+        recheck = lambda w: ver.recheck_tk(h, w, args.s)
     elif check == "tkf":
         if args.s is None:
             raise ValueError("tkf check needs --s")
         witness = ver.find_tkf_core(h, args.s, args.budget)
+        recheck = lambda w: ver.recheck_tkf_core(h, w)
     elif check == "split-core":
         witness = ver.scan_split_core(h, args.budget)
+        recheck = lambda w: ver.recheck_split_core(h, w)
     elif check == "sparse":
         ell = args.ell if args.ell is not None else h.r ** 3
         for p in range(max(1, h.parts)):
-            part = h.induced(h.part_vertices(p)) if h.parts else h
+            vs = h.part_vertices(p) if h.parts else range(h.n)
+            part = h.induced(vs) if h.parts else h
             witness = ver.scan_sparse_patterns(part, h.r, ell, args.budget)
             if witness is not None:
+                # the scan numbers the part's vertices 0, 1, ...; the
+                # witness names the file's vertices
+                witness = ver.Embedding(
+                    {i: vs[v] for i, v in witness.vertex_map.items()},
+                    witness.roles,
+                    [tuple(vs[v] for v in e) for e in witness.edges_used])
                 break
+        recheck = lambda w: ver.recheck_sparse_pattern(h, w, h.r, ell)
     elif check == "density":
         return _density(args, g, h, args.report_out)
     else:
@@ -149,6 +163,8 @@ def _cmd_verify(args) -> int:
     if witness is None:
         print(f"{check}: holds")
         return EXIT_HOLDS
+    if not recheck(witness):
+        raise RuntimeError(f"{check} witness failed its recheck; not written")
     _emit_json(witness.as_json(), args.witness_out)
     print(f"{check}: violated")
     return EXIT_VIOLATED
@@ -315,6 +331,11 @@ def main(argv=None) -> int:
             json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        detail = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {detail}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

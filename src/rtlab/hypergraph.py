@@ -289,18 +289,29 @@ def write_hypergraph(h: PartitionedHypergraph, path: str) -> None:
 
 
 def read_hypergraph(path: str) -> PartitionedHypergraph:
+    """Parse the format above.  ValueError on a bad header or label line,
+    an edge line without r vertices, an edge listed twice, fewer than m
+    edge lines, or a non-blank line after the m-th."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 5 or header[0] != "HG":
             raise ValueError(f"not a hypergraph file: {path}")
         r, n, m = int(header[1]), int(header[2]), int(header[3])
         part_of = tuple(int(fh.readline()) for _ in range(n))
-        edges = []
-        for _ in range(m):
-            e = tuple(int(x) for x in fh.readline().split())
+        edges = set()
+        for i in range(m):
+            line = fh.readline()
+            if not line:
+                raise ValueError(f"{path}: header gives {m} edges, "
+                                 f"file ends after {i}")
+            e = tuple(sorted(int(x) for x in line.split()))
             if len(e) != r:
                 raise ValueError(f"edge {e} does not have {r} vertices")
-            edges.append(e)
+            if e in edges:
+                raise ValueError(f"{path}: edge {e} listed twice")
+            edges.add(e)
+        if any(line.strip() for line in fh):
+            raise ValueError(f"{path}: lines after the header's {m} edges")
     return PartitionedHypergraph(n, r, frozenset(edges), part_of)
 
 

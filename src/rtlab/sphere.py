@@ -208,18 +208,27 @@ def cap_measure(k: int, s: float) -> float:
 
 def cap_intersection_measure_mc(k: int, centers: np.ndarray, s: float,
                                 samples: int, rng: np.random.Generator) -> float:
-    """Monte Carlo estimate of mu(intersection of caps {x . c_i >= s})."""
+    """Monte Carlo estimate of mu(intersection of caps {x . c_i >= s}).
+
+    Whether x lies in the caps depends only on its m = min(t, k+1)
+    coordinates in an orthonormal basis q of a space holding the t
+    centers (centers.T = q r, and x . c_i is those coordinates times
+    column i of r).  For x uniform on S^k, by rotation invariance, these
+    coordinates have the law g / sqrt(|g|^2 + c), with g standard normal
+    in R^m and c an independent chi-square with k+1-m degrees of freedom
+    (c = 0 when m = k+1).  So each sample draws m + 1 numbers instead of
+    k + 1, and the estimate is exact in distribution: the hit count is
+    Binomial(samples, mu).
+    """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    hits = 0
-    batch = 4_000  # rows per draw; (batch, k+1) floats stay small at large k
-    left = samples
-    while left > 0:
-        b = min(batch, left)
-        pts = sample_uniform_points(k, b, rng)
-        ok = np.all(pts @ centers.T >= s, axis=1)
-        hits += int(np.count_nonzero(ok))
-        left -= b
-    return hits / samples
+    _, r = np.linalg.qr(centers.T)
+    m = r.shape[0]
+    g = rng.standard_normal((samples, m))
+    norm2 = np.einsum("ij,ij->i", g, g)
+    if m < k + 1:
+        norm2 += rng.chisquare(k + 1 - m, samples)
+    hits = np.all(g @ r >= s * np.sqrt(norm2)[:, None], axis=1)
+    return int(np.count_nonzero(hits)) / samples
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +271,14 @@ def properties_hold(eps: float, alpha: float, beta: float, k: int,
     >= 1/2 - alpha.  Intersection floor: t such caps with pairwise-
     orthogonal centers (the extreme admissible configuration, centers at
     pairwise distance sqrt(2)) keep a Monte Carlo measure >= 2^-t -
-    t*alpha, for 2 <= t <= t_max.  Small-cap ceiling: the cap of base
-    diameter 2 - eps/(2 sqrt(k)) has measure <= beta.  The working scale
-    eps/sqrt(k) is additionally required to stay below 1/4, the regime in
-    which the four-point exclusion is available downstream.
+    t*alpha, for 2 <= t <= t_max.  Each of its 40,000 samples is the
+    projection of a uniform point onto the span of the centers, drawn from
+    its exact law g / sqrt(|g|^2 + chi^2_(k+1-t)) with g standard normal
+    in R^t (`cap_intersection_measure_mc`): the estimate is exact in
+    distribution and costs t + 1 draws per sample.  Small-cap ceiling: the
+    cap of base diameter 2 - eps/(2 sqrt(k)) has measure <= beta.  The
+    working scale eps/sqrt(k) is additionally required to stay below 1/4,
+    the regime in which the four-point exclusion is available downstream.
     """
     theta = eps / math.sqrt(k)
     if theta >= 0.25:
@@ -480,11 +493,11 @@ def build_partition(k: int, z: int, theta: float, seed: int,
         cloud = sample_uniform_points(k, max(diag_samples, 40 * z),
                                       substream(seed, "partition-lloyd"))
         for _ in range(balance_iters):
-            owner = np.argmax(cloud @ reps.T, axis=1)
+            order, bounds = _by_cell(cloud, reps)
             for j in range(z):
-                members = cloud[owner == j]
-                if len(members):
-                    m = members.sum(axis=0)
+                lo, hi = bounds[j], bounds[j + 1]
+                if hi > lo:
+                    m = cloud[order[lo:hi]].sum(axis=0)
                     nm = np.linalg.norm(m)
                     if nm > 1e-12:
                         reps[j] = m / nm
@@ -500,19 +513,25 @@ def build_partition(k: int, z: int, theta: float, seed: int,
     return part
 
 
+def _by_cell(points, reps):
+    """Rows grouped by Voronoi cell: (order, bounds) with the rows of cell
+    j at points[order[bounds[j]:bounds[j+1]]], in sampling order."""
+    owner = np.argmax(points @ reps.T, axis=1)
+    order = np.argsort(owner, kind="stable")
+    return order, np.searchsorted(owner[order], np.arange(len(reps) + 1))
+
+
 def _estimate_max_cell_diameter(reps, k, seed, samples):
     if len(reps) == 1:
         return 2.0
     pts = sample_uniform_points(k, samples, substream(seed, "partition-diam"))
-    owner = np.argmax(pts @ reps.T, axis=1)
+    order, bounds = _by_cell(pts, reps)
     worst = 0.0
     for j in range(len(reps)):
-        members = pts[owner == j]
-        if len(members) < 2:
-            continue
-        if len(members) > 400:
-            members = members[:400]
-        worst = max(worst, float(pairwise_distances(members).max()))
+        lo, hi = bounds[j], min(bounds[j + 1], bounds[j] + 400)
+        if hi - lo >= 2:
+            diam = pairwise_distances(pts[order[lo:hi]]).max()
+            worst = max(worst, float(diam))
     return worst
 
 

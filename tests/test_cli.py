@@ -7,12 +7,14 @@ from itertools import combinations
 
 import pytest
 
+from rtlab import verifiers as ver
 from rtlab.cli import main
 from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph,
-                              complete_uniform, write_graph, write_hypergraph)
+                              complete_uniform, read_hypergraph, write_graph,
+                              write_hypergraph)
 from rtlab.reports import emit_report
 from rtlab.sphere import cap_measure
-from rtlab.verifiers import density_report
+from rtlab.verifiers import Embedding, density_report
 
 
 def write_params(tmp_path, **kw):
@@ -108,6 +110,79 @@ def test_verify_tkf_and_split_core(tmp_path):
     assert main(["verify", "--check", "split-core", str(path2)]) == 0
 
 
+def test_verify_sparse_witness_names_file_vertices(tmp_path):
+    # two triples sharing a pair inside part 1 (vertices 4..7)
+    hp = PartitionedHypergraph(8, 3, frozenset([(4, 5, 6), (4, 5, 7)]),
+                               (0,) * 4 + (1,) * 4)
+    path = tmp_path / "hp.hg"
+    write_hypergraph(hp, str(path))
+    wit = tmp_path / "witness.json"
+    assert main(["verify", "--check", "sparse", "--witness-out", str(wit),
+                 str(path)]) == 1
+    payload = json.loads(wit.read_text())
+    assert sorted(payload["vertex_map"].values()) == [4, 5, 6, 7]
+    assert sorted(map(tuple, payload["edges_used"])) == [(4, 5, 6), (4, 5, 7)]
+
+
+def test_verify_edge_count_mismatch_exit_2(tmp_path):
+    path = tmp_path / "dup.hg"
+    path.write_text("HG 2 3 2 0\n-1\n-1\n-1\n0 1\n1 0\n")
+    assert main(["verify", "--check", "clique", "--s", "2", str(path)]) == 2
+
+
+BOGUS = Embedding({i: i for i in range(4)}, {i: "core" for i in range(4)},
+                  [(0, 1, 2)])
+
+
+@pytest.mark.parametrize("check,finder,flags", [
+    ("clique", "find_clique", ["--s", "4"]),
+    ("tk", "find_tk", ["--s", "4"]),
+    ("tkf", "find_tkf_core", ["--s", "4"]),
+    ("split-core", "scan_split_core", []),
+    ("sparse", "scan_sparse_patterns", []),
+])
+def test_verify_failed_recheck_exit_4(tmp_path, monkeypatch, capsys, check,
+                                      finder, flags):
+    # a finder that returns an embedding the file does not contain: the
+    # recheck rejects it, nothing is written and the run is an internal
+    # error, not a violation
+    r = 2 if check == "clique" else 3
+    path = tmp_path / "empty.hg"
+    write_hypergraph(PartitionedHypergraph(8, r, frozenset(),
+                                           (0,) * 4 + (1,) * 4), str(path))
+    monkeypatch.setattr(ver, finder, lambda *a, **kw: BOGUS)
+    wit = tmp_path / "witness.json"
+    assert main(["verify", "--check", check, *flags, "--witness-out",
+                 str(wit), str(path)]) == 4
+    assert not wit.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and "recheck" in err
+
+
+def test_internal_error_exit_4(tmp_path, monkeypatch, capsys):
+    def crash(*args, **kwargs):
+        raise ZeroDivisionError("line one\nline two")
+    monkeypatch.setattr(ver, "find_clique", crash)
+    path = tmp_path / "k3.g"
+    write_graph(SimpleGraph(3, frozenset(combinations(range(3), 2))), str(path))
+    assert main(["verify", "--check", "clique", "--s", "3", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: ZeroDivisionError: line one line two\n"
+
+
+@pytest.mark.parametrize("kind", ["be", "sphere", "full", "corollary"])
+def test_constructed_files_read_back(tmp_path, kind):
+    # every file `construct` writes passes the strict reader and writes
+    # back to the same bytes
+    params = write_params(tmp_path, z=12, epsilon=0.5, k=5, pattern_cap=10)
+    out = tmp_path / f"{kind}.hg"
+    assert main(["construct", "--type", kind, "--params", params,
+                 "--out", str(out)]) == 0
+    again = tmp_path / "again.hg"
+    write_hypergraph(read_hypergraph(str(out)), str(again))
+    assert again.read_bytes() == out.read_bytes()
+
+
 def test_unknown_flags_exit_2():
     assert main(["verify", "--nonsense"]) == 2
 
@@ -154,7 +229,6 @@ def test_flag_overrides_params_file(tmp_path):
     out1 = tmp_path / "s1.hg"
     assert main(["construct", "--type", "sphere", "--params", params,
                  "--z", "6", "--out", str(out1)]) == 0
-    from rtlab.hypergraph import read_hypergraph
     h = read_hypergraph(str(out1))
     assert h.n % 6 == 0  # parts are copies of 6 tuple vertices
 

@@ -263,6 +263,24 @@ def test_read_rejects_malformed(tmp_path):
         read_hypergraph(str(path))
 
 
+@pytest.mark.parametrize("edge_lines,problem", [
+    ("0 1 2\n2 1 0\n", "listed twice"),
+    ("0 1 2\n", "file ends after 1"),
+    ("0 1 2\n1 2 3\n0 2 3\n", "lines after"),
+])
+def test_read_rejects_edge_count_mismatch(tmp_path, edge_lines, problem):
+    path = tmp_path / "bad.hg"
+    path.write_text("HG 3 4 2 0\n" + "-1\n" * 4 + edge_lines)
+    with pytest.raises(ValueError, match=problem):
+        read_hypergraph(str(path))
+
+
+def test_read_accepts_trailing_blank_lines(tmp_path):
+    path = tmp_path / "h.hg"
+    path.write_text("HG 3 4 2 0\n" + "-1\n" * 4 + "0 1 2\n1 2 3\n\n  \n")
+    assert read_hypergraph(str(path)).edges == {(0, 1, 2), (1, 2, 3)}
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10 ** 6), st.sampled_from([2, 3, 4]),
        st.integers(1, 12), st.booleans())

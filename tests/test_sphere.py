@@ -156,15 +156,72 @@ def test_cap_measure_strictly_monotone_through_zero(k):
     assert cap_measure(k, 1e-9) < 0.5 < cap_measure(k, -1e-9)
 
 
-def test_cap_intersection_mc_independent_of_batching():
-    # generator draws fill row-major, so drawing the samples in batches
-    # gives the same points, and the same hit count, as one draw
-    k, s, n = 30, 0.1, 10_001
+def _full_dimension_fraction(k, centers, s, n, rng):
+    # the direct route: n uniform points of S^k, all k+1 coordinates
+    pts = sample_uniform_points(k, n, rng)
+    return np.count_nonzero(np.all(pts @ centers.T >= s, axis=1)) / n
+
+
+def _within_4se(estimate, p, n):
+    return abs(estimate - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+def _agree_4se(a, b, n):
+    # two independent estimates of one measure: their difference has
+    # variance 2 p (1 - p) / n
+    p = (a + b) / 2.0
+    return abs(a - b) <= 4.0 * math.sqrt(2.0 * p * (1.0 - p) / n)
+
+
+def test_cap_intersection_mc_deterministic_and_matches_full_dimension():
+    k, s, n = 30, 0.1, 40_000
     centers = np.eye(k + 1)[:2]
     got = cap_intersection_measure_mc(k, centers, s, n, substream(3, "mc"))
-    pts = sample_uniform_points(k, n, substream(3, "mc"))
-    hits = np.count_nonzero(np.all(pts @ centers.T >= s, axis=1))
-    assert got == hits / n
+    assert got == cap_intersection_measure_mc(k, centers, s, n,
+                                              substream(3, "mc"))
+    full = _full_dimension_fraction(k, centers, s, n, substream(4, "mc"))
+    assert _agree_4se(got, full, n), (got, full)
+
+
+@pytest.mark.parametrize("s", [0.0, 0.2, 0.5, 0.65])
+def test_cap_intersection_mc_circle_two_orthogonal_caps(s):
+    # on S^1 the two arcs |phi| <= acos s and |phi - pi/2| <= acos s meet
+    # in an arc of length acos s - asin s; here the projection is the
+    # whole point (m = k + 1)
+    n = 40_000
+    want = (math.acos(s) - math.asin(s)) / (2.0 * math.pi)
+    got = cap_intersection_measure_mc(1, np.eye(2), s, n,
+                                      substream(5, "circle"))
+    assert _within_4se(got, want, n), (got, want)
+
+
+@pytest.mark.parametrize("k,t", [(3, 4), (5, 3), (40, 4), (691, 2)])
+def test_cap_intersection_mc_orthant(k, t):
+    # t orthogonal hemispheres meet in an orthant of measure 2^-t
+    n = 40_000
+    got = cap_intersection_measure_mc(k, np.eye(k + 1)[:t], 0.0, n,
+                                      substream(k, "orthant"))
+    assert _within_4se(got, 2.0 ** -t, n), got
+
+
+@pytest.mark.parametrize("k,s", [(2, 0.3), (10, -0.2), (200, 0.05)])
+def test_cap_intersection_mc_duplicated_center_is_one_cap(k, s):
+    # a rank-deficient center matrix: the intersection is the single cap
+    n = 40_000
+    c = sample_uniform_points(k, 1, substream(k, "dup-center"))
+    got = cap_intersection_measure_mc(k, np.vstack([c, c]), s, n,
+                                      substream(k, "dup"))
+    assert _within_4se(got, cap_measure(k, s), n), got
+
+
+@pytest.mark.parametrize("k,t,s", [(2, 3, 0.1), (6, 2, 0.3), (25, 3, 0.05),
+                                   (4, 7, -0.1)])
+def test_cap_intersection_mc_skew_centers_match_full_dimension(k, t, s):
+    n = 40_000
+    centers = sample_uniform_points(k, t, substream(k * t, "skew-centers"))
+    got = cap_intersection_measure_mc(k, centers, s, n, substream(1, "skew"))
+    full = _full_dimension_fraction(k, centers, s, n, substream(2, "skew"))
+    assert _agree_4se(got, full, n), (got, full)
 
 
 def test_cap_measure_rejects_out_of_range():
@@ -219,6 +276,15 @@ def test_find_eps_k_reports_infeasible_at_cap():
         find_eps_k(0.3, 1e-9, 2, k_cap=64)
 
 
+@pytest.mark.parametrize("alpha,beta,t_max,want", [
+    (0.1, 0.1, 2, (0.125, 691)), (0.3, 0.3, 2, (0.5, 5)),
+    (0.49, 0.49, 2, (1.0, 17)), (0.45, 0.05, 2, (1.0, 29)),
+    (0.2, 0.05, 2, (0.25, 469)), (0.45, 0.45, 3, (1.0, 17)),
+    (0.2, 0.2, 2, (0.25, 33))])
+def test_find_eps_k_pinned_answers(alpha, beta, t_max, want):
+    assert find_eps_k(alpha, beta, t_max) == want
+
+
 def test_find_eps_k_with_triple_intersections():
     eps, k = find_eps_k(0.45, 0.45, 3)
     assert k >= 2
@@ -270,6 +336,40 @@ def test_partition_deterministic():
     a = build_partition(4, 9, 0.4, seed=5)
     b = build_partition(4, 9, 0.4, seed=5)
     assert np.array_equal(a.reps, b.reps)
+
+
+def _masked_lloyd_partition(k, z, seed, balance_iters=32, samples=20_000):
+    # the per-cell boolean-mask form of the Lloyd step and the diameter
+    # estimate: the same rows in the same order, so the same floats
+    from rtlab.sphere import _estimate_max_cell_diameter
+    reps = sample_uniform_points(k, z, substream(seed, "partition-reps"))
+    cloud = sample_uniform_points(k, max(samples, 40 * z),
+                                  substream(seed, "partition-lloyd"))
+    for _ in range(balance_iters):
+        owner = np.argmax(cloud @ reps.T, axis=1)
+        for j in range(z):
+            members = cloud[owner == j]
+            if len(members):
+                m = members.sum(axis=0)
+                if np.linalg.norm(m) > 1e-12:
+                    reps[j] = m / np.linalg.norm(m)
+    pts = sample_uniform_points(k, samples, substream(seed, "partition-diam"))
+    owner = np.argmax(pts @ reps.T, axis=1)
+    worst = 0.0
+    for j in range(z):
+        members = pts[owner == j][:400]
+        if len(members) >= 2:
+            worst = max(worst, float(pairwise_distances(members).max()))
+    return reps, worst
+
+
+@pytest.mark.parametrize("k,z", [(5, 14), (5, 20), (3, 60)])
+def test_partition_matches_masked_lloyd(k, z):
+    for seed in (1, 2, 3):
+        part = build_partition(k, z, 0.5, seed)
+        reps, diam = _masked_lloyd_partition(k, z, seed)
+        assert np.array_equal(part.reps, reps)
+        assert part.est_max_diameter == diam
 
 
 def test_partition_single_domain_is_whole_sphere():
