@@ -2,8 +2,9 @@
 
 Subcommands: construct, verify, report, optimize, drc, sphere.  Exit
 codes: 0 property holds / success, 1 property violated (witness rechecked,
-then written as JSON), 2 input error, 3 search budget exceeded, 4 internal
-error (any other exception, including a witness that fails its recheck).
+then written as JSON), 2 input error, 3 search budget exceeded (for drc:
+no witness verified within the retries), 4 internal error (any other
+exception, including a witness that fails its recheck).
 Flags mirror the params.json keys and override file values; all
 randomness flows from the single seed.
 """
@@ -203,14 +204,14 @@ def _cmd_drc(args) -> int:
         u = drcmod.drc_find_set(g, p, seed=seed)
         if u is None:
             print("find-set: no verified set within the retry budget")
-            return EXIT_VIOLATED
+            return EXIT_BUDGET
         payload = {"U": sorted(u)}
     elif args.action == "find-f":
         try:
             w = drcmod.find_f_witness(h, p, seed=seed)
         except drcmod.PipelineFailure as exc:
             print(f"find-f failed at stage '{exc.stage}': {exc.detail}")
-            return EXIT_VIOLATED
+            return EXIT_BUDGET
         payload = w.as_json()
     elif args.action == "find-tkf5":
         eps = p.epsilon
@@ -219,7 +220,7 @@ def _cmd_drc(args) -> int:
                                              seed=seed, retries=p.retries)
         except drcmod.PipelineFailure as exc:
             print(f"find-tkf5 failed at stage '{exc.stage}': {exc.detail}")
-            return EXIT_VIOLATED
+            return EXIT_BUDGET
         payload = {"tkf5": tkf5.as_json(),
                    "tk4": tk4.as_json() if tk4 else None}
     else:

@@ -303,11 +303,12 @@ def _cliques_of_size(adj_rows: list, n: int, size: int) -> list:
 def random_blowup(inside: PartitionedHypergraph, t: int, gamma: float,
                   ell: int, seed: int, budget=None) -> PartitionedHypergraph:
     """t-blowup of the given edges, each kept independently with
-    probability p = t^(1+gamma-r); then pattern deletion: each round the
-    sparse-pattern scan looks for a connected sub-collection with
-    v <= ell vertices and v + (1+gamma-r)(m-1) < r among the survivors
-    and deletes the lexicographically last edge of its witness.  The
-    final scan finds none and certifies the result."""
+    probability p = t^(1+gamma-r); then pattern deletion: one pass of
+    the sparse-pattern scan looks for connected sub-collections with
+    v <= ell vertices and v + (1+gamma-r)(m-1) < r, deletes the
+    lexicographically last edge of each witness and goes on over the
+    survivors.  The completed pass is the exhaustive scan of the final
+    edge set and certifies it."""
     if t < 1:
         raise ValueError("blowup factor must be >= 1")
     if not 0.0 < gamma < 1.0:

@@ -492,15 +492,17 @@ def build_partition(k: int, z: int, theta: float, seed: int,
     if z > 1 and balance_iters > 0:
         cloud = sample_uniform_points(k, max(diag_samples, 40 * z),
                                       substream(seed, "partition-lloyd"))
+        columns = np.ascontiguousarray(cloud.T)
         for _ in range(balance_iters):
-            order, bounds = _by_cell(cloud, reps)
+            owner = np.argmax(cloud @ reps.T, axis=1)
+            # bincount adds each cell's rows in sampling order, as a sum
+            # over the cell's rows would, so the means are the same floats
+            sums = np.stack([np.bincount(owner, weights=col, minlength=z)
+                             for col in columns], axis=1)
             for j in range(z):
-                lo, hi = bounds[j], bounds[j + 1]
-                if hi > lo:
-                    m = cloud[order[lo:hi]].sum(axis=0)
-                    nm = np.linalg.norm(m)
-                    if nm > 1e-12:
-                        reps[j] = m / nm
+                nm = np.linalg.norm(sums[j])
+                if nm > 1e-12:
+                    reps[j] = sums[j] / nm
     est = _estimate_max_cell_diameter(reps, k, seed, diag_samples)
     ok = est <= theta / 4.0 or math.isnan(est)
     part = SpherePartition(k=k, z=z, reps=reps, domain_diam_bound=theta / 4.0,

@@ -467,17 +467,26 @@ def minimal_tkf_bound(r: int, m: int) -> int:
 
 def connected_edge_subsets(h: PartitionedHypergraph, max_vertices: int,
                            counter: _Counter, min_edges: int = 2,
-                           stop_at=None, linear_only: bool = False):
+                           stop_at=None, linear_only: bool = False,
+                           dead=frozenset()):
     """Yield (edge-index tuple, vertex set) for every connected hyperedge
-    sub-collection spanning at most max_vertices vertices.
+    sub-collection spanning at most max_vertices vertices and holding no
+    edge whose index (into h.sorted_edges()) is in `dead`.
 
-    Exact-once enumeration (ESU-style: grow from the minimum edge index
-    with an exclusive extension list).  When `stop_at(v, m)` is true for a
-    yielded subset it is not extended further; every subset all of whose
-    proper connected prefixes fail stop_at is still reached, so in
-    particular every minimal satisfying subset is yielded.  With
+    Exact-once enumeration (ESU, Wernicke 2006: grow from the minimum
+    edge index with an exclusive extension list).  When `stop_at(v, m)`
+    is true for a yielded subset it is not extended further; every subset
+    all of whose proper connected prefixes fail stop_at is still reached,
+    so in particular every minimal satisfying subset is yielded.  With
     `linear_only` the enumeration is restricted to subsets in which every
     two edges share at most one vertex.
+
+    `dead` is read at every step, so the caller may add to it between
+    yields.  Deleting edges changes no adjacency among the others, so the
+    walk over the surviving edges is this walk with every node that holds
+    a dead edge cut off, in the same order: after an addition the walk
+    goes on exactly as a fresh walk of the survivors would after the
+    subset just yielded.
     """
     edges = h.sorted_edges()
     m = len(edges)
@@ -502,13 +511,15 @@ def connected_edge_subsets(h: PartitionedHypergraph, max_vertices: int,
         return all(len(ws & edge_sets[i]) <= 1 for i in subset)
 
     for seed in range(m):
-        if len(edges[seed]) > max_vertices:
+        if seed in dead or len(edges[seed]) > max_vertices:
             continue
-        base_ext = [u for u in nbr_lists[seed] if u > seed]
-        stack = [((seed,), frozenset(edges[seed]), base_ext,
+        base_ext = [u for u in nbr_lists[seed] if u > seed and u not in dead]
+        stack = [((seed,), edge_sets[seed], base_ext,
                   set(base_ext) | {seed})]
         while stack:
             subset, verts, ext, closed = stack.pop()
+            if not dead.isdisjoint(subset):
+                continue
             if len(subset) >= min_edges:
                 yield tuple(sorted(subset)), verts
                 if stop_at is not None and stop_at(len(verts), len(subset)):
@@ -516,28 +527,16 @@ def connected_edge_subsets(h: PartitionedHypergraph, max_vertices: int,
             # each candidate is excluded from its later siblings' subtrees
             # (exclusive extension lists keep the enumeration exact-once)
             for i, w in enumerate(ext):
-                nv = verts | frozenset(edges[w])
+                if w in dead:
+                    continue
+                nv = verts | edge_sets[w]
                 if len(nv) > max_vertices or not compatible(w, subset):
                     continue
                 counter.tick()
                 fresh = [u for u in nbr_lists[w]
-                         if u > seed and u not in closed]
+                         if u > seed and u not in closed and u not in dead]
                 stack.append((subset + (w,), nv, ext[i + 1:] + fresh,
                               closed | set(fresh)))
-
-
-def _overlapping_pair(h: PartitionedHypergraph, ell: int):
-    """Lexicographically first pair of edges sharing >= 2 vertices and
-    spanning at most ell vertices, or None."""
-    best = None
-    for es in h.pair_cover_index().values():
-        for i in range(len(es)):
-            for j in range(i + 1, len(es)):
-                if len(set(es[i]) | set(es[j])) <= ell:
-                    cand = (es[i], es[j])
-                    if best is None or cand < best:
-                        best = cand
-    return best
 
 
 def _pattern_embedding(edges_used: list) -> Embedding:
@@ -546,21 +545,36 @@ def _pattern_embedding(edges_used: list) -> Embedding:
                      list(edges_used))
 
 
-def _scan_sparse(h_part: PartitionedHypergraph, ell: int, condition,
-                 counter: _Counter) -> Embedding | None:
-    edges = h_part.sorted_edges()
+def _sparse_witnesses(h: PartitionedHypergraph, ell: int, condition,
+                      counter: _Counter, dead):
+    """Sorted edge-index tuples (into h.sorted_edges()) of the connected
+    sub-collections with at most ell vertices that satisfy the condition
+    and hold no edge of `dead`, in scan order; the caller may add to
+    `dead` between yields.
+
+    When a pair of edges sharing two or more vertices satisfies the
+    condition, every such pair within ell vertices comes first, in
+    lexicographic order; the walk that follows is then restricted to
+    linear sub-collections.
+    """
     linear_only = False
-    if condition(2 * h_part.r - 2, 2):
-        pair = _overlapping_pair(h_part, ell)
-        if pair is not None:
-            return _pattern_embedding(pair)
+    if condition(2 * h.r - 2, 2):
+        index = {e: i for i, e in enumerate(h.sorted_edges())}
+        pairs = set()
+        for es in h.pair_cover_index().values():
+            for e, f in combinations(es, 2):
+                if len(set(e) | set(f)) <= ell:
+                    pairs.add((index[e], index[f]))
+        for pair in sorted(pairs):
+            if dead.isdisjoint(pair):
+                yield pair
         linear_only = True
-    for subset, verts in connected_edge_subsets(h_part, ell, counter,
+    for subset, verts in connected_edge_subsets(h, ell, counter,
                                                 stop_at=condition,
-                                                linear_only=linear_only):
+                                                linear_only=linear_only,
+                                                dead=dead):
         if condition(len(verts), len(subset)):
-            return _pattern_embedding([edges[i] for i in subset])
-    return None
+            yield subset
 
 
 def scan_sparse_patterns(h_part: PartitionedHypergraph, r: int, ell: int,
@@ -570,12 +584,18 @@ def scan_sparse_patterns(h_part: PartitionedHypergraph, r: int, ell: int,
 
     Two phases: pairs of edges sharing two or more vertices are checked
     directly (they satisfy every condition in use whenever a pair can),
-    after which only linear sub-collections remain to be grown.
+    after which only linear sub-collections remain to be grown.  None is
+    returned only after the walk has reached every candidate.
     """
     if condition is None:
         condition = sparsity_condition(r)
-    return _scan_sparse(h_part, ell, condition,
-                        _Counter(resolve_budget(budget)))
+    witness = next(_sparse_witnesses(h_part, ell, condition,
+                                     _Counter(resolve_budget(budget)),
+                                     frozenset()), None)
+    if witness is None:
+        return None
+    edges = h_part.sorted_edges()
+    return _pattern_embedding([edges[i] for i in witness])
 
 
 def recheck_sparse_pattern(h: PartitionedHypergraph, emb: Embedding, r: int,
@@ -607,19 +627,20 @@ def sparse_pattern_doomed_edges(h: PartitionedHypergraph, ell: int,
     """Edges whose deletion leaves no connected sub-collection with at
     most ell vertices that satisfies the condition.
 
-    Each round runs the sparse-pattern scan on the surviving edges and
-    deletes the lexicographically last edge of the witness it returns;
-    the final scan, which finds nothing, certifies the result.  All
-    rounds share one node budget.
+    One pass of the sparse-pattern scan: each witness it finds has its
+    lexicographically last edge deleted, and the scan goes on over the
+    survivors from just after that witness.  The deleted set is the one
+    a restart of the scan after every deletion would produce, since the
+    scan of the survivors revisits only nodes already found clean.  The
+    completed pass is therefore the exhaustive scan of the final edge
+    set, which certifies it.  `budget` bounds the whole pass.
     """
-    counter = _Counter(resolve_budget(budget))
-    doomed = set()
-    while True:
-        alive = PartitionedHypergraph(h.n, h.r, h.edges - doomed, h.part_of)
-        witness = _scan_sparse(alive, ell, condition, counter)
-        if witness is None:
-            return doomed
-        doomed.add(max(witness.edges_used))
+    edges = h.sorted_edges()
+    dead = set()
+    for witness in _sparse_witnesses(h, ell, condition,
+                                     _Counter(resolve_budget(budget)), dead):
+        dead.add(witness[-1])
+    return {edges[i] for i in dead}
 
 
 # ---------------------------------------------------------------------------
@@ -627,21 +648,35 @@ def sparse_pattern_doomed_edges(h: PartitionedHypergraph, ell: int,
 
 
 def _max_matching(left: list, right: list, adjacent) -> list:
-    """Kuhn's augmenting-path maximum matching; returns index pairs."""
-    match_r = {}
+    """Kuhn's augmenting-path maximum matching; returns index pairs.
 
-    def try_augment(li, visited):
-        for rj in range(len(right)):
-            if rj in visited or not adjacent(li, rj):
+    Each search is a depth-first walk over an explicit stack of
+    [left index, next right index to try] frames, so the path length is
+    not bound by the recursion limit.
+    """
+    match_r = {}
+    for root in range(len(left)):
+        visited = set()
+        stack = [[root, 0]]
+        path = []  # path[d]: the right vertex frame d descended through
+        while stack:
+            frame = stack[-1]
+            li, rj = frame
+            while rj < len(right) and (rj in visited or not adjacent(li, rj)):
+                rj += 1
+            if rj == len(right):
+                stack.pop()
+                if path:
+                    path.pop()
                 continue
             visited.add(rj)
-            if rj not in match_r or try_augment(match_r[rj], visited):
-                match_r[rj] = li
-                return True
-        return False
-
-    for li in range(len(left)):
-        try_augment(li, set())
+            frame[1] = rj + 1
+            path.append(rj)
+            if rj not in match_r:
+                for (lj, _), rk in zip(stack, path):
+                    match_r[rk] = lj
+                break
+            stack.append([match_r[rj], 0])
     return sorted((li, rj) for rj, li in match_r.items())
 
 

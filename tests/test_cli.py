@@ -281,6 +281,39 @@ def test_drc_find_tkf5_cli(tmp_path):
     assert payload["tkf5"] is not None and payload["tk4"] is not None
 
 
+def test_drc_find_set_exhausted_retries_exit_3(tmp_path, capsys):
+    # K_{50,50}: three picks on both sides have no common neighbour, and
+    # both retries at seed 0 draw such picks
+    g = SimpleGraph(100, frozenset((a, b) for a in range(50)
+                                   for b in range(50, 100)))
+    gpath = tmp_path / "g.hg"
+    write_graph(g, str(gpath))
+    ppath = tmp_path / "drc.json"
+    ppath.write_text(json.dumps({"a": 4, "m": 5, "t": 3, "r": 2,
+                                 "retries": 2}))
+    out = tmp_path / "u.json"
+    assert main(["drc", "find-set", "--params", str(ppath), "--seed", "0",
+                 "--out", str(out), str(gpath)]) == 3
+    assert "no verified set" in capsys.readouterr().out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("action", ["find-f", "find-tkf5"])
+def test_drc_hypergraph_pipeline_failure_exit_3(tmp_path, capsys, action):
+    # one edge: no edge survives the codegree sweep in any retry
+    hpath = tmp_path / "h.hg"
+    write_hypergraph(PartitionedHypergraph(30, 3, frozenset([(0, 1, 2)])),
+                     str(hpath))
+    ppath = tmp_path / "drc.json"
+    ppath.write_text(json.dumps({"epsilon": 0.5, "codegree_threshold": 1,
+                                 "retries": 2}))
+    out = tmp_path / "w.json"
+    assert main(["drc", action, "--params", str(ppath), "--seed", "1",
+                 "--out", str(out), str(hpath)]) == 3
+    assert f"{action} failed at stage" in capsys.readouterr().out
+    assert not out.exists()
+
+
 def test_sphere_subcommands(tmp_path, capsys):
     out = tmp_path / "p.sphere"
     assert main(["sphere", "partition", "--k", "3", "--z", "5",

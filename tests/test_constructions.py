@@ -5,6 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
+from rtlab import constructions
 from rtlab.constructions import (ConstructionParams, PartTooLarge,
                                  bollobas_erdos, corollary_graph,
                                  full_construction, maximal_ktfree_graph,
@@ -14,7 +15,8 @@ from rtlab.constructions import (ConstructionParams, PartTooLarge,
 from rtlab.hypergraph import PartitionedHypergraph, SimpleGraph, shadow
 from rtlab.sphere import SQRT2, build_partition
 from rtlab.verifiers import (BudgetExceeded, blowup_deletion_condition,
-                             find_clique, scan_sparse_patterns)
+                             find_clique, scan_sparse_patterns,
+                             sparse_pattern_doomed_edges)
 
 
 def small_params(**kw):
@@ -271,11 +273,40 @@ CRIT5_DELETED_BEFORE = [85, 138, 41, 139, 50, 33, 88, 186, 138, 37]
 CRIT6_DELETED_BEFORE = {3: 128, 4: 135, 5: 111}
 
 
+def _restart_doomed_edges(h, ell, condition):
+    # the deletion as a loop of full scans, each on a rebuilt hypergraph
+    # of the survivors: the reference for the one resumed pass of
+    # sparse_pattern_doomed_edges
+    doomed = set()
+    while True:
+        alive = PartitionedHypergraph(h.n, h.r, h.edges - doomed, h.part_of)
+        witness = scan_sparse_patterns(alive, h.r, ell, budget=10 ** 9,
+                                       condition=condition)
+        if witness is None:
+            return doomed
+        doomed.add(max(witness.edges_used))
+
+
 @pytest.fixture(scope="module")
 def deletion_corpus():
-    """(label, pattern cap, hypergraph, former deleted count) for the
-    seeded instances of acceptance criteria 5 and 6."""
+    """(label, pattern cap, hypergraph, former deleted count or None,
+    deletions) for the seeded instances of acceptance criteria 5 and 6
+    and the README parameters at seeds 2-5; deletions records each
+    (input, ell, condition, deleted edges) of the pattern deletion."""
     out = []
+
+    def build(label, cap, before, make):
+        deletions = []
+
+        def record(h, ell, condition, budget=None):
+            doomed = sparse_pattern_doomed_edges(h, ell, condition, budget)
+            deletions.append((h, ell, condition, doomed))
+            return doomed
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(constructions, "sparse_pattern_doomed_edges", record)
+            out.append((label, cap, make(), before, deletions))
+
     k, z, theta = 6, 12, 0.5
     for seed, before in enumerate(CRIT5_DELETED_BEFORE):
         p = ConstructionParams(r=3, z=z, alpha=0.3, beta=0.3,
@@ -286,13 +317,16 @@ def deletion_corpus():
         h = sphere_hypergraph(p, part)
         inside = PartitionedHypergraph(h.n, 3, frozenset(h.inside_edges()),
                                        h.part_of)
-        out.append((f"crit5-seed{seed}", 9,
-                    random_blowup(inside, 5, 0.3, 9, seed=seed), before))
+        build(f"crit5-seed{seed}", 9, before,
+              lambda: random_blowup(inside, 5, 0.3, 9, seed=seed))
     for seed, before in CRIT6_DELETED_BEFORE.items():
         p = ConstructionParams(r=3, z=20, alpha=0.3, beta=0.3,
                                epsilon=0.5 * math.sqrt(5), k=5, seed=seed,
                                blowup_t=3, gamma=0.3, pattern_cap=10)
-        out.append((f"crit6-seed{seed}", 10, full_construction(p), before))
+        build(f"crit6-seed{seed}", 10, before, lambda: full_construction(p))
+    for seed in (2, 3, 4, 5):
+        p = ConstructionParams(seed=seed, **README_PARAMS)
+        build(f"readme-seed{seed}", 10, None, lambda: full_construction(p))
     return out
 
 
@@ -304,13 +338,21 @@ def _parts_pattern_free(h, cap):
 
 
 def test_deletion_corpus_pattern_free(deletion_corpus):
-    for label, cap, h, _ in deletion_corpus:
+    for label, cap, h, _, _ in deletion_corpus:
         assert _parts_pattern_free(h, cap), label
 
 
 def test_deletion_corpus_deletes_no_more_than_before(deletion_corpus):
-    for label, _, h, before in deletion_corpus:
-        assert h.meta["deleted_patterns_edges"] <= before, label
+    for label, _, h, before, _ in deletion_corpus:
+        if before is not None:
+            assert h.meta["deleted_patterns_edges"] <= before, label
+
+
+def test_deletion_pass_matches_restart_loop(deletion_corpus):
+    for label, _, _, _, deletions in deletion_corpus:
+        assert len(deletions) == 1, label
+        h, ell, condition, doomed = deletions[0]
+        assert doomed == _restart_doomed_edges(h, ell, condition), label
 
 
 @pytest.fixture(scope="module")
@@ -325,13 +367,36 @@ def test_readme_seed4_builds_within_budget(readme_seed4):
     assert _parts_pattern_free(h, p.pattern_cap)
 
 
-def test_deletion_budget_spans_all_rounds(readme_seed4):
-    # no single scan on this instance needs 1,000 nodes, so exhausting
-    # 20,000 means every round draws on one budget
+def test_deletion_budget_bounds_the_pass(readme_seed4):
+    # the deletion pass on this instance takes 2,881 nodes in all
     p, part = readme_seed4
     with pytest.raises(BudgetExceeded) as exc:
-        full_construction(p, part, budget=20_000)
-    assert exc.value.nodes > 20_000
+        full_construction(p, part, budget=2_880)
+    assert exc.value.nodes > 2_880
+    h = full_construction(p, part, budget=2_881)
+    assert _parts_pattern_free(h, p.pattern_cap)
+
+
+def test_certifying_scan_node_count(readme_seed4):
+    # the exhaustive scan of part 1 of the result takes exactly 237 nodes
+    p, part = readme_seed4
+    h = full_construction(p, part)
+    part1 = h.induced(h.part_vertices(1))
+    cond = blowup_deletion_condition(3, 0.3)
+    with pytest.raises(BudgetExceeded) as exc:
+        scan_sparse_patterns(part1, 3, 10, budget=236, condition=cond)
+    assert exc.value.nodes == 237
+    assert scan_sparse_patterns(part1, 3, 10, budget=237,
+                                condition=cond) is None
+
+
+def test_readme_z20_builds_within_budget():
+    # the deletion pass takes 47,964 nodes here; restarting the scan
+    # after each of its 1,435 deletions would take over 2 million
+    p = ConstructionParams(seed=3, **dict(README_PARAMS, z=20))
+    h = full_construction(p, budget=100_000)
+    assert h.meta["deleted_patterns_edges"] == 1_435
+    assert _parts_pattern_free(h, p.pattern_cap)
 
 
 # ---------------------------------------------------------------------------

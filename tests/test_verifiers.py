@@ -8,7 +8,7 @@ from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph,
                               complete_uniform, turan_hypergraph)
 from rtlab.rng import substream
 from rtlab.sphere import build_partition
-from rtlab.verifiers import (BudgetExceeded, _Counter, alpha_t,
+from rtlab.verifiers import (BudgetExceeded, _Counter, _max_matching, alpha_t,
                              far_pair_matching, find_clique, find_tk,
                              find_tkf_core, hyper_independence,
                              minimal_tkf_bound, private_edges,
@@ -439,6 +439,54 @@ def test_far_matching_monotone_in_theta():
     sizes = [len(far_pair_matching(a1, a2, part, th))
              for th in (0.2, 0.5, 0.9, 1.3)]
     assert sizes == sorted(sizes)
+
+
+def _recursive_max_matching(left, right, adjacent):
+    # the recursive form of Kuhn's matching that the explicit stack in
+    # verifiers._max_matching replaced: the reference for its pairs
+    match_r = {}
+
+    def try_augment(li, visited):
+        for rj in range(len(right)):
+            if rj in visited or not adjacent(li, rj):
+                continue
+            visited.add(rj)
+            if rj not in match_r or try_augment(match_r[rj], visited):
+                match_r[rj] = li
+                return True
+        return False
+
+    for li in range(len(left)):
+        try_augment(li, set())
+    return sorted((li, rj) for rj, li in match_r.items())
+
+
+def test_far_matching_same_pairs_as_recursive_kuhn():
+    for seed in range(1, 6):
+        part = build_partition(6, 24, 0.4, seed=seed, balance_iters=0,
+                               diag_samples=500)
+        a1, a2 = list(range(0, 24, 2)), list(range(1, 24, 2))
+        reps = part.reps
+        d = np.linalg.norm(reps[a1][:, None, :] - reps[a2][None, :, :],
+                           axis=2)
+        for theta in (0.5, 0.9, 1.3):
+            want = _recursive_max_matching(
+                a1, a2, lambda i, j: d[i, j] >= 2.0 - theta)
+            assert far_pair_matching(a1, a2, part, theta) == \
+                [(a1[i], a2[j]) for i, j in want], (seed, theta)
+
+
+def test_max_matching_long_augmenting_path():
+    # left i meets right i and i+1, the last left only right 0: matching
+    # the last left walks one augmenting path through all 3,000 lefts,
+    # past the recursion limit of a recursive search
+    n = 3000
+
+    def adjacent(i, j):
+        return j == 0 if i == n - 1 else j in (i, i + 1)
+
+    got = _max_matching(list(range(n)), list(range(n)), adjacent)
+    assert got == [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
 
 
 def test_tree_embedding_single_edge():
