@@ -20,8 +20,9 @@ from .hypergraph import (PartitionedHypergraph, SimpleGraph, blowup,
                          complete_join, shadow)
 from .rng import substream
 from .sphere import SQRT2, SpherePartition, build_partition
-from .verifiers import (_has_clique_mask, blowup_deletion_condition,
-                        find_clique, sparse_pattern_doomed_edges)
+from .verifiers import (BudgetExceeded, _cliques, _Counter, _has_clique_mask,
+                        blowup_deletion_condition, find_clique,
+                        sparse_pattern_doomed_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -143,33 +144,21 @@ def tuple_vertices(partition: SpherePartition, u: int, theta: float) -> list:
     order."""
     if u < 1:
         raise ValueError("tuple length must be >= 1")
-    z = partition.z
-    if u == 1:
-        return [(i,) for i in range(z)]
     close = partition.distance_matrix() <= SQRT2 - theta
-    out = []
-
-    def extend(prefix):
-        if len(prefix) == u:
-            out.append(tuple(prefix))
-            return
-        allowed = np.ones(z, dtype=bool)
-        for i in prefix:
-            allowed &= close[i]
-        for j in np.nonzero(allowed)[0]:
-            extend(prefix + [int(j)])
-
-    extend([])
-    return out
+    rows = [_mask_of(row) for row in close]
+    return list(_cliques(rows, u, (1 << partition.z) - 1, ordered=True))
 
 
 class PartTooLarge(RuntimeError):
-    """Exhaustive enumeration refused: tuple-vertex count over the cap."""
+    """Exhaustive enumeration refused: a part or the cross walk over its cap."""
+
+
+# tuples the cross-edge enumeration may place before it gives up
+MAX_CROSS_ASSIGNMENTS = 5_000_000
 
 
 def sphere_hypergraph(params: ConstructionParams, partition: SpherePartition,
                       max_part_size: int = 5000,
-                      max_cross_assignments: int = 5_000_000,
                       sample_inside: int | None = None) -> PartitionedHypergraph:
     """r parts, each a copy of the tuple vertices.  An r-set inside a part
     is an edge when every pair of its tuples is far in some shared
@@ -177,7 +166,9 @@ def sphere_hypergraph(params: ConstructionParams, partition: SpherePartition,
     when every coordinate pair across the tuples is close
     (d <= sqrt(2) - theta).  Both families are enumerated exhaustively;
     `sample_inside` switches the inside family to a uniform sample of
-    r-subsets with a count estimate and its CI in meta.
+    r-subsets with a count estimate and its CI in meta.  Raises
+    PartTooLarge over `max_part_size` tuples per part, or when the cross
+    walk places over MAX_CROSS_ASSIGNMENTS (5,000,000) tuples.
     """
     r, u, theta = params.r, params.u, params.theta
     V = tuple_vertices(partition, u, theta)
@@ -210,9 +201,9 @@ def sphere_hypergraph(params: ConstructionParams, partition: SpherePartition,
     np.fill_diagonal(tfar, False)
 
     # inside edges: r-cliques of the far graph, one copy per part
-    far_rows = [_mask_of(row) for row in tfar]
+    full = (1 << nv) - 1
     if sample_inside is None:
-        inside = _cliques_of_size(far_rows, nv, r)
+        inside = list(_cliques([_mask_of(row) for row in tfar], r, full))
     else:
         inside = _sampled_far_cliques(tfar, nv, r, sample_inside, params.seed,
                                       meta)
@@ -225,25 +216,13 @@ def sphere_hypergraph(params: ConstructionParams, partition: SpherePartition,
 
     # cross edges: ordered assignments (a_1..a_r), pairwise tuple-close
     close_rows = [_mask_of(row) for row in tclose]
-    full = (1 << nv) - 1
-    count = 0
-    cross_count = 0
-    stack = [((), full)]
-    while stack:
-        chosen, cand = stack.pop()
-        if len(chosen) == r:
-            edges.add(tuple(p * nv + a for p, a in enumerate(chosen)))
-            cross_count += 1
-            continue
-        m = cand
-        while m:
-            a = (m & -m).bit_length() - 1
-            m &= m - 1
-            count += 1
-            if count > max_cross_assignments:
-                raise PartTooLarge("cross enumeration exceeded the cap")
-            stack.append((chosen + (a,), cand & close_rows[a]))
-    meta["base_cross"] = cross_count
+    try:
+        cross = list(_cliques(close_rows, r, full,
+                              _Counter(MAX_CROSS_ASSIGNMENTS), ordered=True))
+    except BudgetExceeded:
+        raise PartTooLarge("cross enumeration exceeded the cap") from None
+    edges.update(tuple(p * nv + a for p, a in enumerate(c)) for c in cross)
+    meta["base_cross"] = len(cross)
 
     return PartitionedHypergraph(n, r, frozenset(edges), part_of, meta=meta)
 
@@ -275,25 +254,6 @@ def _sampled_far_cliques(tfar, nv, r, draws, seed, meta):
     meta["inside_count_ci"] = (max(0.0, (phat - half)) * total,
                                (phat + half) * total)
     return hits
-
-
-def _cliques_of_size(adj_rows: list, n: int, size: int) -> list:
-    """All size-cliques of the graph given by bitmask rows, lex order."""
-    out = []
-
-    def grow(clique, cand, start_mask):
-        if len(clique) == size:
-            out.append(tuple(clique))
-            return
-        m = cand & start_mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            higher = ~((1 << (v + 1)) - 1)
-            grow(clique + [v], cand & adj_rows[v], higher)
-
-    grow([], (1 << n) - 1, (1 << n) - 1)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ reproducible.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 UNPARTITIONED = -1
 
@@ -197,10 +197,7 @@ def blowup(h: PartitionedHypergraph, t: int) -> PartitionedHypergraph:
     edges = set()
     for e in h.edges:
         choices = [[v * t + i for i in range(t)] for v in e]
-        stack = [()]
-        for opts in choices:
-            stack = [acc + (o,) for acc in stack for o in opts]
-        edges.update(tuple(sorted(c)) for c in stack)
+        edges.update(tuple(sorted(c)) for c in product(*choices))
     parts = tuple(h.part_of[v] for v in range(h.n) for _ in range(t))
     return PartitionedHypergraph(h.n * t, h.r, frozenset(edges), parts,
                                  meta=dict(h.meta, blowup_t=t))
@@ -223,10 +220,8 @@ def turan_hypergraph(n: int, s: int, r: int) -> PartitionedHypergraph:
         start += size
     edges = set()
     for chosen in combinations(range(s), r):
-        stack = [()]
-        for p in chosen:
-            stack = [acc + (v,) for acc in stack for v in groups[p]]
-        edges.update(tuple(sorted(e)) for e in stack)
+        edges.update(tuple(sorted(e))
+                     for e in product(*(groups[p] for p in chosen)))
     return PartitionedHypergraph(n, r, frozenset(edges), tuple(part_of))
 
 

@@ -174,6 +174,45 @@ def _has_clique_mask(adj: list, mask: int, size: int) -> bool:
     return False
 
 
+def _cliques(rows: list, size: int, cand: int, counter: _Counter | None = None,
+             ordered: bool = False):
+    """Every sequence of `size` vertices from the bitmask `cand` in which
+    each vertex is adjacent in the bitmask rows to all earlier ones, in
+    lexicographic order.
+
+    The sequences are strictly increasing, so each clique comes once;
+    with `ordered` every order counts, and a vertex may repeat where its
+    own row bit is set.  Depth-first over an explicit stack of
+    [untried, compatible] bitmask frames, one `counter` tick for each
+    vertex placed; a sequence is yielded as soon as it is complete.
+    """
+    if size == 0:
+        yield ()
+        return
+    stack = [[cand, cand]]
+    seq: list = []
+    while stack:
+        frame = stack[-1]
+        untried = frame[0]
+        if not untried:
+            stack.pop()
+            if seq:
+                seq.pop()
+            continue
+        low = untried & -untried
+        v = low.bit_length() - 1
+        frame[0] = untried ^ low
+        if counter is not None:
+            counter.tick()
+        if len(stack) == size:
+            yield (*seq, v)
+            continue
+        # increasing: the next vertex comes from the untried ones above v
+        nxt = (frame[1] if ordered else frame[0]) & rows[v]
+        seq.append(v)
+        stack.append([nxt, nxt])
+
+
 # ---------------------------------------------------------------------------
 # K_t-independence number
 
@@ -222,25 +261,30 @@ def contained_edge(h: PartitionedHypergraph, vertices) -> tuple | None:
 
 
 def hyper_independence(h: PartitionedHypergraph, budget=None) -> int:
-    """Exact maximum size of a vertex set containing no full hyperedge."""
+    """Exact maximum size of a vertex set containing no full hyperedge.
+
+    Depth-first over an explicit stack of (vertex mask, size) nodes: a
+    full hyperedge, the first in mask order, branches on each vertex.
+    """
     counter = _Counter(resolve_budget(budget))
-    edge_masks = sorted((sum(1 << v for v in e), e) for e in h.edges)
-    n = h.n
+    # bits reversed, so that the branch dropping the first vertex pops first
+    edge_bits = sorted((sum(1 << v for v in e), [1 << v for v in reversed(e)])
+                       for e in h.edges)
     best = 0
-
-    def rec(in_mask: int, size: int):
-        nonlocal best
+    stack = [((1 << h.n) - 1, h.n)]
+    while stack:
+        in_mask, size = stack.pop()
         if size <= best:
-            return
+            continue
         counter.tick(certified=best)
-        for mask, e in edge_masks:
+        for mask, bits in edge_bits:
             if mask & in_mask == mask:
-                for v in e:
-                    rec(in_mask & ~(1 << v), size - 1)
-                return
-        best = max(best, size)
-
-    rec((1 << n) - 1, n)
+                # a branch already no larger than the best stays so
+                if size - 1 > best:
+                    stack.extend([(in_mask ^ bit, size - 1) for bit in bits])
+                break
+        else:
+            best = size
     return best
 
 
@@ -280,29 +324,34 @@ def private_edges(cover: dict, pairs: list, used: set,
 
     `cover` is a pair-cover index.  Depth-first over first-fit choices in
     the index order, one budget node per tentative choice; returns the
-    edges in pair order, or None when no such choice exists.
+    edges in pair order, or None when no such choice exists.  An explicit
+    stack keeps each pair's next position in its cover list.
     """
     used = set(used)
     chosen: list = []
-
-    def extend(i: int) -> bool:
-        if i == len(pairs):
-            return True
+    nxt = [0]  # nxt[i]: the position in pair i's cover list to try next
+    while len(nxt) <= len(pairs):
+        i = len(nxt) - 1
         a, b = pairs[i]
-        for e in cover.get((a, b), []):
-            extras = [v for v in e if v != a and v != b]
-            if any(v in used for v in extras):
-                continue
-            counter.tick()
-            used.update(extras)
-            chosen.append(e)
-            if extend(i + 1):
-                return True
-            chosen.pop()
-            used.difference_update(extras)
-        return False
-
-    return chosen if extend(0) else None
+        es = cover.get((a, b), [])
+        for j in range(nxt[i], len(es)):
+            extras = [v for v in es[j] if v != a and v != b]
+            if not any(v in used for v in extras):
+                break
+        else:
+            # pair i has no choice left: take back the choice of pair i-1
+            nxt.pop()
+            if not chosen:
+                return None
+            a, b = pairs[i - 1]
+            used.difference_update(v for v in chosen.pop() if v != a and v != b)
+            continue
+        counter.tick()
+        nxt[i] = j + 1
+        used.update(extras)
+        chosen.append(es[j])
+        nxt.append(0)
+    return chosen
 
 
 def tk_embedding(cores, edges_used: list) -> Embedding:
@@ -329,25 +378,17 @@ def find_tk(h: PartitionedHypergraph, s: int, budget=None) -> Embedding | None:
         raise ValueError(f"need at least 2 core vertices, got {s}")
     counter = _Counter(resolve_budget(budget))
     cover = h.pair_cover_index()
-    sh_adj = defaultdict(set)
+    shadow_rows = [0] * h.n
     for a, b in cover:
-        sh_adj[a].add(b)
-        sh_adj[b].add(a)
-
-    def pick_cores(start, cores):
-        if len(cores) == s:
-            chosen = private_edges(cover, list(combinations(cores, 2)),
-                                   set(cores), counter)
-            return None if chosen is None else tk_embedding(cores, chosen)
-        for v in range(start, h.n):
-            if all(v in sh_adj[c] for c in cores):
-                counter.tick()
-                got = pick_cores(v + 1, cores + [v])
-                if got is not None:
-                    return got
-        return None
-
-    return pick_cores(0, [])
+        shadow_rows[a] |= 1 << b
+        shadow_rows[b] |= 1 << a
+    # the cores are the s-cliques of the shadow, tried in lexicographic order
+    for cores in _cliques(shadow_rows, s, (1 << h.n) - 1, counter):
+        chosen = private_edges(cover, list(combinations(cores, 2)),
+                               set(cores), counter)
+        if chosen is not None:
+            return tk_embedding(cores, chosen)
+    return None
 
 
 def recheck_tk(h: PartitionedHypergraph, emb: Embedding, s: int) -> bool:
@@ -491,8 +532,10 @@ def connected_edge_subsets(h: PartitionedHypergraph, max_vertices: int,
     edges = h.sorted_edges()
     m = len(edges)
     edge_sets = [frozenset(e) for e in edges]
-    vert2edges = defaultdict(list)
+    vert2edges = defaultdict(list)  # edges dead already never enter it
     for i, e in enumerate(edges):
+        if i in dead:
+            continue
         for v in e:
             vert2edges[v].append(i)
     nbrs = [set() for _ in range(m)]

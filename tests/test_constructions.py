@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from rtlab import constructions
@@ -196,6 +197,25 @@ def test_sphere_hypergraph_part_cap():
     part = quick_partition(p)
     with pytest.raises(PartTooLarge):
         sphere_hypergraph(p, part, max_part_size=3)
+
+
+def test_sphere_hypergraph_cross_cap(monkeypatch):
+    p = small_params(z=14, seed=3)
+    part = quick_partition(p)
+    V = np.array(tuple_vertices(part, p.u, p.theta))
+    close = part.distance_matrix() <= SQRT2 - p.theta
+    tclose = np.ones((len(V), len(V)), dtype=np.int64)
+    for j, m in product(range(p.u), repeat=2):
+        tclose &= close[np.ix_(V[:, j], V[:, m])]
+    # the enumeration places every close prefix of 1, 2 and 3 tuples
+    placed = (len(V) + int(tclose.sum())
+              + int((tclose * (tclose @ tclose)).sum()))
+    monkeypatch.setattr(constructions, "MAX_CROSS_ASSIGNMENTS", placed)
+    h = sphere_hypergraph(p, part)
+    assert h.meta["base_cross"] == int((tclose * (tclose @ tclose)).sum())
+    monkeypatch.setattr(constructions, "MAX_CROSS_ASSIGNMENTS", placed - 1)
+    with pytest.raises(PartTooLarge):
+        sphere_hypergraph(p, part)
 
 
 def test_sphere_hypergraph_sampled_inside():

@@ -1,6 +1,9 @@
-"""The benchmark tracer names only functions and methods that exist in
-rtlab, so a rename in the package cannot silently break a traced run."""
+"""Checks on the source itself: the benchmark tracer names only functions
+and methods that exist in rtlab, so a rename in the package cannot
+silently break a traced run, and no search recurses to a depth that
+grows with its input."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -30,3 +33,56 @@ def test_tracer_names_resolve():
                 # the tracer patches methods found in the class namespace
                 assert callable(vars(cls).get(name)), \
                     f"rtlab.{layer}.{cls_name}.{name}"
+
+
+# functions allowed to call themselves, with the reason their depth is safe
+SELF_CALLS_ALLOWED = {
+    # both recurse once per clique vertex, so the depth is the clique size
+    "verifiers.find_clique.expand",
+    "verifiers._has_clique_mask",
+}
+
+
+def _calls_itself(fn, method):
+    """Does the function call itself: by plain name, or as a method on
+    self?  (In a method a plain name is a module-level function.)"""
+    for call in ast.walk(fn):
+        if not isinstance(call, ast.Call):
+            continue
+        func = call.func
+        if method:
+            if (isinstance(func, ast.Attribute) and func.attr == fn.name
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id == "self"):
+                return True
+        elif isinstance(func, ast.Name) and func.id == fn.name:
+            return True
+    return False
+
+
+def _self_calls(node, qual, method=False):
+    """Qualified names of the functions under the node that call
+    themselves."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = f"{qual}.{child.name}"
+            if _calls_itself(child, method):
+                found.append(name)
+            found += _self_calls(child, name)
+        elif isinstance(child, ast.ClassDef):
+            found += _self_calls(child, f"{qual}.{child.name}", method=True)
+        else:
+            found += _self_calls(child, qual, method)
+    return found
+
+
+def test_no_unbounded_recursion():
+    # Python's recursion limit caps a search whose depth grows with its
+    # input, so such searches keep an explicit stack
+    package = Path(__file__).resolve().parents[1] / "src" / "rtlab"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        found += _self_calls(ast.parse(path.read_text()), path.stem)
+    assert sorted(set(found) - SELF_CALLS_ALLOWED) == []
+    assert SELF_CALLS_ALLOWED <= set(found), "stale allow-list entry"

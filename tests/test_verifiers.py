@@ -1,15 +1,17 @@
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph,
                               complete_uniform, turan_hypergraph)
 from rtlab.rng import substream
 from rtlab.sphere import build_partition
-from rtlab.verifiers import (BudgetExceeded, _Counter, _max_matching, alpha_t,
-                             far_pair_matching, find_clique, find_tk,
+from rtlab.verifiers import (BudgetExceeded, _cliques, _Counter, _max_matching,
+                             alpha_t, far_pair_matching, find_clique, find_tk,
                              find_tkf_core, hyper_independence,
                              minimal_tkf_bound, private_edges,
                              recheck_clique, recheck_sparse_pattern,
@@ -69,6 +71,64 @@ def brute_hyper_independence(h):
     return best
 
 
+def recursive_hyper_independence(h, counter):
+    """The recursive form of hyper_independence: the reference for its
+    value and its node count."""
+    edge_masks = sorted((sum(1 << v for v in e), e) for e in h.edges)
+    best = 0
+
+    def rec(in_mask, size):
+        nonlocal best
+        if size <= best:
+            return
+        counter.tick(certified=best)
+        for mask, e in edge_masks:
+            if mask & in_mask == mask:
+                for v in e:
+                    rec(in_mask & ~(1 << v), size - 1)
+                return
+        best = max(best, size)
+
+    rec((1 << h.n) - 1, h.n)
+    return best
+
+
+def recursive_private_edges(cover, pairs, used, counter):
+    """The recursive form of private_edges: the reference for its choice
+    and its node count."""
+    used = set(used)
+    chosen = []
+
+    def extend(i):
+        if i == len(pairs):
+            return True
+        a, b = pairs[i]
+        for e in cover.get((a, b), []):
+            extras = [v for v in e if v != a and v != b]
+            if any(v in used for v in extras):
+                continue
+            counter.tick()
+            used.update(extras)
+            chosen.append(e)
+            if extend(i + 1):
+                return True
+            chosen.pop()
+            used.difference_update(extras)
+        return False
+
+    return chosen if extend(0) else None
+
+
+def brute_sequences(rows, size, cand, ordered):
+    """Every valid sequence by itertools, lexicographic: each vertex in
+    `cand` and in the row of every earlier one."""
+    verts = [v for v in range(len(rows)) if cand >> v & 1]
+    pool = (product(verts, repeat=size) if ordered
+            else combinations(verts, size))
+    return [seq for seq in pool
+            if all(rows[a] >> b & 1 for a, b in combinations(seq, 2))]
+
+
 # ---------------------------------------------------------------------------
 # clique search
 
@@ -111,6 +171,40 @@ def test_budget_env_var_honored(monkeypatch):
         find_clique(g, 10)
     monkeypatch.setenv("RTLAB_BUDGET", "10000000")
     find_clique(g, 10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 5), st.booleans(), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_clique_walk_matches_brute_force(n, size, ordered, reflexive, rnd):
+    rows = [0] * n
+    for a, b in combinations(range(n), 2):
+        if rnd.random() < 0.6:
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+    for v in range(n):
+        if reflexive and rnd.random() < 0.7:
+            rows[v] |= 1 << v
+    cand = rnd.getrandbits(n)
+    counter = _Counter(10 ** 9)
+    got = list(_cliques(rows, size, cand, counter, ordered=ordered))
+    assert got == brute_sequences(rows, size, cand, ordered)
+    # one tick per vertex placed: one for every valid non-empty prefix
+    placed = sum(len(brute_sequences(rows, k, cand, ordered))
+                 for k in range(1, size + 1))
+    assert counter.nodes == placed
+
+
+def test_clique_walk_is_lazy():
+    # the walk places no vertex beyond the sequence it has just yielded
+    rows = [0b110, 0b101, 0b011]
+    counter = _Counter(100)
+    walk = _cliques(rows, 2, 0b111, counter)
+    assert next(walk) == (0, 1)
+    assert counter.nodes == 2
+    assert list(walk) == [(0, 2), (1, 2)]
+    # vertex 2 is placed first too, although no sequence starts with it
+    assert counter.nodes == 6
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +256,36 @@ def test_hyper_independence_agrees_with_brute_force():
     for seed in range(20):
         h = random_3uniform(5 + seed % 6, 0.4, seed)
         assert hyper_independence(h) == brute_hyper_independence(h), seed
+
+
+def test_hyper_independence_matches_recursive_node_count():
+    for seed in range(30):
+        h = random_3uniform(6 + seed % 9, 0.3, seed)
+        counter = _Counter(10 ** 9)
+        value = recursive_hyper_independence(h, counter)
+        assert hyper_independence(h, budget=counter.nodes) == value, seed
+        with pytest.raises(BudgetExceeded) as info:
+            hyper_independence(h, budget=counter.nodes - 1)
+        assert info.value.nodes == counter.nodes, seed
+
+
+def test_hyper_independence_pinned_node_count():
+    triples = list(combinations(range(15), 3))
+    picks = sorted(np.random.default_rng(11).choice(455, 114, replace=False))
+    h = PartitionedHypergraph(15, 3, frozenset(triples[i] for i in picks))
+    assert hyper_independence(h, budget=10_253) == 6
+    with pytest.raises(BudgetExceeded):
+        hyper_independence(h, budget=10_252)
+
+
+@pytest.mark.parametrize("triples", [300, 1100])
+def test_hyper_independence_deep_search(triples):
+    # the first dive drops one vertex of each triple: a path 1,100 deep
+    h = PartitionedHypergraph(3 * triples, 3, frozenset(
+        (3 * i, 3 * i + 1, 3 * i + 2) for i in range(triples)))
+    with pytest.raises(BudgetExceeded) as info:
+        hyper_independence(h, budget=5_000)
+    assert info.value.certified == 2 * triples
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +346,45 @@ def test_private_edges_backtracks_past_first_fit():
     assert private_edges(cover, pairs, {0, 1, 2, 3, 6}, _Counter(100)) is None
     with pytest.raises(BudgetExceeded):
         private_edges(cover, pairs, {0, 1, 2, 3}, _Counter(2))
+
+
+def test_private_edges_matches_recursive_node_count():
+    for seed in range(40):
+        h = random_3uniform(9 + seed % 6, 0.5, seed)
+        cover = h.pair_cover_index()
+        cores = sorted(substream(seed, "cores").choice(h.n, 4, replace=False)
+                       .tolist())
+        pairs = list(combinations(cores, 2))
+        counter = _Counter(10 ** 9)
+        want = recursive_private_edges(cover, pairs, set(cores), counter)
+        got_counter = _Counter(10 ** 9)
+        assert private_edges(cover, pairs, set(cores), got_counter) == want
+        assert got_counter.nodes == counter.nodes, seed
+
+
+def test_tk_pinned_node_count():
+    rng = np.random.default_rng(1)
+    keep = rng.random(4060) < 0.06
+    h = PartitionedHypergraph(30, 3, frozenset(
+        e for e, k in zip(combinations(range(30), 3), keep) if k))
+    assert len(h.edges) == 253
+    with pytest.raises(BudgetExceeded):
+        find_tk(h, 5, budget=278)
+    emb = find_tk(h, 5, budget=279)
+    assert emb is not None and recheck_tk(h, emb, 5)
+    cores = [v for k, v in emb.vertex_map.items() if emb.roles[k] == "core"]
+    assert cores == [0, 1, 3, 8, 15]
+
+
+def test_tk_planted_with_46_cores():
+    # one edge (a, b, 46+i) per core pair i: private_edges goes 1,035 deep
+    s = 46
+    pairs = list(combinations(range(s), 2))
+    h = PartitionedHypergraph(s + len(pairs), 3, frozenset(
+        (a, b, s + i) for i, (a, b) in enumerate(pairs)))
+    assert h.n == 1081
+    emb = find_tk(h, s)
+    assert emb is not None and recheck_tk(h, emb, s)
 
 
 def test_tkf_core_single_edge():
