@@ -217,16 +217,55 @@ def _cliques(rows: list, size: int, cand: int, counter: _Counter | None = None,
 # K_t-independence number
 
 
+def _suffix_cover_bounds(adj: list, t: int) -> list:
+    """rest[i] bounds the K_t-free subsets of {i, ..., n-1}; rest[n] = 0.
+
+    A greedy clique cover grows from i = n-1 down to 0: vertex i joins
+    the earliest-made clique lying wholly inside adj[i], else starts a
+    new one.  Only the cliques of i's higher neighbours can qualify, so
+    the cover costs O(m).  A K_t-free set meets a clique C in at most
+    min(|C|, t-1) vertices, and rest[i] sums that over the cover of the
+    suffix.
+    """
+    n = len(adj)
+    rest = [0] * (n + 1)
+    clique_of = [0] * n
+    sizes: list = []  # sizes[c]: clique c's size, cliques in order made
+    for i in range(n - 1, -1, -1):
+        higher = adj[i] >> (i + 1)
+        # seen[c]: i's higher neighbours in clique c
+        seen: dict = {}
+        while higher:
+            low = higher & -higher
+            c = clique_of[i + low.bit_length()]
+            seen[c] = seen.get(c, 0) + 1
+            higher ^= low
+        c = min((c for c, k in seen.items() if k == sizes[c]), default=None)
+        if c is None:
+            c = len(sizes)
+            sizes.append(0)
+        clique_of[i] = c
+        rest[i] = rest[i + 1] + (sizes[c] < t - 1)
+        sizes[c] += 1
+    return rest
+
+
 def alpha_t(g: SimpleGraph, t: int, budget=None) -> int:
     """Exact maximum size of a vertex set inducing a K_t-free subgraph.
 
-    alpha_2 is the usual independence number.  On budget exhaustion the
-    raised BudgetExceeded carries the certified lower bound found so far.
+    alpha_2 is the usual independence number.  Depth-first over the
+    vertices in order, each tried in the set before outside it.  A node
+    at vertex i holding `size` chosen vertices is pruned when
+    size + rest[i] <= best, where rest[i] sums min(|C|, t-1) over a
+    greedy clique cover of {i, ..., n-1} (`_suffix_cover_bounds`).  On
+    budget exhaustion the raised BudgetExceeded carries the certified
+    lower bound found so far.
     """
     if t < 2:
         raise ValueError(f"need t >= 2, got {t}")
     adj = g.adjacency_masks()
     n = g.n
+    rest = _suffix_cover_bounds(adj, t)
     counter = _Counter(resolve_budget(budget))
     best = 0
     # depth-first over (next vertex, chosen mask, size): vertex i is tried
@@ -235,7 +274,7 @@ def alpha_t(g: SimpleGraph, t: int, budget=None) -> int:
     stack = [(0, 0, 0)]
     while stack:
         i, chosen, size = stack.pop()
-        if size + (n - i) <= best:
+        if size + rest[i] <= best:
             continue
         if i == n:
             best = max(best, size)
@@ -263,28 +302,46 @@ def contained_edge(h: PartitionedHypergraph, vertices) -> tuple | None:
 def hyper_independence(h: PartitionedHypergraph, budget=None) -> int:
     """Exact maximum size of a vertex set containing no full hyperedge.
 
-    Depth-first over an explicit stack of (vertex mask, size) nodes: a
-    full hyperedge, the first in mask order, branches on each vertex.
+    Depth-first over an explicit stack of (live edges, forced mask, size)
+    nodes.  The current set is every vertex not yet dropped, `live` holds
+    the edges wholly inside it, in mask order, and forced vertices may
+    not be dropped.  A node is dead when some live edge is all forced.
+    Each live edge needs a removed vertex of its own, so a greedy
+    packing of pairwise-disjoint live edges bounds the set by
+    size - packing, and the node is pruned when that is <= best.  A node
+    with live edges branches on the free vertices f1 < f2 < ... of the
+    first: branch i drops f_i and forces f_1 .. f_(i-1), so the branches
+    are disjoint and cover every case.  One budget node per expanded
+    node.
     """
     counter = _Counter(resolve_budget(budget))
-    # bits reversed, so that the branch dropping the first vertex pops first
-    edge_bits = sorted((sum(1 << v for v in e), [1 << v for v in reversed(e)])
-                       for e in h.edges)
     best = 0
-    stack = [((1 << h.n) - 1, h.n)]
+    stack = [(sorted(sum(1 << v for v in e) for e in h.edges), 0, h.n)]
     while stack:
-        in_mask, size = stack.pop()
-        if size <= best:
+        live, forced, size = stack.pop()
+        packed = used = 0
+        for e in live:
+            if e & forced == e:
+                packed = size  # no vertex of this edge may go: dead
+                break
+            if not e & used:
+                used |= e
+                packed += 1
+        if size - packed <= best:
             continue
         counter.tick(certified=best)
-        for mask, bits in edge_bits:
-            if mask & in_mask == mask:
-                # a branch already no larger than the best stays so
-                if size - 1 > best:
-                    stack.extend([(in_mask ^ bit, size - 1) for bit in bits])
-                break
-        else:
+        if not live:
             best = size
+            continue
+        free = live[0] & ~forced
+        children = []
+        while free:
+            bit = free & -free
+            children.append(([e for e in live if not e & bit], forced, size - 1))
+            forced |= bit
+            free ^= bit
+        # reversed, so that the branch dropping f1 pops first
+        stack.extend(reversed(children))
     return best
 
 
@@ -690,30 +747,36 @@ def sparse_pattern_doomed_edges(h: PartitionedHypergraph, ell: int,
 # far-pair matching and tree embedding
 
 
-def _max_matching(left: list, right: list, adjacent) -> list:
-    """Kuhn's augmenting-path maximum matching; returns index pairs.
+def _max_matching(adj) -> list:
+    """Kuhn's augmenting-path maximum matching in the bipartite graph of
+    the boolean matrix `adj` (rows left, columns right); returns index
+    pairs.
 
-    Each search is a depth-first walk over an explicit stack of
-    [left index, next right index to try] frames, so the path length is
-    not bound by the recursion limit.
+    Each left vertex's candidates are read once, and each search is a
+    depth-first walk over them in increasing order, on an explicit stack
+    of [left index, next candidate position] frames, so the path length
+    is not bound by the recursion limit.
     """
+    cands = [np.flatnonzero(row).tolist() for row in adj]
     match_r = {}
-    for root in range(len(left)):
+    for root in range(len(cands)):
         visited = set()
         stack = [[root, 0]]
         path = []  # path[d]: the right vertex frame d descended through
         while stack:
             frame = stack[-1]
-            li, rj = frame
-            while rj < len(right) and (rj in visited or not adjacent(li, rj)):
-                rj += 1
-            if rj == len(right):
+            li, pos = frame
+            row = cands[li]
+            while pos < len(row) and row[pos] in visited:
+                pos += 1
+            if pos == len(row):
                 stack.pop()
                 if path:
                     path.pop()
                 continue
+            rj = row[pos]
             visited.add(rj)
-            frame[1] = rj + 1
+            frame[1] = pos + 1
             path.append(rj)
             if rj not in match_r:
                 for (lj, _), rk in zip(stack, path):
@@ -733,7 +796,7 @@ def far_pair_matching(a1, a2, partition, theta: float) -> list:
     reps = partition.reps
     thresh = 2.0 - theta
     d = np.linalg.norm(reps[a1][:, None, :] - reps[a2][None, :, :], axis=2)
-    pairs = _max_matching(a1, a2, lambda i, j: d[i, j] >= thresh)
+    pairs = _max_matching(d >= thresh)
     return [(a1[i], a2[j]) for i, j in pairs]
 
 
@@ -780,8 +843,7 @@ def tree_embedding(sets, tree_edges, partition, theta: float) -> dict | None:
     def far_match(points_a: list, points_b: list) -> dict:
         d = np.linalg.norm(reps[points_a][:, None, :] - reps[points_b][None, :, :],
                            axis=2)
-        pairs = _max_matching(points_a, points_b,
-                              lambda i, j: d[i, j] >= thresh)
+        pairs = _max_matching(d >= thresh)
         return {points_a[i]: points_b[j] for i, j in pairs}
 
     base = far_match(sorted(sets[i0]), sorted(sets[j0]))

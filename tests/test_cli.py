@@ -93,8 +93,9 @@ def test_verify_alpha_t_with_bound(tmp_path, capsys):
     edgeless = tmp_path / "edgeless.g"
     write_graph(SimpleGraph(1500, frozenset()), str(edgeless))
     capsys.readouterr()
+    # one node per vertex
     assert main(["verify", "--check", "alpha_t", "--t", "3",
-                 str(edgeless)]) == 0
+                 "--budget", "1500", str(edgeless)]) == 0
     assert capsys.readouterr().out.strip() == "alpha_3 = 1500"
 
 

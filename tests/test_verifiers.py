@@ -11,7 +11,8 @@ from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph,
 from rtlab.rng import substream
 from rtlab.sphere import build_partition
 from rtlab.verifiers import (BudgetExceeded, _cliques, _Counter, _max_matching,
-                             alpha_t, far_pair_matching, find_clique, find_tk,
+                             _suffix_cover_bounds, alpha_t,
+                             far_pair_matching, find_clique, find_tk,
                              find_tkf_core, hyper_independence,
                              minimal_tkf_bound, private_edges,
                              recheck_clique, recheck_sparse_pattern,
@@ -68,28 +69,6 @@ def brute_hyper_independence(h):
             continue
         if all(mask & m != m for m in edge_masks):
             best = bin(mask).count("1")
-    return best
-
-
-def recursive_hyper_independence(h, counter):
-    """The recursive form of hyper_independence: the reference for its
-    value and its node count."""
-    edge_masks = sorted((sum(1 << v for v in e), e) for e in h.edges)
-    best = 0
-
-    def rec(in_mask, size):
-        nonlocal best
-        if size <= best:
-            return
-        counter.tick(certified=best)
-        for mask, e in edge_masks:
-            if mask & in_mask == mask:
-                for v in e:
-                    rec(in_mask & ~(1 << v), size - 1)
-                return
-        best = max(best, size)
-
-    rec((1 << h.n) - 1, h.n)
     return best
 
 
@@ -164,6 +143,22 @@ def test_clique_budget_exceeded():
         find_clique(g, 10, budget=3)
 
 
+@pytest.mark.parametrize("solve", [
+    lambda: find_clique(SimpleGraph(5, frozenset(combinations(range(5), 2))), 3,
+                        budget=1),
+    lambda: alpha_t(SimpleGraph(5, frozenset(combinations(range(5), 2))), 2,
+                    budget=1),
+    lambda: hyper_independence(complete_uniform(5, 3), budget=1),
+], ids=["find_clique", "alpha_t", "hyper_independence"])
+def test_budget_contract(solve):
+    # each input needs more than one node, and no bound or shortcut may
+    # spend a second without ticking: the tick that passes the budget
+    # raises at once
+    with pytest.raises(BudgetExceeded) as info:
+        solve()
+    assert info.value.nodes == 2
+
+
 def test_budget_env_var_honored(monkeypatch):
     g = random_graph(30, 0.8, 1)
     monkeypatch.setenv("RTLAB_BUDGET", "3")
@@ -221,8 +216,8 @@ def test_alpha_t_edgeless():
     g = SimpleGraph(7, frozenset())
     assert alpha_t(g, 2) == 7
     assert alpha_t(g, 3) == 7
-    # deeper than the interpreter's recursion limit
-    assert alpha_t(SimpleGraph(1500, frozenset()), 3) == 1500
+    # deeper than the interpreter's recursion limit, one node per vertex
+    assert alpha_t(SimpleGraph(1500, frozenset()), 3, budget=1500) == 1500
 
 
 def test_alpha_t_agrees_with_brute_force():
@@ -230,6 +225,27 @@ def test_alpha_t_agrees_with_brute_force():
         g = random_graph(5 + seed % 6, 0.5, seed + 100)
         for t in (2, 3):
             assert alpha_t(g, t) == brute_alpha_t(g, t), (seed, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 12), st.sampled_from([2, 3, 4]), st.floats(0, 1),
+       st.integers(0, 10 ** 6))
+def test_alpha_t_matches_brute_force_any_t(n, t, p, seed):
+    g = random_graph(n, p, seed)
+    assert alpha_t(g, t) == brute_alpha_t(g, t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10), st.sampled_from([2, 3, 4]), st.floats(0, 1),
+       st.integers(0, 10 ** 6))
+def test_alpha_t_cover_bound_holds_on_every_suffix(n, t, p, seed):
+    g = random_graph(n, p, seed)
+    rest = _suffix_cover_bounds(g.adjacency_masks(), t)
+    assert len(rest) == n + 1 and rest[n] == 0
+    for i in range(n):
+        suffix = SimpleGraph(n - i, frozenset((a - i, b - i) for a, b in g.edges
+                                              if a >= i))
+        assert rest[i] >= brute_alpha_t(suffix, t), i
 
 
 def test_alpha_t_budget_carries_bound():
@@ -258,34 +274,34 @@ def test_hyper_independence_agrees_with_brute_force():
         assert hyper_independence(h) == brute_hyper_independence(h), seed
 
 
-def test_hyper_independence_matches_recursive_node_count():
-    for seed in range(30):
-        h = random_3uniform(6 + seed % 9, 0.3, seed)
-        counter = _Counter(10 ** 9)
-        value = recursive_hyper_independence(h, counter)
-        assert hyper_independence(h, budget=counter.nodes) == value, seed
-        with pytest.raises(BudgetExceeded) as info:
-            hyper_independence(h, budget=counter.nodes - 1)
-        assert info.value.nodes == counter.nodes, seed
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 12), st.sampled_from([2, 3, 4]),
+       st.randoms(use_true_random=False))
+def test_hyper_independence_matches_brute_force_any_rank(n, r, rnd):
+    p = rnd.random()
+    h = PartitionedHypergraph(n, r, frozenset(
+        e for e in combinations(range(n), r) if rnd.random() < p))
+    assert hyper_independence(h) == brute_hyper_independence(h)
 
 
 def test_hyper_independence_pinned_node_count():
     triples = list(combinations(range(15), 3))
     picks = sorted(np.random.default_rng(11).choice(455, 114, replace=False))
     h = PartitionedHypergraph(15, 3, frozenset(triples[i] for i in picks))
-    assert hyper_independence(h, budget=10_253) == 6
-    with pytest.raises(BudgetExceeded):
-        hyper_independence(h, budget=10_252)
+    assert hyper_independence(h, budget=197) == 6
+    with pytest.raises(BudgetExceeded) as info:
+        hyper_independence(h, budget=196)
+    assert info.value.nodes == 197
+    assert info.value.certified is not None and info.value.certified <= 6
 
 
 @pytest.mark.parametrize("triples", [300, 1100])
 def test_hyper_independence_deep_search(triples):
-    # the first dive drops one vertex of each triple: a path 1,100 deep
+    # the first dive drops one vertex of each triple, a path 1,100 deep;
+    # the packing bound then prunes every other branch unexpanded
     h = PartitionedHypergraph(3 * triples, 3, frozenset(
         (3 * i, 3 * i + 1, 3 * i + 2) for i in range(triples)))
-    with pytest.raises(BudgetExceeded) as info:
-        hyper_independence(h, budget=5_000)
-    assert info.value.certified == 2 * triples
+    assert hyper_independence(h, budget=triples + 1) == 2 * triples
 
 
 # ---------------------------------------------------------------------------
@@ -639,16 +655,27 @@ def test_far_matching_same_pairs_as_recursive_kuhn():
                 [(a1[i], a2[j]) for i, j in want], (seed, theta)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 9), st.integers(0, 9), st.randoms(use_true_random=False))
+def test_max_matching_same_pairs_as_recursive_kuhn(n_left, n_right, rnd):
+    p = rnd.random()
+    adj = np.array([[rnd.random() < p for _ in range(n_right)]
+                    for _ in range(n_left)], dtype=bool).reshape(n_left, n_right)
+    want = _recursive_max_matching(range(n_left), range(n_right),
+                                   lambda i, j: adj[i, j])
+    assert _max_matching(adj) == want
+
+
 def test_max_matching_long_augmenting_path():
     # left i meets right i and i+1, the last left only right 0: matching
     # the last left walks one augmenting path through all 3,000 lefts,
     # past the recursion limit of a recursive search
     n = 3000
-
-    def adjacent(i, j):
-        return j == 0 if i == n - 1 else j in (i, i + 1)
-
-    got = _max_matching(list(range(n)), list(range(n)), adjacent)
+    adj = np.zeros((n, n), dtype=bool)
+    idx = np.arange(n - 1)
+    adj[idx, idx] = adj[idx, idx + 1] = True
+    adj[n - 1, 0] = True
+    got = _max_matching(adj)
     assert got == [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
 
 
