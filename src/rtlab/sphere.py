@@ -106,12 +106,12 @@ class SphericalCap:
         if t >= self.s:
             return x
         w = x - t * c
-        nw = np.linalg.norm(w)
+        nw = math.sqrt(w.dot(w))
         if nw < 1e-15:  # x is exactly -center; any rim point is nearest
             w = np.zeros_like(c)
             w[0 if abs(c[0]) < 0.9 else 1] = 1.0
             w -= (w @ c) * c
-            nw = np.linalg.norm(w)
+            nw = math.sqrt(w.dot(w))
         w /= nw
         return self.s * c + math.sqrt(max(0.0, 1.0 - self.s * self.s)) * w
 
@@ -369,65 +369,131 @@ def check_p4(p1, p2, q1, q2, gamma: float) -> float:
     return min(distance(p1, p2) - far, distance(q1, q2) - far, close - cross)
 
 
-def _margins_vectorized(p1, p2, q1, q2, gamma):
-    far = 2.0 - gamma
-    close = SQRT2 - gamma
-    d = lambda a, b: np.linalg.norm(a - b, axis=1)
-    cross = np.maximum.reduce([d(p1, q1), d(p1, q2), d(p2, q1), d(p2, q2)])
-    return np.minimum.reduce([d(p1, p2) - far, d(q1, q2) - far, close - cross])
-
-
 def p4_best_margin(k: int, gamma: float, n_random: int, n_refine: int,
                    seed: int = 0) -> float:
     """Best (largest) margin over random quadruples plus local ascent refinements.
 
-    Vectorized random search; the top starts are refined by coordinate
-    ascent on the margin.  Returns the largest margin seen (always
-    negative for gamma in (0, 1/4)).
+    The margin depends only on the six inner products of the four points.
+    For uniform points on S^k these are those of four standard normal
+    vectors of R^(k+1), whose coordinates in a Gram-Schmidt frame of their
+    span form the lower-triangular Bartlett factor of a Wishart(k+1, I_4)
+    matrix: normals below the diagonal and sqrt(chi^2_(k+1-i)) on it
+    (`_bartlett_quadruples`).  So each random quadruple takes 10 draws,
+    whatever k, in batches of 50,000, so memory is O(batch).  Each batch
+    keeps its best starts, and the best n_refine of them are refined by
+    random coordinate ascent on their normalised frame rows: points of a
+    great S^3 (of S^k itself when k < 3).  This loses nothing, since any
+    four points of S^k lie on a great S^3 and the margin does not change
+    under rotation.  Returns the largest margin seen, always negative for
+    gamma in (0, 1/4), the only gammas accepted.
     """
+    if not 0.0 < gamma < 0.25:
+        raise ValueError(f"gamma must be in (0, 1/4), got {gamma}")
+    if k < 1:
+        raise ValueError(f"sphere dimension must be >= 1, got {k}")
+    if n_random < 1:
+        raise ValueError(f"need n_random >= 1 quadruples, got {n_random}")
+    if n_refine < 0:
+        raise ValueError(f"need n_refine >= 0 refinements, got {n_refine}")
     rng = substream(seed, "p4-search")
-    best = -math.inf
     batch = 50_000
-    n_batches = max(1, math.ceil(n_random / batch))
-    per_batch = max(1, math.ceil(n_refine / n_batches))
-    left = n_random
-    top: list[tuple[float, np.ndarray]] = []
-    while left > 0:
-        b = min(batch, left)
-        quad = [sample_uniform_points(k, b, rng) for _ in range(4)]
-        m = _margins_vectorized(*quad, gamma)
-        idx = int(np.argmax(m))
-        if m[idx] > best:
-            best = float(m[idx])
-        for i in np.argsort(m)[-per_batch:]:
-            top.append((float(m[i]), np.stack([q[i] for q in quad])))
-        left -= b
-    top.sort(key=lambda t: -t[0])
-    if top and n_refine > 0:
-        starts = np.stack([q for _, q in top[:n_refine]])
-        refined = _refine_quadruples_batch(starts, gamma, rng)
-        best = max(best, refined)
+    per_batch = math.ceil(n_refine / math.ceil(n_random / batch))
+    best = -math.inf
+    top_margins, top_quads = [], []
+    for start in range(0, n_random, batch):
+        lower = _bartlett_quadruples(k, min(batch, n_random - start), rng)
+        margins = _frame_margins(lower, gamma)
+        best = max(best, float(margins.max()))
+        if per_batch:
+            idx = np.argsort(margins)[-per_batch:]
+            rows = lower[:, :, idx].transpose(2, 0, 1)
+            top_quads.append(rows / np.linalg.norm(rows, axis=2, keepdims=True))
+            top_margins.append(margins[idx])
+    if n_refine > 0:
+        order = np.argsort(-np.concatenate(top_margins), kind="stable")
+        starts = np.concatenate(top_quads)[order[:n_refine]]
+        best = max(best, _refine_quadruples(starts, gamma, rng))
     return best
 
 
-def _refine_quadruples_batch(quads: np.ndarray, gamma: float,
-                             rng: np.random.Generator,
-                             rounds: int = 60) -> float:
-    """Coordinate ascent on the margin for a whole (N, 4, dim) batch."""
-    n, _, dim = quads.shape
-    cur = _margins_vectorized(quads[:, 0], quads[:, 1], quads[:, 2],
-                              quads[:, 3], gamma)
+def _bartlett_quadruples(k: int, count: int,
+                         rng: np.random.Generator) -> np.ndarray:
+    """(4, m, count) frame coordinates of `count` quadruples of standard
+    normal vectors of R^(k+1), m = min(4, k+1): [i, j, n] is coordinate j
+    of vector i of quadruple n in the Gram-Schmidt frame of the vectors.
+
+    Row i < m has normals in columns j < i and sqrt(chi^2_(k+1-i)) at
+    column i; a row i >= m (only when k < 3, where the first m vectors
+    span R^(k+1)) has m normals.
+    """
+    m = min(4, k + 1)
+    lower = np.zeros((4, m, count))
+    for i in range(4):
+        if i:
+            lower[i, :min(i, m)] = rng.standard_normal((min(i, m), count))
+        if i < m:
+            lower[i, i] = np.sqrt(rng.chisquare(k + 1 - i, count))
+    return lower
+
+
+def _frame_margins(lower: np.ndarray, gamma: float) -> np.ndarray:
+    """`check_p4` margins of the directions of the rows of (4, m, count)
+    frame coordinates, zero above the diagonal as `_bartlett_quadruples`
+    draws them.  Each distance is sqrt(max(2 - 2c, 0)) for the cosine c;
+    the largest cross distance is that of the smallest cross cosine."""
+    m = lower.shape[1]
+
+    def dot(i, l):
+        c = min(i, l, m - 1) + 1
+        return np.einsum("jn,jn->n", lower[i, :c], lower[l, :c])
+
+    inv = [1.0 / np.sqrt(dot(i, i)) for i in range(4)]
+    cos = {(i, l): dot(i, l) * (inv[i] * inv[l])
+           for i, l in ((0, 1), (2, 3), (0, 2), (0, 3), (1, 2), (1, 3))}
+    cross = np.minimum(np.minimum(cos[0, 2], cos[0, 3]),
+                       np.minimum(cos[1, 2], cos[1, 3]))
+    d = [np.sqrt(np.maximum(2.0 - 2.0 * c, 0.0))
+         for c in (cos[0, 1], cos[2, 3], cross)]
+    return np.minimum(np.minimum(d[0], d[1]) - (2.0 - gamma),
+                      (SQRT2 - gamma) - d[2])
+
+
+# for each point i of a quadruple (p1, p2, q1, q2): its partner in its far
+# pair, then the other far pair, the points it is compared with across
+_P4_ROLES = ((1, 2, 3), (0, 2, 3), (3, 0, 1), (2, 0, 1))
+
+
+def _refine_quadruples(quads: np.ndarray, gamma: float,
+                       rng: np.random.Generator, rounds: int = 60) -> float:
+    """Coordinate ascent on the margin for an (N, 4, m) batch of unit rows.
+
+    The (N, 4, 4) distances are cached, so a proposal for point i
+    computes only its own distances to the other three."""
+    n, _, m = quads.shape
+    far, close = 2.0 - gamma, SQRT2 - gamma
+    gram = np.einsum("nid,njd->nij", quads, quads)
+    dist = np.sqrt(np.maximum(2.0 - 2.0 * gram, 0.0))
+    cur = np.minimum(np.minimum(dist[:, 0, 1], dist[:, 2, 3]) - far,
+                     close - dist[:, (0, 0, 1, 1), (2, 3, 2, 3)].max(axis=1))
     step = 0.3
     for rnd in range(rounds):
-        for i in range(4):
-            for _ in range(4):
-                cand = quads[:, i] + step * rng.standard_normal((n, dim))
-                cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-                cols = [quads[:, j] if j != i else cand for j in range(4)]
-                m = _margins_vectorized(*cols, gamma)
-                take = m > cur
-                quads[take, i] = cand[take]
-                cur = np.where(take, m, cur)
+        noise = step * rng.standard_normal((4, 4, n, m))
+        for i, (p, a, b) in enumerate(_P4_ROLES):
+            for r in range(4):
+                cand = quads[:, i] + noise[i, r]
+                cand /= np.sqrt(np.einsum("nd,nd->n", cand, cand))[:, None]
+                d = np.sqrt(np.maximum(
+                    2.0 - 2.0 * np.einsum("nd,njd->nj", cand, quads), 0.0))
+                d[:, i] = 0.0
+                cross = np.maximum(np.maximum(d[:, a], d[:, b]),
+                                   np.maximum(dist[:, p, a], dist[:, p, b]))
+                new = np.minimum(np.minimum(d[:, p], dist[:, a, b]) - far,
+                                 close - cross)
+                take = (new > cur)[:, None]
+                np.copyto(quads[:, i], cand, where=take)
+                np.copyto(dist[:, i], d, where=take)
+                np.copyto(dist[:, :, i], d, where=take)
+                np.maximum(cur, new, out=cur)
         if (rnd + 1) % 8 == 0:
             step *= 0.5
             if step < 1e-5:
@@ -532,8 +598,13 @@ def _estimate_max_cell_diameter(reps, k, seed, samples):
     for j in range(len(reps)):
         lo, hi = bounds[j], min(bounds[j + 1], bounds[j] + 400)
         if hi - lo >= 2:
-            diam = pairwise_distances(pts[order[lo:hi]]).max()
-            worst = max(worst, float(diam))
+            # the largest distance is that of the smallest off-diagonal
+            # inner product; every step is monotone, so this is the max of
+            # pairwise_distances(cell) to the bit
+            cell = pts[order[lo:hi]]
+            gram = cell @ cell.T
+            np.fill_diagonal(gram, np.inf)
+            worst = max(worst, math.sqrt(max(2.0 - 2.0 * float(gram.min()), 0.0)))
     return worst
 
 
@@ -573,13 +644,22 @@ def read_partition(path: str) -> SpherePartition:
 # largest t-point spread of a cap union
 
 
-def _sample_in_cap(cap: SphericalCap, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform point of the cap via inverse-CDF sampling of the axial angle."""
-    if cap.s >= 1.0:
-        return cap.center.copy()
+def _axial_cdf(cap: SphericalCap, k: int):
+    """(grid, cdf): the trapezoid CDF of the axial coordinate x . center of
+    a uniform cap point on 512 grid points, for `_sample_in_cap`."""
     grid = np.linspace(cap.s, 1.0, 512)
     dens = (1.0 - np.clip(grid, -1, 1) ** 2) ** ((k - 2) / 2.0)
     cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * np.diff(grid) / 2.0)])
+    return grid, cdf
+
+
+def _sample_in_cap(cap: SphericalCap, axial, k: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Uniform point of the cap via inverse-CDF sampling of the axial
+    angle; `axial` is the cap's `_axial_cdf`."""
+    if cap.s >= 1.0:
+        return cap.center.copy()
+    grid, cdf = axial
     if cdf[-1] <= 0.0:
         x = 1.0
     else:
@@ -587,7 +667,7 @@ def _sample_in_cap(cap: SphericalCap, k: int, rng: np.random.Generator) -> np.nd
         x = float(np.interp(u, cdf, grid))
     w = rng.standard_normal(k + 1)
     w -= (w @ cap.center) * cap.center
-    nw = np.linalg.norm(w)
+    nw = math.sqrt(w.dot(w))
     if nw < 1e-15:
         return cap.center.copy()
     w /= nw
@@ -596,7 +676,7 @@ def _sample_in_cap(cap: SphericalCap, k: int, rng: np.random.Generator) -> np.nd
 
 def _project_to_union(x, caps):
     margins = [float(x @ c.center) - c.s for c in caps]
-    i = int(np.argmax(margins))
+    i = max(range(len(caps)), key=margins.__getitem__)
     if margins[i] >= 0.0:
         return x
     return caps[i].project(x)
@@ -617,16 +697,21 @@ def estimate_dt(regions, t: int, samples: int = 4000, seed: int = 0,
         raise ValueError(f"need t >= 2 points, got {t}")
     k = caps[0].center.shape[0] - 1
     rng = substream(seed, "dt-estimate")
+    axial = [_axial_cdf(c, k) for c in caps]
+
+    def draw():
+        i = int(rng.integers(len(caps)))
+        return _sample_in_cap(caps[i], axial[i], k, rng)
+
     per_start = max(1, samples // max(1, multistarts))
     best = 0.0
     for _ in range(multistarts):
-        pts = [_sample_in_cap(caps[int(rng.integers(len(caps)))], k, rng)
-               for _ in range(t)]
+        pts = [draw() for _ in range(t)]
         # a few random re-draws to pick a decent start
         val = _min_pairwise(pts)
         for _ in range(per_start):
             i = int(rng.integers(t))
-            cand = _sample_in_cap(caps[int(rng.integers(len(caps)))], k, rng)
+            cand = draw()
             saved = pts[i]
             pts[i] = cand
             v = _min_pairwise(pts)
@@ -643,7 +728,8 @@ def _min_pairwise(pts) -> float:
     m = math.inf
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            m = min(m, float(np.linalg.norm(pts[i] - pts[j])))
+            d = pts[i] - pts[j]
+            m = min(m, math.sqrt(d.dot(d)))
     return m
 
 
@@ -656,7 +742,7 @@ def _ascend(pts, caps, rng, val, rounds: int = 80):
         for i in range(t):
             for _ in range(6):
                 cand = pts[i] + step * rng.standard_normal(dim)
-                cand /= np.linalg.norm(cand)
+                cand /= math.sqrt(cand.dot(cand))
                 cand = _project_to_union(cand, caps)
                 saved = pts[i]
                 pts[i] = cand

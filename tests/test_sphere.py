@@ -322,6 +322,69 @@ def test_p4_random_search_negative():
             assert p4_best_margin(k, gamma, 50_000, 100, seed=9) < 0
 
 
+@pytest.mark.parametrize("args", [
+    (5, 0.0, 100, 1), (5, 0.25, 100, 1), (5, -0.1, 100, 1), (5, 0.3, 100, 1),
+    (0, 0.1, 100, 1), (-1, 0.1, 100, 1),
+    (5, 0.1, 0, 1), (5, 0.1, -5, 1),
+    (5, 0.1, 100, -1)])
+def test_p4_best_margin_rejects_bad_arguments(args):
+    with pytest.raises(ValueError):
+        p4_best_margin(*args)
+
+
+def _margins_of_points(p1, p2, q1, q2, gamma):
+    # check_p4's formula over rows of (n, k+1) arrays
+    d = lambda a, b: np.linalg.norm(a - b, axis=1)
+    cross = np.maximum.reduce([d(p1, q1), d(p1, q2), d(p2, q1), d(p2, q2)])
+    return np.minimum.reduce([d(p1, p2) - (2 - gamma), d(q1, q2) - (2 - gamma),
+                              SQRT2 - gamma - cross])
+
+
+def _ks_distance(a, b):
+    a, b = np.sort(a), np.sort(b)
+    x = np.concatenate([a, b])
+    return np.abs(np.searchsorted(a, x, "right") / len(a)
+                  - np.searchsorted(b, x, "right") / len(b)).max()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 20])
+def test_p4_gram_law_matches_full_dimension(k):
+    # the Bartlett draw gives the margins of uniform points of S^k; a
+    # chi-square degree off by one moves the KS distance well past 0.01
+    from rtlab.sphere import _bartlett_quadruples, _frame_margins
+    n, gamma = 200_000, 0.1
+    frame = _frame_margins(_bartlett_quadruples(k, n, substream(k, "law-frame")),
+                           gamma)
+    rng = substream(k, "law-full")
+    full = _margins_of_points(*[sample_uniform_points(k, n, rng) for _ in range(4)],
+                              gamma)
+    assert _ks_distance(frame, full) < 0.01
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 20])
+def test_p4_frame_margins_match_check_p4(k):
+    # the frame coordinates of R^(k+1) quadruples, from a QR factorisation,
+    # score as check_p4 scores the points themselves
+    from rtlab.sphere import _frame_margins
+    rng = np.random.default_rng(k)
+    quads = rng.standard_normal((300, 4, k + 1))
+    lower = np.stack([np.linalg.qr(g.T)[1].T for g in quads], axis=2)
+    units = quads / np.linalg.norm(quads, axis=2, keepdims=True)
+    for gamma in (0.05, 0.1, 0.2):
+        got = _frame_margins(lower, gamma)
+        want = [check_p4(*u, gamma) for u in units]
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.2])
+def test_p4_refined_margin_independent_of_k(gamma):
+    # any four points of S^k lie on a great S^3, so the best margin is the
+    # same for every k >= 3
+    found = [p4_best_margin(k, gamma, 100_000, 100, seed=k)
+             for k in (3, 5, 10, 20)]
+    assert max(found) - min(found) < 2e-3
+
+
 # ---------------------------------------------------------------------------
 # partitions
 
@@ -430,6 +493,20 @@ def test_estimate_dt_whole_sphere_simplex():
     cap = SphericalCap(np.array([0.0, 0.0, 1.0]), -1.0)
     est = estimate_dt([cap], 3, samples=2000, seed=1, multistarts=20)
     assert est == pytest.approx(math.sqrt(3.0), rel=0.05)
+
+
+def test_estimate_dt_pinned_values():
+    # the criterion-9 calls and the whole-sphere call, to the last bit
+    pole = np.array([0.0, 0.0, 1.0])
+    two_caps = [SphericalCap(pole, 1 - 2e-3), SphericalCap(-pole, 1 - 2e-3)]
+    one_cap = [SphericalCap(pole, 1 - 4e-3)]
+    whole = [SphericalCap(pole, -1.0)]
+    assert estimate_dt(two_caps, 3, samples=2000, seed=2,
+                       multistarts=24) == 0.12642784503423157
+    assert estimate_dt(one_cap, 3, samples=2000, seed=3,
+                       multistarts=24) == 0.15476431629263862
+    assert estimate_dt(whole, 3, samples=2000, seed=1,
+                       multistarts=20) == 1.7320483908695483
 
 
 def test_estimate_dt_empty_regions_rejected():
