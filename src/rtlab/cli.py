@@ -5,8 +5,10 @@ codes: 0 property holds / success, 1 property violated (witness rechecked,
 then written as JSON), 2 input error, 3 search budget exceeded (for drc:
 no witness verified within the retries), 4 internal error (any other
 exception, including a witness that fails its recheck).
-Flags mirror the params.json keys and override file values; all
-randomness flows from the single seed.
+`verify` runs one search check on a file; `report` writes its density
+report.  The construction flags of `construct` and `report` mirror the
+params.json keys and override file values; all randomness flows from
+the single seed.
 """
 
 import argparse
@@ -82,7 +84,7 @@ def _cmd_construct(args) -> int:
     params = _load_params(args)
     partition = params.build_partition()
     if args.type == "be":
-        g = con.bollobas_erdos(partition, params.epsilon, params.k)
+        g = con.bollobas_erdos(partition, params.epsilon)
         hg.write_graph(g, args.out)
     elif args.type == "sphere":
         h = con.sphere_hypergraph(params, partition)
@@ -157,8 +159,6 @@ def _cmd_verify(args) -> int:
                     [tuple(vs[v] for v in e) for e in witness.edges_used])
                 break
         recheck = lambda w: ver.recheck_sparse_pattern(h, w, h.r, ell)
-    elif check == "density":
-        return _density(args, g, h, args.report_out)
     else:
         raise ValueError(f"unknown check {check}")
     if witness is None:
@@ -171,19 +171,15 @@ def _cmd_verify(args) -> int:
     return EXIT_VIOLATED
 
 
-def _density(args, g, h, out) -> int:
-    """Density report of the graph (r=2) or hypergraph, written to `out`
-    or stdout; shared by `verify --check density` and `report`."""
+def _cmd_report(args) -> int:
+    """Density report of the graph (r=2) or hypergraph, written to
+    --out or stdout."""
+    g, h = _read_input(args.file)
     params = _load_params(args) if args.params else None
     rep = ver.density_report(h if g is None else g, params)
     _emit(reports.emit_report(rep, args.format,
-                              params.to_json() if params else {}), out)
+                              params.to_json() if params else {}), args.out)
     return EXIT_HOLDS if rep.verdict == "holds" else EXIT_VIOLATED
-
-
-def _cmd_report(args) -> int:
-    g, h = _read_input(args.file)
-    return _density(args, g, h, args.out)
 
 
 def _cmd_optimize(args) -> int:
@@ -265,16 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a property check on a file")
     p.add_argument("--check", required=True,
                    choices=["clique", "alpha_t", "tk", "tkf", "split-core",
-                            "sparse", "density"])
+                            "sparse"])
     p.add_argument("--s", type=int)
     p.add_argument("--t", type=int)
     p.add_argument("--ell", type=int)
     p.add_argument("--bound", type=int)
     p.add_argument("--budget", type=int)
     p.add_argument("--witness-out")
-    p.add_argument("--report-out")
-    p.add_argument("--format", default="csv", choices=["csv", "json"])
-    _add_param_flags(p)
     p.add_argument("file")
     p.set_defaults(func=_cmd_verify)
 

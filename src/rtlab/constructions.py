@@ -111,13 +111,12 @@ class ConstructionParams:
 # the two-sided sphere graph
 
 
-def bollobas_erdos(partition: SpherePartition, epsilon: float, k: int) -> SimpleGraph:
+def bollobas_erdos(partition: SpherePartition, epsilon: float) -> SimpleGraph:
     """Two copies of the partition's point set; inside a side an edge
     joins near-antipodal points (d >= 2 - theta), across the sides an
-    edge joins near-orthogonal points (d <= sqrt(2) - theta)."""
-    if k != partition.k:
-        raise ValueError("dimension does not match the partition")
-    theta = epsilon / math.sqrt(k)
+    edge joins near-orthogonal points (d <= sqrt(2) - theta), where
+    theta = epsilon/sqrt(k) on the partition's sphere S^k."""
+    theta = epsilon / math.sqrt(partition.k)
     z = partition.z
     d = partition.distance_matrix()
     edges = set()
@@ -153,28 +152,28 @@ class PartTooLarge(RuntimeError):
     """Exhaustive enumeration refused: a part or the cross walk over its cap."""
 
 
+# tuple vertices a part may hold
+MAX_PART_SIZE = 5000
 # tuples the cross-edge enumeration may place before it gives up
 MAX_CROSS_ASSIGNMENTS = 5_000_000
 
 
-def sphere_hypergraph(params: ConstructionParams, partition: SpherePartition,
-                      max_part_size: int = 5000,
-                      sample_inside: int | None = None) -> PartitionedHypergraph:
+def sphere_hypergraph(params: ConstructionParams,
+                      partition: SpherePartition) -> PartitionedHypergraph:
     """r parts, each a copy of the tuple vertices.  An r-set inside a part
     is an edge when every pair of its tuples is far in some shared
     coordinate position (d >= 2 - theta); a transversal r-set is an edge
     when every coordinate pair across the tuples is close
-    (d <= sqrt(2) - theta).  Both families are enumerated exhaustively;
-    `sample_inside` switches the inside family to a uniform sample of
-    r-subsets with a count estimate and its CI in meta.  Raises
-    PartTooLarge over `max_part_size` tuples per part, or when the cross
-    walk places over MAX_CROSS_ASSIGNMENTS (5,000,000) tuples.
+    (d <= sqrt(2) - theta).  Both families are enumerated exhaustively.
+    Raises PartTooLarge over MAX_PART_SIZE (5,000) tuples per part, or
+    when the cross walk places over MAX_CROSS_ASSIGNMENTS (5,000,000)
+    tuples.
     """
     r, u, theta = params.r, params.u, params.theta
     V = tuple_vertices(partition, u, theta)
     nv = len(V)
-    if nv > max_part_size and sample_inside is None:
-        raise PartTooLarge(f"{nv} tuple vertices exceed the cap {max_part_size}")
+    if nv > MAX_PART_SIZE:
+        raise PartTooLarge(f"{nv} tuple vertices exceed the cap {MAX_PART_SIZE}")
     n = r * nv
     part_of = tuple(p for p in range(r) for _ in range(nv))
     edges: set = set()
@@ -202,11 +201,7 @@ def sphere_hypergraph(params: ConstructionParams, partition: SpherePartition,
 
     # inside edges: r-cliques of the far graph, one copy per part
     full = (1 << nv) - 1
-    if sample_inside is None:
-        inside = list(_cliques([_mask_of(row) for row in tfar], r, full))
-    else:
-        inside = _sampled_far_cliques(tfar, nv, r, sample_inside, params.seed,
-                                      meta)
+    inside = list(_cliques([_mask_of(row) for row in tfar], r, full))
     meta["base_inside_per_part"] = len(inside)
     for p in range(r):
         off = p * nv
@@ -230,30 +225,6 @@ def sphere_hypergraph(params: ConstructionParams, partition: SpherePartition,
 def _mask_of(row: np.ndarray) -> int:
     """Bitmask int with bit i set iff row[i]."""
     return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-
-
-def _sampled_far_cliques(tfar, nv, r, draws, seed, meta):
-    """Uniform sample of r-subsets kept when they form a far-clique; the
-    total-count estimate and a 95% CI go into meta."""
-    rng = substream(seed, "inside-sample")
-    hits = []
-    seen = set()
-    ok_draws = 0
-    for _ in range(draws):
-        pick = tuple(sorted(rng.choice(nv, size=r, replace=False).tolist()))
-        if all(tfar[a, b] for a, b in combinations(pick, 2)):
-            ok_draws += 1
-            if pick not in seen:
-                seen.add(pick)
-                hits.append(pick)
-    total = math.comb(nv, r)
-    phat = ok_draws / draws
-    half = 1.96 * math.sqrt(max(phat * (1 - phat), 1e-12) / draws)
-    meta["inside_sampled"] = True
-    meta["inside_count_estimate"] = phat * total
-    meta["inside_count_ci"] = (max(0.0, (phat - half)) * total,
-                               (phat + half) * total)
-    return hits
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from .verifiers import (BudgetExceeded, Embedding, _Counter, contained_edge,
                         resolve_budget, tk_embedding)
 
 DEFAULT_RETRIES = 64
+# subsets the dangerous-set census may visit before it gives up
+MAX_DANGEROUS_ENUMERATION = 2_000_000
 
 
 class PipelineFailure(RuntimeError):
@@ -36,11 +38,11 @@ class PipelineFailure(RuntimeError):
 class DrcParams:
     """Parameters of the two dependent-random-choice forms.
 
-    Graph form: a, m, n, r, t.  Hypergraph form: s samples, Delta,
-    epsilon, beta, part size N, weight cap w.  retries bounds the Las
-    Vegas loops; codegree_threshold drives the cleaning pass (16 in the
-    asymptotic statements, lower it for desk-scale hosts whose codegrees
-    cannot reach 16).
+    Graph form: a, m, n, r, t.  Hypergraph form: s samples.  epsilon is
+    the codegree fraction `find-tkf5` asks of its pair.  retries bounds
+    the Las Vegas loops; codegree_threshold drives the cleaning pass (16
+    in the asymptotic statements, lower it for desk-scale hosts whose
+    codegrees cannot reach 16).
     """
 
     a: int = 4
@@ -49,11 +51,7 @@ class DrcParams:
     r: int = 2
     t: int = 2
     s: int = 2
-    Delta: int = 9
     epsilon: float = 0.5
-    beta: float = 0.5
-    N: int | None = None
-    w: int = 6
     retries: int = DEFAULT_RETRIES
     codegree_threshold: int = 16
 
@@ -185,11 +183,11 @@ def extension_count(g_r: PartitionedHypergraph, edge_set) -> int:
 
 def count_dangerous_sets(g_r: PartitionedHypergraph,
                          g_rm1: PartitionedHypergraph, delta: int,
-                         beta: float, weight: int,
-                         max_enumeration: int = 2_000_000) -> int:
+                         beta: float, weight: int) -> int:
     """Census of dangerous sets of the given weight: subsets of at most
     delta (r-1)-edges spanning exactly `weight` vertices whose common
-    first-part extension count is below beta * N.  Desk-scale only."""
+    first-part extension count is below beta * N.  Desk-scale only:
+    RuntimeError past MAX_DANGEROUS_ENUMERATION (2,000,000) subsets."""
     edges = g_rm1.sorted_edges()
     big_n = len(g_r.part_vertices(0))
     bound = beta * big_n
@@ -198,7 +196,7 @@ def count_dangerous_sets(g_r: PartitionedHypergraph,
     for size in range(1, delta + 1):
         for sub in combinations(edges, size):
             seen += 1
-            if seen > max_enumeration:
+            if seen > MAX_DANGEROUS_ENUMERATION:
                 raise RuntimeError("dangerous-set census too large; "
                                    "reduce the instance")
             verts = set()

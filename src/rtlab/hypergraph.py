@@ -105,6 +105,9 @@ class PartitionedHypergraph:
             self.part_of = tuple(self.part_of)
         if len(self.part_of) != self.n:
             raise ValueError("part_of must label every vertex")
+        if self.part_of and min(self.part_of) < UNPARTITIONED:
+            raise ValueError(f"part label {min(self.part_of)} is below "
+                             f"{UNPARTITIONED}")
         edges = set()
         for e in self.edges:
             e = tuple(sorted(e))
@@ -232,12 +235,12 @@ def codegree(h: PartitionedHypergraph, x: int, y: int) -> int:
     return sum(1 for e in h.edges if x in e and y in e)
 
 
-def clean_low_codegree(h: PartitionedHypergraph, threshold: int,
-                       one_pass: bool = False) -> PartitionedHypergraph:
+def clean_low_codegree(h: PartitionedHypergraph,
+                       threshold: int) -> PartitionedHypergraph:
     """Delete all edges of every cross-part pair whose codegree is in
-    [1, threshold]; by default repeated until every surviving cross pair
-    has codegree 0 or > threshold.  `one_pass` stops after the first
-    sweep.  The number of removed edges is recorded in meta."""
+    [1, threshold], repeated until every surviving cross pair has
+    codegree 0 or > threshold.  The number of removed edges is recorded
+    in meta."""
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
     edges = set(h.edges)
@@ -260,8 +263,6 @@ def clean_low_codegree(h: PartitionedHypergraph, threshold: int,
                     break
         edges -= doomed
         removed += len(doomed)
-        if one_pass:
-            break
     return PartitionedHypergraph(h.n, h.r, frozenset(edges), h.part_of,
                                  meta=dict(h.meta, cleaned_edges=removed))
 
@@ -285,13 +286,14 @@ def write_hypergraph(h: PartitionedHypergraph, path: str) -> None:
 
 def read_hypergraph(path: str) -> PartitionedHypergraph:
     """Parse the format above.  ValueError on a bad header or label line,
-    an edge line without r vertices, an edge listed twice, fewer than m
-    edge lines, or a non-blank line after the m-th."""
+    a label below -1, a header part count other than the labels give, an
+    edge line without r vertices, an edge listed twice, fewer than m edge
+    lines, or a non-blank line after the m-th."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 5 or header[0] != "HG":
             raise ValueError(f"not a hypergraph file: {path}")
-        r, n, m = int(header[1]), int(header[2]), int(header[3])
+        r, n, m, parts = map(int, header[1:])
         part_of = tuple(int(fh.readline()) for _ in range(n))
         edges = set()
         for i in range(m):
@@ -307,7 +309,11 @@ def read_hypergraph(path: str) -> PartitionedHypergraph:
             edges.add(e)
         if any(line.strip() for line in fh):
             raise ValueError(f"{path}: lines after the header's {m} edges")
-    return PartitionedHypergraph(n, r, frozenset(edges), part_of)
+    h = PartitionedHypergraph(n, r, frozenset(edges), part_of)
+    if h.parts != parts:
+        raise ValueError(f"{path}: header gives {parts} parts, "
+                         f"the labels give {h.parts}")
+    return h
 
 
 def write_graph(g: SimpleGraph, path: str) -> None:

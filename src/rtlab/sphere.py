@@ -87,11 +87,6 @@ class SphericalCap:
         # max distance from the center to a cap point; 2h = a^2
         return math.sqrt(2.0 * self.height)
 
-    @property
-    def base_diameter(self) -> float:
-        # diameter of the (k-1)-sphere where the bounding hyperplane cuts
-        return 2.0 * math.sqrt(max(0.0, 1.0 - self.s * self.s))
-
     def contains(self, x: np.ndarray) -> bool:
         return float(np.dot(x, self.center)) >= self.s
 
@@ -251,6 +246,8 @@ class InfeasibleSearch(RuntimeError):
 
 
 _P2_SAMPLES = 40_000
+# largest sphere dimension the (eps, k) search tries
+K_CAP = 1_000_000
 
 
 def _p1_threshold(eps: float, k: int) -> float:
@@ -301,35 +298,36 @@ def properties_hold(eps: float, alpha: float, beta: float, k: int,
     return True
 
 
-def find_eps_k(alpha: float, beta: float, t_max: int = 2,
-               k_cap: int = 1_000_000) -> tuple[float, int]:
+def find_eps_k(alpha: float, beta: float,
+               t_max: int = 2) -> tuple[float, int]:
     """Smallest workable (eps, k): eps halved down a ladder, then the
     minimal k located by doubling followed by bisection.
 
-    Raises InfeasibleSearch when no k <= k_cap works for any ladder eps.
+    Raises InfeasibleSearch when no k <= K_CAP (1,000,000) works for any
+    ladder eps.
     """
     if not (0.0 < alpha < 0.5 and 0.0 < beta < 0.5):
         raise ValueError("alpha and beta must lie in (0, 1/2)")
     eps = 1.0
     for _ in range(24):
-        k = _minimal_k(eps, alpha, beta, t_max, k_cap)
+        k = _minimal_k(eps, alpha, beta, t_max)
         if k is not None:
             return eps, k
         eps /= 2.0
     raise InfeasibleSearch(
-        f"no (eps, k) with k <= {k_cap} satisfies the cap properties for "
+        f"no (eps, k) with k <= {K_CAP} satisfies the cap properties for "
         f"alpha={alpha}, beta={beta}")
 
 
-def _minimal_k(eps, alpha, beta, t_max, k_cap):
+def _minimal_k(eps, alpha, beta, t_max):
     ok = lambda k: properties_hold(eps, alpha, beta, k, t_max)
     # doubling phase: first k that works
     k = max(1, math.ceil((4.0 * eps) ** 2))  # below this theta >= 1/4
     lo = 0
-    while k <= k_cap and not ok(k):
+    while k <= K_CAP and not ok(k):
         lo = k
         k *= 2
-    if k > k_cap:
+    if k > K_CAP:
         return None
     # bisection phase: minimal passing k in (lo, k]
     hi = k
@@ -646,7 +644,10 @@ def read_partition(path: str) -> SpherePartition:
 
 def _axial_cdf(cap: SphericalCap, k: int):
     """(grid, cdf): the trapezoid CDF of the axial coordinate x . center of
-    a uniform cap point on 512 grid points, for `_sample_in_cap`."""
+    a uniform cap point on 512 grid points, for `_sample_in_cap`.  None on
+    S^1, where the density (1 - x^2)^(-1/2) is infinite at x = 1."""
+    if k == 1:
+        return None
     grid = np.linspace(cap.s, 1.0, 512)
     dens = (1.0 - np.clip(grid, -1, 1) ** 2) ** ((k - 2) / 2.0)
     cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * np.diff(grid) / 2.0)])
@@ -656,13 +657,16 @@ def _axial_cdf(cap: SphericalCap, k: int):
 def _sample_in_cap(cap: SphericalCap, axial, k: int,
                    rng: np.random.Generator) -> np.ndarray:
     """Uniform point of the cap via inverse-CDF sampling of the axial
-    angle; `axial` is the cap's `_axial_cdf`."""
+    angle; `axial` is the cap's `_axial_cdf`.  On S^1 the angle from the
+    center is uniform on [0, acos s], so it is drawn exactly."""
     if cap.s >= 1.0:
         return cap.center.copy()
-    grid, cdf = axial
-    if cdf[-1] <= 0.0:
+    if axial is None:
+        x = math.cos(rng.uniform(0.0, math.acos(cap.s)))
+    elif axial[1][-1] <= 0.0:
         x = 1.0
     else:
+        grid, cdf = axial
         u = rng.uniform(0.0, cdf[-1])
         x = float(np.interp(u, cdf, grid))
     w = rng.standard_normal(k + 1)

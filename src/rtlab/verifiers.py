@@ -122,31 +122,35 @@ def find_clique(g: SimpleGraph, s: int, budget=None) -> Embedding | None:
         return Embedding({0: 0}, {0: "core"}) if g.n else None
     adj = g.adjacency_masks()
     counter = _Counter(resolve_budget(budget))
-    found: list = []
-
-    def expand(clique: list, cand: int):
-        if found:
-            return
+    full = (1 << g.n) - 1
+    # an explicit stack, so the depth is not bounded by the recursion
+    # limit: clique[i] was placed from the colour order orders[i], and
+    # pools[i] holds that level's candidates not yet searched through
+    clique: list = []
+    orders = [_color_sort(full, adj)]
+    pools = [full]
+    while orders:
+        order = orders[-1]
+        if not order or len(clique) + order[-1][1] < s:
+            # level exhausted, or no colour class left can complete K_s
+            orders.pop()
+            pools.pop()
+            if clique:
+                pools[-1] &= ~(1 << clique.pop())
+            continue
+        v = order.pop()[0]
+        counter.tick()
+        clique.append(v)
         if len(clique) == s:
-            found.extend(clique)
-            return
-        order = _color_sort(cand, adj)
-        pool = cand
-        for v, c in reversed(order):
-            if len(clique) + c < s:
-                return
-            counter.tick()
-            expand(clique + [v], pool & adj[v])
-            if found:
-                return
-            pool &= ~(1 << v)
-
-    expand([], (1 << g.n) - 1)
-    if not found:
+            break
+        cand = pools[-1] & adj[v]
+        orders.append(_color_sort(cand, adj))
+        pools.append(cand)
+    else:
         return None
-    vm = {i: v for i, v in enumerate(sorted(found))}
+    vm = {i: v for i, v in enumerate(sorted(clique))}
     return Embedding(vm, {i: "core" for i in vm},
-                     [tuple(sorted(p)) for p in combinations(sorted(found), 2)])
+                     [tuple(sorted(p)) for p in combinations(sorted(clique), 2)])
 
 
 def recheck_clique(g: SimpleGraph, emb: Embedding) -> bool:

@@ -57,7 +57,7 @@ def test_criterion_3_two_sided_sphere_graph():
     eps, k = find_eps_k(0.3, 0.3, 2)
     z = 150
     part = build_partition(k, z, eps / math.sqrt(k), seed=11)
-    g = bollobas_erdos(part, eps, k)
+    g = bollobas_erdos(part, eps)
     no_k4 = find_clique(g, 4) is None
     sides_ok = True
     for p in (0, 1):

@@ -72,7 +72,7 @@ def test_params_validation():
 
 def test_be_single_point():
     part = build_partition(3, 1, 0.4, seed=1)
-    g = bollobas_erdos(part, 0.4 * math.sqrt(3), 3)
+    g = bollobas_erdos(part, 0.4 * math.sqrt(3))
     # d(p, p) = 0 <= sqrt(2) - theta: one cross edge, no inside edges
     assert g.n == 2
     assert g.edges == frozenset([(0, 1)])
@@ -81,7 +81,7 @@ def test_be_single_point():
 def test_be_no_cross_edges_above_sqrt2():
     part = build_partition(3, 6, 0.4, seed=3, balance_iters=0,
                            diag_samples=500)
-    g = bollobas_erdos(part, 1.5 * math.sqrt(3), 3)  # theta = 1.5 > sqrt(2)
+    g = bollobas_erdos(part, 1.5 * math.sqrt(3))  # theta = 1.5 > sqrt(2)
     assert all(g.part_of[a] == g.part_of[b] for a, b in g.edges)
 
 
@@ -93,7 +93,7 @@ def test_be_cross_degree_floor():
     z = 100
     part = build_partition(k, z, eps / math.sqrt(k), seed=7, balance_iters=8,
                            diag_samples=8000)
-    g = bollobas_erdos(part, eps, k)
+    g = bollobas_erdos(part, eps)
     cross_deg = [0] * g.n
     for a, b in g.edges:
         if g.part_of[a] != g.part_of[b]:
@@ -139,7 +139,7 @@ def test_sphere_hypergraph_r2_u1_matches_be():
     part = build_partition(4, 12, p.theta, 6, balance_iters=0,
                            diag_samples=500)
     h = sphere_hypergraph(p, part)
-    g = bollobas_erdos(part, p.epsilon, p.k)
+    g = bollobas_erdos(part, p.epsilon)
     assert frozenset(h.edges) == frozenset(g.edges)
 
 
@@ -192,11 +192,12 @@ def test_sphere_hypergraph_cross_antitone_in_theta():
     assert cross_as_tuples(0.45) <= cross_as_tuples(0.3)
 
 
-def test_sphere_hypergraph_part_cap():
+def test_sphere_hypergraph_part_cap(monkeypatch):
     p = small_params(z=20)
     part = quick_partition(p)
+    monkeypatch.setattr(constructions, "MAX_PART_SIZE", 3)
     with pytest.raises(PartTooLarge):
-        sphere_hypergraph(p, part, max_part_size=3)
+        sphere_hypergraph(p, part)
 
 
 def test_sphere_hypergraph_cross_cap(monkeypatch):
@@ -216,17 +217,6 @@ def test_sphere_hypergraph_cross_cap(monkeypatch):
     monkeypatch.setattr(constructions, "MAX_CROSS_ASSIGNMENTS", placed - 1)
     with pytest.raises(PartTooLarge):
         sphere_hypergraph(p, part)
-
-
-def test_sphere_hypergraph_sampled_inside():
-    p = small_params(z=14, seed=3)
-    part = quick_partition(p)
-    exact = sphere_hypergraph(p, part)
-    sampled = sphere_hypergraph(p, part, sample_inside=4000)
-    assert sampled.meta["inside_sampled"]
-    lo, hi = sampled.meta["inside_count_ci"]
-    assert lo <= exact.meta["base_inside_per_part"] <= hi
-    assert set(sampled.inside_edges()) <= set(exact.inside_edges())
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,15 @@ def test_extension_count_and_dangerous_census():
     assert n_bad == 0
 
 
+def test_dangerous_census_refuses_past_its_cap(monkeypatch):
+    from rtlab import drc
+    h = turan_hypergraph(9, 3, 3)
+    out = hyper_drc(h, 1, seed=2)
+    monkeypatch.setattr(drc, "MAX_DANGEROUS_ENUMERATION", 1)
+    with pytest.raises(RuntimeError, match="census too large"):
+        count_dangerous_sets(h, out, delta=2, beta=0.5, weight=4)
+
+
 # ---------------------------------------------------------------------------
 # witness pipelines
 

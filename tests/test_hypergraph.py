@@ -226,14 +226,6 @@ def test_clean_recount_oracle_and_idempotent():
     assert again.edges == out.edges
 
 
-def test_clean_one_pass_mode_counts():
-    h = random_hypergraph(12, 3, 25, seed=10)
-    h = PartitionedHypergraph(h.n, h.r, h.edges, _parts3(12))
-    one = clean_low_codegree(h, 2, one_pass=True)
-    fixed = clean_low_codegree(h, 2)
-    assert fixed.edges <= one.edges <= h.edges
-
-
 # ---------------------------------------------------------------------------
 # files
 

@@ -270,10 +270,11 @@ def test_find_eps_k_rejects_bad_tolerances():
         find_eps_k(0.6, 0.3)
 
 
-def test_find_eps_k_reports_infeasible_at_cap():
-    from rtlab.sphere import InfeasibleSearch
-    with pytest.raises(InfeasibleSearch):
-        find_eps_k(0.3, 1e-9, 2, k_cap=64)
+def test_find_eps_k_reports_infeasible_at_cap(monkeypatch):
+    from rtlab import sphere
+    monkeypatch.setattr(sphere, "K_CAP", 64)
+    with pytest.raises(sphere.InfeasibleSearch):
+        find_eps_k(0.3, 1e-9, 2)
 
 
 @pytest.mark.parametrize("alpha,beta,t_max,want", [
@@ -507,6 +508,16 @@ def test_estimate_dt_pinned_values():
                        multistarts=24) == 0.15476431629263862
     assert estimate_dt(whole, 3, samples=2000, seed=1,
                        multistarts=20) == 1.7320483908695483
+
+
+def test_estimate_dt_on_circle():
+    # on S^1 the cap of angular radius 60 degrees is an arc; two points
+    # are furthest apart at its ends, sqrt(3), and three are 1 apart
+    arc = [SphericalCap(np.array([1.0, 0.0]), 0.5)]
+    assert estimate_dt(arc, 2, samples=200, seed=1,
+                       multistarts=4) == pytest.approx(math.sqrt(3.0), rel=1e-6)
+    assert estimate_dt(arc, 3, samples=200, seed=1,
+                       multistarts=4) == pytest.approx(1.0, rel=1e-3)
 
 
 def test_estimate_dt_empty_regions_rejected():

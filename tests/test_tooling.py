@@ -37,8 +37,7 @@ def test_tracer_names_resolve():
 
 # functions allowed to call themselves, with the reason their depth is safe
 SELF_CALLS_ALLOWED = {
-    # both recurse once per clique vertex, so the depth is the clique size
-    "verifiers.find_clique.expand",
+    # recurses once per clique vertex, so its depth is the clique size asked for
     "verifiers._has_clique_mask",
 }
 

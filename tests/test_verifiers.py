@@ -143,6 +143,17 @@ def test_clique_budget_exceeded():
         find_clique(g, 10, budget=3)
 
 
+def test_clique_search_deeper_than_recursion_limit():
+    # one search level per clique vertex: K_1100 needs 1,100 levels, past
+    # Python's default recursion limit of 1,000
+    n = 1100
+    g = SimpleGraph(n, frozenset(combinations(range(n), 2)))
+    emb = find_clique(g, n)
+    assert emb is not None
+    assert sorted(emb.vertex_map.values()) == list(range(n))
+    assert find_clique(g, n + 1) is None
+
+
 @pytest.mark.parametrize("solve", [
     lambda: find_clique(SimpleGraph(5, frozenset(combinations(range(5), 2))), 3,
                         budget=1),
