@@ -146,17 +146,15 @@ def _cmd_verify(args) -> int:
         recheck = lambda w: ver.recheck_split_core(h, w)
     elif check == "sparse":
         ell = args.ell if args.ell is not None else h.r ** 3
-        for p in range(max(1, h.parts)):
-            vs = h.part_vertices(p) if h.parts else range(h.n)
-            part = h.induced(vs) if h.parts else h
+        # each part's inside edges on the file's vertex ids, part by part;
+        # the whole file when it has no parts
+        inside = [[] for _ in range(h.parts)]
+        for e in h.inside_edges():
+            inside[h.part_of[e[0]]].append(e)
+        for edges in inside or [h.edges]:
+            part = hg.PartitionedHypergraph(h.n, h.r, edges, h.part_of)
             witness = ver.scan_sparse_patterns(part, h.r, ell, args.budget)
             if witness is not None:
-                # the scan numbers the part's vertices 0, 1, ...; the
-                # witness names the file's vertices
-                witness = ver.Embedding(
-                    {i: vs[v] for i, v in witness.vertex_map.items()},
-                    witness.roles,
-                    [tuple(vs[v] for v in e) for e in witness.edges_used])
                 break
         recheck = lambda w: ver.recheck_sparse_pattern(h, w, h.r, ell)
     else:
@@ -175,7 +173,9 @@ def _cmd_report(args) -> int:
     """Density report of the graph (r=2) or hypergraph, written to
     --out or stdout."""
     g, h = _read_input(args.file)
-    params = _load_params(args) if args.params else None
+    given = args.params or any(getattr(args, k) is not None
+                               for k in PARAM_KEYS)
+    params = _load_params(args) if given else None
     rep = ver.density_report(h if g is None else g, params)
     _emit(reports.emit_report(rep, args.format,
                               params.to_json() if params else {}), args.out)

@@ -163,7 +163,7 @@ def hyper_drc(g_r: PartitionedHypergraph, s: int, seed: int = 0) -> PartitionedH
                     link.add(rest)
         links.append(link)
     common = set.intersection(*links)
-    eps = len([e for e in g_r.edges if g_r.is_cross(e)]) / (big_n ** r)
+    eps = len(g_r.cross_edges()) / (big_n ** r)
     floor = 0.5 * eps ** s * big_n ** (r - 1)
     meta = {"samples": samples, "edge_floor": floor, "link_edge_count": len(common)}
     return PartitionedHypergraph(g_r.n, r - 1, frozenset(common),
@@ -461,9 +461,8 @@ def tk6_thresholds(n: int, gamma: float) -> tuple:
         raise ValueError("need n >= 2")
     if gamma <= 0:
         raise ValueError("need gamma > 0")
-    r, delta, w = 3, 9, 6
-    c = 4 * r * delta * w ** (r * delta) * r ** w
-    b = 9 * c
+    consts = tk6_constants()
+    b, w = consts["b"], consts["w"]
     log_n = _log2_big(n)
     beta = 2.0 ** (-gamma * log_n ** (2.0 / 3.0))
     s = (w + 1) / gamma * log_n ** (1.0 / 3.0)

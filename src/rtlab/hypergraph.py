@@ -129,22 +129,18 @@ class PartitionedHypergraph:
     def sorted_edges(self) -> list:
         return sorted(self.edges)
 
-    def edge_parts(self, e) -> list:
-        return [self.part_of[v] for v in e]
-
-    def is_cross(self, e) -> bool:
-        ps = self.edge_parts(e)
-        return UNPARTITIONED not in ps and len(set(ps)) == self.r
-
-    def is_inside(self, e) -> bool:
-        ps = self.edge_parts(e)
-        return UNPARTITIONED not in ps and len(set(ps)) == 1
-
     def cross_edges(self) -> list:
-        return sorted(e for e in self.edges if self.is_cross(e))
+        """Edges with their r vertices in r distinct labelled parts."""
+        part_of = self.part_of
+        return sorted(e for e in self.edges if len(
+            {part_of[v] for v in e} - {UNPARTITIONED}) == self.r)
 
     def inside_edges(self) -> list:
-        return sorted(e for e in self.edges if self.is_inside(e))
+        """Edges with every vertex in one labelled part."""
+        part_of = self.part_of
+        return sorted(e for e in self.edges
+                      if len(ps := {part_of[v] for v in e}) == 1
+                      and UNPARTITIONED not in ps)
 
     def induced(self, vertices) -> "PartitionedHypergraph":
         vs = sorted(vertices)

@@ -87,12 +87,6 @@ class SphericalCap:
         # max distance from the center to a cap point; 2h = a^2
         return math.sqrt(2.0 * self.height)
 
-    def contains(self, x: np.ndarray) -> bool:
-        return float(np.dot(x, self.center)) >= self.s
-
-    def margin(self, x: np.ndarray):
-        return np.asarray(x, dtype=float) @ self.center - self.s
-
     def project(self, x: np.ndarray) -> np.ndarray:
         """Nearest cap point: rotate x toward the center up to the rim."""
         x = np.asarray(x, dtype=float)

@@ -479,7 +479,11 @@ def recheck_tk(h: PartitionedHypergraph, emb: Embedding, s: int) -> bool:
 def scan_split_core(h: PartitionedHypergraph, budget=None) -> Embedding | None:
     """Four vertices, two in part i and two in part j != i, with all six
     pairs covered by hyperedges.  Returns the first witness in
-    lexicographic order, or None."""
+    lexicographic order, or None.
+
+    For each covered pair a < b of part i and each later part j, the
+    pairs c < d of a and b's common cross-covered partners in part j are
+    tried in order, one budget node each."""
     counter = _Counter(resolve_budget(budget))
     cover = h.pair_cover_index()
     within = defaultdict(list)  # part -> covered same-part pairs
@@ -500,29 +504,15 @@ def scan_split_core(h: PartitionedHypergraph, budget=None) -> Embedding | None:
             for a, b in within[pi]:
                 common = sorted(x for x in cross_adj[a] & cross_adj[b]
                                 if h.part_of[x] == pj)
-                if len(common) < 2:
-                    continue
-                hit = None
-                if len(common) * (len(common) - 1) // 2 <= len(within_j):
-                    for c, d in combinations(common, 2):
-                        counter.tick()
-                        if (c, d) in within_j:
-                            hit = (c, d)
-                            break
-                else:
-                    cset = set(common)
-                    for c, d in within[pj]:
-                        counter.tick()
-                        if c in cset and d in cset:
-                            hit = (c, d)
-                            break
-                if hit is not None:
-                    cores = (a, b, hit[0], hit[1])
-                    edges_used = [cover[tuple(sorted(p))][0]
-                                  for p in combinations(cores, 2)]
-                    return Embedding({i: v for i, v in enumerate(cores)},
-                                     {i: "core" for i in range(4)},
-                                     edges_used)
+                for c, d in combinations(common, 2):
+                    counter.tick()
+                    if (c, d) in within_j:
+                        cores = (a, b, c, d)
+                        edges_used = [cover[tuple(sorted(p))][0]
+                                      for p in combinations(cores, 2)]
+                        return Embedding(dict(enumerate(cores)),
+                                         {i: "core" for i in range(4)},
+                                         edges_used)
     return None
 
 
@@ -551,8 +541,9 @@ def sparsity_condition(r: int):
 
 
 def blowup_deletion_condition(r: int, gamma: float):
-    """Forbidden when v + (1+gamma-r)(m-1) < r."""
-    return lambda v, m: v + (1.0 + gamma - r) * (m - 1) < r
+    """Forbidden when v + (1+gamma-r)(m-1) < r, i.e. when
+    gamma (m-1) < r + (r-1)(m-1) - v, whose right side is exact."""
+    return lambda v, m: gamma * (m - 1) < r + (r - 1) * (m - 1) - v
 
 
 def minimal_tkf_bound(r: int, m: int) -> int:
@@ -568,20 +559,17 @@ def minimal_tkf_bound(r: int, m: int) -> int:
 
 
 def connected_edge_subsets(h: PartitionedHypergraph, max_vertices: int,
-                           counter: _Counter, min_edges: int = 2,
-                           stop_at=None, linear_only: bool = False,
-                           dead=frozenset()):
-    """Yield (edge-index tuple, vertex set) for every connected hyperedge
-    sub-collection spanning at most max_vertices vertices and holding no
-    edge whose index (into h.sorted_edges()) is in `dead`.
+                           counter: _Counter, stop_at, dead=frozenset()):
+    """Yield (edge-index tuple, vertex set) for every connected linear
+    sub-collection of two or more edges, spanning at most max_vertices
+    vertices and holding no edge whose index (into h.sorted_edges()) is
+    in `dead`.  Linear: every two of its edges share at most one vertex.
 
     Exact-once enumeration (ESU, Wernicke 2006: grow from the minimum
     edge index with an exclusive extension list).  When `stop_at(v, m)`
     is true for a yielded subset it is not extended further; every subset
     all of whose proper connected prefixes fail stop_at is still reached,
-    so in particular every minimal satisfying subset is yielded.  With
-    `linear_only` the enumeration is restricted to subsets in which every
-    two edges share at most one vertex.
+    so in particular every minimal satisfying subset is yielded.
 
     `dead` is read at every step, so the caller may add to it between
     yields.  Deleting edges changes no adjacency among the others, so the
@@ -608,12 +596,6 @@ def connected_edge_subsets(h: PartitionedHypergraph, max_vertices: int,
         nbrs[i].discard(i)
         nbr_lists.append(sorted(nbrs[i]))
 
-    def compatible(w, subset):
-        if not linear_only:
-            return True
-        ws = edge_sets[w]
-        return all(len(ws & edge_sets[i]) <= 1 for i in subset)
-
     for seed in range(m):
         if seed in dead or len(edges[seed]) > max_vertices:
             continue
@@ -624,17 +606,19 @@ def connected_edge_subsets(h: PartitionedHypergraph, max_vertices: int,
             subset, verts, ext, closed = stack.pop()
             if not dead.isdisjoint(subset):
                 continue
-            if len(subset) >= min_edges:
+            if len(subset) >= 2:
                 yield tuple(sorted(subset)), verts
-                if stop_at is not None and stop_at(len(verts), len(subset)):
+                if stop_at(len(verts), len(subset)):
                     continue
             # each candidate is excluded from its later siblings' subtrees
             # (exclusive extension lists keep the enumeration exact-once)
             for i, w in enumerate(ext):
                 if w in dead:
                     continue
-                nv = verts | edge_sets[w]
-                if len(nv) > max_vertices or not compatible(w, subset):
+                ws = edge_sets[w]
+                nv = verts | ws
+                if len(nv) > max_vertices or any(
+                        len(ws & edge_sets[j]) > 1 for j in subset):
                     continue
                 counter.tick()
                 fresh = [u for u in nbr_lists[w]
@@ -656,27 +640,30 @@ def _sparse_witnesses(h: PartitionedHypergraph, ell: int, condition,
     and hold no edge of `dead`, in scan order; the caller may add to
     `dead` between yields.
 
-    When a pair of edges sharing two or more vertices satisfies the
-    condition, every such pair within ell vertices comes first, in
-    lexicographic order; the walk that follows is then restricted to
-    linear sub-collections.
+    Pairs first: every pair of edges sharing two or more vertices within
+    ell vertices, in lexicographic order.  Any sub-collection that is not
+    linear holds such a pair, so a linear walk over the survivors
+    follows.  This is complete only when every such pair satisfies the
+    condition, so a condition that fails at (2r-2, 2), and an ell below
+    r, raise ValueError.
     """
-    linear_only = False
-    if condition(2 * h.r - 2, 2):
-        index = {e: i for i, e in enumerate(h.sorted_edges())}
-        pairs = set()
-        for es in h.pair_cover_index().values():
-            for e, f in combinations(es, 2):
-                if len(set(e) | set(f)) <= ell:
-                    pairs.add((index[e], index[f]))
-        for pair in sorted(pairs):
-            if dead.isdisjoint(pair):
-                yield pair
-        linear_only = True
-    for subset, verts in connected_edge_subsets(h, ell, counter,
-                                                stop_at=condition,
-                                                linear_only=linear_only,
-                                                dead=dead):
+    r = h.r
+    if ell < r:
+        raise ValueError(f"pattern vertex cap {ell} is below r={r}")
+    if not condition(2 * r - 2, 2):
+        raise ValueError("the condition must hold for two edges sharing "
+                         f"two vertices (v={2 * r - 2}, m=2)")
+    index = {e: i for i, e in enumerate(h.sorted_edges())}
+    pairs = set()
+    for es in h.pair_cover_index().values():
+        for e, f in combinations(es, 2):
+            if len(set(e) | set(f)) <= ell:
+                pairs.add((index[e], index[f]))
+    for pair in sorted(pairs):
+        if dead.isdisjoint(pair):
+            yield pair
+    for subset, verts in connected_edge_subsets(h, ell, counter, condition,
+                                                dead):
         if condition(len(verts), len(subset)):
             yield subset
 
@@ -687,9 +674,11 @@ def scan_sparse_patterns(h_part: PartitionedHypergraph, r: int, ell: int,
     vertices, and v below the sparsity threshold; None if there is none.
 
     Two phases: pairs of edges sharing two or more vertices are checked
-    directly (they satisfy every condition in use whenever a pair can),
-    after which only linear sub-collections remain to be grown.  None is
-    returned only after the walk has reached every candidate.
+    directly, after which only linear sub-collections remain to be grown.
+    The condition must hold for such a pair, (v, m) = (2r-2, 2), as both
+    conditions in use do, and ell must be at least r; otherwise
+    ValueError.  None is returned only after the walk has reached every
+    candidate.
     """
     if condition is None:
         condition = sparsity_condition(r)
@@ -790,6 +779,13 @@ def _max_matching(adj) -> list:
     return sorted((li, rj) for rj, li in match_r.items())
 
 
+def _far_matching(reps, a1: list, a2: list, theta: float) -> list:
+    """Maximum matching of the far pairs (d >= 2 - theta) between two rep
+    index lists, searched in the lists' order; list of (rep_i, rep_j)."""
+    d = np.linalg.norm(reps[a1][:, None, :] - reps[a2][None, :, :], axis=2)
+    return [(a1[i], a2[j]) for i, j in _max_matching(d >= 2.0 - theta)]
+
+
 def far_pair_matching(a1, a2, partition, theta: float) -> list:
     """Maximum matching in the bipartite far-pair graph on two equal-size
     rep index sets (edge when d >= 2 - theta); list of (rep_i, rep_j)."""
@@ -797,11 +793,7 @@ def far_pair_matching(a1, a2, partition, theta: float) -> list:
     a2 = sorted(a2)
     if len(a1) != len(a2):
         raise ValueError("index sets must have equal size")
-    reps = partition.reps
-    thresh = 2.0 - theta
-    d = np.linalg.norm(reps[a1][:, None, :] - reps[a2][None, :, :], axis=2)
-    pairs = _max_matching(d >= thresh)
-    return [(a1[i], a2[j]) for i, j in pairs]
+    return _far_matching(partition.reps, a1, a2, theta)
 
 
 def tree_embedding(sets, tree_edges, partition, theta: float) -> dict | None:
@@ -842,21 +834,13 @@ def tree_embedding(sets, tree_edges, partition, theta: float) -> dict | None:
     i0, j0 = sorted(alive)
 
     reps = partition.reps
-    thresh = 2.0 - theta
-
-    def far_match(points_a: list, points_b: list) -> dict:
-        d = np.linalg.norm(reps[points_a][:, None, :] - reps[points_b][None, :, :],
-                           axis=2)
-        pairs = _max_matching(d >= thresh)
-        return {points_a[i]: points_b[j] for i, j in pairs}
-
-    base = far_match(sorted(sets[i0]), sorted(sets[j0]))
-    embeddings = [{i0: p, j0: q} for p, q in sorted(base.items())]
+    base = _far_matching(reps, sorted(sets[i0]), sorted(sets[j0]), theta)
+    embeddings = [{i0: p, j0: q} for p, q in base]
     for leaf, nbr in reversed(peels):
         if not embeddings:
             return None
         used = [emb[nbr] for emb in embeddings]
-        assign = far_match(used, sorted(sets[leaf]))
+        assign = dict(_far_matching(reps, used, sorted(sets[leaf]), theta))
         extended = []
         for emb in embeddings:
             got = assign.get(emb[nbr])

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +147,17 @@ def test_verify_bad_part_labels_exit_2(tmp_path, capsys, header_parts, label,
     assert problem in capsys.readouterr().err
 
 
+def test_verify_sparse_ell_below_r_exit_2(tmp_path, capsys):
+    # with ell < r no sub-collection fits, so the scan would check nothing
+    path = tmp_path / "pair.hg"
+    write_hypergraph(PartitionedHypergraph(4, 3,
+                                           frozenset([(0, 1, 2), (0, 1, 3)])),
+                     str(path))
+    assert main(["verify", "--check", "sparse", "--ell", "2",
+                 str(path)]) == 2
+    assert "below r=3" in capsys.readouterr().err
+
+
 BOGUS = Embedding({i: i for i in range(4)}, {i: "core" for i in range(4)},
                   [(0, 1, 2)])
 
@@ -212,6 +225,55 @@ def test_report_byte_reproducible(tmp_path):
     assert main(["report", "--params", params, "--out", str(r1), str(hg)]) == 0
     assert main(["report", "--params", params, "--out", str(r2), str(hg)]) == 0
     assert r1.read_bytes() == r2.read_bytes()
+
+
+def test_report_flags_without_params_file(tmp_path):
+    # construction flags alone carry the parameters into the report
+    path = tmp_path / "k5.hg"
+    write_hypergraph(complete_uniform(5, 3), str(path))
+    out = tmp_path / "report.csv"
+    assert main(["report", "--r", "3", "--z", "99", "--alpha", "0.3",
+                 "--beta", "0.3", "--epsilon", "0.5", "--k", "5",
+                 "--seed", "7", "--out", str(out), str(path)]) == 0
+    text = out.read_text()
+    assert "# param z=99\n" in text and "# param seed=7\n" in text
+    assert "vertex_bound_reference" in text
+
+
+def test_report_flags_missing_keys_exit_2(tmp_path, capsys):
+    path = tmp_path / "k5.hg"
+    write_hypergraph(complete_uniform(5, 3), str(path))
+    out = tmp_path / "report.csv"
+    assert main(["report", "--z", "99", "--seed", "7", "--out", str(out),
+                 str(path)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+# sha256 of the README pipeline's files (z=14, seed 3); a change that is
+# meant to keep seeded output must keep these
+README_DIGESTS = {
+    "be.g": "27a04b88a13596d020bc44f4f3277eb949ea0cd4f6ad9c130c76d6dc7e669698",
+    "full.hg": "cd76219445f19b66f904af1081a61656291b3e163669df172aab414a40e877d7",
+    "report.csv": "53a46f013609518f7777fc743b71347f178dc666ca60f971ee7d7aa6336759f6",
+}
+
+
+def test_readme_pipeline_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("params.json").write_text(
+        '{"r": 3, "z": 14, "alpha": 0.3, "beta": 0.3, "epsilon": 0.5, '
+        '"k": 5,\n "blowup_t": 3, "gamma": 0.3, "pattern_cap": 10, '
+        '"seed": 3}\n')
+    assert main(["construct", "--type", "be", "--params", "params.json",
+                 "--out", "be.g"]) == 0
+    assert main(["construct", "--type", "full", "--params", "params.json",
+                 "--out", "full.hg"]) == 0
+    assert main(["report", "--params", "params.json", "--format", "csv",
+                 "--out", "report.csv", "full.hg"]) == 0
+    got = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
+           for name in README_DIGESTS}
+    assert got == README_DIGESTS
 
 
 def test_construct_pipeline_reproducible(tmp_path):

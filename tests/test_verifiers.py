@@ -3,7 +3,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph,
@@ -12,13 +12,15 @@ from rtlab.rng import substream
 from rtlab.sphere import build_partition
 from rtlab.verifiers import (BudgetExceeded, _cliques, _Counter, _max_matching,
                              _suffix_cover_bounds, alpha_t,
-                             far_pair_matching, find_clique, find_tk,
-                             find_tkf_core, hyper_independence,
-                             minimal_tkf_bound, private_edges,
-                             recheck_clique, recheck_sparse_pattern,
-                             recheck_split_core, recheck_tk,
-                             recheck_tkf_core, scan_sparse_patterns,
-                             scan_split_core, tree_embedding)
+                             blowup_deletion_condition, far_pair_matching,
+                             find_clique, find_tk, find_tkf_core,
+                             hyper_independence, minimal_tkf_bound,
+                             private_edges, recheck_clique,
+                             recheck_sparse_pattern, recheck_split_core,
+                             recheck_tk, recheck_tkf_core,
+                             scan_sparse_patterns, scan_split_core,
+                             sparse_pattern_doomed_edges, sparsity_condition,
+                             tree_embedding)
 
 
 def random_graph(n, p, seed):
@@ -450,6 +452,21 @@ def test_split_core_hand_built_violation():
     assert emb is not None and recheck_split_core(h, emb)
 
 
+def test_split_core_many_common_partners_few_within_pairs():
+    # part 0 = {0, 1}, part 1 = {2..7}, part 2 = {8, 9}: 0 and 1 share all
+    # six part-1 vertices as cross partners (15 candidate pairs), and only
+    # (3, 5) and (4, 6) are covered inside part 1; the first is the witness
+    parts = (0, 0) + (1,) * 6 + (2, 2)
+    edges = {(0, 1, 8), (3, 5, 9), (4, 6, 9)}
+    edges |= {(a, c, 8) for a in (0, 1) for c in range(2, 8)}
+    h = PartitionedHypergraph(10, 3, frozenset(edges), parts)
+    emb = scan_split_core(h)
+    assert emb.vertex_map == {0: 0, 1: 1, 2: 3, 3: 5}
+    assert emb.edges_used == [(0, 1, 8), (0, 3, 8), (0, 5, 8), (1, 3, 8),
+                              (1, 5, 8), (3, 5, 9)]
+    assert recheck_split_core(h, emb)
+
+
 def test_split_core_none_on_single_part():
     h = PartitionedHypergraph(5, 3, frozenset([(0, 1, 2), (1, 2, 3)]),
                               (0,) * 5)
@@ -492,14 +509,45 @@ def test_sparse_finds_tk33():
     assert len(emb.edges_used) == 3
 
 
+@pytest.mark.parametrize("scan", [
+    lambda h, ell, cond: scan_sparse_patterns(h, 3, ell, condition=cond),
+    lambda h, ell, cond: sparse_pattern_doomed_edges(h, ell, cond),
+])
+def test_sparse_scan_rejects_what_the_pair_phase_cannot_cover(scan):
+    # the walk after the pair phase is linear, so a condition that two
+    # edges sharing two vertices (v=4, m=2 at r=3) fail is refused, and
+    # so is a vertex cap below r
+    h = PartitionedHypergraph(5, 3, frozenset([(0, 1, 2), (0, 1, 3)]))
+    with pytest.raises(ValueError, match="sharing two vertices"):
+        scan(h, 9, lambda v, m: v < 4)
+    with pytest.raises(ValueError, match="below r=3"):
+        scan(h, 2, sparsity_condition(3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.integers(2, 8),
+       gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(r=2, gamma=math.nextafter(1.0, 0.0))
+@example(r=8, gamma=1.0 - 2.0 ** -52)
+def test_conditions_in_use_hold_for_an_overlapping_pair(r, gamma):
+    # (2r-2, 2) is a pair of edges sharing two vertices: r-1+gamma < r
+    # must hold however close gamma is to 1
+    assert sparsity_condition(r)(2 * r - 2, 2)
+    assert blowup_deletion_condition(r, gamma)(2 * r - 2, 2)
+
+
 def test_connected_subset_enumeration_matches_brute_force():
     from itertools import combinations as combs
     from rtlab.verifiers import _Counter, connected_edge_subsets
 
     def brute(edges, max_v):
+        # connected linear collections of two or more edges
         out = set()
-        for size in range(1, len(edges) + 1):
+        for size in range(2, len(edges) + 1):
             for sub in combs(range(len(edges)), size):
+                if any(len(set(edges[i]) & set(edges[j])) > 1
+                       for i, j in combs(sub, 2)):
+                    continue
                 verts = set()
                 for i in sub:
                     verts.update(edges[i])
@@ -518,6 +566,7 @@ def test_connected_subset_enumeration_matches_brute_force():
         return out
 
     rng = substream(500, "enum-oracle")
+    found = 0
     for trial in range(25):
         n = 5 + trial % 5
         m = 2 + trial % 7
@@ -527,10 +576,12 @@ def test_connected_subset_enumeration_matches_brute_force():
         h = PartitionedHypergraph(n, 3, frozenset(edges))
         got = set()
         for sub, _ in connected_edge_subsets(h, 7, _Counter(10 ** 9),
-                                             min_edges=1):
+                                             lambda v, m: False):
             assert sub not in got
             got.add(sub)
         assert got == brute(h.sorted_edges(), 7)
+        found += len(got)
+    assert found > 0
 
 
 def test_minimal_tkf_bound_values():
