@@ -9,7 +9,6 @@ the exact rational bound/mixing optimization.
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -377,8 +376,10 @@ def optimize_a(t: int, ell: int, q: int) -> tuple[Fraction, Fraction]:
     """Exact maximizer over a in (0,1) of
     B a^2 + C(q-1,2) ((1-a)/(q-1))^2 + (1-a) a with B the density floor.
 
-    Returns (a*, value) as exact rationals (vertex of the quadratic,
-    clamped into (0,1) with a warning when it falls outside)."""
+    Returns (a*, value) as exact rationals, a* the vertex of the
+    quadratic.  With c = C(q-1,2)/(q-1)^2 < 1/2 and B <= 1/8 the a^2
+    coefficient B + c - 1 is negative, and the vertex
+    (1 - 2c) / (2 (1 - B - c)) lies in (0,1) because B < 1/2."""
     if q < 2:
         raise ValueError("need q >= 2")
     b = theta_lower_bound(t, ell)
@@ -387,13 +388,6 @@ def optimize_a(t: int, ell: int, q: int) -> tuple[Fraction, Fraction]:
     a2 = b + c_t - 1
     a1 = 1 - 2 * c_t
     a0 = c_t
-    if a2 >= 0:
-        raise AssertionError("quadratic is not concave for these parameters")
     a_star = -a1 / (2 * a2)
-    if not 0 < a_star < 1:
-        warnings.warn("unconstrained optimum falls outside (0,1); "
-                      "returning the better endpoint limit", stacklevel=2)
-        f0, f1 = a0, a2 + a1 + a0
-        a_star = Fraction(0) if f0 >= f1 else Fraction(1)
     value = a2 * a_star * a_star + a1 * a_star + a0
     return a_star, value

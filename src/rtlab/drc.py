@@ -250,10 +250,40 @@ def _balanced_partition(n: int, parts: int, rng) -> tuple:
     return tuple(labels)
 
 
-def _three_partite_restriction(h: PartitionedHypergraph, labels) -> PartitionedHypergraph:
-    edges = frozenset(e for e in h.edges
-                      if len({labels[v] for v in e}) == h.r)
-    return PartitionedHypergraph(h.n, h.r, edges, labels)
+def _trials(h: PartitionedHypergraph, stream: str, seed: int, tries: int,
+            threshold: int, attempt):
+    """The retry loop of the witness pipelines: the first result of
+    `attempt(labels, cleaned, trial)` over trials 0 .. tries-1, else the
+    last PipelineFailure raised.
+
+    The labels are the hypergraph's own three parts when it has them,
+    otherwise a balanced partition drawn from substream(seed, stream,
+    trial).  `cleaned` keeps the edges meeting all three classes, after
+    `clean_low_codegree` at the threshold; a trial where none survives
+    fails at "cleaning"."""
+    if h.r != 3:
+        raise ValueError("witness pipelines are for 3-uniform hypergraphs")
+    own = h.part_of if _has_three_parts(h) else None
+    failure = PipelineFailure("init")
+    for trial in range(tries):
+        labels = own or _balanced_partition(h.n, 3,
+                                            substream(seed, stream, trial))
+        edges = frozenset(e for e in h.edges
+                          if len({labels[v] for v in e}) == 3)
+        cleaned = clean_low_codegree(
+            PartitionedHypergraph(h.n, 3, edges, labels), threshold)
+        try:
+            if not cleaned.edges:
+                raise PipelineFailure("cleaning",
+                                      "no edges survive the codegree sweep")
+            return attempt(labels, cleaned, trial)
+        except PipelineFailure as exc:
+            failure = exc
+    raise failure
+
+
+def _has_three_parts(h: PartitionedHypergraph) -> bool:
+    return h.parts == 3 and all(p != UNPARTITIONED for p in h.part_of)
 
 
 def find_f_witness(h: PartitionedHypergraph, params: DrcParams,
@@ -267,29 +297,13 @@ def find_f_witness(h: PartitionedHypergraph, params: DrcParams,
     the larger side, then locate the three part edges by nested common
     neighborhoods.  Raises PipelineFailure tagged with the first stage
     that failed on the final retry."""
-    if h.r != 3:
-        raise ValueError("witness pipeline is for 3-uniform hypergraphs")
-    has_parts = h.parts == 3 and all(p != UNPARTITIONED for p in h.part_of)
-    failure = PipelineFailure("init")
-    for trial in range(params.retries):
-        if has_parts:
-            labels = h.part_of
-        else:
-            rng = substream(seed, "f-partition", trial)
-            labels = _balanced_partition(h.n, 3, rng)
-        try:
-            return _f_witness_once(h, labels, params, seed, trial)
-        except PipelineFailure as exc:
-            failure = exc
-    raise failure
+    return _trials(h, "f-partition", seed, params.retries,
+                   params.codegree_threshold,
+                   lambda labels, cleaned, trial: _f_witness_once(
+                       h, labels, cleaned, params, seed, trial))
 
 
-def _f_witness_once(h, labels, params, seed, trial):
-    hp = _three_partite_restriction(h, labels)
-    cleaned = clean_low_codegree(hp, params.codegree_threshold)
-    if not cleaned.edges:
-        raise PipelineFailure("cleaning", "no edges survive the codegree sweep")
-
+def _f_witness_once(h, labels, cleaned, params, seed, trial):
     try:
         aux = hyper_drc(cleaned, params.s, seed=seed * 1000003 + trial)
     except ValueError as exc:
@@ -381,28 +395,12 @@ def find_tkf5_tk4(h: PartitionedHypergraph, eps: float,
     fresh third vertices extend x, y and two of E to a four-core
     subdivision.  Returns (five_core, four_core_or_None); raises
     PipelineFailure when no qualifying pair or no edge in Z exists."""
-    if h.r != 3:
-        raise ValueError("procedure is for 3-uniform hypergraphs")
-    has_parts = h.parts == 3 and all(p != UNPARTITIONED for p in h.part_of)
-    failure = PipelineFailure("init")
-    for trial in range(retries if not has_parts else 1):
-        if has_parts:
-            labels = h.part_of
-        else:
-            labels = _balanced_partition(h.n, 3,
-                                         substream(seed, "tkf5-partition", trial))
-        try:
-            return _tkf5_once(h, labels, eps, codegree_threshold)
-        except PipelineFailure as exc:
-            failure = exc
-    raise failure
+    tries = 1 if _has_three_parts(h) else retries
+    return _trials(h, "tkf5-partition", seed, tries, codegree_threshold,
+                   lambda labels, cleaned, trial: _tkf5_once(h, cleaned, eps))
 
 
-def _tkf5_once(h, labels, eps, threshold):
-    hp = _three_partite_restriction(h, labels)
-    cleaned = clean_low_codegree(hp, threshold)
-    if not cleaned.edges:
-        raise PipelineFailure("cleaning", "no edges survive the codegree sweep")
+def _tkf5_once(h, cleaned, eps):
     # every pair of a three-partite edge is a cross pair
     cleaned_cover = cleaned.pair_cover_index()
     need = eps * h.n
@@ -419,7 +417,8 @@ def _tkf5_once(h, labels, eps, threshold):
 
     cover = h.pair_cover_index()
     cores5 = sorted([x, y, *e_in_z])
-    cover_pairs = [(cleaned_cover.get(p) or cover.get(p) or [None])[0]
+    # x y and each vertex of Z share a cleaned edge, E covers its own pairs
+    cover_pairs = [(cleaned_cover.get(p) or cover[p])[0]
                    for p in combinations(cores5, 2)]
     tkf5 = Embedding({i: v for i, v in enumerate(cores5)},
                      {i: "core" for i in range(5)}, cover_pairs)

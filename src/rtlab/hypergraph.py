@@ -39,9 +39,6 @@ class SimpleGraph:
             if len(self.part_of) != self.n:
                 raise ValueError("part_of must label every vertex")
 
-    def sorted_edges(self) -> list:
-        return sorted(self.edges)
-
     def adjacency_sets(self) -> list:
         adj = [set() for _ in range(self.n)]
         for a, b in self.edges:

@@ -274,8 +274,6 @@ def properties_hold(eps: float, alpha: float, beta: float, k: int,
     theta = eps / math.sqrt(k)
     if theta >= 0.25:
         return False
-    if SQRT2 - theta <= 0:
-        return False
     s1 = _p1_threshold(eps, k)
     if cap_measure(k, s1) < 0.5 - alpha:
         return False
@@ -456,7 +454,7 @@ _P4_ROLES = ((1, 2, 3), (0, 2, 3), (3, 0, 1), (2, 0, 1))
 
 
 def _refine_quadruples(quads: np.ndarray, gamma: float,
-                       rng: np.random.Generator, rounds: int = 60) -> float:
+                       rng: np.random.Generator) -> float:
     """Coordinate ascent on the margin for an (N, 4, m) batch of unit rows.
 
     The (N, 4, 4) distances are cached, so a proposal for point i
@@ -468,7 +466,7 @@ def _refine_quadruples(quads: np.ndarray, gamma: float,
     cur = np.minimum(np.minimum(dist[:, 0, 1], dist[:, 2, 3]) - far,
                      close - dist[:, (0, 0, 1, 1), (2, 3, 2, 3)].max(axis=1))
     step = 0.3
-    for rnd in range(rounds):
+    for rnd in range(60):
         noise = step * rng.standard_normal((4, 4, n, m))
         for i, (p, a, b) in enumerate(_P4_ROLES):
             for r in range(4):
@@ -488,8 +486,6 @@ def _refine_quadruples(quads: np.ndarray, gamma: float,
                 np.maximum(cur, new, out=cur)
         if (rnd + 1) % 8 == 0:
             step *= 0.5
-            if step < 1e-5:
-                break
     return float(cur.max())
 
 

@@ -161,21 +161,26 @@ def recheck_clique(g: SimpleGraph, emb: Embedding) -> bool:
 
 
 def _has_clique_mask(adj: list, mask: int, size: int) -> bool:
-    """Does the induced subgraph on the bitmask contain K_size?"""
-    if size <= 0:
-        return True
-    if bin(mask).count("1") < size:
+    """Does the induced subgraph on the bitmask contain K_size?
+
+    K_2 is one pass over the mask's vertices looking for a neighbour in
+    the mask; K_3 and up ask the clique walk `_cliques` for a first
+    clique.  This is the inner test of `alpha_t` (size t-1) and of
+    `maximal_ktfree_graph`, and K_2 is its commonest size.
+    """
+    if mask.bit_count() < size:
         return False
-    if size == 1:
-        return mask != 0
-    m = mask
-    while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        higher = ~((1 << (v + 1)) - 1)
-        if _has_clique_mask(adj, mask & adj[v] & higher, size - 1):
-            return True
-    return False
+    if size <= 1:
+        return True
+    if size == 2:
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if adj[low.bit_length() - 1] & mask:
+                return True
+            rest ^= low
+        return False
+    return next(_cliques(adj, size, mask), None) is not None
 
 
 def _cliques(rows: list, size: int, cand: int, counter: _Counter | None = None,
@@ -309,14 +314,15 @@ def hyper_independence(h: PartitionedHypergraph, budget=None) -> int:
     Depth-first over an explicit stack of (live edges, forced mask, size)
     nodes.  The current set is every vertex not yet dropped, `live` holds
     the edges wholly inside it, in mask order, and forced vertices may
-    not be dropped.  A node is dead when some live edge is all forced.
-    Each live edge needs a removed vertex of its own, so a greedy
-    packing of pairwise-disjoint live edges bounds the set by
+    not be dropped.  Each live edge needs a removed vertex of its own, so
+    a greedy packing of pairwise-disjoint live edges bounds the set by
     size - packing, and the node is pruned when that is <= best.  A node
     with live edges branches on the free vertices f1 < f2 < ... of the
     first: branch i drops f_i and forces f_1 .. f_(i-1), so the branches
-    are disjoint and cover every case.  One budget node per expanded
-    node.
+    are disjoint and cover every case.  No live edge is ever all forced:
+    its largest vertex was forced beside a larger dropped vertex of an
+    ancestor's first edge, which would then have had the larger mask.
+    One budget node per expanded node.
     """
     counter = _Counter(resolve_budget(budget))
     best = 0
@@ -325,9 +331,6 @@ def hyper_independence(h: PartitionedHypergraph, budget=None) -> int:
         live, forced, size = stack.pop()
         packed = used = 0
         for e in live:
-            if e & forced == e:
-                packed = size  # no vertex of this edge may go: dead
-                break
             if not e & used:
                 used |= e
                 packed += 1
@@ -676,10 +679,12 @@ def scan_sparse_patterns(h_part: PartitionedHypergraph, r: int, ell: int,
     Two phases: pairs of edges sharing two or more vertices are checked
     directly, after which only linear sub-collections remain to be grown.
     The condition must hold for such a pair, (v, m) = (2r-2, 2), as both
-    conditions in use do, and ell must be at least r; otherwise
-    ValueError.  None is returned only after the walk has reached every
-    candidate.
+    conditions in use do, ell must be at least r, and r must be h_part.r;
+    otherwise ValueError.  None is returned only after the walk has
+    reached every candidate.
     """
+    if r != h_part.r:
+        raise ValueError(f"r={r} does not match the hypergraph's r={h_part.r}")
     if condition is None:
         condition = sparsity_condition(r)
     witness = next(_sparse_witnesses(h_part, ell, condition,
@@ -693,6 +698,8 @@ def scan_sparse_patterns(h_part: PartitionedHypergraph, r: int, ell: int,
 
 def recheck_sparse_pattern(h: PartitionedHypergraph, emb: Embedding, r: int,
                            ell: int, condition=None) -> bool:
+    if r != h.r:
+        raise ValueError(f"r={r} does not match the hypergraph's r={h.r}")
     if condition is None:
         condition = sparsity_condition(r)
     es = [tuple(sorted(e)) for e in emb.edges_used]

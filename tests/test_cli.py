@@ -158,6 +158,27 @@ def test_verify_sparse_ell_below_r_exit_2(tmp_path, capsys):
     assert "below r=3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,r,problem", [
+    (["verify", "--check", "clique", "--s", "3"], 3,
+     "clique check needs a graph file"),
+    (["verify", "--check", "alpha_t", "--t", "3"], 3,
+     "alpha_t needs a graph file"),
+    (["drc", "find-set"], 3, "find-set needs a graph file"),
+    (["verify", "--check", "clique"], 2, "clique check needs --s"),
+    (["verify", "--check", "alpha_t"], 2, "alpha_t needs --t"),
+])
+def test_wrong_uniformity_or_missing_flag_exit_2(tmp_path, capsys, argv, r,
+                                                 problem):
+    path = tmp_path / "in.hg"
+    write_hypergraph(complete_uniform(5, r), str(path))
+    if argv[0] == "drc":
+        params = tmp_path / "drc.json"
+        params.write_text("{}")
+        argv = argv + ["--params", str(params)]
+    assert main(argv + [str(path)]) == 2
+    assert problem in capsys.readouterr().err
+
+
 BOGUS = Embedding({i: i for i in range(4)}, {i: "core" for i in range(4)},
                   [(0, 1, 2)])
 

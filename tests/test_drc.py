@@ -180,6 +180,21 @@ def test_find_f_dense_random_with_tk6():
     assert w.tk is not None and recheck_tk(h, w.tk, 6)
 
 
+def test_find_f_uses_the_hypergraph_own_parts():
+    # three labelled parts of 5, every cross triple and every inside
+    # triple: the part edges come out of the hypergraph's own parts
+    parts = (0,) * 5 + (1,) * 5 + (2,) * 5
+    edges = frozenset(e for e in combinations(range(15), 3)
+                      if len({parts[v] for v in e}) in (1, 3))
+    h = PartitionedHypergraph(15, 3, edges, parts)
+    p = DrcParams(a=3, m=3, t=2, s=1, codegree_threshold=2, retries=4)
+    w = find_f_witness(h, p, seed=1)
+    assert recheck_f_witness(h, w)
+    labels = [{parts[v] for v in e} for e in (w.xs, w.ys, w.zs)]
+    assert labels[0] == {0} and sorted(labels[1] | labels[2]) == [1, 2]
+    assert all(len(s) == 1 for s in labels)
+
+
 def test_find_tkf5_on_complete_12():
     # the 4-core subdivision needs 10 distinct vertices, so 12 suffice
     h = complete_uniform(12, 3)

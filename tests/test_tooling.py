@@ -35,13 +35,6 @@ def test_tracer_names_resolve():
                     f"rtlab.{layer}.{cls_name}.{name}"
 
 
-# functions allowed to call themselves, with the reason their depth is safe
-SELF_CALLS_ALLOWED = {
-    # recurses once per clique vertex, so its depth is the clique size asked for
-    "verifiers._has_clique_mask",
-}
-
-
 def _calls_itself(fn, method):
     """Does the function call itself: by plain name, or as a method on
     self?  (In a method a plain name is a module-level function.)"""
@@ -83,5 +76,4 @@ def test_no_unbounded_recursion():
     found = []
     for path in sorted(package.glob("*.py")):
         found += _self_calls(ast.parse(path.read_text()), path.stem)
-    assert sorted(set(found) - SELF_CALLS_ALLOWED) == []
-    assert SELF_CALLS_ALLOWED <= set(found), "stale allow-list entry"
+    assert found == []

@@ -241,7 +241,7 @@ def test_alpha_t_agrees_with_brute_force():
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 12), st.sampled_from([2, 3, 4]), st.floats(0, 1),
+@given(st.integers(0, 12), st.sampled_from([2, 3, 4, 5]), st.floats(0, 1),
        st.integers(0, 10 ** 6))
 def test_alpha_t_matches_brute_force_any_t(n, t, p, seed):
     g = random_graph(n, p, seed)
@@ -259,6 +259,14 @@ def test_alpha_t_cover_bound_holds_on_every_suffix(n, t, p, seed):
         suffix = SimpleGraph(n - i, frozenset((a - i, b - i) for a, b in g.edges
                                               if a >= i))
         assert rest[i] >= brute_alpha_t(suffix, t), i
+
+
+def test_alpha_t_deeper_than_recursion_limit():
+    # the last vertex's clique test asks for a K_1199, one search level
+    # per clique vertex, past Python's default recursion limit of 1,000
+    n = 1200
+    g = SimpleGraph(n, frozenset(combinations(range(n), 2)))
+    assert alpha_t(g, n) == n - 1
 
 
 def test_alpha_t_budget_carries_bound():
@@ -507,6 +515,20 @@ def test_sparse_finds_tk33():
     emb = scan_sparse_patterns(h, 3, 9)
     assert emb is not None
     assert len(emb.edges_used) == 3
+
+
+def test_sparse_r_must_match_the_hypergraph():
+    # a loose triangle (v=6, m=3): at the wrong r the default condition
+    # would be the sparsity bound of another uniformity
+    h = PartitionedHypergraph(6, 3, frozenset([(0, 1, 2), (2, 3, 4),
+                                               (4, 5, 0)]))
+    emb = scan_sparse_patterns(h, 3, 9)
+    assert emb is not None and recheck_sparse_pattern(h, emb, 3, 9)
+    for r in (2, 4):
+        with pytest.raises(ValueError, match=f"r={r} does not match"):
+            scan_sparse_patterns(h, r, 9)
+        with pytest.raises(ValueError, match=f"r={r} does not match"):
+            recheck_sparse_pattern(h, emb, r, 9)
 
 
 @pytest.mark.parametrize("scan", [
