@@ -249,7 +249,7 @@ def random_blowup(inside: PartitionedHypergraph, t: int, gamma: float,
     p = float(t) ** (1.0 + gamma - r)
     blown = blowup(inside, t)
     rng = substream(seed, "blowup-keep")
-    kept = [e for e in blown.sorted_edges() if rng.random() < p or p >= 1.0]
+    kept = [e for e in blown.sorted_edges() if rng.random() < p]
     sampled = PartitionedHypergraph(blown.n, r, frozenset(kept),
                                     blown.part_of)
     doomed = sparse_pattern_doomed_edges(

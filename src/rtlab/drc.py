@@ -260,18 +260,22 @@ def _trials(h: PartitionedHypergraph, stream: str, seed: int, tries: int,
     otherwise a balanced partition drawn from substream(seed, stream,
     trial).  `cleaned` keeps the edges meeting all three classes, after
     `clean_low_codegree` at the threshold; a trial where none survives
-    fails at "cleaning"."""
+    fails at "cleaning".  Own parts are the same in every trial, so they
+    are cleaned once, before the loop."""
     if h.r != 3:
         raise ValueError("witness pipelines are for 3-uniform hypergraphs")
-    own = h.part_of if _has_three_parts(h) else None
-    failure = PipelineFailure("init")
-    for trial in range(tries):
-        labels = own or _balanced_partition(h.n, 3,
-                                            substream(seed, stream, trial))
+
+    def clean(labels):
         edges = frozenset(e for e in h.edges
                           if len({labels[v] for v in e}) == 3)
-        cleaned = clean_low_codegree(
+        return labels, clean_low_codegree(
             PartitionedHypergraph(h.n, 3, edges, labels), threshold)
+
+    own = clean(h.part_of) if _has_three_parts(h) else None
+    failure = PipelineFailure("init")
+    for trial in range(tries):
+        labels, cleaned = own or clean(_balanced_partition(
+            h.n, 3, substream(seed, stream, trial)))
         try:
             if not cleaned.edges:
                 raise PipelineFailure("cleaning",

@@ -558,7 +558,7 @@ def build_partition(k: int, z: int, theta: float, seed: int,
                 if nm > 1e-12:
                     reps[j] = sums[j] / nm
     est = _estimate_max_cell_diameter(reps, k, seed, diag_samples)
-    ok = est <= theta / 4.0 or math.isnan(est)
+    ok = est <= theta / 4.0
     part = SpherePartition(k=k, z=z, reps=reps, domain_diam_bound=theta / 4.0,
                            seed=seed, est_max_diameter=est,
                            diam_within_bound=ok)
@@ -727,11 +727,11 @@ def _min_pairwise(pts) -> float:
     return m
 
 
-def _ascend(pts, caps, rng, val, rounds: int = 80):
+def _ascend(pts, caps, rng, val):
     t = len(pts)
     dim = pts[0].shape[0]
     step = 0.4
-    for _ in range(rounds):
+    for _ in range(80):
         improved = False
         for i in range(t):
             for _ in range(6):

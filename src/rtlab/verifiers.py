@@ -1,10 +1,10 @@
 """Exhaustive and heuristic checkers for construction properties.
 
-Exact clique search with a greedy-coloring bound, exact K_t-independence
-and hypergraph independence numbers, subdivision (TK) and core-cover
-(TKF) pattern finders, the two-parts split-core scan, the sparse
-connected-pattern scan, far-pair matchings, the tree-embedding cascade,
-and density reports.
+Exact clique search with a greedy-coloring bound, the exact hypergraph
+independence number (K_t-independence is that of the t-clique
+hypergraph), subdivision (TK) and core-cover (TKF) pattern finders, the
+two-parts split-core scan, the sparse connected-pattern scan, far-pair
+matchings, the tree-embedding cascade, and density reports.
 
 Every search honours a node budget (env RTLAB_BUDGET or per-call
 argument) and raises BudgetExceeded, carrying whatever certified bound
@@ -165,8 +165,8 @@ def _has_clique_mask(adj: list, mask: int, size: int) -> bool:
 
     K_2 is one pass over the mask's vertices looking for a neighbour in
     the mask; K_3 and up ask the clique walk `_cliques` for a first
-    clique.  This is the inner test of `alpha_t` (size t-1) and of
-    `maximal_ktfree_graph`, and K_2 is its commonest size.
+    clique.  Only `maximal_ktfree_graph` uses it, on the common
+    neighbours of each candidate edge.
     """
     if mask.bit_count() < size:
         return False
@@ -194,9 +194,16 @@ def _cliques(rows: list, size: int, cand: int, counter: _Counter | None = None,
     own row bit is set.  Depth-first over an explicit stack of
     [untried, compatible] bitmask frames, one `counter` tick for each
     vertex placed; a sequence is yielded as soon as it is complete.
+
+    An unordered walk pushes no frame with fewer candidates than the
+    vertices still to place (the root frame included), since no sequence
+    can complete below it; the vertex placed is still ticked.  An ordered
+    walk may repeat a vertex, so it keeps every frame.
     """
     if size == 0:
         yield ()
+        return
+    if not ordered and cand.bit_count() < size:
         return
     stack = [[cand, cand]]
     seq: list = []
@@ -218,85 +225,14 @@ def _cliques(rows: list, size: int, cand: int, counter: _Counter | None = None,
             continue
         # increasing: the next vertex comes from the untried ones above v
         nxt = (frame[1] if ordered else frame[0]) & rows[v]
+        if not ordered and nxt.bit_count() < size - len(stack):
+            continue
         seq.append(v)
         stack.append([nxt, nxt])
 
 
 # ---------------------------------------------------------------------------
-# K_t-independence number
-
-
-def _suffix_cover_bounds(adj: list, t: int) -> list:
-    """rest[i] bounds the K_t-free subsets of {i, ..., n-1}; rest[n] = 0.
-
-    A greedy clique cover grows from i = n-1 down to 0: vertex i joins
-    the earliest-made clique lying wholly inside adj[i], else starts a
-    new one.  Only the cliques of i's higher neighbours can qualify, so
-    the cover costs O(m).  A K_t-free set meets a clique C in at most
-    min(|C|, t-1) vertices, and rest[i] sums that over the cover of the
-    suffix.
-    """
-    n = len(adj)
-    rest = [0] * (n + 1)
-    clique_of = [0] * n
-    sizes: list = []  # sizes[c]: clique c's size, cliques in order made
-    for i in range(n - 1, -1, -1):
-        higher = adj[i] >> (i + 1)
-        # seen[c]: i's higher neighbours in clique c
-        seen: dict = {}
-        while higher:
-            low = higher & -higher
-            c = clique_of[i + low.bit_length()]
-            seen[c] = seen.get(c, 0) + 1
-            higher ^= low
-        c = min((c for c, k in seen.items() if k == sizes[c]), default=None)
-        if c is None:
-            c = len(sizes)
-            sizes.append(0)
-        clique_of[i] = c
-        rest[i] = rest[i + 1] + (sizes[c] < t - 1)
-        sizes[c] += 1
-    return rest
-
-
-def alpha_t(g: SimpleGraph, t: int, budget=None) -> int:
-    """Exact maximum size of a vertex set inducing a K_t-free subgraph.
-
-    alpha_2 is the usual independence number.  Depth-first over the
-    vertices in order, each tried in the set before outside it.  A node
-    at vertex i holding `size` chosen vertices is pruned when
-    size + rest[i] <= best, where rest[i] sums min(|C|, t-1) over a
-    greedy clique cover of {i, ..., n-1} (`_suffix_cover_bounds`).  On
-    budget exhaustion the raised BudgetExceeded carries the certified
-    lower bound found so far.
-    """
-    if t < 2:
-        raise ValueError(f"need t >= 2, got {t}")
-    adj = g.adjacency_masks()
-    n = g.n
-    rest = _suffix_cover_bounds(adj, t)
-    counter = _Counter(resolve_budget(budget))
-    best = 0
-    # depth-first over (next vertex, chosen mask, size): vertex i is tried
-    # in the set before it is tried outside, so the include branch is
-    # pushed last
-    stack = [(0, 0, 0)]
-    while stack:
-        i, chosen, size = stack.pop()
-        if size + rest[i] <= best:
-            continue
-        if i == n:
-            best = max(best, size)
-            continue
-        counter.tick(certified=best)
-        stack.append((i + 1, chosen, size))
-        if not _has_clique_mask(adj, adj[i] & chosen, t - 1):
-            stack.append((i + 1, chosen | (1 << i), size + 1))
-    return best
-
-
-# ---------------------------------------------------------------------------
-# hypergraph independence number
+# independence numbers
 
 
 def contained_edge(h: PartitionedHypergraph, vertices) -> tuple | None:
@@ -350,6 +286,28 @@ def hyper_independence(h: PartitionedHypergraph, budget=None) -> int:
         # reversed, so that the branch dropping f1 pops first
         stack.extend(reversed(children))
     return best
+
+
+def alpha_t(g: SimpleGraph, t: int, budget=None) -> int:
+    """Exact maximum size of a vertex set inducing a K_t-free subgraph.
+
+    alpha_2 is the usual independence number.  A vertex set is K_t-free
+    exactly when it holds no t-clique of g, so this is the independence
+    number of the t-uniform hypergraph of g's t-cliques: the clique walk
+    lists them and `hyper_independence` searches it.  The listing and the
+    search each run under the node budget; a listing that runs out raises
+    BudgetExceeded with the certified lower bound 0.
+    """
+    if t < 2:
+        raise ValueError(f"need t >= 2, got {t}")
+    counter = _Counter(resolve_budget(budget))
+    try:
+        cliques = frozenset(_cliques(g.adjacency_masks(), t, (1 << g.n) - 1,
+                                     counter))
+    except BudgetExceeded as exc:
+        exc.certified = 0
+        raise
+    return hyper_independence(PartitionedHypergraph(g.n, t, cliques), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -786,11 +744,13 @@ def _max_matching(adj) -> list:
     return sorted((li, rj) for rj, li in match_r.items())
 
 
-def _far_matching(reps, a1: list, a2: list, theta: float) -> list:
+def _far_matching(dist, a1: list, a2: list, theta: float) -> list:
     """Maximum matching of the far pairs (d >= 2 - theta) between two rep
-    index lists, searched in the lists' order; list of (rep_i, rep_j)."""
-    d = np.linalg.norm(reps[a1][:, None, :] - reps[a2][None, :, :], axis=2)
-    return [(a1[i], a2[j]) for i, j in _max_matching(d >= 2.0 - theta)]
+    index lists, searched in the lists' order; list of (rep_i, rep_j).
+    `dist` is the partition's distance matrix, the one the constructions
+    read, so the far rule sees the same floats everywhere."""
+    far = dist[np.ix_(a1, a2)] >= 2.0 - theta
+    return [(a1[i], a2[j]) for i, j in _max_matching(far)]
 
 
 def far_pair_matching(a1, a2, partition, theta: float) -> list:
@@ -800,7 +760,7 @@ def far_pair_matching(a1, a2, partition, theta: float) -> list:
     a2 = sorted(a2)
     if len(a1) != len(a2):
         raise ValueError("index sets must have equal size")
-    return _far_matching(partition.reps, a1, a2, theta)
+    return _far_matching(partition.distance_matrix(), a1, a2, theta)
 
 
 def tree_embedding(sets, tree_edges, partition, theta: float) -> dict | None:
@@ -840,14 +800,14 @@ def tree_embedding(sets, tree_edges, partition, theta: float) -> dict | None:
         live_deg.pop(leaf)
     i0, j0 = sorted(alive)
 
-    reps = partition.reps
-    base = _far_matching(reps, sorted(sets[i0]), sorted(sets[j0]), theta)
+    dist = partition.distance_matrix()
+    base = _far_matching(dist, sorted(sets[i0]), sorted(sets[j0]), theta)
     embeddings = [{i0: p, j0: q} for p, q in base]
     for leaf, nbr in reversed(peels):
         if not embeddings:
             return None
         used = [emb[nbr] for emb in embeddings]
-        assign = dict(_far_matching(reps, used, sorted(sets[leaf]), theta))
+        assign = dict(_far_matching(dist, used, sorted(sets[leaf]), theta))
         extended = []
         for emb in embeddings:
             got = assign.get(emb[nbr])

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from rtlab import drc
 from rtlab.drc import (DrcParams, PipelineFailure, average_degree,
                        count_dangerous_sets, drc_feasible, drc_find_set,
                        drc_recheck, extension_count, find_f_witness,
@@ -193,6 +194,28 @@ def test_find_f_uses_the_hypergraph_own_parts():
     labels = [{parts[v] for v in e} for e in (w.xs, w.ys, w.zs)]
     assert labels[0] == {0} and sorted(labels[1] | labels[2]) == [1, 2]
     assert all(len(s) == 1 for s in labels)
+
+
+def test_find_f_cleans_own_parts_once(monkeypatch):
+    # own parts label every trial alike, so the codegree cleaning runs
+    # once however many trials fail
+    calls = {"clean": 0, "hyper_drc": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(drc, "clean_low_codegree",
+                        counted("clean", drc.clean_low_codegree))
+    monkeypatch.setattr(drc, "hyper_drc", counted("hyper_drc", drc.hyper_drc))
+    h = turan_hypergraph(15, 3, 3)
+    p = DrcParams(a=3, m=3, t=2, s=1, codegree_threshold=2, retries=4)
+    with pytest.raises(PipelineFailure) as info:
+        find_f_witness(h, p, seed=1)
+    assert info.value.stage == "edge-in-set"
+    assert calls == {"clean": 1, "hyper_drc": 4}
 
 
 def test_find_tkf5_on_complete_12():

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rtlab.constructions import ConstructionParams, bollobas_erdos
 from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph,
                               complete_uniform, turan_hypergraph)
 from rtlab.rng import substream
 from rtlab.sphere import build_partition
 from rtlab.verifiers import (BudgetExceeded, _cliques, _Counter, _max_matching,
-                             _suffix_cover_bounds, alpha_t,
-                             blowup_deletion_condition, far_pair_matching,
-                             find_clique, find_tk, find_tkf_core,
+                             alpha_t, blowup_deletion_condition,
+                             far_pair_matching, find_clique, find_tk,
+                             find_tkf_core,
                              hyper_independence, minimal_tkf_bound,
                              private_edges, recheck_clique,
                              recheck_sparse_pattern, recheck_split_core,
@@ -197,10 +198,32 @@ def test_clique_walk_matches_brute_force(n, size, ordered, reflexive, rnd):
     counter = _Counter(10 ** 9)
     got = list(_cliques(rows, size, cand, counter, ordered=ordered))
     assert got == brute_sequences(rows, size, cand, ordered)
-    # one tick per vertex placed: one for every valid non-empty prefix
-    placed = sum(len(brute_sequences(rows, k, cand, ordered))
-                 for k in range(1, size + 1))
+    # one tick per vertex placed: one for every valid non-empty prefix,
+    # where an unordered walk places a prefix of length k only below a
+    # parent prefix with at least size - k + 1 candidates
+    if ordered:
+        placed = sum(len(brute_sequences(rows, k, cand, ordered))
+                     for k in range(1, size + 1))
+    else:
+        placed = 0
+        for k in range(1, size + 1):
+            for seq in brute_sequences(rows, k, cand, ordered):
+                parent = cand
+                for v in seq[:-1]:
+                    parent &= rows[v] & ~((2 << v) - 1)
+                placed += parent.bit_count() >= size - k + 1
     assert counter.nodes == placed
+
+
+def test_clique_walk_skips_hopeless_frames():
+    # K_200 at size 200: a frame is pushed only where the rest of the
+    # clique still fits, so the walk places sum(1..200) = 20,100
+    # vertices, not one per subset
+    n = 200
+    rows = [((1 << n) - 1) ^ (1 << v) for v in range(n)]
+    counter = _Counter(50_000)
+    assert list(_cliques(rows, n, (1 << n) - 1, counter)) == [tuple(range(n))]
+    assert counter.nodes == 20_100
 
 
 def test_clique_walk_is_lazy():
@@ -248,25 +271,22 @@ def test_alpha_t_matches_brute_force_any_t(n, t, p, seed):
     assert alpha_t(g, t) == brute_alpha_t(g, t)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 10), st.sampled_from([2, 3, 4]), st.floats(0, 1),
-       st.integers(0, 10 ** 6))
-def test_alpha_t_cover_bound_holds_on_every_suffix(n, t, p, seed):
-    g = random_graph(n, p, seed)
-    rest = _suffix_cover_bounds(g.adjacency_masks(), t)
-    assert len(rest) == n + 1 and rest[n] == 0
-    for i in range(n):
-        suffix = SimpleGraph(n - i, frozenset((a - i, b - i) for a, b in g.edges
-                                              if a >= i))
-        assert rest[i] >= brute_alpha_t(suffix, t), i
-
-
 def test_alpha_t_deeper_than_recursion_limit():
-    # the last vertex's clique test asks for a K_1199, one search level
-    # per clique vertex, past Python's default recursion limit of 1,000
+    # one K_1200, listed by a clique walk 1,200 frames deep, past
+    # Python's default recursion limit of 1,000
     n = 1200
     g = SimpleGraph(n, frozenset(combinations(range(n), 2)))
     assert alpha_t(g, n) == n - 1
+
+
+def test_alpha_t_readme_two_sided_graph_z24():
+    # 48 vertices, 186 edges and 14 triangles: a small triangle
+    # hypergraph, solved in far fewer than 10,000 nodes
+    p = ConstructionParams(r=3, z=24, alpha=0.3, beta=0.3, epsilon=0.5, k=5,
+                           blowup_t=3, gamma=0.3, pattern_cap=10, seed=3)
+    g = bollobas_erdos(p.build_partition(), p.epsilon)
+    assert (g.n, len(g.edges)) == (48, 186)
+    assert alpha_t(g, 3, budget=10_000) == 40
 
 
 def test_alpha_t_budget_carries_bound():
