@@ -19,7 +19,7 @@ from .hypergraph import (PartitionedHypergraph, SimpleGraph, blowup,
                          complete_join, shadow)
 from .rng import substream
 from .sphere import SQRT2, SpherePartition, build_partition
-from .verifiers import (BudgetExceeded, _cliques, _Counter, _has_clique_mask,
+from .verifiers import (BudgetExceeded, _cliques, _Counter,
                         blowup_deletion_condition, find_clique,
                         sparse_pattern_doomed_edges)
 
@@ -310,14 +310,17 @@ def shadow_first_parts(h: PartitionedHypergraph, ell: int) -> SimpleGraph:
 
 def maximal_ktfree_graph(n: int, t: int, seed: int = 0) -> SimpleGraph:
     """Random maximal K_{t+1}-free graph: candidate edges in random order,
-    inserted whenever no K_{t+1} appears."""
+    inserted whenever no K_{t+1} appears: the clique walk finds no
+    K_{t-1} among the common neighbours of the two ends."""
+    if t < 1:
+        raise ValueError(f"need t >= 1, got {t}")
     rng = substream(seed, "ktfree-greedy")
     pairs = list(combinations(range(n), 2))
     rng.shuffle(pairs)
     adj = [0] * n
     edges = set()
     for a, b in pairs:
-        if _has_clique_mask(adj, adj[a] & adj[b], t - 1):
+        if next(_cliques(adj, t - 1, adj[a] & adj[b]), None) is not None:
             continue
         edges.add((a, b))
         adj[a] |= 1 << b

@@ -239,21 +239,16 @@ def clean_low_codegree(h: PartitionedHypergraph,
     edges = set(h.edges)
     removed = 0
     while True:
-        counts: dict = {}
+        cover: dict = {}
         for e in edges:
             for a, b in combinations(e, 2):
                 pa, pb = h.part_of[a], h.part_of[b]
                 if pa != pb and pa != UNPARTITIONED and pb != UNPARTITIONED:
-                    counts[(a, b)] = counts.get((a, b), 0) + 1
-        bad = {pair for pair, c in counts.items() if c <= threshold}
-        if not bad:
+                    cover.setdefault((a, b), []).append(e)
+        doomed = {e for es in cover.values() if len(es) <= threshold
+                  for e in es}
+        if not doomed:
             break
-        doomed = set()
-        for e in edges:
-            for a, b in combinations(e, 2):
-                if (a, b) in bad:
-                    doomed.add(e)
-                    break
         edges -= doomed
         removed += len(doomed)
     return PartitionedHypergraph(h.n, h.r, frozenset(edges), h.part_of,

@@ -87,23 +87,6 @@ class SphericalCap:
         # max distance from the center to a cap point; 2h = a^2
         return math.sqrt(2.0 * self.height)
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Nearest cap point: rotate x toward the center up to the rim."""
-        x = np.asarray(x, dtype=float)
-        c = self.center
-        t = float(x @ c)
-        if t >= self.s:
-            return x
-        w = x - t * c
-        nw = math.sqrt(w.dot(w))
-        if nw < 1e-15:  # x is exactly -center; any rim point is nearest
-            w = np.zeros_like(c)
-            w[0 if abs(c[0]) < 0.9 else 1] = 1.0
-            w -= (w @ c) * c
-            nw = math.sqrt(w.dot(w))
-        w /= nw
-        return self.s * c + math.sqrt(max(0.0, 1.0 - self.s * self.s)) * w
-
 
 def cap_from_euclidean_radius(center: np.ndarray, a: float) -> SphericalCap:
     """Cap whose points lie within Euclidean distance a of the center (2h = a^2)."""
@@ -632,48 +615,33 @@ def read_partition(path: str) -> SpherePartition:
 # largest t-point spread of a cap union
 
 
-def _axial_cdf(cap: SphericalCap, k: int):
-    """(grid, cdf): the trapezoid CDF of the axial coordinate x . center of
-    a uniform cap point on 512 grid points, for `_sample_in_cap`.  None on
-    S^1, where the density (1 - x^2)^(-1/2) is infinite at x = 1."""
-    if k == 1:
-        return None
-    grid = np.linspace(cap.s, 1.0, 512)
-    dens = (1.0 - np.clip(grid, -1, 1) ** 2) ** ((k - 2) / 2.0)
-    cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * np.diff(grid) / 2.0)])
-    return grid, cdf
+def _into_union(x: np.ndarray, centers: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Unit rows of x (any leading shape) moved into the union of the caps
+    {y : y . centers[i] >= s[i]}.  A row inside some cap is unchanged; a
+    row outside every cap goes to the nearest point of the cap with the
+    largest margin x . c - s (the first on ties), on its rim."""
+    margins = x @ centers.T - s
+    i = np.argmax(margins, axis=-1)
+    c, si = centers[i], s[i]
+    w = x - np.einsum("...d,...d->...", x, c)[..., None] * c
+    nw = np.linalg.norm(w, axis=-1)
+    flat = nw < 1e-15
+    if np.any(flat):  # a row at -c: every rim point is nearest, take one
+        e = np.eye(x.shape[-1])[np.argmin(np.abs(c[flat]), axis=-1)]
+        w[flat] = e - np.einsum("nd,nd->n", e, c[flat])[:, None] * c[flat]
+        nw[flat] = np.linalg.norm(w[flat], axis=-1)
+    rim = si[..., None] * c + (np.sqrt(np.maximum(0.0, 1.0 - si * si))
+                               / nw)[..., None] * w
+    return np.where(margins.max(axis=-1, keepdims=True) >= 0.0, x, rim)
 
 
-def _sample_in_cap(cap: SphericalCap, axial, k: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Uniform point of the cap via inverse-CDF sampling of the axial
-    angle; `axial` is the cap's `_axial_cdf`.  On S^1 the angle from the
-    center is uniform on [0, acos s], so it is drawn exactly."""
-    if cap.s >= 1.0:
-        return cap.center.copy()
-    if axial is None:
-        x = math.cos(rng.uniform(0.0, math.acos(cap.s)))
-    elif axial[1][-1] <= 0.0:
-        x = 1.0
-    else:
-        grid, cdf = axial
-        u = rng.uniform(0.0, cdf[-1])
-        x = float(np.interp(u, cdf, grid))
-    w = rng.standard_normal(k + 1)
-    w -= (w @ cap.center) * cap.center
-    nw = math.sqrt(w.dot(w))
-    if nw < 1e-15:
-        return cap.center.copy()
-    w /= nw
-    return x * cap.center + math.sqrt(max(0.0, 1.0 - x * x)) * w
-
-
-def _project_to_union(x, caps):
-    margins = [float(x @ c.center) - c.s for c in caps]
-    i = max(range(len(caps)), key=margins.__getitem__)
-    if margins[i] >= 0.0:
-        return x
-    return caps[i].project(x)
+def _spread(pts: np.ndarray) -> np.ndarray:
+    """Smallest pairwise distance of each (t, k+1) point set of `pts`,
+    read from its Gram matrix."""
+    gram = np.einsum("mid,mjd->mij", pts, pts)
+    t = pts.shape[1]
+    gram[:, np.arange(t), np.arange(t)] = -np.inf
+    return np.sqrt(np.maximum(2.0 - 2.0 * gram.max(axis=(1, 2)), 0.0))
 
 
 def estimate_dt(regions, t: int, samples: int = 4000, seed: int = 0,
@@ -681,73 +649,50 @@ def estimate_dt(regions, t: int, samples: int = 4000, seed: int = 0,
     """Lower estimate of d_t of a union of caps: the largest achievable
     minimum pairwise distance among t points of the union.
 
-    Random multistart over cap assignments followed by coordinate ascent
-    with projection back into the union.
+    All `multistarts` starts move at once.  Each start is t uniform points
+    moved into the union, so a point outside every cap lands on a rim,
+    where the optima of small caps lie.  Then `samples // multistarts`
+    redraw rounds: each start redraws one random point and keeps the draw
+    unless its spread falls.  Then 80 ascent rounds: every point gets six
+    Gaussian proposals, each moved into the union and kept when it raises
+    the spread; a start's step, 0.4 at first, halves after a round with
+    no gain.  Returns the largest spread of any start.
     """
     caps = list(regions)
     if not caps:
         raise ValueError("need at least one cap region")
     if t < 2:
         raise ValueError(f"need t >= 2 points, got {t}")
-    k = caps[0].center.shape[0] - 1
+    if multistarts < 1:
+        raise ValueError(f"need multistarts >= 1, got {multistarts}")
+    centers = np.array([c.center for c in caps])
+    s = np.array([c.s for c in caps])
+    k = centers.shape[1] - 1
     rng = substream(seed, "dt-estimate")
-    axial = [_axial_cdf(c, k) for c in caps]
-
-    def draw():
-        i = int(rng.integers(len(caps)))
-        return _sample_in_cap(caps[i], axial[i], k, rng)
-
-    per_start = max(1, samples // max(1, multistarts))
-    best = 0.0
-    for _ in range(multistarts):
-        pts = [draw() for _ in range(t)]
-        # a few random re-draws to pick a decent start
-        val = _min_pairwise(pts)
-        for _ in range(per_start):
-            i = int(rng.integers(t))
-            cand = draw()
-            saved = pts[i]
-            pts[i] = cand
-            v = _min_pairwise(pts)
-            if v >= val:
-                val = v
-            else:
-                pts[i] = saved
-        val = _ascend(pts, caps, rng, val)
-        best = max(best, val)
-    return best
-
-
-def _min_pairwise(pts) -> float:
-    m = math.inf
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = pts[i] - pts[j]
-            m = min(m, math.sqrt(d.dot(d)))
-    return m
-
-
-def _ascend(pts, caps, rng, val):
-    t = len(pts)
-    dim = pts[0].shape[0]
-    step = 0.4
+    rows = np.arange(multistarts)
+    pts = _into_union(sample_uniform_points(k, multistarts * t, rng),
+                      centers, s).reshape(multistarts, t, k + 1)
+    val = _spread(pts)
+    for _ in range(samples // multistarts):
+        cand = pts.copy()
+        cand[rows, rng.integers(t, size=multistarts)] = _into_union(
+            sample_uniform_points(k, multistarts, rng), centers, s)
+        v = _spread(cand)
+        keep = v >= val
+        pts[keep], val[keep] = cand[keep], v[keep]
+    step = np.full(multistarts, 0.4)
     for _ in range(80):
-        improved = False
+        gained = np.zeros(multistarts, dtype=bool)
         for i in range(t):
             for _ in range(6):
-                cand = pts[i] + step * rng.standard_normal(dim)
-                cand /= math.sqrt(cand.dot(cand))
-                cand = _project_to_union(cand, caps)
-                saved = pts[i]
-                pts[i] = cand
-                v = _min_pairwise(pts)
-                if v > val:
-                    val = v
-                    improved = True
-                else:
-                    pts[i] = saved
-        if not improved:
-            step *= 0.5
-            if step < 1e-5:
-                break
-    return val
+                x = pts[:, i] + step[:, None] * rng.standard_normal(
+                    (multistarts, k + 1))
+                x /= np.linalg.norm(x, axis=1, keepdims=True)
+                cand = pts.copy()
+                cand[:, i] = _into_union(x, centers, s)
+                v = _spread(cand)
+                keep = v > val
+                pts[keep], val[keep] = cand[keep], v[keep]
+                gained |= keep
+        step[~gained] *= 0.5
+    return float(val.max())

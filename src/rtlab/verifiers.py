@@ -160,29 +160,6 @@ def recheck_clique(g: SimpleGraph, emb: Embedding) -> bool:
     return all(g.has_edge(a, b) for a, b in combinations(vs, 2))
 
 
-def _has_clique_mask(adj: list, mask: int, size: int) -> bool:
-    """Does the induced subgraph on the bitmask contain K_size?
-
-    K_2 is one pass over the mask's vertices looking for a neighbour in
-    the mask; K_3 and up ask the clique walk `_cliques` for a first
-    clique.  Only `maximal_ktfree_graph` uses it, on the common
-    neighbours of each candidate edge.
-    """
-    if mask.bit_count() < size:
-        return False
-    if size <= 1:
-        return True
-    if size == 2:
-        rest = mask
-        while rest:
-            low = rest & -rest
-            if adj[low.bit_length() - 1] & mask:
-                return True
-            rest ^= low
-        return False
-    return next(_cliques(adj, size, mask), None) is not None
-
-
 def _cliques(rows: list, size: int, cand: int, counter: _Counter | None = None,
              ordered: bool = False):
     """Every sequence of `size` vertices from the bitmask `cand` in which

@@ -517,6 +517,25 @@ def test_maximal_ktfree_graph_is_ktfree():
         assert find_clique(g, t + 1) is None
 
 
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_maximal_ktfree_graph_is_maximal(t):
+    # brute force: no (t+1)-set is a clique, and every non-edge a, b
+    # closes one with t - 1 common neighbours
+    n = 9
+    g = maximal_ktfree_graph(n, t, seed=t)
+    adj = lambda a, b: (min(a, b), max(a, b)) in g.edges
+    is_clique = lambda vs: all(adj(a, b) for a, b in combinations(vs, 2))
+    assert not any(is_clique(vs) for vs in combinations(range(n), t + 1))
+    for a, b in combinations(range(n), 2):
+        if not adj(a, b):
+            rest = [v for v in range(n) if v not in (a, b)]
+            assert any(is_clique(vs) and all(adj(a, v) and adj(b, v)
+                                             for v in vs)
+                       for vs in combinations(rest, t - 1)), (a, b)
+    with pytest.raises(ValueError):
+        maximal_ktfree_graph(n, 0)
+
+
 # ---------------------------------------------------------------------------
 # exact bounds
 

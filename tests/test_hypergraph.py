@@ -214,16 +214,20 @@ def test_clean_single_edge_wiped():
 
 
 def test_clean_recount_oracle_and_idempotent():
-    h = random_hypergraph(12, 3, 30, seed=9)
-    h = PartitionedHypergraph(h.n, h.r, h.edges, _parts3(12))
-    out = clean_low_codegree(h, 2)
-    # full recount: no surviving cross pair has codegree in [1, 2]
-    for a, b in combinations(range(out.n), 2):
-        if out.part_of[a] != out.part_of[b]:
-            c = codegree(out, a, b)
-            assert c == 0 or c > 2
-    again = clean_low_codegree(out, 2)
-    assert again.edges == out.edges
+    g = random_hypergraph(12, 3, 30, seed=9)
+    # three parts, then four parts beside unlabelled (-1) vertices
+    for labels in (_parts3(12), tuple(i % 5 - 1 for i in range(12))):
+        h = PartitionedHypergraph(g.n, g.r, g.edges, labels)
+        out = clean_low_codegree(h, 2)
+        assert out.meta["cleaned_edges"] == len(h.edges) - len(out.edges)
+        # full recount: no surviving cross pair has codegree in [1, 2]
+        for a, b in combinations(range(out.n), 2):
+            pa, pb = out.part_of[a], out.part_of[b]
+            if pa != pb and min(pa, pb) >= 0:
+                c = codegree(out, a, b)
+                assert c == 0 or c > 2
+        again = clean_low_codegree(out, 2)
+        assert again.edges == out.edges
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtlab.rng import substream
-from rtlab.sphere import (SQRT2, SphericalCap, build_partition,
+from rtlab.sphere import (SQRT2, SphericalCap, _into_union, build_partition,
                           cap_intersection_measure_mc, cap_measure,
                           check_p4, distance, estimate_domain_measures,
                           estimate_dt, find_eps_k, p4_best_margin,
@@ -503,11 +503,63 @@ def test_estimate_dt_pinned_values():
     one_cap = [SphericalCap(pole, 1 - 4e-3)]
     whole = [SphericalCap(pole, -1.0)]
     assert estimate_dt(two_caps, 3, samples=2000, seed=2,
-                       multistarts=24) == 0.12642784503423157
+                       multistarts=24) == 0.1264278450342355
     assert estimate_dt(one_cap, 3, samples=2000, seed=3,
-                       multistarts=24) == 0.15476431629263862
+                       multistarts=24) == 0.15476433697722186
     assert estimate_dt(whole, 3, samples=2000, seed=1,
-                       multistarts=20) == 1.7320483908695483
+                       multistarts=20) == 1.7320507697632954
+
+
+def test_estimate_dt_closed_forms():
+    # three points in two antipodal small caps: two at opposite ends of
+    # one rim, 2 sqrt(1 - s^2) apart; in one cap: an equilateral triangle
+    # inscribed in the rim, side sqrt(3) sqrt(1 - s^2); on the whole
+    # sphere: the regular simplex
+    pole = np.array([0.0, 0.0, 1.0])
+    s2, s1 = 1 - 2e-3, 1 - 4e-3
+    two_caps = [SphericalCap(pole, s2), SphericalCap(-pole, s2)]
+    one_cap = [SphericalCap(pole, s1)]
+    whole = [SphericalCap(pole, -1.0)]
+    assert estimate_dt(two_caps, 3, samples=2000, seed=2, multistarts=24) \
+        == pytest.approx(2.0 * math.sqrt(1 - s2 * s2), rel=1e-9)
+    assert estimate_dt(one_cap, 3, samples=2000, seed=3, multistarts=24) \
+        == pytest.approx(math.sqrt(3.0) * math.sqrt(1 - s1 * s1), rel=1e-9)
+    assert estimate_dt(whole, 3, samples=2000, seed=1, multistarts=20) \
+        == pytest.approx(math.sqrt(3.0), abs=1e-5)
+    assert estimate_dt(whole, 4, samples=2000, seed=1, multistarts=20) \
+        == pytest.approx(math.sqrt(8.0 / 3.0), abs=1e-5)
+
+
+def test_estimate_dt_needs_a_start():
+    whole = [SphericalCap(np.array([0.0, 0.0, 1.0]), -1.0)]
+    with pytest.raises(ValueError):
+        estimate_dt(whole, 3, multistarts=0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_into_union_keeps_inside_rows_and_moves_outside_ones_to_a_rim(k):
+    rng = substream(k, "into-union")
+    centers = sample_uniform_points(k, 3, rng)
+    s = np.array([0.9, 0.5, 0.97])
+    x = sample_uniform_points(k, 400, rng)
+    got = _into_union(x, centers, s)
+    margins = x @ centers.T - s
+    inside = margins.max(axis=1) >= 0.0
+    assert inside.any() and not inside.all()
+    assert np.array_equal(got[inside], x[inside])
+    # each cap's points: sampled ones inside it, and rim points
+    cloud = sample_uniform_points(k, 20_000, rng)
+    for row, y in zip(x[~inside], got[~inside]):
+        i = int(np.argmax(row @ centers.T - s))
+        assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
+        assert y @ centers[i] == pytest.approx(s[i], abs=1e-12)
+        members = cloud[cloud @ centers[i] >= s[i]]
+        nearest = np.linalg.norm(members - row, axis=1).min()
+        assert np.linalg.norm(y - row) <= nearest + 1e-12
+    # a row at -center: every rim point is nearest, and one is taken
+    y = _into_union(-centers[:1], centers[:1], s[:1])[0]
+    assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
+    assert y @ centers[0] == pytest.approx(s[0], abs=1e-12)
 
 
 def test_estimate_dt_on_circle():

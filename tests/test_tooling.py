@@ -1,11 +1,13 @@
 """Checks on the source itself: the benchmark tracer names only functions
 and methods that exist in rtlab, so a rename in the package cannot
-silently break a traced run, and no search recurses to a depth that
-grows with its input."""
+silently break a traced run, no search recurses to a depth that grows
+with its input, and the package imports nothing but the standard library
+and numpy."""
 
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -76,4 +78,23 @@ def test_no_unbounded_recursion():
     found = []
     for path in sorted(package.glob("*.py")):
         found += _self_calls(ast.parse(path.read_text()), path.stem)
+    assert found == []
+
+
+def test_runtime_imports_stdlib_or_numpy():
+    # numpy is the only runtime dependency (pyproject.toml); relative
+    # imports stay inside the package
+    package = Path(__file__).resolve().parents[1] / "src" / "rtlab"
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.stem}: {name}" for name in names
+                      if name.split(".")[0] not in allowed]
     assert found == []
