@@ -15,8 +15,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .hypergraph import (PartitionedHypergraph, SimpleGraph, blowup,
-                         complete_join, shadow)
+from .hypergraph import (PartitionedHypergraph, SimpleGraph, as_graph,
+                         blowup, complete_join, shadow)
 from .rng import substream
 from .sphere import SQRT2, SpherePartition, build_partition
 from .verifiers import (BudgetExceeded, _cliques, _Counter,
@@ -114,22 +114,11 @@ def bollobas_erdos(partition: SpherePartition, epsilon: float) -> SimpleGraph:
     """Two copies of the partition's point set; inside a side an edge
     joins near-antipodal points (d >= 2 - theta), across the sides an
     edge joins near-orthogonal points (d <= sqrt(2) - theta), where
-    theta = epsilon/sqrt(k) on the partition's sphere S^k."""
+    theta = epsilon/sqrt(k) on the partition's sphere S^k.  This is the
+    r = 2, u = 1 tuple hypergraph of `sphere_hypergraph`, caps included:
+    PartTooLarge over 5,000 points per side or about 5 M close pairs."""
     theta = epsilon / math.sqrt(partition.k)
-    z = partition.z
-    d = partition.distance_matrix()
-    edges = set()
-    for i in range(z):
-        for j in range(i + 1, z):
-            if d[i, j] >= 2.0 - theta:
-                edges.add((i, j))
-                edges.add((z + i, z + j))
-    for i in range(z):
-        for j in range(z):
-            if d[i, j] <= SQRT2 - theta:
-                edges.add((i, z + j))
-    parts = tuple([0] * z + [1] * z)
-    return SimpleGraph(2 * z, frozenset(edges), parts)
+    return as_graph(_tuple_hypergraph(partition, 2, 1, theta))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +157,11 @@ def sphere_hypergraph(params: ConstructionParams,
     when the cross walk places over MAX_CROSS_ASSIGNMENTS (5,000,000)
     tuples.
     """
-    r, u, theta = params.r, params.u, params.theta
+    return _tuple_hypergraph(partition, params.r, params.u, params.theta)
+
+
+def _tuple_hypergraph(partition: SpherePartition, r: int, u: int,
+                      theta: float) -> PartitionedHypergraph:
     V = tuple_vertices(partition, u, theta)
     nv = len(V)
     if nv > MAX_PART_SIZE:

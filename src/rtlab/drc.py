@@ -9,9 +9,11 @@ form, and codegree-based freshness arguments.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, product
+from operator import and_
 
 from .hypergraph import (UNPARTITIONED, PartitionedHypergraph, SimpleGraph,
                          clean_low_codegree)
@@ -79,14 +81,17 @@ def average_degree(g: SimpleGraph) -> Fraction:
     return Fraction(2 * len(g.edges), g.n)
 
 
+def _common(rows: list, vertices) -> int:
+    """Bitmask of the common neighbours of the vertices: their rows ANDed."""
+    return reduce(and_, (rows[v] for v in vertices))
+
+
 def drc_recheck(g: SimpleGraph, u_set, r: int, m: int) -> bool:
-    """Exhaustive check: every r-subset of U has >= m common neighbors."""
-    adj = g.adjacency_sets()
-    for sub in combinations(sorted(u_set), r):
-        common = set.intersection(*(adj[v] for v in sub))
-        if len(common) < m:
-            return False
-    return True
+    """Exhaustive check: every r-subset of U has >= m common neighbors,
+    counted on the graph's bitmask rows."""
+    rows = g.adjacency_masks()
+    return all(_common(rows, sub).bit_count() >= m
+               for sub in combinations(sorted(u_set), r))
 
 
 def drc_find_set(g: SimpleGraph, p: DrcParams, seed: int = 0,
@@ -94,38 +99,37 @@ def drc_find_set(g: SimpleGraph, p: DrcParams, seed: int = 0,
     """Find U with |U| >= a whose every r-subset has >= m common neighbors.
 
     Repeats up to p.retries times: sample t vertices with repetition,
-    take their common neighborhood, strip vertices of bad r-subsets, and
-    return only after the exhaustive recheck passes.  None when the
-    retry budget runs out.
+    take their common neighborhood U, strip it, and return U only after
+    the exhaustive recheck passes.  None when the retry budget runs out.
+
+    The strip is one lexicographic pass over the r-subsets of the first
+    U that deletes the largest vertex of each with under m common
+    neighbours, skips those that lost a vertex, and stops once |U| < a.
+    Counts are taken in the whole graph, so a deletion changes no other
+    subset's, and a rescan after each deletion would delete the same.
 
     The feasibility inequality guards the existence guarantee; with
     require_feasible=False the Las Vegas search still runs (its output is
     verification-gated either way), only availability is at risk.
     """
-    params = DrcParams(**{**p.__dict__, "n": g.n})
+    params = replace(p, n=g.n)
     if require_feasible and not drc_feasible(params, average_degree(g)):
         raise ValueError("dependent-random-choice inequality fails for these "
                          "parameters; the guarantee does not apply")
-    adj = g.adjacency_sets()
+    rows = g.adjacency_masks()
     for trial in range(p.retries):
         rng = substream(seed, "drc-find-set", trial)
         picks = [int(rng.integers(g.n)) for _ in range(p.t)]
-        u_set = set.intersection(*(adj[v] for v in picks)) if picks else set()
-        while len(u_set) >= p.a:
-            bad = _first_bad_subset(adj, u_set, p.r, p.m)
-            if bad is None:
+        common = _common(rows, picks) if picks else 0
+        first = [v for v in range(g.n) if common >> v & 1]
+        u_set = set(first)
+        for sub in combinations(first, p.r):
+            if len(u_set) < p.a:
                 break
-            u_set.discard(bad[-1])
+            if u_set.issuperset(sub) and _common(rows, sub).bit_count() < p.m:
+                u_set.discard(sub[-1])
         if len(u_set) >= p.a and drc_recheck(g, u_set, p.r, p.m):
             return set(sorted(u_set))
-    return None
-
-
-def _first_bad_subset(adj, u_set, r, m):
-    for sub in combinations(sorted(u_set), r):
-        common = set.intersection(*(adj[v] for v in sub))
-        if len(common) < m:
-            return sub
     return None
 
 
@@ -173,12 +177,13 @@ def hyper_drc(g_r: PartitionedHypergraph, s: int, seed: int = 0) -> PartitionedH
 def extension_count(g_r: PartitionedHypergraph, edge_set) -> int:
     """Number of first-part vertices v with e + v an edge for every e in
     the given set of (r-1)-sets (the dangerous-set statistic)."""
-    part0 = g_r.part_vertices(0)
-    count = 0
-    for v in part0:
-        if all(tuple(sorted(e + (v,))) in g_r.edges for e in edge_set):
-            count += 1
-    return count
+    return len(_extensions(g_r, edge_set))
+
+
+def _extensions(g_r: PartitionedHypergraph, edge_set) -> list:
+    """The vertices `extension_count` counts, in order."""
+    return [v for v in g_r.part_vertices(0)
+            if all(tuple(sorted(e + (v,))) in g_r.edges for e in edge_set)]
 
 
 def count_dangerous_sets(g_r: PartitionedHypergraph,
@@ -199,12 +204,8 @@ def count_dangerous_sets(g_r: PartitionedHypergraph,
             if seen > MAX_DANGEROUS_ENUMERATION:
                 raise RuntimeError("dangerous-set census too large; "
                                    "reduce the instance")
-            verts = set()
-            for e in sub:
-                verts.update(e)
-            if len(verts) != weight:
-                continue
-            if extension_count(g_r, list(sub)) < bound:
+            if (len(set().union(*sub)) == weight
+                    and extension_count(g_r, sub) < bound):
                 count += 1
     return count
 
@@ -317,41 +318,37 @@ def _f_witness_once(h, labels, cleaned, params, seed, trial):
 
     verts23 = sorted(v for v in range(h.n) if labels[v] in (1, 2))
     index = {v: i for i, v in enumerate(verts23)}
-    back = {i: v for v, i in index.items()}
     g = SimpleGraph(len(verts23),
                     frozenset((index[a], index[b]) for a, b in aux.edges))
     # the asymptotic feasibility inequality is vacuous at desk scale, so
     # the pipeline runs the verification-gated search unconditionally
-    gp = DrcParams(**{**params.__dict__, "n": g.n, "r": 3})
+    gp = replace(params, n=g.n, r=3)
     u_idx = drc_find_set(g, gp, seed=seed * 7 + trial, require_feasible=False)
     if u_idx is None:
         raise PipelineFailure("drc-set", "no verified set within retries")
-    u_host = {back[i] for i in u_idx}
+    u_host = {verts23[i] for i in u_idx}
 
     side3 = {v for v in u_host if labels[v] == 2}
     side2 = {v for v in u_host if labels[v] == 1}
     if len(side3) >= len(side2):
-        u_prime, e3_label, e2_label = side3, 2, 1
+        u_prime, e2_label = side3, 1
     else:
-        u_prime, e3_label, e2_label = side2, 1, 2
+        u_prime, e2_label = side2, 2
 
     e3 = contained_edge(h, u_prime)
     if e3 is None:
         raise PipelineFailure("edge-in-set", "no hyperedge inside the chosen side")
 
-    adj = g.adjacency_sets()
-    common = set.intersection(*(adj[index[v]] for v in e3))
-    common_host = {back[i] for i in common if labels[back[i]] == e2_label}
+    common = _common(g.adjacency_masks(), [index[v] for v in e3])
+    common_host = {verts23[i] for i in range(g.n)
+                   if common >> i & 1 and labels[verts23[i]] == e2_label}
     e2 = contained_edge(h, common_host)
     if e2 is None:
         raise PipelineFailure("edge-in-neighborhood",
                               "no hyperedge among the common neighbors")
 
-    part1 = [v for v in range(h.n) if labels[v] == 0]
-    candidates = [v for v in part1
-                  if all(tuple(sorted((v, y, z))) in cleaned.edges
-                         for y in e2 for z in e3)]
-    e1 = contained_edge(h, candidates)
+    # cleaned carries the trial's labels, so its first part is label 0
+    e1 = contained_edge(h, _extensions(cleaned, list(product(e2, e3))))
     if e1 is None:
         raise PipelineFailure("edge-in-extensions",
                               "no hyperedge among the full extensions")

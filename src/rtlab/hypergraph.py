@@ -39,13 +39,6 @@ class SimpleGraph:
             if len(self.part_of) != self.n:
                 raise ValueError("part_of must label every vertex")
 
-    def adjacency_sets(self) -> list:
-        adj = [set() for _ in range(self.n)]
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
-
     def adjacency_masks(self) -> list:
         """Neighbour bitmasks (int per vertex), for the exact solvers."""
         adj = [0] * self.n

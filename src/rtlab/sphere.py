@@ -78,20 +78,6 @@ class SphericalCap:
         if not -1.0 <= self.s <= 1.0:
             raise ValueError(f"cap threshold must be in [-1, 1], got {self.s}")
 
-    @property
-    def height(self) -> float:
-        return 1.0 - self.s
-
-    @property
-    def euclidean_radius(self) -> float:
-        # max distance from the center to a cap point; 2h = a^2
-        return math.sqrt(2.0 * self.height)
-
-
-def cap_from_euclidean_radius(center: np.ndarray, a: float) -> SphericalCap:
-    """Cap whose points lie within Euclidean distance a of the center (2h = a^2)."""
-    return SphericalCap(center, 1.0 - a * a / 2.0)
-
 
 def threshold_for_base_diameter(diam: float) -> float:
     rho = diam / 2.0

@@ -455,18 +455,13 @@ def scan_split_core(h: PartitionedHypergraph, budget=None) -> Embedding | None:
 
 
 def recheck_split_core(h: PartitionedHypergraph, emb: Embedding) -> bool:
-    vs = [emb.vertex_map[i] for i in range(4)]
-    a, b, c, d = vs
-    if len(set(vs)) != 4:
-        return False
-    if h.part_of[a] != h.part_of[b] or h.part_of[c] != h.part_of[d]:
-        return False
-    if h.part_of[a] == h.part_of[c]:
-        return False
-    for x, y in combinations(vs, 2):
-        if not any(x in e and y in e for e in h.edges):
-            return False
-    return True
+    """Cores 0 and 1 share a part, cores 2 and 3 share another, and the
+    embedding's vertices pass `recheck_tkf_core`: distinct, every pair
+    covered."""
+    a, b, c, d = (emb.vertex_map[i] for i in range(4))
+    part = h.part_of
+    return (part[a] == part[b] != part[c] == part[d]
+            and recheck_tkf_core(h, emb))
 
 
 # ---------------------------------------------------------------------------
@@ -474,14 +469,17 @@ def recheck_split_core(h: PartitionedHypergraph, emb: Embedding) -> bool:
 
 
 def sparsity_condition(r: int):
-    """Forbidden when v < r + (r-1)(m-1)."""
-    return lambda v, m: v < r + (r - 1) * (m - 1)
+    """Forbidden when v < r + (r-1)(m-1): the deletion condition at
+    gamma = 0, so in cycle-rank form c = (r-1)m + 1 - v > 0."""
+    return blowup_deletion_condition(r, 0)
 
 
 def blowup_deletion_condition(r: int, gamma: float):
     """Forbidden when v + (1+gamma-r)(m-1) < r, i.e. when
-    gamma (m-1) < r + (r-1)(m-1) - v, whose right side is exact."""
-    return lambda v, m: gamma * (m - 1) < r + (r - 1) * (m - 1) - v
+    c = (r-1)m + 1 - v > gamma (m-1), where c, exact, is the cycle rank
+    of a connected collection's vertex-edge incidence graph (v + m nodes,
+    rm edges)."""
+    return lambda v, m: gamma * (m - 1) < (r - 1) * m + 1 - v
 
 
 def minimal_tkf_bound(r: int, m: int) -> int:
@@ -752,30 +750,27 @@ def tree_embedding(sets, tree_edges, partition, theta: float) -> dict | None:
     edges = [tuple(sorted(e)) for e in tree_edges]
     if len(edges) != r - 1:
         raise ValueError("not a spanning tree: wrong edge count")
-    deg = defaultdict(int)
-    adj = defaultdict(set)
+    live = {v: set() for v in range(r)}  # live vertex -> live neighbours
     for a, b in edges:
-        deg[a] += 1
-        deg[b] += 1
-        adj[a].add(b)
-        adj[b].add(a)
-    if set(adj) != set(range(r)) and r > 1:
-        raise ValueError("not a spanning tree: isolated vertices")
+        if a == b or a not in live or b not in live:
+            raise ValueError(f"not a spanning tree: edge ({a},{b}) on "
+                             f"vertices 0..{r - 1}")
+        live[a].add(b)
+        live[b].add(a)
 
-    # peel leaves down to a single edge
-    alive = set(range(r))
-    live_deg = dict(deg)
+    # peel leaves, the largest first, down to a single edge
     peels = []  # (leaf, neighbor), outermost first
-    live_adj = {v: set(adj[v]) for v in adj}
-    while len(alive) > 2:
-        leaf = max(v for v in alive if live_deg[v] == 1)
-        nbr = next(iter(live_adj[leaf]))
+    while len(live) > 2:
+        leaves = [v for v, nbrs in live.items() if len(nbrs) == 1]
+        if not leaves:
+            raise ValueError("not a spanning tree: a cycle or a repeated edge")
+        leaf = max(leaves)
+        (nbr,) = live.pop(leaf)
+        live[nbr].discard(leaf)
         peels.append((leaf, nbr))
-        alive.discard(leaf)
-        live_adj[nbr].discard(leaf)
-        live_deg[nbr] -= 1
-        live_deg.pop(leaf)
-    i0, j0 = sorted(alive)
+    i0, j0 = sorted(live)
+    if j0 not in live[i0]:
+        raise ValueError("not a spanning tree: a cycle or a repeated edge")
 
     dist = partition.distance_matrix()
     base = _far_matching(dist, sorted(sets[i0]), sorted(sets[j0]), theta)

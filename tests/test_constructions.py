@@ -102,6 +102,36 @@ def test_be_cross_degree_floor():
     assert min(cross_deg) >= (0.5 - 0.25) * z
 
 
+def _double_loop_be(partition, epsilon):
+    # the two-sided graph's own double loop, the reference for the tuple
+    # hypergraph route
+    theta = epsilon / math.sqrt(partition.k)
+    z = partition.z
+    d = partition.distance_matrix()
+    edges = set()
+    for i in range(z):
+        for j in range(i + 1, z):
+            if d[i, j] >= 2.0 - theta:
+                edges.add((i, j))
+                edges.add((z + i, z + j))
+    for i in range(z):
+        for j in range(z):
+            if d[i, j] <= SQRT2 - theta:
+                edges.add((i, z + j))
+    return SimpleGraph(2 * z, frozenset(edges), tuple([0] * z + [1] * z))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 10])
+def test_be_matches_double_loop(k):
+    # epsilon = 1.5 sqrt(3) and 3 put theta above sqrt(2) at small k
+    for z, epsilon, seed in product((1, 2, 7, 14, 40),
+                                    (0.1, 0.5, 1.0, 1.5 * math.sqrt(3), 3.0),
+                                    (1, 2)):
+        part = build_partition(k, z, epsilon / math.sqrt(k), seed,
+                               balance_iters=0, diag_samples=200)
+        assert bollobas_erdos(part, epsilon) == _double_loop_be(part, epsilon)
+
+
 # ---------------------------------------------------------------------------
 # tuple vertices
 

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -93,6 +93,38 @@ def test_find_set_gnp_verified():
     u = drc_find_set(g, p, seed=3)
     assert u is not None and len(u) >= 6
     assert drc_recheck(g, u, 2, 8)
+
+
+def _restart_loop_find_set(g, p, seed):
+    # the strip that rescans U from the start after every deletion, the
+    # reference for the one-pass strip; it ends with every r-subset good
+    adj = [set() for _ in range(g.n)]
+    for a, b in g.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    for trial in range(p.retries):
+        rng = substream(seed, "drc-find-set", trial)
+        picks = [int(rng.integers(g.n)) for _ in range(p.t)]
+        u_set = set.intersection(*(adj[v] for v in picks))
+        while len(u_set) >= p.a:
+            bad = next((sub for sub in combinations(sorted(u_set), p.r)
+                        if len(set.intersection(*(adj[v] for v in sub)))
+                        < p.m), None)
+            if bad is None:
+                return u_set
+            u_set.discard(bad[-1])
+    return None
+
+
+@pytest.mark.parametrize("a,m,r,t", [(6, 8, 2, 4), (4, 4, 3, 2), (3, 2, 2, 1),
+                                     (10, 3, 2, 3), (5, 1, 1, 2)])
+def test_find_set_matches_restart_loop(a, m, r, t):
+    p = DrcParams(a=a, m=m, r=r, t=t, retries=16)
+    for (n, prob), seed in product(((40, 0.5), (80, 0.4), (200, 0.5),
+                                    (30, 0.8)), (1, 2, 3)):
+        g = gnp(n, prob, seed)
+        assert (drc_find_set(g, p, seed=seed, require_feasible=False)
+                == _restart_loop_find_set(g, p, seed))
 
 
 # ---------------------------------------------------------------------------

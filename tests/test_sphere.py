@@ -102,13 +102,6 @@ def test_cap_measure_monte_carlo_cross_route():
         assert cap_measure(k, s) == pytest.approx(frac, abs=0.005)
 
 
-def test_cap_from_euclidean_radius():
-    from rtlab.sphere import cap_from_euclidean_radius
-    cap = cap_from_euclidean_radius(np.array([0.0, 0.0, 1.0]), 1.0)
-    assert cap.s == pytest.approx(0.5)
-    assert cap_measure(2, cap.s) == pytest.approx(0.25, abs=1e-10)
-
-
 def test_cap_measure_s2_values():
     # closed form on S^2: mu = (1 - s)/2; radius a=1 means s = 1 - a^2/2
     assert cap_measure(2, 0.5) == pytest.approx(0.25, abs=1e-10)
@@ -227,11 +220,6 @@ def test_cap_intersection_mc_skew_centers_match_full_dimension(k, t, s):
 def test_cap_measure_rejects_out_of_range():
     with pytest.raises(ValueError):
         cap_measure(3, 1.5)
-
-
-def test_cap_height_radius_relation():
-    cap = SphericalCap(np.array([0.0, 0.0, 1.0]), 0.28)
-    assert 2 * cap.height == pytest.approx(cap.euclidean_radius ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Checks on the source itself: the benchmark tracer names only functions
 and methods that exist in rtlab, so a rename in the package cannot
 silently break a traced run, no search recurses to a depth that grows
-with its input, and the package imports nothing but the standard library
-and numpy."""
+with its input, the package imports nothing but the standard library
+and numpy, and no private helper is left without a caller."""
 
 import ast
 import importlib
@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rtlab"
 
 
 def _load_tracer():
@@ -74,9 +75,8 @@ def _self_calls(node, qual, method=False):
 def test_no_unbounded_recursion():
     # Python's recursion limit caps a search whose depth grows with its
     # input, so such searches keep an explicit stack
-    package = Path(__file__).resolve().parents[1] / "src" / "rtlab"
     found = []
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         found += _self_calls(ast.parse(path.read_text()), path.stem)
     assert found == []
 
@@ -84,10 +84,9 @@ def test_no_unbounded_recursion():
 def test_runtime_imports_stdlib_or_numpy():
     # numpy is the only runtime dependency (pyproject.toml); relative
     # imports stay inside the package
-    package = Path(__file__).resolve().parents[1] / "src" / "rtlab"
     allowed = set(sys.stdlib_module_names) | {"numpy"}
     found = []
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -98,3 +97,24 @@ def test_runtime_imports_stdlib_or_numpy():
             found += [f"{path.stem}: {name}" for name in names
                       if name.split(".")[0] not in allowed]
     assert found == []
+
+
+def test_private_names_have_callers():
+    # an underscore-named function, method or class that nothing in the
+    # package names outside its own definition is a dead helper
+    defs, uses = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defs.append((node.name, path, node.lineno,
+                                 node.end_lineno))
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                uses.append((name, path, node.lineno))
+    dead = [f"{path.stem}.{name}" for name, path, first, last in defs
+            if not any(used == name and not (where == path
+                                             and first <= line <= last)
+                       for used, where, line in uses)]
+    assert dead == []

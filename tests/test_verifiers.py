@@ -1,6 +1,7 @@
 import math
 from itertools import combinations, product
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,8 +12,8 @@ from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph,
                               complete_uniform, turan_hypergraph)
 from rtlab.rng import substream
 from rtlab.sphere import build_partition
-from rtlab.verifiers import (BudgetExceeded, _cliques, _Counter, _max_matching,
-                             alpha_t, blowup_deletion_condition,
+from rtlab.verifiers import (BudgetExceeded, Embedding, _cliques, _Counter,
+                             _max_matching, alpha_t, blowup_deletion_condition,
                              far_pair_matching, find_clique, find_tk,
                              find_tkf_core,
                              hyper_independence, minimal_tkf_bound,
@@ -42,8 +43,7 @@ def random_3uniform(n, p, seed):
 
 
 def brute_has_clique(g, s):
-    adj = g.adjacency_sets()
-    return any(all(b in adj[a] for a, b in combinations(sub, 2))
+    return any(all(g.has_edge(a, b) for a, b in combinations(sub, 2))
                for sub in combinations(range(g.n), s))
 
 
@@ -493,6 +493,12 @@ def test_split_core_many_common_partners_few_within_pairs():
     assert emb.edges_used == [(0, 1, 8), (0, 3, 8), (0, 5, 8), (1, 3, 8),
                               (1, 5, 8), (3, 5, 9)]
     assert recheck_split_core(h, emb)
+    # cores 0, 1 and 2, 3 out of their parts; a repeated core; (3, 4)
+    # uncovered
+    for cores in ((0, 3, 1, 5), (0, 0, 3, 5), (0, 1, 3, 4)):
+        forged = Embedding(dict(enumerate(cores)),
+                           {i: "core" for i in range(4)}, [])
+        assert not recheck_split_core(h, forged)
 
 
 def test_split_core_none_on_single_part():
@@ -576,6 +582,29 @@ def test_conditions_in_use_hold_for_an_overlapping_pair(r, gamma):
     # must hold however close gamma is to 1
     assert sparsity_condition(r)(2 * r - 2, 2)
     assert blowup_deletion_condition(r, gamma)(2 * r - 2, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.integers(2, 5), m=st.integers(1, 6),
+       gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       rnd=st.randoms(use_true_random=False))
+def test_conditions_are_cycle_rank_bounds(r, m, gamma, rnd):
+    # a random connected collection of m r-edges on v vertices: the
+    # deletion condition is c > gamma (m-1), sparsity is c > 0, where c
+    # is the cycle rank of the vertex-edge incidence graph
+    pool = range(rnd.randint(r, r * m))
+    edges = [rnd.sample(pool, r)]
+    while len(edges) < m:
+        anchor = rnd.choice([x for e in edges for x in e])
+        edges.append([anchor] + rnd.sample([x for x in pool if x != anchor],
+                                           r - 1))
+    incidence = nx.Graph((("v", x), ("e", i))
+                         for i, e in enumerate(edges) for x in e)
+    assert nx.is_connected(incidence)
+    c = len(nx.cycle_basis(incidence))
+    v = len({x for e in edges for x in e})
+    assert sparsity_condition(r)(v, m) == (c > 0)
+    assert blowup_deletion_condition(r, gamma)(v, m) == (c > gamma * (m - 1))
 
 
 def test_connected_subset_enumeration_matches_brute_force():
@@ -825,6 +854,14 @@ def test_tree_embedding_rejects_non_tree():
                            diag_samples=500)
     with pytest.raises(ValueError):
         tree_embedding([[0], [1], [2]], [(0, 1)], part, 0.3)
+    # r - 1 edges touching every vertex: a triangle beside an edge, a
+    # repeated edge; then a self-loop and a vertex outside 0..r-1
+    for r, tree in ((5, [(0, 1), (1, 2), (0, 2), (3, 4)]),
+                    (4, [(0, 1), (0, 1), (2, 3)]),
+                    (3, [(0, 1), (2, 2)]),
+                    (3, [(0, 1), (1, 3)])):
+        with pytest.raises(ValueError, match="not a spanning tree"):
+            tree_embedding([[0]] * r, tree, part, 0.3)
 
 
 # ---------------------------------------------------------------------------
