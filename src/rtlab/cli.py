@@ -120,7 +120,8 @@ def _cmd_verify(args) -> int:
         if args.s is None:
             raise ValueError("clique check needs --s")
         witness = ver.find_clique(g, args.s, args.budget)
-        recheck = lambda w: ver.recheck_clique(g, w)
+        recheck = lambda w: (len(w.vertex_map) == args.s
+                             and ver.recheck_clique(g, w))
     elif check == "alpha_t":
         if g is None:
             raise ValueError("alpha_t needs a graph file (r=2)")
@@ -140,7 +141,8 @@ def _cmd_verify(args) -> int:
         if args.s is None:
             raise ValueError("tkf check needs --s")
         witness = ver.find_tkf_core(h, args.s, args.budget)
-        recheck = lambda w: ver.recheck_tkf_core(h, w)
+        recheck = lambda w: (len(w.vertex_map) == args.s
+                             and ver.recheck_tkf_core(h, w))
     elif check == "split-core":
         witness = ver.scan_split_core(h, args.budget)
         recheck = lambda w: ver.recheck_split_core(h, w)

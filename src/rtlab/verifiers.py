@@ -1,10 +1,11 @@
 """Exhaustive and heuristic checkers for construction properties.
 
-Exact clique search with a greedy-coloring bound, the exact hypergraph
-independence number (K_t-independence is that of the t-clique
-hypergraph), subdivision (TK) and core-cover (TKF) pattern finders, the
-two-parts split-core scan, the sparse connected-pattern scan, far-pair
-matchings, the tree-embedding cascade, and density reports.
+Exact clique search that branches only on candidates whose greedy color
+can still complete K_s, the exact hypergraph independence number
+(K_t-independence is that of the t-clique hypergraph), subdivision (TK)
+and core-cover (TKF) pattern finders, the two-parts split-core scan, the
+sparse connected-pattern scan, far-pair matchings, the tree-embedding
+cascade, and density reports.
 
 Every search honours a node budget (env RTLAB_BUDGET or per-call
 argument) and raises BudgetExceeded, carrying whatever certified bound
@@ -93,9 +94,9 @@ class _Counter:
 # exact clique search
 
 
-def _color_sort(cand: int, adj: list) -> list:
-    """Greedy coloring of the candidate bitmask; (vertex, color) pairs in
-    nondecreasing color order."""
+def _color_sort(cand: int, adj: list, kmin: int) -> list:
+    """Greedy coloring of the candidate bitmask in vertex order; the
+    vertices of color >= kmin, in nondecreasing color order."""
     out = []
     rest = cand
     color = 0
@@ -103,17 +104,22 @@ def _color_sort(cand: int, adj: list) -> list:
         color += 1
         q = rest
         while q:
-            v = (q & -q).bit_length() - 1
-            q &= ~(1 << v)
-            q &= ~adj[v]
-            rest &= ~(1 << v)
-            out.append((v, color))
+            low = q & -q
+            v = low.bit_length() - 1
+            q &= ~(adj[v] | low)
+            rest ^= low
+            if color >= kmin:
+                out.append(v)
     return out
 
 
 def find_clique(g: SimpleGraph, s: int, budget=None) -> Embedding | None:
-    """Exact K_s search (branch and bound, greedy-coloring prune).
+    """Exact K_s search (branch and bound on a greedy coloring).
 
+    Each level colors its candidates greedily in vertex order and
+    branches, highest color first, only on those of color at least s
+    minus the clique size there: a vertex of color c leaves open only
+    candidates of its c color classes, each an independent set.
     Returns an embedding of K_s or None if the graph is K_s-free.
     """
     if s < 1:
@@ -124,27 +130,26 @@ def find_clique(g: SimpleGraph, s: int, budget=None) -> Embedding | None:
     counter = _Counter(resolve_budget(budget))
     full = (1 << g.n) - 1
     # an explicit stack, so the depth is not bounded by the recursion
-    # limit: clique[i] was placed from the colour order orders[i], and
+    # limit: clique[i] was placed from the branching list orders[i], and
     # pools[i] holds that level's candidates not yet searched through
     clique: list = []
-    orders = [_color_sort(full, adj)]
+    orders = [_color_sort(full, adj, s)]
     pools = [full]
     while orders:
         order = orders[-1]
-        if not order or len(clique) + order[-1][1] < s:
-            # level exhausted, or no colour class left can complete K_s
+        if not order:
             orders.pop()
             pools.pop()
             if clique:
                 pools[-1] &= ~(1 << clique.pop())
             continue
-        v = order.pop()[0]
+        v = order.pop()
         counter.tick()
         clique.append(v)
         if len(clique) == s:
             break
         cand = pools[-1] & adj[v]
-        orders.append(_color_sort(cand, adj))
+        orders.append(_color_sort(cand, adj, s - len(clique)))
         pools.append(cand)
     else:
         return None
@@ -757,6 +762,8 @@ def tree_embedding(sets, tree_edges, partition, theta: float) -> dict | None:
                              f"vertices 0..{r - 1}")
         live[a].add(b)
         live[b].add(a)
+    if r == 1:
+        return {0: min(sets[0])} if len(sets[0]) else None
 
     # peel leaves, the largest first, down to a single edge
     peels = []  # (leaf, neighbor), outermost first

@@ -208,6 +208,27 @@ def test_verify_failed_recheck_exit_4(tmp_path, monkeypatch, capsys, check,
     assert err.startswith("internal error:") and "recheck" in err
 
 
+@pytest.mark.parametrize("check,finder,r", [
+    ("clique", "find_clique", 2),
+    ("tkf", "find_tkf_core", 3),
+])
+def test_verify_short_witness_exit_4(tmp_path, monkeypatch, capsys, check,
+                                     finder, r):
+    # the first edge of a path holds in the file, but its two vertices are
+    # no K_4 and no four-core set: the recheck counts them against --s
+    path = tmp_path / "path.hg"
+    write_hypergraph(PartitionedHypergraph(8, r, frozenset(
+        tuple(range(i, i + r)) for i in range(0, 8 - r + 1, r - 1))), str(path))
+    short = Embedding({0: 0, 1: 1}, {0: "core", 1: "core"}, [tuple(range(r))])
+    monkeypatch.setattr(ver, finder, lambda *a, **kw: short)
+    wit = tmp_path / "witness.json"
+    assert main(["verify", "--check", check, "--s", "4", "--witness-out",
+                 str(wit), str(path)]) == 4
+    assert not wit.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and "recheck" in err
+
+
 def test_internal_error_exit_4(tmp_path, monkeypatch, capsys):
     def crash(*args, **kwargs):
         raise ZeroDivisionError("line one\nline two")

@@ -157,6 +157,89 @@ def test_clique_search_deeper_than_recursion_limit():
     assert find_clique(g, n + 1) is None
 
 
+def _colour_tuple_find_clique(g, s, counter):
+    # the search that carried a colour with every candidate and ended a
+    # level when the top colour could not complete K_s, the reference for
+    # branching on the candidates of high enough colour alone
+    if s == 1:
+        return Embedding({0: 0}, {0: "core"}) if g.n else None
+    adj = g.adjacency_masks()
+
+    def colour_sort(cand):
+        out = []
+        rest = cand
+        colour = 0
+        while rest:
+            colour += 1
+            q = rest
+            while q:
+                v = (q & -q).bit_length() - 1
+                q &= ~(1 << v)
+                q &= ~adj[v]
+                rest &= ~(1 << v)
+                out.append((v, colour))
+        return out
+
+    full = (1 << g.n) - 1
+    clique = []
+    orders = [colour_sort(full)]
+    pools = [full]
+    while orders:
+        order = orders[-1]
+        if not order or len(clique) + order[-1][1] < s:
+            orders.pop()
+            pools.pop()
+            if clique:
+                pools[-1] &= ~(1 << clique.pop())
+            continue
+        v = order.pop()[0]
+        counter.tick()
+        clique.append(v)
+        if len(clique) == s:
+            break
+        cand = pools[-1] & adj[v]
+        orders.append(colour_sort(cand))
+        pools.append(cand)
+    else:
+        return None
+    vm = {i: v for i, v in enumerate(sorted(clique))}
+    return Embedding(vm, {i: "core" for i in vm},
+                     [tuple(sorted(p)) for p in combinations(sorted(clique), 2)])
+
+
+def test_clique_search_matches_colour_tuple_reference():
+    # the same witness from the same number of nodes, for s = 1 .. omega + 2
+    for p, n, seed in product((0.3, 0.5, 0.8, 0.9),
+                              (0, 1, 2, 3, 5, 8, 12, 17, 23, 30, 35, 40),
+                              range(3)):
+        g = random_graph(n, p, seed)
+        s, misses = 1, 0
+        while misses < 2:
+            counter = _Counter(10 ** 9)
+            want = _colour_tuple_find_clique(g, s, counter)
+            assert find_clique(g, s, budget=counter.nodes) == want, (p, n, seed, s)
+            if counter.nodes:
+                with pytest.raises(BudgetExceeded) as info:
+                    find_clique(g, s, budget=counter.nodes - 1)
+                assert info.value.nodes == counter.nodes, (p, n, seed, s)
+            misses += want is None
+            s += 1
+
+
+def test_clique_pinned_node_counts():
+    # G(140, 1/2) at seed 3 has clique number 10: a K_10 is found in 93
+    # nodes, and no K_11 is certified in 2,108
+    g = random_graph(140, 0.5, 3)
+    for s, nodes, want in (
+            (10, 93, [38, 39, 59, 72, 73, 91, 122, 129, 136, 137]),
+            (11, 2108, None)):
+        emb = find_clique(g, s, budget=nodes)
+        assert (emb and sorted(emb.vertex_map.values())) == want
+        with pytest.raises(BudgetExceeded) as info:
+            find_clique(g, s, budget=nodes - 1)
+        assert info.value.nodes == nodes
+
+
 @pytest.mark.parametrize("solve", [
     lambda: find_clique(SimpleGraph(5, frozenset(combinations(range(5), 2))), 3,
                         budget=1),
@@ -818,6 +901,15 @@ def test_tree_embedding_single_edge():
     part = SpherePartition(k=2, z=2, reps=reps, domain_diam_bound=0.1, seed=0)
     got = tree_embedding([[0], [1]], [(0, 1)], part, 0.3)
     assert got == {0: 0, 1: 1}
+
+
+def test_tree_embedding_single_vertex():
+    # one vertex and no edges is a spanning tree: any rep of its set
+    reps = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+    from rtlab.sphere import SpherePartition
+    part = SpherePartition(k=2, z=2, reps=reps, domain_diam_bound=0.1, seed=0)
+    assert tree_embedding([[1, 0]], [], part, 0.3) == {0: 0}
+    assert tree_embedding([[]], [], part, 0.3) is None
 
 
 def test_tree_embedding_star_on_antipodal_sets():
