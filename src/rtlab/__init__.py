@@ -7,20 +7,17 @@ from .constructions import (ConstructionParams, bollobas_erdos,
                             sphere_hypergraph, theta_lower_bound,
                             tuple_vertices)
 from .drc import (DrcParams, FWitness, PipelineFailure, drc_feasible,
-                  drc_find_set, find_f_witness, find_tkf5_tk4, hyper_drc,
-                  tk6_thresholds)
+                  drc_find_set, find_f_witness, find_tkf5_tk4, hyper_drc)
 from .hypergraph import (PartitionedHypergraph, SimpleGraph, blowup,
                          clean_low_codegree, codegree, complete_join,
                          read_graph, read_hypergraph, shadow,
                          turan_hypergraph, write_graph, write_hypergraph)
 from .sphere import (SphericalCap, SpherePartition, build_partition,
                      cap_measure, check_p4, distance, estimate_dt,
-                     find_eps_k, sample_uniform_point, simplex_edge_length)
+                     find_eps_k)
 from .verifiers import (BudgetExceeded, Embedding, VerificationReport,
-                        alpha_t, density_report, far_pair_matching,
-                        find_clique, find_tk, find_tkf_core,
-                        hyper_independence, minimal_tkf_bound,
-                        scan_sparse_patterns, scan_split_core,
-                        tree_embedding)
+                        alpha_t, density_report, find_clique, find_tk,
+                        find_tkf_core, hyper_independence,
+                        scan_sparse_patterns, scan_split_core)
 
 __version__ = "0.1.0"

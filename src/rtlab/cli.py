@@ -158,7 +158,7 @@ def _cmd_verify(args) -> int:
             witness = ver.scan_sparse_patterns(part, h.r, ell, args.budget)
             if witness is not None:
                 break
-        recheck = lambda w: ver.recheck_sparse_pattern(h, w, h.r, ell)
+        recheck = lambda w: ver.recheck_sparse_pattern(h, w, ell)
     else:
         raise ValueError(f"unknown check {check}")
     if witness is None:
@@ -227,7 +227,16 @@ def _cmd_drc(args) -> int:
     return EXIT_HOLDS
 
 
+# the flags each sphere action needs, checked before it does any work
+SPHERE_FLAGS = {"partition": ["k", "z", "theta", "out"],
+                "eps-k": ["alpha", "beta"],
+                "cap-measure": ["k", "s"]}
+
+
 def _cmd_sphere(args) -> int:
+    for flag in SPHERE_FLAGS[args.action]:
+        if getattr(args, flag) is None:
+            raise ValueError(f"sphere {args.action} needs --{flag}")
     if args.action == "partition":
         part = sph.build_partition(args.k, args.z, args.theta, args.seed or 0)
         sph.write_partition(part, args.out)
@@ -238,10 +247,8 @@ def _cmd_sphere(args) -> int:
         eps, k = sph.find_eps_k(args.alpha, args.beta, args.t_max)
         print(f"eps={eps} k={k}")
         return EXIT_HOLDS
-    if args.action == "cap-measure":
-        print(f"{sph.cap_measure(args.k, args.s):.12f}")
-        return EXIT_HOLDS
-    raise ValueError(f"unknown sphere action {args.action}")
+    print(f"{sph.cap_measure(args.k, args.s):.12f}")
+    return EXIT_HOLDS
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_drc)
 
     p = sub.add_parser("sphere", help="sphere utilities")
-    p.add_argument("action", choices=["partition", "eps-k", "cap-measure"])
+    p.add_argument("action", choices=list(SPHERE_FLAGS))
     p.add_argument("--k", type=int)
     p.add_argument("--z", type=int)
     p.add_argument("--theta", type=float)

@@ -7,7 +7,6 @@ graphs restricted to leading parts, the complete-join corollary graph, and
 the exact rational bound/mixing optimization.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -96,11 +95,6 @@ class ConstructionParams:
         kwargs = {k: v for k, v in data.items() if k in known}
         extras = {k: v for k, v in data.items() if k not in known}
         return cls(extras=extras, **kwargs)
-
-    @classmethod
-    def from_file(cls, path: str) -> "ConstructionParams":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
     def build_partition(self) -> SpherePartition:
         return build_partition(self.k, self.z, self.theta, self.seed)

@@ -23,8 +23,6 @@ from .verifiers import (BudgetExceeded, Embedding, _Counter, contained_edge,
                         resolve_budget, tk_embedding)
 
 DEFAULT_RETRIES = 64
-# subsets the dangerous-set census may visit before it gives up
-MAX_DANGEROUS_ENUMERATION = 2_000_000
 
 
 class PipelineFailure(RuntimeError):
@@ -174,40 +172,11 @@ def hyper_drc(g_r: PartitionedHypergraph, s: int, seed: int = 0) -> PartitionedH
                                  g_r.part_of, meta=meta)
 
 
-def extension_count(g_r: PartitionedHypergraph, edge_set) -> int:
-    """Number of first-part vertices v with e + v an edge for every e in
-    the given set of (r-1)-sets (the dangerous-set statistic)."""
-    return len(_extensions(g_r, edge_set))
-
-
 def _extensions(g_r: PartitionedHypergraph, edge_set) -> list:
-    """The vertices `extension_count` counts, in order."""
+    """The first-part vertices v, in order, with e + v an edge of g_r for
+    every (r-1)-set e in edge_set."""
     return [v for v in g_r.part_vertices(0)
             if all(tuple(sorted(e + (v,))) in g_r.edges for e in edge_set)]
-
-
-def count_dangerous_sets(g_r: PartitionedHypergraph,
-                         g_rm1: PartitionedHypergraph, delta: int,
-                         beta: float, weight: int) -> int:
-    """Census of dangerous sets of the given weight: subsets of at most
-    delta (r-1)-edges spanning exactly `weight` vertices whose common
-    first-part extension count is below beta * N.  Desk-scale only:
-    RuntimeError past MAX_DANGEROUS_ENUMERATION (2,000,000) subsets."""
-    edges = g_rm1.sorted_edges()
-    big_n = len(g_r.part_vertices(0))
-    bound = beta * big_n
-    count = 0
-    seen = 0
-    for size in range(1, delta + 1):
-        for sub in combinations(edges, size):
-            seen += 1
-            if seen > MAX_DANGEROUS_ENUMERATION:
-                raise RuntimeError("dangerous-set census too large; "
-                                   "reduce the instance")
-            if (len(set().union(*sub)) == weight
-                    and extension_count(g_r, sub) < bound):
-                count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -435,44 +404,3 @@ def _tkf5_once(h, cleaned, eps):
 
 def recheck_tk4(h: PartitionedHypergraph, emb: Embedding) -> bool:
     return recheck_tk(h, emb, 4)
-
-
-# ---------------------------------------------------------------------------
-# asymptotic thresholds
-
-
-def _log2_big(n) -> float:
-    n = int(n)
-    if n <= 0:
-        raise ValueError("need a positive integer")
-    bl = n.bit_length()
-    if bl <= 53:
-        return math.log2(n)
-    shift = bl - 53
-    return math.log2(n >> shift) + shift
-
-
-def tk6_thresholds(n: int, gamma: float) -> tuple:
-    """(beta, s, epsilon, edge_threshold) with the fixed constant chain
-    r=3, Delta=9, w=6, c = 4 r Delta w^(r Delta) r^w, b = 9c; logs are
-    base 2.  The edge threshold b n^3 2^(-gamma^3/28) + 144 n^2 is
-    returned as an exact integer."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if gamma <= 0:
-        raise ValueError("need gamma > 0")
-    consts = tk6_constants()
-    b, w = consts["b"], consts["w"]
-    log_n = _log2_big(n)
-    beta = 2.0 ** (-gamma * log_n ** (2.0 / 3.0))
-    s = (w + 1) / gamma * log_n ** (1.0 / 3.0)
-    epsilon = 2.0 ** (-gamma * gamma * log_n ** (1.0 / 3.0) / 4.0)
-    factor = Fraction(2.0 ** (-gamma ** 3 / 28.0))
-    threshold = int(factor * b * Fraction(int(n)) ** 3) + 144 * int(n) ** 2
-    return beta, s, epsilon, threshold
-
-
-def tk6_constants() -> dict:
-    r, delta, w = 3, 9, 6
-    c = 4 * r * delta * w ** (r * delta) * r ** w
-    return {"r": r, "Delta": delta, "w": w, "c": c, "b": 9 * c}

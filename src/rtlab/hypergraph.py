@@ -149,10 +149,6 @@ class PartitionedHypergraph:
         return cover
 
 
-def complete_uniform(n: int, r: int) -> PartitionedHypergraph:
-    return PartitionedHypergraph(n, r, frozenset(combinations(range(n), r)))
-
-
 # ---------------------------------------------------------------------------
 # operations
 

@@ -26,14 +26,6 @@ SQRT2 = math.sqrt(2.0)
 # points and distances
 
 
-def sample_uniform_point(k: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random point on S^k (normalized standard-normal vector)."""
-    if k < 1:
-        raise ValueError(f"sphere dimension must be >= 1, got {k}")
-    v = rng.standard_normal(k + 1)
-    return v / np.linalg.norm(v)
-
-
 def sample_uniform_points(k: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """(count, k+1) array of independent uniform points on S^k."""
     if k < 1:
@@ -187,17 +179,6 @@ def cap_intersection_measure_mc(k: int, centers: np.ndarray, s: float,
         norm2 += rng.chisquare(k + 1 - m, samples)
     hits = np.all(g @ r >= s * np.sqrt(norm2)[:, None], axis=1)
     return int(np.count_nonzero(hits)) / samples
-
-
-# ---------------------------------------------------------------------------
-# simplex edge length
-
-
-def simplex_edge_length(t: int) -> float:
-    """Edge length sqrt(2t/(t-1)) of the regular t-point simplex in S^k."""
-    if t < 2:
-        raise ValueError(f"simplex needs t >= 2 points, got {t}")
-    return math.sqrt(2.0 * t / (t - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +447,9 @@ def _refine_quadruples(quads: np.ndarray, gamma: float,
 class SpherePartition:
     """z representative points on S^k with implicit Voronoi domains.
 
-    The domains are the Voronoi cells of `reps`; measure balance and
-    maximum cell diameter are empirical quantities estimated by Monte
-    Carlo at build time (`est_max_diameter`, `diam_within_bound`).
+    The domains are the Voronoi cells of `reps`.  Their maximum diameter
+    is estimated by Monte Carlo at build time (`est_max_diameter`,
+    `diam_within_bound`); their measures are not recorded.
     """
 
     k: int
@@ -565,15 +546,6 @@ def _estimate_max_cell_diameter(reps, k, seed, samples):
     return worst
 
 
-def estimate_domain_measures(part: SpherePartition, samples: int,
-                             seed: int = 0) -> np.ndarray:
-    """Monte Carlo estimate of the z Voronoi cell measures."""
-    pts = sample_uniform_points(part.k, samples, substream(seed, "measure-mc"))
-    owner = part.nearest_rep(pts)
-    counts = np.bincount(owner, minlength=part.z)
-    return counts / samples
-
-
 def write_partition(part: SpherePartition, path: str) -> None:
     """Text format: header `SPHERE k z seed theta`, then z coordinate lines."""
     with open(path, "w") as fh:
@@ -584,14 +556,19 @@ def write_partition(part: SpherePartition, path: str) -> None:
 
 
 def read_partition(path: str) -> SpherePartition:
+    """Read what `write_partition` wrote; ValueError unless the header
+    is followed by exactly z lines of k+1 coordinates each."""
     with open(path) as fh:
         header = fh.readline().split()
-        if len(header) != 5 or header[0] != "SPHERE":
-            raise ValueError(f"not a partition file: {path}")
-        k, z, seed = int(header[1]), int(header[2]), int(header[3])
-        theta = float(header[4])
-        reps = np.array([[float(c) for c in fh.readline().split()]
-                         for _ in range(z)])
+        rows = [line.split() for line in fh if line.strip()]
+    if len(header) != 5 or header[0] != "SPHERE":
+        raise ValueError(f"not a partition file: {path}")
+    k, z, seed = int(header[1]), int(header[2]), int(header[3])
+    theta = float(header[4])
+    if len(rows) != z or any(len(row) != k + 1 for row in rows):
+        raise ValueError(f"not a partition file: {path}: the header asks "
+                         f"for {z} lines of {k + 1} coordinates")
+    reps = np.array([[float(c) for c in row] for row in rows])
     reps /= np.linalg.norm(reps, axis=1, keepdims=True)
     return SpherePartition(k=k, z=z, reps=reps, domain_diam_bound=theta / 4.0,
                            seed=seed)

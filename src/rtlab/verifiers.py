@@ -4,8 +4,7 @@ Exact clique search that branches only on candidates whose greedy color
 can still complete K_s, the exact hypergraph independence number
 (K_t-independence is that of the t-clique hypergraph), subdivision (TK)
 and core-cover (TKF) pattern finders, the two-parts split-core scan, the
-sparse connected-pattern scan, far-pair matchings, the tree-embedding
-cascade, and density reports.
+sparse connected-pattern scan, and density reports.
 
 Every search honours a node budget (env RTLAB_BUDGET or per-call
 argument) and raises BudgetExceeded, carrying whatever certified bound
@@ -18,8 +17,6 @@ import os
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
-
-import numpy as np
 
 from .hypergraph import (UNPARTITIONED, PartitionedHypergraph, SimpleGraph,
                          shadow)
@@ -62,7 +59,7 @@ class Embedding:
 @dataclass
 class VerificationReport:
     property_name: str
-    verdict: str  # "holds" | "violated" | "budget-exceeded"
+    verdict: str  # "holds" | "violated"
     witness: Embedding | None = None
     counters: dict = field(default_factory=dict)
     rows: list = field(default_factory=list)
@@ -487,18 +484,6 @@ def blowup_deletion_condition(r: int, gamma: float):
     return lambda v, m: gamma * (m - 1) < (r - 1) * m + 1 - v
 
 
-def minimal_tkf_bound(r: int, m: int) -> int:
-    """Vertex bound certifying exclusion of minimal (r+1)-core cover
-    patterns with m edges: r for a single edge, else r + (r-1)(m-1) - 1."""
-    if r < 2:
-        raise ValueError(f"need r >= 2, got {r}")
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    if m == 1:
-        return r
-    return r + (r - 1) * (m - 1) - 1
-
-
 def connected_edge_subsets(h: PartitionedHypergraph, max_vertices: int,
                            counter: _Counter, stop_at, dead=frozenset()):
     """Yield (edge-index tuple, vertex set) for every connected linear
@@ -634,12 +619,9 @@ def scan_sparse_patterns(h_part: PartitionedHypergraph, r: int, ell: int,
     return _pattern_embedding([edges[i] for i in witness])
 
 
-def recheck_sparse_pattern(h: PartitionedHypergraph, emb: Embedding, r: int,
-                           ell: int, condition=None) -> bool:
-    if r != h.r:
-        raise ValueError(f"r={r} does not match the hypergraph's r={h.r}")
-    if condition is None:
-        condition = sparsity_condition(r)
+def recheck_sparse_pattern(h: PartitionedHypergraph, emb: Embedding,
+                           ell: int) -> bool:
+    condition = sparsity_condition(h.r)
     es = [tuple(sorted(e)) for e in emb.edges_used]
     if len(set(es)) != len(es) or any(e not in h.edges for e in es):
         return False
@@ -679,123 +661,6 @@ def sparse_pattern_doomed_edges(h: PartitionedHypergraph, ell: int,
                                      _Counter(resolve_budget(budget)), dead):
         dead.add(witness[-1])
     return {edges[i] for i in dead}
-
-
-# ---------------------------------------------------------------------------
-# far-pair matching and tree embedding
-
-
-def _max_matching(adj) -> list:
-    """Kuhn's augmenting-path maximum matching in the bipartite graph of
-    the boolean matrix `adj` (rows left, columns right); returns index
-    pairs.
-
-    Each left vertex's candidates are read once, and each search is a
-    depth-first walk over them in increasing order, on an explicit stack
-    of [left index, next candidate position] frames, so the path length
-    is not bound by the recursion limit.
-    """
-    cands = [np.flatnonzero(row).tolist() for row in adj]
-    match_r = {}
-    for root in range(len(cands)):
-        visited = set()
-        stack = [[root, 0]]
-        path = []  # path[d]: the right vertex frame d descended through
-        while stack:
-            frame = stack[-1]
-            li, pos = frame
-            row = cands[li]
-            while pos < len(row) and row[pos] in visited:
-                pos += 1
-            if pos == len(row):
-                stack.pop()
-                if path:
-                    path.pop()
-                continue
-            rj = row[pos]
-            visited.add(rj)
-            frame[1] = pos + 1
-            path.append(rj)
-            if rj not in match_r:
-                for (lj, _), rk in zip(stack, path):
-                    match_r[rk] = lj
-                break
-            stack.append([match_r[rj], 0])
-    return sorted((li, rj) for rj, li in match_r.items())
-
-
-def _far_matching(dist, a1: list, a2: list, theta: float) -> list:
-    """Maximum matching of the far pairs (d >= 2 - theta) between two rep
-    index lists, searched in the lists' order; list of (rep_i, rep_j).
-    `dist` is the partition's distance matrix, the one the constructions
-    read, so the far rule sees the same floats everywhere."""
-    far = dist[np.ix_(a1, a2)] >= 2.0 - theta
-    return [(a1[i], a2[j]) for i, j in _max_matching(far)]
-
-
-def far_pair_matching(a1, a2, partition, theta: float) -> list:
-    """Maximum matching in the bipartite far-pair graph on two equal-size
-    rep index sets (edge when d >= 2 - theta); list of (rep_i, rep_j)."""
-    a1 = sorted(a1)
-    a2 = sorted(a2)
-    if len(a1) != len(a2):
-        raise ValueError("index sets must have equal size")
-    return _far_matching(partition.distance_matrix(), a1, a2, theta)
-
-
-def tree_embedding(sets, tree_edges, partition, theta: float) -> dict | None:
-    """Leaf-peeling embedding of a spanning tree on [r] into rep sets.
-
-    Tree vertex i must land in sets[i]; adjacent tree vertices land on
-    reps at distance >= 2 - theta.  Builds disjoint partial embeddings of
-    a growing subtree chain, extending by far-pair matchings; returns one
-    full assignment {tree vertex: rep index} or None.
-    """
-    r = len(sets)
-    edges = [tuple(sorted(e)) for e in tree_edges]
-    if len(edges) != r - 1:
-        raise ValueError("not a spanning tree: wrong edge count")
-    live = {v: set() for v in range(r)}  # live vertex -> live neighbours
-    for a, b in edges:
-        if a == b or a not in live or b not in live:
-            raise ValueError(f"not a spanning tree: edge ({a},{b}) on "
-                             f"vertices 0..{r - 1}")
-        live[a].add(b)
-        live[b].add(a)
-    if r == 1:
-        return {0: min(sets[0])} if len(sets[0]) else None
-
-    # peel leaves, the largest first, down to a single edge
-    peels = []  # (leaf, neighbor), outermost first
-    while len(live) > 2:
-        leaves = [v for v, nbrs in live.items() if len(nbrs) == 1]
-        if not leaves:
-            raise ValueError("not a spanning tree: a cycle or a repeated edge")
-        leaf = max(leaves)
-        (nbr,) = live.pop(leaf)
-        live[nbr].discard(leaf)
-        peels.append((leaf, nbr))
-    i0, j0 = sorted(live)
-    if j0 not in live[i0]:
-        raise ValueError("not a spanning tree: a cycle or a repeated edge")
-
-    dist = partition.distance_matrix()
-    base = _far_matching(dist, sorted(sets[i0]), sorted(sets[j0]), theta)
-    embeddings = [{i0: p, j0: q} for p, q in base]
-    for leaf, nbr in reversed(peels):
-        if not embeddings:
-            return None
-        used = [emb[nbr] for emb in embeddings]
-        assign = dict(_far_matching(dist, used, sorted(sets[leaf]), theta))
-        extended = []
-        for emb in embeddings:
-            got = assign.get(emb[nbr])
-            if got is not None:
-                new = dict(emb)
-                new[leaf] = got
-                extended.append(new)
-        embeddings = extended
-    return embeddings[0] if embeddings else None
 
 
 # ---------------------------------------------------------------------------

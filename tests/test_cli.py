@@ -11,9 +11,9 @@ import pytest
 
 from rtlab import verifiers as ver
 from rtlab.cli import main
+from helpers import complete_uniform
 from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph,
-                              complete_uniform, read_hypergraph, write_graph,
-                              write_hypergraph)
+                              read_hypergraph, write_graph, write_hypergraph)
 from rtlab.reports import emit_report
 from rtlab.sphere import cap_measure
 from rtlab.verifiers import Embedding, density_report
@@ -449,6 +449,34 @@ def test_sphere_eps_k_cli(capsys):
 def test_sphere_missing_flags_exit_2():
     assert main(["sphere", "partition", "--z", "4"]) == 2
     assert main(["sphere", "eps-k"]) == 2
+
+
+SPHERE_ARGS = {"partition": {"k": "2", "z": "4", "theta": "0.5", "out": None},
+               "eps-k": {"alpha": "0.3", "beta": "0.3"},
+               "cap-measure": {"k": "2", "s": "0.5"}}
+
+
+@pytest.mark.parametrize("action,missing", [
+    (action, flag) for action, flags in SPHERE_ARGS.items() for flag in flags])
+def test_sphere_names_missing_flag_before_work(action, missing, tmp_path,
+                                               monkeypatch, capsys):
+    # each required flag is checked before the action runs: exit 2 with
+    # the flag named, nothing computed and nothing written
+    from rtlab import sphere
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran without a required flag")
+
+    for name in ("build_partition", "find_eps_k", "cap_measure"):
+        monkeypatch.setattr(sphere, name, no_work)
+    out = tmp_path / "p.sphere"
+    argv = ["sphere", action]
+    for flag, value in SPHERE_ARGS[action].items():
+        if flag != missing:
+            argv += [f"--{flag}", value or str(out)]
+    assert main(argv) == 2
+    assert f"sphere {action} needs --{missing}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_density_report_json_roundtrip():

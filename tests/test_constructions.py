@@ -49,11 +49,9 @@ def test_params_reject_inconsistent_theta():
                            theta=0.9)
 
 
-def test_params_json_roundtrip(tmp_path):
+def test_params_json_roundtrip():
     p = small_params()
-    path = tmp_path / "params.json"
-    path.write_text(json.dumps(p.to_json()))
-    q = ConstructionParams.from_file(str(path))
+    q = ConstructionParams.from_json(json.loads(json.dumps(p.to_json())))
     assert q == p
 
 

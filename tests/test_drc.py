@@ -4,13 +4,13 @@ from itertools import combinations, product
 import pytest
 
 from rtlab import drc
+from helpers import complete_uniform
 from rtlab.drc import (DrcParams, PipelineFailure, average_degree,
-                       count_dangerous_sets, drc_feasible, drc_find_set,
-                       drc_recheck, extension_count, find_f_witness,
-                       find_tkf5_tk4, hyper_drc, recheck_f_witness,
-                       recheck_tk4, tk6_constants, tk6_thresholds)
+                       drc_feasible, drc_find_set, drc_recheck,
+                       find_f_witness, find_tkf5_tk4, hyper_drc,
+                       recheck_f_witness, recheck_tk4)
 from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph,
-                              complete_uniform, turan_hypergraph)
+                              turan_hypergraph)
 from rtlab.rng import substream
 from rtlab.verifiers import recheck_tk, recheck_tkf_core
 
@@ -167,25 +167,6 @@ def test_hyper_drc_matches_brute_force_links():
     assert out.edges == frozenset(want)
 
 
-def test_extension_count_and_dangerous_census():
-    h = turan_hypergraph(9, 3, 3)
-    out = hyper_drc(h, 1, seed=2)
-    some_edges = sorted(out.edges)[:2]
-    assert extension_count(h, some_edges) == 3
-    # complete host: no dangerous sets at beta below 1
-    n_bad = count_dangerous_sets(h, out, delta=2, beta=0.5, weight=4)
-    assert n_bad == 0
-
-
-def test_dangerous_census_refuses_past_its_cap(monkeypatch):
-    from rtlab import drc
-    h = turan_hypergraph(9, 3, 3)
-    out = hyper_drc(h, 1, seed=2)
-    monkeypatch.setattr(drc, "MAX_DANGEROUS_ENUMERATION", 1)
-    with pytest.raises(RuntimeError, match="census too large"):
-        count_dangerous_sets(h, out, delta=2, beta=0.5, weight=4)
-
-
 # ---------------------------------------------------------------------------
 # witness pipelines
 
@@ -297,26 +278,3 @@ def test_find_tkf5_tk4_extension_found_past_first_fit():
     assert tk4.edges_used == [(0, 1, 6), (0, 2, 7), (0, 3, 8), (1, 2, 9),
                               (1, 3, 5), (2, 3, 4)]
     assert list(tk4.vertex_map.values()) == [0, 1, 2, 3, 6, 7, 8, 9, 5, 4]
-
-
-# ---------------------------------------------------------------------------
-# asymptotic thresholds
-
-
-def test_tk6_thresholds_finite_at_huge_n():
-    beta, s, eps, threshold = tk6_thresholds(2 ** 1000, 10.0)
-    assert 0 < beta < 1
-    assert s > 0 and 0 < eps < 1
-    assert isinstance(threshold, int) and threshold > 0
-
-
-def test_tk6_beta_decreasing_in_gamma():
-    b1, _, _, _ = tk6_thresholds(10 ** 6, 2.0)
-    b2, _, _, _ = tk6_thresholds(10 ** 6, 4.0)
-    assert b2 < b1
-
-
-def test_tk6_constant_chain():
-    c = tk6_constants()
-    assert c["b"] == 9 * c["c"]
-    assert c["c"] == 4 * 3 * 9 * 6 ** 27 * 3 ** 6

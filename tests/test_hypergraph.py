@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import complete_uniform
 from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph, blowup,
                               clean_low_codegree, codegree, complete_join,
-                              complete_uniform, read_graph, read_hypergraph,
-                              shadow, turan_hypergraph, write_graph,
-                              write_hypergraph)
+                              read_graph, read_hypergraph, shadow,
+                              turan_hypergraph, write_graph, write_hypergraph)
 from rtlab.rng import substream
 
 

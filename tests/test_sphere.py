@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from rtlab.rng import substream
 from rtlab.sphere import (SQRT2, SphericalCap, _into_union, build_partition,
                           cap_intersection_measure_mc, cap_measure,
-                          check_p4, distance, estimate_domain_measures,
-                          estimate_dt, find_eps_k, p4_best_margin,
-                          pairwise_distances, read_partition,
-                          sample_uniform_point, sample_uniform_points,
-                          simplex_edge_length, write_partition)
+                          check_p4, distance, estimate_dt, find_eps_k,
+                          p4_best_margin, pairwise_distances, read_partition,
+                          sample_uniform_points, write_partition)
 
 
 # ---------------------------------------------------------------------------
@@ -22,20 +20,20 @@ from rtlab.sphere import (SQRT2, SphericalCap, _into_union, build_partition,
 
 def test_sample_norm_one_on_circle():
     rng = substream(0, "t")
-    p = sample_uniform_point(1, rng)
+    p = sample_uniform_points(1, 1, rng)[0]
     assert p.shape == (2,)
     assert abs(np.linalg.norm(p) - 1.0) < 1e-12
 
 
 def test_sample_deterministic():
-    a = sample_uniform_point(20, substream(7, "op"))
-    b = sample_uniform_point(20, substream(7, "op"))
+    a = sample_uniform_points(20, 1, substream(7, "op"))[0]
+    b = sample_uniform_points(20, 1, substream(7, "op"))[0]
     assert np.array_equal(a, b)
 
 
 def test_sample_rejects_k0():
     with pytest.raises(ValueError):
-        sample_uniform_point(0, substream(0, "t"))
+        sample_uniform_points(0, 1, substream(0, "t"))
 
 
 def test_sample_mean_symmetry():
@@ -223,18 +221,6 @@ def test_cap_measure_rejects_out_of_range():
 
 
 # ---------------------------------------------------------------------------
-# simplex edge length
-
-
-def test_simplex_edge_length():
-    assert simplex_edge_length(2) == pytest.approx(2.0)
-    assert simplex_edge_length(3) == pytest.approx(math.sqrt(3.0))
-    assert abs(simplex_edge_length(10 ** 6) - SQRT2) < 1e-5
-    with pytest.raises(ValueError):
-        simplex_edge_length(1)
-
-
-# ---------------------------------------------------------------------------
 # the (eps, k) search
 
 
@@ -380,7 +366,8 @@ def test_p4_refined_margin_independent_of_k(gamma):
 
 def test_partition_two_domains_are_hemispheres():
     part = build_partition(2, 2, 0.5, seed=1)
-    measures = estimate_domain_measures(part, 100_000, seed=3)
+    pts = sample_uniform_points(2, 100_000, substream(3, "measure-mc"))
+    measures = np.bincount(part.nearest_rep(pts), minlength=2) / 100_000
     assert np.all(np.abs(measures - 0.5) < 0.02)
 
 
@@ -427,7 +414,8 @@ def test_partition_matches_masked_lloyd(k, z):
 
 def test_partition_single_domain_is_whole_sphere():
     part = build_partition(3, 1, 0.5, seed=2)
-    measures = estimate_domain_measures(part, 20_000, seed=1)
+    pts = sample_uniform_points(3, 20_000, substream(1, "measure-mc"))
+    measures = np.bincount(part.nearest_rep(pts), minlength=1) / 20_000
     assert measures[0] == 1.0
 
 
@@ -435,7 +423,8 @@ def test_partition_measures_balanced():
     # the default scheme keeps every cell within 20% of 1/z
     for k, z in ((2, 40), (5, 25)):
         part = build_partition(k, z, 0.5, seed=11)
-        measures = estimate_domain_measures(part, 200_000, seed=7)
+        pts = sample_uniform_points(k, 200_000, substream(7, "measure-mc"))
+        measures = np.bincount(part.nearest_rep(pts), minlength=z) / 200_000
         assert np.all(np.abs(measures - 1.0 / z) < 0.2 / z), (k, z, measures)
 
 
@@ -451,6 +440,23 @@ def test_partition_file_roundtrip(tmp_path):
     back = read_partition(str(path))
     assert back.k == part.k and back.z == part.z and back.seed == part.seed
     assert np.allclose(back.reps, part.reps, atol=1e-15)
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda lines: lines[:-1],
+    lambda lines: lines + [lines[-1]],
+    lambda lines: ["SPHERE 2 2 13 0.6"] + lines[1:],
+    lambda lines: lines[:-1] + [lines[-1].rsplit(" ", 1)[0]],
+    lambda lines: lines[:-1] + [lines[-1] + " 0"],
+], ids=["fewer-rows", "more-rows", "header-z-below-rows", "short-row",
+        "long-row"])
+def test_partition_file_rejects_malformed(tmp_path, mangle):
+    # exactly z lines of k+1 coordinates follow the header, or ValueError
+    path = tmp_path / "part.sphere"
+    write_partition(build_partition(2, 3, 0.6, seed=13), str(path))
+    path.write_text("\n".join(mangle(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match="not a partition file"):
+        read_partition(str(path))
 
 
 def test_triangle_exclusion_below_threshold():

@@ -8,21 +8,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rtlab.constructions import ConstructionParams, bollobas_erdos
+from helpers import complete_uniform
 from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph,
-                              complete_uniform, turan_hypergraph)
+                              turan_hypergraph)
 from rtlab.rng import substream
 from rtlab.sphere import build_partition
 from rtlab.verifiers import (BudgetExceeded, Embedding, _cliques, _Counter,
-                             _max_matching, alpha_t, blowup_deletion_condition,
-                             far_pair_matching, find_clique, find_tk,
-                             find_tkf_core,
-                             hyper_independence, minimal_tkf_bound,
+                             alpha_t, blowup_deletion_condition, find_clique,
+                             find_tk, find_tkf_core, hyper_independence,
                              private_edges, recheck_clique,
                              recheck_sparse_pattern, recheck_split_core,
                              recheck_tk, recheck_tkf_core,
                              scan_sparse_patterns, scan_split_core,
-                             sparse_pattern_doomed_edges, sparsity_condition,
-                             tree_embedding)
+                             sparse_pattern_doomed_edges, sparsity_condition)
 
 
 def random_graph(n, p, seed):
@@ -607,7 +605,7 @@ def test_sparse_two_edges_sharing_two_vertices():
     h = PartitionedHypergraph(4, 3, frozenset([(0, 1, 2), (0, 1, 3)]))
     emb = scan_sparse_patterns(h, 3, 9)
     assert emb is not None
-    assert recheck_sparse_pattern(h, emb, 3, 9)
+    assert recheck_sparse_pattern(h, emb, 9)
 
 
 def test_sparse_linear_path_clean():
@@ -632,12 +630,10 @@ def test_sparse_r_must_match_the_hypergraph():
     h = PartitionedHypergraph(6, 3, frozenset([(0, 1, 2), (2, 3, 4),
                                                (4, 5, 0)]))
     emb = scan_sparse_patterns(h, 3, 9)
-    assert emb is not None and recheck_sparse_pattern(h, emb, 3, 9)
+    assert emb is not None and recheck_sparse_pattern(h, emb, 9)
     for r in (2, 4):
         with pytest.raises(ValueError, match=f"r={r} does not match"):
             scan_sparse_patterns(h, r, 9)
-        with pytest.raises(ValueError, match=f"r={r} does not match"):
-            recheck_sparse_pattern(h, emb, r, 9)
 
 
 @pytest.mark.parametrize("scan", [
@@ -736,224 +732,6 @@ def test_connected_subset_enumeration_matches_brute_force():
         assert got == brute(h.sorted_edges(), 7)
         found += len(got)
     assert found > 0
-
-
-def test_minimal_tkf_bound_values():
-    assert minimal_tkf_bound(3, 3) == 6
-    assert minimal_tkf_bound(2, 1) == 2
-    with pytest.raises(ValueError):
-        minimal_tkf_bound(1, 1)
-
-
-def test_minimal_tkf_bound_by_exhaustive_generation():
-    # every minimal 4-core cover family member on <= 7 vertices obeys the
-    # bound; enumerate all candidate edge sets over cores {0,1,2,3} plus
-    # up to three extra vertices
-    cores = (0, 1, 2, 3)
-    core_pairs = list(combinations(cores, 2))
-    candidates = [e for e in combinations(range(7), 3)
-                  if sum(v in cores for v in e) >= 2]
-    checked = 0
-    for m in range(2, 7):
-        for sub in combinations(candidates, m):
-            covered = {pair for pair in core_pairs
-                       if any(pair[0] in e and pair[1] in e for e in sub)}
-            if len(covered) != len(core_pairs):
-                continue
-            # minimality: dropping any edge must lose some covered pair
-            minimal = True
-            for drop in range(m):
-                rest = sub[:drop] + sub[drop + 1:]
-                cov = {pair for pair in core_pairs
-                       if any(pair[0] in e and pair[1] in e for e in rest)}
-                if len(cov) == len(core_pairs):
-                    minimal = False
-                    break
-            if not minimal:
-                continue
-            verts = set()
-            for e in sub:
-                verts.update(e)
-            assert len(verts) <= minimal_tkf_bound(3, m), (sub, m)
-            checked += 1
-    assert checked > 0
-
-
-# ---------------------------------------------------------------------------
-# far-pair matching and tree embedding
-
-
-def test_far_matching_shared_point_empty():
-    part = build_partition(4, 6, 0.4, seed=3, balance_iters=0,
-                           diag_samples=500)
-    assert far_pair_matching([0], [0], part, 0.4) == []
-
-
-def test_far_matching_antipodal_pair():
-    reps = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-    from rtlab.sphere import SpherePartition
-    part = SpherePartition(k=2, z=2, reps=reps, domain_diam_bound=0.1, seed=0)
-    assert far_pair_matching([0], [1], part, 0.3) == [(0, 1)]
-
-
-def brute_max_matching(adj_matrix):
-    # DP over subsets of the right side
-    n_l, n_r = adj_matrix.shape
-    best = 0
-    # small sizes only: try all injections left -> right
-    def rec(li, used):
-        nonlocal best
-        if li == n_l:
-            best = max(best, len(used))
-            return
-        rec(li + 1, used)
-        for rj in range(n_r):
-            if rj not in used and adj_matrix[li, rj]:
-                rec(li + 1, used | {rj})
-    rec(0, frozenset())
-    return best
-
-
-def test_far_matching_matches_oracle():
-    part = build_partition(10, 8, 0.4, seed=6, balance_iters=0,
-                           diag_samples=500)
-    theta = 0.9
-    got = far_pair_matching(list(range(4)), list(range(4, 8)), part, theta)
-    d = part.distance_matrix()
-    adj = np.array([[d[i, j] >= 2 - theta for j in range(4, 8)]
-                    for i in range(4)])
-    assert len(got) == brute_max_matching(adj)
-    for i, j in got:
-        assert d[i, j] >= 2 - theta
-
-
-def test_far_matching_monotone_in_theta():
-    part = build_partition(6, 10, 0.4, seed=8, balance_iters=0,
-                           diag_samples=500)
-    a1, a2 = list(range(5)), list(range(5, 10))
-    sizes = [len(far_pair_matching(a1, a2, part, th))
-             for th in (0.2, 0.5, 0.9, 1.3)]
-    assert sizes == sorted(sizes)
-
-
-def _recursive_max_matching(left, right, adjacent):
-    # the recursive form of Kuhn's matching that the explicit stack in
-    # verifiers._max_matching replaced: the reference for its pairs
-    match_r = {}
-
-    def try_augment(li, visited):
-        for rj in range(len(right)):
-            if rj in visited or not adjacent(li, rj):
-                continue
-            visited.add(rj)
-            if rj not in match_r or try_augment(match_r[rj], visited):
-                match_r[rj] = li
-                return True
-        return False
-
-    for li in range(len(left)):
-        try_augment(li, set())
-    return sorted((li, rj) for rj, li in match_r.items())
-
-
-def test_far_matching_same_pairs_as_recursive_kuhn():
-    for seed in range(1, 6):
-        part = build_partition(6, 24, 0.4, seed=seed, balance_iters=0,
-                               diag_samples=500)
-        a1, a2 = list(range(0, 24, 2)), list(range(1, 24, 2))
-        reps = part.reps
-        d = np.linalg.norm(reps[a1][:, None, :] - reps[a2][None, :, :],
-                           axis=2)
-        for theta in (0.5, 0.9, 1.3):
-            want = _recursive_max_matching(
-                a1, a2, lambda i, j: d[i, j] >= 2.0 - theta)
-            assert far_pair_matching(a1, a2, part, theta) == \
-                [(a1[i], a2[j]) for i, j in want], (seed, theta)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 9), st.integers(0, 9), st.randoms(use_true_random=False))
-def test_max_matching_same_pairs_as_recursive_kuhn(n_left, n_right, rnd):
-    p = rnd.random()
-    adj = np.array([[rnd.random() < p for _ in range(n_right)]
-                    for _ in range(n_left)], dtype=bool).reshape(n_left, n_right)
-    want = _recursive_max_matching(range(n_left), range(n_right),
-                                   lambda i, j: adj[i, j])
-    assert _max_matching(adj) == want
-
-
-def test_max_matching_long_augmenting_path():
-    # left i meets right i and i+1, the last left only right 0: matching
-    # the last left walks one augmenting path through all 3,000 lefts,
-    # past the recursion limit of a recursive search
-    n = 3000
-    adj = np.zeros((n, n), dtype=bool)
-    idx = np.arange(n - 1)
-    adj[idx, idx] = adj[idx, idx + 1] = True
-    adj[n - 1, 0] = True
-    got = _max_matching(adj)
-    assert got == [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
-
-
-def test_tree_embedding_single_edge():
-    reps = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-    from rtlab.sphere import SpherePartition
-    part = SpherePartition(k=2, z=2, reps=reps, domain_diam_bound=0.1, seed=0)
-    got = tree_embedding([[0], [1]], [(0, 1)], part, 0.3)
-    assert got == {0: 0, 1: 1}
-
-
-def test_tree_embedding_single_vertex():
-    # one vertex and no edges is a spanning tree: any rep of its set
-    reps = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-    from rtlab.sphere import SpherePartition
-    part = SpherePartition(k=2, z=2, reps=reps, domain_diam_bound=0.1, seed=0)
-    assert tree_embedding([[1, 0]], [], part, 0.3) == {0: 0}
-    assert tree_embedding([[]], [], part, 0.3) is None
-
-
-def test_tree_embedding_star_on_antipodal_sets():
-    # sets all {p, -p}; star center must map to one pole and leaves to the
-    # other
-    reps = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-    from rtlab.sphere import SpherePartition
-    part = SpherePartition(k=2, z=2, reps=reps, domain_diam_bound=0.1, seed=0)
-    sets = [[0, 1], [0, 1], [0, 1]]
-    got = tree_embedding(sets, [(0, 1), (0, 2)], part, 0.3)
-    assert got is not None
-    center, l1, l2 = got[0], got[1], got[2]
-    assert l1 != center and l2 != center
-    d = part.distance_matrix()
-    for a, b in ((got[0], got[1]), (got[0], got[2])):
-        assert d[a, b] >= 2 - 0.3
-
-
-def test_tree_embedding_postcondition_recheck():
-    part = build_partition(8, 14, 0.5, seed=12, balance_iters=0,
-                           diag_samples=500)
-    theta = 1.1
-    sets = [sorted(np.arange(14)[i::3].tolist()) for i in range(3)]
-    tree = [(0, 1), (1, 2)]
-    got = tree_embedding(sets, tree, part, theta)
-    if got is not None:
-        d = part.distance_matrix()
-        for a, b in tree:
-            assert d[got[a], got[b]] >= 2 - theta
-
-
-def test_tree_embedding_rejects_non_tree():
-    part = build_partition(3, 4, 0.4, seed=1, balance_iters=0,
-                           diag_samples=500)
-    with pytest.raises(ValueError):
-        tree_embedding([[0], [1], [2]], [(0, 1)], part, 0.3)
-    # r - 1 edges touching every vertex: a triangle beside an edge, a
-    # repeated edge; then a self-loop and a vertex outside 0..r-1
-    for r, tree in ((5, [(0, 1), (1, 2), (0, 2), (3, 4)]),
-                    (4, [(0, 1), (0, 1), (2, 3)]),
-                    (3, [(0, 1), (2, 2)]),
-                    (3, [(0, 1), (1, 3)])):
-        with pytest.raises(ValueError, match="not a spanning tree"):
-            tree_embedding([[0]] * r, tree, part, 0.3)
 
 
 # ---------------------------------------------------------------------------
