@@ -236,14 +236,17 @@ def random_blowup(inside: PartitionedHypergraph, t: int, gamma: float,
     p = float(t) ** (1.0 + gamma - r)
     blown = blowup(inside, t)
     rng = substream(seed, "blowup-keep")
-    kept = [e for e in blown.sorted_edges() if rng.random() < p]
-    sampled = PartitionedHypergraph(blown.n, r, frozenset(kept),
+    # rng.random(m) gives the draws of m rng.random() calls, one per edge
+    # in edge order
+    keep = rng.random(len(blown.edge_array)) < p
+    sampled = PartitionedHypergraph(blown.n, r, blown.edge_array[keep],
                                     blown.part_of)
     doomed = sparse_pattern_doomed_edges(
         sampled, ell, blowup_deletion_condition(r, gamma), budget)
-    final = frozenset(set(kept) - doomed)
+    final = sampled.edges - doomed
     meta = dict(inside.meta, blowup_t=t, keep_probability=p,
-                kept_edges=len(kept), deleted_patterns_edges=len(doomed))
+                kept_edges=len(sampled.edges),
+                deleted_patterns_edges=len(doomed))
     return PartitionedHypergraph(blown.n, r, final, blown.part_of, meta=meta)
 
 

@@ -15,6 +15,8 @@ from functools import reduce
 from itertools import combinations, product
 from operator import and_
 
+import numpy as np
+
 from .hypergraph import (UNPARTITIONED, PartitionedHypergraph, SimpleGraph,
                          clean_low_codegree)
 from .rng import substream
@@ -155,15 +157,13 @@ def hyper_drc(g_r: PartitionedHypergraph, s: int, seed: int = 0) -> PartitionedH
     rng = substream(seed, "hyper-drc", 0)
     samples = [part0[int(rng.integers(len(part0)))] for _ in range(s)]
 
+    labels = np.asarray(g_r.part_of, dtype=np.int64)
     links = []
     for w in samples:
-        link = set()
-        for e in g_r.edges:
-            if w in e:
-                rest = tuple(v for v in e if v != w)
-                if all(g_r.part_of[v] != 0 for v in rest):
-                    link.add(rest)
-        links.append(link)
+        through = g_r.edge_array[(g_r.edge_array == w).any(axis=1)]
+        rest = through[through != w].reshape(-1, r - 1)
+        rest = rest[(labels[rest] != 0).all(axis=1)]
+        links.append(set(map(tuple, rest.tolist())))
     common = set.intersection(*links)
     eps = len(g_r.cross_edges()) / (big_n ** r)
     floor = 0.5 * eps ** s * big_n ** (r - 1)
@@ -236,10 +236,11 @@ def _trials(h: PartitionedHypergraph, stream: str, seed: int, tries: int,
         raise ValueError("witness pipelines are for 3-uniform hypergraphs")
 
     def clean(labels):
-        edges = frozenset(e for e in h.edges
-                          if len({labels[v] for v in e}) == 3)
+        lab = np.sort(np.asarray(labels, dtype=np.int64)[h.edge_array], axis=1)
+        transversal = (lab[:, 1:] != lab[:, :-1]).all(axis=1)
         return labels, clean_low_codegree(
-            PartitionedHypergraph(h.n, 3, edges, labels), threshold)
+            PartitionedHypergraph(h.n, 3, h.edge_array[transversal], labels),
+            threshold)
 
     own = clean(h.part_of) if _has_three_parts(h) else None
     failure = PipelineFailure("init")
@@ -286,9 +287,9 @@ def _f_witness_once(h, labels, cleaned, params, seed, trial):
         raise PipelineFailure("hyper-drc", "empty auxiliary graph")
 
     verts23 = sorted(v for v in range(h.n) if labels[v] in (1, 2))
-    index = {v: i for i, v in enumerate(verts23)}
-    g = SimpleGraph(len(verts23),
-                    frozenset((index[a], index[b]) for a, b in aux.edges))
+    renumber = np.full(h.n, -1, dtype=np.int64)
+    renumber[verts23] = np.arange(len(verts23))
+    g = SimpleGraph(len(verts23), renumber[aux.edge_array])
     # the asymptotic feasibility inequality is vacuous at desk scale, so
     # the pipeline runs the verification-gated search unconditionally
     gp = replace(params, n=g.n, r=3)
@@ -308,7 +309,7 @@ def _f_witness_once(h, labels, cleaned, params, seed, trial):
     if e3 is None:
         raise PipelineFailure("edge-in-set", "no hyperedge inside the chosen side")
 
-    common = _common(g.adjacency_masks(), [index[v] for v in e3])
+    common = _common(g.adjacency_masks(), renumber[list(e3)].tolist())
     common_host = {verts23[i] for i in range(g.n)
                    if common >> i & 1 and labels[verts23[i]] == e2_label}
     e2 = contained_edge(h, common_host)
@@ -374,8 +375,10 @@ def _tkf5_once(h, cleaned, eps):
     # every pair of a three-partite edge is a cross pair
     cleaned_cover = cleaned.pair_cover_index()
     need = eps * h.n
-    top = max(len(es) for es in cleaned_cover.values())
-    best = min(p for p, es in cleaned_cover.items() if len(es) == top)
+    # the first maximum: pairs are in lexicographic order
+    i = int(np.argmax(cleaned_cover.codegrees))
+    top = int(cleaned_cover.codegrees[i])
+    best = tuple(cleaned_cover.pairs[i].tolist())
     if top < need:
         raise PipelineFailure("no-qualifying-pair",
                               f"max codegree {top} below eps*n = {need:.1f}")

@@ -4,15 +4,113 @@ Undirected simple graphs, partition-labelled r-uniform hypergraphs,
 blowups, shadow graphs, complete joins, Turán hypergraphs, codegree
 utilities, and the shared text file format.
 
-Edges are stored as sorted vertex tuples and always iterated in
-lexicographic order, so every pipeline built on these types is
-reproducible.
+Both types store their edges once, validated at construction, as
+`edge_array`: a read-only (m, r) int32 array (int64 past 2^31 vertices)
+whose rows are the edges, each row sorted, the rows distinct and in
+lexicographic order.  `edges` is the frozenset of the same sorted
+tuples, for membership tests and the exact searches.  Every other view
+(the sorted edge list, the pair-cover index, cross and inside edges,
+shadows, induced subgraphs, blowups, codegree cleaning and neighbour
+bitmasks) is a numpy pass over the array, made afresh on each call.
+`pair_cover_index` returns a `PairCoverIndex`: a mapping from each
+covered pair (a, b), a < b, to the list of its covering edges in edge
+order, which also holds the covered pairs and their codegrees as
+arrays.  Edges are always iterated in lexicographic order, so every
+pipeline built on these types is reproducible.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
+import numpy as np
+
 UNPARTITIONED = -1
+
+
+def _sorted_rows(edges, r: int, size_error):
+    """The edges as an int64 array, one sorted row per edge in input
+    order, and the input itself when it is a set of tuples that are
+    sorted already (so it is the frozenset of the rows), else None.
+    An edge without r vertices raises ValueError(size_error(edge)),
+    also when the edges have different lengths."""
+    given = edges
+    if isinstance(edges, np.ndarray):
+        rows = edges.astype(np.int64, copy=False)
+    else:
+        edges = list(edges)
+        try:
+            rows = np.array(edges, dtype=np.int64)
+        except (ValueError, TypeError):  # ragged, or edges not sequences
+            rows = None
+    if rows is None or rows.shape != (len(edges), r):
+        if isinstance(edges, np.ndarray):
+            edges = edges.tolist()
+        edges = [tuple(sorted(e)) for e in edges]
+        for e in edges:
+            if len(e) != r:
+                raise ValueError(size_error(e))
+        rows = np.array(edges, dtype=np.int64).reshape(len(edges), r)
+        given = None
+    srt = np.sort(rows, axis=1)
+    same = (isinstance(given, (set, frozenset))
+            and np.array_equal(srt, rows))
+    return srt, frozenset(given) if same else None
+
+
+def _first(bad: np.ndarray):
+    """Index of the first true entry, or None."""
+    return int(bad.argmax()) if bad.any() else None
+
+
+def _store(rows: np.ndarray, edges, n: int):
+    """The validated sorted rows of vertices below n as a read-only
+    array, distinct, in lexicographic order and int32 unless n needs
+    more, and the frozenset of their tuples (`edges` when the caller has
+    it)."""
+    if len(rows) > 1 and rows.shape[1]:
+        rows = rows[np.lexsort(rows.T[::-1])]
+        repeat = (rows[1:] == rows[:-1]).all(axis=1)
+        if repeat.any():
+            rows = rows[np.concatenate(([True], ~repeat))]
+    rows = rows.astype(np.int32 if n <= 2 ** 31 else np.int64)
+    rows.flags.writeable = False
+    if edges is None:
+        edges = frozenset(_tuples(rows))
+    return rows, edges
+
+
+def _tuples(rows: np.ndarray):
+    """The rows as tuples of Python ints, one by one (column lists
+    zipped, so no list per row is made on the way)."""
+    return zip(*rows.T.tolist())
+
+
+def _pairs(rows: np.ndarray):
+    """The C(r, 2) vertex pairs (a, b), a < b, of every row, row after
+    row, as flat int64 arrays a and b (so a*n + b cannot overflow), and
+    the row each pair comes from."""
+    cols = list(combinations(range(rows.shape[1]), 2))
+    return (rows[:, [i for i, _ in cols]].ravel().astype(np.int64),
+            rows[:, [j for _, j in cols]].ravel().astype(np.int64),
+            np.repeat(np.arange(len(rows)), len(cols)))
+
+
+def _runs(keys: np.ndarray):
+    """A stable sort of the non-negative keys and where its runs of equal
+    keys start: (order, sorted keys, run starts)."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    return order, keys, np.flatnonzero(np.diff(keys, prepend=-1))
+
+
+def _induced_rows(n: int, rows: np.ndarray, vs: list) -> np.ndarray:
+    """The rows with every vertex in the sorted list vs, each vertex
+    renumbered by its position there; the order stays lexicographic."""
+    index = np.full(n, -1, dtype=np.int64)
+    index[vs] = np.arange(len(vs))
+    renumbered = index[rows]
+    return renumbered[(renumbered >= 0).all(axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -21,31 +119,43 @@ UNPARTITIONED = -1
 
 @dataclass
 class SimpleGraph:
-    """Undirected graph on vertices 0..n-1 with optional part labels."""
+    """Undirected graph on vertices 0..n-1 with optional part labels.
+
+    `edges` may be any collection of vertex pairs, in either order, or
+    an (m, 2) int array; it is stored as `edge_array` and as the
+    frozenset of sorted pairs (see the module docstring)."""
 
     n: int
     edges: frozenset
     part_of: tuple | None = None
+    edge_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.edges = frozenset(tuple(sorted(e)) for e in self.edges)
-        for a, b in self.edges:
-            if a == b:
+        rows, edges = _sorted_rows(self.edges, 2,
+                                   lambda e: f"edge {e} is not a vertex pair")
+        loop = rows[:, 0] == rows[:, 1]
+        bad = _first(loop | (rows[:, 0] < 0) | (rows[:, 1] >= self.n))
+        if bad is not None:
+            a, b = rows[bad].tolist()
+            if loop[bad]:
                 raise ValueError(f"self-loop at vertex {a}")
-            if not (0 <= a < self.n and 0 <= b < self.n):
-                raise ValueError(f"edge ({a},{b}) out of range for n={self.n}")
+            raise ValueError(f"edge ({a},{b}) out of range for n={self.n}")
+        self.edge_array, self.edges = _store(rows, edges, self.n)
         if self.part_of is not None:
             self.part_of = tuple(self.part_of)
             if len(self.part_of) != self.n:
                 raise ValueError("part_of must label every vertex")
 
     def adjacency_masks(self) -> list:
-        """Neighbour bitmasks (int per vertex), for the exact solvers."""
-        adj = [0] * self.n
-        for a, b in self.edges:
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        return adj
+        """Neighbour bitmasks (int per vertex), for the exact solvers: the
+        rows of the packed adjacency matrix, bit b of row a set for each
+        edge (a, b) and (b, a)."""
+        packed = np.zeros((self.n, (self.n + 7) // 8), dtype=np.uint8)
+        a, b = self.edge_array.T
+        for x, y in ((a, b), (b, a)):
+            np.bitwise_or.at(packed, (x, y >> 3),
+                             np.left_shift(1, y & 7).astype(np.uint8))
+        return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
     def has_edge(self, a: int, b: int) -> bool:
         return ((a, b) if a < b else (b, a)) in self.edges
@@ -53,11 +163,9 @@ class SimpleGraph:
     def induced(self, vertices) -> "SimpleGraph":
         """Induced subgraph, vertices renumbered by sorted order."""
         vs = sorted(vertices)
-        index = {v: i for i, v in enumerate(vs)}
-        edges = frozenset((index[a], index[b]) for a, b in self.edges
-                          if a in index and b in index)
         parts = tuple(self.part_of[v] for v in vs) if self.part_of else None
-        return SimpleGraph(len(vs), edges, parts)
+        return SimpleGraph(len(vs), _induced_rows(self.n, self.edge_array, vs),
+                           parts)
 
 
 def complete_join(g: SimpleGraph, t_graph: SimpleGraph) -> SimpleGraph:
@@ -79,7 +187,10 @@ class PartitionedHypergraph:
 
     `part_of[v]` is a part index or UNPARTITIONED.  When parts are
     assigned, an edge meeting every part exactly once is a cross edge and
-    an edge inside a single part is an inside edge.
+    an edge inside a single part is an inside edge.  `edges` may be any
+    collection of r-sets of vertices, as tuples in any order, or an
+    (m, r) int array; it is stored as `edge_array` and as the frozenset
+    of sorted tuples (see the module docstring).
     """
 
     n: int
@@ -87,6 +198,7 @@ class PartitionedHypergraph:
     edges: frozenset
     part_of: tuple = None
     meta: dict = field(default_factory=dict)
+    edge_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.part_of is None:
@@ -98,15 +210,21 @@ class PartitionedHypergraph:
         if self.part_of and min(self.part_of) < UNPARTITIONED:
             raise ValueError(f"part label {min(self.part_of)} is below "
                              f"{UNPARTITIONED}")
-        edges = set()
-        for e in self.edges:
-            e = tuple(sorted(e))
-            if len(e) != self.r or len(set(e)) != self.r:
-                raise ValueError(f"edge {e} is not a set of {self.r} distinct vertices")
-            if e and not (0 <= e[0] and e[-1] < self.n):
-                raise ValueError(f"edge {e} out of range for n={self.n}")
-            edges.add(e)
-        self.edges = frozenset(edges)
+
+        def not_a_set(e):
+            return f"edge {e} is not a set of {self.r} distinct vertices"
+
+        rows, edges = _sorted_rows(self.edges, self.r, not_a_set)
+        repeat = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+        outside = ((rows[:, 0] < 0) | (rows[:, -1] >= self.n) if self.r
+                   else np.zeros(len(rows), dtype=bool))
+        bad = _first(repeat | outside)
+        if bad is not None:
+            e = tuple(rows[bad].tolist())
+            if repeat[bad]:
+                raise ValueError(not_a_set(e))
+            raise ValueError(f"edge {e} out of range for n={self.n}")
+        self.edge_array, self.edges = _store(rows, edges, self.n)
 
     @property
     def parts(self) -> int:
@@ -117,36 +235,90 @@ class PartitionedHypergraph:
         return [v for v in range(self.n) if self.part_of[v] == p]
 
     def sorted_edges(self) -> list:
-        return sorted(self.edges)
+        """The edges as tuples, in lexicographic order."""
+        return list(_tuples(self.edge_array))
+
+    def _edge_labels(self) -> np.ndarray:
+        """The part labels of the edges' vertices, row by row, each row
+        sorted."""
+        labels = np.asarray(self.part_of, dtype=np.int64)
+        return np.sort(labels[self.edge_array], axis=1)
 
     def cross_edges(self) -> list:
         """Edges with their r vertices in r distinct labelled parts."""
-        part_of = self.part_of
-        return sorted(e for e in self.edges if len(
-            {part_of[v] for v in e} - {UNPARTITIONED}) == self.r)
+        lab = self._edge_labels()
+        cross = ((lab[:, 0] != UNPARTITIONED)
+                 & (lab[:, 1:] != lab[:, :-1]).all(axis=1))
+        return list(_tuples(self.edge_array[cross]))
 
     def inside_edges(self) -> list:
         """Edges with every vertex in one labelled part."""
-        part_of = self.part_of
-        return sorted(e for e in self.edges
-                      if len(ps := {part_of[v] for v in e}) == 1
-                      and UNPARTITIONED not in ps)
+        lab = self._edge_labels()
+        inside = (lab[:, 0] != UNPARTITIONED) & (lab[:, 0] == lab[:, -1])
+        return list(_tuples(self.edge_array[inside]))
 
     def induced(self, vertices) -> "PartitionedHypergraph":
         vs = sorted(vertices)
-        index = {v: i for i, v in enumerate(vs)}
-        edges = frozenset(tuple(index[v] for v in e) for e in self.edges
-                          if all(v in index for v in e))
-        parts = tuple(self.part_of[v] for v in vs)
-        return PartitionedHypergraph(len(vs), self.r, edges, parts)
+        return PartitionedHypergraph(len(vs), self.r,
+                                     _induced_rows(self.n, self.edge_array, vs),
+                                     tuple(self.part_of[v] for v in vs))
 
-    def pair_cover_index(self) -> dict:
-        """pair (a, b) with a < b -> sorted list of covering edges."""
-        cover: dict = {}
-        for e in self.sorted_edges():
-            for a, b in combinations(e, 2):
-                cover.setdefault((a, b), []).append(e)
-        return cover
+    def pair_cover_index(self) -> "PairCoverIndex":
+        """pair (a, b) with a < b -> list of covering edges, in edge
+        order; see PairCoverIndex."""
+        return PairCoverIndex(self.edge_array, self.n)
+
+
+class PairCoverIndex(Mapping):
+    """The covered pairs of a hypergraph and the edges covering each.
+
+    A read-only mapping from each covered pair (a, b), a < b, to the list
+    of edges (sorted tuples) that contain both, in lexicographic edge
+    order; its keys iterate in lexicographic order.  Built by one stable
+    sort of the C(r, 2) pair keys a*n + b of every edge, which keeps each
+    pair's edges in edge order.  `pairs` is the (k, 2) array of the
+    covered pairs in key order and `codegrees` the number of edges
+    covering each; `edge_indices(i)` are the covering edges of pairs[i]
+    as indices into the hypergraph's sorted edges.  A looked-up list is
+    built once per index.
+    """
+
+    def __init__(self, edges: np.ndarray, n: int):
+        self._edges = edges
+        self._n = n
+        a, b, owner = _pairs(edges)
+        # edge after edge, so a stable sort keeps each pair's edges in order
+        order, keys, start = _runs(a * n + b)
+        self._keys = keys[start]
+        self._start = np.append(start, len(keys))
+        self.codegrees = np.diff(self._start)
+        self.pairs = np.stack([a[order][start], b[order][start]], axis=1)
+        self._covering = owner[order]
+        self._lists: dict = {}
+
+    def edge_indices(self, i: int) -> list:
+        """The covering edges of pairs[i], as ascending indices into the
+        hypergraph's sorted edges."""
+        return self._covering[self._start[i]:self._start[i + 1]].tolist()
+
+    def __getitem__(self, pair) -> list:
+        found = self._lists.get(pair)
+        if found is None:
+            a, b = pair
+            key = a * self._n + b
+            i = int(np.searchsorted(self._keys, key))
+            if not (0 <= a < b < self._n and i < len(self._keys)
+                    and self._keys[i] == key):
+                raise KeyError(pair)
+            rows = self._edges[self.edge_indices(i)]
+            found = self._lists[pair] = list(_tuples(rows))
+        return found
+
+    def __iter__(self):
+        return _tuples(self.pairs)
+
+    def __len__(self) -> int:
+        return len(self._keys)
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +328,11 @@ class PartitionedHypergraph:
 def shadow(h: PartitionedHypergraph) -> SimpleGraph:
     """Graph on the same vertices; a pair is adjacent iff co-contained in
     some hyperedge."""
-    edges = set()
-    for e in h.edges:
-        edges.update(combinations(e, 2))
-    return SimpleGraph(h.n, frozenset(edges), _graph_labels(h))
+    a, b, _ = _pairs(h.edge_array)
+    keys = np.sort(a * h.n + b)
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    return SimpleGraph(h.n, np.stack(np.divmod(keys, max(h.n, 1)), axis=1),
+                       _graph_labels(h))
 
 
 def as_graph(h: PartitionedHypergraph) -> SimpleGraph:
@@ -179,12 +352,11 @@ def blowup(h: PartitionedHypergraph, t: int) -> PartitionedHypergraph:
     replaced by all t^r transversal copies.  Part labels are inherited."""
     if t < 1:
         raise ValueError(f"blowup factor must be >= 1, got {t}")
-    edges = set()
-    for e in h.edges:
-        choices = [[v * t + i for i in range(t)] for v in e]
-        edges.update(tuple(sorted(c)) for c in product(*choices))
+    offsets = np.array(list(product(range(t), repeat=h.r)), dtype=np.int64)
+    edges = (h.edge_array[:, None, :].astype(np.int64) * t
+             + offsets).reshape(-1, h.r)
     parts = tuple(h.part_of[v] for v in range(h.n) for _ in range(t))
-    return PartitionedHypergraph(h.n * t, h.r, frozenset(edges), parts,
+    return PartitionedHypergraph(h.n * t, h.r, edges, parts,
                                  meta=dict(h.meta, blowup_t=t))
 
 
@@ -222,25 +394,30 @@ def clean_low_codegree(h: PartitionedHypergraph,
     """Delete all edges of every cross-part pair whose codegree is in
     [1, threshold], repeated until every surviving cross pair has
     codegree 0 or > threshold.  The number of removed edges is recorded
-    in meta."""
+    in meta.
+
+    Each sweep sorts the keys a*n + b of the edges' cross pairs, counts
+    each run of equal keys, and drops at once every edge holding a pair
+    counted at most threshold times."""
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    edges = set(h.edges)
+    labels = np.asarray(h.part_of, dtype=np.int64)
+    edges = h.edge_array
     removed = 0
     while True:
-        cover: dict = {}
-        for e in edges:
-            for a, b in combinations(e, 2):
-                pa, pb = h.part_of[a], h.part_of[b]
-                if pa != pb and pa != UNPARTITIONED and pb != UNPARTITIONED:
-                    cover.setdefault((a, b), []).append(e)
-        doomed = {e for es in cover.values() if len(es) <= threshold
-                  for e in es}
-        if not doomed:
+        a, b, owner = _pairs(edges)
+        pa, pb = labels[a], labels[b]
+        cross = (pa != pb) & (pa != UNPARTITIONED) & (pb != UNPARTITIONED)
+        order, _, start = _runs((a * h.n + b)[cross])
+        counts = np.diff(start, append=len(order))
+        low = np.repeat(counts <= threshold, counts)
+        doomed = np.zeros(len(edges), dtype=bool)
+        doomed[owner[cross][order[low]]] = True
+        if not doomed.any():
             break
-        edges -= doomed
-        removed += len(doomed)
-    return PartitionedHypergraph(h.n, h.r, frozenset(edges), h.part_of,
+        edges = edges[~doomed]
+        removed += int(doomed.sum())
+    return PartitionedHypergraph(h.n, h.r, edges, h.part_of,
                                  meta=dict(h.meta, cleaned_edges=removed))
 
 

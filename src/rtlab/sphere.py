@@ -487,10 +487,12 @@ def build_partition(k: int, z: int, theta: float, seed: int,
     sphere), which pushes the empirical cell measures toward 1/z.  The
     maximum cell diameter is estimated from sampled cell members; if the
     estimate exceeds theta/4 the partition is still returned, flagged and
-    with a warning.  Bit-reproducible for a fixed seed.
+    with a warning.  Bit-reproducible for a fixed seed.  ValueError for
+    z < 1 or a theta that is not a positive finite number.
     """
     if z < 1:
         raise ValueError(f"domain count must be >= 1, got {z}")
+    _check_theta(theta)
     rng = substream(seed, "partition-reps")
     reps = sample_uniform_points(k, z, rng)
     if z > 1 and balance_iters > 0:
@@ -546,6 +548,11 @@ def _estimate_max_cell_diameter(reps, k, seed, samples):
     return worst
 
 
+def _check_theta(theta: float) -> None:
+    if not (math.isfinite(theta) and theta > 0):
+        raise ValueError(f"theta must be a positive finite number, got {theta}")
+
+
 def write_partition(part: SpherePartition, path: str) -> None:
     """Text format: header `SPHERE k z seed theta`, then z coordinate lines."""
     with open(path, "w") as fh:
@@ -557,7 +564,8 @@ def write_partition(part: SpherePartition, path: str) -> None:
 
 def read_partition(path: str) -> SpherePartition:
     """Read what `write_partition` wrote; ValueError unless the header
-    is followed by exactly z lines of k+1 coordinates each."""
+    gives a positive finite theta and is followed by exactly z lines of
+    k+1 coordinates each."""
     with open(path) as fh:
         header = fh.readline().split()
         rows = [line.split() for line in fh if line.strip()]
@@ -565,6 +573,7 @@ def read_partition(path: str) -> SpherePartition:
         raise ValueError(f"not a partition file: {path}")
     k, z, seed = int(header[1]), int(header[2]), int(header[3])
     theta = float(header[4])
+    _check_theta(theta)
     if len(rows) != z or any(len(row) != k + 1 for row in rows):
         raise ValueError(f"not a partition file: {path}: the header asks "
                          f"for {z} lines of {k + 1} coordinates")

@@ -18,6 +18,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
 
+import numpy as np
+
 from .hypergraph import (UNPARTITIONED, PartitionedHypergraph, SimpleGraph,
                          shadow)
 
@@ -216,11 +218,10 @@ def _cliques(rows: list, size: int, cand: int, counter: _Counter | None = None,
 
 def contained_edge(h: PartitionedHypergraph, vertices) -> tuple | None:
     """Lexicographically first hyperedge fully inside the vertex set."""
-    vs = set(vertices)
-    for e in h.sorted_edges():
-        if all(v in vs for v in e):
-            return e
-    return None
+    inside = np.zeros(h.n, dtype=bool)
+    inside[list(vertices)] = True
+    hit = inside[h.edge_array].all(axis=1)
+    return tuple(h.edge_array[hit.argmax()].tolist()) if hit.any() else None
 
 
 def hyper_independence(h: PartitionedHypergraph, budget=None) -> int:
@@ -379,10 +380,7 @@ def find_tk(h: PartitionedHypergraph, s: int, budget=None) -> Embedding | None:
         raise ValueError(f"need at least 2 core vertices, got {s}")
     counter = _Counter(resolve_budget(budget))
     cover = h.pair_cover_index()
-    shadow_rows = [0] * h.n
-    for a, b in cover:
-        shadow_rows[a] |= 1 << b
-        shadow_rows[b] |= 1 << a
+    shadow_rows = SimpleGraph(h.n, cover.pairs).adjacency_masks()
     # the cores are the s-cliques of the shadow, tried in lexicographic order
     for cores in _cliques(shadow_rows, s, (1 << h.n) - 1, counter):
         chosen = private_edges(cover, list(combinations(cores, 2)),
@@ -426,17 +424,16 @@ def scan_split_core(h: PartitionedHypergraph, budget=None) -> Embedding | None:
     tried in order, one budget node each."""
     counter = _Counter(resolve_budget(budget))
     cover = h.pair_cover_index()
-    within = defaultdict(list)  # part -> covered same-part pairs
+    pa, pb = np.asarray(h.part_of, dtype=np.int64)[cover.pairs].T
+    labelled = (pa != UNPARTITIONED) & (pb != UNPARTITIONED)
+    same = labelled & (pa == pb)
+    within = defaultdict(list)  # part -> covered same-part pairs, in order
+    for p, a, b in zip(pa[same].tolist(), *cover.pairs[same].T.tolist()):
+        within[p].append((a, b))
     cross_adj = defaultdict(set)  # vertex -> cross-covered partners
-    for (a, b) in sorted(cover):
-        pa, pb = h.part_of[a], h.part_of[b]
-        if pa == UNPARTITIONED or pb == UNPARTITIONED:
-            continue
-        if pa == pb:
-            within[pa].append((a, b))
-        else:
-            cross_adj[a].add(b)
-            cross_adj[b].add(a)
+    for a, b in cover.pairs[labelled & (pa != pb)].tolist():
+        cross_adj[a].add(b)
+        cross_adj[b].add(a)
     parts = sorted(within)
     for pi_idx, pi in enumerate(parts):
         for pj in parts[pi_idx + 1:]:
@@ -579,12 +576,14 @@ def _sparse_witnesses(h: PartitionedHypergraph, ell: int, condition,
     if not condition(2 * r - 2, 2):
         raise ValueError("the condition must hold for two edges sharing "
                          f"two vertices (v={2 * r - 2}, m=2)")
-    index = {e: i for i, e in enumerate(h.sorted_edges())}
+    edges = h.sorted_edges()
+    cover = h.pair_cover_index()
     pairs = set()
-    for es in h.pair_cover_index().values():
-        for e, f in combinations(es, 2):
-            if len(set(e) | set(f)) <= ell:
-                pairs.add((index[e], index[f]))
+    # only a pair covered twice or more joins two edges
+    for i in np.flatnonzero(cover.codegrees >= 2).tolist():
+        for e, f in combinations(cover.edge_indices(i), 2):
+            if len(set(edges[e]) | set(edges[f])) <= ell:
+                pairs.add((e, f))
     for pair in sorted(pairs):
         if dead.isdisjoint(pair):
             yield pair

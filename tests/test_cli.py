@@ -446,6 +446,17 @@ def test_sphere_eps_k_cli(capsys):
     assert out.startswith("eps=") and " k=" in out
 
 
+@pytest.mark.parametrize("theta", ["-1", "0", "nan", "inf"])
+def test_sphere_partition_rejects_bad_theta(tmp_path, capsys, theta):
+    # a theta that is not positive and finite is an input error: exit 2,
+    # no file written
+    out = tmp_path / "p.sphere"
+    assert main(["sphere", "partition", "--k", "2", "--z", "4",
+                 f"--theta={theta}", "--out", str(out)]) == 2
+    assert "theta must be a positive finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sphere_missing_flags_exit_2():
     assert main(["sphere", "partition", "--z", "4"]) == 2
     assert main(["sphere", "eps-k"]) == 2

@@ -1,0 +1,211 @@
+"""The edge array of `SimpleGraph` and `PartitionedHypergraph` against
+frozenset references kept here: every view derived from the array must
+equal what a direct computation over the sorted edge tuples gives, with
+Python ints in every tuple it returns."""
+
+from itertools import combinations, product
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph, blowup,
+                              clean_low_codegree, shadow)
+from rtlab.verifiers import contained_edge
+
+# ---------------------------------------------------------------------------
+# references over frozensets of sorted tuples
+
+
+def ref_edges(edges) -> frozenset:
+    return frozenset(tuple(sorted(e)) for e in edges)
+
+
+def ref_pair_cover(edges) -> dict:
+    cover: dict = {}
+    for e in sorted(edges):
+        for pair in combinations(e, 2):
+            cover.setdefault(pair, []).append(e)
+    return cover
+
+
+def ref_shadow(edges) -> frozenset:
+    return frozenset(p for e in edges for p in combinations(e, 2))
+
+
+def ref_induced(edges, vertices) -> frozenset:
+    index = {v: i for i, v in enumerate(sorted(vertices))}
+    return frozenset(tuple(index[v] for v in e) for e in edges
+                     if all(v in index for v in e))
+
+
+def ref_blowup(edges, t) -> frozenset:
+    return frozenset(tuple(sorted(c)) for e in edges
+                     for c in product(*[[v * t + i for i in range(t)]
+                                        for v in e]))
+
+
+def ref_clean(edges, part_of, threshold):
+    edges = set(edges)
+    removed = 0
+    while True:
+        cover: dict = {}
+        for e in edges:
+            for a, b in combinations(e, 2):
+                pa, pb = part_of[a], part_of[b]
+                if pa != pb and pa != -1 and pb != -1:
+                    cover.setdefault((a, b), []).append(e)
+        doomed = {e for es in cover.values() if len(es) <= threshold
+                  for e in es}
+        if not doomed:
+            return frozenset(edges), removed
+        edges -= doomed
+        removed += len(doomed)
+
+
+def ref_contained(edges, vertices):
+    return next((e for e in sorted(edges) if set(e) <= set(vertices)), None)
+
+
+def ref_masks(n, pairs) -> list:
+    adj = [0] * n
+    for a, b in pairs:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
+
+
+def python_ints(tuples) -> bool:
+    return all(type(v) is int for e in tuples for v in e)
+
+
+# ---------------------------------------------------------------------------
+# inputs: unsorted tuples, tuples that coincide once sorted, no edges,
+# n = 0 and r = 2, given as a list, a frozenset or an array
+
+
+@st.composite
+def hypergraph_inputs(draw):
+    r = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(0, 9))
+    edges = []
+    if n >= r:
+        edge = st.permutations(range(n)).map(lambda p: tuple(p[:r]))
+        edges = draw(st.lists(edge, max_size=25))
+        again = draw(st.lists(st.sampled_from(edges), max_size=5)) if edges else []
+        edges += [tuple(reversed(e)) for e in again]
+    labels = tuple(draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["list", "frozenset", "array"]))
+    given_edges = {"list": edges, "frozenset": frozenset(edges),
+                   "array": np.array(edges, dtype=np.int64).reshape(-1, r)}[kind]
+    vertices = draw(st.sets(st.integers(0, n - 1))) if n else set()
+    return n, r, edges, given_edges, labels, vertices
+
+
+@settings(max_examples=300, deadline=None)
+@given(hypergraph_inputs(), st.integers(1, 3), st.integers(0, 3))
+def test_views_match_frozenset_references(inputs, t, threshold):
+    n, r, edges, given_edges, labels, vertices = inputs
+    h = PartitionedHypergraph(n, r, given_edges, labels)
+    want = ref_edges(edges)
+    assert h.edges == want
+    assert h.sorted_edges() == sorted(want) and python_ints(h.sorted_edges())
+    assert h.edge_array.shape == (len(want), r)
+
+    cover = h.pair_cover_index()
+    want_cover = ref_pair_cover(want)
+    assert list(cover) == sorted(want_cover) and len(cover) == len(want_cover)
+    # list contents and order: lists compare in order
+    assert {pair: cover[pair] for pair in cover} == want_cover
+    assert all(python_ints(es) for es in cover.values())
+    assert cover.codegrees.tolist() == [len(want_cover[p])
+                                        for p in sorted(want_cover)]
+    in_order = h.sorted_edges()
+    for i, pair in enumerate(cover):
+        assert [in_order[j] for j in cover.edge_indices(i)] == want_cover[pair]
+    for a, b in combinations(range(n), 2):
+        assert ((a, b) in cover) == ((a, b) in want_cover)
+        assert (b, a) not in cover and cover.get((b, a)) is None
+
+    sh = shadow(h)
+    assert sh.edges == ref_shadow(want)
+    assert sh.adjacency_masks() == ref_masks(n, ref_shadow(want))
+
+    sub = h.induced(vertices)
+    assert sub.edges == ref_induced(want, vertices)
+    assert sub.part_of == tuple(labels[v] for v in sorted(vertices))
+
+    blown = blowup(h, t)
+    assert blown.edges == ref_blowup(want, t) and blown.n == n * t
+
+    cleaned = clean_low_codegree(h, threshold)
+    want_clean, removed = ref_clean(want, labels, threshold)
+    assert cleaned.edges == want_clean
+    assert cleaned.meta["cleaned_edges"] == removed
+
+    found = contained_edge(h, vertices)
+    assert found == ref_contained(want, vertices)
+    assert found is None or python_ints([found])
+
+
+@settings(max_examples=200, deadline=None)
+@given(hypergraph_inputs())
+def test_graph_views_match_frozenset_references(inputs):
+    n, r, edges, given_edges, labels, vertices = inputs
+    if r != 2:
+        return
+    g = SimpleGraph(n, given_edges, labels)
+    want = ref_edges(edges)
+    assert g.edges == want
+    assert g.edge_array.tolist() == [list(e) for e in sorted(want)]
+    assert g.adjacency_masks() == ref_masks(n, want)
+    sub = g.induced(vertices)
+    assert sub.edges == ref_induced(want, vertices)
+    assert sub.adjacency_masks() == ref_masks(sub.n, sub.edges)
+
+
+def test_edge_array_is_read_only():
+    h = PartitionedHypergraph(4, 3, [(2, 1, 0)])
+    with pytest.raises(ValueError):
+        h.edge_array[0, 0] = 3
+
+
+# ---------------------------------------------------------------------------
+# validation messages
+
+
+@pytest.mark.parametrize("edges,message", [
+    ([(0, 1)], r"edge \(0, 1\) is not a set of 3 distinct vertices"),
+    ([(0, 1, 2, 3)], r"edge \(0, 1, 2, 3\) is not a set of 3 distinct"),
+    ([(0, 1, 2), (1, 0)], r"edge \(0, 1\) is not a set of 3 distinct"),
+    ([(3, 1, 2), (1, 2, 3, 0)], r"edge \(0, 1, 2, 3\) is not a set of 3"),
+    (np.array([[0, 1]]), r"edge \(0, 1\) is not a set of 3 distinct"),
+    ([(2, 0, 2)], r"edge \(0, 2, 2\) is not a set of 3 distinct vertices"),
+    ([(0, 1, 4)], r"edge \(0, 1, 4\) out of range for n=4"),
+    ([(1, -1, 0)], r"edge \(-1, 0, 1\) out of range for n=4"),
+], ids=["short", "long", "ragged", "ragged-long-last", "array-width",
+        "repeated-vertex", "above-range", "negative"])
+def test_hypergraph_validation_messages(edges, message):
+    with pytest.raises(ValueError, match=message):
+        PartitionedHypergraph(4, 3, edges)
+
+
+@pytest.mark.parametrize("part_of,message", [
+    ((0, -2, 1, 1), "part label -2 is below -1"),
+    ((0, 1, 2), "part_of must label every vertex"),
+])
+def test_hypergraph_label_messages(part_of, message):
+    with pytest.raises(ValueError, match=message):
+        PartitionedHypergraph(4, 3, [(0, 1, 2)], part_of)
+
+
+@pytest.mark.parametrize("edges,message", [
+    ([(1, 1)], "self-loop at vertex 1"),
+    ([(3, 0)], r"edge \(0,3\) out of range for n=3"),
+    ([(0, 1), (2,)], r"edge \(2,\) is not a vertex pair"),
+    ([(0, 1, 2)], r"edge \(0, 1, 2\) is not a vertex pair"),
+], ids=["self-loop", "out-of-range", "ragged", "triple"])
+def test_graph_validation_messages(edges, message):
+    with pytest.raises(ValueError, match=message):
+        SimpleGraph(3, edges)

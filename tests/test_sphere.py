@@ -459,6 +459,24 @@ def test_partition_file_rejects_malformed(tmp_path, mangle):
         read_partition(str(path))
 
 
+@pytest.mark.parametrize("theta", [-1.0, 0.0, math.nan, math.inf])
+def test_partition_rejects_bad_theta(theta):
+    with pytest.raises(ValueError, match="theta must be a positive finite"):
+        build_partition(2, 3, theta, seed=13)
+
+
+@pytest.mark.parametrize("theta", ["-1.0", "0.0", "nan", "inf"])
+def test_partition_file_rejects_bad_theta(tmp_path, theta):
+    # the header's theta sets the diameter bound, so it is checked too
+    path = tmp_path / "part.sphere"
+    write_partition(build_partition(2, 3, 0.6, seed=13), str(path))
+    lines = path.read_text().splitlines()
+    lines[0] = " ".join(lines[0].split()[:4] + [theta])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="theta must be a positive finite"):
+        read_partition(str(path))
+
+
 def test_triangle_exclusion_below_threshold():
     # for theta < 2 - sqrt(3) no three points are pairwise >= 2 - theta
     theta = 2 - math.sqrt(3) - 1e-6
