@@ -240,8 +240,11 @@ def _cmd_sphere(args) -> int:
     if args.action == "partition":
         part = sph.build_partition(args.k, args.z, args.theta, args.seed or 0)
         sph.write_partition(part, args.out)
-        print(f"wrote partition (max cell diameter ~ {part.est_max_diameter:.4f}, "
-              f"bound {part.domain_diam_bound:.4f})")
+        min_z = part.precondition_min_z
+        verdict = ("fails (volume bound)" if part.z < min_z
+                   else "not excluded by the volume bound")
+        print(f"wrote partition (diameter bound theta/4 = "
+              f"{part.domain_diam_bound:.4f}, needs z >= {min_z:.6g}: {verdict})")
         return EXIT_HOLDS
     if args.action == "eps-k":
         eps, k = sph.find_eps_k(args.alpha, args.beta, args.t_max)

@@ -78,6 +78,10 @@ def drc_feasible(p: DrcParams, d) -> bool:
 
 
 def average_degree(g: SimpleGraph) -> Fraction:
+    """2|E|/n; ValueError for a graph without vertices."""
+    if g.n == 0:
+        raise ValueError("average degree of a graph with no vertices "
+                         "is undefined")
     return Fraction(2 * len(g.edges), g.n)
 
 

@@ -12,8 +12,7 @@ satisfied.
 """
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -443,13 +442,23 @@ def _refine_quadruples(quads: np.ndarray, gamma: float,
 # partitions
 
 
+def min_domains(k: int, diam: float) -> float:
+    """Volume bound: S^k splits into z sets of chordal diameter <= diam
+    only if z >= 1 / mu(cap {x . c >= 1 - diam^2/2}), since each set lies
+    in the cap of chordal radius diam around any of its points.  The
+    threshold is clamped at -1 (diam >= 2 gives 1); a cap measure that
+    underflows to 0 gives inf."""
+    measure = cap_measure(k, max(1.0 - diam * diam / 2.0, -1.0))
+    return 1.0 / measure if measure > 0.0 else math.inf
+
+
 @dataclass
 class SpherePartition:
     """z representative points on S^k with implicit Voronoi domains.
 
-    The domains are the Voronoi cells of `reps`.  Their maximum diameter
-    is estimated by Monte Carlo at build time (`est_max_diameter`,
-    `diam_within_bound`); their measures are not recorded.
+    The domains are the Voronoi cells of `reps`; their diameters and
+    measures are not recorded.  `precondition_min_z` is the volume bound
+    on z for domains of diameter at most `domain_diam_bound`.
     """
 
     k: int
@@ -457,8 +466,6 @@ class SpherePartition:
     reps: np.ndarray
     domain_diam_bound: float
     seed: int
-    est_max_diameter: float = field(default=float("nan"))
-    diam_within_bound: bool = field(default=True)
 
     def __post_init__(self):
         self.reps = np.asarray(self.reps, dtype=float)
@@ -467,6 +474,10 @@ class SpherePartition:
         norms = np.linalg.norm(self.reps, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise ValueError("all representatives must lie on the unit sphere")
+
+    @property
+    def precondition_min_z(self) -> float:
+        return min_domains(self.k, self.domain_diam_bound)
 
     def nearest_rep(self, points: np.ndarray) -> np.ndarray:
         """Index of the Voronoi cell owning each point (max inner product)."""
@@ -483,12 +494,13 @@ def build_partition(k: int, z: int, theta: float, seed: int,
     """Partition of S^k into z Voronoi domains aiming at diameter <= theta/4.
 
     Representatives start as i.i.d. uniform points and are then balanced
-    by a few Lloyd steps (Monte Carlo cell means re-projected to the
-    sphere), which pushes the empirical cell measures toward 1/z.  The
-    maximum cell diameter is estimated from sampled cell members; if the
-    estimate exceeds theta/4 the partition is still returned, flagged and
-    with a warning.  Bit-reproducible for a fixed seed.  ValueError for
-    z < 1 or a theta that is not a positive finite number.
+    by `balance_iters` Lloyd steps (Monte Carlo cell means re-projected to
+    the sphere), which push the empirical cell measures toward 1/z.  The
+    Lloyd cloud has max(diag_samples, 40 z) uniform points: `diag_samples`
+    only sets that floor.  Whether the diameters can meet theta/4 is left
+    to the volume bound (`precondition_min_z`); no diameter is sampled.
+    Bit-reproducible for a fixed seed.  ValueError for z < 1 or a theta
+    that is not a positive finite number.
     """
     if z < 1:
         raise ValueError(f"domain count must be >= 1, got {z}")
@@ -509,43 +521,8 @@ def build_partition(k: int, z: int, theta: float, seed: int,
                 nm = np.linalg.norm(sums[j])
                 if nm > 1e-12:
                     reps[j] = sums[j] / nm
-    est = _estimate_max_cell_diameter(reps, k, seed, diag_samples)
-    ok = est <= theta / 4.0
-    part = SpherePartition(k=k, z=z, reps=reps, domain_diam_bound=theta / 4.0,
-                           seed=seed, est_max_diameter=est,
-                           diam_within_bound=ok)
-    if not ok:
-        warnings.warn(
-            f"estimated max domain diameter {est:.4f} exceeds theta/4 = "
-            f"{theta / 4.0:.4f} (k={k}, z={z})", stacklevel=2)
-    return part
-
-
-def _by_cell(points, reps):
-    """Rows grouped by Voronoi cell: (order, bounds) with the rows of cell
-    j at points[order[bounds[j]:bounds[j+1]]], in sampling order."""
-    owner = np.argmax(points @ reps.T, axis=1)
-    order = np.argsort(owner, kind="stable")
-    return order, np.searchsorted(owner[order], np.arange(len(reps) + 1))
-
-
-def _estimate_max_cell_diameter(reps, k, seed, samples):
-    if len(reps) == 1:
-        return 2.0
-    pts = sample_uniform_points(k, samples, substream(seed, "partition-diam"))
-    order, bounds = _by_cell(pts, reps)
-    worst = 0.0
-    for j in range(len(reps)):
-        lo, hi = bounds[j], min(bounds[j + 1], bounds[j] + 400)
-        if hi - lo >= 2:
-            # the largest distance is that of the smallest off-diagonal
-            # inner product; every step is monotone, so this is the max of
-            # pairwise_distances(cell) to the bit
-            cell = pts[order[lo:hi]]
-            gram = cell @ cell.T
-            np.fill_diagonal(gram, np.inf)
-            worst = max(worst, math.sqrt(max(2.0 - 2.0 * float(gram.min()), 0.0)))
-    return worst
+    return SpherePartition(k=k, z=z, reps=reps, domain_diam_bound=theta / 4.0,
+                           seed=seed)
 
 
 def _check_theta(theta: float) -> None:
@@ -564,8 +541,8 @@ def write_partition(part: SpherePartition, path: str) -> None:
 
 def read_partition(path: str) -> SpherePartition:
     """Read what `write_partition` wrote; ValueError unless the header
-    gives a positive finite theta and is followed by exactly z lines of
-    k+1 coordinates each."""
+    gives k >= 1, z >= 1 and a positive finite theta and is followed by
+    exactly z lines of k+1 coordinates each."""
     with open(path) as fh:
         header = fh.readline().split()
         rows = [line.split() for line in fh if line.strip()]
@@ -573,6 +550,8 @@ def read_partition(path: str) -> SpherePartition:
         raise ValueError(f"not a partition file: {path}")
     k, z, seed = int(header[1]), int(header[2]), int(header[3])
     theta = float(header[4])
+    if k < 1 or z < 1:
+        raise ValueError(f"not a partition file: {path}: k={k}, z={z} < 1")
     _check_theta(theta)
     if len(rows) != z or any(len(row) != k + 1 for row in rows):
         raise ValueError(f"not a partition file: {path}: the header asks "

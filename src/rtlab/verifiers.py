@@ -22,6 +22,7 @@ import numpy as np
 
 from .hypergraph import (UNPARTITIONED, PartitionedHypergraph, SimpleGraph,
                          shadow)
+from .sphere import min_domains
 
 DEFAULT_BUDGET = 20_000_000
 
@@ -671,6 +672,7 @@ def density_report(obj, params=None) -> VerificationReport:
 
     Only assumption-free identities are asserted (cross-count blowup
     identity, per-part vertex counts); the alpha-slack reference terms
+    and the partition's volume bound on z (ok `no` when z is below it)
     are reported for inspection, never asserted.
     """
     rows = []
@@ -740,6 +742,9 @@ def density_report(obj, params=None) -> VerificationReport:
                              2.0 ** (-math.comb(r * u, 2)) * z ** (r * u)))
             rows.append(_row("cross_bound_alpha_slack",
                              params.alpha * z ** (r * u)))
+            min_z = min_domains(params.k, params.theta / 4.0)
+            rows.append(_row("partition_z_volume_bound", z, reference=min_z,
+                             ok=False if z < min_z else None))
     return VerificationReport("density", verdict, None, {}, rows)
 
 

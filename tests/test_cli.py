@@ -297,7 +297,7 @@ def test_report_flags_missing_keys_exit_2(tmp_path, capsys):
 README_DIGESTS = {
     "be.g": "27a04b88a13596d020bc44f4f3277eb949ea0cd4f6ad9c130c76d6dc7e669698",
     "full.hg": "cd76219445f19b66f904af1081a61656291b3e163669df172aab414a40e877d7",
-    "report.csv": "53a46f013609518f7777fc743b71347f178dc666ca60f971ee7d7aa6336759f6",
+    "report.csv": "643e583eb83f0d6dab0b18d03ed3dca4db0d3c5dcc8f810d9a1a763f286245cf",
 }
 
 
@@ -412,6 +412,19 @@ def test_drc_find_set_exhausted_retries_exit_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_drc_find_set_zero_vertices_exit_2(tmp_path, capsys):
+    # no vertices, no average degree: an input error, nothing written
+    gpath = tmp_path / "g.hg"
+    gpath.write_text("HG 2 0 0 0\n")
+    ppath = tmp_path / "drc.json"
+    ppath.write_text(json.dumps({"a": 6, "m": 8, "t": 4, "r": 2}))
+    out = tmp_path / "u.json"
+    assert main(["drc", "find-set", "--params", str(ppath), "--seed", "1",
+                 "--out", str(out), str(gpath)]) == 2
+    assert "no vertices" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("action", ["find-f", "find-tkf5"])
 def test_drc_hypergraph_pipeline_failure_exit_3(tmp_path, capsys, action):
     # one edge: no edge survives the codegree sweep in any retry
@@ -457,6 +470,21 @@ def test_sphere_partition_rejects_bad_theta(tmp_path, capsys, theta):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("k,z,theta,verdict", [
+    (1, 56, 0.5 / math.sqrt(5), "fails (volume bound)"),
+    # theta >= 8: the cap threshold is clamped at -1, z=1 would do
+    (2, 4, 10.0, "not excluded by the volume bound"),
+])
+def test_sphere_partition_prints_volume_bound(tmp_path, capsys, k, z, theta,
+                                              verdict):
+    out = tmp_path / "p.sphere"
+    assert main(["sphere", "partition", "--k", str(k), "--z", str(z),
+                 f"--theta={theta!r}", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert f"theta/4 = {theta / 4:.4f}" in printed
+    assert printed.rstrip().endswith(f"{verdict})")
+
+
 def test_sphere_missing_flags_exit_2():
     assert main(["sphere", "partition", "--z", "4"]) == 2
     assert main(["sphere", "eps-k"]) == 2
@@ -497,6 +525,27 @@ def test_density_report_json_roundtrip():
     parsed = json.loads(text)
     assert parsed["property"] == "density"
     assert json.loads(json.dumps(parsed)) == parsed
+
+
+@pytest.mark.parametrize("k,z,ok", [(5, 14, "no"), (2, 600, ""),
+                                     (200, 14, "no")])
+def test_report_volume_bound_row(tmp_path, k, z, ok):
+    # one unasserted row: z against the volume bound, which is inf when
+    # the cap measure underflows (k=200); both formats render it
+    path = tmp_path / "k5.hg"
+    write_hypergraph(complete_uniform(5, 3), str(path))
+    csv, js = tmp_path / "report.csv", tmp_path / "report.json"
+    flags = ["--r", "3", "--z", str(z), "--alpha", "0.3", "--beta", "0.3",
+             "--epsilon", "0.5", "--k", str(k), str(path)]
+    assert main(["report", "--out", str(csv)] + flags) == 0
+    assert main(["report", "--format", "json", "--out", str(js)] + flags) == 0
+    want = cap_measure(k, 1.0 - (0.5 / math.sqrt(k)) ** 2 / 32.0)
+    want = 1.0 / want if want else math.inf
+    row = [line for line in csv.read_text().splitlines()
+           if line.startswith("partition_z_volume_bound,")]
+    assert row == [f"partition_z_volume_bound,{z},{z},{want!r},no,{ok}"]
+    rows = {r["quantity"]: r for r in json.loads(js.read_text())["rows"]}
+    assert rows["partition_z_volume_bound"]["reference"] == want
 
 
 def test_empty_report_header_only():

@@ -10,8 +10,9 @@ from rtlab.rng import substream
 from rtlab.sphere import (SQRT2, SphericalCap, _into_union, build_partition,
                           cap_intersection_measure_mc, cap_measure,
                           check_p4, distance, estimate_dt, find_eps_k,
-                          p4_best_margin, pairwise_distances, read_partition,
-                          sample_uniform_points, write_partition)
+                          min_domains, p4_best_margin, pairwise_distances,
+                          read_partition, sample_uniform_points,
+                          write_partition)
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +379,8 @@ def test_partition_deterministic():
 
 
 def _masked_lloyd_partition(k, z, seed, balance_iters=32, samples=20_000):
-    # the per-cell boolean-mask form of the Lloyd step and the diameter
-    # estimate: the same rows in the same order, so the same floats
-    from rtlab.sphere import _estimate_max_cell_diameter
+    # the per-cell boolean-mask form of the Lloyd step: the same rows in
+    # the same order, so the same floats
     reps = sample_uniform_points(k, z, substream(seed, "partition-reps"))
     cloud = sample_uniform_points(k, max(samples, 40 * z),
                                   substream(seed, "partition-lloyd"))
@@ -392,14 +392,7 @@ def _masked_lloyd_partition(k, z, seed, balance_iters=32, samples=20_000):
                 m = members.sum(axis=0)
                 if np.linalg.norm(m) > 1e-12:
                     reps[j] = m / np.linalg.norm(m)
-    pts = sample_uniform_points(k, samples, substream(seed, "partition-diam"))
-    owner = np.argmax(pts @ reps.T, axis=1)
-    worst = 0.0
-    for j in range(z):
-        members = pts[owner == j][:400]
-        if len(members) >= 2:
-            worst = max(worst, float(pairwise_distances(members).max()))
-    return reps, worst
+    return reps
 
 
 @pytest.mark.parametrize("k,z", [(5, 14), (5, 20), (3, 60), (5, 250)])
@@ -407,9 +400,7 @@ def test_partition_matches_masked_lloyd(k, z):
     # one seed at z=250, where the masked reference takes seconds
     for seed in ((1,) if z == 250 else (1, 2, 3)):
         part = build_partition(k, z, 0.5, seed)
-        reps, diam = _masked_lloyd_partition(k, z, seed)
-        assert np.array_equal(part.reps, reps)
-        assert part.est_max_diameter == diam
+        assert np.array_equal(part.reps, _masked_lloyd_partition(k, z, seed))
 
 
 def test_partition_single_domain_is_whole_sphere():
@@ -428,9 +419,55 @@ def test_partition_measures_balanced():
         assert np.all(np.abs(measures - 1.0 / z) < 0.2 / z), (k, z, measures)
 
 
-def test_partition_warns_when_diameter_over_bound():
-    with pytest.warns(UserWarning):
-        build_partition(2, 2, 0.5, seed=1)
+README_THETA = 0.5 / math.sqrt(5)
+
+
+@pytest.mark.parametrize("theta", [0.01, README_THETA, 0.5, 2.0, 7.9])
+def test_min_domains_closed_forms(theta):
+    # S^1: an arc of chord theta/4 is 2 asin(theta/8) of 2 pi; S^2: the
+    # cap of chordal radius rho has measure rho^2/4 (Archimedes).  The
+    # threshold 1 - d^2/2 is rounded to a double, which moves the cap's
+    # height d^2/2 by up to 1.1e-16 / (d^2/2) relative
+    d = theta / 4.0
+    rel = max(1e-12, 2.2e-16 / (d * d / 2.0))
+    assert min_domains(1, d) == pytest.approx(
+        math.pi / (2.0 * math.asin(theta / 8.0)), rel=rel)
+    assert min_domains(2, d) == pytest.approx(64.0 / theta ** 2, rel=rel)
+    assert min_domains(5, d) == pytest.approx(
+        1.0 / cap_measure(5, 1.0 - theta ** 2 / 32.0), rel=rel)
+
+
+def test_min_domains_at_its_edges():
+    # theta >= 8: the cap threshold is clamped at -1, one domain suffices
+    assert min_domains(3, 2.0) == 1.0 and min_domains(3, 10.0 / 4.0) == 1.0
+    # the cap measure underflows to 0: no finite z is enough
+    assert min_domains(200, 0.5 / math.sqrt(200) / 4.0) == math.inf
+    # the README's k=5 needs about 1.08e7 domains
+    assert 1.07e7 < min_domains(5, README_THETA / 4.0) < 1.09e7
+
+
+@pytest.mark.parametrize("z,fails", [(56, True), (57, False)])
+def test_partition_volume_bound_readme_theta_on_circle(z, fails):
+    part = build_partition(1, z, README_THETA, seed=3)
+    assert part.precondition_min_z == pytest.approx(56.1912, abs=1e-4)
+    assert (part.z < part.precondition_min_z) == fails
+
+
+def test_partition_reports_failure_without_sampling_diameter(monkeypatch):
+    # the volume bound decides; no substream beyond the Lloyd steps' is
+    # drawn
+    from rtlab import sphere
+    labels = []
+
+    def recording(seed, label, *rest):
+        labels.append(label)
+        return substream(seed, label, *rest)
+
+    monkeypatch.setattr(sphere, "substream", recording)
+    part = build_partition(2, 2, 0.5, seed=1)
+    assert part.precondition_min_z == pytest.approx(256.0, rel=1e-12)
+    assert part.z < part.precondition_min_z
+    assert labels == ["partition-reps", "partition-lloyd"]
 
 
 def test_partition_file_roundtrip(tmp_path):
@@ -448,10 +485,13 @@ def test_partition_file_roundtrip(tmp_path):
     lambda lines: ["SPHERE 2 2 13 0.6"] + lines[1:],
     lambda lines: lines[:-1] + [lines[-1].rsplit(" ", 1)[0]],
     lambda lines: lines[:-1] + [lines[-1] + " 0"],
+    lambda lines: ["SPHERE 0 2 0 0.5", "1", "-1"],
+    lambda lines: ["SPHERE 2 0 13 0.6"],
 ], ids=["fewer-rows", "more-rows", "header-z-below-rows", "short-row",
-        "long-row"])
+        "long-row", "k-zero", "z-zero"])
 def test_partition_file_rejects_malformed(tmp_path, mangle):
-    # exactly z lines of k+1 coordinates follow the header, or ValueError
+    # k >= 1, z >= 1 and exactly z lines of k+1 coordinates follow the
+    # header, or ValueError
     path = tmp_path / "part.sphere"
     write_partition(build_partition(2, 3, 0.6, seed=13), str(path))
     path.write_text("\n".join(mangle(path.read_text().splitlines())) + "\n")
