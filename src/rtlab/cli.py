@@ -153,7 +153,7 @@ def _cmd_verify(args) -> int:
         inside = [[] for _ in range(h.parts)]
         for e in h.inside_edges():
             inside[h.part_of[e[0]]].append(e)
-        for edges in inside or [h.edges]:
+        for edges in inside or [h.edge_array]:
             part = hg.PartitionedHypergraph(h.n, h.r, edges, h.part_of)
             witness = ver.scan_sparse_patterns(part, h.r, ell, args.budget)
             if witness is not None:

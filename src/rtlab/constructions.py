@@ -205,7 +205,7 @@ def _tuple_hypergraph(partition: SpherePartition, r: int, u: int,
     edges.update(tuple(p * nv + a for p, a in enumerate(c)) for c in cross)
     meta["base_cross"] = len(cross)
 
-    return PartitionedHypergraph(n, r, frozenset(edges), part_of, meta=meta)
+    return PartitionedHypergraph(n, r, edges, part_of, meta=meta)
 
 
 def _mask_of(row: np.ndarray) -> int:
@@ -243,11 +243,11 @@ def random_blowup(inside: PartitionedHypergraph, t: int, gamma: float,
                                     blown.part_of)
     doomed = sparse_pattern_doomed_edges(
         sampled, ell, blowup_deletion_condition(r, gamma), budget)
-    final = sampled.edges - doomed
+    gone = np.array([e in doomed for e in sampled.sorted_edges()], dtype=bool)
     meta = dict(inside.meta, blowup_t=t, keep_probability=p,
-                kept_edges=len(sampled.edges),
-                deleted_patterns_edges=len(doomed))
-    return PartitionedHypergraph(blown.n, r, final, blown.part_of, meta=meta)
+                kept_edges=len(gone), deleted_patterns_edges=len(doomed))
+    return PartitionedHypergraph(blown.n, r, sampled.edge_array[~gone],
+                                 blown.part_of, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +264,14 @@ def full_construction(params: ConstructionParams,
         partition = params.build_partition()
     base = sphere_hypergraph(params, partition)
     t = params.blowup_t
-    cross_h = PartitionedHypergraph(base.n, base.r,
-                                    frozenset(base.cross_edges()),
+    cross_h = PartitionedHypergraph(base.n, base.r, base.cross_edges(),
                                     base.part_of)
-    inside_h = PartitionedHypergraph(base.n, base.r,
-                                     frozenset(base.inside_edges()),
+    inside_h = PartitionedHypergraph(base.n, base.r, base.inside_edges(),
                                      base.part_of)
     cross_blown = blowup(cross_h, t)
     inside_blown = random_blowup(inside_h, t, params.gamma,
                                  params.pattern_cap, params.seed, budget)
-    edges = frozenset(cross_blown.edges | inside_blown.edges)
+    edges = np.concatenate([cross_blown.edge_array, inside_blown.edge_array])
     meta = dict(base.meta)
     meta.update(inside_blown.meta)
     meta["blowup_t"] = t
@@ -315,7 +313,7 @@ def maximal_ktfree_graph(n: int, t: int, seed: int = 0) -> SimpleGraph:
         edges.add((a, b))
         adj[a] |= 1 << b
         adj[b] |= 1 << a
-    return SimpleGraph(n, frozenset(edges))
+    return SimpleGraph(n, edges)
 
 
 def corollary_graph(g: SimpleGraph, q: int, t: int, inner_provider,
@@ -344,12 +342,12 @@ def corollary_graph(g: SimpleGraph, q: int, t: int, inner_provider,
         if find_clique(inner, t + 1) is not None:
             raise ValueError("inner graph is not K_{t+1}-free")
         t_edges.update((offsets[ci] + a, offsets[ci] + b)
-                       for a, b in inner.edges)
+                       for a, b in inner.edge_array.tolist())
         for cj in range(ci + 1, q - 1):
             for a in range(size):
                 for b in range(sizes[cj]):
                     t_edges.add((offsets[ci] + a, offsets[cj] + b))
-    t_graph = SimpleGraph(rest, frozenset(t_edges))
+    t_graph = SimpleGraph(rest, t_edges)
     return complete_join(g, t_graph)
 
 

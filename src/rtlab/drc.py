@@ -82,7 +82,7 @@ def average_degree(g: SimpleGraph) -> Fraction:
     if g.n == 0:
         raise ValueError("average degree of a graph with no vertices "
                          "is undefined")
-    return Fraction(2 * len(g.edges), g.n)
+    return Fraction(2 * len(g.edge_array), g.n)
 
 
 def _common(rows: list, vertices) -> int:
@@ -172,7 +172,7 @@ def hyper_drc(g_r: PartitionedHypergraph, s: int, seed: int = 0) -> PartitionedH
     eps = len(g_r.cross_edges()) / (big_n ** r)
     floor = 0.5 * eps ** s * big_n ** (r - 1)
     meta = {"samples": samples, "edge_floor": floor, "link_edge_count": len(common)}
-    return PartitionedHypergraph(g_r.n, r - 1, frozenset(common),
+    return PartitionedHypergraph(g_r.n, r - 1, common,
                                  g_r.part_of, meta=meta)
 
 
@@ -252,7 +252,7 @@ def _trials(h: PartitionedHypergraph, stream: str, seed: int, tries: int,
         labels, cleaned = own or clean(_balanced_partition(
             h.n, 3, substream(seed, stream, trial)))
         try:
-            if not cleaned.edges:
+            if not len(cleaned.edge_array):
                 raise PipelineFailure("cleaning",
                                       "no edges survive the codegree sweep")
             return attempt(labels, cleaned, trial)
@@ -287,7 +287,7 @@ def _f_witness_once(h, labels, cleaned, params, seed, trial):
         aux = hyper_drc(cleaned, params.s, seed=seed * 1000003 + trial)
     except ValueError as exc:
         raise PipelineFailure("hyper-drc", str(exc))
-    if not aux.edges:
+    if not len(aux.edge_array):
         raise PipelineFailure("hyper-drc", "empty auxiliary graph")
 
     verts23 = sorted(v for v in range(h.n) if labels[v] in (1, 2))

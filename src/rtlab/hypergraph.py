@@ -7,11 +7,13 @@ utilities, and the shared text file format.
 Both types store their edges once, validated at construction, as
 `edge_array`: a read-only (m, r) int32 array (int64 past 2^31 vertices)
 whose rows are the edges, each row sorted, the rows distinct and in
-lexicographic order.  `edges` is the frozenset of the same sorted
-tuples, for membership tests and the exact searches.  Every other view
-(the sorted edge list, the pair-cover index, cross and inside edges,
-shadows, induced subgraphs, blowups, codegree cleaning and neighbour
-bitmasks) is a numpy pass over the array, made afresh on each call.
+lexicographic order.  It is the only store: `edges`, the frozenset of
+the same sorted tuples for the membership rechecks, is built from the
+array on first read and then kept, so a graph whose edges nobody looks
+up never makes a Python tuple per edge.  Every other view (the sorted
+edge list, the pair-cover index, cross and inside edges, shadows,
+induced subgraphs, blowups, codegree cleaning and neighbour bitmasks)
+is a numpy pass over the array, made afresh on each call.
 `pair_cover_index` returns a `PairCoverIndex`: a mapping from each
 covered pair (a, b), a < b, to the list of its covering edges in edge
 order, which also holds the covered pairs and their codegrees as
@@ -20,7 +22,7 @@ pipeline built on these types is reproducible.
 """
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, product
 
 import numpy as np
@@ -28,13 +30,10 @@ import numpy as np
 UNPARTITIONED = -1
 
 
-def _sorted_rows(edges, r: int, size_error):
+def _sorted_rows(edges, r: int, size_error) -> np.ndarray:
     """The edges as an int64 array, one sorted row per edge in input
-    order, and the input itself when it is a set of tuples that are
-    sorted already (so it is the frozenset of the rows), else None.
-    An edge without r vertices raises ValueError(size_error(edge)),
+    order.  An edge without r vertices raises ValueError(size_error(edge)),
     also when the edges have different lengths."""
-    given = edges
     if isinstance(edges, np.ndarray):
         rows = edges.astype(np.int64, copy=False)
     else:
@@ -51,11 +50,7 @@ def _sorted_rows(edges, r: int, size_error):
             if len(e) != r:
                 raise ValueError(size_error(e))
         rows = np.array(edges, dtype=np.int64).reshape(len(edges), r)
-        given = None
-    srt = np.sort(rows, axis=1)
-    same = (isinstance(given, (set, frozenset))
-            and np.array_equal(srt, rows))
-    return srt, frozenset(given) if same else None
+    return np.sort(rows, axis=1)
 
 
 def _first(bad: np.ndarray):
@@ -63,21 +58,18 @@ def _first(bad: np.ndarray):
     return int(bad.argmax()) if bad.any() else None
 
 
-def _store(rows: np.ndarray, edges, n: int):
+def _store(rows: np.ndarray, n: int) -> np.ndarray:
     """The validated sorted rows of vertices below n as a read-only
     array, distinct, in lexicographic order and int32 unless n needs
-    more, and the frozenset of their tuples (`edges` when the caller has
-    it)."""
-    if len(rows) > 1 and rows.shape[1]:
+    more."""
+    if len(rows) > 1:
         rows = rows[np.lexsort(rows.T[::-1])]
         repeat = (rows[1:] == rows[:-1]).all(axis=1)
         if repeat.any():
             rows = rows[np.concatenate(([True], ~repeat))]
     rows = rows.astype(np.int32 if n <= 2 ** 31 else np.int64)
     rows.flags.writeable = False
-    if edges is None:
-        edges = frozenset(_tuples(rows))
-    return rows, edges
+    return rows
 
 
 def _tuples(rows: np.ndarray):
@@ -113,38 +105,49 @@ def _induced_rows(n: int, rows: np.ndarray, vs: list) -> np.ndarray:
     return renumbered[(renumbered >= 0).all(axis=1)]
 
 
+class _EdgeStore:
+    """What both graph types share: the `edges` view of `edge_array`,
+    and equality by value."""
+
+    @cached_property
+    def edges(self) -> frozenset:
+        """The edges as a frozenset of sorted tuples, for membership
+        tests: built from `edge_array` on first read, then kept."""
+        return frozenset(_tuples(self.edge_array))
+
+    def __eq__(self, other):
+        """Same type and attributes, the edges compared by their array."""
+        def state(g):
+            return dict(vars(g), edges=None, edge_array=g.edge_array.tobytes())
+        return type(other) is type(self) and state(self) == state(other)
+
+
 # ---------------------------------------------------------------------------
 # simple graphs
 
 
-@dataclass
-class SimpleGraph:
+class SimpleGraph(_EdgeStore):
     """Undirected graph on vertices 0..n-1 with optional part labels.
 
     `edges` may be any collection of vertex pairs, in either order, or
-    an (m, 2) int array; it is stored as `edge_array` and as the
-    frozenset of sorted pairs (see the module docstring)."""
+    an (m, 2) int array; it is stored as `edge_array` (see the module
+    docstring)."""
 
-    n: int
-    edges: frozenset
-    part_of: tuple | None = None
-    edge_array: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        rows, edges = _sorted_rows(self.edges, 2,
-                                   lambda e: f"edge {e} is not a vertex pair")
+    def __init__(self, n: int, edges, part_of: tuple | None = None):
+        self.n = n
+        rows = _sorted_rows(edges, 2,
+                            lambda e: f"edge {e} is not a vertex pair")
         loop = rows[:, 0] == rows[:, 1]
-        bad = _first(loop | (rows[:, 0] < 0) | (rows[:, 1] >= self.n))
+        bad = _first(loop | (rows[:, 0] < 0) | (rows[:, 1] >= n))
         if bad is not None:
             a, b = rows[bad].tolist()
             if loop[bad]:
                 raise ValueError(f"self-loop at vertex {a}")
-            raise ValueError(f"edge ({a},{b}) out of range for n={self.n}")
-        self.edge_array, self.edges = _store(rows, edges, self.n)
-        if self.part_of is not None:
-            self.part_of = tuple(self.part_of)
-            if len(self.part_of) != self.n:
-                raise ValueError("part_of must label every vertex")
+            raise ValueError(f"edge ({a},{b}) out of range for n={n}")
+        self.edge_array = _store(rows, n)
+        self.part_of = None if part_of is None else tuple(part_of)
+        if self.part_of is not None and len(self.part_of) != n:
+            raise ValueError("part_of must label every vertex")
 
     def adjacency_masks(self) -> list:
         """Neighbour bitmasks (int per vertex), for the exact solvers: the
@@ -170,61 +173,53 @@ class SimpleGraph:
 
 def complete_join(g: SimpleGraph, t_graph: SimpleGraph) -> SimpleGraph:
     """Disjoint union of the two graphs plus all edges between them."""
-    shift = g.n
-    edges = set(g.edges)
-    edges.update((a + shift, b + shift) for a, b in t_graph.edges)
-    edges.update((a, b + shift) for a in range(g.n) for b in range(t_graph.n))
-    return SimpleGraph(g.n + t_graph.n, frozenset(edges))
+    join = np.argwhere(np.ones((g.n, t_graph.n), dtype=bool)) + (0, g.n)
+    edges = [g.edge_array, t_graph.edge_array + g.n, join]
+    return SimpleGraph(g.n + t_graph.n, np.concatenate(edges))
 
 
 # ---------------------------------------------------------------------------
 # partitioned hypergraphs
 
 
-@dataclass
-class PartitionedHypergraph:
-    """r-uniform hypergraph on 0..n-1 with optional part labels per vertex.
+class PartitionedHypergraph(_EdgeStore):
+    """r-uniform hypergraph on 0..n-1, r >= 2, with optional part labels
+    per vertex.
 
     `part_of[v]` is a part index or UNPARTITIONED.  When parts are
     assigned, an edge meeting every part exactly once is a cross edge and
     an edge inside a single part is an inside edge.  `edges` may be any
     collection of r-sets of vertices, as tuples in any order, or an
-    (m, r) int array; it is stored as `edge_array` and as the frozenset
-    of sorted tuples (see the module docstring).
+    (m, r) int array; it is stored as `edge_array` (see the module
+    docstring).
     """
 
-    n: int
-    r: int
-    edges: frozenset
-    part_of: tuple = None
-    meta: dict = field(default_factory=dict)
-    edge_array: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.part_of is None:
-            self.part_of = tuple([UNPARTITIONED] * self.n)
-        else:
-            self.part_of = tuple(self.part_of)
-        if len(self.part_of) != self.n:
+    def __init__(self, n: int, r: int, edges, part_of: tuple | None = None,
+                 meta: dict | None = None):
+        if r < 2:
+            raise ValueError(f"edges need at least 2 vertices, got r={r}")
+        self.n, self.r = n, r
+        self.part_of = tuple([UNPARTITIONED] * n if part_of is None
+                             else part_of)
+        self.meta = {} if meta is None else meta
+        if len(self.part_of) != n:
             raise ValueError("part_of must label every vertex")
         if self.part_of and min(self.part_of) < UNPARTITIONED:
             raise ValueError(f"part label {min(self.part_of)} is below "
                              f"{UNPARTITIONED}")
 
         def not_a_set(e):
-            return f"edge {e} is not a set of {self.r} distinct vertices"
+            return f"edge {e} is not a set of {r} distinct vertices"
 
-        rows, edges = _sorted_rows(self.edges, self.r, not_a_set)
+        rows = _sorted_rows(edges, r, not_a_set)
         repeat = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
-        outside = ((rows[:, 0] < 0) | (rows[:, -1] >= self.n) if self.r
-                   else np.zeros(len(rows), dtype=bool))
-        bad = _first(repeat | outside)
+        bad = _first(repeat | (rows[:, 0] < 0) | (rows[:, -1] >= n))
         if bad is not None:
             e = tuple(rows[bad].tolist())
             if repeat[bad]:
                 raise ValueError(not_a_set(e))
-            raise ValueError(f"edge {e} out of range for n={self.n}")
-        self.edge_array, self.edges = _store(rows, edges, self.n)
+            raise ValueError(f"edge {e} out of range for n={n}")
+        self.edge_array = _store(rows, n)
 
     @property
     def parts(self) -> int:
@@ -339,7 +334,7 @@ def as_graph(h: PartitionedHypergraph) -> SimpleGraph:
     """The r=2 hypergraph as a SimpleGraph."""
     if h.r != 2:
         raise ValueError(f"expected a graph (r=2), found r={h.r}")
-    return SimpleGraph(h.n, h.edges, _graph_labels(h))
+    return SimpleGraph(h.n, h.edge_array, _graph_labels(h))
 
 
 def _graph_labels(h: PartitionedHypergraph) -> tuple | None:
@@ -379,14 +374,15 @@ def turan_hypergraph(n: int, s: int, r: int) -> PartitionedHypergraph:
     for chosen in combinations(range(s), r):
         edges.update(tuple(sorted(e))
                      for e in product(*(groups[p] for p in chosen)))
-    return PartitionedHypergraph(n, r, frozenset(edges), tuple(part_of))
+    return PartitionedHypergraph(n, r, edges, tuple(part_of))
 
 
 def codegree(h: PartitionedHypergraph, x: int, y: int) -> int:
     """Number of hyperedges containing both x and y."""
     if x == y:
         raise ValueError("codegree needs two distinct vertices")
-    return sum(1 for e in h.edges if x in e and y in e)
+    rows = h.edge_array
+    return int(((rows == x).any(axis=1) & (rows == y).any(axis=1)).sum())
 
 
 def clean_low_codegree(h: PartitionedHypergraph,
@@ -431,7 +427,7 @@ def clean_low_codegree(h: PartitionedHypergraph,
 
 def write_hypergraph(h: PartitionedHypergraph, path: str) -> None:
     with open(path, "w") as fh:
-        fh.write(f"HG {h.r} {h.n} {len(h.edges)} {h.parts}\n")
+        fh.write(f"HG {h.r} {h.n} {len(h.edge_array)} {h.parts}\n")
         for v in range(h.n):
             fh.write(f"{h.part_of[v]}\n")
         for e in h.sorted_edges():
@@ -463,7 +459,7 @@ def read_hypergraph(path: str) -> PartitionedHypergraph:
             edges.add(e)
         if any(line.strip() for line in fh):
             raise ValueError(f"{path}: lines after the header's {m} edges")
-    h = PartitionedHypergraph(n, r, frozenset(edges), part_of)
+    h = PartitionedHypergraph(n, r, edges, part_of)
     if h.parts != parts:
         raise ValueError(f"{path}: header gives {parts} parts, "
                          f"the labels give {h.parts}")
@@ -472,7 +468,7 @@ def read_hypergraph(path: str) -> PartitionedHypergraph:
 
 def write_graph(g: SimpleGraph, path: str) -> None:
     parts = g.part_of if g.part_of is not None else [UNPARTITIONED] * g.n
-    h = PartitionedHypergraph(g.n, 2, g.edges, tuple(parts))
+    h = PartitionedHypergraph(g.n, 2, g.edge_array, tuple(parts))
     write_hypergraph(h, path)
 
 

@@ -3,10 +3,12 @@
 Columns are emitted in a fixed order, rationals are printed as p/q next
 to their decimal value, and the fully resolved parameter set goes into
 the header, so two runs with the same seed produce byte-identical files.
+JSON is strict: a non-finite number is written as the CSV's text.
 """
 
 import io
 import json
+import math
 from fractions import Fraction
 
 from .verifiers import VerificationReport
@@ -30,9 +32,12 @@ def _split_value(v):
 
 
 def _json_value(v):
+    """A cell as strict JSON: a non-finite float as the CSV's own text."""
     if isinstance(v, Fraction):
         return {"fraction": f"{v.numerator}/{v.denominator}",
                 "decimal": float(v)}
+    if isinstance(v, float) and not math.isfinite(v):
+        return repr(v)
     return v
 
 
@@ -41,12 +46,14 @@ def emit_report(report: VerificationReport, fmt: str = "csv",
     """Render a report to text; fmt is 'csv' or 'json'."""
     if fmt == "json":
         payload = report.as_json()
-        payload["params"] = dict(sorted((params or {}).items()))
+        payload["params"] = {k: _json_value(v)
+                             for k, v in sorted((params or {}).items())}
         payload["rows"] = [
             {k: _json_value(row.get(k)) for k in CSV_COLUMNS if k != "value_decimal"}
             for row in report.rows
         ]
-        return json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n"
+        return json.dumps(payload, sort_keys=True, indent=2, default=str,
+                          allow_nan=False) + "\n"
     if fmt != "csv":
         raise ValueError(f"unknown report format: {fmt}")
     buf = io.StringIO()

@@ -14,7 +14,7 @@ recheck_* code paths.
 
 import math
 import os
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -243,7 +243,8 @@ def hyper_independence(h: PartitionedHypergraph, budget=None) -> int:
     """
     counter = _Counter(resolve_budget(budget))
     best = 0
-    stack = [(sorted(sum(1 << v for v in e) for e in h.edges), 0, h.n)]
+    masks = sorted(sum(1 << v for v in e) for e in h.edge_array.tolist())
+    stack = [(masks, 0, h.n)]
     while stack:
         live, forced, size = stack.pop()
         packed = used = 0
@@ -283,8 +284,8 @@ def alpha_t(g: SimpleGraph, t: int, budget=None) -> int:
         raise ValueError(f"need t >= 2, got {t}")
     counter = _Counter(resolve_budget(budget))
     try:
-        cliques = frozenset(_cliques(g.adjacency_masks(), t, (1 << g.n) - 1,
-                                     counter))
+        cliques = list(_cliques(g.adjacency_masks(), t, (1 << g.n) - 1,
+                                counter))
     except BudgetExceeded as exc:
         exc.certified = 0
         raise
@@ -677,19 +678,17 @@ def density_report(obj, params=None) -> VerificationReport:
     """
     rows = []
     verdict = "holds"
+    m = len(obj.edge_array)
+    rows.append(_row("vertices", obj.n))
+    rows.append(_row("edges", m))
     if isinstance(obj, SimpleGraph):
-        rows.append(_row("vertices", obj.n))
-        rows.append(_row("edges", len(obj.edges)))
         if obj.n > 1:
-            dens = 2 * len(obj.edges) / (obj.n * (obj.n - 1))
-            rows.append(_row("edge_density", dens))
+            rows.append(_row("edge_density", 2 * m / (obj.n * (obj.n - 1))))
         if obj.part_of is not None:
             # double count: per-block totals must re-sum to the edge count
             labels = sorted(set(obj.part_of))
-            blocks: dict = {}
-            for a, b in obj.edges:
-                key = tuple(sorted((obj.part_of[a], obj.part_of[b])))
-                blocks[key] = blocks.get(key, 0) + 1
+            ends = np.sort(np.asarray(obj.part_of)[obj.edge_array], axis=1)
+            blocks = Counter(map(tuple, ends.tolist()))
             for pi in labels:
                 rows.append(_row(f"edges_within_part_{pi}",
                                  blocks.get((pi, pi), 0)))
@@ -698,15 +697,13 @@ def density_report(obj, params=None) -> VerificationReport:
                     rows.append(_row(f"edges_between_parts_{pi}_{pj}",
                                      blocks.get((pi, pj), 0)))
             total = sum(blocks.values())
-            ok = total == len(obj.edges)
-            rows.append(_row("block_double_count", total,
-                             reference=len(obj.edges), asserted=True, ok=ok))
+            ok = total == m
+            rows.append(_row("block_double_count", total, reference=m,
+                             asserted=True, ok=ok))
             if not ok:
                 verdict = "violated"
     else:
         h = obj
-        rows.append(_row("vertices", h.n))
-        rows.append(_row("edges", len(h.edges)))
         if h.parts:
             cross = h.cross_edges()
             inside = h.inside_edges()
@@ -742,9 +739,10 @@ def density_report(obj, params=None) -> VerificationReport:
                              2.0 ** (-math.comb(r * u, 2)) * z ** (r * u)))
             rows.append(_row("cross_bound_alpha_slack",
                              params.alpha * z ** (r * u)))
-            min_z = min_domains(params.k, params.theta / 4.0)
-            rows.append(_row("partition_z_volume_bound", z, reference=min_z,
-                             ok=False if z < min_z else None))
+    if params is not None:
+        min_z = min_domains(params.k, params.theta / 4.0)
+        rows.append(_row("partition_z_volume_bound", params.z, reference=min_z,
+                         ok=False if params.z < min_z else None))
     return VerificationReport("density", verdict, None, {}, rows)
 
 

@@ -65,6 +65,10 @@ def test_verify_malformed_file_exit_2(tmp_path):
     bad = tmp_path / "bad.hg"
     bad.write_text("junk\n")
     assert main(["verify", "--check", "clique", "--s", "3", str(bad)]) == 2
+    # edges of r = 0 (one empty line) and r = 1 vertex are refused too
+    for text in ["HG 0 2 1 0\n-1\n-1\n\n", "HG 1 2 1 0\n-1\n-1\n0\n"]:
+        bad.write_text(text)
+        assert main(["verify", "--check", "sparse", str(bad)]) == 2
 
 
 def test_verify_missing_file_exit_2(tmp_path):
@@ -531,7 +535,8 @@ def test_density_report_json_roundtrip():
                                      (200, 14, "no")])
 def test_report_volume_bound_row(tmp_path, k, z, ok):
     # one unasserted row: z against the volume bound, which is inf when
-    # the cap measure underflows (k=200); both formats render it
+    # the cap measure underflows (k=200); both formats render it, the
+    # JSON one as strict JSON with inf written as text
     path = tmp_path / "k5.hg"
     write_hypergraph(complete_uniform(5, 3), str(path))
     csv, js = tmp_path / "report.csv", tmp_path / "report.json"
@@ -544,8 +549,28 @@ def test_report_volume_bound_row(tmp_path, k, z, ok):
     row = [line for line in csv.read_text().splitlines()
            if line.startswith("partition_z_volume_bound,")]
     assert row == [f"partition_z_volume_bound,{z},{z},{want!r},no,{ok}"]
-    rows = {r["quantity"]: r for r in json.loads(js.read_text())["rows"]}
-    assert rows["partition_z_volume_bound"]["reference"] == want
+    rows = {r["quantity"]: r for r in json.loads(
+        js.read_text(), parse_constant=_no_constant)["rows"]}
+    assert float(rows["partition_z_volume_bound"]["reference"]) == want
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_graph_report_volume_bound_row(tmp_path, monkeypatch):
+    # a graph report with params gets the volume-bound row of the
+    # hypergraph report, but not its r/u reference rows
+    monkeypatch.chdir(tmp_path)
+    params = write_params(tmp_path, z=14, epsilon=0.5, k=5)
+    assert main(["construct", "--type", "be", "--params", params,
+                 "--out", "be.g"]) == 0
+    assert main(["report", "--params", params, "--out", "report.csv",
+                 "be.g"]) == 0
+    lines = Path("report.csv").read_text().splitlines()
+    assert "partition_z_volume_bound,14,14,10799153.523573805,no,no" in lines
+    assert not any(line.startswith(("vertex_bound", "cross_bound"))
+                   for line in lines)
 
 
 def test_empty_report_header_only():

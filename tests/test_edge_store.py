@@ -1,7 +1,9 @@
 """The edge array of `SimpleGraph` and `PartitionedHypergraph` against
 frozenset references kept here: every view derived from the array must
 equal what a direct computation over the sorted edge tuples gives, with
-Python ints in every tuple it returns."""
+Python ints in every tuple it returns.  The `edges` frozenset is a view
+too, built on first read: the graphs the operations and the full
+construction return must not have built it yet."""
 
 from itertools import combinations, product
 
@@ -10,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rtlab.constructions import ConstructionParams, full_construction
 from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph, blowup,
-                              clean_low_codegree, shadow)
+                              clean_low_codegree, read_hypergraph, shadow,
+                              write_hypergraph)
 from rtlab.verifiers import contained_edge
 
 # ---------------------------------------------------------------------------
@@ -80,6 +84,11 @@ def python_ints(tuples) -> bool:
     return all(type(v) is int for e in tuples for v in e)
 
 
+def unviewed(g) -> bool:
+    """Whether g has not yet built its `edges` view (a cached property)."""
+    return "edges" not in vars(g)
+
+
 # ---------------------------------------------------------------------------
 # inputs: unsorted tuples, tuples that coincide once sorted, no edges,
 # n = 0 and r = 2, given as a list, a frozenset or an array
@@ -108,6 +117,7 @@ def hypergraph_inputs(draw):
 def test_views_match_frozenset_references(inputs, t, threshold):
     n, r, edges, given_edges, labels, vertices = inputs
     h = PartitionedHypergraph(n, r, given_edges, labels)
+    assert unviewed(h)
     want = ref_edges(edges)
     assert h.edges == want
     assert h.sorted_edges() == sorted(want) and python_ints(h.sorted_edges())
@@ -129,19 +139,20 @@ def test_views_match_frozenset_references(inputs, t, threshold):
         assert (b, a) not in cover and cover.get((b, a)) is None
 
     sh = shadow(h)
-    assert sh.edges == ref_shadow(want)
+    assert unviewed(sh) and sh.edges == ref_shadow(want)
     assert sh.adjacency_masks() == ref_masks(n, ref_shadow(want))
 
     sub = h.induced(vertices)
-    assert sub.edges == ref_induced(want, vertices)
+    assert unviewed(sub) and sub.edges == ref_induced(want, vertices)
     assert sub.part_of == tuple(labels[v] for v in sorted(vertices))
 
     blown = blowup(h, t)
-    assert blown.edges == ref_blowup(want, t) and blown.n == n * t
+    assert unviewed(blown) and blown.n == n * t
+    assert blown.edges == ref_blowup(want, t)
 
     cleaned = clean_low_codegree(h, threshold)
     want_clean, removed = ref_clean(want, labels, threshold)
-    assert cleaned.edges == want_clean
+    assert unviewed(cleaned) and cleaned.edges == want_clean
     assert cleaned.meta["cleaned_edges"] == removed
 
     found = contained_edge(h, vertices)
@@ -156,13 +167,31 @@ def test_graph_views_match_frozenset_references(inputs):
     if r != 2:
         return
     g = SimpleGraph(n, given_edges, labels)
+    assert unviewed(g)
     want = ref_edges(edges)
     assert g.edges == want
     assert g.edge_array.tolist() == [list(e) for e in sorted(want)]
     assert g.adjacency_masks() == ref_masks(n, want)
     sub = g.induced(vertices)
-    assert sub.edges == ref_induced(want, vertices)
+    assert unviewed(sub) and sub.edges == ref_induced(want, vertices)
     assert sub.adjacency_masks() == ref_masks(sub.n, sub.edges)
+
+
+def test_full_construction_builds_no_view(tmp_path):
+    # README parameters, z=14, seed 3: neither the construction nor its
+    # file round trip reads `edges`; the view then equals the edge lines
+    # of the file, parsed here
+    h = full_construction(ConstructionParams(
+        r=3, z=14, alpha=0.3, beta=0.3, epsilon=0.5, k=5, blowup_t=3,
+        gamma=0.3, pattern_cap=10, seed=3))
+    path = tmp_path / "full.hg"
+    write_hypergraph(h, str(path))
+    back = read_hypergraph(str(path))
+    assert unviewed(h) and unviewed(back)
+    lines = path.read_text().splitlines()[1 + h.n:]
+    want = frozenset(tuple(map(int, line.split())) for line in lines)
+    assert len(want) == len(h.edge_array) > 0
+    assert h.edges == want and back.edges == want and python_ints(h.edges)
 
 
 def test_edge_array_is_read_only():

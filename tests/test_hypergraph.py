@@ -254,9 +254,12 @@ def test_graph_file_roundtrip(tmp_path):
 
 def test_read_rejects_malformed(tmp_path):
     path = tmp_path / "bad.hg"
-    path.write_text("NOT A HEADER\n")
-    with pytest.raises(ValueError):
-        read_hypergraph(str(path))
+    # a bad header, and edges of r = 0 (one empty line) or r = 1 vertex
+    for text in ["NOT A HEADER\n", "HG 0 2 1 0\n-1\n-1\n\n",
+                 "HG 1 2 1 0\n-1\n-1\n0\n"]:
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            read_hypergraph(str(path))
 
 
 @pytest.mark.parametrize("edge_lines,problem", [
