@@ -15,6 +15,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import constructions as con
 from . import drc as drcmod
 from . import hypergraph as hg
@@ -148,12 +150,12 @@ def _cmd_verify(args) -> int:
         recheck = lambda w: ver.recheck_split_core(h, w)
     elif check == "sparse":
         ell = args.ell if args.ell is not None else h.r ** 3
-        # each part's inside edges on the file's vertex ids, part by part;
-        # the whole file when it has no parts
-        inside = [[] for _ in range(h.parts)]
-        for e in h.inside_edges():
-            inside[h.part_of[e[0]]].append(e)
-        for edges in inside or [h.edge_array]:
+        # each part's inside edges (by their first vertex's label) on the
+        # file's vertex ids, part by part; the whole file when it has none
+        inside = h.inside_edges()
+        first = np.asarray(h.part_of)[inside[:, 0]]
+        parts = [inside[first == p] for p in range(h.parts)]
+        for edges in parts or [h.edge_array]:
             part = hg.PartitionedHypergraph(h.n, h.r, edges, h.part_of)
             witness = ver.scan_sparse_patterns(part, h.r, ell, args.budget)
             if witness is not None:

@@ -63,6 +63,8 @@ class ConstructionParams:
             raise ValueError("gamma must lie in (0, 1)")
         if self.blowup_t < 1:
             raise ValueError("blowup factor must be >= 1")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be a positive finite number")
         derived = self.epsilon / math.sqrt(self.k)
         if self.theta is None:
             self.theta = derived
@@ -162,14 +164,11 @@ def _tuple_hypergraph(partition: SpherePartition, r: int, u: int,
         raise PartTooLarge(f"{nv} tuple vertices exceed the cap {MAX_PART_SIZE}")
     n = r * nv
     part_of = tuple(p for p in range(r) for _ in range(nv))
-    edges: set = set()
     meta = {"tuple_count": nv, "z": partition.z, "theta": theta,
             "r": r, "u": u}
-    if nv == 0:
-        return PartitionedHypergraph(0, r, frozenset(), (), meta=meta)
 
     dm = partition.distance_matrix()
-    T = np.array(V, dtype=int)
+    T = np.array(V, dtype=int).reshape(nv, u)
 
     # tuple-close: all u^2 coordinate pairs within sqrt(2) - theta
     closeM = dm <= SQRT2 - theta
@@ -184,15 +183,14 @@ def _tuple_hypergraph(partition: SpherePartition, r: int, u: int,
     for j in range(u):
         tfar |= farM[np.ix_(T[:, j], T[:, j])]
     np.fill_diagonal(tfar, False)
+    # part p holds the tuples p*nv .. p*nv + nv - 1
+    shift = nv * np.arange(r)
 
     # inside edges: r-cliques of the far graph, one copy per part
     full = (1 << nv) - 1
-    inside = list(_cliques([_mask_of(row) for row in tfar], r, full))
+    inside = np.array(list(_cliques([_mask_of(row) for row in tfar], r, full)),
+                      dtype=np.int64).reshape(-1, r)
     meta["base_inside_per_part"] = len(inside)
-    for p in range(r):
-        off = p * nv
-        for cl in inside:
-            edges.add(tuple(off + a for a in cl))
     meta["base_inside"] = len(inside) * r
 
     # cross edges: ordered assignments (a_1..a_r), pairwise tuple-close
@@ -202,9 +200,11 @@ def _tuple_hypergraph(partition: SpherePartition, r: int, u: int,
                               _Counter(MAX_CROSS_ASSIGNMENTS), ordered=True))
     except BudgetExceeded:
         raise PartTooLarge("cross enumeration exceeded the cap") from None
-    edges.update(tuple(p * nv + a for p, a in enumerate(c)) for c in cross)
+    cross = np.array(cross, dtype=np.int64).reshape(-1, r) + shift
     meta["base_cross"] = len(cross)
 
+    edges = np.concatenate([(inside + shift[:, None, None]).reshape(-1, r),
+                            cross])
     return PartitionedHypergraph(n, r, edges, part_of, meta=meta)
 
 
@@ -243,10 +243,11 @@ def random_blowup(inside: PartitionedHypergraph, t: int, gamma: float,
                                     blown.part_of)
     doomed = sparse_pattern_doomed_edges(
         sampled, ell, blowup_deletion_condition(r, gamma), budget)
-    gone = np.array([e in doomed for e in sampled.sorted_edges()], dtype=bool)
     meta = dict(inside.meta, blowup_t=t, keep_probability=p,
-                kept_edges=len(gone), deleted_patterns_edges=len(doomed))
-    return PartitionedHypergraph(blown.n, r, sampled.edge_array[~gone],
+                kept_edges=len(sampled.edge_array),
+                deleted_patterns_edges=len(doomed))
+    return PartitionedHypergraph(blown.n, r,
+                                 np.delete(sampled.edge_array, doomed, axis=0),
                                  blown.part_of, meta=meta)
 
 
@@ -327,27 +328,18 @@ def corollary_graph(g: SimpleGraph, q: int, t: int, inner_provider,
         raise ValueError("mixing fraction must lie in (0, 1)")
     total = max(g.n + q - 1, round(g.n / mix_a))
     rest = total - g.n
-    base, extra = divmod(rest, q - 1)
-    sizes = [base + (1 if i < extra else 0) for i in range(q - 1)]
-    t_edges = set()
-    offsets = []
-    off = 0
-    for size in sizes:
-        offsets.append(off)
-        off += size
-    for ci, size in enumerate(sizes):
-        inner = inner_provider(size)
-        if inner.n != size:
+    # near-equal classes 0 .. q-2, in vertex order; distinct classes join
+    labels = np.array(sorted(v % (q - 1) for v in range(rest)))
+    t_edges = [np.argwhere(labels[:, None] < labels)]
+    for ci in range(q - 1):
+        start, end = np.searchsorted(labels, [ci, ci + 1]).tolist()
+        inner = inner_provider(end - start)
+        if inner.n != end - start:
             raise ValueError("inner provider returned a wrong-size graph")
         if find_clique(inner, t + 1) is not None:
             raise ValueError("inner graph is not K_{t+1}-free")
-        t_edges.update((offsets[ci] + a, offsets[ci] + b)
-                       for a, b in inner.edge_array.tolist())
-        for cj in range(ci + 1, q - 1):
-            for a in range(size):
-                for b in range(sizes[cj]):
-                    t_edges.add((offsets[ci] + a, offsets[cj] + b))
-    t_graph = SimpleGraph(rest, t_edges)
+        t_edges.append(inner.edge_array + start)
+    t_graph = SimpleGraph(rest, np.concatenate(t_edges))
     return complete_join(g, t_graph)
 
 

@@ -44,7 +44,8 @@ class DrcParams:
     the codegree fraction `find-tkf5` asks of its pair.  retries bounds
     the Las Vegas loops; codegree_threshold drives the cleaning pass (16
     in the asymptotic statements, lower it for desk-scale hosts whose
-    codegrees cannot reach 16).
+    codegrees cannot reach 16).  a, m, r, t, s and retries are >= 1, a
+    given n > 0 and codegree_threshold >= 0, else ValueError.
     """
 
     a: int = 4
@@ -56,6 +57,15 @@ class DrcParams:
     epsilon: float = 0.5
     retries: int = DEFAULT_RETRIES
     codegree_threshold: int = 16
+
+    def __post_init__(self):
+        for name in ("a", "m", "r", "t", "s", "retries"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.n is not None and self.n <= 0:
+            raise ValueError("n must be positive when given")
+        if self.codegree_threshold < 0:
+            raise ValueError("codegree_threshold must be >= 0")
 
     @classmethod
     def from_json(cls, data: dict) -> "DrcParams":
@@ -69,8 +79,8 @@ class DrcParams:
 
 def drc_feasible(p: DrcParams, d) -> bool:
     """Exact test of d^t/n^(t-1) - C(n,r) (m/n)^t >= a."""
-    if p.n is None or p.n <= 0 or p.t <= 0 or p.r <= 0 or p.m <= 0 or p.a <= 0:
-        raise ValueError("all graph-form parameters must be positive")
+    if p.n is None:
+        raise ValueError("the graph-form test needs n")
     d = Fraction(d)
     n, t, r, m, a = p.n, p.t, p.r, p.m, p.a
     lhs = d ** t / Fraction(n) ** (t - 1) - math.comb(n, r) * Fraction(m, n) ** t
@@ -116,10 +126,11 @@ def drc_find_set(g: SimpleGraph, p: DrcParams, seed: int = 0,
     require_feasible=False the Las Vegas search still runs (its output is
     verification-gated either way), only availability is at risk.
     """
-    params = replace(p, n=g.n)
-    if require_feasible and not drc_feasible(params, average_degree(g)):
-        raise ValueError("dependent-random-choice inequality fails for these "
-                         "parameters; the guarantee does not apply")
+    if require_feasible:
+        d = average_degree(g)  # refuses a graph without vertices first
+        if not drc_feasible(replace(p, n=g.n), d):
+            raise ValueError("dependent-random-choice inequality fails for "
+                             "these parameters; the guarantee does not apply")
     rows = g.adjacency_masks()
     for trial in range(p.retries):
         rng = substream(seed, "drc-find-set", trial)

@@ -11,9 +11,12 @@ lexicographic order.  It is the only store: `edges`, the frozenset of
 the same sorted tuples for the membership rechecks, is built from the
 array on first read and then kept, so a graph whose edges nobody looks
 up never makes a Python tuple per edge.  Every other view (the sorted
-edge list, the pair-cover index, cross and inside edges, shadows,
-induced subgraphs, blowups, codegree cleaning and neighbour bitmasks)
-is a numpy pass over the array, made afresh on each call.
+edge list, the pair-cover index, cross and inside rows, shadows, induced
+subgraphs, blowups, codegree cleaning, the file writer and neighbour
+bitmasks) is a numpy pass over the array, made afresh on each call.
+Edges pass between functions as arrays; tuples are made only for the
+sorted edge list the sparse-pattern scan walks, the pair-cover lists
+and `edges`.
 `pair_cover_index` returns a `PairCoverIndex`: a mapping from each
 covered pair (a, b), a < b, to the list of its covering edges in edge
 order, which also holds the covered pairs and their codegrees as
@@ -239,18 +242,20 @@ class PartitionedHypergraph(_EdgeStore):
         labels = np.asarray(self.part_of, dtype=np.int64)
         return np.sort(labels[self.edge_array], axis=1)
 
-    def cross_edges(self) -> list:
-        """Edges with their r vertices in r distinct labelled parts."""
+    def cross_edges(self) -> np.ndarray:
+        """The rows of `edge_array` with their r vertices in r distinct
+        labelled parts, a (k, r) array in lexicographic order."""
         lab = self._edge_labels()
         cross = ((lab[:, 0] != UNPARTITIONED)
                  & (lab[:, 1:] != lab[:, :-1]).all(axis=1))
-        return list(_tuples(self.edge_array[cross]))
+        return self.edge_array[cross]
 
-    def inside_edges(self) -> list:
-        """Edges with every vertex in one labelled part."""
+    def inside_edges(self) -> np.ndarray:
+        """The rows of `edge_array` with every vertex in one labelled
+        part, a (k, r) array in lexicographic order."""
         lab = self._edge_labels()
         inside = (lab[:, 0] != UNPARTITIONED) & (lab[:, 0] == lab[:, -1])
-        return list(_tuples(self.edge_array[inside]))
+        return self.edge_array[inside]
 
     def induced(self, vertices) -> "PartitionedHypergraph":
         vs = sorted(vertices)
@@ -357,24 +362,17 @@ def blowup(h: PartitionedHypergraph, t: int) -> PartitionedHypergraph:
 
 def turan_hypergraph(n: int, s: int, r: int) -> PartitionedHypergraph:
     """Complete s-partite r-uniform hypergraph with near-equal parts:
-    every r-set meeting r distinct parts is an edge."""
+    every r-set meeting r distinct parts is an edge.  The edges of each
+    r-set of parts are the product of its parts' vertex ranges."""
     if s < r:
         raise ValueError(f"need at least r={r} parts, got s={s}")
-    base, extra = divmod(n, s)
-    sizes = [base + (1 if i < extra else 0) for i in range(s)]
-    part_of = []
-    for p, size in enumerate(sizes):
-        part_of.extend([p] * size)
-    groups = []
-    start = 0
-    for size in sizes:
-        groups.append(list(range(start, start + size)))
-        start += size
-    edges = set()
-    for chosen in combinations(range(s), r):
-        edges.update(tuple(sorted(e))
-                     for e in product(*(groups[p] for p in chosen)))
-    return PartitionedHypergraph(n, r, edges, tuple(part_of))
+    part_of = sorted(v % s for v in range(n))
+    starts = np.searchsorted(part_of, range(s + 1))
+    grids = [np.stack(np.meshgrid(*(np.arange(starts[p], starts[p + 1])
+                                    for p in chosen), indexing="ij"),
+                      axis=-1).reshape(-1, r)
+             for chosen in combinations(range(s), r)]
+    return PartitionedHypergraph(n, r, np.concatenate(grids), tuple(part_of))
 
 
 def codegree(h: PartitionedHypergraph, x: int, y: int) -> int:
@@ -430,36 +428,37 @@ def write_hypergraph(h: PartitionedHypergraph, path: str) -> None:
         fh.write(f"HG {h.r} {h.n} {len(h.edge_array)} {h.parts}\n")
         for v in range(h.n):
             fh.write(f"{h.part_of[v]}\n")
-        for e in h.sorted_edges():
-            fh.write(" ".join(map(str, e)) + "\n")
+        # one "%d ... %d" line per edge, filled from the flattened rows
+        line = " ".join(["%d"] * h.r) + "\n"
+        rows = h.edge_array
+        fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def read_hypergraph(path: str) -> PartitionedHypergraph:
     """Parse the format above.  ValueError on a bad header or label line,
     a label below -1, a header part count other than the labels give, an
-    edge line without r vertices, an edge listed twice, fewer than m edge
-    lines, or a non-blank line after the m-th."""
+    edge line without r distinct vertices, an edge listed twice, fewer
+    than m edge lines, or a non-blank line after the m-th."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 5 or header[0] != "HG":
             raise ValueError(f"not a hypergraph file: {path}")
         r, n, m, parts = map(int, header[1:])
         part_of = tuple(int(fh.readline()) for _ in range(n))
-        edges = set()
+        edges = []
         for i in range(m):
             line = fh.readline()
             if not line:
                 raise ValueError(f"{path}: header gives {m} edges, "
                                  f"file ends after {i}")
-            e = tuple(sorted(int(x) for x in line.split()))
-            if len(e) != r:
-                raise ValueError(f"edge {e} does not have {r} vertices")
-            if e in edges:
-                raise ValueError(f"{path}: edge {e} listed twice")
-            edges.add(e)
+            edges.append([int(x) for x in line.split()])
         if any(line.strip() for line in fh):
             raise ValueError(f"{path}: lines after the header's {m} edges")
     h = PartitionedHypergraph(n, r, edges, part_of)
+    # the store keeps each edge once
+    if len(h.edge_array) < m:
+        raise ValueError(f"{path}: an edge is listed twice ({m} edge lines, "
+                         f"{len(h.edge_array)} distinct edges)")
     if h.parts != parts:
         raise ValueError(f"{path}: header gives {parts} parts, "
                          f"the labels give {h.parts}")

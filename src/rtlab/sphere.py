@@ -479,11 +479,6 @@ class SpherePartition:
     def precondition_min_z(self) -> float:
         return min_domains(self.k, self.domain_diam_bound)
 
-    def nearest_rep(self, points: np.ndarray) -> np.ndarray:
-        """Index of the Voronoi cell owning each point (max inner product)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.argmax(pts @ self.reps.T, axis=1)
-
     def distance_matrix(self) -> np.ndarray:
         return pairwise_distances(self.reps)
 

@@ -644,9 +644,10 @@ def recheck_sparse_pattern(h: PartitionedHypergraph, emb: Embedding,
 
 
 def sparse_pattern_doomed_edges(h: PartitionedHypergraph, ell: int,
-                                condition, budget=None) -> set:
-    """Edges whose deletion leaves no connected sub-collection with at
-    most ell vertices that satisfies the condition.
+                                condition, budget=None) -> list:
+    """The ascending indices, into the rows of `h.edge_array`, of the
+    edges whose deletion leaves no connected sub-collection with at most
+    ell vertices that satisfies the condition.
 
     One pass of the sparse-pattern scan: each witness it finds has its
     lexicographically last edge deleted, and the scan goes on over the
@@ -656,12 +657,11 @@ def sparse_pattern_doomed_edges(h: PartitionedHypergraph, ell: int,
     completed pass is therefore the exhaustive scan of the final edge
     set, which certifies it.  `budget` bounds the whole pass.
     """
-    edges = h.sorted_edges()
     dead = set()
     for witness in _sparse_witnesses(h, ell, condition,
                                      _Counter(resolve_budget(budget)), dead):
         dead.add(witness[-1])
-    return {edges[i] for i in dead}
+    return sorted(dead)
 
 
 # ---------------------------------------------------------------------------
@@ -704,20 +704,18 @@ def density_report(obj, params=None) -> VerificationReport:
                 verdict = "violated"
     else:
         h = obj
+        cross = len(h.cross_edges())
         if h.parts:
-            cross = h.cross_edges()
-            inside = h.inside_edges()
-            rows.append(_row("cross_edges", len(cross)))
-            rows.append(_row("inside_edges", len(inside)))
+            rows.append(_row("cross_edges", cross))
+            rows.append(_row("inside_edges", len(h.inside_edges())))
             for p in range(h.parts):
                 rows.append(_row(f"part_{p}_size", len(h.part_vertices(p))))
         meta = h.meta or {}
         if "base_cross" in meta and "blowup_t" in meta:
             t = meta["blowup_t"]
             expect = meta["base_cross"] * t ** h.r
-            got = len(h.cross_edges())
-            ok = got == expect
-            rows.append(_row("cross_blowup_identity", got, reference=expect,
+            ok = cross == expect
+            rows.append(_row("cross_blowup_identity", cross, reference=expect,
                              asserted=True, ok=ok))
             if not ok:
                 verdict = "violated"

@@ -100,8 +100,7 @@ def test_criterion_5_blowup_sparse_exclusion():
         part = build_partition(k, z, theta, seed, balance_iters=8,
                                diag_samples=4000)
         h = sphere_hypergraph(p, part)
-        inside = PartitionedHypergraph(h.n, 3, frozenset(h.inside_edges()),
-                                       h.part_of)
+        inside = PartitionedHypergraph(h.n, 3, h.inside_edges(), h.part_of)
         blown = random_blowup(inside, 5, 0.3, 9, seed=seed)
         for q in range(3):
             sub = blown.induced(blown.part_vertices(q))

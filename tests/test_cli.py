@@ -294,6 +294,14 @@ def test_report_flags_missing_keys_exit_2(tmp_path, capsys):
                  str(path)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err.startswith("input error:")
+    # every key given, but an epsilon that is not a positive finite number
+    for epsilon in ["-1", "0", "inf", "nan"]:
+        assert main(["report", "--r", "3", "--z", "14", "--alpha", "0.3",
+                     "--beta", "0.3", "--epsilon", epsilon, "--k", "5",
+                     "--out", str(out), str(path)]) == 2, epsilon
+        assert not out.exists()
+        assert "epsilon must be a positive finite number" in \
+            capsys.readouterr().err
 
 
 # sha256 of the README pipeline's files (z=14, seed 3); a change that is
@@ -442,6 +450,30 @@ def test_drc_hypergraph_pipeline_failure_exit_3(tmp_path, capsys, action):
     assert main(["drc", action, "--params", str(ppath), "--seed", "1",
                  "--out", str(out), str(hpath)]) == 3
     assert f"{action} failed at stage" in capsys.readouterr().out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("action", ["find-f", "find-tkf5"])
+@pytest.mark.parametrize("params,problem", [
+    ({"retries": 0}, "retries must be >= 1"),
+    ({"retries": -3}, "retries must be >= 1"),
+    ({"codegree_threshold": -1}, "codegree_threshold must be >= 0"),
+    ({"a": 0}, "a must be >= 1"),
+    ({"s": 0}, "s must be >= 1"),
+    ({"n": 0}, "n must be positive"),
+])
+def test_drc_bad_params_exit_2(tmp_path, capsys, action, params, problem):
+    # refused as input before any trial runs, not reported as a pipeline
+    # that found no witness
+    hpath = tmp_path / "h.hg"
+    write_hypergraph(complete_uniform(9, 3), str(hpath))
+    ppath = tmp_path / "drc.json"
+    ppath.write_text(json.dumps(params))
+    out = tmp_path / "w.json"
+    assert main(["drc", action, "--params", str(ppath),
+                 "--out", str(out), str(hpath)]) == 2
+    captured = capsys.readouterr()
+    assert problem in captured.err and "failed at stage" not in captured.out
     assert not out.exists()
 
 

@@ -353,8 +353,7 @@ def deletion_corpus():
         part = build_partition(k, z, theta, seed, balance_iters=8,
                                diag_samples=4000)
         h = sphere_hypergraph(p, part)
-        inside = PartitionedHypergraph(h.n, 3, frozenset(h.inside_edges()),
-                                       h.part_of)
+        inside = PartitionedHypergraph(h.n, 3, h.inside_edges(), h.part_of)
         build(f"crit5-seed{seed}", 9, before,
               lambda: random_blowup(inside, 5, 0.3, 9, seed=seed))
     for seed, before in CRIT6_DELETED_BEFORE.items():
@@ -390,7 +389,11 @@ def test_deletion_pass_matches_restart_loop(deletion_corpus):
     for label, _, _, _, deletions in deletion_corpus:
         assert len(deletions) == 1, label
         h, ell, condition, doomed = deletions[0]
-        assert doomed == _restart_doomed_edges(h, ell, condition), label
+        # the pass returns the ascending row indices of the loop's edges
+        index = {e: i for i, e in enumerate(h.sorted_edges())}
+        want = sorted(index[e] for e in _restart_doomed_edges(h, ell,
+                                                               condition))
+        assert doomed == want, label
 
 
 @pytest.fixture(scope="module")
@@ -530,6 +533,37 @@ def test_corollary_edge_count_recount():
     join_edges = sum(1 for a, b in out.edges if a < g.n <= b)
     assert join_edges == g.n * rest
     assert len(out.edges) == len(g.edges) + inner_edges + join_edges
+
+
+def former_corollary(g, q, t, inner_provider, mix_a):
+    """The offsets-and-triple-loop builder corollary_graph replaced."""
+    total = max(g.n + q - 1, round(g.n / mix_a))
+    rest = total - g.n
+    base, extra = divmod(rest, q - 1)
+    sizes = [base + (1 if i < extra else 0) for i in range(q - 1)]
+    offsets = [sum(sizes[:i]) for i in range(q - 1)]
+    t_edges = set()
+    for ci, size in enumerate(sizes):
+        inner = inner_provider(size)
+        t_edges.update((offsets[ci] + a, offsets[ci] + b)
+                       for a, b in inner.edge_array.tolist())
+        for cj in range(ci + 1, q - 1):
+            for a in range(size):
+                for b in range(sizes[cj]):
+                    t_edges.add((offsets[ci] + a, offsets[cj] + b))
+    edges = set(g.edges) | {(a + g.n, b + g.n) for a, b in t_edges}
+    edges |= {(a, g.n + b) for a in range(g.n) for b in range(rest)}
+    return SimpleGraph(total, edges)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_corollary_matches_former_builder(q):
+    # class sizes from 1 up to uneven ones, inner graphs of every size
+    for n_g, mix_a in [(0, 0.5), (3, 0.9), (5, 0.5), (8, 0.4), (9, 0.25)]:
+        g = maximal_ktfree_graph(n_g, 2, seed=n_g)
+        provider = lambda n: maximal_ktfree_graph(n, 2, seed=n + q)
+        out = corollary_graph(g, q, 2, provider, mix_a=mix_a)
+        assert out == former_corollary(g, q, 2, provider, mix_a), (n_g, mix_a)
 
 
 def test_corollary_rejects_bad_inner():

@@ -68,6 +68,16 @@ def ref_clean(edges, part_of, threshold):
         removed += len(doomed)
 
 
+def ref_cross(edges, labels) -> list:
+    return sorted(e for e in edges if -1 not in (labels[v] for v in e)
+                  and len({labels[v] for v in e}) == len(e))
+
+
+def ref_inside(edges, labels) -> list:
+    return sorted(e for e in edges if len({labels[v] for v in e}) == 1
+                  and labels[e[0]] != -1)
+
+
 def ref_contained(edges, vertices):
     return next((e for e in sorted(edges) if set(e) <= set(vertices)), None)
 
@@ -122,6 +132,11 @@ def test_views_match_frozenset_references(inputs, t, threshold):
     assert h.edges == want
     assert h.sorted_edges() == sorted(want) and python_ints(h.sorted_edges())
     assert h.edge_array.shape == (len(want), r)
+
+    for rows, ref in [(h.cross_edges(), ref_cross(want, labels)),
+                      (h.inside_edges(), ref_inside(want, labels))]:
+        assert rows.shape == (len(ref), r) and rows.tolist() == \
+            [list(e) for e in ref]
 
     cover = h.pair_cover_index()
     want_cover = ref_pair_cover(want)

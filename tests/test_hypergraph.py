@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -41,8 +41,15 @@ def test_hypergraph_rejects_bad_edges():
 def test_cross_inside_split():
     h = PartitionedHypergraph(6, 3, frozenset([(0, 2, 4), (0, 1, 2)]),
                               (0, 0, 1, 1, 2, 2))
-    assert h.cross_edges() == [(0, 2, 4)]
-    assert h.inside_edges() == []
+    assert h.cross_edges().tolist() == [[0, 2, 4]]
+    assert h.inside_edges().shape == (0, 3)
+    # rows of the edge array: a cross, an inside, a mixed edge and one
+    # with an unlabelled vertex
+    h = PartitionedHypergraph(7, 3, [(5, 3, 0), (2, 1, 0), (0, 1, 3),
+                                     (1, 4, 6)], (0, 0, 0, 1, 1, 2, -1))
+    cross, inside = h.cross_edges(), h.inside_edges()
+    assert cross.tolist() == [[0, 3, 5]] and inside.tolist() == [[0, 1, 2]]
+    assert cross.dtype == inside.dtype == h.edge_array.dtype
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +148,29 @@ def test_turan_part_sizes_balanced():
     h = turan_hypergraph(5, 3, 3)
     sizes = sorted(len(h.part_vertices(p)) for p in range(3))
     assert sizes == [1, 2, 2]
+
+
+def former_turan(n, s, r):
+    """The set-and-loop builder turan_hypergraph replaced: part sizes by
+    divmod, then every transversal product of the chosen parts."""
+    base, extra = divmod(n, s)
+    sizes = [base + (1 if i < extra else 0) for i in range(s)]
+    part_of, groups = [], []
+    for p, size in enumerate(sizes):
+        groups.append(list(range(len(part_of), len(part_of) + size)))
+        part_of.extend([p] * size)
+    edges = set()
+    for chosen in combinations(range(s), r):
+        edges.update(tuple(sorted(e))
+                     for e in product(*(groups[p] for p in chosen)))
+    return PartitionedHypergraph(n, r, edges, tuple(part_of))
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_turan_matches_former_builder(r):
+    for s in range(r, r + 4):
+        for n in range(0, 3 * s + 2):
+            assert turan_hypergraph(n, s, r) == former_turan(n, s, r), (n, s)
 
 
 def test_turan_rejects_s_below_r():
@@ -294,3 +324,8 @@ def test_file_roundtrip_property(tmp_path_factory, seed, r, m, with_parts):
     back = read_hypergraph(str(path))
     assert (back.n, back.r, back.edges, back.part_of) == \
         (h.n, h.r, h.edges, h.part_of)
+    # the bytes of the former writer, one " ".join line per sorted edge
+    former = f"HG {h.r} {h.n} {len(h.edges)} {h.parts}\n"
+    former += "".join(f"{p}\n" for p in h.part_of)
+    former += "".join(" ".join(map(str, e)) + "\n" for e in sorted(h.edges))
+    assert path.read_text() == former

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import nearest_rep
 from rtlab.rng import substream
 from rtlab.sphere import (SQRT2, SphericalCap, _into_union, build_partition,
                           cap_intersection_measure_mc, cap_measure,
@@ -368,7 +369,7 @@ def test_p4_refined_margin_independent_of_k(gamma):
 def test_partition_two_domains_are_hemispheres():
     part = build_partition(2, 2, 0.5, seed=1)
     pts = sample_uniform_points(2, 100_000, substream(3, "measure-mc"))
-    measures = np.bincount(part.nearest_rep(pts), minlength=2) / 100_000
+    measures = np.bincount(nearest_rep(part, pts), minlength=2) / 100_000
     assert np.all(np.abs(measures - 0.5) < 0.02)
 
 
@@ -406,7 +407,7 @@ def test_partition_matches_masked_lloyd(k, z):
 def test_partition_single_domain_is_whole_sphere():
     part = build_partition(3, 1, 0.5, seed=2)
     pts = sample_uniform_points(3, 20_000, substream(1, "measure-mc"))
-    measures = np.bincount(part.nearest_rep(pts), minlength=1) / 20_000
+    measures = np.bincount(nearest_rep(part, pts), minlength=1) / 20_000
     assert measures[0] == 1.0
 
 
@@ -415,7 +416,7 @@ def test_partition_measures_balanced():
     for k, z in ((2, 40), (5, 25)):
         part = build_partition(k, z, 0.5, seed=11)
         pts = sample_uniform_points(k, 200_000, substream(7, "measure-mc"))
-        measures = np.bincount(part.nearest_rep(pts), minlength=z) / 200_000
+        measures = np.bincount(nearest_rep(part, pts), minlength=z) / 200_000
         assert np.all(np.abs(measures - 1.0 / z) < 0.2 / z), (k, z, measures)
 
 

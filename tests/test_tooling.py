@@ -3,7 +3,7 @@ and methods that exist in rtlab, so a rename in the package cannot
 silently break a traced run, no search recurses to a depth that grows
 with its input, the package imports nothing but the standard library
 and numpy, no private helper is left without a caller, and no public
-function or class is reached by tests alone."""
+function, class or method is reached by tests alone."""
 
 import ast
 import importlib
@@ -148,17 +148,29 @@ def test_private_names_have_callers():
     assert _uncalled(defs, uses) == []
 
 
+def _public_defs(body):
+    """The public functions and classes of the module body, and the
+    public methods of its classes."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in body:
+        if (isinstance(node, (*functions, ast.ClassDef))
+                and not node.name.startswith("_")):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (method for method in node.body
+                        if isinstance(method, functions)
+                        and not method.name.startswith("_"))
+
+
 def test_public_names_have_callers():
-    # a top-level public function or class must be named by the package
-    # outside its definition (re-exports in __init__.py do not count) or
-    # by the benchmark, unless it is one of the ENTRY_POINTS
+    # a top-level public function or class, or a public method of a
+    # package class, must be named by the package outside its definition
+    # (re-exports in __init__.py do not count) or by the benchmark,
+    # unless it is one of the ENTRY_POINTS
     defs, uses = [], []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef))
-                    and not node.name.startswith("_")):
-                defs.append((node.name, path, node.lineno, node.end_lineno))
+        for node in _public_defs(ast.parse(path.read_text()).body):
+            defs.append((node.name, path, node.lineno, node.end_lineno))
         if path.name != "__init__.py":
             uses += _uses(path)
     for path in sorted(BENCH.glob("*.py")):
