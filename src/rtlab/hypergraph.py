@@ -33,18 +33,19 @@ import numpy as np
 UNPARTITIONED = -1
 
 
-def _sorted_rows(edges, r: int, size_error) -> np.ndarray:
+def _sorted_rows(edges, r: int, size_error, range_error) -> np.ndarray:
     """The edges as an int64 array, one sorted row per edge in input
     order.  An edge without r vertices raises ValueError(size_error(edge)),
-    also when the edges have different lengths."""
+    also when the edges have different lengths; an edge with a vertex
+    beyond int64 raises ValueError(range_error(edge))."""
     if isinstance(edges, np.ndarray):
         rows = edges.astype(np.int64, copy=False)
     else:
         edges = list(edges)
         try:
             rows = np.array(edges, dtype=np.int64)
-        except (ValueError, TypeError):  # ragged, or edges not sequences
-            rows = None
+        except (ValueError, TypeError, OverflowError):
+            rows = None  # ragged, edges not sequences, or a vertex too large
     if rows is None or rows.shape != (len(edges), r):
         if isinstance(edges, np.ndarray):
             edges = edges.tolist()
@@ -52,7 +53,12 @@ def _sorted_rows(edges, r: int, size_error) -> np.ndarray:
         for e in edges:
             if len(e) != r:
                 raise ValueError(size_error(e))
-        rows = np.array(edges, dtype=np.int64).reshape(len(edges), r)
+        try:
+            rows = np.array(edges, dtype=np.int64).reshape(len(edges), r)
+        except OverflowError:
+            big = next(e for e in edges
+                       if not all(-2 ** 63 <= v < 2 ** 63 for v in e))
+            raise ValueError(range_error(big)) from None
     return np.sort(rows, axis=1)
 
 
@@ -138,15 +144,20 @@ class SimpleGraph(_EdgeStore):
 
     def __init__(self, n: int, edges, part_of: tuple | None = None):
         self.n = n
+
+        def out_of_range(e):
+            return f"edge ({e[0]},{e[1]}) out of range for n={n}"
+
         rows = _sorted_rows(edges, 2,
-                            lambda e: f"edge {e} is not a vertex pair")
+                            lambda e: f"edge {e} is not a vertex pair",
+                            out_of_range)
         loop = rows[:, 0] == rows[:, 1]
         bad = _first(loop | (rows[:, 0] < 0) | (rows[:, 1] >= n))
         if bad is not None:
             a, b = rows[bad].tolist()
             if loop[bad]:
                 raise ValueError(f"self-loop at vertex {a}")
-            raise ValueError(f"edge ({a},{b}) out of range for n={n}")
+            raise ValueError(out_of_range((a, b)))
         self.edge_array = _store(rows, n)
         self.part_of = None if part_of is None else tuple(part_of)
         if self.part_of is not None and len(self.part_of) != n:
@@ -214,14 +225,17 @@ class PartitionedHypergraph(_EdgeStore):
         def not_a_set(e):
             return f"edge {e} is not a set of {r} distinct vertices"
 
-        rows = _sorted_rows(edges, r, not_a_set)
+        def out_of_range(e):
+            return f"edge {e} out of range for n={n}"
+
+        rows = _sorted_rows(edges, r, not_a_set, out_of_range)
         repeat = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
         bad = _first(repeat | (rows[:, 0] < 0) | (rows[:, -1] >= n))
         if bad is not None:
             e = tuple(rows[bad].tolist())
             if repeat[bad]:
                 raise ValueError(not_a_set(e))
-            raise ValueError(f"edge {e} out of range for n={n}")
+            raise ValueError(out_of_range(e))
         self.edge_array = _store(rows, n)
 
     @property

@@ -19,6 +19,8 @@ import numpy as np
 from .rng import substream
 
 SQRT2 = math.sqrt(2.0)
+# cloud points per block of a Lloyd step's nearest-representative pass
+LLOYD_BLOCK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +494,16 @@ def build_partition(k: int, z: int, theta: float, seed: int,
     by `balance_iters` Lloyd steps (Monte Carlo cell means re-projected to
     the sphere), which push the empirical cell measures toward 1/z.  The
     Lloyd cloud has max(diag_samples, 40 z) uniform points: `diag_samples`
-    only sets that floor.  Whether the diameters can meet theta/4 is left
-    to the volume bound (`precondition_min_z`); no diameter is sampled.
-    Bit-reproducible for a fixed seed.  ValueError for z < 1 or a theta
-    that is not a positive finite number.
+    only sets that floor.  Each step finds the points' nearest
+    representatives in blocks of LLOYD_BLOCK = 1,024 points, so memory is
+    O(N (k+1) + 1024 z) for N cloud points, never an (N, z) matrix.  A
+    block's dot products may differ from the full product's in the last
+    bit (BLAS picks its kernel by shape), but its owners, and so the
+    representatives, are the full product's on every seeded shape tested.
+    Whether the diameters can meet theta/4 is left to the volume bound
+    (`precondition_min_z`); no diameter is sampled.  Bit-reproducible for
+    a fixed seed.  ValueError for z < 1 or a theta that is not a positive
+    finite number.
     """
     if z < 1:
         raise ValueError(f"domain count must be >= 1, got {z}")
@@ -506,16 +514,20 @@ def build_partition(k: int, z: int, theta: float, seed: int,
         cloud = sample_uniform_points(k, max(diag_samples, 40 * z),
                                       substream(seed, "partition-lloyd"))
         columns = np.ascontiguousarray(cloud.T)
+        owner = np.empty(len(cloud), dtype=np.intp)
         for _ in range(balance_iters):
-            owner = np.argmax(cloud @ reps.T, axis=1)
+            for lo in range(0, len(cloud), LLOYD_BLOCK):
+                hi = lo + LLOYD_BLOCK
+                np.argmax(cloud[lo:hi] @ reps.T, axis=1, out=owner[lo:hi])
             # bincount adds each cell's rows in sampling order, as a sum
             # over the cell's rows would, so the means are the same floats
             sums = np.stack([np.bincount(owner, weights=col, minlength=z)
                              for col in columns], axis=1)
-            for j in range(z):
-                nm = np.linalg.norm(sums[j])
-                if nm > 1e-12:
-                    reps[j] = sums[j] / nm
+            # the same floats as np.linalg.norm of each row, which axis=1
+            # norms, einsum and (sums * sums).sum(1) are not
+            nm = np.sqrt(sums[:, None, :] @ sums[:, :, None])[:, 0, 0]
+            keep = nm > 1e-12
+            reps[keep] = sums[keep] / nm[keep, None]
     return SpherePartition(k=k, z=z, reps=reps, domain_diam_bound=theta / 4.0,
                            seed=seed)
 

@@ -61,7 +61,7 @@ def test_verify_violation_writes_witness(tmp_path):
     assert len(payload["vertex_map"]) == 4
 
 
-def test_verify_malformed_file_exit_2(tmp_path):
+def test_verify_malformed_file_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.hg"
     bad.write_text("junk\n")
     assert main(["verify", "--check", "clique", "--s", "3", str(bad)]) == 2
@@ -69,6 +69,15 @@ def test_verify_malformed_file_exit_2(tmp_path):
     for text in ["HG 0 2 1 0\n-1\n-1\n\n", "HG 1 2 1 0\n-1\n-1\n0\n"]:
         bad.write_text(text)
         assert main(["verify", "--check", "sparse", str(bad)]) == 2
+    # so is a vertex id beyond int64, as the range check words it
+    big = 99999999999999999999
+    for edge in [(0, big), (0, 1, big)]:
+        bad.write_text(f"HG {len(edge)} 4 1 1\n" + "0\n" * 4
+                       + " ".join(map(str, edge)) + "\n")
+        capsys.readouterr()
+        assert main(["verify", "--check", "sparse", str(bad)]) == 2
+        assert (f"input error: edge {edge} out of range for n=4"
+                in capsys.readouterr().err)
 
 
 def test_verify_missing_file_exit_2(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -396,12 +397,32 @@ def _masked_lloyd_partition(k, z, seed, balance_iters=32, samples=20_000):
     return reps
 
 
-@pytest.mark.parametrize("k,z", [(5, 14), (5, 20), (3, 60), (5, 250)])
-def test_partition_matches_masked_lloyd(k, z):
+@pytest.mark.parametrize("k,z,balance_iters,samples", [
+    pytest.param(k, z, 32, 20_000, id=f"{k}-{z}")
+    for k, z in [(5, 14), (5, 20), (3, 60), (5, 250)]] + [
+    # the search benchmark's call, a cloud of four Lloyd blocks
+    pytest.param(10, 30, 8, 4000, id="10-30-search"),
+    # a cloud smaller than one block
+    pytest.param(3, 5, 32, 500, id="3-5-sub-block"),
+])
+def test_partition_matches_masked_lloyd(k, z, balance_iters, samples):
     # one seed at z=250, where the masked reference takes seconds
     for seed in ((1,) if z == 250 else (1, 2, 3)):
-        part = build_partition(k, z, 0.5, seed)
-        assert np.array_equal(part.reps, _masked_lloyd_partition(k, z, seed))
+        part = build_partition(k, z, 0.5, seed, balance_iters=balance_iters,
+                               diag_samples=samples)
+        assert np.array_equal(part.reps, _masked_lloyd_partition(
+            k, z, seed, balance_iters=balance_iters, samples=samples))
+
+
+def test_partition_never_builds_cloud_by_cells_matrix():
+    # the (N, z) products at z=250 alone would take 40 MB
+    tracemalloc.start()
+    try:
+        build_partition(5, 250, 0.5, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
 
 
 def test_partition_single_domain_is_whole_sphere():
