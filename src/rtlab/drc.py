@@ -17,8 +17,8 @@ from operator import and_
 
 import numpy as np
 
-from .hypergraph import (UNPARTITIONED, PartitionedHypergraph, SimpleGraph,
-                         clean_low_codegree)
+from .hypergraph import (UNPARTITIONED, PairCoverIndex, PartitionedHypergraph,
+                         SimpleGraph, clean_low_codegree)
 from .rng import substream
 from .verifiers import (BudgetExceeded, Embedding, _Counter, contained_edge,
                         private_edges, recheck_tk, recheck_tkf_core,
@@ -187,11 +187,14 @@ def hyper_drc(g_r: PartitionedHypergraph, s: int, seed: int = 0) -> PartitionedH
                                  g_r.part_of, meta=meta)
 
 
-def _extensions(g_r: PartitionedHypergraph, edge_set) -> list:
-    """The first-part vertices v, in order, with e + v an edge of g_r for
-    every (r-1)-set e in edge_set."""
-    return [v for v in g_r.part_vertices(0)
-            if all(tuple(sorted(e + (v,))) in g_r.edges for e in edge_set)]
+def _extensions(g_r: PartitionedHypergraph, pairs) -> list:
+    """The first-part vertices v, ascending, with (v, y, z) an edge of the
+    3-uniform g_r for every pair (y, z): the third vertices common to the
+    pairs' covering edges."""
+    cover = g_r.pair_cover_index()
+    thirds = [{v for e in cover.covering(y, z) for v in e if v not in (y, z)}
+              for y, z in pairs]
+    return sorted(v for v in set.intersection(*thirds) if g_r.part_of[v] == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +352,7 @@ def _f_witness_once(h, labels, cleaned, params, seed, trial):
     return witness
 
 
-def _tk_extension(cover: dict, cores, fixed: dict) -> Embedding | None:
+def _tk_extension(cover: PairCoverIndex, cores, fixed: dict) -> Embedding | None:
     """Core subdivision on the sorted cores: every pair outside `fixed`
     gets its own hyperedge whose other vertices are fresh, the vertices of
     the `fixed` edges included.  The extension is optional, so None also
@@ -398,7 +401,8 @@ def _tkf5_once(h, cleaned, eps):
         raise PipelineFailure("no-qualifying-pair",
                               f"max codegree {top} below eps*n = {need:.1f}")
     x, y = best
-    z_set = sorted(v for e in cleaned_cover[best] for v in e if v not in best)
+    z_set = sorted(v for e in cleaned_cover.covering(x, y) for v in e
+                   if v not in best)
     e_in_z = contained_edge(h, z_set)
     if e_in_z is None:
         raise PipelineFailure("no-edge-in-link", "link set spans no hyperedge")
@@ -406,8 +410,8 @@ def _tkf5_once(h, cleaned, eps):
     cover = h.pair_cover_index()
     cores5 = sorted([x, y, *e_in_z])
     # x y and each vertex of Z share a cleaned edge, E covers its own pairs
-    cover_pairs = [(cleaned_cover.get(p) or cover[p])[0]
-                   for p in combinations(cores5, 2)]
+    cover_pairs = [(cleaned_cover.covering(a, b) or cover.covering(a, b))[0]
+                   for a, b in combinations(cores5, 2)]
     tkf5 = Embedding({i: v for i, v in enumerate(cores5)},
                      {i: "core" for i in range(5)}, cover_pairs)
     if not recheck_tkf_core(h, tkf5):

@@ -7,24 +7,22 @@ utilities, and the shared text file format.
 Both types store their edges once, validated at construction, as
 `edge_array`: a read-only (m, r) int32 array (int64 past 2^31 vertices)
 whose rows are the edges, each row sorted, the rows distinct and in
-lexicographic order.  It is the only store: `edges`, the frozenset of
-the same sorted tuples for the membership rechecks, is built from the
-array on first read and then kept, so a graph whose edges nobody looks
-up never makes a Python tuple per edge.  Every other view (the sorted
-edge list, the pair-cover index, cross and inside rows, shadows, induced
-subgraphs, blowups, codegree cleaning, the file writer and neighbour
-bitmasks) is a numpy pass over the array, made afresh on each call.
-Edges pass between functions as arrays; tuples are made only for the
-sorted edge list the sparse-pattern scan walks, the pair-cover lists
-and `edges`.
-`pair_cover_index` returns a `PairCoverIndex`: a mapping from each
-covered pair (a, b), a < b, to the list of its covering edges in edge
-order, which also holds the covered pairs and their codegrees as
-arrays.  Edges are always iterated in lexicographic order, so every
+lexicographic order.  It is the only store, and the searches read it:
+`edges`, the frozenset of the same sorted tuples for the membership
+rechecks, is built from the array on first read and then kept, so a
+graph whose edges nobody looks up never makes a Python tuple per edge.
+Every other view (the pair-cover index, cross and inside rows, shadows,
+induced subgraphs, blowups, codegree cleaning, the file writer and
+neighbour bitmasks) is a numpy pass over the array, made afresh on each
+call.  Edges pass between functions as arrays or as row indices into
+them; tuples are made only for `edges` and for the covering edges of a
+looked-up pair.
+`pair_cover_index` returns a `PairCoverIndex`: the covered pairs (a, b),
+a < b, their codegrees, and the rows of the array covering each, in row
+order.  Edges are always iterated in lexicographic order, so every
 pipeline built on these types is reproducible.
 """
 
-from collections.abc import Mapping
 from functools import cached_property
 from itertools import combinations, product
 
@@ -246,10 +244,6 @@ class PartitionedHypergraph(_EdgeStore):
     def part_vertices(self, p: int) -> list:
         return [v for v in range(self.n) if self.part_of[v] == p]
 
-    def sorted_edges(self) -> list:
-        """The edges as tuples, in lexicographic order."""
-        return list(_tuples(self.edge_array))
-
     def _edge_labels(self) -> np.ndarray:
         """The part labels of the edges' vertices, row by row, each row
         sorted."""
@@ -278,23 +272,21 @@ class PartitionedHypergraph(_EdgeStore):
                                      tuple(self.part_of[v] for v in vs))
 
     def pair_cover_index(self) -> "PairCoverIndex":
-        """pair (a, b) with a < b -> list of covering edges, in edge
-        order; see PairCoverIndex."""
+        """The covered pairs and the rows covering each; see
+        PairCoverIndex."""
         return PairCoverIndex(self.edge_array, self.n)
 
 
-class PairCoverIndex(Mapping):
-    """The covered pairs of a hypergraph and the edges covering each.
+class PairCoverIndex:
+    """The covered pairs of a hypergraph and the rows of its
+    `edge_array` that cover each.
 
-    A read-only mapping from each covered pair (a, b), a < b, to the list
-    of edges (sorted tuples) that contain both, in lexicographic edge
-    order; its keys iterate in lexicographic order.  Built by one stable
-    sort of the C(r, 2) pair keys a*n + b of every edge, which keeps each
-    pair's edges in edge order.  `pairs` is the (k, 2) array of the
-    covered pairs in key order and `codegrees` the number of edges
-    covering each; `edge_indices(i)` are the covering edges of pairs[i]
-    as indices into the hypergraph's sorted edges.  A looked-up list is
-    built once per index.
+    Built by one stable sort of the C(r, 2) pair keys a*n + b of every
+    row, which keeps each pair's rows in row order.  `pairs` is the
+    (k, 2) array of the covered pairs (a, b), a < b, in lexicographic
+    order and `codegrees` the number of rows covering each;
+    `edge_indices(i)` are the covering rows of pairs[i] and
+    `covering(a, b)` the covering edges of one pair.
     """
 
     def __init__(self, edges: np.ndarray, n: int):
@@ -308,31 +300,22 @@ class PairCoverIndex(Mapping):
         self.codegrees = np.diff(self._start)
         self.pairs = np.stack([a[order][start], b[order][start]], axis=1)
         self._covering = owner[order]
-        self._lists: dict = {}
 
     def edge_indices(self, i: int) -> list:
         """The covering edges of pairs[i], as ascending indices into the
-        hypergraph's sorted edges."""
+        rows of `edge_array`."""
         return self._covering[self._start[i]:self._start[i + 1]].tolist()
 
-    def __getitem__(self, pair) -> list:
-        found = self._lists.get(pair)
-        if found is None:
-            a, b = pair
-            key = a * self._n + b
-            i = int(np.searchsorted(self._keys, key))
-            if not (0 <= a < b < self._n and i < len(self._keys)
-                    and self._keys[i] == key):
-                raise KeyError(pair)
-            rows = self._edges[self.edge_indices(i)]
-            found = self._lists[pair] = list(_tuples(rows))
-        return found
-
-    def __iter__(self):
-        return _tuples(self.pairs)
-
-    def __len__(self) -> int:
-        return len(self._keys)
+    def covering(self, a: int, b: int) -> list:
+        """The edges covering the pair, given in either order, as sorted
+        tuples in row order; [] when no edge covers it."""
+        a, b = min(a, b), max(a, b)
+        key = a * self._n + b
+        i = int(np.searchsorted(self._keys, key))
+        if not (0 <= a < b < self._n and i < len(self._keys)
+                and self._keys[i] == key):
+            return []
+        return list(_tuples(self._edges[self.edge_indices(i)]))
 
 
 # ---------------------------------------------------------------------------

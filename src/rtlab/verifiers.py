@@ -20,8 +20,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .hypergraph import (UNPARTITIONED, PartitionedHypergraph, SimpleGraph,
-                         shadow)
+from .hypergraph import (UNPARTITIONED, PairCoverIndex, PartitionedHypergraph,
+                         SimpleGraph, _runs, codegree, shadow)
 from .sphere import min_domains
 
 DEFAULT_BUDGET = 20_000_000
@@ -243,7 +243,7 @@ def hyper_independence(h: PartitionedHypergraph, budget=None) -> int:
     """
     counter = _Counter(resolve_budget(budget))
     best = 0
-    masks = sorted(sum(1 << v for v in e) for e in h.edge_array.tolist())
+    masks = sorted(_vertex_masks(h.edge_array))
     stack = [(masks, 0, h.n)]
     while stack:
         live, forced, size = stack.pop()
@@ -306,7 +306,7 @@ def find_tkf_core(h: PartitionedHypergraph, s: int, budget=None) -> Embedding | 
         return None
     cover = h.pair_cover_index()
     cores = sorted(emb.vertex_map.values())
-    edges_used = [cover[pair][0] for pair in combinations(cores, 2)]
+    edges_used = [cover.covering(a, b)[0] for a, b in combinations(cores, 2)]
     return Embedding({i: v for i, v in enumerate(cores)},
                      {i: "core" for i in range(s)}, edges_used)
 
@@ -315,29 +315,29 @@ def recheck_tkf_core(h: PartitionedHypergraph, emb: Embedding) -> bool:
     cores = sorted(emb.vertex_map.values())
     if len(set(cores)) != len(cores):
         return False
-    for a, b in combinations(cores, 2):
-        if not any(a in e and b in e for e in h.edges):
-            return False
-    return True
+    return all(codegree(h, a, b) > 0 for a, b in combinations(cores, 2))
 
 
-def private_edges(cover: dict, pairs: list, used: set,
+def private_edges(cover: PairCoverIndex, pairs: list, used: set,
                   counter: _Counter) -> list | None:
     """One covering edge per core pair, each edge's vertices outside its
     pair fresh: not in `used` and not in any other chosen edge.
 
-    `cover` is a pair-cover index.  Depth-first over first-fit choices in
-    the index order, one budget node per tentative choice; returns the
-    edges in pair order, or None when no such choice exists.  An explicit
-    stack keeps each pair's next position in its cover list.
+    Depth-first over first-fit choices in the index order, one budget
+    node per tentative choice; returns the edges in pair order, or None
+    when no such choice exists.  An explicit stack keeps each pair's next
+    position in its cover list, looked up when the pair is first reached.
     """
     used = set(used)
     chosen: list = []
+    covers: list = []  # covers[i]: the covering edges of pair i
     nxt = [0]  # nxt[i]: the position in pair i's cover list to try next
     while len(nxt) <= len(pairs):
         i = len(nxt) - 1
         a, b = pairs[i]
-        es = cover.get((a, b), [])
+        if i == len(covers):
+            covers.append(cover.covering(a, b))
+        es = covers[i]
         for j in range(nxt[i], len(es)):
             extras = [v for v in es[j] if v != a and v != b]
             if not any(v in used for v in extras):
@@ -447,8 +447,8 @@ def scan_split_core(h: PartitionedHypergraph, budget=None) -> Embedding | None:
                     counter.tick()
                     if (c, d) in within_j:
                         cores = (a, b, c, d)
-                        edges_used = [cover[tuple(sorted(p))][0]
-                                      for p in combinations(cores, 2)]
+                        edges_used = [cover.covering(x, y)[0]
+                                      for x, y in combinations(cores, 2)]
                         return Embedding(dict(enumerate(cores)),
                                          {i: "core" for i in range(4)},
                                          edges_used)
@@ -485,16 +485,18 @@ def blowup_deletion_condition(r: int, gamma: float):
 
 def connected_edge_subsets(h: PartitionedHypergraph, max_vertices: int,
                            counter: _Counter, stop_at, dead=frozenset()):
-    """Yield (edge-index tuple, vertex set) for every connected linear
+    """Yield (edge-index tuple, vertex count) for every connected linear
     sub-collection of two or more edges, spanning at most max_vertices
-    vertices and holding no edge whose index (into h.sorted_edges()) is
+    vertices and holding no edge whose index (a row of h.edge_array) is
     in `dead`.  Linear: every two of its edges share at most one vertex.
 
     Exact-once enumeration (ESU, Wernicke 2006: grow from the minimum
     edge index with an exclusive extension list).  When `stop_at(v, m)`
     is true for a yielded subset it is not extended further; every subset
     all of whose proper connected prefixes fail stop_at is still reached,
-    so in particular every minimal satisfying subset is yielded.
+    so in particular every minimal satisfying subset is yielded.  Vertex
+    sets are int bitmasks, and each edge's neighbours (the edges sharing
+    a vertex with it) come from one sort of the rows' vertex incidences.
 
     `dead` is read at every step, so the caller may add to it between
     yields.  Deleting edges changes no adjacency among the others, so the
@@ -503,53 +505,58 @@ def connected_edge_subsets(h: PartitionedHypergraph, max_vertices: int,
     goes on exactly as a fresh walk of the survivors would after the
     subset just yielded.
     """
-    edges = h.sorted_edges()
-    m = len(edges)
-    edge_sets = [frozenset(e) for e in edges]
-    vert2edges = defaultdict(list)  # edges dead already never enter it
-    for i, e in enumerate(edges):
-        if i in dead:
-            continue
-        for v in e:
-            vert2edges[v].append(i)
+    rows = h.edge_array
+    m, r = rows.shape
+    if r > max_vertices:
+        return
+    masks = _vertex_masks(rows)
+    live = np.ones(m, dtype=bool)  # edges dead already have no neighbours
+    live[list(dead)] = False
+    kept = np.flatnonzero(live)
+    order, _, start = _runs(rows[kept].ravel())
+    incident = kept[order // r].tolist()  # each vertex's edges, ascending
+    bounds = [*start.tolist(), len(incident)]
     nbrs = [set() for _ in range(m)]
-    for lst in vert2edges.values():
-        for i in lst:
-            nbrs[i].update(lst)
-    nbr_lists = []
-    for i in range(m):
-        nbrs[i].discard(i)
-        nbr_lists.append(sorted(nbrs[i]))
+    for lo, hi in zip(bounds, bounds[1:]):
+        run = incident[lo:hi]
+        for i in run:
+            nbrs[i].update(run)
+    nbr_lists = [sorted(nb - {i}) for i, nb in enumerate(nbrs)]
 
     for seed in range(m):
-        if seed in dead or len(edges[seed]) > max_vertices:
+        if seed in dead:
             continue
         base_ext = [u for u in nbr_lists[seed] if u > seed and u not in dead]
-        stack = [((seed,), edge_sets[seed], base_ext,
-                  set(base_ext) | {seed})]
+        stack = [((seed,), masks[seed], base_ext, set(base_ext) | {seed})]
         while stack:
             subset, verts, ext, closed = stack.pop()
             if not dead.isdisjoint(subset):
                 continue
             if len(subset) >= 2:
-                yield tuple(sorted(subset)), verts
-                if stop_at(len(verts), len(subset)):
+                v = verts.bit_count()
+                yield tuple(sorted(subset)), v
+                if stop_at(v, len(subset)):
                     continue
             # each candidate is excluded from its later siblings' subtrees
             # (exclusive extension lists keep the enumeration exact-once)
             for i, w in enumerate(ext):
                 if w in dead:
                     continue
-                ws = edge_sets[w]
+                ws = masks[w]
                 nv = verts | ws
-                if len(nv) > max_vertices or any(
-                        len(ws & edge_sets[j]) > 1 for j in subset):
+                if nv.bit_count() > max_vertices or any(
+                        (ws & masks[j]).bit_count() > 1 for j in subset):
                     continue
                 counter.tick()
                 fresh = [u for u in nbr_lists[w]
                          if u > seed and u not in closed and u not in dead]
                 stack.append((subset + (w,), nv, ext[i + 1:] + fresh,
                               closed | set(fresh)))
+
+
+def _vertex_masks(rows: np.ndarray) -> list:
+    """Each row's vertices as an int bitmask."""
+    return [sum(1 << v for v in e) for e in rows.tolist()]
 
 
 def _pattern_embedding(edges_used: list) -> Embedding:
@@ -560,7 +567,7 @@ def _pattern_embedding(edges_used: list) -> Embedding:
 
 def _sparse_witnesses(h: PartitionedHypergraph, ell: int, condition,
                       counter: _Counter, dead):
-    """Sorted edge-index tuples (into h.sorted_edges()) of the connected
+    """Sorted edge-index tuples (rows of h.edge_array) of the connected
     sub-collections with at most ell vertices that satisfy the condition
     and hold no edge of `dead`, in scan order; the caller may add to
     `dead` between yields.
@@ -578,20 +585,19 @@ def _sparse_witnesses(h: PartitionedHypergraph, ell: int, condition,
     if not condition(2 * r - 2, 2):
         raise ValueError("the condition must hold for two edges sharing "
                          f"two vertices (v={2 * r - 2}, m=2)")
-    edges = h.sorted_edges()
+    masks = _vertex_masks(h.edge_array)
     cover = h.pair_cover_index()
     pairs = set()
     # only a pair covered twice or more joins two edges
     for i in np.flatnonzero(cover.codegrees >= 2).tolist():
         for e, f in combinations(cover.edge_indices(i), 2):
-            if len(set(edges[e]) | set(edges[f])) <= ell:
+            if (masks[e] | masks[f]).bit_count() <= ell:
                 pairs.add((e, f))
     for pair in sorted(pairs):
         if dead.isdisjoint(pair):
             yield pair
-    for subset, verts in connected_edge_subsets(h, ell, counter, condition,
-                                                dead):
-        if condition(len(verts), len(subset)):
+    for subset, v in connected_edge_subsets(h, ell, counter, condition, dead):
+        if condition(v, len(subset)):
             yield subset
 
 
@@ -616,8 +622,8 @@ def scan_sparse_patterns(h_part: PartitionedHypergraph, r: int, ell: int,
                                      frozenset()), None)
     if witness is None:
         return None
-    edges = h_part.sorted_edges()
-    return _pattern_embedding([edges[i] for i in witness])
+    rows = h_part.edge_array[list(witness)].tolist()
+    return _pattern_embedding([tuple(e) for e in rows])
 
 
 def recheck_sparse_pattern(h: PartitionedHypergraph, emb: Embedding,

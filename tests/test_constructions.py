@@ -390,7 +390,7 @@ def test_deletion_pass_matches_restart_loop(deletion_corpus):
         assert len(deletions) == 1, label
         h, ell, condition, doomed = deletions[0]
         # the pass returns the ascending row indices of the loop's edges
-        index = {e: i for i, e in enumerate(h.sorted_edges())}
+        index = {tuple(e): i for i, e in enumerate(h.edge_array.tolist())}
         want = sorted(index[e] for e in _restart_doomed_edges(h, ell,
                                                                condition))
         assert doomed == want, label

@@ -2,8 +2,9 @@
 and methods that exist in rtlab, so a rename in the package cannot
 silently break a traced run, no search recurses to a depth that grows
 with its input, the package imports nothing but the standard library
-and numpy, no private helper is left without a caller, and no public
-function, class or method is reached by tests alone."""
+and numpy, no private helper is left without a caller, no public
+function, class or method is reached by tests alone, and only the
+membership rechecks read the `edges` view of the edge array."""
 
 import ast
 import importlib
@@ -21,8 +22,12 @@ ENTRY_POINTS = {
                       "format that README documents",
     "check_p4": "the scalar reference that p4_best_margin's vectorised "
                 "kernel is tested against",
-    "codegree": "the recount oracle of the clean_low_codegree tests",
 }
+
+# the functions that read a graph's `edges` frozenset view; every search
+# reads `edge_array`
+EDGES_READERS = {"has_edge", "recheck_tk", "recheck_sparse_pattern",
+                 "recheck_f_witness"}
 
 
 def _load_tracer():
@@ -179,3 +184,27 @@ def test_public_names_have_callers():
     assert _uncalled(defs, uses) == [f"{path.stem}.{name}"
                                      for name, path, *_ in defs
                                      if name in ENTRY_POINTS]
+
+
+def test_searches_read_the_edge_array():
+    # the attribute `edges` is read only inside EDGES_READERS (its
+    # definition is a method, not an attribute), and the tuple list
+    # `sorted_edges` is gone
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        readers = [(fn.lineno, fn.end_lineno) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef)
+                   and fn.name in EDGES_READERS]
+        found += [f"{path.stem}:{node.lineno}: .edges"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "edges"
+                  and not any(first <= node.lineno <= last
+                              for first, last in readers)]
+        found += [f"{path.stem}:{fn.lineno}: def sorted_edges"
+                  for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef)
+                  and fn.name == "sorted_edges"]
+        found += [f"{path.stem}:{line}: sorted_edges"
+                  for name, _, line in _uses(path) if name == "sorted_edges"]
+    assert found == []

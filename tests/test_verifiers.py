@@ -83,7 +83,7 @@ def recursive_private_edges(cover, pairs, used, counter):
         if i == len(pairs):
             return True
         a, b = pairs[i]
-        for e in cover.get((a, b), []):
+        for e in cover.covering(a, b):
             extras = [v for v in e if v != a and v != b]
             if any(v in used for v in extras):
                 continue
@@ -474,8 +474,8 @@ def test_tk_planted_in_sphere_hypergraph():
 def test_private_edges_backtracks_past_first_fit():
     # first fit gives pair (0, 1) the edge through 5, the only fresh vertex
     # pair (1, 3) has; the search must go back and take the edge through 6
-    cover = {(0, 1): [(0, 1, 5), (0, 1, 6)], (0, 2): [(0, 2, 7)],
-             (1, 3): [(1, 3, 5)]}
+    cover = PartitionedHypergraph(8, 3, [(0, 1, 5), (0, 1, 6), (0, 2, 7),
+                                         (1, 3, 5)]).pair_cover_index()
     pairs = [(0, 1), (0, 2), (1, 3)]
     counter = _Counter(100)
     got = private_edges(cover, pairs, {0, 1, 2, 3}, counter)
@@ -724,12 +724,14 @@ def test_connected_subset_enumeration_matches_brute_force():
         while len(edges) < m:
             edges.add(tuple(sorted(rng.choice(n, 3, replace=False).tolist())))
         h = PartitionedHypergraph(n, 3, frozenset(edges))
+        rows = h.edge_array.tolist()
         got = set()
-        for sub, _ in connected_edge_subsets(h, 7, _Counter(10 ** 9),
+        for sub, v in connected_edge_subsets(h, 7, _Counter(10 ** 9),
                                              lambda v, m: False):
             assert sub not in got
+            assert v == len({x for i in sub for x in rows[i]})
             got.add(sub)
-        assert got == brute(h.sorted_edges(), 7)
+        assert got == brute(rows, 7)
         found += len(got)
     assert found > 0
 
