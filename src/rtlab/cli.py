@@ -175,7 +175,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_report(args) -> int:
     """Density report of the graph (r=2) or hypergraph, written to
-    --out or stdout."""
+    --out or stdout; exit 1 only when an asserted row fails, so a report
+    with nothing asserted (verdict `unchecked`) exits 0."""
     g, h = _read_input(args.file)
     given = args.params or any(getattr(args, k) is not None
                                for k in PARAM_KEYS)
@@ -183,7 +184,7 @@ def _cmd_report(args) -> int:
     rep = ver.density_report(h if g is None else g, params)
     _emit(reports.emit_report(rep, args.format,
                               params.to_json() if params else {}), args.out)
-    return EXIT_HOLDS if rep.verdict == "holds" else EXIT_VIOLATED
+    return EXIT_VIOLATED if rep.verdict == "violated" else EXIT_HOLDS
 
 
 def _cmd_optimize(args) -> int:

@@ -21,6 +21,9 @@ from .rng import substream
 SQRT2 = math.sqrt(2.0)
 # cloud points per block of a Lloyd step's nearest-representative pass
 LLOYD_BLOCK = 1024
+# the largest z whose owner pass runs over (z, B) blocks of products; above
+# it the pass over LLOYD_BLOCK rows is faster
+LLOYD_COLUMN_MAX_Z = 64
 
 
 # ---------------------------------------------------------------------------
@@ -495,18 +498,25 @@ def build_partition(k: int, z: int, theta: float, seed: int,
     the sphere), which push the empirical cell measures toward 1/z.  The
     Lloyd cloud has max(diag_samples, 40 z) uniform points: `diag_samples`
     only sets that floor.  Each step finds the points' nearest
-    representatives in blocks of LLOYD_BLOCK = 1,024 points, so memory is
-    O(N (k+1) + 1024 z) for N cloud points, never an (N, z) matrix.  A
-    block's dot products may differ from the full product's in the last
-    bit (BLAS picks its kernel by shape), but its owners, and so the
-    representatives, are the full product's on every seeded shape tested.
-    Whether the diameters can meet theta/4 is left to the volume bound
-    (`precondition_min_z`); no diameter is sampled.  Bit-reproducible for
-    a fixed seed.  ValueError for z < 1 or a theta that is not a positive
-    finite number.
+    representatives in blocks, in one of two layouts chosen by z alone:
+    for z <= LLOYD_COLUMN_MAX_Z = 64, (z, B) blocks of products with
+    B = 2^17 // z points, reduced down their columns; above it, blocks
+    of LLOYD_BLOCK = 1,024 points, one row per point.  The block buffers
+    are allocated once per call, at about 1 MB each, so memory is
+    O(N (k+1) + 2^17 + 1024 z) for N cloud points, never an (N, z)
+    matrix.  A block's dot products may differ from the full product
+    `cloud @ reps.T` in the last bit (BLAS picks its kernel by shape),
+    but in both layouts the owners, first index on exact ties, and so
+    the representatives, are the full product's on every seeded shape
+    tested.  Whether the diameters can meet theta/4 is left to the
+    volume bound (`precondition_min_z`); no diameter is sampled.
+    Bit-reproducible for a fixed seed.  ValueError for z < 1, a negative
+    `balance_iters`, or a theta that is not a positive finite number.
     """
     if z < 1:
         raise ValueError(f"domain count must be >= 1, got {z}")
+    if balance_iters < 0:
+        raise ValueError(f"balance_iters must be >= 0, got {balance_iters}")
     _check_theta(theta)
     rng = substream(seed, "partition-reps")
     reps = sample_uniform_points(k, z, rng)
@@ -514,11 +524,9 @@ def build_partition(k: int, z: int, theta: float, seed: int,
         cloud = sample_uniform_points(k, max(diag_samples, 40 * z),
                                       substream(seed, "partition-lloyd"))
         columns = np.ascontiguousarray(cloud.T)
-        owner = np.empty(len(cloud), dtype=np.intp)
+        owners = _owner_pass(cloud, columns, z)
         for _ in range(balance_iters):
-            for lo in range(0, len(cloud), LLOYD_BLOCK):
-                hi = lo + LLOYD_BLOCK
-                np.argmax(cloud[lo:hi] @ reps.T, axis=1, out=owner[lo:hi])
+            owner = owners(reps)
             # bincount adds each cell's rows in sampling order, as a sum
             # over the cell's rows would, so the means are the same floats
             sums = np.stack([np.bincount(owner, weights=col, minlength=z)
@@ -530,6 +538,52 @@ def build_partition(k: int, z: int, theta: float, seed: int,
             reps[keep] = sums[keep] / nm[keep, None]
     return SpherePartition(k=k, z=z, reps=reps, domain_diam_bound=theta / 4.0,
                            seed=seed)
+
+
+def _owner_pass(cloud: np.ndarray, columns: np.ndarray, z: int):
+    """owners(reps): for each row of `cloud` (whose transpose, C-ordered,
+    is `columns`) the index of its largest product with one of the z rows
+    of `reps`, the first on exact ties, as np.argmax(cloud @ reps.T,
+    axis=1) gives it.  Every call fills and returns the same intp array.
+
+    Up to LLOYD_COLUMN_MAX_Z cells the products of each block form a
+    (z, B) array and every reduction runs down axis 0 over contiguous
+    rows: the column maxima, the mask of entries equal to them, and the
+    largest z - j over the mask, which is z minus the first maximal j.
+    (np.argmax along axis 0 would transpose; along axis 1 it pays per
+    row, which dominates when rows hold a few dozen entries.)  Above it
+    each block of LLOYD_BLOCK points takes np.argmax of its rows.
+    """
+    n = len(cloud)
+    owner = np.empty(n, dtype=np.intp)
+    if z > LLOYD_COLUMN_MAX_Z:
+        def owners(reps):
+            for lo in range(0, n, LLOYD_BLOCK):
+                hi = lo + LLOYD_BLOCK
+                np.argmax(cloud[lo:hi] @ reps.T, axis=1, out=owner[lo:hi])
+            return owner
+        return owners
+    # 2^17 products per block: 1 MB of float64
+    width = min(n, (1 << 17) // z)
+    prod = np.empty((z, width))
+    top = np.empty(width)
+    hit = np.empty((z, width), dtype=bool)
+    score = np.empty((z, width), dtype=np.uint8)
+    best = np.empty(width, dtype=np.uint8)
+    # z - j for cell j: the largest for the first cell
+    rank = (z - np.arange(z)).astype(np.uint8)[:, None]
+
+    def owners(reps):
+        for lo in range(0, n, width):
+            w = min(width, n - lo)
+            p = np.matmul(reps, columns[:, lo:lo + w], out=prod[:, :w])
+            m = np.max(p, axis=0, out=top[:w])
+            h = np.equal(p, m, out=hit[:, :w])
+            s = np.multiply(h, rank, out=score[:, :w])
+            np.subtract(z, np.max(s, axis=0, out=best[:w]),
+                        out=owner[lo:lo + w])
+        return owner
+    return owners
 
 
 def _check_theta(theta: float) -> None:

@@ -62,7 +62,7 @@ class Embedding:
 @dataclass
 class VerificationReport:
     property_name: str
-    verdict: str  # "holds" | "violated"
+    verdict: str  # "holds" | "violated" | "unchecked" (nothing asserted)
     witness: Embedding | None = None
     counters: dict = field(default_factory=dict)
     rows: list = field(default_factory=list)
@@ -680,7 +680,9 @@ def density_report(obj, params=None) -> VerificationReport:
     Only assumption-free identities are asserted (cross-count blowup
     identity, per-part vertex counts); the alpha-slack reference terms
     and the partition's volume bound on z (ok `no` when z is below it)
-    are reported for inspection, never asserted.
+    are reported for inspection, never asserted.  The verdict is
+    `violated` when an asserted row fails, `holds` when every asserted
+    row passes, and `unchecked` when no row is asserted.
     """
     rows = []
     verdict = "holds"
@@ -747,6 +749,8 @@ def density_report(obj, params=None) -> VerificationReport:
         min_z = min_domains(params.k, params.theta / 4.0)
         rows.append(_row("partition_z_volume_bound", params.z, reference=min_z,
                          ok=False if params.z < min_z else None))
+    if not any(row["asserted"] for row in rows):
+        verdict = "unchecked"
     return VerificationReport("density", verdict, None, {}, rows)
 
 

@@ -318,7 +318,9 @@ def test_report_flags_missing_keys_exit_2(tmp_path, capsys):
 README_DIGESTS = {
     "be.g": "27a04b88a13596d020bc44f4f3277eb949ea0cd4f6ad9c130c76d6dc7e669698",
     "full.hg": "cd76219445f19b66f904af1081a61656291b3e163669df172aab414a40e877d7",
-    "report.csv": "643e583eb83f0d6dab0b18d03ed3dca4db0d3c5dcc8f810d9a1a763f286245cf",
+    # full.hg carries no construction metadata, so nothing is asserted
+    # and the report's verdict is `unchecked`
+    "report.csv": "d88afbcd3c826ae07463f07df87e830475e50b2feaf21eb244dddf0d5b2276f1",
 }
 
 
@@ -593,6 +595,20 @@ def test_report_volume_bound_row(tmp_path, k, z, ok):
     rows = {r["quantity"]: r for r in json.loads(
         js.read_text(), parse_constant=_no_constant)["rows"]}
     assert float(rows["partition_z_volume_bound"]["reference"]) == want
+
+
+def test_report_with_nothing_asserted_is_unchecked(tmp_path):
+    # no row of a metadata-free hypergraph's report is asserted: the
+    # verdict says so, and the exit code stays 0 (1 is only a violation)
+    path = tmp_path / "k5.hg"
+    write_hypergraph(complete_uniform(5, 3), str(path))
+    csv, js = tmp_path / "report.csv", tmp_path / "report.json"
+    assert main(["report", "--out", str(csv), str(path)]) == 0
+    assert main(["report", "--format", "json", "--out", str(js),
+                 str(path)]) == 0
+    assert csv.read_text().splitlines()[0] == \
+        "# property=density verdict=unchecked"
+    assert json.loads(js.read_text())["verdict"] == "unchecked"
 
 
 def _no_constant(name):

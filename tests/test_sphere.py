@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from helpers import nearest_rep
 from rtlab.rng import substream
-from rtlab.sphere import (SQRT2, SphericalCap, _into_union, build_partition,
+from rtlab.sphere import (LLOYD_COLUMN_MAX_Z, SQRT2, SphericalCap, _into_union,
+                          _owner_pass, build_partition,
                           cap_intersection_measure_mc, cap_measure,
                           check_p4, distance, estimate_dt, find_eps_k,
                           min_domains, p4_best_margin, pairwise_distances,
@@ -400,6 +401,10 @@ def _masked_lloyd_partition(k, z, seed, balance_iters=32, samples=20_000):
 @pytest.mark.parametrize("k,z,balance_iters,samples", [
     pytest.param(k, z, 32, 20_000, id=f"{k}-{z}")
     for k, z in [(5, 14), (5, 20), (3, 60), (5, 250)]] + [
+    # the last z of the column layout, the first of the row layout, S^1
+    pytest.param(k, z, 32, 20_000, id=f"{k}-{z}")
+    for k, z in [(3, LLOYD_COLUMN_MAX_Z), (3, LLOYD_COLUMN_MAX_Z + 1),
+                 (1, 7)]] + [
     # the search benchmark's call, a cloud of four Lloyd blocks
     pytest.param(10, 30, 8, 4000, id="10-30-search"),
     # a cloud smaller than one block
@@ -415,14 +420,45 @@ def test_partition_matches_masked_lloyd(k, z, balance_iters, samples):
 
 
 def test_partition_never_builds_cloud_by_cells_matrix():
-    # the (N, z) products at z=250 alone would take 40 MB
-    tracemalloc.start()
-    try:
-        build_partition(5, 250, 0.5, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2 ** 20, peak
+    # the (N, z) products of the 20,000-point cloud alone would take
+    # 10 MB at z=64 (the column layout) and 40 MB at z=250 (the row one)
+    for z in (LLOYD_COLUMN_MAX_Z, 250):
+        tracemalloc.start()
+        try:
+            build_partition(5, z, 0.5, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20, (z, peak)
+
+
+@pytest.mark.parametrize("z", [2, LLOYD_COLUMN_MAX_Z, LLOYD_COLUMN_MAX_Z + 1])
+def test_owner_pass_first_index_on_exact_ties(z):
+    # both layouts give np.argmax's owners, the first index on ties:
+    # reps with repeated rows tie exactly, and so do small integer
+    # coordinates, whose products are exact in any summation order
+    rng = substream(z, "owner-ties")
+    cloud = sample_uniform_points(3, 5000, rng)
+    half = sample_uniform_points(3, (z + 1) // 2, rng)
+    dup = np.concatenate([half, half])[rng.permutation(2 * len(half))][:z]
+    ints = rng.integers(-2, 3, size=(5000, 4)).astype(float)
+    int_reps = rng.integers(-2, 3, size=(z, 4)).astype(float)
+    for pts, reps in ((cloud, dup), (ints, int_reps)):
+        owners = _owner_pass(pts, np.ascontiguousarray(pts.T), z)
+        want = np.argmax(pts @ reps.T, axis=1)
+        assert np.array_equal(owners(reps), want)
+        # the buffers are reused: a second call still gives the owners
+        assert np.array_equal(owners(reps[::-1].copy()),
+                              np.argmax(pts @ reps[::-1].T, axis=1))
+
+
+def test_partition_rejects_negative_balance_iters():
+    with pytest.raises(ValueError, match="balance_iters must be >= 0"):
+        build_partition(3, 5, 0.5, seed=1, balance_iters=-1)
+    # zero steps keeps the sampled representatives
+    assert np.array_equal(
+        build_partition(3, 5, 0.5, seed=1, balance_iters=0).reps,
+        sample_uniform_points(3, 5, substream(1, "partition-reps")))
 
 
 def test_partition_single_domain_is_whole_sphere():

@@ -744,7 +744,8 @@ def test_density_report_empty_hypergraph():
     from rtlab.verifiers import density_report
     h = PartitionedHypergraph(0, 3, frozenset(), ())
     rep = density_report(h)
-    assert rep.verdict == "holds"
+    # no metadata and no parts: nothing is asserted
+    assert rep.verdict == "unchecked"
     assert all(r["value"] == 0 for r in rep.rows if r["quantity"] == "edges")
 
 
