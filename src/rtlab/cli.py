@@ -60,10 +60,10 @@ def _add_param_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int)
 
 
-def _read_input(path: str):
-    """(graph or None, hypergraph) for a file; the graph when r=2."""
+def _read_input(path: str) -> hg.PartitionedHypergraph:
+    """The file's hypergraph, as a SimpleGraph when r=2."""
     h = hg.read_hypergraph(path)
-    return (hg.as_graph(h) if h.r == 2 else None), h
+    return hg.as_graph(h) if h.r == 2 else h
 
 
 def _emit(text: str, path):
@@ -86,14 +86,11 @@ def _cmd_construct(args) -> int:
     params = _load_params(args)
     partition = params.build_partition()
     if args.type == "be":
-        g = con.bollobas_erdos(partition, params.epsilon)
-        hg.write_graph(g, args.out)
+        out = con.bollobas_erdos(partition, params.epsilon)
     elif args.type == "sphere":
-        h = con.sphere_hypergraph(params, partition)
-        hg.write_hypergraph(h, args.out)
+        out = con.sphere_hypergraph(params, partition)
     elif args.type == "full":
-        h = con.full_construction(params, partition)
-        hg.write_hypergraph(h, args.out)
+        out = con.full_construction(params, partition)
     elif args.type == "corollary":
         ell = int(params.extras.get("ell", 2))
         q = int(params.extras.get("q", 2))
@@ -104,32 +101,32 @@ def _cmd_construct(args) -> int:
         full = con.full_construction(params, partition)
         base = con.shadow_first_parts(full, ell)
         provider = lambda n: con.maximal_ktfree_graph(n, params.r, params.seed)
-        g = con.corollary_graph(base, q, params.r, provider, mix_a=mix_a)
-        hg.write_graph(g, args.out)
+        out = con.corollary_graph(base, q, params.r, provider, mix_a=mix_a)
     else:
         raise ValueError(f"unknown construction type {args.type}")
+    hg.write_hypergraph(out, args.out)
     print(f"wrote {args.type} construction to {args.out}")
     return EXIT_HOLDS
 
 
 def _cmd_verify(args) -> int:
-    g, h = _read_input(args.file)
+    h = _read_input(args.file)
     check = args.check
     witness = None
     if check == "clique":
-        if g is None:
+        if h.r != 2:
             raise ValueError("clique check needs a graph file (r=2)")
         if args.s is None:
             raise ValueError("clique check needs --s")
-        witness = ver.find_clique(g, args.s, args.budget)
+        witness = ver.find_clique(h, args.s, args.budget)
         recheck = lambda w: (len(w.vertex_map) == args.s
-                             and ver.recheck_clique(g, w))
+                             and ver.recheck_clique(h, w))
     elif check == "alpha_t":
-        if g is None:
+        if h.r != 2:
             raise ValueError("alpha_t needs a graph file (r=2)")
         if args.t is None:
             raise ValueError("alpha_t needs --t")
-        value = ver.alpha_t(g, args.t, args.budget)
+        value = ver.alpha_t(h, args.t, args.budget)
         print(f"alpha_{args.t} = {value}")
         if args.bound is not None and value > args.bound:
             return EXIT_VIOLATED
@@ -177,11 +174,11 @@ def _cmd_report(args) -> int:
     """Density report of the graph (r=2) or hypergraph, written to
     --out or stdout; exit 1 only when an asserted row fails, so a report
     with nothing asserted (verdict `unchecked`) exits 0."""
-    g, h = _read_input(args.file)
+    h = _read_input(args.file)
     given = args.params or any(getattr(args, k) is not None
                                for k in PARAM_KEYS)
     params = _load_params(args) if given else None
-    rep = ver.density_report(h if g is None else g, params)
+    rep = ver.density_report(h, params)
     _emit(reports.emit_report(rep, args.format,
                               params.to_json() if params else {}), args.out)
     return EXIT_VIOLATED if rep.verdict == "violated" else EXIT_HOLDS
@@ -197,12 +194,12 @@ def _cmd_optimize(args) -> int:
 def _cmd_drc(args) -> int:
     with open(args.params) as fh:
         p = drcmod.DrcParams.from_json(json.load(fh))
-    g, h = _read_input(args.file)
+    h = _read_input(args.file)
     seed = args.seed if args.seed is not None else 0
     if args.action == "find-set":
-        if g is None:
+        if h.r != 2:
             raise ValueError("find-set needs a graph file (r=2)")
-        u = drcmod.drc_find_set(g, p, seed=seed)
+        u = drcmod.drc_find_set(h, p, seed=seed)
         if u is None:
             print("find-set: no verified set within the retry budget")
             return EXIT_BUDGET

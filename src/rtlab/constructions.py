@@ -8,7 +8,7 @@ the exact rational bound/mixing optimization.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import combinations
 
@@ -81,19 +81,15 @@ class ConstructionParams:
             raise ValueError("pattern cap must be >= r")
 
     def to_json(self) -> dict:
-        out = {
-            "r": self.r, "z": self.z, "alpha": self.alpha, "beta": self.beta,
-            "epsilon": self.epsilon, "k": self.k, "blowup_t": self.blowup_t,
-            "gamma": self.gamma, "pattern_cap": self.pattern_cap,
-            "seed": self.seed, "theta": self.theta, "u": self.u,
-        }
+        """The fields in declaration order, then the extras."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "extras"}
         out.update(self.extras)
         return out
 
     @classmethod
     def from_json(cls, data: dict) -> "ConstructionParams":
-        known = {"r", "z", "alpha", "beta", "epsilon", "k", "blowup_t",
-                 "gamma", "pattern_cap", "seed", "theta", "u"}
+        known = {f.name for f in fields(cls)} - {"extras"}
         kwargs = {k: v for k, v in data.items() if k in known}
         extras = {k: v for k, v in data.items() if k not in known}
         return cls(extras=extras, **kwargs)

@@ -20,9 +20,9 @@ import numpy as np
 from .hypergraph import (UNPARTITIONED, PairCoverIndex, PartitionedHypergraph,
                          SimpleGraph, clean_low_codegree)
 from .rng import substream
-from .verifiers import (BudgetExceeded, Embedding, _Counter, contained_edge,
-                        private_edges, recheck_tk, recheck_tkf_core,
-                        resolve_budget, tk_embedding)
+from .verifiers import (BudgetExceeded, Embedding, _core_embedding, _Counter,
+                        contained_edge, private_edges, recheck_tk,
+                        recheck_tkf_core, resolve_budget, tk_embedding)
 
 DEFAULT_RETRIES = 64
 
@@ -408,12 +408,9 @@ def _tkf5_once(h, cleaned, eps):
         raise PipelineFailure("no-edge-in-link", "link set spans no hyperedge")
 
     cover = h.pair_cover_index()
-    cores5 = sorted([x, y, *e_in_z])
     # x y and each vertex of Z share a cleaned edge, E covers its own pairs
-    cover_pairs = [(cleaned_cover.covering(a, b) or cover.covering(a, b))[0]
-                   for a, b in combinations(cores5, 2)]
-    tkf5 = Embedding({i: v for i, v in enumerate(cores5)},
-                     {i: "core" for i in range(5)}, cover_pairs)
+    tkf5 = _core_embedding(sorted([x, y, *e_in_z]), lambda a, b: (
+        cleaned_cover.covering(a, b) or cover.covering(a, b)))
     if not recheck_tkf_core(h, tkf5):
         raise PipelineFailure("verification", "five-core witness failed recheck")
 

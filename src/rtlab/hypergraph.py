@@ -4,23 +4,26 @@ Undirected simple graphs, partition-labelled r-uniform hypergraphs,
 blowups, shadow graphs, complete joins, Turán hypergraphs, codegree
 utilities, and the shared text file format.
 
-Both types store their edges once, validated at construction, as
-`edge_array`: a read-only (m, r) int32 array (int64 past 2^31 vertices)
-whose rows are the edges, each row sorted, the rows distinct and in
-lexicographic order.  It is the only store, and the searches read it:
-`edges`, the frozenset of the same sorted tuples for the membership
-rechecks, is built from the array on first read and then kept, so a
-graph whose edges nobody looks up never makes a Python tuple per edge.
-Every other view (the pair-cover index, cross and inside rows, shadows,
-induced subgraphs, blowups, codegree cleaning, the file writer and
-neighbour bitmasks) is a numpy pass over the array, made afresh on each
-call.  Edges pass between functions as arrays or as row indices into
-them; tuples are made only for `edges` and for the covering edges of a
-looked-up pair.
+`PartitionedHypergraph` is the one edge store; `SimpleGraph` is its
+r = 2 subclass, with neighbour bitmasks added.  The edges are stored
+once, validated at construction, as `edge_array`: a read-only (m, r)
+int32 array (int64 past 2^31 vertices) whose rows are the edges, each
+row sorted, the rows distinct and in lexicographic order.  It is the
+only store, and the searches read it: `edges`, the frozenset of the
+same sorted tuples for the membership rechecks, is built from the array
+on first read and then kept, so a graph whose edges nobody looks up
+never makes a Python tuple per edge.  Every other view (the pair-cover
+index, cross and inside rows, induced subgraphs, blowups, the file
+writer and neighbour bitmasks) is a numpy pass over the array, made
+afresh on each call.  Edges pass between functions as arrays or as row
+indices into them; tuples are made only for `edges` and for the
+covering edges of a looked-up pair.
 `pair_cover_index` returns a `PairCoverIndex`: the covered pairs (a, b),
 a < b, their codegrees, and the rows of the array covering each, in row
-order.  Edges are always iterated in lexicographic order, so every
-pipeline built on these types is reproducible.
+order.  It is the only sort of pair keys: the shadow is its pairs and
+codegree cleaning reads its codegrees and covering rows.  Edges are
+always iterated in lexicographic order, so every pipeline built on
+these types is reproducible.
 """
 
 from functools import cached_property
@@ -85,16 +88,6 @@ def _tuples(rows: np.ndarray):
     return zip(*rows.T.tolist())
 
 
-def _pairs(rows: np.ndarray):
-    """The C(r, 2) vertex pairs (a, b), a < b, of every row, row after
-    row, as flat int64 arrays a and b (so a*n + b cannot overflow), and
-    the row each pair comes from."""
-    cols = list(combinations(range(rows.shape[1]), 2))
-    return (rows[:, [i for i, _ in cols]].ravel().astype(np.int64),
-            rows[:, [j for _, j in cols]].ravel().astype(np.int64),
-            np.repeat(np.arange(len(rows)), len(cols)))
-
-
 def _runs(keys: np.ndarray):
     """A stable sort of the non-negative keys and where its runs of equal
     keys start: (order, sorted keys, run starts)."""
@@ -112,89 +105,11 @@ def _induced_rows(n: int, rows: np.ndarray, vs: list) -> np.ndarray:
     return renumbered[(renumbered >= 0).all(axis=1)]
 
 
-class _EdgeStore:
-    """What both graph types share: the `edges` view of `edge_array`,
-    and equality by value."""
-
-    @cached_property
-    def edges(self) -> frozenset:
-        """The edges as a frozenset of sorted tuples, for membership
-        tests: built from `edge_array` on first read, then kept."""
-        return frozenset(_tuples(self.edge_array))
-
-    def __eq__(self, other):
-        """Same type and attributes, the edges compared by their array."""
-        def state(g):
-            return dict(vars(g), edges=None, edge_array=g.edge_array.tobytes())
-        return type(other) is type(self) and state(self) == state(other)
-
-
-# ---------------------------------------------------------------------------
-# simple graphs
-
-
-class SimpleGraph(_EdgeStore):
-    """Undirected graph on vertices 0..n-1 with optional part labels.
-
-    `edges` may be any collection of vertex pairs, in either order, or
-    an (m, 2) int array; it is stored as `edge_array` (see the module
-    docstring)."""
-
-    def __init__(self, n: int, edges, part_of: tuple | None = None):
-        self.n = n
-
-        def out_of_range(e):
-            return f"edge ({e[0]},{e[1]}) out of range for n={n}"
-
-        rows = _sorted_rows(edges, 2,
-                            lambda e: f"edge {e} is not a vertex pair",
-                            out_of_range)
-        loop = rows[:, 0] == rows[:, 1]
-        bad = _first(loop | (rows[:, 0] < 0) | (rows[:, 1] >= n))
-        if bad is not None:
-            a, b = rows[bad].tolist()
-            if loop[bad]:
-                raise ValueError(f"self-loop at vertex {a}")
-            raise ValueError(out_of_range((a, b)))
-        self.edge_array = _store(rows, n)
-        self.part_of = None if part_of is None else tuple(part_of)
-        if self.part_of is not None and len(self.part_of) != n:
-            raise ValueError("part_of must label every vertex")
-
-    def adjacency_masks(self) -> list:
-        """Neighbour bitmasks (int per vertex), for the exact solvers: the
-        rows of the packed adjacency matrix, bit b of row a set for each
-        edge (a, b) and (b, a)."""
-        packed = np.zeros((self.n, (self.n + 7) // 8), dtype=np.uint8)
-        a, b = self.edge_array.T
-        for x, y in ((a, b), (b, a)):
-            np.bitwise_or.at(packed, (x, y >> 3),
-                             np.left_shift(1, y & 7).astype(np.uint8))
-        return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return ((a, b) if a < b else (b, a)) in self.edges
-
-    def induced(self, vertices) -> "SimpleGraph":
-        """Induced subgraph, vertices renumbered by sorted order."""
-        vs = sorted(vertices)
-        parts = tuple(self.part_of[v] for v in vs) if self.part_of else None
-        return SimpleGraph(len(vs), _induced_rows(self.n, self.edge_array, vs),
-                           parts)
-
-
-def complete_join(g: SimpleGraph, t_graph: SimpleGraph) -> SimpleGraph:
-    """Disjoint union of the two graphs plus all edges between them."""
-    join = np.argwhere(np.ones((g.n, t_graph.n), dtype=bool)) + (0, g.n)
-    edges = [g.edge_array, t_graph.edge_array + g.n, join]
-    return SimpleGraph(g.n + t_graph.n, np.concatenate(edges))
-
-
 # ---------------------------------------------------------------------------
 # partitioned hypergraphs
 
 
-class PartitionedHypergraph(_EdgeStore):
+class PartitionedHypergraph:
     """r-uniform hypergraph on 0..n-1, r >= 2, with optional part labels
     per vertex.
 
@@ -235,6 +150,18 @@ class PartitionedHypergraph(_EdgeStore):
                 raise ValueError(not_a_set(e))
             raise ValueError(out_of_range(e))
         self.edge_array = _store(rows, n)
+
+    @cached_property
+    def edges(self) -> frozenset:
+        """The edges as a frozenset of sorted tuples, for membership
+        tests: built from `edge_array` on first read, then kept."""
+        return frozenset(_tuples(self.edge_array))
+
+    def __eq__(self, other):
+        """Same type and attributes, the edges compared by their array."""
+        def state(h):
+            return dict(vars(h), edges=None, edge_array=h.edge_array.tobytes())
+        return type(other) is type(self) and state(self) == state(other)
 
     @property
     def parts(self) -> int:
@@ -281,30 +208,36 @@ class PairCoverIndex:
     """The covered pairs of a hypergraph and the rows of its
     `edge_array` that cover each.
 
-    Built by one stable sort of the C(r, 2) pair keys a*n + b of every
-    row, which keeps each pair's rows in row order.  `pairs` is the
-    (k, 2) array of the covered pairs (a, b), a < b, in lexicographic
-    order and `codegrees` the number of rows covering each;
-    `edge_indices(i)` are the covering rows of pairs[i] and
-    `covering(a, b)` the covering edges of one pair.
+    Built by one stable sort of the pair keys a*n + b: the C(r, 2) key
+    columns of the rows side by side, raveled, so flat key i belongs to
+    row i // C(r, 2) and the sort keeps each pair's rows in row order.
+    `pairs` is the (k, 2) array of the covered pairs (a, b), a < b, in
+    lexicographic order and `codegrees` the number of rows covering
+    each; `covering_rows` lists the covering rows pair after pair, the
+    codegrees[i] rows of pairs[i] in ascending order.  `edge_indices(i)`
+    are the covering rows of pairs[i] and `covering(a, b)` the covering
+    edges of one pair.
     """
 
     def __init__(self, edges: np.ndarray, n: int):
         self._edges = edges
         self._n = n
-        a, b, owner = _pairs(edges)
-        # edge after edge, so a stable sort keeps each pair's edges in order
-        order, keys, start = _runs(a * n + b)
+        cols = list(combinations(range(edges.shape[1]), 2))
+        first, second = np.array(cols).T
+        keys = edges[:, first].astype(np.int64, copy=False)
+        keys *= n
+        keys += edges[:, second]
+        order, keys, start = _runs(keys.ravel())
         self._keys = keys[start]
         self._start = np.append(start, len(keys))
         self.codegrees = np.diff(self._start)
-        self.pairs = np.stack([a[order][start], b[order][start]], axis=1)
-        self._covering = owner[order]
+        self.pairs = np.stack(np.divmod(self._keys, n), axis=1)
+        self.covering_rows = order // len(cols)
 
     def edge_indices(self, i: int) -> list:
         """The covering edges of pairs[i], as ascending indices into the
         rows of `edge_array`."""
-        return self._covering[self._start[i]:self._start[i + 1]].tolist()
+        return self.covering_rows[self._start[i]:self._start[i + 1]].tolist()
 
     def covering(self, a: int, b: int) -> list:
         """The edges covering the pair, given in either order, as sorted
@@ -319,29 +252,59 @@ class PairCoverIndex:
 
 
 # ---------------------------------------------------------------------------
+# simple graphs
+
+
+class SimpleGraph(PartitionedHypergraph):
+    """Undirected graph on vertices 0..n-1: the r = 2 hypergraph, with
+    neighbour bitmasks for the exact solvers."""
+
+    def __init__(self, n: int, edges, part_of: tuple | None = None):
+        super().__init__(n, 2, edges, part_of)
+
+    def adjacency_masks(self) -> list:
+        """Neighbour bitmasks (int per vertex), for the exact solvers: the
+        rows of the packed adjacency matrix, bit b of row a set for each
+        edge (a, b) and (b, a)."""
+        packed = np.zeros((self.n, (self.n + 7) // 8), dtype=np.uint8)
+        a, b = self.edge_array.T
+        for x, y in ((a, b), (b, a)):
+            np.bitwise_or.at(packed, (x, y >> 3),
+                             np.left_shift(1, y & 7).astype(np.uint8))
+        return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+    def has_edge(self, a: int, b: int) -> bool:
+        return ((a, b) if a < b else (b, a)) in self.edges
+
+    def induced(self, vertices) -> "SimpleGraph":
+        """Induced subgraph, vertices renumbered by sorted order."""
+        vs = sorted(vertices)
+        return SimpleGraph(len(vs), _induced_rows(self.n, self.edge_array, vs),
+                           tuple(self.part_of[v] for v in vs))
+
+
+def complete_join(g: SimpleGraph, t_graph: SimpleGraph) -> SimpleGraph:
+    """Disjoint union of the two graphs plus all edges between them."""
+    join = np.argwhere(np.ones((g.n, t_graph.n), dtype=bool)) + (0, g.n)
+    edges = [g.edge_array, t_graph.edge_array + g.n, join]
+    return SimpleGraph(g.n + t_graph.n, np.concatenate(edges))
+
+
+# ---------------------------------------------------------------------------
 # operations
 
 
 def shadow(h: PartitionedHypergraph) -> SimpleGraph:
     """Graph on the same vertices; a pair is adjacent iff co-contained in
     some hyperedge."""
-    a, b, _ = _pairs(h.edge_array)
-    keys = np.sort(a * h.n + b)
-    keys = keys[np.diff(keys, prepend=-1) != 0]
-    return SimpleGraph(h.n, np.stack(np.divmod(keys, max(h.n, 1)), axis=1),
-                       _graph_labels(h))
+    return SimpleGraph(h.n, h.pair_cover_index().pairs, h.part_of)
 
 
 def as_graph(h: PartitionedHypergraph) -> SimpleGraph:
     """The r=2 hypergraph as a SimpleGraph."""
     if h.r != 2:
         raise ValueError(f"expected a graph (r=2), found r={h.r}")
-    return SimpleGraph(h.n, h.edge_array, _graph_labels(h))
-
-
-def _graph_labels(h: PartitionedHypergraph) -> tuple | None:
-    # SimpleGraph spells "no parts" as None, not as all-UNPARTITIONED labels
-    return h.part_of if any(p != UNPARTITIONED for p in h.part_of) else None
+    return SimpleGraph(h.n, h.edge_array, h.part_of)
 
 
 def blowup(h: PartitionedHypergraph, t: int) -> PartitionedHypergraph:
@@ -387,23 +350,21 @@ def clean_low_codegree(h: PartitionedHypergraph,
     codegree 0 or > threshold.  The number of removed edges is recorded
     in meta.
 
-    Each sweep sorts the keys a*n + b of the edges' cross pairs, counts
-    each run of equal keys, and drops at once every edge holding a pair
-    counted at most threshold times."""
+    Each sweep reads the pair-cover index of the surviving edges and
+    drops at once every row covering a cross pair of codegree at most
+    threshold."""
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
     labels = np.asarray(h.part_of, dtype=np.int64)
     edges = h.edge_array
     removed = 0
     while True:
-        a, b, owner = _pairs(edges)
-        pa, pb = labels[a], labels[b]
-        cross = (pa != pb) & (pa != UNPARTITIONED) & (pb != UNPARTITIONED)
-        order, _, start = _runs((a * h.n + b)[cross])
-        counts = np.diff(start, append=len(order))
-        low = np.repeat(counts <= threshold, counts)
+        cover = PairCoverIndex(edges, h.n)
+        pa, pb = labels[cover.pairs].T
+        low = ((pa != pb) & (pa != UNPARTITIONED) & (pb != UNPARTITIONED)
+               & (cover.codegrees <= threshold))
         doomed = np.zeros(len(edges), dtype=bool)
-        doomed[owner[cross][order[low]]] = True
+        doomed[cover.covering_rows[np.repeat(low, cover.codegrees)]] = True
         if not doomed.any():
             break
         edges = edges[~doomed]
@@ -433,14 +394,18 @@ def write_hypergraph(h: PartitionedHypergraph, path: str) -> None:
 
 def read_hypergraph(path: str) -> PartitionedHypergraph:
     """Parse the format above.  ValueError on a bad header or label line,
-    a label below -1, a header part count other than the labels give, an
-    edge line without r distinct vertices, an edge listed twice, fewer
-    than m edge lines, or a non-blank line after the m-th."""
+    a header vertex or edge count below 0, a label below -1, a header
+    part count other than the labels give, an edge line without r
+    distinct vertices, an edge listed twice, fewer than m edge lines, or
+    a non-blank line after the m-th."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 5 or header[0] != "HG":
             raise ValueError(f"not a hypergraph file: {path}")
         r, n, m, parts = map(int, header[1:])
+        if n < 0 or m < 0:
+            raise ValueError(f"{path}: header '{' '.join(header)}' gives a "
+                             f"negative vertex or edge count")
         part_of = tuple(int(fh.readline()) for _ in range(n))
         edges = []
         for i in range(m):
@@ -463,9 +428,7 @@ def read_hypergraph(path: str) -> PartitionedHypergraph:
 
 
 def write_graph(g: SimpleGraph, path: str) -> None:
-    parts = g.part_of if g.part_of is not None else [UNPARTITIONED] * g.n
-    h = PartitionedHypergraph(g.n, 2, g.edge_array, tuple(parts))
-    write_hypergraph(h, path)
+    write_hypergraph(g, path)
 
 
 def read_graph(path: str) -> SimpleGraph:

@@ -21,16 +21,21 @@ from itertools import combinations
 import numpy as np
 
 from .hypergraph import (UNPARTITIONED, PairCoverIndex, PartitionedHypergraph,
-                         SimpleGraph, _runs, codegree, shadow)
+                         SimpleGraph, _runs, codegree)
 from .sphere import min_domains
 
 DEFAULT_BUDGET = 20_000_000
 
 
 def resolve_budget(budget=None) -> int:
-    if budget is not None:
-        return int(budget)
-    return int(os.environ.get("RTLAB_BUDGET", DEFAULT_BUDGET))
+    """The node budget: the argument, else env RTLAB_BUDGET, else
+    DEFAULT_BUDGET.  A negative budget raises ValueError; 0 is legal."""
+    if budget is None:
+        budget = os.environ.get("RTLAB_BUDGET", DEFAULT_BUDGET)
+    budget = int(budget)
+    if budget < 0:
+        raise ValueError(f"node budget must be >= 0, got {budget}")
+    return budget
 
 
 class BudgetExceeded(RuntimeError):
@@ -301,14 +306,19 @@ def find_tkf_core(h: PartitionedHypergraph, s: int, budget=None) -> Embedding | 
     TKF pattern); equivalently an s-clique of the shadow graph."""
     if s < 2:
         raise ValueError(f"core count must be >= 2, got {s}")
-    emb = find_clique(shadow(h), s, budget)
+    cover = h.pair_cover_index()
+    emb = find_clique(SimpleGraph(h.n, cover.pairs), s, budget)
     if emb is None:
         return None
-    cover = h.pair_cover_index()
-    cores = sorted(emb.vertex_map.values())
-    edges_used = [cover.covering(a, b)[0] for a, b in combinations(cores, 2)]
-    return Embedding({i: v for i, v in enumerate(cores)},
-                     {i: "core" for i in range(s)}, edges_used)
+    return _core_embedding(sorted(emb.vertex_map.values()), cover.covering)
+
+
+def _core_embedding(cores, covering) -> Embedding:
+    """The cores, in the given order, as a core-cover embedding: each
+    pair realised by the first edge `covering(a, b)` lists for it."""
+    vm = dict(enumerate(cores))
+    return Embedding(vm, {i: "core" for i in vm},
+                     [covering(a, b)[0] for a, b in combinations(cores, 2)])
 
 
 def recheck_tkf_core(h: PartitionedHypergraph, emb: Embedding) -> bool:
@@ -446,12 +456,7 @@ def scan_split_core(h: PartitionedHypergraph, budget=None) -> Embedding | None:
                 for c, d in combinations(common, 2):
                     counter.tick()
                     if (c, d) in within_j:
-                        cores = (a, b, c, d)
-                        edges_used = [cover.covering(x, y)[0]
-                                      for x, y in combinations(cores, 2)]
-                        return Embedding(dict(enumerate(cores)),
-                                         {i: "core" for i in range(4)},
-                                         edges_used)
+                        return _core_embedding((a, b, c, d), cover.covering)
     return None
 
 
@@ -692,7 +697,7 @@ def density_report(obj, params=None) -> VerificationReport:
     if isinstance(obj, SimpleGraph):
         if obj.n > 1:
             rows.append(_row("edge_density", 2 * m / (obj.n * (obj.n - 1))))
-        if obj.part_of is not None:
+        if obj.parts:
             # double count: per-block totals must re-sum to the edge count
             labels = sorted(set(obj.part_of))
             ends = np.sort(np.asarray(obj.part_of)[obj.edge_array], axis=1)

@@ -65,8 +65,10 @@ def test_verify_malformed_file_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.hg"
     bad.write_text("junk\n")
     assert main(["verify", "--check", "clique", "--s", "3", str(bad)]) == 2
-    # edges of r = 0 (one empty line) and r = 1 vertex are refused too
-    for text in ["HG 0 2 1 0\n-1\n-1\n\n", "HG 1 2 1 0\n-1\n-1\n0\n"]:
+    # edges of r = 0 (one empty line) and r = 1 vertex are refused too,
+    # and so is a negative edge count
+    for text in ["HG 0 2 1 0\n-1\n-1\n\n", "HG 1 2 1 0\n-1\n-1\n0\n",
+                 "HG 3 4 -1 0\n" + "-1\n" * 4]:
         bad.write_text(text)
         assert main(["verify", "--check", "sparse", str(bad)]) == 2
     # so is a vertex id beyond int64, as the range check words it
@@ -95,6 +97,9 @@ def test_verify_budget_exit_3(tmp_path):
     write_graph(SimpleGraph(n, edges), str(path))
     assert main(["verify", "--check", "clique", "--s", "12",
                  "--budget", "2", str(path)]) == 3
+    # a negative budget is an input error, not an exhausted one
+    assert main(["verify", "--check", "clique", "--s", "12",
+                 "--budget", "-5", str(path)]) == 2
 
 
 def test_verify_alpha_t_with_bound(tmp_path, capsys):

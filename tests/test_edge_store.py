@@ -147,6 +147,8 @@ def test_views_match_frozenset_references(inputs, t, threshold):
     in_order = sorted(want)
     for i, pair in enumerate(sorted(want_cover)):
         assert [in_order[j] for j in cover.edge_indices(i)] == want_cover[pair]
+    assert [in_order[j] for j in cover.covering_rows] == \
+        [e for pair in sorted(want_cover) for e in want_cover[pair]]
     # every pair, in both orders: lists compare in order, [] if uncovered
     for a, b in combinations(range(n), 2):
         found = cover.covering(a, b)
@@ -155,6 +157,7 @@ def test_views_match_frozenset_references(inputs, t, threshold):
 
     sh = shadow(h)
     assert unviewed(sh) and sh.edges == ref_shadow(want)
+    assert sh.part_of == h.part_of
     assert sh.adjacency_masks() == ref_masks(n, ref_shadow(want))
 
     sub = h.induced(vertices)
@@ -244,11 +247,12 @@ def test_hypergraph_label_messages(part_of, message):
         PartitionedHypergraph(4, 3, [(0, 1, 2)], part_of)
 
 
+# a graph is the r = 2 hypergraph, so it gives the hypergraph messages
 @pytest.mark.parametrize("edges,message", [
-    ([(1, 1)], "self-loop at vertex 1"),
-    ([(3, 0)], r"edge \(0,3\) out of range for n=3"),
-    ([(0, 1), (2,)], r"edge \(2,\) is not a vertex pair"),
-    ([(0, 1, 2)], r"edge \(0, 1, 2\) is not a vertex pair"),
+    ([(1, 1)], r"edge \(1, 1\) is not a set of 2 distinct vertices"),
+    ([(3, 0)], r"edge \(0, 3\) out of range for n=3"),
+    ([(0, 1), (2,)], r"edge \(2,\) is not a set of 2 distinct vertices"),
+    ([(0, 1, 2)], r"edge \(0, 1, 2\) is not a set of 2 distinct vertices"),
 ], ids=["self-loop", "out-of-range", "ragged", "triple"])
 def test_graph_validation_messages(edges, message):
     with pytest.raises(ValueError, match=message):

@@ -24,6 +24,12 @@ def random_hypergraph(n, r, m, seed):
 # types
 
 
+def test_graph_is_the_two_uniform_hypergraph():
+    assert issubclass(SimpleGraph, PartitionedHypergraph)
+    g = SimpleGraph(3, [(2, 0)])
+    assert g.r == 2 and g.part_of == (-1, -1, -1) and g.parts == 0
+
+
 def test_graph_rejects_loops_and_range():
     with pytest.raises(ValueError):
         SimpleGraph(3, frozenset([(1, 1)]))
@@ -274,19 +280,24 @@ def test_hypergraph_file_roundtrip(tmp_path):
     assert back.edges == h.edges and back.part_of == h.part_of
 
 
-def test_graph_file_roundtrip(tmp_path):
-    g = SimpleGraph(5, frozenset([(0, 1), (2, 4)]), (0, 0, 1, 1, 1))
+@pytest.mark.parametrize("parts", [(0, 0, 1, 1, 1), None],
+                         ids=["labelled", "unlabelled"])
+def test_graph_file_roundtrip(tmp_path, parts):
+    g = SimpleGraph(5, frozenset([(0, 1), (2, 4)]), parts)
     path = tmp_path / "g.hg"
     write_graph(g, str(path))
     back = read_graph(str(path))
+    assert back == g
     assert back.edges == g.edges and back.part_of == g.part_of
 
 
 def test_read_rejects_malformed(tmp_path):
     path = tmp_path / "bad.hg"
-    # a bad header, and edges of r = 0 (one empty line) or r = 1 vertex
+    # a bad header, edges of r = 0 (one empty line) or r = 1 vertex, and
+    # a negative edge or vertex count
     for text in ["NOT A HEADER\n", "HG 0 2 1 0\n-1\n-1\n\n",
-                 "HG 1 2 1 0\n-1\n-1\n0\n"]:
+                 "HG 1 2 1 0\n-1\n-1\n0\n", "HG 3 4 -1 0\n" + "-1\n" * 4,
+                 "HG 3 -1 0 0\n"]:
         path.write_text(text)
         with pytest.raises(ValueError):
             read_hypergraph(str(path))

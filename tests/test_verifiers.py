@@ -263,6 +263,18 @@ def test_budget_env_var_honored(monkeypatch):
     find_clique(g, 10)
 
 
+def test_negative_budget_is_an_input_error(monkeypatch):
+    g = random_graph(8, 0.8, 1)
+    with pytest.raises(ValueError, match="node budget must be >= 0"):
+        find_clique(g, 3, budget=-5)
+    monkeypatch.setenv("RTLAB_BUDGET", "-1")
+    with pytest.raises(ValueError, match="node budget must be >= 0"):
+        find_clique(g, 3)
+    # a budget of 0 stays legal: the first node runs it out
+    with pytest.raises(BudgetExceeded):
+        find_clique(g, 3, budget=0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 5), st.booleans(), st.booleans(),
        st.randoms(use_true_random=False))
@@ -762,6 +774,14 @@ def test_density_report_shadow_double_count():
     assert rep.verdict == "holds"
     dbl = [r for r in rep.rows if r["quantity"] == "block_double_count"]
     assert dbl and dbl[0]["ok"]
+
+
+def test_density_report_unlabelled_graph_has_no_block_rows():
+    from rtlab.verifiers import density_report
+    rep = density_report(SimpleGraph(4, [(0, 1), (2, 3)]))
+    names = [r["quantity"] for r in rep.rows]
+    assert names == ["vertices", "edges", "edge_density"]
+    assert rep.verdict == "unchecked"
 
 
 def test_density_report_cross_identity_on_full_construction():
