@@ -2,9 +2,11 @@
 
 Subcommands: construct, verify, report, optimize, drc, sphere.  Exit
 codes: 0 property holds / success, 1 property violated (witness rechecked,
-then written as JSON), 2 input error, 3 search budget exceeded (for drc:
-no witness verified within the retries), 4 internal error (any other
-exception, including a witness that fails its recheck).
+then written as JSON; for `alpha_t --bound`, a K_t-free set above the
+bound found, even if the budget then ran out), 2 input error, 3 search
+budget exceeded (for drc: no witness verified within the retries), 4
+internal error (any other exception, including a witness that fails its
+recheck).
 `verify` runs one search check on a file; `report` writes its density
 report.  The construction flags of `construct` and `report` mirror the
 params.json keys and override file values; all randomness flows from
@@ -126,7 +128,16 @@ def _cmd_verify(args) -> int:
             raise ValueError("alpha_t needs a graph file (r=2)")
         if args.t is None:
             raise ValueError("alpha_t needs --t")
-        value = ver.alpha_t(h, args.t, args.budget)
+        try:
+            value = ver.alpha_t(h, args.t, args.budget)
+        except ver.BudgetExceeded as exc:
+            # a K_t-free set already found above the bound proves it broken
+            if (args.bound is None or exc.certified is None
+                    or exc.certified <= args.bound):
+                raise
+            print(_budget_line(exc), file=sys.stderr)
+            print(f"alpha_{args.t} >= {exc.certified}")
+            return EXIT_VIOLATED
         print(f"alpha_{args.t} = {value}")
         if args.bound is not None and value > args.bound:
             return EXIT_VIOLATED
@@ -320,6 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _budget_line(exc: ver.BudgetExceeded) -> str:
+    return (f"budget exceeded after {exc.nodes} nodes "
+            f"(certified: {exc.certified})")
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
@@ -330,8 +346,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ver.BudgetExceeded as exc:
-        print(f"budget exceeded after {exc.nodes} nodes "
-              f"(certified: {exc.certified})", file=sys.stderr)
+        print(_budget_line(exc), file=sys.stderr)
         return EXIT_BUDGET
     except (OSError, ValueError, KeyError, TypeError,
             json.JSONDecodeError) as exc:

@@ -71,8 +71,9 @@ def _first(bad: np.ndarray):
 def _store(rows: np.ndarray, n: int) -> np.ndarray:
     """The validated sorted rows of vertices below n as a read-only
     array, distinct, in lexicographic order and int32 unless n needs
-    more."""
-    if len(rows) > 1:
+    more.  Rows already strictly increasing, such as the pair-cover
+    index's pairs or an `edge_array`, skip the sort and the repeat scan."""
+    if len(rows) > 1 and not _strictly_increasing(rows):
         rows = rows[np.lexsort(rows.T[::-1])]
         repeat = (rows[1:] == rows[:-1]).all(axis=1)
         if repeat.any():
@@ -80,6 +81,23 @@ def _store(rows: np.ndarray, n: int) -> np.ndarray:
     rows = rows.astype(np.int32 if n <= 2 ** 31 else np.int64)
     rows.flags.writeable = False
     return rows
+
+
+def _strictly_increasing(rows: np.ndarray) -> bool:
+    """Whether each row is lexicographically above the one before: the
+    first nonzero entry of every row difference is positive."""
+    step = np.diff(rows, axis=0)
+    first = (step != 0).argmax(axis=1)
+    return bool((step[np.arange(len(step)), first] > 0).all())
+
+
+def _bit_rows(n: int, width: int, row: np.ndarray, bit: np.ndarray) -> list:
+    """n int bitmasks of `width` bits, bit bit[i] set in mask row[i]: the
+    rows of a packed 0/1 matrix, made by one numpy pass."""
+    packed = np.zeros((n, (width + 7) // 8), dtype=np.uint8)
+    np.bitwise_or.at(packed, (row, bit >> 3),
+                     np.left_shift(1, bit & 7).astype(np.uint8))
+    return [int.from_bytes(r.tobytes(), "little") for r in packed]
 
 
 def _tuples(rows: np.ndarray):
@@ -266,12 +284,9 @@ class SimpleGraph(PartitionedHypergraph):
         """Neighbour bitmasks (int per vertex), for the exact solvers: the
         rows of the packed adjacency matrix, bit b of row a set for each
         edge (a, b) and (b, a)."""
-        packed = np.zeros((self.n, (self.n + 7) // 8), dtype=np.uint8)
         a, b = self.edge_array.T
-        for x, y in ((a, b), (b, a)):
-            np.bitwise_or.at(packed, (x, y >> 3),
-                             np.left_shift(1, y & 7).astype(np.uint8))
-        return [int.from_bytes(row.tobytes(), "little") for row in packed]
+        return _bit_rows(self.n, self.n, np.concatenate((a, b)),
+                         np.concatenate((b, a)))
 
     def has_edge(self, a: int, b: int) -> bool:
         return ((a, b) if a < b else (b, a)) in self.edges

@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from .hypergraph import (UNPARTITIONED, PairCoverIndex, PartitionedHypergraph,
-                         SimpleGraph, _runs, codegree)
+                         SimpleGraph, _bit_rows, _runs, codegree)
 from .sphere import min_domains
 
 DEFAULT_BUDGET = 20_000_000
@@ -99,22 +99,32 @@ class _Counter:
 # exact clique search
 
 
-def _color_sort(cand: int, adj: list, kmin: int) -> list:
+def _color_sort(cand: int, nonadj: list, kmin: int) -> list:
     """Greedy coloring of the candidate bitmask in vertex order; the
-    vertices of color >= kmin, in nondecreasing color order."""
+    vertices of color >= kmin, in nondecreasing color order.
+
+    `nonadj[v]` is ~(adj[v] | 1 << v) within the vertex bitmask: a color
+    class takes the lowest vertex left and keeps the candidates outside
+    its neighbourhood.  The classes below kmin are only cleared from the
+    candidates, with no output built for them."""
     out = []
     rest = cand
-    color = 0
-    while rest:
+    color = 1
+    while rest and color < kmin:
+        q = rest
+        while q:
+            low = q & -q
+            q &= nonadj[low.bit_length() - 1]
+            rest ^= low
         color += 1
+    while rest:
         q = rest
         while q:
             low = q & -q
             v = low.bit_length() - 1
-            q &= ~(adj[v] | low)
+            q &= nonadj[v]
             rest ^= low
-            if color >= kmin:
-                out.append(v)
+            out.append(v)
     return out
 
 
@@ -124,7 +134,9 @@ def find_clique(g: SimpleGraph, s: int, budget=None) -> Embedding | None:
     Each level colors its candidates greedily in vertex order and
     branches, highest color first, only on those of color at least s
     minus the clique size there: a vertex of color c leaves open only
-    candidates of its c color classes, each an independent set.
+    candidates of its c color classes, each an independent set.  The
+    vertex sets are int bitmasks, and the coloring reads each vertex's
+    non-neighbour mask, made once per search.
     Returns an embedding of K_s or None if the graph is K_s-free.
     """
     if s < 1:
@@ -134,11 +146,12 @@ def find_clique(g: SimpleGraph, s: int, budget=None) -> Embedding | None:
     adj = g.adjacency_masks()
     counter = _Counter(resolve_budget(budget))
     full = (1 << g.n) - 1
+    nonadj = [full ^ (a | 1 << v) for v, a in enumerate(adj)]
     # an explicit stack, so the depth is not bounded by the recursion
     # limit: clique[i] was placed from the branching list orders[i], and
     # pools[i] holds that level's candidates not yet searched through
     clique: list = []
-    orders = [_color_sort(full, adj, s)]
+    orders = [_color_sort(full, nonadj, s)]
     pools = [full]
     while orders:
         order = orders[-1]
@@ -154,7 +167,7 @@ def find_clique(g: SimpleGraph, s: int, budget=None) -> Embedding | None:
         if len(clique) == s:
             break
         cand = pools[-1] & adj[v]
-        orders.append(_color_sort(cand, adj, s - len(clique)))
+        orders.append(_color_sort(cand, nonadj, s - len(clique)))
         pools.append(cand)
     else:
         return None
@@ -235,41 +248,60 @@ def hyper_independence(h: PartitionedHypergraph, budget=None) -> int:
 
     Depth-first over an explicit stack of (live edges, forced mask, size)
     nodes.  The current set is every vertex not yet dropped, `live` holds
-    the edges wholly inside it, in mask order, and forced vertices may
-    not be dropped.  Each live edge needs a removed vertex of its own, so
-    a greedy packing of pairwise-disjoint live edges bounds the set by
-    size - packing, and the node is pruned when that is <= best.  A node
-    with live edges branches on the free vertices f1 < f2 < ... of the
-    first: branch i drops f_i and forces f_1 .. f_(i-1), so the branches
-    are disjoint and cover every case.  No live edge is ever all forced:
-    its largest vertex was forced beside a larger dropped vertex of an
-    ancestor's first edge, which would then have had the larger mask.
-    One budget node per expanded node.
+    the edges wholly inside it, and forced vertices may not be dropped.
+    The edges are numbered in the order of their vertex bitmasks, and
+    `live` is an int bitmask over those numbers.  Each live edge needs a
+    removed vertex of its own, so a greedy packing of pairwise-disjoint
+    live edges bounds the set by size - packing, and the node is pruned
+    when that is <= best.  The packing takes the lowest live edge and
+    clears every edge meeting it, by one mask per picked edge, made on
+    the edge's first pick and kept.  A node with live edges branches on
+    the free vertices f1 < f2 < ... of the lowest: branch i drops f_i,
+    keeping the live edges without it (one incidence mask per vertex),
+    and forces f_1 .. f_(i-1), so the branches are disjoint and cover
+    every case.  No live edge is ever all forced: its largest vertex was
+    forced beside a larger dropped vertex of an ancestor's lowest edge,
+    which would then have had the larger mask.  One budget node per
+    expanded node.
     """
     counter = _Counter(resolve_budget(budget))
+    # ascending vertex bitmasks: the rows by last vertex, then the ones before
+    rows = h.edge_array[np.lexsort(h.edge_array.T)]
+    m, r = rows.shape
+    full = (1 << m) - 1
+    inc = _bit_rows(h.n, m, rows.ravel(), np.repeat(np.arange(m), r))
+    without = [full ^ e for e in inc]  # the edges missing each vertex
+    rows = rows.tolist()
+    apart = [None] * m  # the edges disjoint from each picked edge
     best = 0
-    masks = sorted(_vertex_masks(h.edge_array))
-    stack = [(masks, 0, h.n)]
+    stack = [(full, 0, h.n)]
     while stack:
         live, forced, size = stack.pop()
-        packed = used = 0
-        for e in live:
-            if not e & used:
-                used |= e
-                packed += 1
-        if size - packed <= best:
+        room = size - best  # a packing this large prunes the node
+        rest = live
+        packed = 0
+        while rest and packed < room:
+            i = (rest & -rest).bit_length() - 1
+            keep = apart[i]
+            if keep is None:
+                keep = full
+                for v in rows[i]:
+                    keep &= without[v]
+                apart[i] = keep
+            rest &= keep
+            packed += 1
+        if packed >= room:
             continue
         counter.tick(certified=best)
         if not live:
             best = size
             continue
-        free = live[0] & ~forced
         children = []
-        while free:
-            bit = free & -free
-            children.append(([e for e in live if not e & bit], forced, size - 1))
-            forced |= bit
-            free ^= bit
+        for v in rows[(live & -live).bit_length() - 1]:
+            bit = 1 << v
+            if not forced & bit:
+                children.append((live & without[v], forced, size - 1))
+                forced |= bit
         # reversed, so that the branch dropping f1 pops first
         stack.extend(reversed(children))
     return best

@@ -102,6 +102,31 @@ def test_verify_budget_exit_3(tmp_path):
                  "--budget", "-5", str(path)]) == 2
 
 
+def test_verify_alpha_t_budget_out_above_bound_exit_1(tmp_path, capsys):
+    # G(40, 0.8): listing the triangles takes about 6,000 nodes, and at
+    # 8,000 the search has already found a triangle-free set of 8 (its
+    # alpha_3), so the budget runs out with alpha_3 > 7 certified
+    from rtlab.rng import substream
+    rng = substream(1, "gnp")
+    n = 40
+    edges = frozenset((a, b) for a in range(n) for b in range(a + 1, n)
+                      if rng.random() < 0.8)
+    path = tmp_path / "dense.g"
+    write_graph(SimpleGraph(n, edges), str(path))
+    argv = ["verify", "--check", "alpha_t", "--t", "3", str(path)]
+    capsys.readouterr()
+    assert main(argv + ["--budget", "8000", "--bound", "7"]) == 1
+    out, err = capsys.readouterr()
+    assert out.strip() == "alpha_3 >= 8"
+    assert err.strip() == "budget exceeded after 8001 nodes (certified: 8)"
+    # a certified size not above the bound proves nothing: exit 3
+    for budget, bound in (("8000", "8"), ("2000", "7"), ("8000", None)):
+        extra = ["--budget", budget] + (["--bound", bound] if bound else [])
+        assert main(argv + extra) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("budget exceeded after")
+
+
 def test_verify_alpha_t_with_bound(tmp_path, capsys):
     g = SimpleGraph(6, frozenset(combinations(range(6), 2)))
     path = tmp_path / "k6.g"

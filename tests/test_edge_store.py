@@ -101,7 +101,8 @@ def unviewed(g) -> bool:
 
 # ---------------------------------------------------------------------------
 # inputs: unsorted tuples, tuples that coincide once sorted, no edges,
-# n = 0 and r = 2, given as a list, a frozenset or an array
+# n = 0 and r = 2, given as a list, a frozenset or an array; or already
+# sorted: a graph's edge array fed back, or sorted rows with a repeat
 
 
 @st.composite
@@ -115,9 +116,20 @@ def hypergraph_inputs(draw):
         again = draw(st.lists(st.sampled_from(edges), max_size=5)) if edges else []
         edges += [tuple(reversed(e)) for e in again]
     labels = tuple(draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n)))
-    kind = draw(st.sampled_from(["list", "frozenset", "array"]))
-    given_edges = {"list": edges, "frozenset": frozenset(edges),
-                   "array": np.array(edges, dtype=np.int64).reshape(-1, r)}[kind]
+    kind = draw(st.sampled_from(["list", "frozenset", "array", "edge_array",
+                                 "sorted"]))
+    if kind == "list":
+        given_edges = edges
+    elif kind == "frozenset":
+        given_edges = frozenset(edges)
+    elif kind == "array":
+        given_edges = np.array(edges, dtype=np.int64).reshape(-1, r)
+    elif kind == "edge_array":
+        given_edges = PartitionedHypergraph(n, r, edges).edge_array
+    else:
+        # sorted rows, the first edge twice
+        rows = sorted(tuple(sorted(e)) for e in edges + edges[:1])
+        given_edges = np.array(rows, dtype=np.int64).reshape(-1, r)
     vertices = draw(st.sets(st.integers(0, n - 1))) if n else set()
     return n, r, edges, given_edges, labels, vertices
 
@@ -132,6 +144,7 @@ def test_views_match_frozenset_references(inputs, t, threshold):
     assert h.edges == want
     assert h.edge_array.tolist() == [list(e) for e in sorted(want)]
     assert h.edge_array.shape == (len(want), r)
+    assert h.edge_array.dtype == np.int32
 
     for rows, ref in [(h.cross_edges(), ref_cross(want, labels)),
                       (h.inside_edges(), ref_inside(want, labels))]:

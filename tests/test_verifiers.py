@@ -418,15 +418,77 @@ def test_hyper_independence_matches_brute_force_any_rank(n, r, rnd):
     assert hyper_independence(h) == brute_hyper_independence(h)
 
 
+def _list_hyper_independence(h, counter):
+    # the search that held each node's live edges as a list of vertex
+    # bitmasks, filtered per child and packed by a scan of the whole
+    # list: the reference for the bitmask search's value and its tree
+    best = 0
+    masks = sorted(sum(1 << v for v in e) for e in h.edge_array.tolist())
+    stack = [(masks, 0, h.n)]
+    while stack:
+        live, forced, size = stack.pop()
+        packed = used = 0
+        for e in live:
+            if not e & used:
+                used |= e
+                packed += 1
+        if size - packed <= best:
+            continue
+        counter.tick(certified=best)
+        if not live:
+            best = size
+            continue
+        free = live[0] & ~forced
+        children = []
+        while free:
+            bit = free & -free
+            children.append(([e for e in live if not e & bit], forced, size - 1))
+            forced |= bit
+            free ^= bit
+        stack.extend(reversed(children))
+    return best
+
+
+def test_hyper_independence_matches_list_reference():
+    # the same value from the same number of nodes, on seeded random
+    # hypergraphs of rank 2-4 from sparse to dense
+    for r, n, p, seed in product((2, 3, 4), (0, 4, 9, 14, 18), (0.1, 0.4, 0.8),
+                                 range(2)):
+        rng = np.random.default_rng([r, n, seed])
+        tuples = list(combinations(range(n), r))
+        h = PartitionedHypergraph(n, r, np.array(
+            [e for e, x in zip(tuples, rng.random(len(tuples))) if x < p],
+            dtype=np.int64).reshape(-1, r))
+        counter = _Counter(10 ** 9)
+        want = _list_hyper_independence(h, counter)
+        assert hyper_independence(h, budget=counter.nodes) == want, (r, n, p, seed)
+        if counter.nodes:
+            with pytest.raises(BudgetExceeded) as info:
+                hyper_independence(h, budget=counter.nodes - 1)
+            assert info.value.nodes == counter.nodes, (r, n, p, seed)
+
+
+def dense_gnp(n, p, seed):
+    """Pair i of np.triu_indices(n, 1) is an edge when the i-th draw of
+    default_rng(seed).random(n(n-1)/2) is below p."""
+    pairs = np.stack(np.triu_indices(n, 1), axis=1)
+    return SimpleGraph(n, pairs[np.random.default_rng(seed).random(len(pairs)) < p])
+
+
 def test_hyper_independence_pinned_node_count():
     triples = list(combinations(range(15), 3))
     picks = sorted(np.random.default_rng(11).choice(455, 114, replace=False))
-    h = PartitionedHypergraph(15, 3, frozenset(triples[i] for i in picks))
-    assert hyper_independence(h, budget=197) == 6
-    with pytest.raises(BudgetExceeded) as info:
-        hyper_independence(h, budget=196)
-    assert info.value.nodes == 197
-    assert info.value.certified is not None and info.value.certified <= 6
+    sparse = PartitionedHypergraph(15, 3, frozenset(triples[i] for i in picks))
+    # the triangles of the dense G(40, 0.8) at seed 1
+    g = dense_gnp(40, 0.8, 1)
+    dense = PartitionedHypergraph(40, 3, list(
+        _cliques(g.adjacency_masks(), 3, (1 << 40) - 1)))
+    for h, nodes, alpha in ((sparse, 197, 6), (dense, 30_096, 8)):
+        assert hyper_independence(h, budget=nodes) == alpha
+        with pytest.raises(BudgetExceeded) as info:
+            hyper_independence(h, budget=nodes - 1)
+        assert info.value.nodes == nodes
+        assert info.value.certified is not None and info.value.certified <= alpha
 
 
 @pytest.mark.parametrize("triples", [300, 1100])
