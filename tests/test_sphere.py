@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 from fractions import Fraction
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from helpers import nearest_rep
 from rtlab.rng import substream
 from rtlab.sphere import (LLOYD_COLUMN_MAX_Z, SQRT2, SphericalCap, _into_union,
-                          _owner_pass, build_partition,
+                          _owner_pass, _P4_ROLES, _refine_quadruples, _spread,
+                          build_partition,
                           cap_intersection_measure_mc, cap_measure,
                           check_p4, distance, estimate_dt, find_eps_k,
                           min_domains, p4_best_margin, pairwise_distances,
@@ -364,6 +366,82 @@ def test_p4_refined_margin_independent_of_k(gamma):
     assert max(found) - min(found) < 2e-3
 
 
+def _sequential_refine_quadruples(quads, gamma, rng):
+    # the ascent that scored one proposal per step and moved the point as
+    # soon as a proposal raised its margin: the reference for the batched
+    # step, with the same draws
+    n, _, m = quads.shape
+    far, close = 2.0 - gamma, SQRT2 - gamma
+    gram = np.einsum("nid,njd->nij", quads, quads)
+    dist = np.sqrt(np.maximum(2.0 - 2.0 * gram, 0.0))
+    cur = np.minimum(np.minimum(dist[:, 0, 1], dist[:, 2, 3]) - far,
+                     close - dist[:, (0, 0, 1, 1), (2, 3, 2, 3)].max(axis=1))
+    step = 0.3
+    for rnd in range(60):
+        noise = step * rng.standard_normal((4, 4, n, m))
+        for i, (p, a, b) in enumerate(_P4_ROLES):
+            for r in range(4):
+                cand = quads[:, i] + noise[i, r]
+                cand /= np.sqrt(np.einsum("nd,nd->n", cand, cand))[:, None]
+                d = np.sqrt(np.maximum(
+                    2.0 - 2.0 * np.einsum("nd,njd->nj", cand, quads), 0.0))
+                d[:, i] = 0.0
+                cross = np.maximum(np.maximum(d[:, a], d[:, b]),
+                                   np.maximum(dist[:, p, a], dist[:, p, b]))
+                new = np.minimum(np.minimum(d[:, p], dist[:, a, b]) - far,
+                                 close - cross)
+                take = (new > cur)[:, None]
+                np.copyto(quads[:, i], cand, where=take)
+                np.copyto(dist[:, i], d, where=take)
+                np.copyto(dist[:, :, i], d, where=take)
+                np.maximum(cur, new, out=cur)
+        if (rnd + 1) % 8 == 0:
+            step *= 0.5
+    return float(cur.max())
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_refine_quadruples_never_lowers_a_margin(k):
+    # seeded starts on the great S^min(k, 3) the refinement works on; the
+    # margins of the points it leaves, recomputed, are each start's margin
+    # or more, and the largest is what it returns
+    m = min(4, k + 1)
+    starts = sample_uniform_points(m - 1, 4 * 200, substream(k, "refine-starts"))
+    starts = starts.reshape(200, 4, m)
+    for gamma in (0.05, 0.1, 0.2):
+        quads = starts.copy()
+        best = _refine_quadruples(quads, gamma, substream(k, "refine-ascent"))
+        before = _margins_of_points(*starts.transpose(1, 0, 2), gamma)
+        after = _margins_of_points(*quads.transpose(1, 0, 2), gamma)
+        assert np.all(after >= before - 1e-9)
+        assert best == pytest.approx(after.max(), abs=1e-9)
+        assert best > before.max()
+        assert np.allclose(np.linalg.norm(quads, axis=2), 1.0, atol=1e-12)
+
+
+def test_refine_quadruples_near_sequential_reference(monkeypatch):
+    # on the criterion-8 calls, the batched ascent and the sequential one
+    # refine the same starts with the same draws to within 1e-3
+    from rtlab import sphere
+    seen = []
+
+    def both(quads, gamma, rng):
+        want = _sequential_refine_quadruples(quads.copy(), gamma,
+                                             copy.deepcopy(rng))
+        got = _refine_quadruples(quads, gamma, rng)
+        seen.append((got, want))
+        return got
+
+    monkeypatch.setattr(sphere, "_refine_quadruples", both)
+    for k in (5, 10, 20):
+        for gamma in (0.1, 0.2):
+            p4_best_margin(k, gamma, 1_000_000, 1000,
+                           seed=100 * k + int(10 * gamma))
+    assert len(seen) == 6
+    for got, want in seen:
+        assert abs(got - want) < 1e-3
+
+
 # ---------------------------------------------------------------------------
 # partitions
 
@@ -615,9 +693,9 @@ def test_estimate_dt_pinned_values():
     assert estimate_dt(two_caps, 3, samples=2000, seed=2,
                        multistarts=24) == 0.1264278450342355
     assert estimate_dt(one_cap, 3, samples=2000, seed=3,
-                       multistarts=24) == 0.15476433697722186
+                       multistarts=24) == 0.15476433697722475
     assert estimate_dt(whole, 3, samples=2000, seed=1,
-                       multistarts=20) == 1.7320507697632954
+                       multistarts=20) == 1.7320507698797492
 
 
 def test_estimate_dt_closed_forms():
@@ -644,6 +722,62 @@ def test_estimate_dt_needs_a_start():
     whole = [SphericalCap(np.array([0.0, 0.0, 1.0]), -1.0)]
     with pytest.raises(ValueError):
         estimate_dt(whole, 3, multistarts=0)
+
+
+def test_estimate_dt_rejects_negative_samples():
+    whole = [SphericalCap(np.array([0.0, 0.0, 1.0]), -1.0)]
+    with pytest.raises(ValueError):
+        estimate_dt(whole, 3, samples=-5)
+
+
+def _sequential_estimate_dt(caps, t, samples, seed, multistarts):
+    # the ascent that scored one proposal per step and kept it when it
+    # raised the spread: the reference for the batched step, with the
+    # same draws
+    centers = np.array([c.center for c in caps])
+    s = np.array([c.s for c in caps])
+    k = centers.shape[1] - 1
+    rng = substream(seed, "dt-estimate")
+    rows = np.arange(multistarts)
+    pts = _into_union(sample_uniform_points(k, multistarts * t, rng),
+                      centers, s).reshape(multistarts, t, k + 1)
+    val = _spread(pts)
+    for _ in range(samples // multistarts):
+        cand = pts.copy()
+        cand[rows, rng.integers(t, size=multistarts)] = _into_union(
+            sample_uniform_points(k, multistarts, rng), centers, s)
+        v = _spread(cand)
+        keep = v >= val
+        pts[keep], val[keep] = cand[keep], v[keep]
+    step = np.full(multistarts, 0.4)
+    for _ in range(80):
+        gained = np.zeros(multistarts, dtype=bool)
+        for i in range(t):
+            for _ in range(6):
+                x = pts[:, i] + step[:, None] * rng.standard_normal(
+                    (multistarts, k + 1))
+                x /= np.linalg.norm(x, axis=1, keepdims=True)
+                cand = pts.copy()
+                cand[:, i] = _into_union(x, centers, s)
+                v = _spread(cand)
+                keep = v > val
+                pts[keep], val[keep] = cand[keep], v[keep]
+                gained |= keep
+        step[~gained] *= 0.5
+    return float(val.max())
+
+
+@pytest.mark.parametrize("caps, seeds", [("two", (2, 4, 5)), ("one", (3, 4, 5))])
+def test_estimate_dt_matches_sequential_reference(caps, seeds):
+    # the criterion-9 calls (two caps at seed 2, one cap at seed 3) and two
+    # more seeds each
+    pole = np.array([0.0, 0.0, 1.0])
+    regions = {"two": [SphericalCap(pole, 1 - 2e-3), SphericalCap(-pole, 1 - 2e-3)],
+               "one": [SphericalCap(pole, 1 - 4e-3)]}[caps]
+    for seed in seeds:
+        want = _sequential_estimate_dt(regions, 3, 2000, seed, 24)
+        assert estimate_dt(regions, 3, samples=2000, seed=seed,
+                           multistarts=24) == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
