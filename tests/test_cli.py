@@ -534,6 +534,9 @@ def test_sphere_eps_k_cli(capsys):
     assert main(["sphere", "eps-k", "--alpha", "0.49", "--beta", "0.49"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("eps=") and " k=" in out
+    # k = 23,342, where building a (k+1, k+1) identity ran out of memory
+    assert main(["sphere", "eps-k", "--alpha", "0.1", "--beta", "0.001"]) == 0
+    assert capsys.readouterr().out.strip() == "eps=0.125 k=23342"
 
 
 @pytest.mark.parametrize("theta", ["-1", "0", "nan", "inf"])

@@ -266,6 +266,21 @@ def test_find_eps_k_pinned_answers(alpha, beta, t_max, want):
     assert find_eps_k(alpha, beta, t_max) == want
 
 
+def test_find_eps_k_large_k_in_small_memory():
+    # the intersection floor takes its t orthogonal centres as a (t, k+1)
+    # array, not as rows of a (k+1, k+1) identity (8 GiB at k = 32,768)
+    assert find_eps_k(0.1, 0.1) == (0.125, 691)
+    assert find_eps_k(0.05, 0.05) == (0.0625, 7496)
+    assert find_eps_k(0.1, 0.001) == (0.125, 23342)
+    tracemalloc.start()
+    try:
+        assert find_eps_k(0.1, 0.01) == (0.125, 7497)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
+
+
 def test_find_eps_k_with_triple_intersections():
     eps, k = find_eps_k(0.45, 0.45, 3)
     assert k >= 2
@@ -442,6 +457,38 @@ def test_refine_quadruples_near_sequential_reference(monkeypatch):
         assert abs(got - want) < 1e-3
 
 
+def test_p4_starts_match_full_sort(monkeypatch):
+    # on the criterion-8 calls, the refinement gets the same starts in the
+    # same order as when each batch's best 50 are read off np.argsort
+    from rtlab import sphere
+    frame_margins, refine = sphere._frame_margins, sphere._refine_quadruples
+    batches, same = [], []
+
+    def recording_margins(lower, gamma):
+        margins = frame_margins(lower, gamma)
+        idx = np.argsort(margins)[-50:]
+        rows = lower[:, :, idx].transpose(2, 0, 1)
+        batches.append((margins[idx],
+                        rows / np.linalg.norm(rows, axis=2, keepdims=True)))
+        return margins
+
+    def recording_refine(quads, gamma, rng):
+        order = np.argsort(-np.concatenate([m for m, _ in batches]),
+                           kind="stable")[:1000]
+        want = np.concatenate([q for _, q in batches])[order]
+        same.append(np.array_equal(quads, want))
+        batches.clear()
+        return refine(quads, gamma, rng)
+
+    monkeypatch.setattr(sphere, "_frame_margins", recording_margins)
+    monkeypatch.setattr(sphere, "_refine_quadruples", recording_refine)
+    for k in (5, 10, 20):
+        for gamma in (0.1, 0.2):
+            p4_best_margin(k, gamma, 1_000_000, 1000,
+                           seed=100 * k + int(10 * gamma))
+    assert same == [True] * 6
+
+
 # ---------------------------------------------------------------------------
 # partitions
 
@@ -498,9 +545,10 @@ def test_partition_matches_masked_lloyd(k, z, balance_iters, samples):
 
 
 def test_partition_never_builds_cloud_by_cells_matrix():
-    # the (N, z) products of the 20,000-point cloud alone would take
-    # 10 MB at z=64 (the column layout) and 40 MB at z=250 (the row one)
-    for z in (LLOYD_COLUMN_MAX_Z, 250):
+    # the (N, z) products of the cloud alone would take 10 MB at z=64
+    # (the column layout), 40 MB at z=250 and 320 MB at z=1000 (the row
+    # layout, on clouds of 20,000 and 40,000 points)
+    for z in (LLOYD_COLUMN_MAX_Z, 250, 1000):
         tracemalloc.start()
         try:
             build_partition(5, z, 0.5, 1)
@@ -528,6 +576,22 @@ def test_owner_pass_first_index_on_exact_ties(z):
         # the buffers are reused: a second call still gives the owners
         assert np.array_equal(owners(reps[::-1].copy()),
                               np.argmax(pts @ reps[::-1].T, axis=1))
+
+
+@pytest.mark.parametrize("k,z,n", [
+    # z=1000: blocks of 131 points, the last of 22
+    (5, 1000, 5000),
+    # four whole blocks and 7 points
+    (3, 250, 4 * ((1 << 17) // 250) + 7),
+    # the first z of the row layout, a block and one point
+    (20, LLOYD_COLUMN_MAX_Z + 1, (1 << 17) // (LLOYD_COLUMN_MAX_Z + 1) + 1)])
+def test_owner_pass_rows_match_full_product(k, z, n):
+    rng = substream(z, "owner-rows")
+    cloud = sample_uniform_points(k, n, rng)
+    owners = _owner_pass(cloud, np.ascontiguousarray(cloud.T), z)
+    for _ in range(2):
+        reps = sample_uniform_points(k, z, rng)
+        assert np.array_equal(owners(reps), np.argmax(cloud @ reps.T, axis=1))
 
 
 def test_partition_rejects_negative_balance_iters():
@@ -607,12 +671,29 @@ def test_partition_reports_failure_without_sampling_diameter(monkeypatch):
 
 
 def test_partition_file_roundtrip(tmp_path):
-    part = build_partition(3, 7, 0.6, seed=13)
+    # 17 significant digits give back every float: the same bits
     path = tmp_path / "part.sphere"
-    write_partition(part, str(path))
-    back = read_partition(str(path))
-    assert back.k == part.k and back.z == part.z and back.seed == part.seed
-    assert np.allclose(back.reps, part.reps, atol=1e-15)
+    for k, z, seed in [(3, 7, 13), (1, 5, 2), (5, 14, 0), (5, 20, 1),
+                       (5, 30, 2), (10, 30, 3), (5, 250, 4)]:
+        part = build_partition(k, z, 0.6, seed=seed)
+        write_partition(part, str(path))
+        back = read_partition(str(path))
+        assert back.k == part.k and back.z == part.z
+        assert back.seed == part.seed
+        assert back.domain_diam_bound == part.domain_diam_bound
+        assert np.array_equal(back.reps, part.reps), (k, z, seed)
+
+
+def test_partition_file_rejects_row_off_sphere(tmp_path):
+    # rows are read as written, not renormalised, so one off the sphere
+    # is refused
+    path = tmp_path / "part.sphere"
+    write_partition(build_partition(2, 3, 0.6, seed=13), str(path))
+    lines = path.read_text().splitlines()
+    lines[2] = " ".join(repr(1.01 * float(c)) for c in lines[2].split())
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="unit sphere"):
+        read_partition(str(path))
 
 
 @pytest.mark.parametrize("mangle", [
