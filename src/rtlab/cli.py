@@ -32,16 +32,25 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
-PARAM_KEYS = ["r", "z", "alpha", "beta", "epsilon", "k", "blowup_t", "gamma",
-              "pattern_cap", "seed"]
+# the construction flags, one per params.json key (--blowup-t for blowup_t)
+PARAM_FLAGS = {"r": int, "z": int, "alpha": float, "beta": float,
+               "epsilon": float, "k": int, "blowup_t": int, "gamma": float,
+               "pattern_cap": int, "seed": int}
+
+
+def _read_params(path: str) -> dict:
+    """A params file's JSON object; ValueError if the top level is not one."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: params must be a JSON object, "
+                         f"got {type(data).__name__}")
+    return data
 
 
 def _load_params(args) -> con.ConstructionParams:
-    data = {}
-    if getattr(args, "params", None):
-        with open(args.params) as fh:
-            data = json.load(fh)
-    for key in PARAM_KEYS:
+    data = _read_params(args.params) if getattr(args, "params", None) else {}
+    for key in PARAM_FLAGS:
         override = getattr(args, key, None)
         if override is not None:
             data[key] = override
@@ -50,16 +59,8 @@ def _load_params(args) -> con.ConstructionParams:
 
 def _add_param_flags(p: argparse.ArgumentParser):
     p.add_argument("--params", help="params.json path")
-    p.add_argument("--r", type=int)
-    p.add_argument("--z", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--blowup-t", dest="blowup_t", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--pattern-cap", dest="pattern_cap", type=int)
-    p.add_argument("--seed", type=int)
+    for key, kind in PARAM_FLAGS.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind)
 
 
 def _read_input(path: str) -> hg.PartitionedHypergraph:
@@ -187,7 +188,7 @@ def _cmd_report(args) -> int:
     with nothing asserted (verdict `unchecked`) exits 0."""
     h = _read_input(args.file)
     given = args.params or any(getattr(args, k) is not None
-                               for k in PARAM_KEYS)
+                               for k in PARAM_FLAGS)
     params = _load_params(args) if given else None
     rep = ver.density_report(h, params)
     _emit(reports.emit_report(rep, args.format,
@@ -203,8 +204,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_drc(args) -> int:
-    with open(args.params) as fh:
-        p = drcmod.DrcParams.from_json(json.load(fh))
+    p = drcmod.DrcParams.from_json(_read_params(args.params))
     h = _read_input(args.file)
     seed = args.seed if args.seed is not None else 0
     if args.action == "find-set":

@@ -45,13 +45,15 @@ def emit_report(report: VerificationReport, fmt: str = "csv",
                 params: dict | None = None) -> str:
     """Render a report to text; fmt is 'csv' or 'json'."""
     if fmt == "json":
-        payload = report.as_json()
-        payload["params"] = {k: _json_value(v)
-                             for k, v in sorted((params or {}).items())}
-        payload["rows"] = [
-            {k: _json_value(row.get(k)) for k in CSV_COLUMNS if k != "value_decimal"}
-            for row in report.rows
-        ]
+        payload = {
+            "property": report.property_name,
+            "verdict": report.verdict,
+            "params": {k: _json_value(v)
+                       for k, v in sorted((params or {}).items())},
+            "rows": [{k: _json_value(row.get(k))
+                      for k in CSV_COLUMNS if k != "value_decimal"}
+                     for row in report.rows],
+        }
         return json.dumps(payload, sort_keys=True, indent=2, default=str,
                           allow_nan=False) + "\n"
     if fmt != "csv":
@@ -60,8 +62,6 @@ def emit_report(report: VerificationReport, fmt: str = "csv",
     buf.write(f"# property={report.property_name} verdict={report.verdict}\n")
     for key in sorted((params or {})):
         buf.write(f"# param {key}={params[key]}\n")
-    for key in sorted(report.counters):
-        buf.write(f"# counter {key}={report.counters[key]}\n")
     buf.write(",".join(CSV_COLUMNS) + "\n")
     for row in report.rows:
         exact, dec = _split_value(row.get("value"))

@@ -67,7 +67,7 @@ class SphericalCap:
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
-        if abs(np.linalg.norm(self.center) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(self.center) - 1.0) <= 1e-12:
             raise ValueError("cap center must lie on the unit sphere")
         if not -1.0 <= self.s <= 1.0:
             raise ValueError(f"cap threshold must be in [-1, 1], got {self.s}")
@@ -490,7 +490,7 @@ class SpherePartition:
         if self.reps.shape != (self.z, self.k + 1):
             raise ValueError("reps must be a (z, k+1) array")
         norms = np.linalg.norm(self.reps, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
+        if not np.all(np.abs(norms - 1.0) <= 1e-9):
             raise ValueError("all representatives must lie on the unit sphere")
 
     @property

@@ -4,7 +4,10 @@ Exact clique search that branches only on candidates whose greedy color
 can still complete K_s, the exact hypergraph independence number
 (K_t-independence is that of the t-clique hypergraph), subdivision (TK)
 and core-cover (TKF) pattern finders, the two-parts split-core scan, the
-sparse connected-pattern scan, and density reports.
+sparse connected-pattern scan, and density reports.  The searches hold
+vertex sets as int bitmasks: the clique, TK and split-core searches read
+the graph's or the shadow's adjacency rows, and the sparse scan one
+vertex mask per edge, each made by one numpy pass.
 
 Every search honours a node budget (env RTLAB_BUDGET or per-call
 argument) and raises BudgetExceeded, carrying whatever certified bound
@@ -14,7 +17,7 @@ recheck_* code paths.
 
 import math
 import os
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -68,18 +71,7 @@ class Embedding:
 class VerificationReport:
     property_name: str
     verdict: str  # "holds" | "violated" | "unchecked" (nothing asserted)
-    witness: Embedding | None = None
-    counters: dict = field(default_factory=dict)
     rows: list = field(default_factory=list)
-
-    def as_json(self) -> dict:
-        return {
-            "property": self.property_name,
-            "verdict": self.verdict,
-            "witness": self.witness.as_json() if self.witness else None,
-            "counters": self.counters,
-            "rows": self.rows,
-        }
 
 
 class _Counter:
@@ -142,7 +134,7 @@ def find_clique(g: SimpleGraph, s: int, budget=None) -> Embedding | None:
     if s < 1:
         raise ValueError(f"clique size must be >= 1, got {s}")
     if s == 1:
-        return Embedding({0: 0}, {0: "core"}) if g.n else None
+        return _core_embedding([0], lambda a, b: [(a, b)]) if g.n else None
     adj = g.adjacency_masks()
     counter = _Counter(resolve_budget(budget))
     full = (1 << g.n) - 1
@@ -171,9 +163,7 @@ def find_clique(g: SimpleGraph, s: int, budget=None) -> Embedding | None:
         pools.append(cand)
     else:
         return None
-    vm = {i: v for i, v in enumerate(sorted(clique))}
-    return Embedding(vm, {i: "core" for i in vm},
-                     [tuple(sorted(p)) for p in combinations(sorted(clique), 2)])
+    return _core_embedding(sorted(clique), lambda a, b: [(a, b)])
 
 
 def recheck_clique(g: SimpleGraph, emb: Embedding) -> bool:
@@ -463,32 +453,36 @@ def scan_split_core(h: PartitionedHypergraph, budget=None) -> Embedding | None:
     pairs covered by hyperedges.  Returns the first witness in
     lexicographic order, or None.
 
+    The scan reads the shadow's bitmask rows and one bitmask per part.
     For each covered pair a < b of part i and each later part j, the
-    pairs c < d of a and b's common cross-covered partners in part j are
-    tried in order, one budget node each."""
+    pairs c < d of a and b's common neighbours in part j are tried low
+    bit first, one budget node each, by bit d of c's row."""
     counter = _Counter(resolve_budget(budget))
     cover = h.pair_cover_index()
-    pa, pb = np.asarray(h.part_of, dtype=np.int64)[cover.pairs].T
-    labelled = (pa != UNPARTITIONED) & (pb != UNPARTITIONED)
-    same = labelled & (pa == pb)
-    within = defaultdict(list)  # part -> covered same-part pairs, in order
-    for p, a, b in zip(pa[same].tolist(), *cover.pairs[same].T.tolist()):
-        within[p].append((a, b))
-    cross_adj = defaultdict(set)  # vertex -> cross-covered partners
-    for a, b in cover.pairs[labelled & (pa != pb)].tolist():
-        cross_adj[a].add(b)
-        cross_adj[b].add(a)
-    parts = sorted(within)
-    for pi_idx, pi in enumerate(parts):
-        for pj in parts[pi_idx + 1:]:
-            within_j = set(within[pj])
-            for a, b in within[pi]:
-                common = sorted(x for x in cross_adj[a] & cross_adj[b]
-                                if h.part_of[x] == pj)
-                for c, d in combinations(common, 2):
-                    counter.tick()
-                    if (c, d) in within_j:
-                        return _core_embedding((a, b, c, d), cover.covering)
+    adj = SimpleGraph(h.n, cover.pairs).adjacency_masks()
+    part_of = np.asarray(h.part_of, dtype=np.int64)
+    pa, pb = part_of[cover.pairs].T
+    same = (pa == pb) & (pa != UNPARTITIONED)
+    inside, labels = cover.pairs[same], pa[same]
+    parts = sorted(set(labels.tolist()))  # the parts with a covered inside pair
+    vs = np.flatnonzero(np.isin(part_of, parts))
+    part_masks = _bit_rows(len(parts), h.n,
+                           np.searchsorted(parts, part_of[vs]), vs)
+    for i, pi in enumerate(parts):
+        pairs_i = inside[labels == pi].tolist()
+        for part_j in part_masks[i + 1:]:
+            for a, b in pairs_i:
+                common = adj[a] & adj[b] & part_j
+                while common:
+                    c = (common & -common).bit_length() - 1
+                    common ^= 1 << c
+                    rest = common
+                    while rest:
+                        d = (rest & -rest).bit_length() - 1
+                        rest ^= 1 << d
+                        counter.tick()
+                        if adj[c] >> d & 1:
+                            return _core_embedding((a, b, c, d), cover.covering)
     return None
 
 
@@ -546,7 +540,7 @@ def connected_edge_subsets(h: PartitionedHypergraph, max_vertices: int,
     m, r = rows.shape
     if r > max_vertices:
         return
-    masks = _vertex_masks(rows)
+    masks = _bit_rows(m, h.n, np.repeat(np.arange(m), r), rows.ravel())
     live = np.ones(m, dtype=bool)  # edges dead already have no neighbours
     live[list(dead)] = False
     kept = np.flatnonzero(live)
@@ -591,11 +585,6 @@ def connected_edge_subsets(h: PartitionedHypergraph, max_vertices: int,
                               closed | set(fresh)))
 
 
-def _vertex_masks(rows: np.ndarray) -> list:
-    """Each row's vertices as an int bitmask."""
-    return [sum(1 << v for v in e) for e in rows.tolist()]
-
-
 def _pattern_embedding(edges_used: list) -> Embedding:
     vs = sorted({v for e in edges_used for v in e})
     return Embedding(dict(enumerate(vs)), {i: "pattern" for i in range(len(vs))},
@@ -622,7 +611,9 @@ def _sparse_witnesses(h: PartitionedHypergraph, ell: int, condition,
     if not condition(2 * r - 2, 2):
         raise ValueError("the condition must hold for two edges sharing "
                          f"two vertices (v={2 * r - 2}, m=2)")
-    masks = _vertex_masks(h.edge_array)
+    m = len(h.edge_array)
+    masks = _bit_rows(m, h.n, np.repeat(np.arange(m), r),
+                      h.edge_array.ravel())
     cover = h.pair_cover_index()
     pairs = set()
     # only a pair covered twice or more joins two edges
@@ -788,7 +779,7 @@ def density_report(obj, params=None) -> VerificationReport:
                          ok=False if params.z < min_z else None))
     if not any(row["asserted"] for row in rows):
         verdict = "unchecked"
-    return VerificationReport("density", verdict, None, {}, rows)
+    return VerificationReport("density", verdict, rows)
 
 
 def _row(name, value, reference=None, asserted=False, ok=None):

@@ -604,7 +604,26 @@ def test_density_report_json_roundtrip():
     text = emit_report(rep, "json", {"seed": 1})
     parsed = json.loads(text)
     assert parsed["property"] == "density"
+    assert set(parsed) == {"property", "verdict", "params", "rows"}
     assert json.loads(json.dumps(parsed)) == parsed
+
+
+@pytest.mark.parametrize("payload", [[1, 2], "str"])
+@pytest.mark.parametrize("argv", [
+    ["construct", "--type", "be", "--out", "be.g"],
+    ["report"],
+    ["drc", "find-set"],
+])
+def test_params_file_not_an_object_exit_2(tmp_path, monkeypatch, capsys,
+                                          argv, payload):
+    # a params file must hold a JSON object; anything else is an input
+    # error, for the construction and the drc params alike
+    monkeypatch.chdir(tmp_path)
+    write_graph(SimpleGraph(3, frozenset([(0, 1)])), "g.g")
+    Path("bad.json").write_text(json.dumps(payload))
+    file = [] if argv[0] == "construct" else ["g.g"]
+    assert main(argv + ["--params", "bad.json"] + file) == 2
+    assert capsys.readouterr().err.startswith("input error")
 
 
 @pytest.mark.parametrize("k,z,ok", [(5, 14, "no"), (2, 600, ""),

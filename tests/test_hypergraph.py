@@ -1,14 +1,16 @@
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import complete_uniform
-from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph, blowup,
-                              clean_low_codegree, codegree, complete_join,
-                              read_graph, read_hypergraph, shadow,
-                              turan_hypergraph, write_graph, write_hypergraph)
+from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph, _bit_rows,
+                              blowup, clean_low_codegree, codegree,
+                              complete_join, read_graph, read_hypergraph,
+                              shadow, turan_hypergraph, write_graph,
+                              write_hypergraph)
 from rtlab.rng import substream
 
 
@@ -28,6 +30,18 @@ def test_graph_is_the_two_uniform_hypergraph():
     assert issubclass(SimpleGraph, PartitionedHypergraph)
     g = SimpleGraph(3, [(2, 0)])
     assert g.r == 2 and g.part_of == (-1, -1, -1) and g.parts == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 30), st.integers(1, 6), st.integers(0, 200),
+       st.randoms(use_true_random=False))
+def test_bit_rows_match_per_row_masks(m, r, spare, rnd):
+    # one numpy pass gives each row's vertex bitmask, at any width
+    n = r + spare
+    rows = np.array([rnd.sample(range(n), r) for _ in range(m)],
+                    dtype=np.int64).reshape(m, r)
+    masks = _bit_rows(m, n, np.repeat(np.arange(m), r), rows.ravel())
+    assert masks == [sum(1 << v for v in e) for e in rows.tolist()]
 
 
 def test_graph_rejects_loops_and_range():

@@ -696,6 +696,20 @@ def test_partition_file_rejects_row_off_sphere(tmp_path):
         read_partition(str(path))
 
 
+def test_partition_file_rejects_nan_row(tmp_path):
+    # NaN is not within 1e-9 of the sphere, though no comparison with it
+    # is true
+    path = tmp_path / "part.sphere"
+    path.write_text("SPHERE 1 1 0 0.6\nnan nan\n")
+    with pytest.raises(ValueError, match="unit sphere"):
+        read_partition(str(path))
+
+
+def test_cap_rejects_nan_center():
+    with pytest.raises(ValueError, match="unit sphere"):
+        SphericalCap(np.array([np.nan, 0.0, 0.0]), 0.5)
+
+
 @pytest.mark.parametrize("mangle", [
     lambda lines: lines[:-1],
     lambda lines: lines + [lines[-1]],

@@ -1,4 +1,5 @@
 import math
+from collections import defaultdict
 from itertools import combinations, product
 
 import networkx as nx
@@ -13,9 +14,10 @@ from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph,
                               turan_hypergraph)
 from rtlab.rng import substream
 from rtlab.sphere import build_partition
-from rtlab.verifiers import (BudgetExceeded, Embedding, _cliques, _Counter,
-                             alpha_t, blowup_deletion_condition, find_clique,
-                             find_tk, find_tkf_core, hyper_independence,
+from rtlab.verifiers import (BudgetExceeded, Embedding, _cliques,
+                             _core_embedding, _Counter, alpha_t,
+                             blowup_deletion_condition, find_clique, find_tk,
+                             find_tkf_core, hyper_independence,
                              private_edges, recheck_clique,
                              recheck_sparse_pattern, recheck_split_core,
                              recheck_tk, recheck_tkf_core,
@@ -654,6 +656,59 @@ def test_split_core_many_common_partners_few_within_pairs():
         forged = Embedding(dict(enumerate(cores)),
                            {i: "core" for i in range(4)}, [])
         assert not recheck_split_core(h, forged)
+
+
+def _dict_scan_split_core(h, counter):
+    # the scan that held the covered pairs as a dict of inside-pair lists
+    # per part, a dict of cross-partner sets and a set per part: the
+    # reference for the bitmask scan's witness and its node count
+    cover = h.pair_cover_index()
+    pa, pb = np.asarray(h.part_of, dtype=np.int64)[cover.pairs].T
+    labelled = (pa != -1) & (pb != -1)
+    same = labelled & (pa == pb)
+    within = defaultdict(list)
+    for p, a, b in zip(pa[same].tolist(), *cover.pairs[same].T.tolist()):
+        within[p].append((a, b))
+    cross_adj = defaultdict(set)
+    for a, b in cover.pairs[labelled & (pa != pb)].tolist():
+        cross_adj[a].add(b)
+        cross_adj[b].add(a)
+    parts = sorted(within)
+    for pi_idx, pi in enumerate(parts):
+        for pj in parts[pi_idx + 1:]:
+            within_j = set(within[pj])
+            for a, b in within[pi]:
+                common = sorted(x for x in cross_adj[a] & cross_adj[b]
+                                if h.part_of[x] == pj)
+                for c, d in combinations(common, 2):
+                    counter.tick()
+                    if (c, d) in within_j:
+                        return _core_embedding((a, b, c, d), cover.covering)
+    return None
+
+
+def _outcome(run):
+    # the witness, or the node count at which the budget ran out
+    try:
+        return run()
+    except BudgetExceeded as exc:
+        return ("budget", exc.nodes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 18), st.integers(0, 40),
+       st.randoms(use_true_random=False))
+def test_split_core_matches_dict_reference(n, m, rnd):
+    # the same witness from the same nodes, unlabelled vertices included
+    parts = tuple(rnd.choice((-1, 0, 1, 2)) for _ in range(n))
+    edges = frozenset(tuple(sorted(rnd.sample(range(n), 3)))
+                      for _ in range(m))
+    h = PartitionedHypergraph(n, 3, edges, parts)
+    counter = _Counter(10 ** 9)
+    assert scan_split_core(h) == _dict_scan_split_core(h, counter)
+    for budget in {0, 1, 3, 10, max(counter.nodes - 1, 0)}:
+        want = _outcome(lambda: _dict_scan_split_core(h, _Counter(budget)))
+        assert _outcome(lambda: scan_split_core(h, budget)) == want, budget
 
 
 def test_split_core_none_on_single_part():
