@@ -9,9 +9,9 @@ from .constructions import (ConstructionParams, bollobas_erdos,
 from .drc import (DrcParams, FWitness, PipelineFailure, drc_feasible,
                   drc_find_set, find_f_witness, find_tkf5_tk4, hyper_drc)
 from .hypergraph import (PartitionedHypergraph, SimpleGraph, blowup,
-                         clean_low_codegree, codegree, complete_join,
-                         read_graph, read_hypergraph, shadow,
-                         turan_hypergraph, write_graph, write_hypergraph)
+                         clean_low_codegree, complete_join, read_graph,
+                         read_hypergraph, shadow, turan_hypergraph,
+                         write_graph, write_hypergraph)
 from .sphere import (SphericalCap, SpherePartition, build_partition,
                      cap_measure, check_p4, distance, estimate_dt,
                      find_eps_k)

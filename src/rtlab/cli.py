@@ -122,8 +122,7 @@ def _cmd_verify(args) -> int:
         if args.s is None:
             raise ValueError("clique check needs --s")
         witness = ver.find_clique(h, args.s, args.budget)
-        recheck = lambda w: (len(w.vertex_map) == args.s
-                             and ver.recheck_clique(h, w))
+        recheck = lambda w: ver.recheck_cores(h, w, args.s)
     elif check == "alpha_t":
         if h.r != 2:
             raise ValueError("alpha_t needs a graph file (r=2)")
@@ -152,8 +151,7 @@ def _cmd_verify(args) -> int:
         if args.s is None:
             raise ValueError("tkf check needs --s")
         witness = ver.find_tkf_core(h, args.s, args.budget)
-        recheck = lambda w: (len(w.vertex_map) == args.s
-                             and ver.recheck_tkf_core(h, w))
+        recheck = lambda w: ver.recheck_cores(h, w, args.s)
     elif check == "split-core":
         witness = ver.scan_split_core(h, args.budget)
         recheck = lambda w: ver.recheck_split_core(h, w)

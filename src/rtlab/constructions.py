@@ -33,7 +33,8 @@ class ConstructionParams:
 
     theta = epsilon/sqrt(k) and u = ceil(r/2) are derived; a stored theta
     must agree with epsilon/sqrt(k) to 1e-12.  pattern_cap defaults to
-    r^3.  All randomness flows from the single seed.
+    r^3.  All randomness flows from the single seed.  The int fields
+    refuse a float, a bool or a string with ValueError.
     """
 
     r: int
@@ -51,6 +52,10 @@ class ConstructionParams:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("r", "z", "k", "blowup_t", "pattern_cap", "seed", "u"):
+            value = getattr(self, name)
+            if value is not None and type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.r < 2:
             raise ValueError("uniformity r must be >= 2")
         if self.z < 1:

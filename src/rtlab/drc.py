@@ -5,7 +5,8 @@ arithmetic; the set-finding procedures are Las Vegas with bounded
 retries, so anything returned has already passed an exhaustive recheck.
 The nine-vertex triple-system witness (three part edges plus all 27
 cross triples) is assembled by chaining the hypergraph form, the graph
-form, and codegree-based freshness arguments.
+form, and codegree-based freshness arguments.  Every TK extension comes
+from `verifiers.subdivision` and passes `recheck_cores` when returned.
 """
 
 import math
@@ -21,8 +22,8 @@ from .hypergraph import (UNPARTITIONED, PairCoverIndex, PartitionedHypergraph,
                          SimpleGraph, clean_low_codegree)
 from .rng import substream
 from .verifiers import (BudgetExceeded, Embedding, _core_embedding, _Counter,
-                        contained_edge, private_edges, recheck_tk,
-                        recheck_tkf_core, resolve_budget, tk_embedding)
+                        contained_edge, recheck_cores, recheck_tkf_core,
+                        resolve_budget, subdivision)
 
 DEFAULT_RETRIES = 64
 
@@ -45,7 +46,7 @@ class DrcParams:
     the Las Vegas loops; codegree_threshold drives the cleaning pass (16
     in the asymptotic statements, lower it for desk-scale hosts whose
     codegrees cannot reach 16).  a, m, r, t, s and retries are >= 1, a
-    given n > 0 and codegree_threshold >= 0, else ValueError.
+    given n > 0 and codegree_threshold >= 0, all ints, else ValueError.
     """
 
     a: int = 4
@@ -59,6 +60,11 @@ class DrcParams:
     codegree_threshold: int = 16
 
     def __post_init__(self):
+        for name in ("a", "m", "n", "r", "t", "s", "retries",
+                     "codegree_threshold"):
+            value = getattr(self, name)
+            if value is not None and type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("a", "m", "r", "t", "s", "retries"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -347,28 +353,25 @@ def _f_witness_once(h, labels, cleaned, params, seed, trial):
     if not recheck_f_witness(h, witness):
         raise PipelineFailure("verification", "assembled witness failed recheck")
     # core subdivision on x1,x2,y1,y2,z1,z2 with a fresh third vertex per pair
-    witness.tk = _tk_extension(h.pair_cover_index(),
-                               [*e1[:2], *e2[:2], *e3[:2]], {})
+    witness.tk = _tk_extension(h, h.pair_cover_index(),
+                               [*e1[:2], *e2[:2], *e3[:2]])
     return witness
 
 
-def _tk_extension(cover: PairCoverIndex, cores, fixed: dict) -> Embedding | None:
-    """Core subdivision on the sorted cores: every pair outside `fixed`
-    gets its own hyperedge whose other vertices are fresh, the vertices of
-    the `fixed` edges included.  The extension is optional, so None also
-    stands for a search that ran out of its node budget."""
-    cores = sorted(cores)
-    pairs = list(combinations(cores, 2))
-    free = [p for p in pairs if p not in fixed]
-    used = set(cores).union(*fixed.values())
+def _tk_extension(h: PartitionedHypergraph, cover: PairCoverIndex, cores,
+                  fixed=None) -> Embedding | None:
+    """The `subdivision` of h on the cores, rechecked.  The extension is
+    optional, so None also stands for a search that ran out of its node
+    budget; an extension that fails `recheck_cores` raises
+    PipelineFailure at "verification"."""
     try:
-        chosen = private_edges(cover, free, used, _Counter(resolve_budget()))
+        emb = subdivision(cover, cores, _Counter(resolve_budget()), fixed)
     except BudgetExceeded:
         return None
-    if chosen is None:
-        return None
-    edges = {**fixed, **dict(zip(free, chosen))}
-    return tk_embedding(cores, [edges[p] for p in pairs])
+    if emb is not None and not recheck_cores(h, emb, len(cores), fresh=True):
+        raise PipelineFailure("verification",
+                              "subdivision extension failed recheck")
+    return emb
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +418,9 @@ def _tkf5_once(h, cleaned, eps):
         raise PipelineFailure("verification", "five-core witness failed recheck")
 
     # x, y and two vertices of E; the third vertex of E is the fresh one
-    tk4 = _tk_extension(cover, [x, y, *e_in_z[:2]], {e_in_z[:2]: e_in_z})
-    if tk4 is not None and not recheck_tk(h, tk4, 4):
-        raise PipelineFailure("verification", "four-core extension failed recheck")
+    tk4 = _tk_extension(h, cover, [x, y, *e_in_z[:2]], {e_in_z[:2]: e_in_z})
     return tkf5, tk4
 
 
 def recheck_tk4(h: PartitionedHypergraph, emb: Embedding) -> bool:
-    return recheck_tk(h, emb, 4)
+    return recheck_cores(h, emb, 4, fresh=True)

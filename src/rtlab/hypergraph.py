@@ -2,7 +2,7 @@
 
 Undirected simple graphs, partition-labelled r-uniform hypergraphs,
 blowups, shadow graphs, complete joins, Turán hypergraphs, codegree
-utilities, and the shared text file format.
+cleaning, and the shared text file format.
 
 `PartitionedHypergraph` is the one edge store; `SimpleGraph` is its
 r = 2 subclass, with neighbour bitmasks added.  The edges are stored
@@ -288,9 +288,6 @@ class SimpleGraph(PartitionedHypergraph):
         return _bit_rows(self.n, self.n, np.concatenate((a, b)),
                          np.concatenate((b, a)))
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return ((a, b) if a < b else (b, a)) in self.edges
-
     def induced(self, vertices) -> "SimpleGraph":
         """Induced subgraph, vertices renumbered by sorted order."""
         vs = sorted(vertices)
@@ -348,14 +345,6 @@ def turan_hypergraph(n: int, s: int, r: int) -> PartitionedHypergraph:
                       axis=-1).reshape(-1, r)
              for chosen in combinations(range(s), r)]
     return PartitionedHypergraph(n, r, np.concatenate(grids), tuple(part_of))
-
-
-def codegree(h: PartitionedHypergraph, x: int, y: int) -> int:
-    """Number of hyperedges containing both x and y."""
-    if x == y:
-        raise ValueError("codegree needs two distinct vertices")
-    rows = h.edge_array
-    return int(((rows == x).any(axis=1) & (rows == y).any(axis=1)).sum())
 
 
 def clean_low_codegree(h: PartitionedHypergraph,

@@ -1,15 +1,14 @@
 """Report serialization: CSV and JSON with stable layout.
 
-Columns are emitted in a fixed order, rationals are printed as p/q next
-to their decimal value, and the fully resolved parameter set goes into
-the header, so two runs with the same seed produce byte-identical files.
+Columns are emitted in a fixed order and the fully resolved parameter
+set goes into the header, so two runs with the same seed produce
+byte-identical files.
 JSON is strict: a non-finite number is written as the CSV's text.
 """
 
 import io
 import json
 import math
-from fractions import Fraction
 
 from .verifiers import VerificationReport
 
@@ -20,10 +19,6 @@ def _split_value(v):
     """(exact text, decimal text) for a report cell."""
     if v is None:
         return "", ""
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}", repr(float(v))
-    if isinstance(v, bool):
-        return str(v).lower(), ""
     if isinstance(v, int):
         return str(v), str(v)
     if isinstance(v, float):
@@ -33,9 +28,6 @@ def _split_value(v):
 
 def _json_value(v):
     """A cell as strict JSON: a non-finite float as the CSV's own text."""
-    if isinstance(v, Fraction):
-        return {"fraction": f"{v.numerator}/{v.denominator}",
-                "decimal": float(v)}
     if isinstance(v, float) and not math.isfinite(v):
         return repr(v)
     return v
@@ -54,7 +46,7 @@ def emit_report(report: VerificationReport, fmt: str = "csv",
                       for k in CSV_COLUMNS if k != "value_decimal"}
                      for row in report.rows],
         }
-        return json.dumps(payload, sort_keys=True, indent=2, default=str,
+        return json.dumps(payload, sort_keys=True, indent=2,
                           allow_nan=False) + "\n"
     if fmt != "csv":
         raise ValueError(f"unknown report format: {fmt}")

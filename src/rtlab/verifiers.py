@@ -12,7 +12,9 @@ vertex mask per edge, each made by one numpy pass.
 Every search honours a node budget (env RTLAB_BUDGET or per-call
 argument) and raises BudgetExceeded, carrying whatever certified bound
 was reached.  Returned witnesses always re-validate through the separate
-recheck_* code paths.
+recheck_* code paths.  The core-pattern witnesses (K_s, TKF, split-core
+and TK) share one builder, `_core_embedding`, and one recheck,
+`recheck_cores`, which reads the witness's own edge for each core pair.
 """
 
 import math
@@ -24,7 +26,7 @@ from itertools import combinations
 import numpy as np
 
 from .hypergraph import (UNPARTITIONED, PairCoverIndex, PartitionedHypergraph,
-                         SimpleGraph, _bit_rows, _runs, codegree)
+                         SimpleGraph, _bit_rows, _runs)
 from .sphere import min_domains
 
 DEFAULT_BUDGET = 20_000_000
@@ -167,10 +169,7 @@ def find_clique(g: SimpleGraph, s: int, budget=None) -> Embedding | None:
 
 
 def recheck_clique(g: SimpleGraph, emb: Embedding) -> bool:
-    vs = list(emb.vertex_map.values())
-    if len(set(vs)) != len(vs):
-        return False
-    return all(g.has_edge(a, b) for a, b in combinations(vs, 2))
+    return recheck_cores(g, emb, len(emb.vertex_map))
 
 
 def _cliques(rows: list, size: int, cand: int, counter: _Counter | None = None,
@@ -335,19 +334,44 @@ def find_tkf_core(h: PartitionedHypergraph, s: int, budget=None) -> Embedding | 
     return _core_embedding(sorted(emb.vertex_map.values()), cover.covering)
 
 
-def _core_embedding(cores, covering) -> Embedding:
-    """The cores, in the given order, as a core-cover embedding: each
-    pair realised by the first edge `covering(a, b)` lists for it."""
+def _core_embedding(cores, covering, subdivided=False) -> Embedding:
+    """The cores, in the given order, as a core-pattern embedding: each
+    pair realised by the first edge `covering(a, b)` lists for it.  With
+    `subdivided`, each edge's vertices outside the cores follow the cores
+    in the vertex map, in edge order, as subdivision vertices."""
     vm = dict(enumerate(cores))
-    return Embedding(vm, {i: "core" for i in vm},
-                     [covering(a, b)[0] for a, b in combinations(cores, 2)])
+    roles = {i: "core" for i in vm}
+    edges = [covering(a, b)[0] for a, b in combinations(cores, 2)]
+    if subdivided:
+        for v in [v for e in edges for v in e if v not in cores]:
+            roles[len(vm)] = "subdivision"
+            vm[len(vm)] = v
+    return Embedding(vm, roles, edges)
+
+
+def recheck_cores(h: PartitionedHypergraph, emb: Embedding, s: int,
+                  fresh: bool = False) -> bool:
+    """s distinct cores, in vertex-map order, and one `edges_used` entry
+    per core pair, in `combinations` order, each an edge of h containing
+    its pair.  With `fresh` (a subdivision), each entry's other vertices
+    are used nowhere else and follow the cores in the vertex map, in entry
+    order; without it the vertex map holds the cores alone."""
+    got = [(v, emb.roles.get(k)) for k, v in emb.vertex_map.items()]
+    cores = [v for v, _ in got[:s]]
+    want = [(v, "core") for v in cores]
+    pairs = list(combinations(cores, 2))
+    if len(set(cores)) != s or len(emb.edges_used) != len(pairs):
+        return False
+    for (a, b), e in zip(pairs, emb.edges_used):
+        if tuple(sorted(e)) not in h.edges or a not in e or b not in e:
+            return False
+        if fresh:
+            want += [(v, "subdivision") for v in e if v != a and v != b]
+    return got == want and len({v for v, _ in want}) == len(want)
 
 
 def recheck_tkf_core(h: PartitionedHypergraph, emb: Embedding) -> bool:
-    cores = sorted(emb.vertex_map.values())
-    if len(set(cores)) != len(cores):
-        return False
-    return all(codegree(h, a, b) > 0 for a, b in combinations(cores, 2))
+    return recheck_cores(h, emb, len(emb.vertex_map))
 
 
 def private_edges(cover: PairCoverIndex, pairs: list, used: set,
@@ -390,20 +414,21 @@ def private_edges(cover: PairCoverIndex, pairs: list, used: set,
     return chosen
 
 
-def tk_embedding(cores, edges_used: list) -> Embedding:
-    """Subdivision embedding: the sorted cores, then each edge's fresh
-    vertices in edge order."""
+def subdivision(cover: PairCoverIndex, cores, counter: _Counter,
+                fixed=None) -> Embedding | None:
+    """Subdivision embedding on the sorted cores: each core pair outside
+    `fixed` (pair -> edge) gets its `private_edges` edge, fresh also of the
+    fixed edges' vertices.  None when no such choice of edges exists."""
+    fixed = fixed or {}
     cores = sorted(cores)
-    vm = dict(enumerate(cores))
-    roles = {i: "core" for i in vm}
-    core_set = set(cores)
-    for e in edges_used:
-        for v in e:
-            if v not in core_set:
-                nxt = len(vm)
-                vm[nxt] = v
-                roles[nxt] = "subdivision"
-    return Embedding(vm, roles, edges_used)
+    pairs = list(combinations(cores, 2))
+    free = [p for p in pairs if p not in fixed]
+    chosen = private_edges(cover, free, set(cores).union(*fixed.values()),
+                           counter)
+    if chosen is None:
+        return None
+    edges = {**fixed, **dict(zip(free, chosen))}
+    return _core_embedding(cores, lambda a, b: [edges[a, b]], subdivided=True)
 
 
 def find_tk(h: PartitionedHypergraph, s: int, budget=None) -> Embedding | None:
@@ -417,31 +442,14 @@ def find_tk(h: PartitionedHypergraph, s: int, budget=None) -> Embedding | None:
     shadow_rows = SimpleGraph(h.n, cover.pairs).adjacency_masks()
     # the cores are the s-cliques of the shadow, tried in lexicographic order
     for cores in _cliques(shadow_rows, s, (1 << h.n) - 1, counter):
-        chosen = private_edges(cover, list(combinations(cores, 2)),
-                               set(cores), counter)
-        if chosen is not None:
-            return tk_embedding(cores, chosen)
+        emb = subdivision(cover, cores, counter)
+        if emb is not None:
+            return emb
     return None
 
 
 def recheck_tk(h: PartitionedHypergraph, emb: Embedding, s: int) -> bool:
-    cores = sorted(v for k, v in emb.vertex_map.items() if emb.roles.get(k) == "core")
-    if len(cores) != s or len(set(cores)) != s:
-        return False
-    pairs = list(combinations(cores, 2))
-    if len(emb.edges_used) != len(pairs):
-        return False
-    seen_extras: set = set(cores)
-    for (a, b), e in zip(pairs, emb.edges_used):
-        if tuple(sorted(e)) not in h.edges:
-            return False
-        if a not in e or b not in e:
-            return False
-        extras = [v for v in e if v != a and v != b]
-        if any(v in seen_extras for v in extras):
-            return False
-        seen_extras.update(extras)
-    return True
+    return recheck_cores(h, emb, s, fresh=True)
 
 
 # ---------------------------------------------------------------------------
@@ -487,13 +495,12 @@ def scan_split_core(h: PartitionedHypergraph, budget=None) -> Embedding | None:
 
 
 def recheck_split_core(h: PartitionedHypergraph, emb: Embedding) -> bool:
-    """Cores 0 and 1 share a part, cores 2 and 3 share another, and the
-    embedding's vertices pass `recheck_tkf_core`: distinct, every pair
-    covered."""
-    a, b, c, d = (emb.vertex_map[i] for i in range(4))
-    part = h.part_of
-    return (part[a] == part[b] != part[c] == part[d]
-            and recheck_tkf_core(h, emb))
+    """Four cores that pass `recheck_cores`, the first two in one part
+    and the last two in another; unlabelled vertices are in no part."""
+    if not recheck_cores(h, emb, 4):
+        return False
+    a, b, c, d = (h.part_of[v] for v in emb.vertex_map.values())
+    return a == b != c == d and UNPARTITIONED not in (a, c)
 
 
 # ---------------------------------------------------------------------------

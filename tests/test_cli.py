@@ -254,11 +254,14 @@ def test_verify_failed_recheck_exit_4(tmp_path, monkeypatch, capsys, check,
 @pytest.mark.parametrize("check,finder,r", [
     ("clique", "find_clique", 2),
     ("tkf", "find_tkf_core", 3),
+    ("tk", "find_tk", 3),
+    ("split-core", "scan_split_core", 3),
 ])
 def test_verify_short_witness_exit_4(tmp_path, monkeypatch, capsys, check,
                                      finder, r):
     # the first edge of a path holds in the file, but its two vertices are
-    # no K_4 and no four-core set: the recheck counts them against --s
+    # no K_4, no four-core set and no split core: the recheck counts them
+    # against --s (four cores for split-core)
     path = tmp_path / "path.hg"
     write_hypergraph(PartitionedHypergraph(8, r, frozenset(
         tuple(range(i, i + r)) for i in range(0, 8 - r + 1, r - 1))), str(path))
@@ -266,6 +269,23 @@ def test_verify_short_witness_exit_4(tmp_path, monkeypatch, capsys, check,
     monkeypatch.setattr(ver, finder, lambda *a, **kw: short)
     wit = tmp_path / "witness.json"
     assert main(["verify", "--check", check, "--s", "4", "--witness-out",
+                 str(wit), str(path)]) == 4
+    assert not wit.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and "recheck" in err
+
+
+def test_verify_tkf_edges_not_in_file_exit_4(tmp_path, monkeypatch, capsys):
+    # every core pair is covered by the file's one edge, but the witness
+    # names edges the file does not hold: the recheck reads edges_used
+    path = tmp_path / "edge.hg"
+    write_hypergraph(PartitionedHypergraph(8, 3, frozenset([(0, 1, 2)])),
+                     str(path))
+    forged = Embedding({i: i for i in range(3)}, {i: "core" for i in range(3)},
+                       [(0, 1, 5), (0, 2, 5), (1, 2, 5)])
+    monkeypatch.setattr(ver, "find_tkf_core", lambda *a, **kw: forged)
+    wit = tmp_path / "witness.json"
+    assert main(["verify", "--check", "tkf", "--s", "3", "--witness-out",
                  str(wit), str(path)]) == 4
     assert not wit.exists()
     err = capsys.readouterr().err
@@ -624,6 +644,29 @@ def test_params_file_not_an_object_exit_2(tmp_path, monkeypatch, capsys,
     file = [] if argv[0] == "construct" else ["g.g"]
     assert main(argv + ["--params", "bad.json"] + file) == 2
     assert capsys.readouterr().err.startswith("input error")
+
+
+@pytest.mark.parametrize("argv,key,value", [
+    (["construct", "--type", "be", "--out", "be.g"], "seed", 3.5),
+    (["report", "k5.hg"], "pattern_cap", 10.9),
+    (["drc", "find-f", "k5.hg"], "retries", True),
+    (["drc", "find-f", "k5.hg"], "a", "4"),
+])
+def test_params_file_non_integer_exit_2(tmp_path, monkeypatch, capsys, argv,
+                                        key, value):
+    # an integer field of the construction or the drc params that holds a
+    # float, a bool or a string is refused, not truncated or compared
+    monkeypatch.chdir(tmp_path)
+    write_hypergraph(complete_uniform(5, 3), "k5.hg")
+    if argv[0] == "drc":
+        Path("params.json").write_text(json.dumps({key: value}))
+        params = "params.json"
+    else:
+        params = write_params(tmp_path, **{key: value})
+    assert main(argv + ["--params", params]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error") and f"{key} must be an integer" in err
+    assert not Path("be.g").exists()
 
 
 @pytest.mark.parametrize("k,z,ok", [(5, 14, "no"), (2, 600, ""),

@@ -12,7 +12,7 @@ from rtlab.drc import (DrcParams, PipelineFailure, average_degree,
 from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph,
                               turan_hypergraph)
 from rtlab.rng import substream
-from rtlab.verifiers import recheck_tk, recheck_tkf_core
+from rtlab.verifiers import Embedding, recheck_tk, recheck_tkf_core
 
 
 def gnp(n, prob, seed):
@@ -192,6 +192,22 @@ def test_find_f_dense_random_with_tk6():
     w = find_f_witness(h, p, seed=4)
     assert recheck_f_witness(h, w)
     assert w.tk is not None and recheck_tk(h, w.tk, 6)
+
+
+@pytest.mark.parametrize("run", [
+    lambda h: find_f_witness(h, DrcParams(a=3, m=3, t=2, s=1,
+                                          codegree_threshold=2, retries=2),
+                             seed=1),
+    lambda h: find_tkf5_tk4(h, eps=0.1, codegree_threshold=2, seed=2),
+], ids=["find-f", "find-tkf5"])
+def test_bad_tk_extension_fails_verification(monkeypatch, run):
+    # a subdivision search that returns its cores without their edges:
+    # the extension is rechecked before the witness is returned
+    monkeypatch.setattr(drc, "subdivision", lambda cover, cores, *a: Embedding(
+        dict(enumerate(sorted(cores))), {i: "core" for i in range(len(cores))}))
+    with pytest.raises(PipelineFailure) as exc:
+        run(complete_uniform(12, 3))
+    assert exc.value.stage == "verification"
 
 
 def test_find_f_uses_the_hypergraph_own_parts():

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import complete_uniform
 from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph, _bit_rows,
-                              blowup, clean_low_codegree, codegree,
-                              complete_join, read_graph, read_hypergraph,
+                              blowup, clean_low_codegree, complete_join, read_graph, read_hypergraph,
                               shadow, turan_hypergraph, write_graph,
                               write_hypergraph)
 from rtlab.rng import substream
@@ -227,24 +226,6 @@ def test_join_edge_count_identity():
 
 
 # ---------------------------------------------------------------------------
-# codegree
-
-
-def test_codegree_values():
-    h = PartitionedHypergraph(5, 3, frozenset([(0, 1, 2)]))
-    assert codegree(h, 0, 1) == 1
-    assert codegree(h, 0, 4) == 0
-    with pytest.raises(ValueError):
-        codegree(h, 2, 2)
-
-
-def test_codegree_complete_5():
-    h = complete_uniform(5, 3)
-    for a, b in combinations(range(5), 2):
-        assert codegree(h, a, b) == 3  # C(3,1) remaining choices
-
-
-# ---------------------------------------------------------------------------
 # codegree cleaning
 
 
@@ -274,7 +255,7 @@ def test_clean_recount_oracle_and_idempotent():
         for a, b in combinations(range(out.n), 2):
             pa, pb = out.part_of[a], out.part_of[b]
             if pa != pb and min(pa, pb) >= 0:
-                c = codegree(out, a, b)
+                c = sum(a in e and b in e for e in out.edges)
                 assert c == 0 or c > 2
         again = clean_low_codegree(out, 2)
         assert again.edges == out.edges

@@ -26,7 +26,7 @@ ENTRY_POINTS = {
 
 # the functions that read a graph's `edges` frozenset view; every search
 # reads `edge_array`
-EDGES_READERS = {"has_edge", "recheck_tk", "recheck_sparse_pattern",
+EDGES_READERS = {"recheck_cores", "recheck_sparse_pattern",
                  "recheck_f_witness"}
 
 

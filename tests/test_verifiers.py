@@ -43,7 +43,7 @@ def random_3uniform(n, p, seed):
 
 
 def brute_has_clique(g, s):
-    return any(all(g.has_edge(a, b) for a, b in combinations(sub, 2))
+    return any(all((a, b) in g.edges for a, b in combinations(sub, 2))
                for sub in combinations(range(g.n), s))
 
 
@@ -635,6 +635,11 @@ def test_split_core_hand_built_violation():
     h = PartitionedHypergraph(7, 3, edges, parts)
     emb = scan_split_core(h)
     assert emb is not None and recheck_split_core(h, emb)
+    # an unlabelled pair is in no part: neither the scan nor the recheck
+    # takes it for one
+    unlabelled = PartitionedHypergraph(7, 3, edges, (-1, -1) + parts[2:])
+    assert scan_split_core(unlabelled) is None
+    assert not recheck_split_core(unlabelled, emb)
 
 
 def test_split_core_many_common_partners_few_within_pairs():
@@ -651,10 +656,12 @@ def test_split_core_many_common_partners_few_within_pairs():
                               (1, 5, 8), (3, 5, 9)]
     assert recheck_split_core(h, emb)
     # cores 0, 1 and 2, 3 out of their parts; a repeated core; (3, 4)
-    # uncovered
+    # uncovered.  Each covered pair carries its own edge, so only the
+    # named fault is left for the recheck to find
+    cover = h.pair_cover_index()
     for cores in ((0, 3, 1, 5), (0, 0, 3, 5), (0, 1, 3, 4)):
-        forged = Embedding(dict(enumerate(cores)),
-                           {i: "core" for i in range(4)}, [])
+        forged = _core_embedding(
+            cores, lambda a, b: cover.covering(a, b) or [(a, b)])
         assert not recheck_split_core(h, forged)
 
 
