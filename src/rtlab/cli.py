@@ -87,6 +87,11 @@ def _emit_json(payload, path):
 
 def _cmd_construct(args) -> int:
     params = _load_params(args)
+    if args.type == "corollary":
+        ell, q = params.extras.get("ell", 2), params.extras.get("q", 2)
+        for key, value in (("ell", ell), ("q", q)):
+            if type(value) is not int:
+                raise ValueError(f"{key} must be an integer, got {value!r}")
     partition = params.build_partition()
     if args.type == "be":
         out = con.bollobas_erdos(partition, params.epsilon)
@@ -95,8 +100,6 @@ def _cmd_construct(args) -> int:
     elif args.type == "full":
         out = con.full_construction(params, partition)
     elif args.type == "corollary":
-        ell = int(params.extras.get("ell", 2))
-        q = int(params.extras.get("q", 2))
         mix_a = params.extras.get("mix_a")
         if mix_a is None:
             a_star, _ = con.optimize_a(params.r, ell, q)
@@ -205,33 +208,27 @@ def _cmd_drc(args) -> int:
     p = drcmod.DrcParams.from_json(_read_params(args.params))
     h = _read_input(args.file)
     seed = args.seed if args.seed is not None else 0
-    if args.action == "find-set":
-        if h.r != 2:
-            raise ValueError("find-set needs a graph file (r=2)")
-        u = drcmod.drc_find_set(h, p, seed=seed)
-        if u is None:
-            print("find-set: no verified set within the retry budget")
-            return EXIT_BUDGET
-        payload = {"U": sorted(u)}
-    elif args.action == "find-f":
-        try:
-            w = drcmod.find_f_witness(h, p, seed=seed)
-        except drcmod.PipelineFailure as exc:
-            print(f"find-f failed at stage '{exc.stage}': {exc.detail}")
-            return EXIT_BUDGET
-        payload = w.as_json()
-    elif args.action == "find-tkf5":
-        eps = p.epsilon
-        try:
-            tkf5, tk4 = drcmod.find_tkf5_tk4(h, eps, p.codegree_threshold,
+    try:
+        if args.action == "find-set":
+            if h.r != 2:
+                raise ValueError("find-set needs a graph file (r=2)")
+            u = drcmod.drc_find_set(h, p, seed=seed)
+            if u is None:
+                print("find-set: no verified set within the retry budget")
+                return EXIT_BUDGET
+            payload = {"U": sorted(u)}
+        elif args.action == "find-f":
+            payload = drcmod.find_f_witness(h, p, seed=seed).as_json()
+        elif args.action == "find-tkf5":
+            tkf5, tk4 = drcmod.find_tkf5_tk4(h, p.epsilon, p.codegree_threshold,
                                              seed=seed, retries=p.retries)
-        except drcmod.PipelineFailure as exc:
-            print(f"find-tkf5 failed at stage '{exc.stage}': {exc.detail}")
-            return EXIT_BUDGET
-        payload = {"tkf5": tkf5.as_json(),
-                   "tk4": tk4.as_json() if tk4 else None}
-    else:
-        raise ValueError(f"unknown drc action {args.action}")
+            payload = {"tkf5": tkf5.as_json(),
+                       "tk4": tk4.as_json() if tk4 else None}
+        else:
+            raise ValueError(f"unknown drc action {args.action}")
+    except drcmod.PipelineFailure as exc:
+        print(f"{args.action} failed at stage '{exc.stage}': {exc.detail}")
+        return EXIT_BUDGET
     _emit_json(payload, args.out)
     return EXIT_HOLDS
 

@@ -19,7 +19,7 @@ from operator import and_
 import numpy as np
 
 from .hypergraph import (UNPARTITIONED, PairCoverIndex, PartitionedHypergraph,
-                         SimpleGraph, clean_low_codegree)
+                         SimpleGraph, as_graph, clean_low_codegree)
 from .rng import substream
 from .verifiers import (BudgetExceeded, Embedding, _core_embedding, _Counter,
                         contained_edge, recheck_cores, recheck_tkf_core,
@@ -75,8 +75,12 @@ class DrcParams:
 
     @classmethod
     def from_json(cls, data: dict) -> "DrcParams":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in data.items() if k in known})
+        """The params of a JSON object; ValueError names any key that is
+        not a field."""
+        unknown = sorted(set(data) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown drc params: {', '.join(unknown)}")
+        return cls(**data)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +145,7 @@ def drc_find_set(g: SimpleGraph, p: DrcParams, seed: int = 0,
     for trial in range(p.retries):
         rng = substream(seed, "drc-find-set", trial)
         picks = [int(rng.integers(g.n)) for _ in range(p.t)]
-        common = _common(rows, picks) if picks else 0
+        common = _common(rows, picks)
         first = [v for v in range(g.n) if common >> v & 1]
         u_set = set(first)
         for sub in combinations(first, p.r):
@@ -162,7 +166,7 @@ def hyper_drc(g_r: PartitionedHypergraph, s: int, seed: int = 0) -> PartitionedH
     """Sample s vertices (with repetition) from the first part; keep every
     transversal (r-1)-set over the remaining parts whose union with each
     sample is an edge.  Output is (r-1)-uniform on the same vertex ids,
-    with the achieved edge count and the reference floor in meta."""
+    with the samples in meta; the parts may differ in size."""
     if s < 1:
         raise ValueError("need at least one sampled vertex")
     r = g_r.r
@@ -171,10 +175,8 @@ def hyper_drc(g_r: PartitionedHypergraph, s: int, seed: int = 0) -> PartitionedH
     if g_r.parts != r:
         raise ValueError(f"need an {r}-partite input, found {g_r.parts} parts")
     part0 = g_r.part_vertices(0)
-    sizes = {len(g_r.part_vertices(p)) for p in range(r)}
-    if len(sizes) != 1:
-        raise ValueError("parts must have equal size")
-    big_n = sizes.pop()
+    if not part0:
+        raise ValueError("the first part is empty")
     rng = substream(seed, "hyper-drc", 0)
     samples = [part0[int(rng.integers(len(part0)))] for _ in range(s)]
 
@@ -185,12 +187,8 @@ def hyper_drc(g_r: PartitionedHypergraph, s: int, seed: int = 0) -> PartitionedH
         rest = through[through != w].reshape(-1, r - 1)
         rest = rest[(labels[rest] != 0).all(axis=1)]
         links.append(set(map(tuple, rest.tolist())))
-    common = set.intersection(*links)
-    eps = len(g_r.cross_edges()) / (big_n ** r)
-    floor = 0.5 * eps ** s * big_n ** (r - 1)
-    meta = {"samples": samples, "edge_floor": floor, "link_edge_count": len(common)}
-    return PartitionedHypergraph(g_r.n, r - 1, common,
-                                 g_r.part_of, meta=meta)
+    return PartitionedHypergraph(g_r.n, r - 1, set.intersection(*links),
+                                 g_r.part_of, meta={"samples": samples})
 
 
 def _extensions(g_r: PartitionedHypergraph, pairs) -> list:
@@ -247,35 +245,34 @@ def _balanced_partition(n: int, parts: int, rng) -> tuple:
 def _trials(h: PartitionedHypergraph, stream: str, seed: int, tries: int,
             threshold: int, attempt):
     """The retry loop of the witness pipelines: the first result of
-    `attempt(labels, cleaned, trial)` over trials 0 .. tries-1, else the
-    last PipelineFailure raised.
+    `attempt(cleaned, trial)` over trials 0 .. tries-1, else the last
+    PipelineFailure raised.
 
-    The labels are the hypergraph's own three parts when it has them,
-    otherwise a balanced partition drawn from substream(seed, stream,
-    trial).  `cleaned` keeps the edges meeting all three classes, after
-    `clean_low_codegree` at the threshold; a trial where none survives
-    fails at "cleaning".  Own parts are the same in every trial, so they
-    are cleaned once, before the loop."""
+    The trial's labels are the hypergraph's own three parts when it has
+    them, otherwise a balanced partition drawn from substream(seed,
+    stream, trial); `cleaned.part_of` holds them.  `cleaned` keeps the
+    edges meeting all three classes, after `clean_low_codegree` at the
+    threshold; a trial where none survives fails at "cleaning".  Own
+    parts are the same in every trial, so they are cleaned once, before
+    the loop."""
     if h.r != 3:
         raise ValueError("witness pipelines are for 3-uniform hypergraphs")
 
     def clean(labels):
-        lab = np.sort(np.asarray(labels, dtype=np.int64)[h.edge_array], axis=1)
-        transversal = (lab[:, 1:] != lab[:, :-1]).all(axis=1)
-        return labels, clean_low_codegree(
-            PartitionedHypergraph(h.n, 3, h.edge_array[transversal], labels),
-            threshold)
+        cross = PartitionedHypergraph(h.n, 3, h.edge_array, labels).cross_edges()
+        return clean_low_codegree(PartitionedHypergraph(h.n, 3, cross, labels),
+                                  threshold)
 
     own = clean(h.part_of) if _has_three_parts(h) else None
     failure = PipelineFailure("init")
     for trial in range(tries):
-        labels, cleaned = own or clean(_balanced_partition(
+        cleaned = own if own is not None else clean(_balanced_partition(
             h.n, 3, substream(seed, stream, trial)))
         try:
             if not len(cleaned.edge_array):
                 raise PipelineFailure("cleaning",
                                       "no edges survive the codegree sweep")
-            return attempt(labels, cleaned, trial)
+            return attempt(cleaned, trial)
         except PipelineFailure as exc:
             failure = exc
     raise failure
@@ -298,11 +295,11 @@ def find_f_witness(h: PartitionedHypergraph, params: DrcParams,
     that failed on the final retry."""
     return _trials(h, "f-partition", seed, params.retries,
                    params.codegree_threshold,
-                   lambda labels, cleaned, trial: _f_witness_once(
-                       h, labels, cleaned, params, seed, trial))
+                   lambda cleaned, trial: _f_witness_once(
+                       h, cleaned, params, seed, trial))
 
 
-def _f_witness_once(h, labels, cleaned, params, seed, trial):
+def _f_witness_once(h, cleaned, params, seed, trial):
     try:
         aux = hyper_drc(cleaned, params.s, seed=seed * 1000003 + trial)
     except ValueError as exc:
@@ -310,10 +307,9 @@ def _f_witness_once(h, labels, cleaned, params, seed, trial):
     if not len(aux.edge_array):
         raise PipelineFailure("hyper-drc", "empty auxiliary graph")
 
-    verts23 = sorted(v for v in range(h.n) if labels[v] in (1, 2))
-    renumber = np.full(h.n, -1, dtype=np.int64)
-    renumber[verts23] = np.arange(len(verts23))
-    g = SimpleGraph(len(verts23), renumber[aux.edge_array])
+    labels = cleaned.part_of
+    verts23 = [v for v in range(h.n) if labels[v] in (1, 2)]
+    g = as_graph(aux).induced(verts23)
     # the asymptotic feasibility inequality is vacuous at desk scale, so
     # the pipeline runs the verification-gated search unconditionally
     gp = replace(params, n=g.n, r=3)
@@ -333,7 +329,7 @@ def _f_witness_once(h, labels, cleaned, params, seed, trial):
     if e3 is None:
         raise PipelineFailure("edge-in-set", "no hyperedge inside the chosen side")
 
-    common = _common(g.adjacency_masks(), renumber[list(e3)].tolist())
+    common = _common(g.adjacency_masks(), np.searchsorted(verts23, e3).tolist())
     common_host = {verts23[i] for i in range(g.n)
                    if common >> i & 1 and labels[verts23[i]] == e2_label}
     e2 = contained_edge(h, common_host)
@@ -389,7 +385,7 @@ def find_tkf5_tk4(h: PartitionedHypergraph, eps: float,
     PipelineFailure when no qualifying pair or no edge in Z exists."""
     tries = 1 if _has_three_parts(h) else retries
     return _trials(h, "tkf5-partition", seed, tries, codegree_threshold,
-                   lambda labels, cleaned, trial: _tkf5_once(h, cleaned, eps))
+                   lambda cleaned, trial: _tkf5_once(h, cleaned, eps))
 
 
 def _tkf5_once(h, cleaned, eps):

@@ -7,10 +7,12 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rtlab import verifiers as ver
 from rtlab.cli import main
+from rtlab.drc import FWitness, recheck_f_witness
 from helpers import complete_uniform
 from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph,
                               read_hypergraph, write_graph, write_hypergraph)
@@ -514,6 +516,21 @@ def test_drc_hypergraph_pipeline_failure_exit_3(tmp_path, capsys, action):
     assert not out.exists()
 
 
+def test_drc_find_f_31_vertices(tmp_path, capsys):
+    # a balanced partition of 31 vertices has parts 11, 10, 10
+    rng = np.random.default_rng(7)
+    h = PartitionedHypergraph(31, 3, [e for e in combinations(range(31), 3)
+                                      if rng.random() < 0.9])
+    hpath, ppath, out = tmp_path / "h.hg", tmp_path / "drc.json", tmp_path / "w.json"
+    write_hypergraph(h, str(hpath))
+    ppath.write_text(json.dumps({"a": 4, "m": 4, "t": 2, "s": 2,
+                                 "codegree_threshold": 4}))
+    assert main(["drc", "find-f", "--params", str(ppath), "--seed", "1",
+                 "--out", str(out), str(hpath)]) == 0
+    w = json.loads(out.read_text())
+    assert recheck_f_witness(h, FWitness(*(tuple(w[k]) for k in ("xs", "ys", "zs"))))
+
+
 @pytest.mark.parametrize("action", ["find-f", "find-tkf5"])
 @pytest.mark.parametrize("params,problem", [
     ({"retries": 0}, "retries must be >= 1"),
@@ -522,6 +539,7 @@ def test_drc_hypergraph_pipeline_failure_exit_3(tmp_path, capsys, action):
     ({"a": 0}, "a must be >= 1"),
     ({"s": 0}, "s must be >= 1"),
     ({"n": 0}, "n must be positive"),
+    ({"retires": 2, "seed": 1}, "unknown drc params: retires, seed"),
 ])
 def test_drc_bad_params_exit_2(tmp_path, capsys, action, params, problem):
     # refused as input before any trial runs, not reported as a pipeline
@@ -651,6 +669,8 @@ def test_params_file_not_an_object_exit_2(tmp_path, monkeypatch, capsys,
     (["report", "k5.hg"], "pattern_cap", 10.9),
     (["drc", "find-f", "k5.hg"], "retries", True),
     (["drc", "find-f", "k5.hg"], "a", "4"),
+    (["construct", "--type", "corollary", "--out", "be.g"], "ell", 2.9),
+    (["construct", "--type", "corollary", "--out", "be.g"], "q", "2"),
 ])
 def test_params_file_non_integer_exit_2(tmp_path, monkeypatch, capsys, argv,
                                         key, value):

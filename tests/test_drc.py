@@ -137,6 +137,12 @@ def test_hyper_drc_rejects_s0():
         hyper_drc(h, 0)
 
 
+def test_hyper_drc_rejects_empty_first_part():
+    h = PartitionedHypergraph(6, 3, [(0, 2, 4)], (1, 1, 2, 2, 2, 2))
+    with pytest.raises(ValueError, match="first part is empty"):
+        hyper_drc(h, 1)
+
+
 def test_hyper_drc_complete_multipartite():
     h = turan_hypergraph(9, 3, 3)
     for s in (1, 2, 3):
@@ -147,24 +153,19 @@ def test_hyper_drc_complete_multipartite():
 
 
 def test_hyper_drc_matches_brute_force_links():
-    rng = substream(11, "h3p")
-    parts = tuple([0] * 12 + [1] * 12 + [2] * 12)
-    edges = set()
-    for a in range(12):
-        for b in range(12, 24):
-            for c in range(24, 36):
-                if rng.random() < 0.5:
-                    edges.add((a, b, c))
-    h = PartitionedHypergraph(36, 3, frozenset(edges), parts)
-    out = hyper_drc(h, 2, seed=5)
-    samples = out.meta["samples"]
-    # brute-force oracle: scan all transversal pairs directly
-    want = set()
-    for b in range(12, 24):
-        for c in range(24, 36):
-            if all(tuple(sorted((w, b, c))) in h.edges for w in samples):
-                want.add((b, c))
-    assert out.edges == frozenset(want)
+    # three equal parts, then three of unequal size
+    for sizes in ((12, 12, 12), (13, 9, 11)):
+        rng = substream(11, "h3p")
+        parts = tuple(p for p, size in enumerate(sizes) for _ in range(size))
+        verts = [[v for v, q in enumerate(parts) if q == p] for p in range(3)]
+        edges = frozenset(e for e in product(*verts) if rng.random() < 0.5)
+        h = PartitionedHypergraph(len(parts), 3, edges, parts)
+        out = hyper_drc(h, 2, seed=5)
+        samples = out.meta["samples"]
+        # brute-force oracle: scan all transversal pairs directly
+        want = {(b, c) for b, c in product(verts[1], verts[2])
+                if all(tuple(sorted((w, b, c))) in h.edges for w in samples)}
+        assert out.edges == frozenset(want)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +209,28 @@ def test_bad_tk_extension_fails_verification(monkeypatch, run):
     with pytest.raises(PipelineFailure) as exc:
         run(complete_uniform(12, 3))
     assert exc.value.stage == "verification"
+
+
+@pytest.mark.parametrize("n", [31, 32])
+def test_find_f_n_not_a_multiple_of_3(n):
+    # the balanced partition has parts of unequal size; the hypergraph
+    # form takes them as they are
+    h = dense_random_3u(n, 0.9, seed=1)
+    p = DrcParams(a=4, m=4, t=2, s=2, codegree_threshold=4)
+    w = find_f_witness(h, p, seed=1)
+    assert recheck_f_witness(h, w)
+
+
+def test_find_f_own_parts_of_unequal_size():
+    parts = (0,) * 11 + (1,) * 10 + (2,) * 10
+    h = PartitionedHypergraph(31, 3, dense_random_3u(31, 0.9, seed=1).edge_array,
+                              parts)
+    p = DrcParams(a=4, m=4, t=2, s=2, codegree_threshold=4)
+    w = find_f_witness(h, p, seed=1)
+    assert recheck_f_witness(h, w)
+    labels = [{parts[v] for v in e} for e in (w.xs, w.ys, w.zs)]
+    assert labels[0] == {0} and sorted(labels[1] | labels[2]) == [1, 2]
+    assert all(len(s) == 1 for s in labels)
 
 
 def test_find_f_uses_the_hypergraph_own_parts():

@@ -895,9 +895,11 @@ def test_density_report_shadow_double_count():
     h = full_construction(p)
     sh = shadow_first_parts(h, 2)
     rep = density_report(sh)
-    assert rep.verdict == "holds"
-    dbl = [r for r in rep.rows if r["quantity"] == "block_double_count"]
-    assert dbl and dbl[0]["ok"]
+    # the block counts are reported, not asserted
+    assert rep.verdict == "unchecked"
+    blocks = [r["value"] for r in rep.rows
+              if r["quantity"].startswith(("edges_within_", "edges_between_"))]
+    assert blocks and sum(blocks) == len(sh.edge_array)
 
 
 def test_density_report_unlabelled_graph_has_no_block_rows():
