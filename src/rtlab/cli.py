@@ -17,8 +17,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import constructions as con
 from . import drc as drcmod
 from . import hypergraph as hg
@@ -108,29 +106,30 @@ def _cmd_construct(args) -> int:
         base = con.shadow_first_parts(full, ell)
         provider = lambda n: con.maximal_ktfree_graph(n, params.r, params.seed)
         out = con.corollary_graph(base, q, params.r, provider, mix_a=mix_a)
-    else:
-        raise ValueError(f"unknown construction type {args.type}")
     hg.write_hypergraph(out, args.out)
     print(f"wrote {args.type} construction to {args.out}")
     return EXIT_HOLDS
 
 
+# each check's flag (None: no flag) and whether it needs a graph file (r=2);
+# the flag is checked before the file is read, the uniformity after
+VERIFY_NEEDS = {"clique": ("s", True), "alpha_t": ("t", True),
+                "tk": ("s", False), "tkf": ("s", False),
+                "split-core": (None, False), "sparse": (None, False)}
+
+
 def _cmd_verify(args) -> int:
-    h = _read_input(args.file)
     check = args.check
-    witness = None
+    flag, graph_only = VERIFY_NEEDS[check]
+    if flag and getattr(args, flag) is None:
+        raise ValueError(f"{check} check needs --{flag}")
+    h = _read_input(args.file)
+    if graph_only and h.r != 2:
+        raise ValueError(f"{check} check needs a graph file (r=2)")
     if check == "clique":
-        if h.r != 2:
-            raise ValueError("clique check needs a graph file (r=2)")
-        if args.s is None:
-            raise ValueError("clique check needs --s")
         witness = ver.find_clique(h, args.s, args.budget)
         recheck = lambda w: ver.recheck_cores(h, w, args.s)
     elif check == "alpha_t":
-        if h.r != 2:
-            raise ValueError("alpha_t needs a graph file (r=2)")
-        if args.t is None:
-            raise ValueError("alpha_t needs --t")
         try:
             value = ver.alpha_t(h, args.t, args.budget)
         except ver.BudgetExceeded as exc:
@@ -146,33 +145,23 @@ def _cmd_verify(args) -> int:
             return EXIT_VIOLATED
         return EXIT_HOLDS
     elif check == "tk":
-        if args.s is None:
-            raise ValueError("tk check needs --s")
         witness = ver.find_tk(h, args.s, args.budget)
         recheck = lambda w: ver.recheck_tk(h, w, args.s)
     elif check == "tkf":
-        if args.s is None:
-            raise ValueError("tkf check needs --s")
         witness = ver.find_tkf_core(h, args.s, args.budget)
         recheck = lambda w: ver.recheck_cores(h, w, args.s)
     elif check == "split-core":
         witness = ver.scan_split_core(h, args.budget)
         recheck = lambda w: ver.recheck_split_core(h, w)
-    elif check == "sparse":
-        ell = args.ell if args.ell is not None else h.r ** 3
-        # each part's inside edges (by their first vertex's label) on the
-        # file's vertex ids, part by part; the whole file when it has none
-        inside = h.inside_edges()
-        first = np.asarray(h.part_of)[inside[:, 0]]
-        parts = [inside[first == p] for p in range(h.parts)]
-        for edges in parts or [h.edge_array]:
-            part = hg.PartitionedHypergraph(h.n, h.r, edges, h.part_of)
-            witness = ver.scan_sparse_patterns(part, h.r, ell, args.budget)
-            if witness is not None:
-                break
-        recheck = lambda w: ver.recheck_sparse_pattern(h, w, ell)
     else:
-        raise ValueError(f"unknown check {check}")
+        ell = args.ell if args.ell is not None else h.r ** 3
+        # the inside edges of every part in one scan (no pattern spans two
+        # parts: their inside edges share no vertex); the whole file when
+        # it has no parts
+        edges = h.inside_edges() if h.parts else h.edge_array
+        inside = hg.PartitionedHypergraph(h.n, h.r, edges, h.part_of)
+        witness = ver.scan_sparse_patterns(inside, h.r, ell, args.budget)
+        recheck = lambda w: ver.recheck_sparse_pattern(h, w, ell)
     if witness is None:
         print(f"{check}: holds")
         return EXIT_HOLDS
@@ -207,25 +196,22 @@ def _cmd_optimize(args) -> int:
 def _cmd_drc(args) -> int:
     p = drcmod.DrcParams.from_json(_read_params(args.params))
     h = _read_input(args.file)
-    seed = args.seed if args.seed is not None else 0
     try:
         if args.action == "find-set":
             if h.r != 2:
                 raise ValueError("find-set needs a graph file (r=2)")
-            u = drcmod.drc_find_set(h, p, seed=seed)
+            u = drcmod.drc_find_set(h, p, seed=args.seed)
             if u is None:
                 print("find-set: no verified set within the retry budget")
                 return EXIT_BUDGET
             payload = {"U": sorted(u)}
         elif args.action == "find-f":
-            payload = drcmod.find_f_witness(h, p, seed=seed).as_json()
-        elif args.action == "find-tkf5":
+            payload = drcmod.find_f_witness(h, p, seed=args.seed).as_json()
+        else:
             tkf5, tk4 = drcmod.find_tkf5_tk4(h, p.epsilon, p.codegree_threshold,
-                                             seed=seed, retries=p.retries)
+                                             seed=args.seed, retries=p.retries)
             payload = {"tkf5": tkf5.as_json(),
                        "tk4": tk4.as_json() if tk4 else None}
-        else:
-            raise ValueError(f"unknown drc action {args.action}")
     except drcmod.PipelineFailure as exc:
         print(f"{args.action} failed at stage '{exc.stage}': {exc.detail}")
         return EXIT_BUDGET
@@ -244,7 +230,7 @@ def _cmd_sphere(args) -> int:
         if getattr(args, flag) is None:
             raise ValueError(f"sphere {args.action} needs --{flag}")
     if args.action == "partition":
-        part = sph.build_partition(args.k, args.z, args.theta, args.seed or 0)
+        part = sph.build_partition(args.k, args.z, args.theta, args.seed)
         sph.write_partition(part, args.out)
         min_z = part.precondition_min_z
         verdict = ("fails (volume bound)" if part.z < min_z
@@ -278,8 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a property check on a file")
     p.add_argument("--check", required=True,
-                   choices=["clique", "alpha_t", "tk", "tkf", "split-core",
-                            "sparse"])
+                   choices=list(VERIFY_NEEDS))
     p.add_argument("--s", type=int)
     p.add_argument("--t", type=int)
     p.add_argument("--ell", type=int)
@@ -305,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("drc", help="dependent-random-choice pipelines")
     p.add_argument("action", choices=["find-set", "find-f", "find-tkf5"])
     p.add_argument("--params", required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.add_argument("file")
     p.set_defaults(func=_cmd_drc)
@@ -319,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
     p.add_argument("--t-max", dest="t_max", type=int, default=2)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sphere)
 
@@ -343,8 +328,7 @@ def main(argv=None) -> int:
     except ver.BudgetExceeded as exc:
         print(_budget_line(exc), file=sys.stderr)
         return EXIT_BUDGET
-    except (OSError, ValueError, KeyError, TypeError,
-            json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

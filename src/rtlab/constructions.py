@@ -73,7 +73,7 @@ class ConstructionParams:
         derived = self.epsilon / math.sqrt(self.k)
         if self.theta is None:
             self.theta = derived
-        elif abs(self.theta - derived) > 1e-12:
+        elif not abs(self.theta - derived) <= 1e-12:
             raise ValueError("theta must equal epsilon/sqrt(k)")
         derived_u = (self.r + 1) // 2
         if self.u is None:

@@ -42,7 +42,8 @@ class DrcParams:
     """Parameters of the two dependent-random-choice forms.
 
     Graph form: a, m, n, r, t.  Hypergraph form: s samples.  epsilon is
-    the codegree fraction `find-tkf5` asks of its pair.  retries bounds
+    the codegree fraction `find-tkf5` asks of its pair; `find_tkf5_tk4`
+    refuses one outside (0, 1], NaN included.  retries bounds
     the Las Vegas loops; codegree_threshold drives the cleaning pass (16
     in the asymptotic statements, lower it for desk-scale hosts whose
     codegrees cannot reach 16).  a, m, r, t, s and retries are >= 1, a
@@ -382,7 +383,10 @@ def find_tkf5_tk4(h: PartitionedHypergraph, eps: float,
     hyperedge E inside Z; x, y and E give a five-core cover witness, and
     fresh third vertices extend x, y and two of E to a four-core
     subdivision.  Returns (five_core, four_core_or_None); raises
-    PipelineFailure when no qualifying pair or no edge in Z exists."""
+    PipelineFailure when no qualifying pair or no edge in Z exists, and
+    ValueError for an eps outside (0, 1]."""
+    if not 0.0 < eps <= 1.0:
+        raise ValueError(f"eps must lie in (0, 1], got {eps}")
     tries = 1 if _has_three_parts(h) else retries
     return _trials(h, "tkf5-partition", seed, tries, codegree_threshold,
                    lambda cleaned, trial: _tkf5_once(h, cleaned, eps))

@@ -34,11 +34,18 @@ import numpy as np
 UNPARTITIONED = -1
 
 
-def _sorted_rows(edges, r: int, size_error, range_error) -> np.ndarray:
+def _sorted_rows(edges, n: int, r: int) -> np.ndarray:
     """The edges as an int64 array, one sorted row per edge in input
-    order.  An edge without r vertices raises ValueError(size_error(edge)),
-    also when the edges have different lengths; an edge with a vertex
-    beyond int64 raises ValueError(range_error(edge))."""
+    order, every row a set of r distinct vertices in 0..n-1.  ValueError
+    names the first edge without r distinct vertices (also when the
+    edges have different lengths) or with a vertex out of range; an
+    edge of the wrong length is found before any out-of-range one."""
+    def not_a_set(e):
+        return ValueError(f"edge {e} is not a set of {r} distinct vertices")
+
+    def out_of_range(e):
+        return ValueError(f"edge {e} out of range for n={n}")
+
     if isinstance(edges, np.ndarray):
         rows = edges.astype(np.int64, copy=False)
     else:
@@ -53,19 +60,21 @@ def _sorted_rows(edges, r: int, size_error, range_error) -> np.ndarray:
         edges = [tuple(sorted(e)) for e in edges]
         for e in edges:
             if len(e) != r:
-                raise ValueError(size_error(e))
+                raise not_a_set(e)
         try:
             rows = np.array(edges, dtype=np.int64).reshape(len(edges), r)
         except OverflowError:
-            big = next(e for e in edges
-                       if not all(-2 ** 63 <= v < 2 ** 63 for v in e))
-            raise ValueError(range_error(big)) from None
-    return np.sort(rows, axis=1)
-
-
-def _first(bad: np.ndarray):
-    """Index of the first true entry, or None."""
-    return int(bad.argmax()) if bad.any() else None
+            raise out_of_range(next(
+                e for e in edges
+                if not all(-2 ** 63 <= v < 2 ** 63 for v in e))) from None
+    rows = np.sort(rows, axis=1)
+    repeat = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+    bad = repeat | (rows[:, 0] < 0) | (rows[:, -1] >= n)
+    if bad.any():
+        i = int(bad.argmax())
+        e = tuple(rows[i].tolist())
+        raise not_a_set(e) if repeat[i] else out_of_range(e)
+    return rows
 
 
 def _store(rows: np.ndarray, n: int) -> np.ndarray:
@@ -153,21 +162,7 @@ class PartitionedHypergraph:
             raise ValueError(f"part label {min(self.part_of)} is below "
                              f"{UNPARTITIONED}")
 
-        def not_a_set(e):
-            return f"edge {e} is not a set of {r} distinct vertices"
-
-        def out_of_range(e):
-            return f"edge {e} out of range for n={n}"
-
-        rows = _sorted_rows(edges, r, not_a_set, out_of_range)
-        repeat = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
-        bad = _first(repeat | (rows[:, 0] < 0) | (rows[:, -1] >= n))
-        if bad is not None:
-            e = tuple(rows[bad].tolist())
-            if repeat[bad]:
-                raise ValueError(not_a_set(e))
-            raise ValueError(out_of_range(e))
-        self.edge_array = _store(rows, n)
+        self.edge_array = _store(_sorted_rows(edges, n, r), n)
 
     @cached_property
     def edges(self) -> frozenset:

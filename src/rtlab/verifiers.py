@@ -716,12 +716,12 @@ def density_report(obj, params=None) -> VerificationReport:
     identity, per-part vertex counts); a graph's per-block edge counts,
     the alpha-slack reference terms and the partition's volume bound on
     z (ok `no` when z is below it) are reported for inspection, never
-    asserted.  The verdict is
-    `violated` when an asserted row fails, `holds` when every asserted
-    row passes, and `unchecked` when no row is asserted.
+    asserted.  The verdict is read off the asserted rows at the end:
+    `unchecked` when none is asserted, else `violated` when one fails and
+    `holds` when all pass.  A graph's blocks are its labelled parts;
+    vertices labelled UNPARTITIONED are in none.
     """
     rows = []
-    verdict = "holds"
     m = len(obj.edge_array)
     rows.append(_row("vertices", obj.n))
     rows.append(_row("edges", m))
@@ -729,7 +729,7 @@ def density_report(obj, params=None) -> VerificationReport:
         if obj.n > 1:
             rows.append(_row("edge_density", 2 * m / (obj.n * (obj.n - 1))))
         if obj.parts:
-            labels = sorted(set(obj.part_of))
+            labels = sorted(set(obj.part_of) - {UNPARTITIONED})
             ends = np.sort(np.asarray(obj.part_of)[obj.edge_array], axis=1)
             blocks = Counter(map(tuple, ends.tolist()))
             for pi in labels:
@@ -751,21 +751,15 @@ def density_report(obj, params=None) -> VerificationReport:
         if "base_cross" in meta and "blowup_t" in meta:
             t = meta["blowup_t"]
             expect = meta["base_cross"] * t ** h.r
-            ok = cross == expect
             rows.append(_row("cross_blowup_identity", cross, reference=expect,
-                             asserted=True, ok=ok))
-            if not ok:
-                verdict = "violated"
+                             asserted=True, ok=cross == expect))
         if "tuple_count" in meta:
             cap = meta["tuple_count"]
             for p in range(h.parts):
                 size = len(h.part_vertices(p))
                 base = size // meta.get("blowup_t", 1)
-                ok = base <= cap
                 rows.append(_row(f"part_{p}_vertex_cap", base, reference=cap,
-                                 asserted=True, ok=ok))
-                if not ok:
-                    verdict = "violated"
+                                 asserted=True, ok=base <= cap))
         if params is not None:
             r, u, z = params.r, params.u, params.z
             rows.append(_row("vertex_bound_reference",
@@ -778,8 +772,9 @@ def density_report(obj, params=None) -> VerificationReport:
         min_z = min_domains(params.k, params.theta / 4.0)
         rows.append(_row("partition_z_volume_bound", params.z, reference=min_z,
                          ok=False if params.z < min_z else None))
-    if not any(row["asserted"] for row in rows):
-        verdict = "unchecked"
+    asserted = [row["ok"] for row in rows if row["asserted"]]
+    verdict = ("unchecked" if not asserted
+               else "holds" if all(asserted) else "violated")
     return VerificationReport("density", verdict, rows)
 
 

@@ -207,10 +207,10 @@ def test_verify_sparse_ell_below_r_exit_2(tmp_path, capsys):
     (["verify", "--check", "clique", "--s", "3"], 3,
      "clique check needs a graph file"),
     (["verify", "--check", "alpha_t", "--t", "3"], 3,
-     "alpha_t needs a graph file"),
+     "alpha_t check needs a graph file"),
     (["drc", "find-set"], 3, "find-set needs a graph file"),
     (["verify", "--check", "clique"], 2, "clique check needs --s"),
-    (["verify", "--check", "alpha_t"], 2, "alpha_t needs --t"),
+    (["verify", "--check", "alpha_t"], 2, "alpha_t check needs --t"),
 ])
 def test_wrong_uniformity_or_missing_flag_exit_2(tmp_path, capsys, argv, r,
                                                  problem):
@@ -222,6 +222,41 @@ def test_wrong_uniformity_or_missing_flag_exit_2(tmp_path, capsys, argv, r,
         argv = argv + ["--params", str(params)]
     assert main(argv + [str(path)]) == 2
     assert problem in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check,flag", [
+    ("clique", "s"), ("alpha_t", "t"), ("tk", "s"), ("tkf", "s")])
+def test_verify_missing_flag_reported_before_file_read(tmp_path, capsys,
+                                                        check, flag):
+    missing = tmp_path / "absent.hg"
+    assert main(["verify", "--check", check, str(missing)]) == 2
+    assert capsys.readouterr().err == \
+        f"input error: {check} check needs --{flag}\n"
+
+
+def test_sparse_scan_budget_covers_every_part(tmp_path, monkeypatch, capsys):
+    # the README full.hg (z=14, seed 3): the scan over all parts' inside
+    # edges takes 48 nodes, its largest part alone 23
+    monkeypatch.chdir(tmp_path)
+    Path("params.json").write_text(json.dumps(
+        {"r": 3, "z": 14, "alpha": 0.3, "beta": 0.3, "epsilon": 0.5, "k": 5,
+         "blowup_t": 3, "gamma": 0.3, "pattern_cap": 10, "seed": 3}))
+    assert main(["construct", "--type", "full", "--params", "params.json",
+                 "--out", "full.hg"]) == 0
+    sparse = ["verify", "--check", "sparse", "--ell", "6", "--budget"]
+    assert main(sparse + ["47", "full.hg"]) == 3
+    assert "budget exceeded after 48 nodes" in capsys.readouterr().err
+    assert main(sparse + ["48", "full.hg"]) == 0
+    assert capsys.readouterr().out.endswith("sparse: holds\n")
+
+
+def test_drc_find_tkf5_bad_epsilon_exit_2(tmp_path, capsys):
+    path = tmp_path / "k6.hg"
+    write_hypergraph(complete_uniform(6, 3), str(path))
+    params = tmp_path / "drc.json"
+    params.write_text(json.dumps({"epsilon": -1}))
+    assert main(["drc", "find-tkf5", "--params", str(params), str(path)]) == 2
+    assert "eps must lie in (0, 1], got -1" in capsys.readouterr().err
 
 
 BOGUS = Embedding({i: i for i in range(4)}, {i: "core" for i in range(4)},

@@ -44,9 +44,11 @@ def test_params_derived_fields():
 
 
 def test_params_reject_inconsistent_theta():
-    with pytest.raises(ValueError):
-        ConstructionParams(r=3, z=5, alpha=0.3, beta=0.3, epsilon=1.0, k=4,
-                           theta=0.9)
+    # NaN compares false both ways, so it must be refused explicitly
+    for theta in (0.9, math.nan):
+        with pytest.raises(ValueError, match="theta must equal"):
+            ConstructionParams(r=3, z=5, alpha=0.3, beta=0.3, epsilon=1.0,
+                               k=4, theta=theta)
 
 
 def test_params_json_roundtrip():

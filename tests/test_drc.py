@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -317,3 +318,17 @@ def test_find_tkf5_tk4_extension_found_past_first_fit():
     assert tk4.edges_used == [(0, 1, 6), (0, 2, 7), (0, 3, 8), (1, 2, 9),
                               (1, 3, 5), (2, 3, 4)]
     assert list(tk4.vertex_map.values()) == [0, 1, 2, 3, 6, 7, 8, 9, 5, 4]
+
+
+@pytest.mark.parametrize("eps", [math.nan, -1.0, 0.0, 1.5])
+def test_find_tkf5_refuses_eps_outside_unit_interval(eps):
+    # a part edge on the Turan 3-graph: eps 0.9 stops at the codegree
+    # gate, which an eps outside (0, 1] would let every pair through
+    base = turan_hypergraph(15, 3, 3)
+    h = PartitionedHypergraph(15, 3, frozenset(base.edges | {(0, 1, 2)}),
+                              base.part_of)
+    with pytest.raises(PipelineFailure) as exc:
+        find_tkf5_tk4(h, eps=0.9, codegree_threshold=0)
+    assert exc.value.stage == "no-qualifying-pair"
+    with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\]"):
+        find_tkf5_tk4(h, eps=eps, codegree_threshold=0)

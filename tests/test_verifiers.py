@@ -910,6 +910,15 @@ def test_density_report_unlabelled_graph_has_no_block_rows():
     assert rep.verdict == "unchecked"
 
 
+def test_density_report_graph_blocks_skip_unlabelled_vertices():
+    from rtlab.verifiers import density_report
+    g = SimpleGraph(4, [(0, 1), (1, 2), (2, 3)], (0, 0, -1, -1))
+    rep = density_report(g)
+    blocks = [(r["quantity"], r["value"]) for r in rep.rows
+              if r["quantity"].startswith(("edges_within_", "edges_between_"))]
+    assert blocks == [("edges_within_part_0", 1)]
+
+
 def test_density_report_cross_identity_on_full_construction():
     from rtlab.constructions import ConstructionParams, full_construction
     from rtlab.verifiers import density_report
@@ -921,3 +930,17 @@ def test_density_report_cross_identity_on_full_construction():
     assert rep.verdict == "holds"
     ident = [r for r in rep.rows if r["quantity"] == "cross_blowup_identity"]
     assert ident and ident[0]["ok"] and ident[0]["asserted"]
+
+
+def test_density_report_failed_identity_reads_violated():
+    from rtlab.constructions import ConstructionParams, full_construction
+    from rtlab.verifiers import density_report
+    p = ConstructionParams(r=3, z=10, alpha=0.3, beta=0.3,
+                           epsilon=0.5 * math.sqrt(5), k=5, seed=3,
+                           blowup_t=2, pattern_cap=10)
+    h = full_construction(p)
+    h.meta["base_cross"] += 1
+    rep = density_report(h, p)
+    assert rep.verdict == "violated"
+    ident = [r for r in rep.rows if r["quantity"] == "cross_blowup_identity"]
+    assert ident[0]["asserted"] and ident[0]["ok"] is False
