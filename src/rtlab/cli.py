@@ -4,9 +4,9 @@ Subcommands: construct, verify, report, optimize, drc, sphere.  Exit
 codes: 0 property holds / success, 1 property violated (witness rechecked,
 then written as JSON; for `alpha_t --bound`, a K_t-free set above the
 bound found, even if the budget then ran out), 2 input error, 3 search
-budget exceeded (for drc: no witness verified within the retries), 4
-internal error (any other exception, including a witness that fails its
-recheck).
+budget exceeded (for drc: no witness verified within the retries; for
+sphere eps-k: no (eps, k) within the search caps), 4 internal error
+(any other exception, including a witness that fails its recheck).
 `verify` runs one search check on a file; `report` writes its density
 report.  The construction flags of `construct` and `report` mirror the
 params.json keys and override file values; all randomness flows from
@@ -239,7 +239,11 @@ def _cmd_sphere(args) -> int:
               f"{part.domain_diam_bound:.4f}, needs z >= {min_z:.6g}: {verdict})")
         return EXIT_HOLDS
     if args.action == "eps-k":
-        eps, k = sph.find_eps_k(args.alpha, args.beta, args.t_max)
+        try:
+            eps, k = sph.find_eps_k(args.alpha, args.beta, args.t_max)
+        except sph.InfeasibleSearch as exc:
+            print(f"eps-k: {exc}", file=sys.stderr)
+            return EXIT_BUDGET
         print(f"eps={eps} k={k}")
         return EXIT_HOLDS
     print(f"{sph.cap_measure(args.k, args.s):.12f}")

@@ -218,37 +218,40 @@ def _mask_of(row: np.ndarray) -> int:
 # probabilistic blowup with sparse-pattern deletion
 
 
-def random_blowup(inside: PartitionedHypergraph, t: int, gamma: float,
+def random_blowup(h: PartitionedHypergraph, t: int, gamma: float,
                   ell: int, seed: int, budget=None) -> PartitionedHypergraph:
-    """t-blowup of the given edges, each kept independently with
-    probability p = t^(1+gamma-r); then pattern deletion: one pass of
-    the sparse-pattern scan looks for connected sub-collections with
-    v <= ell vertices and v + (1+gamma-r)(m-1) < r, deletes the
-    lexicographically last edge of each witness and goes on over the
-    survivors.  The completed pass is the exhaustive scan of the final
-    edge set and certifies it."""
+    """t-blowup of every edge of h, each copy keeping its edge's part
+    labels.  Every copy of a cross edge is kept, every other copy with
+    probability p = t^(1+gamma-r).  One pass of the sparse-pattern scan
+    then deletes from the sampled copies the last edge of each connected
+    sub-collection with v <= ell vertices and v + (1+gamma-r)(m-1) < r,
+    going on over the survivors; the completed pass certifies them.
+    meta adds blowup_t, keep_probability, kept_edges (the sampled copies)
+    and deleted_patterns_edges to h's."""
     if t < 1:
         raise ValueError("blowup factor must be >= 1")
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    if ell < inside.r:
+    if ell < h.r:
         raise ValueError("pattern cap must be >= r")
-    r = inside.r
+    r = h.r
     p = float(t) ** (1.0 + gamma - r)
-    blown = blowup(inside, t)
+    blown = blowup(h, t)
+    keep = blown.cross_mask()
     rng = substream(seed, "blowup-keep")
-    # rng.random(m) gives the draws of m rng.random() calls, one per edge
-    # in edge order
-    keep = rng.random(len(blown.edge_array)) < p
-    sampled = PartitionedHypergraph(blown.n, r, blown.edge_array[keep],
+    # rng.random(m) gives the draws of m rng.random() calls, one per
+    # non-cross copy in row order
+    sampled_rows = np.flatnonzero(~keep)
+    sampled_rows = sampled_rows[rng.random(len(sampled_rows)) < p]
+    sampled = PartitionedHypergraph(blown.n, r, blown.edge_array[sampled_rows],
                                     blown.part_of)
     doomed = sparse_pattern_doomed_edges(
         sampled, ell, blowup_deletion_condition(r, gamma), budget)
-    meta = dict(inside.meta, blowup_t=t, keep_probability=p,
-                kept_edges=len(sampled.edge_array),
+    keep[np.delete(sampled_rows, doomed)] = True
+    meta = dict(h.meta, blowup_t=t, keep_probability=p,
+                kept_edges=len(sampled_rows),
                 deleted_patterns_edges=len(doomed))
-    return PartitionedHypergraph(blown.n, r,
-                                 np.delete(sampled.edge_array, doomed, axis=0),
+    return PartitionedHypergraph(blown.n, r, blown.edge_array[keep],
                                  blown.part_of, meta=meta)
 
 
@@ -259,27 +262,17 @@ def random_blowup(inside: PartitionedHypergraph, t: int, gamma: float,
 def full_construction(params: ConstructionParams,
                       partition: SpherePartition | None = None,
                       budget=None) -> PartitionedHypergraph:
-    """Blow up the sphere hypergraph: every cross edge keeps all t^r
-    transversal copies, the inside edges pass through the probabilistic
-    blowup with pattern deletion.  Parts become W_i = V_i x [t]."""
+    """`random_blowup` of the sphere hypergraph by params.blowup_t: every
+    cross edge keeps all t^r transversal copies, the inside copies are
+    sampled and cleared of sparse patterns.  Parts become
+    W_i = V_i x [t], of `part_size_m` vertices each."""
     if partition is None:
         partition = params.build_partition()
     base = sphere_hypergraph(params, partition)
-    t = params.blowup_t
-    cross_h = PartitionedHypergraph(base.n, base.r, base.cross_edges(),
-                                    base.part_of)
-    inside_h = PartitionedHypergraph(base.n, base.r, base.inside_edges(),
-                                     base.part_of)
-    cross_blown = blowup(cross_h, t)
-    inside_blown = random_blowup(inside_h, t, params.gamma,
-                                 params.pattern_cap, params.seed, budget)
-    edges = np.concatenate([cross_blown.edge_array, inside_blown.edge_array])
-    meta = dict(base.meta)
-    meta.update(inside_blown.meta)
-    meta["blowup_t"] = t
-    meta["part_size_m"] = base.meta["tuple_count"] * t
-    return PartitionedHypergraph(cross_blown.n, base.r, edges,
-                                 cross_blown.part_of, meta=meta)
+    h = random_blowup(base, params.blowup_t, params.gamma,
+                      params.pattern_cap, params.seed, budget)
+    h.meta["part_size_m"] = base.meta["tuple_count"] * params.blowup_t
+    return h
 
 
 def shadow_first_parts(h: PartitionedHypergraph, ell: int) -> SimpleGraph:

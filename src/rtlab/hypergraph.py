@@ -190,13 +190,16 @@ class PartitionedHypergraph:
         labels = np.asarray(self.part_of, dtype=np.int64)
         return np.sort(labels[self.edge_array], axis=1)
 
-    def cross_edges(self) -> np.ndarray:
-        """The rows of `edge_array` with their r vertices in r distinct
-        labelled parts, a (k, r) array in lexicographic order."""
+    def cross_mask(self) -> np.ndarray:
+        """Per row of `edge_array`, whether its r vertices lie in r
+        distinct labelled parts: a boolean array of length m."""
         lab = self._edge_labels()
-        cross = ((lab[:, 0] != UNPARTITIONED)
-                 & (lab[:, 1:] != lab[:, :-1]).all(axis=1))
-        return self.edge_array[cross]
+        return ((lab[:, 0] != UNPARTITIONED)
+                & (lab[:, 1:] != lab[:, :-1]).all(axis=1))
+
+    def cross_edges(self) -> np.ndarray:
+        """The rows `cross_mask` marks, in lexicographic order."""
+        return self.edge_array[self.cross_mask()]
 
     def inside_edges(self) -> np.ndarray:
         """The rows of `edge_array` with every vertex in one labelled
@@ -393,10 +396,10 @@ def write_hypergraph(h: PartitionedHypergraph, path: str) -> None:
 
 def read_hypergraph(path: str) -> PartitionedHypergraph:
     """Parse the format above.  ValueError on a bad header or label line,
-    a header vertex or edge count below 0, a label below -1, a header
-    part count other than the labels give, an edge line without r
-    distinct vertices, an edge listed twice, fewer than m edge lines, or
-    a non-blank line after the m-th."""
+    a header vertex or edge count below 0, fewer than n label lines, a
+    label below -1, a header part count other than the labels give, an
+    edge line without r distinct vertices, an edge listed twice, fewer
+    than m edge lines, or a non-blank line after the m-th."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 5 or header[0] != "HG":
@@ -405,7 +408,11 @@ def read_hypergraph(path: str) -> PartitionedHypergraph:
         if n < 0 or m < 0:
             raise ValueError(f"{path}: header '{' '.join(header)}' gives a "
                              f"negative vertex or edge count")
-        part_of = tuple(int(fh.readline()) for _ in range(n))
+        labels = [fh.readline() for _ in range(n)]
+        if "" in labels:
+            raise ValueError(f"{path}: header gives {n} part labels, "
+                             f"file ends after {labels.index('')}")
+        part_of = tuple(map(int, labels))
         edges = []
         for i in range(m):
             line = fh.readline()

@@ -123,13 +123,17 @@ def _log_gamma_ratio(a: float) -> float:
             - 31.0 / (18432.0 * a ** 9))
 
 
-def _incomplete_beta_half(a: float, x: float, y: float) -> float:
-    """Regularized incomplete beta I_x(a, 1/2) for 0 < x < 1, with y = 1 - x
-    passed in separately: recomputed as 1 - x it would round to 0 once
-    y < 1e-16, and mu(s) for |s| < 1e-8 would collapse to exactly 1/2."""
+def _incomplete_beta_half(a: float, x: float, s: float) -> float:
+    """Regularized incomplete beta I_x(a, 1/2) for 0 < x <= 1, with
+    x = 1 - s^2 and y = 1 - x taken as s * s: recomputed as 1 - x it
+    would round to 0 once y < 1e-16, and mu(s) for |s| < 1e-8 would
+    collapse to exactly 1/2.  Where s * s underflows to 0 (|s| below
+    about 1.6e-162), log|s| stands in for (1/2) log y."""
+    y = s * s
     log_x = math.log1p(-y) if y < 0.5 else math.log(x)
+    half_log_y = 0.5 * math.log(y) if y > 0.0 else math.log(abs(s))
     log_front = (_log_gamma_ratio(a) - 0.5 * math.log(math.pi)
-                 + a * log_x + 0.5 * math.log(y))
+                 + a * log_x + half_log_y)
     if x < (a + 1.0) / (a + 2.5):
         return math.exp(log_front) * _beta_continued_fraction(a, 0.5, x) / a
     return 1.0 - 2.0 * math.exp(log_front) * _beta_continued_fraction(0.5, a, y)
@@ -154,7 +158,7 @@ def cap_measure(k: int, s: float) -> float:
         return 0.0
     if s == -1.0:
         return 1.0
-    tail = _incomplete_beta_half(k / 2.0, (1.0 - s) * (1.0 + s), s * s)
+    tail = _incomplete_beta_half(k / 2.0, (1.0 - s) * (1.0 + s), s)
     return tail / 2.0 if s > 0.0 else 1.0 - tail / 2.0
 
 

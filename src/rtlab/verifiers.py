@@ -523,10 +523,9 @@ def blowup_deletion_condition(r: int, gamma: float):
 
 def connected_edge_subsets(h: PartitionedHypergraph, max_vertices: int,
                            counter: _Counter, stop_at, dead=frozenset()):
-    """Yield (edge-index tuple, vertex count) for every connected linear
-    sub-collection of two or more edges, spanning at most max_vertices
-    vertices and holding no edge whose index (a row of h.edge_array) is
-    in `dead`.  Linear: every two of its edges share at most one vertex.
+    """Yield (edge-index tuple, vertex count) for every connected
+    sub-collection of two or more edges with at most max_vertices
+    vertices and no edge whose index (a row of h.edge_array) is in `dead`.
 
     Exact-once enumeration (ESU, Wernicke 2006: grow from the minimum
     edge index with an exclusive extension list).  When `stop_at(v, m)`
@@ -582,8 +581,7 @@ def connected_edge_subsets(h: PartitionedHypergraph, max_vertices: int,
                     continue
                 ws = masks[w]
                 nv = verts | ws
-                if nv.bit_count() > max_vertices or any(
-                        (ws & masks[j]).bit_count() > 1 for j in subset):
+                if nv.bit_count() > max_vertices:
                     continue
                 counter.tick()
                 fresh = [u for u in nbr_lists[w]
@@ -606,11 +604,12 @@ def _sparse_witnesses(h: PartitionedHypergraph, ell: int, condition,
     `dead` between yields.
 
     Pairs first: every pair of edges sharing two or more vertices within
-    ell vertices, in lexicographic order.  Any sub-collection that is not
-    linear holds such a pair, so a linear walk over the survivors
-    follows.  This is complete only when every such pair satisfies the
-    condition, so a condition that fails at (2r-2, 2), and an ell below
-    r, raise ValueError.
+    ell vertices, in lexicographic order, then the `connected_edge_subsets`
+    walk over the survivors.  The pair phase sets the deletion order and
+    leaves one edge of each such pair dead before the walk starts (a scan
+    stops at its first witness), so the walk meets only linear
+    sub-collections.  As every overlapping pair is a witness, a condition
+    that fails at (2r-2, 2), and an ell below r, raise ValueError.
     """
     r = h.r
     if ell < r:

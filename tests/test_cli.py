@@ -612,6 +612,21 @@ def test_sphere_eps_k_cli(capsys):
     assert capsys.readouterr().out.strip() == "eps=0.125 k=23342"
 
 
+def test_sphere_eps_k_infeasible_exit_3(capsys):
+    # no k <= 1,000,000 works: the search is exhausted, not broken
+    assert main(["sphere", "eps-k", "--alpha", "1e-9", "--beta", "0.3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and not err.startswith("internal error")
+    assert "no (eps, k) with k <= 1000000" in err
+
+
+@pytest.mark.parametrize("s", ["1e-320", "-1e-200"])
+def test_sphere_cap_measure_tiny_threshold(capsys, s):
+    # s * s underflows to 0 for these thresholds
+    assert main(["sphere", "cap-measure", "--k", "3", f"--s={s}"]) == 0
+    assert capsys.readouterr().out.strip() == "0.500000000000"
+
+
 @pytest.mark.parametrize("theta", ["-1", "0", "nan", "inf"])
 def test_sphere_partition_rejects_bad_theta(tmp_path, capsys, theta):
     # a theta that is not positive and finite is an input error: exit 2,

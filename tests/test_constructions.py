@@ -13,7 +13,9 @@ from rtlab.constructions import (ConstructionParams, PartTooLarge,
                                  optimize_a, random_blowup,
                                  shadow_first_parts, sphere_hypergraph,
                                  theta_lower_bound, tuple_vertices)
-from rtlab.hypergraph import PartitionedHypergraph, SimpleGraph, shadow
+from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph, blowup,
+                              shadow, turan_hypergraph)
+from rtlab.rng import substream
 from rtlab.sphere import SQRT2, build_partition
 from rtlab.verifiers import (BudgetExceeded, blowup_deletion_condition,
                              find_clique, scan_sparse_patterns,
@@ -470,6 +472,135 @@ def test_full_construction_split_core_clean():
     p = small_params(z=12, blowup_t=2, seed=9, pattern_cap=10)
     h = full_construction(p, quick_partition(p))
     assert scan_split_core(h) is None
+
+
+# ---------------------------------------------------------------------------
+# one blowup pass: the former split construction as the reference
+
+
+def _former_random_blowup(inside, t, gamma, ell, seed):
+    # the blowup that sampled every copy of its (inside-only) input
+    r = inside.r
+    p = float(t) ** (1.0 + gamma - r)
+    blown = blowup(inside, t)
+    keep = substream(seed, "blowup-keep").random(len(blown.edge_array)) < p
+    sampled = PartitionedHypergraph(blown.n, r, blown.edge_array[keep],
+                                    blown.part_of)
+    doomed = sparse_pattern_doomed_edges(
+        sampled, ell, blowup_deletion_condition(r, gamma))
+    meta = dict(inside.meta, blowup_t=t, keep_probability=p,
+                kept_edges=len(sampled.edge_array),
+                deleted_patterns_edges=len(doomed))
+    return PartitionedHypergraph(blown.n, r,
+                                 np.delete(sampled.edge_array, doomed, axis=0),
+                                 blown.part_of, meta=meta)
+
+
+def _former_full_construction(params, partition):
+    # split the base, blow up the cross edges whole and the inside edges
+    # through the sampled blowup, then concatenate, re-sort, merge meta
+    base = sphere_hypergraph(params, partition)
+    t = params.blowup_t
+    cross_h = PartitionedHypergraph(base.n, base.r, base.cross_edges(),
+                                    base.part_of)
+    inside_h = PartitionedHypergraph(base.n, base.r, base.inside_edges(),
+                                     base.part_of)
+    cross_blown = blowup(cross_h, t)
+    inside_blown = _former_random_blowup(inside_h, t, params.gamma,
+                                         params.pattern_cap, params.seed)
+    edges = np.concatenate([cross_blown.edge_array, inside_blown.edge_array])
+    meta = dict(base.meta)
+    meta.update(inside_blown.meta)
+    meta["blowup_t"] = t
+    meta["part_size_m"] = base.meta["tuple_count"] * t
+    return PartitionedHypergraph(cross_blown.n, base.r, edges,
+                                 cross_blown.part_of, meta=meta)
+
+
+def _crit5_inside(seed):
+    k, z, theta = 6, 12, 0.5
+    p = ConstructionParams(r=3, z=z, alpha=0.3, beta=0.3,
+                           epsilon=theta * math.sqrt(k), k=k, seed=seed,
+                           blowup_t=5, gamma=0.3)
+    part = build_partition(k, z, theta, seed, balance_iters=8,
+                           diag_samples=4000)
+    h = sphere_hypergraph(p, part)
+    return PartitionedHypergraph(h.n, 3, h.inside_edges(), h.part_of)
+
+
+def _crit6_params(seed):
+    return ConstructionParams(r=3, z=20, alpha=0.3, beta=0.3,
+                              epsilon=0.5 * math.sqrt(5), k=5, seed=seed,
+                              blowup_t=3, gamma=0.3, pattern_cap=10)
+
+
+def _small_case(**kw):
+    p = small_params(**kw)
+    return p, quick_partition(p)
+
+
+def _r2_case():
+    p = ConstructionParams(r=2, z=12, alpha=0.3, beta=0.3, epsilon=0.9, k=4,
+                           seed=6, blowup_t=3, pattern_cap=5)
+    return p, quick_partition(p)
+
+
+BLOWUP_CASES = {
+    **{f"readme-seed{s}": lambda s=s: (
+        ConstructionParams(seed=s, **README_PARAMS), None)
+       for s in (2, 3, 4, 5)},
+    "readme-z20-seed3": lambda: (
+        ConstructionParams(seed=3, **dict(README_PARAMS, z=20)), None),
+    **{f"crit6-seed{s}": lambda s=s: (_crit6_params(s), None)
+       for s in (3, 4, 5)},
+    **{f"r4-z6-seed{s}": lambda s=s: _small_case(r=4, z=6, seed=s,
+                                                  pattern_cap=12)
+       for s in (1, 2)},
+    "t1": lambda: _small_case(z=12, blowup_t=1, seed=5, pattern_cap=10),
+    "r2": _r2_case,
+}
+
+
+def _assert_same_construction(got, want):
+    assert got.edge_array.dtype == want.edge_array.dtype
+    assert got.edge_array.tobytes() == want.edge_array.tobytes()
+    assert got.n == want.n and got.part_of == want.part_of
+    assert list(got.meta.items()) == list(want.meta.items())
+
+
+@pytest.mark.parametrize("case", list(BLOWUP_CASES))
+def test_full_construction_matches_the_split_construction(case):
+    p, part = BLOWUP_CASES[case]()
+    if part is None:
+        part = p.build_partition()
+    _assert_same_construction(full_construction(p, part),
+                              _former_full_construction(p, part))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_blowup_of_inside_edges_is_unchanged(seed):
+    inside = _crit5_inside(seed)
+    _assert_same_construction(random_blowup(inside, 5, 0.3, 9, seed=seed),
+                              _former_random_blowup(inside, 5, 0.3, 9, seed))
+
+
+def test_random_blowup_keeps_every_cross_copy():
+    turan = turan_hypergraph(9, 3, 3)
+    inside = np.array([(0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 1, 3)])
+    h = PartitionedHypergraph(9, 3, np.concatenate([turan.edge_array,
+                                                    inside]),
+                              turan.part_of)
+    cross = blowup(h, 3).cross_edges()
+    assert len(cross) == 27 * 3 ** 3
+    # the other copies are those the sampled blowup of the non-cross edges
+    # keeps, drawn in the same order
+    rest = PartitionedHypergraph(9, 3, inside, h.part_of)
+    for seed in range(5):
+        out = random_blowup(h, 3, 0.3, 9, seed=seed)
+        assert out.cross_edges().tobytes() == cross.tobytes()
+        sampled = _former_random_blowup(rest, 3, 0.3, 9, seed)
+        assert out.edges == set(map(tuple, cross.tolist())) | sampled.edges
+        assert out.meta["kept_edges"] == sampled.meta["kept_edges"]
 
 
 # ---------------------------------------------------------------------------

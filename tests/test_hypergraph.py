@@ -310,6 +310,14 @@ def test_read_rejects_edge_count_mismatch(tmp_path, edge_lines, problem):
         read_hypergraph(str(path))
 
 
+def test_read_rejects_file_ending_inside_label_lines(tmp_path):
+    path = tmp_path / "bad.hg"
+    path.write_text("HG 3 4 1 0\n" + "-1\n" * 3)
+    with pytest.raises(ValueError, match="header gives 4 part labels, "
+                                         "file ends after 3"):
+        read_hypergraph(str(path))
+
+
 def test_read_accepts_trailing_blank_lines(tmp_path):
     path = tmp_path / "h.hg"
     path.write_text("HG 3 4 2 0\n" + "-1\n" * 4 + "0 1 2\n1 2 3\n\n  \n")

@@ -125,6 +125,14 @@ def test_cap_measure_extremes_and_monotone():
         assert all(a > b for a, b in zip(grid, grid[1:]))
 
 
+@pytest.mark.parametrize("s", [1e-200, -1e-200, 5e-324, -5e-324])
+@pytest.mark.parametrize("k", [1, 3, 1000])
+def test_cap_measure_threshold_whose_square_underflows(k, s):
+    # s * s rounds to 0 here, yet s is a valid threshold
+    assert s * s == 0.0
+    assert cap_measure(k, s) == 0.5
+
+
 def exact_cap_measure(k, s):
     # even k: the axial density (1-x^2)^((k-2)/2) is a polynomial, so the
     # cap integral and the sphere integral are exact rationals in s

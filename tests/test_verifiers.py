@@ -827,13 +827,10 @@ def test_connected_subset_enumeration_matches_brute_force():
     from rtlab.verifiers import _Counter, connected_edge_subsets
 
     def brute(edges, max_v):
-        # connected linear collections of two or more edges
+        # connected collections of two or more edges
         out = set()
         for size in range(2, len(edges) + 1):
             for sub in combs(range(len(edges)), size):
-                if any(len(set(edges[i]) & set(edges[j])) > 1
-                       for i, j in combs(sub, 2)):
-                    continue
                 verts = set()
                 for i in sub:
                     verts.update(edges[i])
@@ -870,6 +867,103 @@ def test_connected_subset_enumeration_matches_brute_force():
         assert got == brute(rows, 7)
         found += len(got)
     assert found > 0
+
+
+def _former_linear_walk(h, max_vertices, counter, stop_at, dead=frozenset()):
+    # connected_edge_subsets as it was when it also refused every
+    # candidate sharing two vertices with an edge of the subset
+    from rtlab.hypergraph import _bit_rows, _runs
+    rows = h.edge_array
+    m, r = rows.shape
+    if r > max_vertices:
+        return
+    masks = _bit_rows(m, h.n, np.repeat(np.arange(m), r), rows.ravel())
+    live = np.ones(m, dtype=bool)
+    live[list(dead)] = False
+    kept = np.flatnonzero(live)
+    order, _, start = _runs(rows[kept].ravel())
+    incident = kept[order // r].tolist()
+    bounds = [*start.tolist(), len(incident)]
+    nbrs = [set() for _ in range(m)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        run = incident[lo:hi]
+        for i in run:
+            nbrs[i].update(run)
+    nbr_lists = [sorted(nb - {i}) for i, nb in enumerate(nbrs)]
+    for seed in range(m):
+        if seed in dead:
+            continue
+        base_ext = [u for u in nbr_lists[seed] if u > seed and u not in dead]
+        stack = [((seed,), masks[seed], base_ext, set(base_ext) | {seed})]
+        while stack:
+            subset, verts, ext, closed = stack.pop()
+            if not dead.isdisjoint(subset):
+                continue
+            if len(subset) >= 2:
+                v = verts.bit_count()
+                yield tuple(sorted(subset)), v
+                if stop_at(v, len(subset)):
+                    continue
+            for i, w in enumerate(ext):
+                if w in dead:
+                    continue
+                ws = masks[w]
+                nv = verts | ws
+                if nv.bit_count() > max_vertices or any(
+                        (ws & masks[j]).bit_count() > 1 for j in subset):
+                    continue
+                counter.tick()
+                fresh = [u for u in nbr_lists[w]
+                         if u > seed and u not in closed and u not in dead]
+                stack.append((subset + (w,), nv, ext[i + 1:] + fresh,
+                              closed | set(fresh)))
+
+
+def test_sparse_scans_match_the_former_linear_walk(monkeypatch):
+    # the pair phase leaves no two live edges within the cap sharing two
+    # vertices, so dropping the walk's linear test changes no witness, no
+    # deletion and no node count
+    from rtlab import verifiers
+
+    def scans(h, ell, condition):
+        counters = []
+
+        class Recording(_Counter):
+            def __init__(self, budget):
+                super().__init__(budget)
+                counters.append(self)
+
+        monkeypatch.setattr(verifiers, "_Counter", Recording)
+        emb = scan_sparse_patterns(h, 3, ell, budget=10 ** 9,
+                                   condition=condition)
+        doomed = sparse_pattern_doomed_edges(h, ell, condition, 10 ** 9)
+        monkeypatch.undo()
+        return (emb and emb.edges_used, doomed,
+                [c.nodes for c in counters])
+
+    rng = substream(32, "former-walk")
+    walked = 0
+    for trial in range(100):
+        n = int(rng.integers(5, 11))
+        edges = []
+        for _ in range(int(rng.integers(2, 15))):
+            e = set(rng.choice(n, 3, replace=False).tolist())
+            # every other trial keeps the collection linear, so the scan
+            # reaches the walk before any pair
+            if trial % 2 and any(len(e & f) > 1 for f in edges):
+                continue
+            if e not in edges:
+                edges.append(e)
+        h = PartitionedHypergraph(n, 3, [tuple(e) for e in edges])
+        ell = int(rng.integers(3, 10))
+        condition = blowup_deletion_condition(3, (0.1, 0.3, 0.6)[trial % 3])
+        got = scans(h, ell, condition)
+        monkeypatch.setattr(verifiers, "connected_edge_subsets",
+                            _former_linear_walk)
+        want = scans(h, ell, condition)
+        assert got == want, trial
+        walked += sum(got[2])
+    assert walked > 0
 
 
 # ---------------------------------------------------------------------------
