@@ -18,13 +18,16 @@ from .hypergraph import (PartitionedHypergraph, SimpleGraph, as_graph,
                          blowup, complete_join, shadow)
 from .rng import substream
 from .sphere import SQRT2, SpherePartition, build_partition
-from .verifiers import (BudgetExceeded, _cliques, _Counter,
-                        blowup_deletion_condition, find_clique,
+from .verifiers import (_cliques, blowup_deletion_condition, find_clique,
                         sparse_pattern_doomed_edges)
 
 
 # ---------------------------------------------------------------------------
 # parameters
+
+
+# the keys `construct --type corollary` reads beside the fields
+COROLLARY_KEYS = ("ell", "q", "mix_a")
 
 
 @dataclass
@@ -94,7 +97,14 @@ class ConstructionParams:
 
     @classmethod
     def from_json(cls, data: dict) -> "ConstructionParams":
+        """The params of a JSON object, the corollary's keys (ell, q and
+        mix_a) as extras; ValueError names any other key that is not a
+        field."""
         known = {f.name for f in fields(cls)} - {"extras"}
+        unknown = sorted(set(data) - known - set(COROLLARY_KEYS))
+        if unknown:
+            raise ValueError("unknown construction params: "
+                             + ", ".join(unknown))
         kwargs = {k: v for k, v in data.items() if k in known}
         extras = {k: v for k, v in data.items() if k not in known}
         return cls(extras=extras, **kwargs)
@@ -125,22 +135,43 @@ def bollobas_erdos(partition: SpherePartition, epsilon: float) -> SimpleGraph:
 def tuple_vertices(partition: SpherePartition, u: int, theta: float) -> list:
     """All ordered u-tuples of rep indices with pairwise distances
     <= sqrt(2) - theta (repeats allowed, d(p,p)=0), in lexicographic
-    order."""
+    order, by `_sequences` over the close matrix."""
     if u < 1:
         raise ValueError("tuple length must be >= 1")
     close = partition.distance_matrix() <= SQRT2 - theta
-    rows = [_mask_of(row) for row in close]
-    return list(_cliques(rows, u, (1 << partition.z) - 1, ordered=True))
+    return list(map(tuple, _sequences(close, u).tolist()))
 
 
 class PartTooLarge(RuntimeError):
-    """Exhaustive enumeration refused: a part or the cross walk over its cap."""
+    """Exhaustive listing refused: a part or the cross prefixes over a cap."""
 
 
 # tuple vertices a part may hold
 MAX_PART_SIZE = 5000
-# tuples the cross-edge enumeration may place before it gives up
+# cross-edge prefixes (1 .. r tuples) listed before the listing gives up
 MAX_CROSS_ASSIGNMENTS = 5_000_000
+
+
+def _sequences(rel: np.ndarray, length: int, cap=math.inf) -> np.ndarray:
+    """The sequences of `length` indices whose every entry is related by
+    the boolean matrix `rel` to every later one, as lexicographic rows.
+    They grow one entry per level, in blocks of prefixes reading about
+    2^20 entries of `rel`; PartTooLarge once over `cap` prefixes, of all
+    lengths 1 .. length, are listed."""
+    block = max(1, (1 << 20) // max(len(rel), 1))
+    seqs, listed = np.zeros((1, 0), dtype=np.intp), 0
+    for _ in range(length):
+        grown = []
+        # one block even with no prefix, so the array keeps its shape
+        for start in range(0, max(len(seqs), 1), block):
+            prefix = seqs[start:start + block]
+            rows, nxt = np.nonzero(rel[prefix].all(axis=1))
+            listed += len(rows)
+            if listed > cap:
+                raise PartTooLarge(f"over {cap} prefixes listed")
+            grown.append(np.column_stack([prefix[rows], nxt]))
+        seqs = np.concatenate(grown)
+    return seqs
 
 
 def sphere_hypergraph(params: ConstructionParams,
@@ -149,10 +180,10 @@ def sphere_hypergraph(params: ConstructionParams,
     is an edge when every pair of its tuples is far in some shared
     coordinate position (d >= 2 - theta); a transversal r-set is an edge
     when every coordinate pair across the tuples is close
-    (d <= sqrt(2) - theta).  Both families are enumerated exhaustively.
-    Raises PartTooLarge over MAX_PART_SIZE (5,000) tuples per part, or
-    when the cross walk places over MAX_CROSS_ASSIGNMENTS (5,000,000)
-    tuples.
+    (d <= sqrt(2) - theta).  Both families are listed exhaustively by
+    `_sequences`.  Raises PartTooLarge over MAX_PART_SIZE (5,000) tuples
+    per part, or when the cross listing reaches over
+    MAX_CROSS_ASSIGNMENTS (5,000,000) prefixes of 1 .. r tuples.
     """
     return _tuple_hypergraph(partition, params.r, params.u, params.theta)
 
@@ -183,35 +214,21 @@ def _tuple_hypergraph(partition: SpherePartition, r: int, u: int,
     tfar = np.zeros((nv, nv), dtype=bool)
     for j in range(u):
         tfar |= farM[np.ix_(T[:, j], T[:, j])]
-    np.fill_diagonal(tfar, False)
     # part p holds the tuples p*nv .. p*nv + nv - 1
     shift = nv * np.arange(r)
 
-    # inside edges: r-cliques of the far graph, one copy per part
-    full = (1 << nv) - 1
-    inside = np.array(list(_cliques([_mask_of(row) for row in tfar], r, full)),
-                      dtype=np.int64).reshape(-1, r)
+    # inside edges: increasing r-cliques of the far graph, one copy per part
+    inside = _sequences(np.triu(tfar, 1), r)
     meta["base_inside_per_part"] = len(inside)
     meta["base_inside"] = len(inside) * r
 
     # cross edges: ordered assignments (a_1..a_r), pairwise tuple-close
-    close_rows = [_mask_of(row) for row in tclose]
-    try:
-        cross = list(_cliques(close_rows, r, full,
-                              _Counter(MAX_CROSS_ASSIGNMENTS), ordered=True))
-    except BudgetExceeded:
-        raise PartTooLarge("cross enumeration exceeded the cap") from None
-    cross = np.array(cross, dtype=np.int64).reshape(-1, r) + shift
+    cross = _sequences(tclose, r, MAX_CROSS_ASSIGNMENTS) + shift
     meta["base_cross"] = len(cross)
 
     edges = np.concatenate([(inside + shift[:, None, None]).reshape(-1, r),
                             cross])
     return PartitionedHypergraph(n, r, edges, part_of, meta=meta)
-
-
-def _mask_of(row: np.ndarray) -> int:
-    """Bitmask int with bit i set iff row[i]."""
-    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
 
 
 # ---------------------------------------------------------------------------

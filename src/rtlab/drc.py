@@ -224,13 +224,22 @@ class FWitness:
         }
 
 
+def _f_edges(xs, ys, zs) -> list:
+    """The 30 edges of the nine-vertex witness: the three part edges,
+    then the x, y, z product, each sorted."""
+    return [tuple(sorted(e)) for e in (xs, ys, zs)] + [
+        tuple(sorted((x, y, z))) for x in xs for y in ys for z in zs]
+
+
 def recheck_f_witness(h: PartitionedHypergraph, w: FWitness) -> bool:
+    """The nine vertices are distinct and all 30 edges are in h; a
+    non-empty `edges_used` must list exactly those edges, in order."""
     vs = list(w.xs) + list(w.ys) + list(w.zs)
     if len(set(vs)) != 9:
         return False
-    needed = [tuple(sorted(w.xs)), tuple(sorted(w.ys)), tuple(sorted(w.zs))]
-    needed += [tuple(sorted((x, y, z)))
-               for x in w.xs for y in w.ys for z in w.zs]
+    needed = _f_edges(w.xs, w.ys, w.zs)
+    if w.edges_used and [tuple(e) for e in w.edges_used] != needed:
+        return False
     return all(e in h.edges for e in needed)
 
 
@@ -344,9 +353,7 @@ def _f_witness_once(h, cleaned, params, seed, trial):
         raise PipelineFailure("edge-in-extensions",
                               "no hyperedge among the full extensions")
 
-    edges_used = [e1, e2, e3] + [tuple(sorted((x, y, z)))
-                                 for x in e1 for y in e2 for z in e3]
-    witness = FWitness(xs=e1, ys=e2, zs=e3, edges_used=edges_used)
+    witness = FWitness(xs=e1, ys=e2, zs=e3, edges_used=_f_edges(e1, e2, e3))
     if not recheck_f_witness(h, witness):
         raise PipelineFailure("verification", "assembled witness failed recheck")
     # core subdivision on x1,x2,y1,y2,z1,z2 with a fresh third vertex per pair

@@ -172,33 +172,26 @@ def recheck_clique(g: SimpleGraph, emb: Embedding) -> bool:
     return recheck_cores(g, emb, len(emb.vertex_map))
 
 
-def _cliques(rows: list, size: int, cand: int, counter: _Counter | None = None,
-             ordered: bool = False):
-    """Every sequence of `size` vertices from the bitmask `cand` in which
-    each vertex is adjacent in the bitmask rows to all earlier ones, in
-    lexicographic order.
+def _cliques(rows: list, size: int, cand: int, counter: _Counter | None = None):
+    """Every strictly increasing sequence of `size` vertices from the
+    bitmask `cand` in which each vertex is adjacent in the bitmask rows
+    to all earlier ones, in lexicographic order: each clique once.
 
-    The sequences are strictly increasing, so each clique comes once;
-    with `ordered` every order counts, and a vertex may repeat where its
-    own row bit is set.  Depth-first over an explicit stack of
-    [untried, compatible] bitmask frames, one `counter` tick for each
-    vertex placed; a sequence is yielded as soon as it is complete.
-
-    An unordered walk pushes no frame with fewer candidates than the
+    Depth-first over an explicit stack of untried-vertex bitmasks, one
+    `counter` tick for each vertex placed; a sequence is yielded as soon
+    as it is complete.  No frame is pushed with fewer candidates than the
     vertices still to place (the root frame included), since no sequence
-    can complete below it; the vertex placed is still ticked.  An ordered
-    walk may repeat a vertex, so it keeps every frame.
+    can complete below it; the vertex placed is still ticked.
     """
     if size == 0:
         yield ()
         return
-    if not ordered and cand.bit_count() < size:
+    if cand.bit_count() < size:
         return
-    stack = [[cand, cand]]
+    stack = [cand]
     seq: list = []
     while stack:
-        frame = stack[-1]
-        untried = frame[0]
+        untried = stack[-1]
         if not untried:
             stack.pop()
             if seq:
@@ -206,18 +199,18 @@ def _cliques(rows: list, size: int, cand: int, counter: _Counter | None = None,
             continue
         low = untried & -untried
         v = low.bit_length() - 1
-        frame[0] = untried ^ low
+        stack[-1] = untried ^ low
         if counter is not None:
             counter.tick()
         if len(stack) == size:
             yield (*seq, v)
             continue
         # increasing: the next vertex comes from the untried ones above v
-        nxt = (frame[1] if ordered else frame[0]) & rows[v]
-        if not ordered and nxt.bit_count() < size - len(stack):
+        nxt = stack[-1] & rows[v]
+        if nxt.bit_count() < size - len(stack):
             continue
         seq.append(v)
-        stack.append([nxt, nxt])
+        stack.append(nxt)
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +657,7 @@ def recheck_sparse_pattern(h: PartitionedHypergraph, emb: Embedding,
                            ell: int) -> bool:
     condition = sparsity_condition(h.r)
     es = [tuple(sorted(e)) for e in emb.edges_used]
-    if len(set(es)) != len(es) or any(e not in h.edges for e in es):
+    if not es or len(set(es)) != len(es) or any(e not in h.edges for e in es):
         return False
     verts = set()
     for e in es:

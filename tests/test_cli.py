@@ -739,6 +739,23 @@ def test_params_file_non_integer_exit_2(tmp_path, monkeypatch, capsys, argv,
     assert not Path("be.g").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "--type", "full", "--out", "be.g"],
+    ["report", "k5.hg"],
+])
+def test_params_file_unknown_key_exit_2(tmp_path, monkeypatch, capsys, argv):
+    # a misspelled key is refused, not kept beside the field's default;
+    # the corollary's ell, q and mix_a are the only keys besides the fields
+    monkeypatch.chdir(tmp_path)
+    write_hypergraph(complete_uniform(5, 3), "k5.hg")
+    params = write_params(tmp_path, gama=0.9, ell=2, q=2, mix_a=0.5)
+    assert main(argv + ["--params", params]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error")
+    assert "unknown construction params: gama" in err
+    assert not Path("be.g").exists()
+
+
 @pytest.mark.parametrize("k,z,ok", [(5, 14, "no"), (2, 600, ""),
                                      (200, 14, "no")])
 def test_report_volume_bound_row(tmp_path, k, z, ok):

@@ -13,12 +13,13 @@ from rtlab.constructions import (ConstructionParams, PartTooLarge,
                                  optimize_a, random_blowup,
                                  shadow_first_parts, sphere_hypergraph,
                                  theta_lower_bound, tuple_vertices)
-from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph, blowup,
-                              shadow, turan_hypergraph)
+from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph, as_graph,
+                              blowup, shadow, turan_hypergraph)
 from rtlab.rng import substream
 from rtlab.sphere import SQRT2, build_partition
-from rtlab.verifiers import (BudgetExceeded, blowup_deletion_condition,
-                             find_clique, scan_sparse_patterns,
+from rtlab.verifiers import (BudgetExceeded, _cliques,
+                             blowup_deletion_condition, find_clique,
+                             scan_sparse_patterns,
                              sparse_pattern_doomed_edges)
 
 
@@ -601,6 +602,107 @@ def test_random_blowup_keeps_every_cross_copy():
         sampled = _former_random_blowup(rest, 3, 0.3, 9, seed)
         assert out.edges == set(map(tuple, cross.tolist())) | sampled.edges
         assert out.meta["kept_edges"] == sampled.meta["kept_edges"]
+
+
+# ---------------------------------------------------------------------------
+# tuple listing: the former bitmask walks as the reference
+
+
+def _former_ordered_walk(rows, size, cand):
+    # the clique walk's former ordered mode: every sequence from `cand`
+    # whose vertices each lie in the rows of all earlier ones, repeats
+    # allowed where a row holds its own bit, in lexicographic order
+    if size == 0:
+        yield ()
+        return
+    stack, seq = [[cand, cand]], []
+    while stack:
+        frame = stack[-1]
+        if not frame[0]:
+            stack.pop()
+            if seq:
+                seq.pop()
+            continue
+        low = frame[0] & -frame[0]
+        frame[0] ^= low
+        v = low.bit_length() - 1
+        if len(stack) == size:
+            yield (*seq, v)
+            continue
+        seq.append(v)
+        nxt = frame[1] & rows[v]
+        stack.append([nxt, nxt])
+
+
+def _mask_rows(matrix):
+    return [int.from_bytes(np.packbits(row, bitorder="little").tobytes(),
+                           "little") for row in matrix]
+
+
+def _former_tuple_vertices(partition, u, theta):
+    close = partition.distance_matrix() <= SQRT2 - theta
+    return list(_former_ordered_walk(_mask_rows(close), u,
+                                     (1 << partition.z) - 1))
+
+
+def _former_tuple_hypergraph(partition, r, u, theta):
+    # the tuple vertices and the cross edges by the ordered walk, the
+    # inside edges by the clique walk on the far graph
+    V = _former_tuple_vertices(partition, u, theta)
+    nv = len(V)
+    dm = partition.distance_matrix()
+    T = np.array(V, dtype=int).reshape(nv, u)
+    tclose = np.ones((nv, nv), dtype=bool)
+    for j, m in product(range(u), repeat=2):
+        tclose &= (dm <= SQRT2 - theta)[np.ix_(T[:, j], T[:, m])]
+    tfar = np.zeros((nv, nv), dtype=bool)
+    for j in range(u):
+        tfar |= (dm >= 2.0 - theta)[np.ix_(T[:, j], T[:, j])]
+    np.fill_diagonal(tfar, False)
+    full, shift = (1 << nv) - 1, nv * np.arange(r)
+    inside = np.array(list(_cliques(_mask_rows(tfar), r, full)),
+                      dtype=np.int64).reshape(-1, r)
+    cross = np.array(list(_former_ordered_walk(_mask_rows(tclose), r, full)),
+                     dtype=np.int64).reshape(-1, r) + shift
+    meta = {"tuple_count": nv, "z": partition.z, "theta": theta, "r": r,
+            "u": u, "base_inside_per_part": len(inside),
+            "base_inside": len(inside) * r, "base_cross": len(cross)}
+    edges = np.concatenate([(inside + shift[:, None, None]).reshape(-1, r),
+                            cross])
+    return PartitionedHypergraph(r * nv, r, edges,
+                                 tuple(p for p in range(r) for _ in range(nv)),
+                                 meta=meta)
+
+
+def _tuple_case(r, z, k, epsilon, seed):
+    return ConstructionParams(r=r, z=z, alpha=0.3, beta=0.3, epsilon=epsilon,
+                              k=k, seed=seed)
+
+
+TUPLE_CASES = {
+    **{f"readme-z{z}-seed3": lambda z=z: ConstructionParams(
+        seed=3, **dict(README_PARAMS, z=z)) for z in (14, 20, 24, 26, 30)},
+    **{f"readme-seed{s}": lambda s=s: ConstructionParams(
+        seed=s, **README_PARAMS) for s in (2, 4, 5)},
+    **{f"crit6-seed{s}": lambda s=s: _crit6_params(s) for s in (3, 4, 5)},
+    "r4-z6-k5": lambda: _tuple_case(4, 6, 5, 0.5, 1),
+    "r4-z8-k4": lambda: _tuple_case(4, 8, 4, 0.5, 2),
+    "r2-z12-k4": lambda: _tuple_case(2, 12, 4, 0.9, 6),
+    "r5-z6-k3": lambda: _tuple_case(5, 6, 3, 0.3, 1),
+}
+
+
+@pytest.mark.parametrize("case", list(TUPLE_CASES))
+def test_tuple_listing_matches_the_former_walk(case):
+    p = TUPLE_CASES[case]()
+    part = p.build_partition()
+    assert (tuple_vertices(part, p.u, p.theta)
+            == _former_tuple_vertices(part, p.u, p.theta))
+    _assert_same_construction(sphere_hypergraph(p, part),
+                              _former_tuple_hypergraph(part, p.r, p.u, p.theta))
+    _assert_same_construction(bollobas_erdos(part, p.epsilon),
+                              as_graph(_former_tuple_hypergraph(part, 2, 1,
+                                                                p.theta)))
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,21 @@ def test_find_f_on_complete_12():
     assert recheck_f_witness(h, w)
 
 
+def test_recheck_f_witness_reads_edges_used():
+    # every edge the nine vertices need is there, but the witness lists
+    # (0, 1, 5), which is not an edge
+    parts = [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
+    h = PartitionedHypergraph(9, 3, list(turan_hypergraph(9, 3, 3).edges)
+                              + parts)
+    assert recheck_f_witness(h, drc.FWitness(*parts))
+    bogus = drc.FWitness(*parts, edges_used=[(0, 1, 5)])
+    assert not recheck_f_witness(h, bogus)
+    full = drc.FWitness(*parts, edges_used=drc._f_edges(*parts))
+    assert len(full.edges_used) == 30 and recheck_f_witness(h, full)
+    full.edges_used = full.edges_used[::-1]
+    assert not recheck_f_witness(h, full)
+
+
 def test_find_f_fails_on_edgeless():
     h = PartitionedHypergraph(12, 3, frozenset())
     p = DrcParams(a=3, m=3, t=2, s=1, codegree_threshold=2, retries=4)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rtlab.constructions import ConstructionParams, bollobas_erdos
+from rtlab.constructions import (ConstructionParams, PartTooLarge,
+                                 _sequences, bollobas_erdos)
 from helpers import complete_uniform
 from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph,
                               turan_hypergraph)
@@ -278,9 +279,9 @@ def test_negative_budget_is_an_input_error(monkeypatch):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 6), st.integers(0, 5), st.booleans(), st.booleans(),
+@given(st.integers(1, 6), st.integers(0, 5), st.booleans(),
        st.randoms(use_true_random=False))
-def test_clique_walk_matches_brute_force(n, size, ordered, reflexive, rnd):
+def test_clique_walk_matches_brute_force(n, size, reflexive, rnd):
     rows = [0] * n
     for a, b in combinations(range(n), 2):
         if rnd.random() < 0.6:
@@ -291,23 +292,55 @@ def test_clique_walk_matches_brute_force(n, size, ordered, reflexive, rnd):
             rows[v] |= 1 << v
     cand = rnd.getrandbits(n)
     counter = _Counter(10 ** 9)
-    got = list(_cliques(rows, size, cand, counter, ordered=ordered))
-    assert got == brute_sequences(rows, size, cand, ordered)
-    # one tick per vertex placed: one for every valid non-empty prefix,
-    # where an unordered walk places a prefix of length k only below a
-    # parent prefix with at least size - k + 1 candidates
-    if ordered:
-        placed = sum(len(brute_sequences(rows, k, cand, ordered))
-                     for k in range(1, size + 1))
-    else:
-        placed = 0
-        for k in range(1, size + 1):
-            for seq in brute_sequences(rows, k, cand, ordered):
-                parent = cand
-                for v in seq[:-1]:
-                    parent &= rows[v] & ~((2 << v) - 1)
-                placed += parent.bit_count() >= size - k + 1
+    got = list(_cliques(rows, size, cand, counter))
+    assert got == brute_sequences(rows, size, cand, False)
+    # one tick per vertex placed: a prefix of length k is placed only
+    # below a parent prefix with at least size - k + 1 candidates
+    placed = 0
+    for k in range(1, size + 1):
+        for seq in brute_sequences(rows, k, cand, False):
+            parent = cand
+            for v in seq[:-1]:
+                parent &= rows[v] & ~((2 << v) - 1)
+            placed += parent.bit_count() >= size - k + 1
     assert counter.nodes == placed
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 5), st.randoms(use_true_random=False))
+def test_sequences_match_brute_force(n, size, rnd):
+    # a directed relation, self-pairs included: each entry of a sequence
+    # is related to every later one, so entries may repeat
+    rel = np.array([[rnd.random() < 0.6 for _ in range(n)] for _ in range(n)])
+    rows = [sum(1 << b for b in range(n) if rel[a, b]) for a in range(n)]
+    full = (1 << n) - 1
+    want = brute_sequences(rows, size, full, True)
+    got = _sequences(rel, size)
+    assert got.shape == (len(want), size)
+    assert got.tolist() == [list(seq) for seq in want]
+    # the cap counts the listed prefixes of every length 1 .. size
+    prefixes = sum(len(brute_sequences(rows, k, full, True))
+                   for k in range(1, size + 1))
+    assert _sequences(rel, size, prefixes).tolist() == got.tolist()
+    if size:
+        with pytest.raises(PartTooLarge):
+            _sequences(rel, size, prefixes - 1)
+
+
+def test_sequences_in_blocks_match_the_walk():
+    # 3,000 indices: a level of prefixes spans several blocks of 2^20
+    # relation entries; the increasing sequences of the upper triangle
+    # are the walk's cliques
+    n = 3000
+    rng = np.random.default_rng(5)
+    rel = rng.random((n, n)) < 0.004
+    rel |= rel.T
+    np.fill_diagonal(rel, False)
+    rows = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(),
+                           "little") for row in rel]
+    got = _sequences(np.triu(rel, 1), 3)
+    assert len(got) > 0
+    assert list(map(tuple, got.tolist())) == list(_cliques(rows, 3, (1 << n) - 1))
 
 
 def test_clique_walk_skips_hopeless_frames():
@@ -742,6 +775,11 @@ def test_sparse_two_edges_sharing_two_vertices():
     emb = scan_sparse_patterns(h, 3, 9)
     assert emb is not None
     assert recheck_sparse_pattern(h, emb, 9)
+
+
+def test_sparse_recheck_refuses_an_empty_embedding():
+    h = PartitionedHypergraph(4, 3, [(0, 1, 2)])
+    assert not recheck_sparse_pattern(h, Embedding({}, {}, []), 9)
 
 
 def test_sparse_linear_path_clean():
