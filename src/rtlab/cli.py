@@ -10,19 +10,40 @@ sphere eps-k: no (eps, k) within the search caps), 4 internal error
 `verify` runs one search check on a file; `report` writes its density
 report.  The construction flags of `construct` and `report` mirror the
 params.json keys and override file values; all randomness flows from
-the single seed.
+the single seed.  A command runs only the modules it uses: each is
+registered at import but runs when a command first reads from it.
 """
 
+from __future__ import annotations
+
 import argparse
+import importlib.util
 import json
 import sys
 
-from . import constructions as con
-from . import drc as drcmod
-from . import hypergraph as hg
-from . import reports
-from . import sphere as sph
-from . import verifiers as ver
+
+def _lazy(name: str):
+    """The package module `name`, in sys.modules at once but run only
+    when one of its attributes is first read (importlib's LazyLoader);
+    a module already imported is returned as it is."""
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+con = _lazy("constructions")
+drcmod = _lazy("drc")
+hg = _lazy("hypergraph")
+reports = _lazy("reports")
+sph = _lazy("sphere")
+ver = _lazy("verifiers")
 
 EXIT_HOLDS = 0
 EXIT_VIOLATED = 1
@@ -329,12 +350,14 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except ver.BudgetExceeded as exc:
-        print(_budget_line(exc), file=sys.stderr)
-        return EXIT_BUDGET
+    # input errors first: a command that never read `ver` does not run it
+    # just to test the type (BudgetExceeded is a RuntimeError)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except ver.BudgetExceeded as exc:
+        print(_budget_line(exc), file=sys.stderr)
+        return EXIT_BUDGET
     except Exception as exc:
         detail = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {detail}",

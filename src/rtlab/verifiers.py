@@ -27,7 +27,6 @@ import numpy as np
 
 from .hypergraph import (UNPARTITIONED, PairCoverIndex, PartitionedHypergraph,
                          SimpleGraph, _bit_rows, _runs)
-from .sphere import min_domains
 
 DEFAULT_BUDGET = 20_000_000
 
@@ -761,6 +760,9 @@ def density_report(obj, params=None) -> VerificationReport:
             rows.append(_row("cross_bound_alpha_slack",
                              params.alpha * z ** (r * u)))
     if params is not None:
+        # the one use of sphere here; imported on the call so that the
+        # searches run without it
+        from .sphere import min_domains
         min_z = min_domains(params.k, params.theta / 4.0)
         rows.append(_row("partition_z_volume_bound", params.z, reference=min_z,
                          ok=False if params.z < min_z else None))

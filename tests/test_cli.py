@@ -1,9 +1,6 @@
 import hashlib
 import json
 import math
-import os
-import subprocess
-import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -13,7 +10,7 @@ import pytest
 from rtlab import verifiers as ver
 from rtlab.cli import main
 from rtlab.drc import FWitness, recheck_f_witness
-from helpers import complete_uniform
+from helpers import complete_uniform, run_fresh
 from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph,
                               read_hypergraph, write_graph, write_hypergraph)
 from rtlab.reports import emit_report
@@ -824,16 +821,60 @@ def test_empty_report_header_only():
 def test_runs_without_scipy():
     # the runtime needs numpy only: with scipy blocked, the CLI still
     # imports and computes a cap measure
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     code = ("import sys\n"
             "sys.modules['scipy'] = None\n"
             "import rtlab.cli\n"
             "sys.exit(rtlab.cli.main(['sphere', 'cap-measure', '--k', '5', "
             "'--s', '0.3']))\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_fresh(code)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) == pytest.approx(cap_measure(5, 0.3), abs=1e-12)
+
+
+# runs the CLI as `python -m rtlab.cli` does, then prints as its last line
+# which rtlab modules ran and which are registered but never read from,
+# and which of the seeded-RNG imports numpy.random and hashlib were made;
+# exits with the CLI's code
+CLI_PROBE = """
+import json, runpy, sys, types
+try:
+    runpy.run_module("rtlab.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+ran = {name: type(module) is types.ModuleType
+       for name, module in sys.modules.items() if name.startswith("rtlab.")}
+print(json.dumps({"ran": sorted(n for n in ran if ran[n]),
+                  "lazy": sorted(n for n in ran if not ran[n]),
+                  "seeded": [n for n in ("numpy.random", "hashlib")
+                             if n in sys.modules]}))
+sys.exit(code)
+"""
+
+LAZY_LAYERS = {"constructions", "drc", "hypergraph", "reports", "sphere",
+               "verifiers"}
+
+
+@pytest.mark.parametrize("argv,code,err,ran", [
+    ("verify --check clique --s 5 k4.g", 0, "", {"hypergraph", "verifiers"}),
+    # BudgetExceeded is caught after the input errors, from a loaded module
+    ("verify --check clique --s 3 --budget 1 k4.g", 3,
+     "budget exceeded after", {"hypergraph", "verifiers"}),
+    ("sphere cap-measure --k 5 --s 0.3", 0, "", {"rng", "sphere"}),
+    # an input error is reported without running verifiers for its type
+    ("sphere partition --k 5 --z 0 --theta 0.5 --out p.sphere", 2,
+     "input error:", {"rng", "sphere"}),
+], ids=["verify", "verify-budget", "cap-measure", "partition-input-error"])
+def test_fresh_cli_runs_only_its_modules(tmp_path, argv, code, err, ran):
+    # every layer is in sys.modules after the import, but a command runs
+    # only the ones it reads from; only seeded commands load the RNG
+    write_graph(SimpleGraph(4, frozenset(combinations(range(4), 2))),
+                str(tmp_path / "k4.g"))
+    proc = run_fresh(CLI_PROBE, *argv.split(), cwd=tmp_path)
+    assert proc.returncode == code, proc.stderr
+    assert err in proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["ran"] == sorted(f"rtlab.{name}" for name in ran)
+    assert seen["lazy"] == sorted(f"rtlab.{name}"
+                                  for name in LAZY_LAYERS - ran)
+    assert seen["seeded"] == (["numpy.random", "hashlib"] if "rng" in ran
+                              else [])

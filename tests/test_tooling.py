@@ -7,10 +7,11 @@ function, class or method is reached by tests alone, and only the
 membership rechecks read the `edges` view of the edge array."""
 
 import ast
-import importlib
-import importlib.util
+import json
 import sys
 from pathlib import Path
+
+from helpers import run_fresh
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = BENCH / "tracer.py"
@@ -30,28 +31,36 @@ EDGES_READERS = {"recheck_cores", "recheck_sparse_pattern",
                  "recheck_f_witness"}
 
 
-def _load_tracer():
-    # tracer.py imports only the standard library, so it loads by path
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+# in a fresh interpreter, as tracer.install does: import rtlab.cli alone,
+# take each layer from sys.modules and resolve each traced name through it;
+# prints the names that do not resolve (tracer.py imports only the
+# standard library, so it loads by path)
+RESOLVE = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+import rtlab.cli
+missing = []
+for layer, names in tracer.FUNCTIONS.items():
+    module = sys.modules[f"rtlab.{layer}"]
+    missing += [f"rtlab.{layer}.{name}" for name in names
+                if not callable(getattr(module, name, None))]
+for layer, classes in tracer.METHODS.items():
+    module = sys.modules[f"rtlab.{layer}"]
+    for cls_name, names in classes.items():
+        # the tracer patches methods found in the class namespace
+        namespace = vars(getattr(module, cls_name))
+        missing += [f"rtlab.{layer}.{cls_name}.{name}" for name in names
+                    if not callable(namespace.get(name))]
+print(json.dumps(missing))
+"""
 
 
 def test_tracer_names_resolve():
-    tracer = _load_tracer()
-    for layer, names in tracer.FUNCTIONS.items():
-        module = importlib.import_module(f"rtlab.{layer}")
-        for name in names:
-            assert callable(getattr(module, name, None)), f"rtlab.{layer}.{name}"
-    for layer, classes in tracer.METHODS.items():
-        module = importlib.import_module(f"rtlab.{layer}")
-        for cls_name, names in classes.items():
-            cls = getattr(module, cls_name)
-            for name in names:
-                # the tracer patches methods found in the class namespace
-                assert callable(vars(cls).get(name)), \
-                    f"rtlab.{layer}.{cls_name}.{name}"
+    proc = run_fresh(RESOLVE, str(TRACER))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 def _calls_itself(fn, method):
