@@ -445,6 +445,29 @@ def test_construct_corollary_cli(tmp_path):
     assert main(["verify", "--check", "clique", "--s", "8", str(out)]) == 0
 
 
+# sha256 of `construct --type corollary` files (z=12, seed 2) for the
+# corollary's defaults and three sets of ell, q and mix_a
+COROLLARY_DIGESTS = [
+    ({}, "4ef05ada9389063eb67129e7152931de65823314575593c4baf5ed7159ac8028"),
+    ({"q": 3},
+     "eb02f5fd5afd0270feee520c5699e8a6a92a6ea4553e6d40b48180a3874a0f1a"),
+    ({"ell": 3, "q": 2},
+     "f56270040b9783d1aae1a4a017e46891d4cb32b9313a8d744db49b7896f9fb2d"),
+    ({"q": 4, "mix_a": 0.3, "ell": 2},
+     "872271c34f547c0cef68975cda6666a71ff69f47f1bc87a738e8743c5f1ba621"),
+]
+
+
+@pytest.mark.parametrize("extra,digest", COROLLARY_DIGESTS)
+def test_construct_corollary_digests(tmp_path, extra, digest):
+    params = write_params(tmp_path, z=12, epsilon=0.5, k=5, pattern_cap=10,
+                          **extra)
+    out = tmp_path / "cor.g"
+    assert main(["construct", "--type", "corollary", "--params", params,
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_flag_overrides_params_file(tmp_path):
     params = write_params(tmp_path, z=10)
     out1 = tmp_path / "s1.hg"
