@@ -51,7 +51,9 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
-# the construction flags, one per params.json key (--blowup-t for blowup_t)
+# the construction flags, one per params field (--blowup-t for blowup_t)
+# but the derived theta and u and the corollary's ell, q and mix_a, which
+# only a params file sets; a literal, so building the parser runs no module
 PARAM_FLAGS = {"r": int, "z": int, "alpha": float, "beta": float,
                "epsilon": float, "k": int, "blowup_t": int, "gamma": float,
                "pattern_cap": int, "seed": int}
@@ -106,11 +108,6 @@ def _emit_json(payload, path):
 
 def _cmd_construct(args) -> int:
     params = _load_params(args)
-    if args.type == "corollary":
-        ell, q = params.extras.get("ell", 2), params.extras.get("q", 2)
-        for key, value in (("ell", ell), ("q", q)):
-            if type(value) is not int:
-                raise ValueError(f"{key} must be an integer, got {value!r}")
     partition = params.build_partition()
     if args.type == "be":
         out = con.bollobas_erdos(partition, params.epsilon)
@@ -119,14 +116,7 @@ def _cmd_construct(args) -> int:
     elif args.type == "full":
         out = con.full_construction(params, partition)
     elif args.type == "corollary":
-        mix_a = params.extras.get("mix_a")
-        if mix_a is None:
-            a_star, _ = con.optimize_a(params.r, ell, q)
-            mix_a = float(a_star)
-        full = con.full_construction(params, partition)
-        base = con.shadow_first_parts(full, ell)
-        provider = lambda n: con.maximal_ktfree_graph(n, params.r, params.seed)
-        out = con.corollary_graph(base, q, params.r, provider, mix_a=mix_a)
+        out = con.corollary_construction(params, partition)
     hg.write_hypergraph(out, args.out)
     print(f"wrote {args.type} construction to {args.out}")
     return EXIT_HOLDS

@@ -4,11 +4,14 @@ The two-sided sphere graph (antipodal inside rule, near-orthogonal cross
 rule), the r-part tuple-vertex hypergraph, the probabilistic blowup with
 sparse-pattern deletion, the fully assembled blown-up construction, shadow
 graphs restricted to leading parts, the complete-join corollary graph, and
-the exact rational bound/mixing optimization.
+the exact rational bound/mixing optimization.  Each of the four
+constructions (`bollobas_erdos`, `sphere_hypergraph`, `full_construction`,
+`corollary_construction`) is one call on a `ConstructionParams`'s values
+and its sphere partition.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations
 
@@ -26,10 +29,6 @@ from .verifiers import (_cliques, blowup_deletion_condition, find_clique,
 # parameters
 
 
-# the keys `construct --type corollary` reads beside the fields
-COROLLARY_KEYS = ("ell", "q", "mix_a")
-
-
 @dataclass
 class ConstructionParams:
     """Knobs of the construction family.
@@ -37,7 +36,10 @@ class ConstructionParams:
     theta = epsilon/sqrt(k) and u = ceil(r/2) are derived; a stored theta
     must agree with epsilon/sqrt(k) to 1e-12.  pattern_cap defaults to
     r^3.  All randomness flows from the single seed.  The int fields
-    refuse a float, a bool or a string with ValueError.
+    refuse a float, a bool or a string with ValueError.  ell, q and
+    mix_a are read by `corollary_construction` alone and stay unset
+    (None) unless given; a given one must satisfy 1 <= ell <= r, q >= 2
+    and 0 < mix_a < 1.
     """
 
     r: int
@@ -52,10 +54,13 @@ class ConstructionParams:
     seed: int = 0
     theta: float | None = None
     u: int | None = None
-    extras: dict = field(default_factory=dict)
+    ell: int | None = None
+    q: int | None = None
+    mix_a: float | None = None
 
     def __post_init__(self):
-        for name in ("r", "z", "k", "blowup_t", "pattern_cap", "seed", "u"):
+        for name in ("r", "z", "k", "blowup_t", "pattern_cap", "seed", "u",
+                     "ell", "q"):
             value = getattr(self, name)
             if value is not None and type(value) is not int:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -87,27 +92,28 @@ class ConstructionParams:
             self.pattern_cap = self.r ** 3
         if self.pattern_cap < self.r:
             raise ValueError("pattern cap must be >= r")
+        if self.ell is not None and not 1 <= self.ell <= self.r:
+            raise ValueError(f"ell must be in [1, {self.r}], got {self.ell}")
+        if self.q is not None and self.q < 2:
+            raise ValueError("need q >= 2")
+        if self.mix_a is not None and not 0.0 < self.mix_a < 1.0:
+            raise ValueError("mixing fraction must lie in (0, 1)")
 
     def to_json(self) -> dict:
-        """The fields in declaration order, then the extras."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)
-               if f.name != "extras"}
-        out.update(self.extras)
-        return out
+        """The set fields in declaration order (an unset ell, q or mix_a
+        is left out)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if getattr(self, f.name) is not None}
 
     @classmethod
     def from_json(cls, data: dict) -> "ConstructionParams":
-        """The params of a JSON object, the corollary's keys (ell, q and
-        mix_a) as extras; ValueError names any other key that is not a
-        field."""
-        known = {f.name for f in fields(cls)} - {"extras"}
-        unknown = sorted(set(data) - known - set(COROLLARY_KEYS))
+        """The params of a JSON object; ValueError names any key that is
+        not a field."""
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError("unknown construction params: "
                              + ", ".join(unknown))
-        kwargs = {k: v for k, v in data.items() if k in known}
-        extras = {k: v for k, v in data.items() if k not in known}
-        return cls(extras=extras, **kwargs)
+        return cls(**data)
 
     def build_partition(self) -> SpherePartition:
         return build_partition(self.k, self.z, self.theta, self.seed)
@@ -243,8 +249,8 @@ def random_blowup(h: PartitionedHypergraph, t: int, gamma: float,
     then deletes from the sampled copies the last edge of each connected
     sub-collection with v <= ell vertices and v + (1+gamma-r)(m-1) < r,
     going on over the survivors; the completed pass certifies them.
-    meta adds blowup_t, keep_probability, kept_edges (the sampled copies)
-    and deleted_patterns_edges to h's."""
+    meta adds keep_probability, kept_edges (the sampled copies) and
+    deleted_patterns_edges to `blowup`'s."""
     if t < 1:
         raise ValueError("blowup factor must be >= 1")
     if not 0.0 < gamma < 1.0:
@@ -265,7 +271,7 @@ def random_blowup(h: PartitionedHypergraph, t: int, gamma: float,
     doomed = sparse_pattern_doomed_edges(
         sampled, ell, blowup_deletion_condition(r, gamma), budget)
     keep[np.delete(sampled_rows, doomed)] = True
-    meta = dict(h.meta, blowup_t=t, keep_probability=p,
+    meta = dict(blown.meta, keep_probability=p,
                 kept_edges=len(sampled_rows),
                 deleted_patterns_edges=len(doomed))
     return PartitionedHypergraph(blown.n, r, blown.edge_array[keep],
@@ -328,11 +334,11 @@ def maximal_ktfree_graph(n: int, t: int, seed: int = 0) -> SimpleGraph:
     return SimpleGraph(n, edges)
 
 
-def corollary_graph(g: SimpleGraph, q: int, t: int, inner_provider,
-                    mix_a: float = 0.5) -> SimpleGraph:
+def corollary_graph(g: SimpleGraph, q: int, t: int, seed: int,
+                    mix_a: float) -> SimpleGraph:
     """Complete (q-1)-partite graph T with near-equal classes sized from
-    the mixing fraction, a checked K_{t+1}-free graph inserted in every
-    class, completely joined to g."""
+    the mixing fraction, a `maximal_ktfree_graph` of the seed inserted in
+    every class and rechecked K_{t+1}-free, completely joined to g."""
     if q < 2:
         raise ValueError("need q >= 2")
     if not 0.0 < mix_a < 1.0:
@@ -344,14 +350,27 @@ def corollary_graph(g: SimpleGraph, q: int, t: int, inner_provider,
     t_edges = [np.argwhere(labels[:, None] < labels)]
     for ci in range(q - 1):
         start, end = np.searchsorted(labels, [ci, ci + 1]).tolist()
-        inner = inner_provider(end - start)
-        if inner.n != end - start:
-            raise ValueError("inner provider returned a wrong-size graph")
+        inner = maximal_ktfree_graph(end - start, t, seed)
         if find_clique(inner, t + 1) is not None:
             raise ValueError("inner graph is not K_{t+1}-free")
         t_edges.append(inner.edge_array + start)
     t_graph = SimpleGraph(rest, np.concatenate(t_edges))
     return complete_join(g, t_graph)
+
+
+def corollary_construction(params: ConstructionParams,
+                           partition: SpherePartition) -> SimpleGraph:
+    """`corollary_graph` on the shadow of the first params.ell parts of
+    `full_construction`, with t = params.r.  ell and q default to 2,
+    mix_a to the a* of `optimize_a(r, ell, q)`, which runs (and refuses
+    ell = 1) before the build."""
+    ell = 2 if params.ell is None else params.ell
+    q = 2 if params.q is None else params.q
+    mix_a = params.mix_a
+    if mix_a is None:
+        mix_a = float(optimize_a(params.r, ell, q)[0])
+    base = shadow_first_parts(full_construction(params, partition), ell)
+    return corollary_graph(base, q, params.r, params.seed, mix_a)
 
 
 # ---------------------------------------------------------------------------

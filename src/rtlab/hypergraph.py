@@ -319,15 +319,17 @@ def as_graph(h: PartitionedHypergraph) -> SimpleGraph:
 
 def blowup(h: PartitionedHypergraph, t: int) -> PartitionedHypergraph:
     """t-blowup: vertex v becomes clones v*t .. v*t+t-1; every edge is
-    replaced by all t^r transversal copies.  Part labels are inherited."""
+    replaced by all t^r transversal copies.  Part labels are inherited;
+    meta's blowup_t is the input's (1 when unset) times t, so composed
+    blowups record their product."""
     if t < 1:
         raise ValueError(f"blowup factor must be >= 1, got {t}")
     offsets = np.array(list(product(range(t), repeat=h.r)), dtype=np.int64)
     edges = (h.edge_array[:, None, :].astype(np.int64) * t
              + offsets).reshape(-1, h.r)
     parts = tuple(h.part_of[v] for v in range(h.n) for _ in range(t))
-    return PartitionedHypergraph(h.n * t, h.r, edges, parts,
-                                 meta=dict(h.meta, blowup_t=t))
+    meta = dict(h.meta, blowup_t=h.meta.get("blowup_t", 1) * t)
+    return PartitionedHypergraph(h.n * t, h.r, edges, parts, meta=meta)
 
 
 def turan_hypergraph(n: int, s: int, r: int) -> PartitionedHypergraph:

@@ -387,8 +387,8 @@ def private_edges(cover: PairCoverIndex, pairs: list, used: set,
             covers.append(cover.covering(a, b))
         es = covers[i]
         for j in range(nxt[i], len(es)):
-            extras = [v for v in es[j] if v != a and v != b]
-            if not any(v in used for v in extras):
+            outside = [v for v in es[j] if v != a and v != b]
+            if not any(v in used for v in outside):
                 break
         else:
             # pair i has no choice left: take back the choice of pair i-1
@@ -400,7 +400,7 @@ def private_edges(cover: PairCoverIndex, pairs: list, used: set,
             continue
         counter.tick()
         nxt[i] = j + 1
-        used.update(extras)
+        used.update(outside)
         chosen.append(es[j])
         nxt.append(0)
     return chosen

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rtlab import verifiers as ver
+from rtlab import constructions, verifiers as ver
 from rtlab.cli import main
 from rtlab.drc import FWitness, recheck_f_witness
 from helpers import complete_uniform, run_fresh
@@ -458,6 +458,26 @@ COROLLARY_DIGESTS = [
 ]
 
 
+@pytest.mark.parametrize("extra,message", [
+    ({"q": 1, "mix_a": 0.5}, "need q >= 2"),
+    ({"ell": 4, "mix_a": 0.5}, "ell must be in [1, 3], got 4"),
+    ({"mix_a": 1.5}, "mixing fraction must lie in (0, 1)"),
+])
+def test_construct_corollary_bad_params_exit_2_before_building(
+        tmp_path, monkeypatch, capsys, extra, message):
+    # the params refuse a bad ell, q or mix_a before the full
+    # construction is built (a call to it would exit 4)
+    def refuse(*args, **kwargs):
+        raise AssertionError("full_construction called")
+    monkeypatch.setattr(constructions, "full_construction", refuse)
+    params = write_params(tmp_path, z=12, **extra)
+    out = tmp_path / "cor.g"
+    assert main(["construct", "--type", "corollary", "--params", params,
+                 "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("extra,digest", COROLLARY_DIGESTS)
 def test_construct_corollary_digests(tmp_path, extra, digest):
     params = write_params(tmp_path, z=12, epsilon=0.5, k=5, pattern_cap=10,
@@ -765,7 +785,7 @@ def test_params_file_non_integer_exit_2(tmp_path, monkeypatch, capsys, argv,
 ])
 def test_params_file_unknown_key_exit_2(tmp_path, monkeypatch, capsys, argv):
     # a misspelled key is refused, not kept beside the field's default;
-    # the corollary's ell, q and mix_a are the only keys besides the fields
+    # the corollary's ell, q and mix_a are fields, so they are not refused
     monkeypatch.chdir(tmp_path)
     write_hypergraph(complete_uniform(5, 3), "k5.hg")
     params = write_params(tmp_path, gama=0.9, ell=2, q=2, mix_a=0.5)

@@ -18,8 +18,8 @@ from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph, as_graph,
 from rtlab.rng import substream
 from rtlab.sphere import SQRT2, build_partition
 from rtlab.verifiers import (BudgetExceeded, _cliques,
-                             blowup_deletion_condition, find_clique,
-                             scan_sparse_patterns,
+                             blowup_deletion_condition, density_report,
+                             find_clique, scan_sparse_patterns,
                              sparse_pattern_doomed_edges)
 
 
@@ -67,6 +67,29 @@ def test_params_validation():
         small_params(r=1)
     with pytest.raises(ValueError):
         small_params(blowup_t=0)
+    # the corollary's fields, refused before any build
+    for key, value, message in [("ell", 0, "ell must be in"),
+                                ("ell", 4, "ell must be in"),
+                                ("q", 1, "need q >= 2"),
+                                ("mix_a", 0.0, "mixing fraction"),
+                                ("mix_a", 1.0, "mixing fraction")]:
+        with pytest.raises(ValueError, match=message):
+            small_params(**{key: value})
+
+
+def test_params_corollary_fields_roundtrip():
+    p = small_params(ell=3, q=4, mix_a=0.3)
+    data = p.to_json()
+    assert (data["ell"], data["q"], data["mix_a"]) == (3, 4, 0.3)
+    assert ConstructionParams.from_json(json.loads(json.dumps(data))) == p
+
+
+def test_params_unset_corollary_fields_not_written():
+    data = small_params().to_json()
+    assert not {"ell", "q", "mix_a"} & set(data)
+    # a null in the file leaves the field unset
+    assert ConstructionParams.from_json(dict(data, mix_a=None)) \
+        == small_params()
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +289,22 @@ def test_random_blowup_keep_probability():
     h = PartitionedHypergraph(3, 3, frozenset(), (0,) * 3)
     out = random_blowup(h, 100, 0.1, 9, seed=1)
     assert out.meta["keep_probability"] == pytest.approx(100.0 ** (-1.9))
+
+
+def test_composed_blowups_record_the_product():
+    # a blowup of a blowup records the product of the factors, so the
+    # density report's blowup identity and vertex caps still hold
+    p = small_params(z=8, epsilon=0.5)
+    h = sphere_hypergraph(p, p.build_partition())
+    assert h.meta["base_cross"] > 0
+    twice, once = blowup(blowup(h, 2), 3), blowup(h, 6)
+    assert np.array_equal(twice.edge_array, once.edge_array)
+    assert twice.part_of == once.part_of and twice.meta == once.meta
+    assert once.meta["blowup_t"] == 6
+    assert density_report(twice).verdict == "holds"
+    sampled = random_blowup(blowup(h, 2), 2, 0.3, 10, seed=1)
+    assert sampled.meta["blowup_t"] == 4
+    assert density_report(sampled).verdict == "holds"
 
 
 def test_random_blowup_reproducible():
@@ -748,9 +787,9 @@ def test_shadow_first_parts_range_check():
 
 
 def test_corollary_q2_empty_inner_is_join():
+    # t=1: the maximal K_2-free inner graph has no edge
     g = SimpleGraph(6, frozenset([(0, 1), (2, 3)]))
-    out = corollary_graph(g, 2, 3, lambda n: SimpleGraph(n, frozenset()),
-                          mix_a=0.5)
+    out = corollary_graph(g, 2, 1, 4, mix_a=0.5)
     rest = out.n - g.n
     want = len(g.edges) + g.n * rest
     assert len(out.edges) == want
@@ -758,8 +797,7 @@ def test_corollary_q2_empty_inner_is_join():
 
 def test_corollary_edge_count_recount():
     g = SimpleGraph(8, frozenset([(0, 1), (2, 3), (4, 5)]))
-    provider = lambda n: maximal_ktfree_graph(n, 3, seed=4)
-    out = corollary_graph(g, 3, 3, provider, mix_a=0.4)
+    out = corollary_graph(g, 3, 3, 4, mix_a=0.4)
     # independent recount: g edges + inner edges + complete multipartite
     # cross edges + join edges
     rest = out.n - g.n
@@ -796,16 +834,18 @@ def test_corollary_matches_former_builder(q):
     # class sizes from 1 up to uneven ones, inner graphs of every size
     for n_g, mix_a in [(0, 0.5), (3, 0.9), (5, 0.5), (8, 0.4), (9, 0.25)]:
         g = maximal_ktfree_graph(n_g, 2, seed=n_g)
-        provider = lambda n: maximal_ktfree_graph(n, 2, seed=n + q)
-        out = corollary_graph(g, q, 2, provider, mix_a=mix_a)
+        provider = lambda n: maximal_ktfree_graph(n, 2, seed=q)
+        out = corollary_graph(g, q, 2, q, mix_a=mix_a)
         assert out == former_corollary(g, q, 2, provider, mix_a), (n_g, mix_a)
 
 
-def test_corollary_rejects_bad_inner():
+def test_corollary_rejects_bad_inner(monkeypatch):
+    # the K_{t+1} recheck refuses an inner graph that is not K_{t+1}-free
     g = SimpleGraph(4, frozenset())
-    bad = lambda n: SimpleGraph(n, frozenset(combinations(range(n), 2)))
-    with pytest.raises(ValueError):
-        corollary_graph(g, 2, 3, bad, mix_a=0.5)
+    bad = lambda n, t, seed: SimpleGraph(n, combinations(range(n), 2))
+    monkeypatch.setattr(constructions, "maximal_ktfree_graph", bad)
+    with pytest.raises(ValueError, match="not K_"):
+        corollary_graph(g, 2, 3, 0, mix_a=0.5)
 
 
 def test_maximal_ktfree_graph_is_ktfree():

@@ -4,14 +4,18 @@ silently break a traced run, no search recurses to a depth that grows
 with its input, the package imports nothing but the standard library
 and numpy, no private helper is left without a caller, no public
 function, class or method is reached by tests alone, and only the
-membership rechecks read the `edges` view of the edge array."""
+membership rechecks read the `edges` view of the edge array, and the
+CLI's construction flags mirror the construction params."""
 
 import ast
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from helpers import run_fresh
+from rtlab.cli import PARAM_FLAGS
+from rtlab.constructions import ConstructionParams
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = BENCH / "tracer.py"
@@ -217,3 +221,15 @@ def test_searches_read_the_edge_array():
         found += [f"{path.stem}:{line}: sorted_edges"
                   for name, _, line in _uses(path) if name == "sorted_edges"]
     assert found == []
+
+
+def test_param_flags_mirror_the_params():
+    # one flag per params field but the derived theta and u and the
+    # corollary's ell, q and mix_a (set in a params file only), of the
+    # field's type; PARAM_FLAGS stays a literal, so the parser does not
+    # run `constructions`
+    types = {f.name: f.type for f in fields(ConstructionParams)
+             if f.name not in {"theta", "u", "ell", "q", "mix_a"}}
+    assert list(PARAM_FLAGS) == list(types)
+    assert [name for name, kind in PARAM_FLAGS.items()
+            if types[name] not in (kind, kind | None)] == []
