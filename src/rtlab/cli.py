@@ -11,7 +11,9 @@ sphere eps-k: no (eps, k) within the search caps), 4 internal error
 report.  The construction flags of `construct` and `report` mirror the
 params.json keys and override file values; all randomness flows from
 the single seed.  A command runs only the modules it uses: each is
-registered at import but runs when a command first reads from it.
+registered at import but runs when a command first reads from it, so
+`optimize` (the `bounds` module alone) runs without numpy, and only a
+command that draws from a seed imports numpy.random.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ def _lazy(name: str):
     return module
 
 
+bounds = _lazy("bounds")
 con = _lazy("constructions")
 drcmod = _lazy("drc")
 hg = _lazy("hypergraph")
@@ -198,7 +201,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    a_star, bound = con.optimize_a(args.t, args.ell, args.q)
+    a_star, bound = bounds.optimize_a(args.t, args.ell, args.q)
     print(f"a*={a_star.numerator}/{a_star.denominator} "
           f"bound={bound.numerator}/{bound.denominator}")
     return EXIT_HOLDS

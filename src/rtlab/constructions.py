@@ -3,20 +3,22 @@
 The two-sided sphere graph (antipodal inside rule, near-orthogonal cross
 rule), the r-part tuple-vertex hypergraph, the probabilistic blowup with
 sparse-pattern deletion, the fully assembled blown-up construction, shadow
-graphs restricted to leading parts, the complete-join corollary graph, and
-the exact rational bound/mixing optimization.  Each of the four
-constructions (`bollobas_erdos`, `sphere_hypergraph`, `full_construction`,
-`corollary_construction`) is one call on a `ConstructionParams`'s values
-and its sphere partition.
+graphs restricted to leading parts and the complete-join corollary graph.
+Each of the four constructions (`bollobas_erdos`, `sphere_hypergraph`,
+`full_construction`, `corollary_construction`) is one call on a
+`ConstructionParams`'s values and its sphere partition.  The exact
+rational bound and mixing optimization live in `rtlab.bounds`, which
+needs no numpy; `theta_lower_bound` and `optimize_a` are re-exported
+here.
 """
 
 import math
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
+from .bounds import optimize_a, theta_lower_bound
 from .hypergraph import (PartitionedHypergraph, SimpleGraph, as_graph,
                          blowup, complete_join, shadow)
 from .rng import substream
@@ -39,7 +41,8 @@ class ConstructionParams:
     refuse a float, a bool or a string with ValueError.  ell, q and
     mix_a are read by `corollary_construction` alone and stay unset
     (None) unless given; a given one must satisfy 1 <= ell <= r, q >= 2
-    and 0 < mix_a < 1.
+    and 0 < mix_a < 1, and ell = 1 needs mix_a (the default a* of
+    `optimize_a` needs ell >= 2).
     """
 
     r: int
@@ -98,6 +101,9 @@ class ConstructionParams:
             raise ValueError("need q >= 2")
         if self.mix_a is not None and not 0.0 < self.mix_a < 1.0:
             raise ValueError("mixing fraction must lie in (0, 1)")
+        if self.ell == 1 and self.mix_a is None:
+            raise ValueError("ell = 1 needs mix_a: the default a* of "
+                             "optimize_a needs ell >= 2")
 
     def to_json(self) -> dict:
         """The set fields in declaration order (an unset ell, q or mix_a
@@ -362,8 +368,8 @@ def corollary_construction(params: ConstructionParams,
                            partition: SpherePartition) -> SimpleGraph:
     """`corollary_graph` on the shadow of the first params.ell parts of
     `full_construction`, with t = params.r.  ell and q default to 2,
-    mix_a to the a* of `optimize_a(r, ell, q)`, which runs (and refuses
-    ell = 1) before the build."""
+    mix_a to the a* of `optimize_a(r, ell, q)`, which the params define
+    for every ell they accept without mix_a (2 <= ell <= r)."""
     ell = 2 if params.ell is None else params.ell
     q = 2 if params.q is None else params.q
     mix_a = params.mix_a
@@ -371,36 +377,3 @@ def corollary_construction(params: ConstructionParams,
         mix_a = float(optimize_a(params.r, ell, q)[0])
     base = shadow_first_parts(full_construction(params, partition), ell)
     return corollary_graph(base, q, params.r, params.seed, mix_a)
-
-
-# ---------------------------------------------------------------------------
-# exact rational bounds
-
-
-def theta_lower_bound(t: int, ell: int) -> Fraction:
-    """Edge-density floor (1/2)(1 - 1/ell) 2^(-u^2) with u = ceil(t/2)."""
-    if not 2 <= ell <= t:
-        raise ValueError(f"need 2 <= ell <= t, got ell={ell}, t={t}")
-    u = (t + 1) // 2
-    return Fraction(1, 2) * (1 - Fraction(1, ell)) / Fraction(2 ** (u * u))
-
-
-def optimize_a(t: int, ell: int, q: int) -> tuple[Fraction, Fraction]:
-    """Exact maximizer over a in (0,1) of
-    B a^2 + C(q-1,2) ((1-a)/(q-1))^2 + (1-a) a with B the density floor.
-
-    Returns (a*, value) as exact rationals, a* the vertex of the
-    quadratic.  With c = C(q-1,2)/(q-1)^2 < 1/2 and B <= 1/8 the a^2
-    coefficient B + c - 1 is negative, and the vertex
-    (1 - 2c) / (2 (1 - B - c)) lies in (0,1) because B < 1/2."""
-    if q < 2:
-        raise ValueError("need q >= 2")
-    b = theta_lower_bound(t, ell)
-    # expand: f(a) = A2 a^2 + A1 a + A0
-    c_t = Fraction(q - 2, 2 * (q - 1))  # C(q-1,2)/(q-1)^2
-    a2 = b + c_t - 1
-    a1 = 1 - 2 * c_t
-    a0 = c_t
-    a_star = -a1 / (2 * a2)
-    value = a2 * a_star * a_star + a1 * a_star + a0
-    return a_star, value

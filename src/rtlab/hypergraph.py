@@ -396,12 +396,60 @@ def write_hypergraph(h: PartitionedHypergraph, path: str) -> None:
         fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
+# the characters the array parse accepts; numpy 2.4's loadtxt reads some
+# others inside an integer as digits (U+01FF among them), where int()
+# refuses them
+_EDGE_TEXT = b"0123456789- \n"
+
+
+def _edge_rows(fh, m: int, r: int):
+    """The rest of the open file as an (m, r) int64 array, parsed by one
+    numpy call, when it is m lines of r integers, then blank lines only,
+    written in digits, '-', spaces and newlines; None for any other
+    text, which the line scan then reads or refuses."""
+    start = fh.tell()
+    text = fh.read()
+    block = text.rstrip()
+    if ((block.count("\n") + 1 if block else 0) != m
+            or text.encode().translate(None, _EDGE_TEXT)):
+        return None
+    if m == 0:
+        return np.empty((0, r), dtype=np.int64)
+    fh.seek(start)
+    try:
+        rows = np.loadtxt(fh, dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:  # a token beyond int64, or lines of unequal length
+        return None
+    return rows if rows.shape == (m, r) else None
+
+
+def _scan_edges(fh, path: str, m: int) -> list:
+    """The m edge lines of the open file as lists of ints, one line at a
+    time; ValueError on a token that is not an integer, fewer than m
+    lines, or a non-blank line after the m-th."""
+    edges = []
+    for i in range(m):
+        line = fh.readline()
+        if not line:
+            raise ValueError(f"{path}: header gives {m} edges, "
+                             f"file ends after {i}")
+        edges.append([int(x) for x in line.split()])
+    if any(line.strip() for line in fh):
+        raise ValueError(f"{path}: lines after the header's {m} edges")
+    return edges
+
+
 def read_hypergraph(path: str) -> PartitionedHypergraph:
     """Parse the format above.  ValueError on a bad header or label line,
     a header vertex or edge count below 0, fewer than n label lines, a
     label below -1, a header part count other than the labels give, an
-    edge line without r distinct vertices, an edge listed twice, fewer
-    than m edge lines, or a non-blank line after the m-th."""
+    edge line without r distinct vertices (a token int() refuses, such
+    as `2.0` or `#`, included), an edge listed twice, fewer than m edge
+    lines, a blank line among them, or a non-blank line after the m-th;
+    blank lines may end the file.  An edge block in plain decimal
+    integers and spaces is parsed by one numpy call (`_edge_rows`); any
+    other is read line by line, which words the error when there is
+    one."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 5 or header[0] != "HG":
@@ -415,15 +463,11 @@ def read_hypergraph(path: str) -> PartitionedHypergraph:
             raise ValueError(f"{path}: header gives {n} part labels, "
                              f"file ends after {labels.index('')}")
         part_of = tuple(map(int, labels))
-        edges = []
-        for i in range(m):
-            line = fh.readline()
-            if not line:
-                raise ValueError(f"{path}: header gives {m} edges, "
-                                 f"file ends after {i}")
-            edges.append([int(x) for x in line.split()])
-        if any(line.strip() for line in fh):
-            raise ValueError(f"{path}: lines after the header's {m} edges")
+        start = fh.tell()
+        edges = _edge_rows(fh, m, r)
+        if edges is None:
+            fh.seek(start)
+            edges = _scan_edges(fh, path, m)
     h = PartitionedHypergraph(n, r, edges, part_of)
     # the store keeps each edge once
     if len(h.edge_array) < m:

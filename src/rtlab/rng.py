@@ -6,6 +6,8 @@ yields the same generator, on any platform, so whole pipelines are
 bit-reproducible from a single 64-bit seed.
 """
 
+from __future__ import annotations
+
 import hashlib
 
 import numpy as np

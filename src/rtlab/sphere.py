@@ -11,6 +11,8 @@ All inequalities are evaluated in double precision with ties counting as
 satisfied.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 

@@ -462,13 +462,16 @@ COROLLARY_DIGESTS = [
     ({"q": 1, "mix_a": 0.5}, "need q >= 2"),
     ({"ell": 4, "mix_a": 0.5}, "ell must be in [1, 3], got 4"),
     ({"mix_a": 1.5}, "mixing fraction must lie in (0, 1)"),
+    # the default a* needs ell >= 2
+    ({"ell": 1}, "ell = 1 needs mix_a"),
 ])
 def test_construct_corollary_bad_params_exit_2_before_building(
         tmp_path, monkeypatch, capsys, extra, message):
-    # the params refuse a bad ell, q or mix_a before the full
-    # construction is built (a call to it would exit 4)
+    # the params refuse a bad ell, q or mix_a before the partition or
+    # the full construction is built (a call to either would exit 4)
     def refuse(*args, **kwargs):
-        raise AssertionError("full_construction called")
+        raise AssertionError("build called")
+    monkeypatch.setattr(constructions, "build_partition", refuse)
     monkeypatch.setattr(constructions, "full_construction", refuse)
     params = write_params(tmp_path, z=12, **extra)
     out = tmp_path / "cor.g"
@@ -876,8 +879,8 @@ def test_runs_without_scipy():
 
 # runs the CLI as `python -m rtlab.cli` does, then prints as its last line
 # which rtlab modules ran and which are registered but never read from,
-# and which of the seeded-RNG imports numpy.random and hashlib were made;
-# exits with the CLI's code
+# whether numpy was imported, and which of the seeded-RNG imports
+# numpy.random and hashlib were made; exits with the CLI's code
 CLI_PROBE = """
 import json, runpy, sys, types
 try:
@@ -888,28 +891,41 @@ ran = {name: type(module) is types.ModuleType
        for name, module in sys.modules.items() if name.startswith("rtlab.")}
 print(json.dumps({"ran": sorted(n for n in ran if ran[n]),
                   "lazy": sorted(n for n in ran if not ran[n]),
+                  "numpy": "numpy" in sys.modules,
                   "seeded": [n for n in ("numpy.random", "hashlib")
                              if n in sys.modules]}))
 sys.exit(code)
 """
 
-LAZY_LAYERS = {"constructions", "drc", "hypergraph", "reports", "sphere",
-               "verifiers"}
+LAZY_LAYERS = {"bounds", "constructions", "drc", "hypergraph", "reports",
+               "sphere", "verifiers"}
+# the layers a report with construction params runs
+REPORT_LAYERS = {"bounds", "constructions", "hypergraph", "reports", "rng",
+                 "sphere", "verifiers"}
 
 
-@pytest.mark.parametrize("argv,code,err,ran", [
-    ("verify --check clique --s 5 k4.g", 0, "", {"hypergraph", "verifiers"}),
+@pytest.mark.parametrize("argv,code,err,ran,seeded", [
+    ("verify --check clique --s 5 k4.g", 0, "", {"hypergraph", "verifiers"},
+     []),
     # BudgetExceeded is caught after the input errors, from a loaded module
     ("verify --check clique --s 3 --budget 1 k4.g", 3,
-     "budget exceeded after", {"hypergraph", "verifiers"}),
-    ("sphere cap-measure --k 5 --s 0.3", 0, "", {"rng", "sphere"}),
+     "budget exceeded after", {"hypergraph", "verifiers"}, []),
+    # numpy.random loads only when a generator is made
+    ("sphere cap-measure --k 5 --s 0.3", 0, "", {"rng", "sphere"},
+     ["hashlib"]),
     # an input error is reported without running verifiers for its type
     ("sphere partition --k 5 --z 0 --theta 0.5 --out p.sphere", 2,
-     "input error:", {"rng", "sphere"}),
-], ids=["verify", "verify-budget", "cap-measure", "partition-input-error"])
-def test_fresh_cli_runs_only_its_modules(tmp_path, argv, code, err, ran):
+     "input error:", {"rng", "sphere"}, ["hashlib"]),
+    ("report --r 2 --z 4 --alpha 0.3 --beta 0.3 --epsilon 0.5 --k 5 k4.g", 0,
+     "", REPORT_LAYERS, ["hashlib"]),
+    ("optimize --t 3 --ell 2 --q 2", 0, "", {"bounds"}, []),
+], ids=["verify", "verify-budget", "cap-measure", "partition-input-error",
+        "report", "optimize"])
+def test_fresh_cli_runs_only_its_modules(tmp_path, argv, code, err, ran,
+                                         seeded):
     # every layer is in sys.modules after the import, but a command runs
-    # only the ones it reads from; only seeded commands load the RNG
+    # only the ones it reads from; only `optimize` runs without numpy,
+    # and only a command that draws loads numpy.random
     write_graph(SimpleGraph(4, frozenset(combinations(range(4), 2))),
                 str(tmp_path / "k4.g"))
     proc = run_fresh(CLI_PROBE, *argv.split(), cwd=tmp_path)
@@ -919,5 +935,5 @@ def test_fresh_cli_runs_only_its_modules(tmp_path, argv, code, err, ran):
     assert seen["ran"] == sorted(f"rtlab.{name}" for name in ran)
     assert seen["lazy"] == sorted(f"rtlab.{name}"
                                   for name in LAZY_LAYERS - ran)
-    assert seen["seeded"] == (["numpy.random", "hashlib"] if "rng" in ran
-                              else [])
+    assert seen["numpy"] == (ran != {"bounds"})
+    assert seen["seeded"] == seeded

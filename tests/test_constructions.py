@@ -72,9 +72,11 @@ def test_params_validation():
                                 ("ell", 4, "ell must be in"),
                                 ("q", 1, "need q >= 2"),
                                 ("mix_a", 0.0, "mixing fraction"),
-                                ("mix_a", 1.0, "mixing fraction")]:
+                                ("mix_a", 1.0, "mixing fraction"),
+                                ("ell", 1, "ell = 1 needs mix_a")]:
         with pytest.raises(ValueError, match=message):
             small_params(**{key: value})
+    assert small_params(ell=1, mix_a=0.5).ell == 1
 
 
 def test_params_corollary_fields_roundtrip():

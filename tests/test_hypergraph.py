@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import complete_uniform
+from rtlab import hypergraph
 from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph, _bit_rows,
                               blowup, clean_low_codegree, complete_join, read_graph, read_hypergraph,
                               shadow, turan_hypergraph, write_graph,
@@ -322,6 +323,135 @@ def test_read_accepts_trailing_blank_lines(tmp_path):
     path = tmp_path / "h.hg"
     path.write_text("HG 3 4 2 0\n" + "-1\n" * 4 + "0 1 2\n1 2 3\n\n  \n")
     assert read_hypergraph(str(path)).edges == {(0, 1, 2), (1, 2, 3)}
+
+
+def former_read_hypergraph(path):
+    """The reader before the edge block was parsed by one numpy call: a
+    line scan, kept as the reference the reader is tested against."""
+    with open(path) as fh:
+        header = fh.readline().split()
+        if len(header) != 5 or header[0] != "HG":
+            raise ValueError(f"not a hypergraph file: {path}")
+        r, n, m, parts = map(int, header[1:])
+        if n < 0 or m < 0:
+            raise ValueError(f"{path}: header '{' '.join(header)}' gives a "
+                             f"negative vertex or edge count")
+        labels = [fh.readline() for _ in range(n)]
+        if "" in labels:
+            raise ValueError(f"{path}: header gives {n} part labels, "
+                             f"file ends after {labels.index('')}")
+        part_of = tuple(map(int, labels))
+        edges = []
+        for i in range(m):
+            line = fh.readline()
+            if not line:
+                raise ValueError(f"{path}: header gives {m} edges, "
+                                 f"file ends after {i}")
+            edges.append([int(x) for x in line.split()])
+        if any(line.strip() for line in fh):
+            raise ValueError(f"{path}: lines after the header's {m} edges")
+    h = PartitionedHypergraph(n, r, edges, part_of)
+    if len(h.edge_array) < m:
+        raise ValueError(f"{path}: an edge is listed twice ({m} edge lines, "
+                         f"{len(h.edge_array)} distinct edges)")
+    if h.parts != parts:
+        raise ValueError(f"{path}: header gives {parts} parts, "
+                         f"the labels give {h.parts}")
+    return h
+
+
+def _read_outcome(read, path):
+    """The hypergraph read, or the ValueError's message."""
+    try:
+        return read(path)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# what a mutation may put into an edge block: the characters of the
+# format, and characters int() or numpy read differently (numpy 2.4's
+# loadtxt reads U+01FF inside an integer as a digit)
+MUTATION_CHARS = "0123456789 -\n\n.#+_\t\r\x0cx\u0661\u01ff"
+
+
+@st.composite
+def edge_block_files(draw):
+    """A well-formed file's text, with up to four characters inserted,
+    deleted or replaced in its edge block, and its header edge count
+    moved by up to one."""
+    r = draw(st.integers(2, 4))
+    n = draw(st.integers(r, 7))
+    edges = sorted(draw(st.sets(st.sampled_from(list(combinations(range(n),
+                                                                     r))),
+                                max_size=8)))
+    labels = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
+    block = list("".join(" ".join(map(str, e)) + "\n" for e in edges))
+    for op, at, char in draw(st.lists(
+            st.tuples(st.sampled_from(["insert", "delete", "replace"]),
+                      st.integers(0, 10 ** 6),
+                      st.sampled_from(MUTATION_CHARS)), max_size=4)):
+        at %= len(block) + 1
+        if op == "insert":
+            block.insert(at, char)
+        elif at < len(block):
+            block[at:at + 1] = [char] if op == "replace" else []
+    m = len(edges) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    parts = max(labels) + 1
+    return (f"HG {r} {n} {m} {parts}\n" + "".join(f"{p}\n" for p in labels)
+            + "".join(block))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_block_files())
+def test_read_matches_former_line_reader(tmp_path_factory, text):
+    # the same hypergraph from both readers, or the same ValueError
+    path = tmp_path_factory.mktemp("mut") / "h.hg"
+    path.write_text(text)
+    assert (_read_outcome(read_hypergraph, str(path))
+            == _read_outcome(former_read_hypergraph, str(path)))
+
+
+@pytest.mark.parametrize("m,edge_lines,problem", [
+    (2, "0 1 2 # x\n1 2 3\n", "invalid literal for int() with base 10: '#'"),
+    (2, "0 1 2\n\n1 2 3\n", "lines after the header's 2 edges"),
+    # a blank line counted among the m edge lines
+    (3, "0 1 2\n\n1 2 3\n", "edge () is not a set of 3 distinct"),
+    (2, "0 1 2.0\n1 2 3\n", "invalid literal for int() with base 10: '2.0'"),
+    (2, "0 1 2 3\n1 2 3\n", "edge (0, 1, 2, 3) is not a set of 3 distinct"),
+    (2, "0 1 2 3\n0 1 2 3\n", "edge (0, 1, 2, 3) is not a set of 3 distinct"),
+    (2, "0 1 2\n1 2 \u01ff\n",
+     "invalid literal for int() with base 10: '\u01ff'"),
+])
+def test_read_refuses_what_the_line_reader_refuses(tmp_path, m, edge_lines,
+                                                   problem):
+    path = tmp_path / "bad.hg"
+    path.write_text(f"HG 3 4 {m} 0\n" + "-1\n" * 4 + edge_lines)
+    with pytest.raises(ValueError) as exc:
+        read_hypergraph(str(path))
+    assert problem in str(exc.value)
+
+
+def test_read_empty_edge_block_quietly(tmp_path, capfd):
+    # no edges: nothing for numpy to parse, and nothing on stderr (a
+    # warning would fail the test too)
+    path = tmp_path / "h.hg"
+    path.write_text("HG 3 4 0 1\n" + "0\n" * 4 + "\n")
+    h = read_hypergraph(str(path))
+    assert (h.n, h.r, h.edge_array.shape, h.parts) == (4, 3, (0, 3), 1)
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("m", [0, 1, 11])
+def test_read_parses_written_files_in_one_call(tmp_path, monkeypatch, m):
+    # the writer's output never needs the line scan
+    def refuse(*args):
+        raise AssertionError("line scan used")
+    monkeypatch.setattr(hypergraph, "_scan_edges", refuse)
+    h = random_hypergraph(9, 3, m, seed=4)
+    h = PartitionedHypergraph(h.n, h.r, h.edge_array, _parts3(9))
+    path = tmp_path / "h.hg"
+    write_hypergraph(h, str(path))
+    assert read_hypergraph(str(path)) == h
 
 
 @settings(max_examples=30, deadline=None)
