@@ -207,7 +207,7 @@ def _tuple_hypergraph(partition: SpherePartition, r: int, u: int,
     if nv > MAX_PART_SIZE:
         raise PartTooLarge(f"{nv} tuple vertices exceed the cap {MAX_PART_SIZE}")
     n = r * nv
-    part_of = tuple(p for p in range(r) for _ in range(nv))
+    part_of = np.repeat(np.arange(r), nv)
     meta = {"tuple_count": nv, "z": partition.z, "theta": theta,
             "r": r, "u": u}
 
@@ -308,12 +308,9 @@ def shadow_first_parts(h: PartitionedHypergraph, ell: int) -> SimpleGraph:
     """Shadow graph of the whole hypergraph, induced on the vertices of
     the first ell parts (pairs covered by any hyperedge survive when both
     endpoints are in the leading parts)."""
-    parts = h.parts
-    if not 1 <= ell <= parts:
-        raise ValueError(f"ell must be in [1, {parts}], got {ell}")
-    sh = shadow(h)
-    keep = [v for v in range(h.n) if 0 <= h.part_of[v] < ell]
-    return sh.induced(keep)
+    if not 1 <= ell <= h.parts:
+        raise ValueError(f"ell must be in [1, {h.parts}], got {ell}")
+    return shadow(h).induced(np.flatnonzero(np.isin(h.part_of, range(ell))))
 
 
 # ---------------------------------------------------------------------------

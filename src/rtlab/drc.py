@@ -181,12 +181,11 @@ def hyper_drc(g_r: PartitionedHypergraph, s: int, seed: int = 0) -> PartitionedH
     rng = substream(seed, "hyper-drc", 0)
     samples = [part0[int(rng.integers(len(part0)))] for _ in range(s)]
 
-    labels = np.asarray(g_r.part_of, dtype=np.int64)
     links = []
     for w in samples:
         through = g_r.edge_array[(g_r.edge_array == w).any(axis=1)]
         rest = through[through != w].reshape(-1, r - 1)
-        rest = rest[(labels[rest] != 0).all(axis=1)]
+        rest = rest[(g_r.part_of[rest] != 0).all(axis=1)]
         links.append(set(map(tuple, rest.tolist())))
     return PartitionedHypergraph(g_r.n, r - 1, set.intersection(*links),
                                  g_r.part_of, meta={"samples": samples})
@@ -243,13 +242,12 @@ def recheck_f_witness(h: PartitionedHypergraph, w: FWitness) -> bool:
     return all(e in h.edges for e in needed)
 
 
-def _balanced_partition(n: int, parts: int, rng) -> tuple:
+def _balanced_partition(n: int, parts: int, rng) -> np.ndarray:
     order = list(range(n))
     rng.shuffle(order)
-    labels = [0] * n
-    for i, v in enumerate(order):
-        labels[v] = i % parts
-    return tuple(labels)
+    labels = np.empty(n, dtype=np.int64)
+    labels[order] = np.arange(n) % parts
+    return labels
 
 
 def _trials(h: PartitionedHypergraph, stream: str, seed: int, tries: int,
@@ -289,7 +287,7 @@ def _trials(h: PartitionedHypergraph, stream: str, seed: int, tries: int,
 
 
 def _has_three_parts(h: PartitionedHypergraph) -> bool:
-    return h.parts == 3 and all(p != UNPARTITIONED for p in h.part_of)
+    return h.parts == 3 and UNPARTITIONED not in h.part_of
 
 
 def find_f_witness(h: PartitionedHypergraph, params: DrcParams,
@@ -318,7 +316,7 @@ def _f_witness_once(h, cleaned, params, seed, trial):
         raise PipelineFailure("hyper-drc", "empty auxiliary graph")
 
     labels = cleaned.part_of
-    verts23 = [v for v in range(h.n) if labels[v] in (1, 2)]
+    verts23 = np.flatnonzero(np.isin(labels, (1, 2))).tolist()
     g = as_graph(aux).induced(verts23)
     # the asymptotic feasibility inequality is vacuous at desk scale, so
     # the pipeline runs the verification-gated search unconditionally

@@ -18,6 +18,11 @@ writer and neighbour bitmasks) is a numpy pass over the array, made
 afresh on each call.  Edges pass between functions as arrays or as row
 indices into them; tuples are made only for `edges` and for the
 covering edges of a looked-up pair.
+The part labels are stored beside the edges, validated once, as
+`part_of`: a read-only int64 array of length n.  `parts`,
+`part_vertices`, the cross and inside rows, induced subgraphs, blowups,
+codegree cleaning and the file writer each read it in one numpy pass,
+and no other module converts it.
 `pair_cover_index` returns a `PairCoverIndex`: the covered pairs (a, b),
 a < b, their codegrees, and the rows of the array covering each, in row
 order.  It is the only sort of pair keys: the shadow is its pairs and
@@ -145,22 +150,36 @@ class PartitionedHypergraph:
     an edge inside a single part is an inside edge.  `edges` may be any
     collection of r-sets of vertices, as tuples in any order, or an
     (m, r) int array; it is stored as `edge_array` (see the module
-    docstring).
+    docstring).  `part_of` may be any sequence or array of n integers
+    (all UNPARTITIONED when None); it is stored as a read-only int64
+    array of length n.  ValueError when it does not give n labels, or a
+    label is not an integer within int64 or is below UNPARTITIONED.
     """
 
-    def __init__(self, n: int, r: int, edges, part_of: tuple | None = None,
+    def __init__(self, n: int, r: int, edges, part_of=None,
                  meta: dict | None = None):
         if r < 2:
             raise ValueError(f"edges need at least 2 vertices, got r={r}")
         self.n, self.r = n, r
-        self.part_of = tuple([UNPARTITIONED] * n if part_of is None
-                             else part_of)
         self.meta = {} if meta is None else meta
-        if len(self.part_of) != n:
+        part_of = np.full(n, UNPARTITIONED) if part_of is None else part_of
+        labels = np.array(part_of)  # a copy: the caller's array stays writeable
+        if labels.shape != (n,):
             raise ValueError("part_of must label every vertex")
-        if self.part_of and min(self.part_of) < UNPARTITIONED:
-            raise ValueError(f"part label {min(self.part_of)} is below "
+        if labels.dtype.kind != "i":
+            # numpy makes an empty sequence float64, and one holding an int
+            # beyond int64 object or float64, so these are read one by one
+            for p in part_of:
+                if not (isinstance(p, (int, np.integer))
+                        and -2 ** 63 <= p < 2 ** 63):
+                    raise ValueError(f"part label {p} is not an integer "
+                                     f"within int64")
+            labels = np.array(part_of, dtype=np.int64)
+        if labels.min(initial=UNPARTITIONED) < UNPARTITIONED:
+            raise ValueError(f"part label {labels.min()} is below "
                              f"{UNPARTITIONED}")
+        self.part_of = labels.astype(np.int64, copy=False)
+        self.part_of.flags.writeable = False
 
         self.edge_array = _store(_sorted_rows(edges, n, r), n)
 
@@ -171,24 +190,24 @@ class PartitionedHypergraph:
         return frozenset(_tuples(self.edge_array))
 
     def __eq__(self, other):
-        """Same type and attributes, the edges compared by their array."""
+        """Same type and attributes, the edges and labels compared by
+        their arrays."""
         def state(h):
-            return dict(vars(h), edges=None, edge_array=h.edge_array.tobytes())
+            return dict(vars(h), edges=None, edge_array=h.edge_array.tobytes(),
+                        part_of=h.part_of.tobytes())
         return type(other) is type(self) and state(self) == state(other)
 
     @property
     def parts(self) -> int:
-        labels = {p for p in self.part_of if p != UNPARTITIONED}
-        return (max(labels) + 1) if labels else 0
+        return int(self.part_of.max(initial=UNPARTITIONED)) + 1
 
     def part_vertices(self, p: int) -> list:
-        return [v for v in range(self.n) if self.part_of[v] == p]
+        return np.flatnonzero(self.part_of == p).tolist()
 
     def _edge_labels(self) -> np.ndarray:
         """The part labels of the edges' vertices, row by row, each row
         sorted."""
-        labels = np.asarray(self.part_of, dtype=np.int64)
-        return np.sort(labels[self.edge_array], axis=1)
+        return np.sort(self.part_of[self.edge_array], axis=1)
 
     def cross_mask(self) -> np.ndarray:
         """Per row of `edge_array`, whether its r vertices lie in r
@@ -212,7 +231,7 @@ class PartitionedHypergraph:
         vs = sorted(vertices)
         return PartitionedHypergraph(len(vs), self.r,
                                      _induced_rows(self.n, self.edge_array, vs),
-                                     tuple(self.part_of[v] for v in vs))
+                                     self.part_of[vs])
 
     def pair_cover_index(self) -> "PairCoverIndex":
         """The covered pairs and the rows covering each; see
@@ -275,7 +294,7 @@ class SimpleGraph(PartitionedHypergraph):
     """Undirected graph on vertices 0..n-1: the r = 2 hypergraph, with
     neighbour bitmasks for the exact solvers."""
 
-    def __init__(self, n: int, edges, part_of: tuple | None = None):
+    def __init__(self, n: int, edges, part_of=None):
         super().__init__(n, 2, edges, part_of)
 
     def adjacency_masks(self) -> list:
@@ -290,7 +309,7 @@ class SimpleGraph(PartitionedHypergraph):
         """Induced subgraph, vertices renumbered by sorted order."""
         vs = sorted(vertices)
         return SimpleGraph(len(vs), _induced_rows(self.n, self.edge_array, vs),
-                           tuple(self.part_of[v] for v in vs))
+                           self.part_of[vs])
 
 
 def complete_join(g: SimpleGraph, t_graph: SimpleGraph) -> SimpleGraph:
@@ -327,9 +346,9 @@ def blowup(h: PartitionedHypergraph, t: int) -> PartitionedHypergraph:
     offsets = np.array(list(product(range(t), repeat=h.r)), dtype=np.int64)
     edges = (h.edge_array[:, None, :].astype(np.int64) * t
              + offsets).reshape(-1, h.r)
-    parts = tuple(h.part_of[v] for v in range(h.n) for _ in range(t))
     meta = dict(h.meta, blowup_t=h.meta.get("blowup_t", 1) * t)
-    return PartitionedHypergraph(h.n * t, h.r, edges, parts, meta=meta)
+    return PartitionedHypergraph(h.n * t, h.r, edges, np.repeat(h.part_of, t),
+                                 meta=meta)
 
 
 def turan_hypergraph(n: int, s: int, r: int) -> PartitionedHypergraph:
@@ -344,7 +363,7 @@ def turan_hypergraph(n: int, s: int, r: int) -> PartitionedHypergraph:
                                     for p in chosen), indexing="ij"),
                       axis=-1).reshape(-1, r)
              for chosen in combinations(range(s), r)]
-    return PartitionedHypergraph(n, r, np.concatenate(grids), tuple(part_of))
+    return PartitionedHypergraph(n, r, np.concatenate(grids), part_of)
 
 
 def clean_low_codegree(h: PartitionedHypergraph,
@@ -359,12 +378,11 @@ def clean_low_codegree(h: PartitionedHypergraph,
     threshold."""
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    labels = np.asarray(h.part_of, dtype=np.int64)
     edges = h.edge_array
     removed = 0
     while True:
         cover = PairCoverIndex(edges, h.n)
-        pa, pb = labels[cover.pairs].T
+        pa, pb = h.part_of[cover.pairs].T
         low = ((pa != pb) & (pa != UNPARTITIONED) & (pb != UNPARTITIONED)
                & (cover.codegrees <= threshold))
         doomed = np.zeros(len(edges), dtype=bool)
@@ -388,8 +406,7 @@ def clean_low_codegree(h: PartitionedHypergraph,
 def write_hypergraph(h: PartitionedHypergraph, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(f"HG {h.r} {h.n} {len(h.edge_array)} {h.parts}\n")
-        for v in range(h.n):
-            fh.write(f"{h.part_of[v]}\n")
+        fh.write("".join(f"{p}\n" for p in h.part_of.tolist()))
         # one "%d ... %d" line per edge, filled from the flattened rows
         line = " ".join(["%d"] * h.r) + "\n"
         rows = h.edge_array
@@ -442,11 +459,11 @@ def _scan_edges(fh, path: str, m: int) -> list:
 def read_hypergraph(path: str) -> PartitionedHypergraph:
     """Parse the format above.  ValueError on a bad header or label line,
     a header vertex or edge count below 0, fewer than n label lines, a
-    label below -1, a header part count other than the labels give, an
-    edge line without r distinct vertices (a token int() refuses, such
-    as `2.0` or `#`, included), an edge listed twice, fewer than m edge
-    lines, a blank line among them, or a non-blank line after the m-th;
-    blank lines may end the file.  An edge block in plain decimal
+    label below -1 or beyond int64, a header part count other than the
+    labels give, an edge line without r distinct vertices (a token int()
+    refuses, such as `2.0` or `#`, included), an edge listed twice,
+    fewer than m edge lines, a blank line among them, or a non-blank
+    line after the m-th; blank lines may end the file.  An edge block in plain decimal
     integers and spaces is parsed by one numpy call (`_edge_rows`); any
     other is read line by line, which words the error when there is
     one."""

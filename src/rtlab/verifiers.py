@@ -460,14 +460,13 @@ def scan_split_core(h: PartitionedHypergraph, budget=None) -> Embedding | None:
     counter = _Counter(resolve_budget(budget))
     cover = h.pair_cover_index()
     adj = SimpleGraph(h.n, cover.pairs).adjacency_masks()
-    part_of = np.asarray(h.part_of, dtype=np.int64)
-    pa, pb = part_of[cover.pairs].T
+    pa, pb = h.part_of[cover.pairs].T
     same = (pa == pb) & (pa != UNPARTITIONED)
     inside, labels = cover.pairs[same], pa[same]
     parts = sorted(set(labels.tolist()))  # the parts with a covered inside pair
-    vs = np.flatnonzero(np.isin(part_of, parts))
+    vs = np.flatnonzero(np.isin(h.part_of, parts))
     part_masks = _bit_rows(len(parts), h.n,
-                           np.searchsorted(parts, part_of[vs]), vs)
+                           np.searchsorted(parts, h.part_of[vs]), vs)
     for i, pi in enumerate(parts):
         pairs_i = inside[labels == pi].tolist()
         for part_j in part_masks[i + 1:]:
@@ -491,7 +490,7 @@ def recheck_split_core(h: PartitionedHypergraph, emb: Embedding) -> bool:
     and the last two in another; unlabelled vertices are in no part."""
     if not recheck_cores(h, emb, 4):
         return False
-    a, b, c, d = (h.part_of[v] for v in emb.vertex_map.values())
+    a, b, c, d = h.part_of[list(emb.vertex_map.values())].tolist()
     return a == b != c == d and UNPARTITIONED not in (a, c)
 
 
@@ -513,19 +512,21 @@ def blowup_deletion_condition(r: int, gamma: float):
     return lambda v, m: gamma * (m - 1) < (r - 1) * m + 1 - v
 
 
-def connected_edge_subsets(h: PartitionedHypergraph, max_vertices: int,
-                           counter: _Counter, stop_at, dead=frozenset()):
+def connected_edge_subsets(h: PartitionedHypergraph, masks: list,
+                           max_vertices: int, counter: _Counter, stop_at,
+                           dead=frozenset()):
     """Yield (edge-index tuple, vertex count) for every connected
     sub-collection of two or more edges with at most max_vertices
-    vertices and no edge whose index (a row of h.edge_array) is in `dead`.
+    vertices and no edge whose index (a row of h.edge_array) is in `dead`;
+    `masks` holds each row's vertex set as an int bitmask.
 
     Exact-once enumeration (ESU, Wernicke 2006: grow from the minimum
     edge index with an exclusive extension list).  When `stop_at(v, m)`
     is true for a yielded subset it is not extended further; every subset
     all of whose proper connected prefixes fail stop_at is still reached,
-    so in particular every minimal satisfying subset is yielded.  Vertex
-    sets are int bitmasks, and each edge's neighbours (the edges sharing
-    a vertex with it) come from one sort of the rows' vertex incidences.
+    so in particular every minimal satisfying subset is yielded.  Each
+    edge's neighbours (the edges sharing a vertex with it) come from one
+    sort of the rows' vertex incidences.
 
     `dead` is read at every step, so the caller may add to it between
     yields.  Deleting edges changes no adjacency among the others, so the
@@ -538,7 +539,6 @@ def connected_edge_subsets(h: PartitionedHypergraph, max_vertices: int,
     m, r = rows.shape
     if r > max_vertices:
         return
-    masks = _bit_rows(m, h.n, np.repeat(np.arange(m), r), rows.ravel())
     live = np.ones(m, dtype=bool)  # edges dead already have no neighbours
     live[list(dead)] = False
     kept = np.flatnonzero(live)
@@ -622,7 +622,8 @@ def _sparse_witnesses(h: PartitionedHypergraph, ell: int, condition,
     for pair in sorted(pairs):
         if dead.isdisjoint(pair):
             yield pair
-    for subset, v in connected_edge_subsets(h, ell, counter, condition, dead):
+    for subset, v in connected_edge_subsets(h, masks, ell, counter, condition,
+                                            dead):
         if condition(v, len(subset)):
             yield subset
 
@@ -709,20 +710,24 @@ def density_report(obj, params=None) -> VerificationReport:
     z (ok `no` when z is below it) are reported for inspection, never
     asserted.  The verdict is read off the asserted rows at the end:
     `unchecked` when none is asserted, else `violated` when one fails and
-    `holds` when all pass.  A graph's blocks are its labelled parts;
-    vertices labelled UNPARTITIONED are in none.
+    `holds` when all pass.  The per-part rows (sizes, vertex caps and a
+    graph's blocks) cover the labels present, in ascending order, so a
+    label skipped by the numbering gets no row; vertices labelled
+    UNPARTITIONED are in no part.
     """
     rows = []
     m = len(obj.edge_array)
     rows.append(_row("vertices", obj.n))
     rows.append(_row("edges", m))
+    # the labels present and their sizes, by one sort; a label may be far
+    # above the number of parts, so nothing is sized by the largest label
+    labels, sizes = (a.tolist() for a in np.unique(
+        obj.part_of[obj.part_of != UNPARTITIONED], return_counts=True))
     if isinstance(obj, SimpleGraph):
         if obj.n > 1:
             rows.append(_row("edge_density", 2 * m / (obj.n * (obj.n - 1))))
         if obj.parts:
-            labels = sorted(set(obj.part_of) - {UNPARTITIONED})
-            ends = np.sort(np.asarray(obj.part_of)[obj.edge_array], axis=1)
-            blocks = Counter(map(tuple, ends.tolist()))
+            blocks = Counter(map(tuple, obj._edge_labels().tolist()))
             for pi in labels:
                 rows.append(_row(f"edges_within_part_{pi}",
                                  blocks.get((pi, pi), 0)))
@@ -736,8 +741,8 @@ def density_report(obj, params=None) -> VerificationReport:
         if h.parts:
             rows.append(_row("cross_edges", cross))
             rows.append(_row("inside_edges", len(h.inside_edges())))
-            for p in range(h.parts):
-                rows.append(_row(f"part_{p}_size", len(h.part_vertices(p))))
+            for p, size in zip(labels, sizes):
+                rows.append(_row(f"part_{p}_size", size))
         meta = h.meta or {}
         if "base_cross" in meta and "blowup_t" in meta:
             t = meta["blowup_t"]
@@ -746,8 +751,7 @@ def density_report(obj, params=None) -> VerificationReport:
                              asserted=True, ok=cross == expect))
         if "tuple_count" in meta:
             cap = meta["tuple_count"]
-            for p in range(h.parts):
-                size = len(h.part_vertices(p))
+            for p, size in zip(labels, sizes):
                 base = size // meta.get("blowup_t", 1)
                 rows.append(_row(f"part_{p}_vertex_cap", base, reference=cap,
                                  asserted=True, ok=base <= cap))

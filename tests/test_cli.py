@@ -178,6 +178,8 @@ def test_verify_edge_count_mismatch_exit_2(tmp_path):
 @pytest.mark.parametrize("header_parts,label,problem", [
     (0, -5, "part label -5 is below -1"),
     (2, -1, "header gives 2 parts, the labels give 0"),
+    (10 ** 21 + 1, 10 ** 21,
+     f"part label {10 ** 21} is not an integer within int64"),
 ])
 def test_verify_bad_part_labels_exit_2(tmp_path, capsys, header_parts, label,
                                        problem):
@@ -834,6 +836,32 @@ def test_report_with_nothing_asserted_is_unchecked(tmp_path):
     assert csv.read_text().splitlines()[0] == \
         "# property=density verdict=unchecked"
     assert json.loads(js.read_text())["verdict"] == "unchecked"
+
+
+# `rtlab report` timed inside a fresh interpreter: argv is the hypergraph
+# file and the JSON report path; prints the exit code and the seconds
+REPORT_TIMED = """
+import sys, time
+from rtlab.cli import main
+start = time.perf_counter()
+code = main(["report", "--format", "json", "--out", sys.argv[2], sys.argv[1]])
+print(code, time.perf_counter() - start)
+"""
+
+
+def test_report_rows_cover_the_labels_present(tmp_path):
+    # a label far above the number of parts gets its one row and the
+    # labels it skips none, so the report does no work per skipped label
+    far = 10 ** 12
+    path, js = tmp_path / "far.hg", tmp_path / "report.json"
+    path.write_text(f"HG 3 3 1 {far + 1}\n0\n0\n{far}\n0 1 2\n")
+    proc = run_fresh(REPORT_TIMED, str(path), str(js))
+    code, seconds = proc.stdout.split()
+    assert code == "0" and float(seconds) < 1, proc.stderr
+    rows = json.loads(js.read_text())["rows"]
+    assert [(row["quantity"], row["value"]) for row in rows
+            if row["quantity"].startswith("part_")] == \
+        [("part_0_size", 2), (f"part_{far}_size", 1)]
 
 
 def _no_constant(name):

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtlab.constructions import ConstructionParams, full_construction
+from rtlab.constructions import (ConstructionParams, full_construction,
+                                shadow_first_parts)
 from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph, blowup,
                               clean_low_codegree, read_hypergraph, shadow,
                               write_hypergraph)
@@ -170,12 +171,12 @@ def test_views_match_frozenset_references(inputs, t, threshold):
 
     sh = shadow(h)
     assert unviewed(sh) and sh.edges == ref_shadow(want)
-    assert sh.part_of == h.part_of
+    assert np.array_equal(sh.part_of, h.part_of)
     assert sh.adjacency_masks() == ref_masks(n, ref_shadow(want))
 
     sub = h.induced(vertices)
     assert unviewed(sub) and sub.edges == ref_induced(want, vertices)
-    assert sub.part_of == tuple(labels[v] for v in sorted(vertices))
+    assert sub.part_of.tolist() == [labels[v] for v in sorted(vertices)]
 
     blown = blowup(h, t)
     assert unviewed(blown) and blown.n == n * t
@@ -231,6 +232,103 @@ def test_edge_array_is_read_only():
         h.edge_array[0, 0] = 3
 
 
+def test_part_labels_are_read_only():
+    # the store is a copy: the caller's array stays writeable, and writing
+    # to it leaves the hypergraph's labels as they were
+    given = np.array([0, 1, 2, 2], dtype=np.int32)
+    h = PartitionedHypergraph(4, 3, [(2, 1, 0)], given)
+    assert h.part_of.dtype == np.int64 and not h.part_of.flags.writeable
+    with pytest.raises(ValueError):
+        h.part_of[0] = 1
+    given[0] = 1
+    assert given.flags.writeable and h.part_of.tolist() == [0, 1, 2, 2]
+
+
+def test_equality_reads_labels_and_edges():
+    h = PartitionedHypergraph(4, 3, [(0, 1, 2)], (0, 1, 2, 2))
+    assert h == PartitionedHypergraph(4, 3, np.array([[2, 1, 0]]),
+                                      np.array([0, 1, 2, 2]))
+    assert h != PartitionedHypergraph(4, 3, [(0, 1, 2)], (0, 1, 2, 1))
+    assert h != PartitionedHypergraph(4, 3, [(0, 1, 3)], (0, 1, 2, 2))
+    assert SimpleGraph(3, [(0, 1)], (0, 0, 1)) != \
+        SimpleGraph(3, [(0, 1)], (0, 0, -1))
+
+
+# ---------------------------------------------------------------------------
+# part labels against references over tuples: unlabelled vertices, labels
+# that skip a part, and labels given as a tuple, a list or an int array of
+# any width
+
+
+@st.composite
+def labelled_inputs(draw):
+    r = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(0, 10))
+    edges = []
+    if n >= r:
+        edge = st.permutations(range(n)).map(lambda p: tuple(sorted(p[:r])))
+        edges = draw(st.lists(edge, max_size=20, unique=True))
+    labels = tuple(draw(st.lists(st.integers(-1, 5), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["tuple", "list", "int8", "int32", "int64"]))
+    given_labels = (labels if kind == "tuple" else list(labels)
+                    if kind == "list" else np.array(labels, dtype=kind))
+    vertices = draw(st.sets(st.integers(0, n - 1))) if n else set()
+    return n, r, edges, labels, given_labels, vertices
+
+
+def ref_parts(labels) -> int:
+    return max((p + 1 for p in labels), default=0)
+
+
+def ref_part_vertices(labels, p) -> list:
+    return [v for v, q in enumerate(labels) if q == p]
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_inputs(), st.integers(1, 3))
+def test_label_views_match_tuple_references(tmp_path_factory, inputs, t):
+    n, r, edges, labels, given_labels, vertices = inputs
+    h = PartitionedHypergraph(n, r, edges, given_labels)
+    want = ref_edges(edges)
+    assert h.part_of.dtype == np.int64 and h.part_of.tolist() == list(labels)
+    assert h.parts == ref_parts(labels)
+    for p in range(-1, h.parts + 1):
+        found = h.part_vertices(p)
+        assert found == ref_part_vertices(labels, p) and python_ints([found])
+
+    cross = ref_cross(want, labels)
+    assert h.cross_mask().tolist() == [e in cross for e in sorted(want)]
+    assert h.inside_edges().tolist() == [list(e)
+                                         for e in ref_inside(want, labels)]
+
+    sub = h.induced(vertices)
+    assert sub.part_of.tolist() == [labels[v] for v in sorted(vertices)]
+    assert sub.edges == ref_induced(want, vertices)
+    blown = blowup(h, t)
+    assert blown.part_of.tolist() == [p for p in labels for _ in range(t)]
+    sh = shadow(h)
+    assert sh.part_of.tolist() == list(labels)
+    assert sh.edges == ref_shadow(want)
+
+    for ell in range(h.parts + 2):
+        if not 1 <= ell <= h.parts:
+            with pytest.raises(ValueError, match="ell must be in"):
+                shadow_first_parts(h, ell)
+            continue
+        keep = [v for v in range(n) if 0 <= labels[v] < ell]
+        first = shadow_first_parts(h, ell)
+        assert first.part_of.tolist() == [labels[v] for v in keep]
+        assert first.edges == ref_induced(ref_shadow(want), keep)
+
+    path = tmp_path_factory.mktemp("labels") / "h.hg"
+    write_hypergraph(h, str(path))
+    lines = path.read_text().splitlines()
+    assert lines[0].split()[-1] == str(ref_parts(labels))
+    assert lines[1:1 + n] == [str(p) for p in labels]
+    back = read_hypergraph(str(path))
+    assert back == h and back.part_of.tolist() == list(labels)
+
+
 # ---------------------------------------------------------------------------
 # validation messages
 
@@ -254,6 +352,8 @@ def test_hypergraph_validation_messages(edges, message):
 @pytest.mark.parametrize("part_of,message", [
     ((0, -2, 1, 1), "part label -2 is below -1"),
     ((0, 1, 2), "part_of must label every vertex"),
+    ((0, 0.5, 1, 1), "part label 0.5 is not an integer within int64"),
+    ((0, 0, 10 ** 21, 1), f"part label {10 ** 21} is not an integer within"),
 ])
 def test_hypergraph_label_messages(part_of, message):
     with pytest.raises(ValueError, match=message):

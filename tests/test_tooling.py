@@ -4,8 +4,9 @@ silently break a traced run, no search recurses to a depth that grows
 with its input, the package imports nothing but the standard library
 and numpy, no private helper is left without a caller, no public
 function, class or method is reached by tests alone, and only the
-membership rechecks read the `edges` view of the edge array, and the
-CLI's construction flags mirror the construction params."""
+membership rechecks read the `edges` view of the edge array, only the
+hypergraph constructor converts the part labels, and the CLI's
+construction flags mirror the construction params."""
 
 import ast
 import json
@@ -33,6 +34,9 @@ ENTRY_POINTS = {
 # reads `edge_array`
 EDGES_READERS = {"recheck_cores", "recheck_sparse_pattern",
                  "recheck_f_witness"}
+
+# the calls that would convert the part labels again
+LABEL_CONVERTERS = {"asarray", "array", "tuple", "list"}
 
 
 # in a fresh interpreter, as tracer.install does: import rtlab.cli alone,
@@ -220,6 +224,35 @@ def test_searches_read_the_edge_array():
                   and fn.name == "sorted_edges"]
         found += [f"{path.stem}:{line}: sorted_edges"
                   for name, _, line in _uses(path) if name == "sorted_edges"]
+    assert found == []
+
+
+def _names(node):
+    """The names and attributes in the node's subtree."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_labels_are_converted_once():
+    # PartitionedHypergraph.__init__ stores `part_of` as an int64 array;
+    # no other code of the package wraps it in a LABEL_CONVERTERS call
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        store = [(fn.lineno, fn.end_lineno) for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef)
+                 and cls.name == "PartitionedHypergraph"
+                 for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                 and fn.name == "__init__"]
+        for call in ast.walk(tree):
+            if not (isinstance(call, ast.Call) and call.args):
+                continue
+            func = call.func
+            name = getattr(func, "id", getattr(func, "attr", None))
+            if (name in LABEL_CONVERTERS and "part_of" in _names(call.args[0])
+                    and not any(first <= call.lineno <= last
+                                for first, last in store)):
+                found.append(f"{path.stem}:{call.lineno}: {name}(part_of)")
     assert found == []
 
 

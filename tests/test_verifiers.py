@@ -896,8 +896,9 @@ def test_connected_subset_enumeration_matches_brute_force():
             edges.add(tuple(sorted(rng.choice(n, 3, replace=False).tolist())))
         h = PartitionedHypergraph(n, 3, frozenset(edges))
         rows = h.edge_array.tolist()
+        masks = [sum(1 << x for x in e) for e in rows]
         got = set()
-        for sub, v in connected_edge_subsets(h, 7, _Counter(10 ** 9),
+        for sub, v in connected_edge_subsets(h, masks, 7, _Counter(10 ** 9),
                                              lambda v, m: False):
             assert sub not in got
             assert v == len({x for i in sub for x in rows[i]})
@@ -907,15 +908,15 @@ def test_connected_subset_enumeration_matches_brute_force():
     assert found > 0
 
 
-def _former_linear_walk(h, max_vertices, counter, stop_at, dead=frozenset()):
+def _former_linear_walk(h, masks, max_vertices, counter, stop_at,
+                        dead=frozenset()):
     # connected_edge_subsets as it was when it also refused every
     # candidate sharing two vertices with an edge of the subset
-    from rtlab.hypergraph import _bit_rows, _runs
+    from rtlab.hypergraph import _runs
     rows = h.edge_array
     m, r = rows.shape
     if r > max_vertices:
         return
-    masks = _bit_rows(m, h.n, np.repeat(np.arange(m), r), rows.ravel())
     live = np.ones(m, dtype=bool)
     live[list(dead)] = False
     kept = np.flatnonzero(live)
