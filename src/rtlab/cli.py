@@ -61,6 +61,12 @@ PARAM_FLAGS = {"r": int, "z": int, "alpha": float, "beta": float,
                "epsilon": float, "k": int, "blowup_t": int, "gamma": float,
                "pattern_cap": int, "seed": int}
 
+# each `construct --type` and the `constructions` builder it calls with
+# (params, partition); names, so building the parser runs no module
+CONSTRUCTIONS = {"be": "bollobas_erdos", "sphere": "sphere_hypergraph",
+                 "full": "full_construction",
+                 "corollary": "corollary_construction"}
+
 
 def _read_params(path: str) -> dict:
     """A params file's JSON object; ValueError if the top level is not one."""
@@ -111,15 +117,8 @@ def _emit_json(payload, path):
 
 def _cmd_construct(args) -> int:
     params = _load_params(args)
-    partition = params.build_partition()
-    if args.type == "be":
-        out = con.bollobas_erdos(partition, params.epsilon)
-    elif args.type == "sphere":
-        out = con.sphere_hypergraph(params, partition)
-    elif args.type == "full":
-        out = con.full_construction(params, partition)
-    elif args.type == "corollary":
-        out = con.corollary_construction(params, partition)
+    build = getattr(con, CONSTRUCTIONS[args.type])
+    out = build(params, params.build_partition())
     hg.write_hypergraph(out, args.out)
     print(f"wrote {args.type} construction to {args.out}")
     return EXIT_HOLDS
@@ -274,8 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a construction and write it")
-    p.add_argument("--type", required=True,
-                   choices=["be", "sphere", "full", "corollary"])
+    p.add_argument("--type", required=True, choices=list(CONSTRUCTIONS))
     _add_param_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_construct)

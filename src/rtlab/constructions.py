@@ -5,8 +5,10 @@ rule), the r-part tuple-vertex hypergraph, the probabilistic blowup with
 sparse-pattern deletion, the fully assembled blown-up construction, shadow
 graphs restricted to leading parts and the complete-join corollary graph.
 Each of the four constructions (`bollobas_erdos`, `sphere_hypergraph`,
-`full_construction`, `corollary_construction`) is one call on a
-`ConstructionParams`'s values and its sphere partition.  The exact
+`full_construction`, `corollary_construction`) is one call
+`builder(params, partition)` on a `ConstructionParams` and its sphere
+partition; theta = epsilon/sqrt(k) is worked out once, by the params,
+and every builder reads it from there.  The exact
 rational bound and mixing optimization live in `rtlab.bounds`, which
 needs no numpy; `theta_lower_bound` and `optimize_a` are re-exported
 here.
@@ -129,15 +131,15 @@ class ConstructionParams:
 # the two-sided sphere graph
 
 
-def bollobas_erdos(partition: SpherePartition, epsilon: float) -> SimpleGraph:
+def bollobas_erdos(params: ConstructionParams,
+                   partition: SpherePartition) -> SimpleGraph:
     """Two copies of the partition's point set; inside a side an edge
     joins near-antipodal points (d >= 2 - theta), across the sides an
     edge joins near-orthogonal points (d <= sqrt(2) - theta), where
-    theta = epsilon/sqrt(k) on the partition's sphere S^k.  This is the
-    r = 2, u = 1 tuple hypergraph of `sphere_hypergraph`, caps included:
-    PartTooLarge over 5,000 points per side or about 5 M close pairs."""
-    theta = epsilon / math.sqrt(partition.k)
-    return as_graph(_tuple_hypergraph(partition, 2, 1, theta))
+    theta = params.theta.  This is the r = 2, u = 1 tuple hypergraph of
+    `sphere_hypergraph` whatever params.r, caps included: PartTooLarge
+    over 5,000 points per side or about 5 M close pairs."""
+    return as_graph(_tuple_hypergraph(partition, 2, 1, params.theta))
 
 
 # ---------------------------------------------------------------------------

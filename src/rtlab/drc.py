@@ -239,7 +239,7 @@ def recheck_f_witness(h: PartitionedHypergraph, w: FWitness) -> bool:
     needed = _f_edges(w.xs, w.ys, w.zs)
     if w.edges_used and [tuple(e) for e in w.edges_used] != needed:
         return False
-    return all(e in h.edges for e in needed)
+    return all(h.contains(needed))
 
 
 def _balanced_partition(n: int, parts: int, rng) -> np.ndarray:

@@ -9,15 +9,16 @@ r = 2 subclass, with neighbour bitmasks added.  The edges are stored
 once, validated at construction, as `edge_array`: a read-only (m, r)
 int32 array (int64 past 2^31 vertices) whose rows are the edges, each
 row sorted, the rows distinct and in lexicographic order.  It is the
-only store, and the searches read it: `edges`, the frozenset of the
-same sorted tuples for the membership rechecks, is built from the array
-on first read and then kept, so a graph whose edges nobody looks up
-never makes a Python tuple per edge.  Every other view (the pair-cover
-index, cross and inside rows, induced subgraphs, blowups, the file
-writer and neighbour bitmasks) is a numpy pass over the array, made
-afresh on each call.  Edges pass between functions as arrays or as row
-indices into them; tuples are made only for `edges` and for the
-covering edges of a looked-up pair.
+only store, and the searches read it.  `contains` looks rows up in it
+by binary search, for the membership rechecks.  `edges`, the frozenset
+of the same sorted tuples, is built from the array on first read and
+then kept; no code of the package reads it, so a graph never makes a
+Python tuple per edge unless a caller outside asks for this view.
+Every other view (the pair-cover index, cross and inside rows, induced
+subgraphs, blowups, the file writer and neighbour bitmasks) is a numpy
+pass over the array, made afresh on each call.  Edges pass between
+functions as arrays or as row indices into them; tuples are made only
+for `edges` and for the covering edges of a looked-up pair.
 The part labels are stored beside the edges, validated once, as
 `part_of`: a read-only int64 array of length n.  `parts`,
 `part_vertices`, the cross and inside rows, induced subgraphs, blowups,
@@ -31,8 +32,9 @@ always iterated in lexicographic order, so every pipeline built on
 these types is reproducible.
 """
 
+from bisect import bisect_left
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import numpy as np
 
@@ -185,9 +187,24 @@ class PartitionedHypergraph:
 
     @cached_property
     def edges(self) -> frozenset:
-        """The edges as a frozenset of sorted tuples, for membership
-        tests: built from `edge_array` on first read, then kept."""
+        """The edges as a frozenset of sorted tuples, for callers outside
+        the package (its rechecks use `contains`): built from `edge_array`
+        on first read, then kept."""
         return frozenset(_tuples(self.edge_array))
+
+    def contains(self, rows) -> list:
+        """Per row, a collection of vertices in any order, whether it is
+        an edge: one exact lexicographic binary search of `edge_array` a
+        row, comparing Python int lists, O(r log m), so no view of all the
+        edges is built.  A row of another length, or with a vertex outside
+        0..n-1, matches no stored row and so is not an edge."""
+        store = self.edge_array
+        found = []
+        for row in rows:
+            e = sorted(row)
+            i = bisect_left(store, e, key=np.ndarray.tolist)
+            found.append(i < len(store) and store[i].tolist() == e)
+        return found
 
     def __eq__(self, other):
         """Same type and attributes, the edges and labels compared by
@@ -257,8 +274,9 @@ class PairCoverIndex:
     def __init__(self, edges: np.ndarray, n: int):
         self._edges = edges
         self._n = n
-        cols = list(combinations(range(edges.shape[1]), 2))
-        first, second = np.array(cols).T
+        # the C(r, 2) column pairs in `combinations` order; none without
+        # rows, as an edge-free store covers no pair whatever its r
+        first, second = np.triu_indices(edges.shape[1] if len(edges) else 0, 1)
         keys = edges[:, first].astype(np.int64, copy=False)
         keys *= n
         keys += edges[:, second]
@@ -267,7 +285,7 @@ class PairCoverIndex:
         self._start = np.append(start, len(keys))
         self.codegrees = np.diff(self._start)
         self.pairs = np.stack(np.divmod(self._keys, n), axis=1)
-        self.covering_rows = order // len(cols)
+        self.covering_rows = order // len(first)
 
     def edge_indices(self, i: int) -> list:
         """The covering edges of pairs[i], as ascending indices into the
@@ -475,10 +493,12 @@ def read_hypergraph(path: str) -> PartitionedHypergraph:
         if n < 0 or m < 0:
             raise ValueError(f"{path}: header '{' '.join(header)}' gives a "
                              f"negative vertex or edge count")
-        labels = [fh.readline() for _ in range(n)]
-        if "" in labels:
+        # stops at the end of the file, so the work is bounded by its lines,
+        # not by the header's count
+        labels = list(islice(iter(fh.readline, ""), n))
+        if len(labels) < n:
             raise ValueError(f"{path}: header gives {n} part labels, "
-                             f"file ends after {labels.index('')}")
+                             f"file ends after {len(labels)}")
         part_of = tuple(map(int, labels))
         start = fh.tell()
         edges = _edge_rows(fh, m, r)

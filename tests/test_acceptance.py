@@ -56,8 +56,9 @@ def test_criterion_3_two_sided_sphere_graph():
     t0 = time.time()
     eps, k = find_eps_k(0.3, 0.3, 2)
     z = 150
-    part = build_partition(k, z, eps / math.sqrt(k), seed=11)
-    g = bollobas_erdos(part, eps)
+    params = ConstructionParams(r=2, z=z, alpha=0.3, beta=0.3, epsilon=eps,
+                                k=k, seed=11)
+    g = bollobas_erdos(params, params.build_partition())
     no_k4 = find_clique(g, 4) is None
     sides_ok = True
     for p in (0, 1):

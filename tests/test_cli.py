@@ -864,6 +864,60 @@ def test_report_rows_cover_the_labels_present(tmp_path):
         [("part_0_size", 2), (f"part_{far}_size", 1)]
 
 
+def test_graph_report_rows_grow_with_the_edges(tmp_path):
+    # 1,000 labels and one edge: a within row per label and one between
+    # row, not one per label pair
+    path, js = tmp_path / "labels.g", tmp_path / "report.json"
+    path.write_text("HG 2 1000 1 1000\n"
+                    + "".join(f"{p}\n" for p in range(1000)) + "0 1\n")
+    proc = run_fresh(REPORT_TIMED, str(path), str(js))
+    code, seconds = proc.stdout.split()
+    assert code == "0" and float(seconds) < 1, proc.stderr
+    names = [row["quantity"] for row in json.loads(js.read_text())["rows"]]
+    assert sum(n.startswith("edges_within_part_") for n in names) == 1000
+    assert [n for n in names if n.startswith("edges_between_")] == \
+        ["edges_between_parts_0_1"]
+
+
+# the CLI on argv under a 1 GB address-space cap, so a run that would
+# size its work by a header's count fails at once instead of filling
+# the machine's memory; prints the seconds main took as its last line
+# of stderr and exits with its code
+CLI_CAPPED = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from rtlab.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(time.perf_counter() - start, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("text,argv,code,out", [
+    # the header's 30 M label lines are read only while the file lasts
+    ("HG 3 30000000 1 1\n0\n", "report", 2,
+     "header gives 30000000 part labels, file ends after 1"),
+    # an edge-free store covers no pair, whatever its r
+    ("HG 100000000 3 0 1\n0\n0\n0\n", "verify --check split-core", 0,
+     "split-core: holds"),
+    ("HG 100000000 3 0 1\n0\n0\n0\n", "verify --check tk --s 3", 0,
+     "tk: holds"),
+    ("HG 100000000 3 0 1\n0\n0\n0\n", "verify --check tkf --s 3", 0,
+     "tkf: holds"),
+    ("HG 100000000 3 0 1\n0\n0\n0\n", "verify --check sparse", 0,
+     "sparse: holds"),
+], ids=["label-count", "split-core", "tk", "tkf", "sparse"])
+def test_header_counts_cost_nothing(tmp_path, text, argv, code, out):
+    # a tiny file whose header gives a huge count is answered within 2 s
+    path = tmp_path / "tiny.hg"
+    path.write_text(text)
+    proc = run_fresh(CLI_CAPPED, *argv.split(), str(path), timeout=10)
+    assert proc.returncode == code, proc.stderr
+    assert out in proc.stdout + proc.stderr
+    assert float(proc.stderr.split()[-1]) < 2
+
+
 def _no_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 

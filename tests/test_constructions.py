@@ -35,6 +35,12 @@ def quick_partition(p, iters=4):
                            diag_samples=2000)
 
 
+def be_params(part, epsilon):
+    # the params of the two-sided graph on `part` at this epsilon
+    return ConstructionParams(r=2, z=part.z, alpha=0.3, beta=0.3,
+                              epsilon=epsilon, k=part.k)
+
+
 # ---------------------------------------------------------------------------
 # parameters
 
@@ -100,7 +106,7 @@ def test_params_unset_corollary_fields_not_written():
 
 def test_be_single_point():
     part = build_partition(3, 1, 0.4, seed=1)
-    g = bollobas_erdos(part, 0.4 * math.sqrt(3))
+    g = bollobas_erdos(be_params(part, 0.4 * math.sqrt(3)), part)
     # d(p, p) = 0 <= sqrt(2) - theta: one cross edge, no inside edges
     assert g.n == 2
     assert g.edges == frozenset([(0, 1)])
@@ -109,7 +115,8 @@ def test_be_single_point():
 def test_be_no_cross_edges_above_sqrt2():
     part = build_partition(3, 6, 0.4, seed=3, balance_iters=0,
                            diag_samples=500)
-    g = bollobas_erdos(part, 1.5 * math.sqrt(3))  # theta = 1.5 > sqrt(2)
+    # theta = 1.5 > sqrt(2)
+    g = bollobas_erdos(be_params(part, 1.5 * math.sqrt(3)), part)
     assert all(g.part_of[a] == g.part_of[b] for a, b in g.edges)
 
 
@@ -121,7 +128,7 @@ def test_be_cross_degree_floor():
     z = 100
     part = build_partition(k, z, eps / math.sqrt(k), seed=7, balance_iters=8,
                            diag_samples=8000)
-    g = bollobas_erdos(part, eps)
+    g = bollobas_erdos(be_params(part, eps), part)
     cross_deg = [0] * g.n
     for a, b in g.edges:
         if g.part_of[a] != g.part_of[b]:
@@ -157,7 +164,8 @@ def test_be_matches_double_loop(k):
                                     (1, 2)):
         part = build_partition(k, z, epsilon / math.sqrt(k), seed,
                                balance_iters=0, diag_samples=200)
-        assert bollobas_erdos(part, epsilon) == _double_loop_be(part, epsilon)
+        assert (bollobas_erdos(be_params(part, epsilon), part)
+                == _double_loop_be(part, epsilon))
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +205,7 @@ def test_sphere_hypergraph_r2_u1_matches_be():
     part = build_partition(4, 12, p.theta, 6, balance_iters=0,
                            diag_samples=500)
     h = sphere_hypergraph(p, part)
-    g = bollobas_erdos(part, p.epsilon)
+    g = bollobas_erdos(p, part)
     assert frozenset(h.edges) == frozenset(g.edges)
 
 
@@ -742,7 +750,7 @@ def test_tuple_listing_matches_the_former_walk(case):
             == _former_tuple_vertices(part, p.u, p.theta))
     _assert_same_construction(sphere_hypergraph(p, part),
                               _former_tuple_hypergraph(part, p.r, p.u, p.theta))
-    _assert_same_construction(bollobas_erdos(part, p.epsilon),
+    _assert_same_construction(bollobas_erdos(p, part),
                               as_graph(_former_tuple_hypergraph(part, 2, 1,
                                                                 p.theta)))
 

@@ -14,10 +14,14 @@ from hypothesis import strategies as st
 
 from rtlab.constructions import (ConstructionParams, full_construction,
                                 shadow_first_parts)
+from rtlab.drc import FWitness, recheck_f_witness
 from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph, blowup,
                               clean_low_codegree, read_hypergraph, shadow,
                               write_hypergraph)
-from rtlab.verifiers import contained_edge
+from rtlab.verifiers import (contained_edge, find_tkf_core, recheck_cores,
+                             recheck_sparse_pattern, scan_sparse_patterns)
+
+from helpers import complete_uniform
 
 # ---------------------------------------------------------------------------
 # references over frozensets of sorted tuples
@@ -207,6 +211,49 @@ def test_graph_views_match_frozenset_references(inputs):
     sub = g.induced(vertices)
     assert unviewed(sub) and sub.edges == ref_induced(want, vertices)
     assert sub.adjacency_masks() == ref_masks(sub.n, sub.edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hypergraph_inputs(), st.data())
+def test_contains_matches_the_edges_view(inputs, data):
+    # rows of r-1 to r+1 vertices, repeats and vertices outside 0..n-1
+    # (beyond int64 too) allowed, then every edge in a shuffled order
+    n, r, edges, given_edges, labels, _ = inputs
+    h = PartitionedHypergraph(n, r, given_edges, labels)
+    vertex = st.one_of(st.integers(-2, n + 1),
+                       st.sampled_from([-2 ** 70, 2 ** 31, 2 ** 70]))
+    rows = data.draw(st.lists(st.lists(vertex, min_size=r - 1,
+                                       max_size=r + 1), max_size=20))
+    rows += [data.draw(st.permutations(e)) for e in edges]
+    found = h.contains(rows)
+    assert unviewed(h)
+    assert found == [tuple(sorted(row)) in h.edges for row in rows]
+
+
+def _without(h, e):
+    # h less the edge e
+    return PartitionedHypergraph(h.n, h.r, [f for f in h.edge_array.tolist()
+                                            if f != sorted(e)])
+
+
+def test_rechecks_build_no_view():
+    # each membership recheck passes its witness and refuses it on the
+    # hypergraph less one of its edges, and builds no `edges` view
+    h = complete_uniform(7, 3)
+    cores = find_tkf_core(h, 4)
+    assert recheck_cores(h, cores, 4) and unviewed(h)
+    assert not recheck_cores(_without(h, cores.edges_used[-1]), cores, 4)
+
+    pattern = scan_sparse_patterns(h, 3, 27)
+    assert recheck_sparse_pattern(h, pattern, 27) and unviewed(h)
+    assert not recheck_sparse_pattern(_without(h, pattern.edges_used[0]),
+                                      pattern, 27)
+
+    xs, ys, zs = (0, 1, 2), (3, 4, 5), (6, 7, 8)
+    f = PartitionedHypergraph(9, 3, [xs, ys, zs, *product(xs, ys, zs)])
+    w = FWitness(xs, ys, zs)
+    assert recheck_f_witness(f, w) and unviewed(f)
+    assert not recheck_f_witness(_without(f, (2, 5, 8)), w)
 
 
 def test_full_construction_builds_no_view(tmp_path):

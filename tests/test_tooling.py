@@ -3,19 +3,22 @@ and methods that exist in rtlab, so a rename in the package cannot
 silently break a traced run, no search recurses to a depth that grows
 with its input, the package imports nothing but the standard library
 and numpy, no private helper is left without a caller, no public
-function, class or method is reached by tests alone, and only the
-membership rechecks read the `edges` view of the edge array, only the
-hypergraph constructor converts the part labels, and the CLI's
-construction flags mirror the construction params."""
+function, class or method is reached by tests alone, no package code
+reads the `edges` view of the edge array, only the hypergraph
+constructor converts the part labels, the CLI's construction flags
+mirror the construction params and its construction table names the
+`(params, partition)` builders."""
 
 import ast
+import inspect
 import json
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 from helpers import run_fresh
-from rtlab.cli import PARAM_FLAGS
+from rtlab import constructions
+from rtlab.cli import CONSTRUCTIONS, PARAM_FLAGS, build_parser
 from rtlab.constructions import ConstructionParams
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -30,10 +33,9 @@ ENTRY_POINTS = {
                 "kernel is tested against",
 }
 
-# the functions that read a graph's `edges` frozenset view; every search
-# reads `edge_array`
-EDGES_READERS = {"recheck_cores", "recheck_sparse_pattern",
-                 "recheck_f_witness"}
+# the functions that read a graph's `edges` frozenset view: none, as the
+# searches read `edge_array` and the rechecks look edges up by `contains`
+EDGES_READERS = set()
 
 # the calls that would convert the part labels again
 LABEL_CONVERTERS = {"asarray", "array", "tuple", "list"}
@@ -197,6 +199,8 @@ def test_public_names_have_callers():
             uses += _uses(path)
     for path in sorted(BENCH.glob("*.py")):
         uses += _uses(path, strings=True)
+    # `construct` calls the builders its table names, through getattr
+    uses += [(name, PACKAGE / "cli.py", 0) for name in CONSTRUCTIONS.values()]
     # exactly the ENTRY_POINTS lack a caller, so the list cannot go stale
     assert _uncalled(defs, uses) == [f"{path.stem}.{name}"
                                      for name, path, *_ in defs
@@ -266,3 +270,25 @@ def test_param_flags_mirror_the_params():
     assert list(PARAM_FLAGS) == list(types)
     assert [name for name, kind in PARAM_FLAGS.items()
             if types[name] not in (kind, kind | None)] == []
+
+
+def test_construction_table_names_the_builders():
+    # `construct --type` offers exactly the table's keys; each value names
+    # a `constructions` function called as (params, partition); the table
+    # stays a literal of strings, so the parser does not run
+    # `constructions`
+    sub = next(a for a in build_parser()._actions
+               if a.dest == "command").choices["construct"]
+    (kind,) = [a for a in sub._actions if a.dest == "type"]
+    assert list(kind.choices) == list(CONSTRUCTIONS)
+    for name in CONSTRUCTIONS.values():
+        params = list(inspect.signature(getattr(constructions, name)).parameters)
+        assert params[:2] == ["params", "partition"], name
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    (table,) = [node.value for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets]
+                == ["CONSTRUCTIONS"]]
+    assert isinstance(table, ast.Dict)
+    assert all(isinstance(node, ast.Constant) and isinstance(node.value, str)
+               for node in table.keys + table.values)

@@ -412,7 +412,7 @@ def test_alpha_t_readme_two_sided_graph_z24():
     # hypergraph, solved in far fewer than 10,000 nodes
     p = ConstructionParams(r=3, z=24, alpha=0.3, beta=0.3, epsilon=0.5, k=5,
                            blowup_t=3, gamma=0.3, pattern_cap=10, seed=3)
-    g = bollobas_erdos(p.build_partition(), p.epsilon)
+    g = bollobas_erdos(p, p.build_partition())
     assert (g.n, len(g.edges)) == (48, 186)
     assert alpha_t(g, 3, budget=10_000) == 40
 
@@ -1044,12 +1044,23 @@ def test_density_report_unlabelled_graph_has_no_block_rows():
 
 
 def test_density_report_graph_blocks_skip_unlabelled_vertices():
+    # a within row for each label present, a between row for each pair
+    # of labelled parts an edge joins, both in ascending order; an edge to
+    # an unlabelled vertex gives no row
     from rtlab.verifiers import density_report
-    g = SimpleGraph(4, [(0, 1), (1, 2), (2, 3)], (0, 0, -1, -1))
-    rep = density_report(g)
-    blocks = [(r["quantity"], r["value"]) for r in rep.rows
-              if r["quantity"].startswith(("edges_within_", "edges_between_"))]
-    assert blocks == [("edges_within_part_0", 1)]
+    for g, want in [
+            (SimpleGraph(4, [(0, 1), (1, 2), (2, 3)], (0, 0, -1, -1)),
+             [("edges_within_part_0", 1)]),
+            (SimpleGraph(7, [(0, 1), (0, 4), (2, 5), (3, 5), (1, 6)],
+                         (0, 0, 1, 2, 5, 5, -1)),
+             [("edges_within_part_0", 1), ("edges_within_part_1", 0),
+              ("edges_within_part_2", 0), ("edges_within_part_5", 0),
+              ("edges_between_parts_0_5", 1), ("edges_between_parts_1_5", 1),
+              ("edges_between_parts_2_5", 1)])]:
+        blocks = [(r["quantity"], r["value"]) for r in density_report(g).rows
+                  if r["quantity"].startswith(("edges_within_",
+                                               "edges_between_"))]
+        assert blocks == want
 
 
 def test_density_report_cross_identity_on_full_construction():
