@@ -3,14 +3,17 @@
 Subcommands: construct, verify, report, optimize, drc, sphere.  Exit
 codes: 0 property holds / success, 1 property violated (witness rechecked,
 then written as JSON; for `alpha_t --bound`, a K_t-free set above the
-bound found, even if the budget then ran out), 2 input error, 3 search
-budget exceeded (for drc: no witness verified within the retries; for
-sphere eps-k: no (eps, k) within the search caps), 4 internal error
-(any other exception, including a witness that fails its recheck).
-`verify` runs one search check on a file; `report` writes its density
-report.  The construction flags of `construct` and `report` mirror the
-params.json keys and override file values; all randomness flows from
-the single seed.  A command runs only the modules it uses: each is
+bound found, even if the budget then ran out), 2 refused input (an
+OSError or ValueError), 3 search budget or cap exceeded (for drc: no
+witness verified within the retries; for sphere eps-k: no (eps, k)
+within the search caps; for construct: a part or the cross listing
+over its cap, nothing written), 4 internal error (any other exception,
+including a witness that fails its recheck).  `verify` runs one search
+check on a file; `report` writes its density report.  One reader takes
+params.json and drc.json and checks every value against its field's
+annotation.  The construction flags of `construct` and `report` mirror
+the params.json keys and override file values; all randomness flows
+from the single seed.  A command runs only the modules it uses: each is
 registered at import but runs when a command first reads from it, so
 `optimize` (the `bounds` module alone) runs without numpy, and only a
 command that draws from a seed imports numpy.random.
@@ -68,23 +71,46 @@ CONSTRUCTIONS = {"be": "bollobas_erdos", "sphere": "sphere_hypergraph",
                  "corollary": "corollary_construction"}
 
 
-def _read_params(path: str) -> dict:
-    """A params file's JSON object; ValueError if the top level is not one."""
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: params must be a JSON object, "
-                         f"got {type(data).__name__}")
-    return data
+def _read_params(cls, what: str, path, flags=None):
+    """A `cls` (ConstructionParams or DrcParams) of the JSON object in
+    the file at `path` (none when path is None), each value of `flags`
+    that is not None overriding the file's.  Every value is checked
+    against its field's annotation: an int field takes an int, a float
+    field an int or a float, neither a bool, and a field declared
+    `X | None` also null.  ValueError for a file that is not a JSON
+    object, a key that names no field, a missing field without a default
+    or a value not of its field's type."""
+    from dataclasses import MISSING
+    data = {}
+    if path:
+        with open(path) as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: params must be a JSON object, "
+                             f"got {type(data).__name__}")
+    data.update((k, v) for k, v in (flags or {}).items() if v is not None)
+    fields = cls.__dataclass_fields__
+    unknown = sorted(set(data) - set(fields))
+    if unknown:
+        raise ValueError(f"unknown {what} params: {', '.join(unknown)}")
+    missing = [name for name, f in fields.items()
+               if name not in data and f.default is MISSING]
+    if missing:
+        raise ValueError(f"missing {what} params: {', '.join(missing)}")
+    for name, value in data.items():
+        # (int,) or (float,), with NoneType beside it for `X | None`
+        annotation = fields[name].type
+        kinds = getattr(annotation, "__args__", (annotation,))
+        if not (type(value) is int or type(value) is float and float in kinds
+                or value is None and type(None) in kinds):
+            kind = "an integer" if int in kinds else "a number"
+            raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return cls(**data)
 
 
 def _load_params(args) -> con.ConstructionParams:
-    data = _read_params(args.params) if getattr(args, "params", None) else {}
-    for key in PARAM_FLAGS:
-        override = getattr(args, key, None)
-        if override is not None:
-            data[key] = override
-    return con.ConstructionParams.from_json(data)
+    return _read_params(con.ConstructionParams, "construction", args.params,
+                        {key: getattr(args, key) for key in PARAM_FLAGS})
 
 
 def _add_param_flags(p: argparse.ArgumentParser):
@@ -118,7 +144,11 @@ def _emit_json(payload, path):
 def _cmd_construct(args) -> int:
     params = _load_params(args)
     build = getattr(con, CONSTRUCTIONS[args.type])
-    out = build(params, params.build_partition())
+    try:
+        out = build(params, params.build_partition())
+    except con.PartTooLarge as exc:
+        print(f"construct: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     hg.write_hypergraph(out, args.out)
     print(f"wrote {args.type} construction to {args.out}")
     return EXIT_HOLDS
@@ -207,7 +237,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_drc(args) -> int:
-    p = drcmod.DrcParams.from_json(_read_params(args.params))
+    p = _read_params(drcmod.DrcParams, "drc", args.params)
     h = _read_input(args.file)
     try:
         if args.action == "find-set":
@@ -343,7 +373,7 @@ def main(argv=None) -> int:
         return args.func(args)
     # input errors first: a command that never read `ver` does not run it
     # just to test the type (BudgetExceeded is a RuntimeError)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ver.BudgetExceeded as exc:

@@ -39,8 +39,9 @@ class ConstructionParams:
 
     theta = epsilon/sqrt(k) and u = ceil(r/2) are derived; a stored theta
     must agree with epsilon/sqrt(k) to 1e-12.  pattern_cap defaults to
-    r^3.  All randomness flows from the single seed.  The int fields
-    refuse a float, a bool or a string with ValueError.  ell, q and
+    r^3.  All randomness flows from the single seed.  The field types
+    are not checked here: the CLI's params reader checks each value
+    against its field's annotation before it builds one.  ell, q and
     mix_a are read by `corollary_construction` alone and stay unset
     (None) unless given; a given one must satisfy 1 <= ell <= r, q >= 2
     and 0 < mix_a < 1, and ell = 1 needs mix_a (the default a* of
@@ -64,11 +65,6 @@ class ConstructionParams:
     mix_a: float | None = None
 
     def __post_init__(self):
-        for name in ("r", "z", "k", "blowup_t", "pattern_cap", "seed", "u",
-                     "ell", "q"):
-            value = getattr(self, name)
-            if value is not None and type(value) is not int:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.r < 2:
             raise ValueError("uniformity r must be >= 2")
         if self.z < 1:
@@ -112,16 +108,6 @@ class ConstructionParams:
         is left out)."""
         return {f.name: getattr(self, f.name) for f in fields(self)
                 if getattr(self, f.name) is not None}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ConstructionParams":
-        """The params of a JSON object; ValueError names any key that is
-        not a field."""
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError("unknown construction params: "
-                             + ", ".join(unknown))
-        return cls(**data)
 
     def build_partition(self) -> SpherePartition:
         return build_partition(self.k, self.z, self.theta, self.seed)

@@ -15,15 +15,10 @@ from .verifiers import VerificationReport
 CSV_COLUMNS = ["quantity", "value", "value_decimal", "reference", "asserted", "ok"]
 
 
-def _split_value(v):
-    """(exact text, decimal text) for a report cell."""
-    if v is None:
-        return "", ""
-    if isinstance(v, int):
-        return str(v), str(v)
-    if isinstance(v, float):
-        return repr(v), repr(v)
-    return str(v), ""
+def _cell(v) -> str:
+    """A report value (None, an int or a float) as CSV text; the same
+    text fills the value and value_decimal columns."""
+    return "" if v is None else repr(v)
 
 
 def _json_value(v):
@@ -56,11 +51,11 @@ def emit_report(report: VerificationReport, fmt: str = "csv",
         buf.write(f"# param {key}={params[key]}\n")
     buf.write(",".join(CSV_COLUMNS) + "\n")
     for row in report.rows:
-        exact, dec = _split_value(row.get("value"))
-        ref_exact, _ = _split_value(row.get("reference"))
+        value = _cell(row.get("value"))
         ok = row.get("ok")
         buf.write(",".join([
-            str(row.get("quantity", "")), exact, dec, ref_exact,
+            str(row.get("quantity", "")), value, value,
+            _cell(row.get("reference")),
             "yes" if row.get("asserted") else "no",
             "" if ok is None else ("yes" if ok else "no"),
         ]) + "\n")

@@ -459,6 +459,12 @@ def scan_split_core(h: PartitionedHypergraph, budget=None) -> Embedding | None:
     pairs c < d of a and b's common neighbours in part j are tried low
     bit first, one budget node each, by bit d of c's row."""
     counter = _Counter(resolve_budget(budget))
+    # no witness without two parts: answered before the pair-cover index,
+    # which a few very wide edges can make larger than memory (min and
+    # max, as np.unique would import numpy.ma)
+    labelled = h.part_of[h.part_of != UNPARTITIONED]
+    if not labelled.size or labelled.min() == labelled.max():
+        return None
     cover = h.pair_cover_index()
     adj = SimpleGraph(h.n, cover.pairs).adjacency_masks()
     pa, pb = h.part_of[cover.pairs].T
@@ -611,6 +617,8 @@ def _sparse_witnesses(h: PartitionedHypergraph, ell: int, condition,
         raise ValueError("the condition must hold for two edges sharing "
                          f"two vertices (v={2 * r - 2}, m=2)")
     m = len(h.edge_array)
+    if m < 2:  # no pair, no walk: skip the pair-cover index
+        return
     masks = _bit_rows(m, h.n, np.repeat(np.arange(m), r),
                       h.edge_array.ravel())
     cover = h.pair_cover_index()

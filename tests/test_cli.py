@@ -339,6 +339,18 @@ def test_internal_error_exit_4(tmp_path, monkeypatch, capsys):
     assert err == "internal error: ZeroDivisionError: line one line two\n"
 
 
+def test_type_error_in_a_search_exit_4(tmp_path, monkeypatch, capsys):
+    # a TypeError raised inside a search is a fault, not refused input
+    def crash(*args, **kwargs):
+        raise TypeError("bug deep in a search")
+    monkeypatch.setattr(ver, "find_clique", crash)
+    path = tmp_path / "k3.g"
+    write_graph(SimpleGraph(3, frozenset(combinations(range(3), 2))), str(path))
+    assert main(["verify", "--check", "clique", "--s", "3", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: TypeError: bug deep in a search\n"
+
+
 @pytest.mark.parametrize("kind", ["be", "sphere", "full", "corollary"])
 def test_constructed_files_read_back(tmp_path, kind):
     # every file `construct` writes passes the strict reader and writes
@@ -657,6 +669,20 @@ def test_sphere_eps_k_cli(capsys):
     assert capsys.readouterr().out.strip() == "eps=0.125 k=23342"
 
 
+@pytest.mark.parametrize("kind", ["sphere", "full"])
+def test_construct_over_part_cap_exit_3(tmp_path, monkeypatch, capsys, kind):
+    # a part over the listing cap is a refusal, like the eps-k search
+    # caps: one stderr line, no file
+    monkeypatch.setattr(constructions, "MAX_PART_SIZE", 3)
+    out = tmp_path / "h.hg"
+    assert main(["construct", "--type", kind,
+                 "--params", write_params(tmp_path), "--out", str(out)]) == 3
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("construct: ")
+    assert err.endswith("exceed the cap 3\n") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_sphere_eps_k_infeasible_exit_3(capsys):
     # no k <= 1,000,000 works: the search is exhausted, not broken
     assert main(["sphere", "eps-k", "--alpha", "1e-9", "--beta", "0.3"]) == 3
@@ -784,6 +810,40 @@ def test_params_file_non_integer_exit_2(tmp_path, monkeypatch, capsys, argv,
     assert not Path("be.g").exists()
 
 
+@pytest.mark.parametrize("argv,key,value,problem", [
+    (["construct", "--type", "be", "--out", "be.g"], "seed", None,
+     "seed must be an integer, got None"),
+    (["construct", "--type", "be", "--out", "be.g"], "alpha", "x",
+     "alpha must be a number, got 'x'"),
+    (["report", "k5.hg"], "epsilon", True,
+     "epsilon must be a number, got True"),
+    # ... drops the key from the file
+    (["construct", "--type", "full", "--out", "be.g"], "z", ...,
+     "missing construction params: z"),
+    (["drc", "find-f", "k5.hg"], "a", None, "a must be an integer, got None"),
+    (["drc", "find-tkf5", "k5.hg"], "epsilon", "0.5",
+     "epsilon must be a number, got '0.5'"),
+], ids=["seed-null", "alpha-string", "epsilon-bool", "z-missing",
+        "drc-a-null", "drc-epsilon-string"])
+def test_params_file_wrong_type_exit_2(tmp_path, monkeypatch, capsys, argv,
+                                       key, value, problem):
+    # each value is checked against its field's annotation before any
+    # params are built: a null only where the field allows None, a bool
+    # or a string never in a number field, and a missing field is named
+    monkeypatch.chdir(tmp_path)
+    write_hypergraph(complete_uniform(5, 3), "k5.hg")
+    data = ({} if argv[0] == "drc"
+            else json.loads(Path(write_params(tmp_path)).read_text()))
+    data[key] = value
+    if value is ...:
+        del data[key]
+    Path("params.json").write_text(json.dumps(data))
+    assert main(argv + ["--params", "params.json"]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"input error: {problem}\n" and out == ""
+    assert not Path("be.g").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["construct", "--type", "full", "--out", "be.g"],
     ["report", "k5.hg"],
@@ -894,6 +954,10 @@ sys.exit(code)
 """
 
 
+WIDE_EDGE = ("HG 20000 20000 1 0\n" + "-1\n" * 20000
+             + " ".join(map(str, range(20000))) + "\n")
+
+
 @pytest.mark.parametrize("text,argv,code,out", [
     # the header's 30 M label lines are read only while the file lasts
     ("HG 3 30000000 1 1\n0\n", "report", 2,
@@ -907,9 +971,15 @@ sys.exit(code)
      "tkf: holds"),
     ("HG 100000000 3 0 1\n0\n0\n0\n", "verify --check sparse", 0,
      "sparse: holds"),
-], ids=["label-count", "split-core", "tk", "tkf", "sparse"])
+    # one edge over 20,000 unlabelled vertices covers 2*10^8 pairs, but
+    # with no two parts and no two edges no witness can exist
+    (WIDE_EDGE, "verify --check split-core", 0, "split-core: holds"),
+    (WIDE_EDGE, "verify --check sparse", 0, "sparse: holds"),
+], ids=["label-count", "split-core", "tk", "tkf", "sparse",
+        "wide-edge-split-core", "wide-edge-sparse"])
 def test_header_counts_cost_nothing(tmp_path, text, argv, code, out):
-    # a tiny file whose header gives a huge count is answered within 2 s
+    # a small file whose header gives a huge count, or whose one edge is
+    # huge, is answered within 2 s
     path = tmp_path / "tiny.hg"
     path.write_text(text)
     proc = run_fresh(CLI_CAPPED, *argv.split(), str(path), timeout=10)

@@ -62,7 +62,7 @@ def test_params_reject_inconsistent_theta():
 
 def test_params_json_roundtrip():
     p = small_params()
-    q = ConstructionParams.from_json(json.loads(json.dumps(p.to_json())))
+    q = ConstructionParams(**json.loads(json.dumps(p.to_json())))
     assert q == p
 
 
@@ -89,14 +89,14 @@ def test_params_corollary_fields_roundtrip():
     p = small_params(ell=3, q=4, mix_a=0.3)
     data = p.to_json()
     assert (data["ell"], data["q"], data["mix_a"]) == (3, 4, 0.3)
-    assert ConstructionParams.from_json(json.loads(json.dumps(data))) == p
+    assert ConstructionParams(**json.loads(json.dumps(data))) == p
 
 
 def test_params_unset_corollary_fields_not_written():
     data = small_params().to_json()
     assert not {"ell", "q", "mix_a"} & set(data)
     # a null in the file leaves the field unset
-    assert ConstructionParams.from_json(dict(data, mix_a=None)) \
+    assert ConstructionParams(**dict(data, mix_a=None)) \
         == small_params()
 
 

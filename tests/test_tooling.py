@@ -6,8 +6,9 @@ and numpy, no private helper is left without a caller, no public
 function, class or method is reached by tests alone, no package code
 reads the `edges` view of the edge array, only the hypergraph
 constructor converts the part labels, the CLI's construction flags
-mirror the construction params and its construction table names the
-`(params, partition)` builders."""
+mirror the construction params, its construction table names the
+`(params, partition)` builders and every params field has a kind the
+CLI's params reader checks."""
 
 import ast
 import inspect
@@ -20,6 +21,7 @@ from helpers import run_fresh
 from rtlab import constructions
 from rtlab.cli import CONSTRUCTIONS, PARAM_FLAGS, build_parser
 from rtlab.constructions import ConstructionParams
+from rtlab.drc import DrcParams
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = BENCH / "tracer.py"
@@ -292,3 +294,11 @@ def test_construction_table_names_the_builders():
     assert isinstance(table, ast.Dict)
     assert all(isinstance(node, ast.Constant) and isinstance(node.value, str)
                for node in table.keys + table.values)
+
+
+def test_params_fields_have_checked_kinds():
+    # the CLI's params reader checks an int, a float and either of them
+    # or None, so a field of another kind would reach the params unchecked
+    kinds = {int, float, int | None, float | None}
+    assert [f"{cls.__name__}.{f.name}" for cls in (ConstructionParams, DrcParams)
+            for f in fields(cls) if f.type not in kinds] == []
