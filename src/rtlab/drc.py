@@ -23,7 +23,7 @@ from .hypergraph import (UNPARTITIONED, PairCoverIndex, PartitionedHypergraph,
 from .rng import substream
 from .verifiers import (BudgetExceeded, Embedding, _core_embedding, _Counter,
                         contained_edge, recheck_cores, recheck_tkf_core,
-                        resolve_budget, subdivision)
+                        subdivision)
 
 DEFAULT_RETRIES = 64
 
@@ -296,10 +296,9 @@ def find_f_witness(h: PartitionedHypergraph, params: DrcParams,
 
 
 def _f_witness_once(h, cleaned, params, seed, trial):
-    try:
-        aux = hyper_drc(cleaned, params.s, seed=seed * 1000003 + trial)
-    except ValueError as exc:
-        raise PipelineFailure("hyper-drc", str(exc))
+    # cleaned is three-partite with an edge meeting every part, and the
+    # params hold s >= 1, so hyper_drc has nothing to refuse
+    aux = hyper_drc(cleaned, params.s, seed=seed * 1000003 + trial)
     if not len(aux.edge_array):
         raise PipelineFailure("hyper-drc", "empty auxiliary graph")
 
@@ -307,8 +306,9 @@ def _f_witness_once(h, cleaned, params, seed, trial):
     verts23 = np.flatnonzero(np.isin(labels, (1, 2))).tolist()
     g = as_graph(aux).induced(verts23)
     # the asymptotic feasibility inequality is vacuous at desk scale, so
-    # the pipeline runs the verification-gated search unconditionally
-    gp = replace(params, n=g.n, r=3)
+    # the pipeline runs the verification-gated search unconditionally,
+    # which reads no n
+    gp = replace(params, r=3)
     u_idx = drc_find_set(g, gp, seed=seed * 7 + trial, require_feasible=False)
     if u_idx is None:
         raise PipelineFailure("drc-set", "no verified set within retries")
@@ -355,7 +355,7 @@ def _tk_extension(h: PartitionedHypergraph, cover: PairCoverIndex, cores,
     budget; an extension that fails `recheck_cores` raises
     PipelineFailure at "verification"."""
     try:
-        emb = subdivision(cover, cores, _Counter(resolve_budget()), fixed)
+        emb = subdivision(cover, cores, _Counter(), fixed)
     except BudgetExceeded:
         return None
     if emb is not None and not recheck_cores(h, emb, len(cores), fresh=True):

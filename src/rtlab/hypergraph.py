@@ -109,11 +109,20 @@ def _strictly_increasing(rows: np.ndarray) -> bool:
 
 def _bit_rows(n: int, width: int, row: np.ndarray, bit: np.ndarray) -> list:
     """n int bitmasks of `width` bits, bit bit[i] set in mask row[i]: the
-    rows of a packed 0/1 matrix, made by one numpy pass."""
-    packed = np.zeros((n, (width + 7) // 8), dtype=np.uint8)
+    rows of a packed 0/1 matrix, made by one numpy pass.  The matrix has
+    a row only for each mask that holds a bit, so a few bits in many
+    masks cost what the bits do, not n times the width."""
+    counts = np.bincount(row, minlength=n)
+    held = np.flatnonzero(counts)
+    if len(held) < n:  # number the masks that hold a bit 0, 1, ...
+        row = (np.cumsum(counts > 0) - 1)[row]
+    packed = np.zeros((len(held), (width + 7) // 8), dtype=np.uint8)
     np.bitwise_or.at(packed, (row, bit >> 3),
                      np.left_shift(1, bit & 7).astype(np.uint8))
-    return [int.from_bytes(r.tobytes(), "little") for r in packed]
+    masks = [0] * n
+    for v, r in zip(held.tolist(), packed):
+        masks[v] = int.from_bytes(r.tobytes(), "little")
+    return masks
 
 
 def _tuples(rows: np.ndarray):

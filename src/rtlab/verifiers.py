@@ -9,12 +9,16 @@ vertex sets as int bitmasks: the clique, TK and split-core searches read
 the graph's or the shadow's adjacency rows, and the sparse scan one
 vertex mask per edge, each made by one numpy pass.
 
-Every search honours a node budget (env RTLAB_BUDGET or per-call
-argument) and raises BudgetExceeded, carrying whatever certified bound
-was reached.  Returned witnesses always re-validate through the separate
-recheck_* code paths.  The core-pattern witnesses (K_s, TKF, split-core
-and TK) share one builder, `_core_embedding`, and one recheck,
-`recheck_cores`, which reads the witness's own edge for each core pair.
+Every search counts its nodes on one `_Counter`, which resolves the
+budget (per-call argument, else env RTLAB_BUDGET, else DEFAULT_BUDGET),
+and raises BudgetExceeded, carrying whatever certified bound was
+reached.  The clique, alpha_t, TK and split-core searches list cliques
+by one walk, `_cliques`.  The searches return their witnesses unchecked;
+`rtlab verify` and the drc pipelines pass each through the separate
+recheck_* code paths before it leaves.  The core-pattern witnesses (K_s,
+TKF, split-core and TK) share one builder, `_core_embedding`, and one
+recheck, `recheck_cores`, which reads the witness's own edge for each
+core pair.
 """
 
 import math
@@ -29,17 +33,6 @@ from .hypergraph import (UNPARTITIONED, PairCoverIndex, PartitionedHypergraph,
                          SimpleGraph, _bit_rows, _runs)
 
 DEFAULT_BUDGET = 20_000_000
-
-
-def resolve_budget(budget=None) -> int:
-    """The node budget: the argument, else env RTLAB_BUDGET, else
-    DEFAULT_BUDGET.  A negative budget raises ValueError; 0 is legal."""
-    if budget is None:
-        budget = os.environ.get("RTLAB_BUDGET", DEFAULT_BUDGET)
-    budget = int(budget)
-    if budget < 0:
-        raise ValueError(f"node budget must be >= 0, got {budget}")
-    return budget
 
 
 class BudgetExceeded(RuntimeError):
@@ -76,11 +69,19 @@ class VerificationReport:
 
 
 class _Counter:
+    """The nodes one search has spent, against its budget: the argument,
+    else env RTLAB_BUDGET, else DEFAULT_BUDGET.  A negative budget raises
+    ValueError; 0 is legal."""
+
     __slots__ = ("nodes", "budget")
 
-    def __init__(self, budget):
+    def __init__(self, budget=None):
+        if budget is None:
+            budget = os.environ.get("RTLAB_BUDGET", DEFAULT_BUDGET)
+        self.budget = int(budget)
+        if self.budget < 0:
+            raise ValueError(f"node budget must be >= 0, got {self.budget}")
         self.nodes = 0
-        self.budget = budget
 
     def tick(self, certified=None):
         self.nodes += 1
@@ -137,7 +138,7 @@ def find_clique(g: SimpleGraph, s: int, budget=None) -> Embedding | None:
     if s == 1:
         return _core_embedding([0], lambda a, b: [(a, b)]) if g.n else None
     adj = g.adjacency_masks()
-    counter = _Counter(resolve_budget(budget))
+    counter = _Counter(budget)
     full = (1 << g.n) - 1
     nonadj = [full ^ (a | 1 << v) for v, a in enumerate(adj)]
     # an explicit stack, so the depth is not bounded by the recursion
@@ -245,7 +246,7 @@ def hyper_independence(h: PartitionedHypergraph, budget=None) -> int:
     which would then have had the larger mask.  One budget node per
     expanded node.
     """
-    counter = _Counter(resolve_budget(budget))
+    counter = _Counter(budget)
     # ascending vertex bitmasks: the rows by last vertex, then the ones before
     rows = h.edge_array[np.lexsort(h.edge_array.T)]
     m, r = rows.shape
@@ -300,7 +301,7 @@ def alpha_t(g: SimpleGraph, t: int, budget=None) -> int:
     """
     if t < 2:
         raise ValueError(f"need t >= 2, got {t}")
-    counter = _Counter(resolve_budget(budget))
+    counter = _Counter(budget)
     try:
         cliques = list(_cliques(g.adjacency_masks(), t, (1 << g.n) - 1,
                                 counter))
@@ -430,7 +431,7 @@ def find_tk(h: PartitionedHypergraph, s: int, budget=None) -> Embedding | None:
     vertices are fresh across the whole embedding."""
     if s < 2:
         raise ValueError(f"need at least 2 core vertices, got {s}")
-    counter = _Counter(resolve_budget(budget))
+    counter = _Counter(budget)
     cover = h.pair_cover_index()
     shadow_rows = SimpleGraph(h.n, cover.pairs).adjacency_masks()
     # the cores are the s-cliques of the shadow, tried in lexicographic order
@@ -456,9 +457,10 @@ def scan_split_core(h: PartitionedHypergraph, budget=None) -> Embedding | None:
 
     The scan reads the shadow's bitmask rows and one bitmask per part.
     For each covered pair a < b of part i and each later part j, the
-    pairs c < d of a and b's common neighbours in part j are tried low
-    bit first, one budget node each, by bit d of c's row."""
-    counter = _Counter(resolve_budget(budget))
+    second pair is the first edge c < d that the clique walk `_cliques`
+    lists among a and b's common neighbours in part j: one budget node
+    per c tried, and one for the d that completes a witness."""
+    counter = _Counter(budget)
     # no witness without two parts: answered before the pair-cover index,
     # which a few very wide edges can make larger than memory (min and
     # max, as np.unique would import numpy.ma)
@@ -478,17 +480,9 @@ def scan_split_core(h: PartitionedHypergraph, budget=None) -> Embedding | None:
         pairs_i = inside[labels == pi].tolist()
         for part_j in part_masks[i + 1:]:
             for a, b in pairs_i:
-                common = adj[a] & adj[b] & part_j
-                while common:
-                    c = (common & -common).bit_length() - 1
-                    common ^= 1 << c
-                    rest = common
-                    while rest:
-                        d = (rest & -rest).bit_length() - 1
-                        rest ^= 1 << d
-                        counter.tick()
-                        if adj[c] >> d & 1:
-                            return _core_embedding((a, b, c, d), cover.covering)
+                for c, d in _cliques(adj, 2, adj[a] & adj[b] & part_j,
+                                     counter):
+                    return _core_embedding((a, b, c, d), cover.covering)
     return None
 
 
@@ -653,8 +647,7 @@ def scan_sparse_patterns(h_part: PartitionedHypergraph, r: int, ell: int,
         raise ValueError(f"r={r} does not match the hypergraph's r={h_part.r}")
     if condition is None:
         condition = sparsity_condition(r)
-    witness = next(_sparse_witnesses(h_part, ell, condition,
-                                     _Counter(resolve_budget(budget)),
+    witness = next(_sparse_witnesses(h_part, ell, condition, _Counter(budget),
                                      frozenset()), None)
     if witness is None:
         return None
@@ -700,8 +693,8 @@ def sparse_pattern_doomed_edges(h: PartitionedHypergraph, ell: int,
     set, which certifies it.  `budget` bounds the whole pass.
     """
     dead = set()
-    for witness in _sparse_witnesses(h, ell, condition,
-                                     _Counter(resolve_budget(budget)), dead):
+    for witness in _sparse_witnesses(h, ell, condition, _Counter(budget),
+                                     dead):
         dead.add(witness[-1])
     return sorted(dead)
 

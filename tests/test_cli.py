@@ -957,6 +957,8 @@ sys.exit(code)
 WIDE_EDGE = ("HG 20000 20000 1 0\n" + "-1\n" * 20000
              + " ".join(map(str, range(20000))) + "\n")
 
+ONE_EDGE = "HG 2 100000 1 0\n" + "-1\n" * 100000 + "0 1\n"
+
 
 @pytest.mark.parametrize("text,argv,code,out", [
     # the header's 30 M label lines are read only while the file lasts
@@ -975,8 +977,13 @@ WIDE_EDGE = ("HG 20000 20000 1 0\n" + "-1\n" * 20000
     # with no two parts and no two edges no witness can exist
     (WIDE_EDGE, "verify --check split-core", 0, "split-core: holds"),
     (WIDE_EDGE, "verify --check sparse", 0, "sparse: holds"),
+    # one edge over 100,000 vertices: the searches' bitmask rows are
+    # packed only for the two vertices that have a neighbour
+    (ONE_EDGE, "verify --check alpha_t --t 3", 0, "alpha_3 = 100000"),
+    (ONE_EDGE, "verify --check tk --s 3", 0, "tk: holds"),
 ], ids=["label-count", "split-core", "tk", "tkf", "sparse",
-        "wide-edge-split-core", "wide-edge-sparse"])
+        "wide-edge-split-core", "wide-edge-sparse", "one-edge-alpha-t",
+        "one-edge-tk"])
 def test_header_counts_cost_nothing(tmp_path, text, argv, code, out):
     # a small file whose header gives a huge count, or whose one edge is
     # huge, is answered within 2 s

@@ -195,6 +195,16 @@ def test_recheck_f_witness_reads_edges_used():
     assert not recheck_f_witness(h, full)
 
 
+def test_recheck_f_witness_refuses_a_repeated_vertex():
+    # every edge the nine positions need is there, but vertex 0 stands
+    # in both xs and ys
+    h = complete_uniform(9, 3)
+    assert recheck_f_witness(h, drc.FWitness((0, 1, 2), (3, 4, 5),
+                                             (6, 7, 8)))
+    assert not recheck_f_witness(h, drc.FWitness((0, 1, 2), (0, 4, 5),
+                                                 (6, 7, 8)))
+
+
 def test_find_f_fails_on_edgeless():
     h = PartitionedHypergraph(12, 3, frozenset())
     p = DrcParams(a=3, m=3, t=2, s=1, codegree_threshold=2, retries=4)
@@ -315,6 +325,28 @@ def test_find_tkf5_planted_recovery():
     assert set(plant) <= set(tkf5.vertex_map.values())
     assert recheck_tkf_core(h, tkf5)
     assert tk4 is not None and recheck_tk4(h, tk4)
+
+
+def test_find_tkf5_fails_when_the_link_spans_no_edge():
+    # every cross pair qualifies, but its link is the third part, which
+    # the Turan 3-graph leaves without an edge
+    h = turan_hypergraph(31, 3, 3)
+    with pytest.raises(PipelineFailure) as exc:
+        find_tkf5_tk4(h, eps=0.2, codegree_threshold=4)
+    assert exc.value.stage == "no-edge-in-link"
+
+
+def test_find_tkf5_without_budget_has_no_tk4(monkeypatch):
+    # the four-core extension is optional: at a node budget of 0 its
+    # search runs out, and the rechecked five-core witness comes alone
+    base = turan_hypergraph(31, 3, 3)  # parts 11, 10, 10
+    h = PartitionedHypergraph(31, 3, frozenset(base.edges | {(0, 1, 2)}),
+                              base.part_of)
+    monkeypatch.setenv("RTLAB_BUDGET", "0")
+    tkf5, tk4 = find_tkf5_tk4(h, eps=0.2, codegree_threshold=4)
+    assert recheck_tkf_core(h, tkf5) and tk4 is None
+    monkeypatch.delenv("RTLAB_BUDGET")
+    assert find_tkf5_tk4(h, eps=0.2, codegree_threshold=4)[1] is not None
 
 
 def test_find_tkf5_tk4_extension_found_past_first_fit():

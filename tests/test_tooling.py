@@ -5,7 +5,8 @@ with its input, the package imports nothing but the standard library
 and numpy, no private helper is left without a caller, no public
 function, class or method is reached by tests alone, no package code
 reads the `edges` view of the edge array, only the hypergraph
-constructor converts the part labels, the CLI's construction flags
+constructor converts the part labels, only the node counter reads and
+spends the search budget, the CLI's construction flags
 mirror the construction params, its construction table names the
 `(params, partition)` builders and every params field has a kind the
 CLI's params reader checks."""
@@ -259,6 +260,37 @@ def test_labels_are_converted_once():
                     and not any(first <= call.lineno <= last
                                 for first, last in store)):
                 found.append(f"{path.stem}:{call.lineno}: {name}(part_of)")
+    assert found == []
+
+
+def test_budget_is_kept_by_the_counter():
+    # `_Counter.__init__` alone reads the budget (the string RTLAB_BUDGET
+    # and the name DEFAULT_BUDGET), and `_Counter.tick` alone raises
+    # BudgetExceeded, so no search resolves or spends a budget its own way
+    found, methods = [], {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        spans = {fn.name: (fn.lineno, fn.end_lineno) for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) and cls.name == "_Counter"
+                 for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+        methods.update(spans)
+        for node in ast.walk(tree):
+            name = getattr(node, "id", getattr(node, "attr", None))
+            if isinstance(node, ast.Constant) and node.value == "RTLAB_BUDGET":
+                what, home = "'RTLAB_BUDGET'", "__init__"
+            elif (name == "DEFAULT_BUDGET"
+                  and not isinstance(node.ctx, ast.Store)):
+                what, home = "DEFAULT_BUDGET", "__init__"
+            elif (isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None))
+                  == "BudgetExceeded"):
+                what, home = "BudgetExceeded()", "tick"
+            else:
+                continue
+            first, last = spans.get(home, (0, -1))
+            if not first <= node.lineno <= last:
+                found.append(f"{path.stem}:{node.lineno}: {what}")
+    assert {"__init__", "tick"} <= set(methods)
     assert found == []
 
 

@@ -19,7 +19,7 @@ from rtlab.verifiers import (BudgetExceeded, Embedding, _cliques,
                              _core_embedding, _Counter, alpha_t,
                              blowup_deletion_condition, find_clique, find_tk,
                              find_tkf_core, hyper_independence,
-                             private_edges, recheck_clique,
+                             private_edges, recheck_clique, recheck_cores,
                              recheck_sparse_pattern, recheck_split_core,
                              recheck_tk, recheck_tkf_core,
                              scan_sparse_patterns, scan_split_core,
@@ -653,6 +653,17 @@ def test_tkf_core_absent_edgeless():
     assert find_tkf_core(h, 2) is None
 
 
+def test_recheck_cores_refuses_an_edge_missing_its_pair():
+    # every entry is an edge of h, but the one for the pair (1, 2) is
+    # 013, which does not contain 2
+    h = PartitionedHypergraph(4, 3, frozenset([(0, 1, 2), (0, 1, 3)]))
+    emb = Embedding({0: 0, 1: 1, 2: 2}, {0: "core", 1: "core", 2: "core"},
+                    [(0, 1, 2), (0, 1, 2), (0, 1, 3)])
+    assert not recheck_cores(h, emb, 3)
+    emb.edges_used[2] = (0, 1, 2)
+    assert recheck_cores(h, emb, 3)
+
+
 # ---------------------------------------------------------------------------
 # split-core scan
 
@@ -720,10 +731,17 @@ def _dict_scan_split_core(h, counter):
             for a, b in within[pi]:
                 common = sorted(x for x in cross_adj[a] & cross_adj[b]
                                 if h.part_of[x] == pj)
-                for c, d in combinations(common, 2):
+                if len(common) < 2:
+                    continue
+                # the clique walk's count: one node per c tried, one more
+                # for the d that completes a witness
+                for i, c in enumerate(common):
                     counter.tick()
-                    if (c, d) in within_j:
-                        return _core_embedding((a, b, c, d), cover.covering)
+                    for d in common[i + 1:]:
+                        if (c, d) in within_j:
+                            counter.tick()
+                            return _core_embedding((a, b, c, d),
+                                                   cover.covering)
     return None
 
 
@@ -775,6 +793,14 @@ def test_sparse_two_edges_sharing_two_vertices():
     emb = scan_sparse_patterns(h, 3, 9)
     assert emb is not None
     assert recheck_sparse_pattern(h, emb, 9)
+
+
+def test_sparse_recheck_refuses_a_witness_over_ell_vertices():
+    # the two edges span four vertices
+    h = PartitionedHypergraph(4, 3, frozenset([(0, 1, 2), (0, 1, 3)]))
+    emb = scan_sparse_patterns(h, 3, 4)
+    assert recheck_sparse_pattern(h, emb, 4)
+    assert not recheck_sparse_pattern(h, emb, 3)
 
 
 def test_sparse_recheck_refuses_an_empty_embedding():
