@@ -25,8 +25,8 @@ from .hypergraph import (PartitionedHypergraph, SimpleGraph, as_graph,
                          blowup, complete_join, shadow)
 from .rng import substream
 from .sphere import SQRT2, SpherePartition, build_partition
-from .verifiers import (_cliques, blowup_deletion_condition, find_clique,
-                        sparse_pattern_doomed_edges)
+from .verifiers import (_cliques, _Counter, blowup_deletion_condition,
+                        find_clique, sparse_pattern_doomed_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -308,16 +308,21 @@ def shadow_first_parts(h: PartitionedHypergraph, ell: int) -> SimpleGraph:
 def maximal_ktfree_graph(n: int, t: int, seed: int = 0) -> SimpleGraph:
     """Random maximal K_{t+1}-free graph: candidate edges in random order,
     inserted whenever no K_{t+1} appears: the clique walk finds no
-    K_{t-1} among the common neighbours of the two ends."""
+    K_{t-1} among the common neighbours of the two ends.  The walks of
+    the whole build count on one node counter (the budget of env
+    RTLAB_BUDGET, else DEFAULT_BUDGET), so a build past it raises
+    BudgetExceeded."""
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
     rng = substream(seed, "ktfree-greedy")
     pairs = list(combinations(range(n), 2))
     rng.shuffle(pairs)
+    counter = _Counter()
     adj = [0] * n
     edges = set()
     for a, b in pairs:
-        if next(_cliques(adj, t - 1, adj[a] & adj[b]), None) is not None:
+        if next(_cliques(adj, t - 1, adj[a] & adj[b], counter),
+                None) is not None:
             continue
         edges.add((a, b))
         adj[a] |= 1 << b

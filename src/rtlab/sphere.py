@@ -481,14 +481,17 @@ class SpherePartition:
     """z representative points on S^k with implicit Voronoi domains.
 
     The domains are the Voronoi cells of `reps`; their diameters and
-    measures are not recorded.  `precondition_min_z` is the volume bound
-    on z for domains of diameter at most `domain_diam_bound`.
+    measures are not recorded.  `theta` is the working scale the
+    partition was built for, stored as given so that a file written from
+    it reads back the same theta; the domains aim at diameter
+    `domain_diam_bound` = theta / 4, and `precondition_min_z` is the
+    volume bound on z for domains that small.
     """
 
     k: int
     z: int
     reps: np.ndarray
-    domain_diam_bound: float
+    theta: float
     seed: int
 
     def __post_init__(self):
@@ -498,6 +501,10 @@ class SpherePartition:
         norms = np.linalg.norm(self.reps, axis=1)
         if not np.all(np.abs(norms - 1.0) <= 1e-9):
             raise ValueError("all representatives must lie on the unit sphere")
+
+    @property
+    def domain_diam_bound(self) -> float:
+        return self.theta / 4.0
 
     @property
     def precondition_min_z(self) -> float:
@@ -555,8 +562,7 @@ def build_partition(k: int, z: int, theta: float, seed: int,
             nm = np.sqrt(sums[:, None, :] @ sums[:, :, None])[:, 0, 0]
             keep = nm > 1e-12
             reps[keep] = sums[keep] / nm[keep, None]
-    return SpherePartition(k=k, z=z, reps=reps, domain_diam_bound=theta / 4.0,
-                           seed=seed)
+    return SpherePartition(k=k, z=z, reps=reps, theta=theta, seed=seed)
 
 
 def _owner_pass(cloud: np.ndarray, columns: np.ndarray, z: int):
@@ -624,8 +630,7 @@ def _check_theta(theta: float) -> None:
 def write_partition(part: SpherePartition, path: str) -> None:
     """Text format: header `SPHERE k z seed theta`, then z coordinate lines."""
     with open(path, "w") as fh:
-        theta = part.domain_diam_bound * 4.0
-        fh.write(f"SPHERE {part.k} {part.z} {part.seed} {theta!r}\n")
+        fh.write(f"SPHERE {part.k} {part.z} {part.seed} {part.theta!r}\n")
         for row in part.reps:
             fh.write(" ".join(f"{c:.17g}" for c in row) + "\n")
 
@@ -651,8 +656,7 @@ def read_partition(path: str) -> SpherePartition:
         raise ValueError(f"not a partition file: {path}: the header asks "
                          f"for {z} lines of {k + 1} coordinates")
     reps = np.array([[float(c) for c in row] for row in rows])
-    return SpherePartition(k=k, z=z, reps=reps, domain_diam_bound=theta / 4.0,
-                           seed=seed)
+    return SpherePartition(k=k, z=z, reps=reps, theta=theta, seed=seed)
 
 
 # ---------------------------------------------------------------------------

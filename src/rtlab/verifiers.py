@@ -12,8 +12,11 @@ vertex mask per edge, each made by one numpy pass.
 Every search counts its nodes on one `_Counter`, which resolves the
 budget (per-call argument, else env RTLAB_BUDGET, else DEFAULT_BUDGET),
 and raises BudgetExceeded, carrying whatever certified bound was
-reached.  The clique, alpha_t, TK and split-core searches list cliques
-by one walk, `_cliques`.  The searches return their witnesses unchecked;
+reached.  The alpha_t, TK and split-core searches and the greedy
+K_{t+1}-free graph of `constructions` list cliques by one walk,
+`_cliques`, which takes the caller's counter.  No search recurses:
+each walks an explicit stack and keeps no state it can work out from
+it.  The searches return their witnesses unchecked;
 `rtlab verify` and the drc pipelines pass each through the separate
 recheck_* code paths before it leaves.  The core-pattern witnesses (K_s,
 TKF, split-core and TK) share one builder, `_core_embedding`, and one
@@ -95,31 +98,26 @@ class _Counter:
 
 def _color_sort(cand: int, nonadj: list, kmin: int) -> list:
     """Greedy coloring of the candidate bitmask in vertex order; the
-    vertices of color >= kmin, in nondecreasing color order.
+    classes of color >= kmin, as bitmasks, in color order.
 
     `nonadj[v]` is ~(adj[v] | 1 << v) within the vertex bitmask: a color
     class takes the lowest vertex left and keeps the candidates outside
     its neighbourhood.  The classes below kmin are only cleared from the
-    candidates, with no output built for them."""
-    out = []
-    rest = cand
+    candidates."""
+    classes = []
     color = 1
-    while rest and color < kmin:
-        q = rest
+    while cand:
+        q = cand
+        cls = 0
         while q:
             low = q & -q
             q &= nonadj[low.bit_length() - 1]
-            rest ^= low
+            cls |= low
+        cand ^= cls
+        if color >= kmin:
+            classes.append(cls)
         color += 1
-    while rest:
-        q = rest
-        while q:
-            low = q & -q
-            v = low.bit_length() - 1
-            q &= nonadj[v]
-            rest ^= low
-            out.append(v)
-    return out
+    return classes
 
 
 def find_clique(g: SimpleGraph, s: int, budget=None) -> Embedding | None:
@@ -130,7 +128,10 @@ def find_clique(g: SimpleGraph, s: int, budget=None) -> Embedding | None:
     minus the clique size there: a vertex of color c leaves open only
     candidates of its c color classes, each an independent set.  The
     vertex sets are int bitmasks, and the coloring reads each vertex's
-    non-neighbour mask, made once per search.
+    non-neighbour mask, made once per search.  One explicit stack holds
+    a frame per level, its untried candidates and the classes left to
+    branch on; the search places the highest vertex of the last class
+    and clears it from both, so backtracking only pops the frame.
     Returns an embedding of K_s or None if the graph is K_s-free.
     """
     if s < 1:
@@ -142,27 +143,30 @@ def find_clique(g: SimpleGraph, s: int, budget=None) -> Embedding | None:
     full = (1 << g.n) - 1
     nonadj = [full ^ (a | 1 << v) for v, a in enumerate(adj)]
     # an explicit stack, so the depth is not bounded by the recursion
-    # limit: clique[i] was placed from the branching list orders[i], and
-    # pools[i] holds that level's candidates not yet searched through
+    # limit: clique[i] was placed from stack[i], a frame [untried
+    # candidates, class, ..., class] of the classes left to branch on
     clique: list = []
-    orders = [_color_sort(full, nonadj, s)]
-    pools = [full]
-    while orders:
-        order = orders[-1]
-        if not order:
-            orders.pop()
-            pools.pop()
+    stack = [[full, *_color_sort(full, nonadj, s)]]
+    while stack:
+        frame = stack[-1]
+        if len(frame) == 1:
+            stack.pop()
             if clique:
-                pools[-1] &= ~(1 << clique.pop())
+                clique.pop()
             continue
-        v = order.pop()
+        # the highest vertex of the last class, cleared from the frame
+        v = frame[-1].bit_length() - 1
+        bit = 1 << v
+        frame[-1] ^= bit
+        if not frame[-1]:
+            frame.pop()
+        frame[0] ^= bit
         counter.tick()
         clique.append(v)
         if len(clique) == s:
             break
-        cand = pools[-1] & adj[v]
-        orders.append(_color_sort(cand, nonadj, s - len(clique)))
-        pools.append(cand)
+        cand = frame[0] & adj[v]
+        stack.append([cand, *_color_sort(cand, nonadj, s - len(clique))])
     else:
         return None
     return _core_embedding(sorted(clique), lambda a, b: [(a, b)])
@@ -172,13 +176,14 @@ def recheck_clique(g: SimpleGraph, emb: Embedding) -> bool:
     return recheck_cores(g, emb, len(emb.vertex_map))
 
 
-def _cliques(rows: list, size: int, cand: int, counter: _Counter | None = None):
+def _cliques(rows: list, size: int, cand: int, counter: _Counter):
     """Every strictly increasing sequence of `size` vertices from the
     bitmask `cand` in which each vertex is adjacent in the bitmask rows
     to all earlier ones, in lexicographic order: each clique once.
 
     Depth-first over an explicit stack of untried-vertex bitmasks, one
-    `counter` tick for each vertex placed; a sequence is yielded as soon
+    tick of the (required) `counter` for each vertex placed, so every
+    caller runs under a node budget; a sequence is yielded as soon
     as it is complete.  No frame is pushed with fewer candidates than the
     vertices still to place (the root frame included), since no sequence
     can complete below it; the vertex placed is still ticked.
@@ -200,8 +205,7 @@ def _cliques(rows: list, size: int, cand: int, counter: _Counter | None = None):
         low = untried & -untried
         v = low.bit_length() - 1
         stack[-1] = untried ^ low
-        if counter is not None:
-            counter.tick()
+        counter.tick()
         if len(stack) == size:
             yield (*seq, v)
             continue
@@ -376,10 +380,10 @@ def private_edges(cover: PairCoverIndex, pairs: list, used: set,
     Depth-first over first-fit choices in the index order, one budget
     node per tentative choice; returns the edges in pair order, or None
     when no such choice exists.  An explicit stack keeps each pair's next
-    position in its cover list, looked up when the pair is first reached.
+    position in its cover list, looked up when the pair is first reached;
+    the edge chosen for pair i is the one just before that position.
     """
     used = set(used)
-    chosen: list = []
     covers: list = []  # covers[i]: the covering edges of pair i
     nxt = [0]  # nxt[i]: the position in pair i's cover list to try next
     while len(nxt) <= len(pairs):
@@ -395,17 +399,17 @@ def private_edges(cover: PairCoverIndex, pairs: list, used: set,
         else:
             # pair i has no choice left: take back the choice of pair i-1
             nxt.pop()
-            if not chosen:
+            if i == 0:
                 return None
             a, b = pairs[i - 1]
-            used.difference_update(v for v in chosen.pop() if v != a and v != b)
+            taken = covers[i - 1][nxt[i - 1] - 1]
+            used.difference_update(v for v in taken if v != a and v != b)
             continue
         counter.tick()
         nxt[i] = j + 1
         used.update(outside)
-        chosen.append(es[j])
         nxt.append(0)
-    return chosen
+    return [edges[k - 1] for edges, k in zip(covers, nxt)]
 
 
 def subdivision(cover: PairCoverIndex, cores, counter: _Counter,
@@ -527,7 +531,11 @@ def connected_edge_subsets(h: PartitionedHypergraph, masks: list,
     all of whose proper connected prefixes fail stop_at is still reached,
     so in particular every minimal satisfying subset is yielded.  Each
     edge's neighbours (the edges sharing a vertex with it) come from one
-    sort of the rows' vertex incidences.
+    sort of the rows' vertex incidences.  A neighbour u of the edge just
+    added joins the extension list when it is above the seed, not dead,
+    and meets none of the parent subset's vertices (`masks[u] & verts`
+    is 0): otherwise it neighbours an earlier edge of the subset, so it
+    already sits in an extension list on this path, or is dead.
 
     `dead` is read at every step, so the caller may add to it between
     yields.  Deleting edges changes no adjacency among the others, so the
@@ -538,8 +546,6 @@ def connected_edge_subsets(h: PartitionedHypergraph, masks: list,
     """
     rows = h.edge_array
     m, r = rows.shape
-    if r > max_vertices:
-        return
     live = np.ones(m, dtype=bool)  # edges dead already have no neighbours
     live[list(dead)] = False
     kept = np.flatnonzero(live)
@@ -557,9 +563,9 @@ def connected_edge_subsets(h: PartitionedHypergraph, masks: list,
         if seed in dead:
             continue
         base_ext = [u for u in nbr_lists[seed] if u > seed and u not in dead]
-        stack = [((seed,), masks[seed], base_ext, set(base_ext) | {seed})]
+        stack = [((seed,), masks[seed], base_ext)]
         while stack:
-            subset, verts, ext, closed = stack.pop()
+            subset, verts, ext = stack.pop()
             if not dead.isdisjoint(subset):
                 continue
             if len(subset) >= 2:
@@ -577,10 +583,9 @@ def connected_edge_subsets(h: PartitionedHypergraph, masks: list,
                 if nv.bit_count() > max_vertices:
                     continue
                 counter.tick()
-                fresh = [u for u in nbr_lists[w]
-                         if u > seed and u not in closed and u not in dead]
-                stack.append((subset + (w,), nv, ext[i + 1:] + fresh,
-                              closed | set(fresh)))
+                fresh = [u for u in nbr_lists[w] if u > seed
+                         and not masks[u] & verts and u not in dead]
+                stack.append((subset + (w,), nv, ext[i + 1:] + fresh))
 
 
 def _pattern_embedding(edges_used: list) -> Embedding:

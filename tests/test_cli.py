@@ -459,6 +459,20 @@ def test_construct_corollary_cli(tmp_path):
     assert main(["verify", "--check", "clique", "--s", "8", str(out)]) == 0
 
 
+def test_construct_corollary_budget_exit_3(tmp_path, monkeypatch, capsys):
+    # the README params: the greedy K_4-free class graph spends 15,413
+    # clique-walk nodes, more than the budget, so no file is written
+    params = write_params(tmp_path, z=14, epsilon=0.5, blowup_t=3,
+                          pattern_cap=10, seed=3)
+    monkeypatch.setenv("RTLAB_BUDGET", "15412")
+    out = tmp_path / "cor.g"
+    assert main(["construct", "--type", "corollary", "--params", params,
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "budget exceeded after 15413 nodes")
+    assert not out.exists()
+
+
 # sha256 of `construct --type corollary` files (z=12, seed 2) for the
 # corollary's defaults and three sets of ell, q and mix_a
 COROLLARY_DIGESTS = [

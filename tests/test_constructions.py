@@ -17,7 +17,7 @@ from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph, as_graph,
                               blowup, shadow, turan_hypergraph)
 from rtlab.rng import substream
 from rtlab.sphere import SQRT2, build_partition
-from rtlab.verifiers import (BudgetExceeded, _cliques,
+from rtlab.verifiers import (BudgetExceeded, _cliques, _Counter,
                              blowup_deletion_condition, density_report,
                              find_clique, scan_sparse_patterns,
                              sparse_pattern_doomed_edges)
@@ -710,7 +710,7 @@ def _former_tuple_hypergraph(partition, r, u, theta):
         tfar |= (dm >= 2.0 - theta)[np.ix_(T[:, j], T[:, j])]
     np.fill_diagonal(tfar, False)
     full, shift = (1 << nv) - 1, nv * np.arange(r)
-    inside = np.array(list(_cliques(_mask_rows(tfar), r, full)),
+    inside = np.array(list(_cliques(_mask_rows(tfar), r, full, _Counter())),
                       dtype=np.int64).reshape(-1, r)
     cross = np.array(list(_former_ordered_walk(_mask_rows(tclose), r, full)),
                      dtype=np.int64).reshape(-1, r) + shift
@@ -863,6 +863,17 @@ def test_maximal_ktfree_graph_is_ktfree():
     for t in (2, 3):
         g = maximal_ktfree_graph(12, t, seed=9)
         assert find_clique(g, t + 1) is None
+
+
+def test_maximal_ktfree_graph_counts_on_the_budget(monkeypatch):
+    # the README corollary's class (116 vertices, t = 3, seed 3): the
+    # clique walks of the whole build spend one counter's budget
+    monkeypatch.setenv("RTLAB_BUDGET", "15413")
+    maximal_ktfree_graph(116, 3, seed=3)
+    monkeypatch.setenv("RTLAB_BUDGET", "15412")
+    with pytest.raises(BudgetExceeded) as info:
+        maximal_ktfree_graph(116, 3, seed=3)
+    assert info.value.nodes == 15_413
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4])

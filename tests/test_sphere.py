@@ -688,8 +688,13 @@ def test_partition_file_roundtrip(tmp_path):
         back = read_partition(str(path))
         assert back.k == part.k and back.z == part.z
         assert back.seed == part.seed
+        assert back.theta == part.theta
         assert back.domain_diam_bound == part.domain_diam_bound
         assert np.array_equal(back.reps, part.reps), (k, z, seed)
+    # a subnormal theta reads back too, although its quarter rounds
+    for theta in (5e-324, 1e-323):
+        write_partition(build_partition(2, 3, theta, seed=1), str(path))
+        assert read_partition(str(path)).theta == theta
 
 
 def test_partition_file_rejects_row_off_sphere(tmp_path):

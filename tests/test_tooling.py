@@ -6,7 +6,8 @@ and numpy, no private helper is left without a caller, no public
 function, class or method is reached by tests alone, no package code
 reads the `edges` view of the edge array, only the hypergraph
 constructor converts the part labels, only the node counter reads and
-spends the search budget, the CLI's construction flags
+spends the search budget, every clique walk counts on a counter, the
+CLI's construction flags
 mirror the construction params, its construction table names the
 `(params, partition)` builders and every params field has a kind the
 CLI's params reader checks."""
@@ -291,6 +292,29 @@ def test_budget_is_kept_by_the_counter():
             if not first <= node.lineno <= last:
                 found.append(f"{path.stem}:{node.lineno}: {what}")
     assert {"__init__", "tick"} <= set(methods)
+    assert found == []
+
+
+def test_clique_walks_count_on_a_counter():
+    # every call of `_cliques` passes its fourth argument, the counter,
+    # and no package code compares a `counter` with None, so no walk
+    # runs outside the node budget
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "_cliques"
+                    and len(node.args) < 4
+                    and "counter" not in {k.arg for k in node.keywords}):
+                found.append(f"{path.stem}:{node.lineno}: _cliques()")
+            elif isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                if (any(getattr(n, "id", getattr(n, "attr", None))
+                        == "counter" for n in sides)
+                        and any(isinstance(n, ast.Constant) and n.value is None
+                                for n in sides)):
+                    found.append(f"{path.stem}:{node.lineno}: "
+                                 "counter vs None")
     assert found == []
 
 

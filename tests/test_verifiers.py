@@ -340,7 +340,8 @@ def test_sequences_in_blocks_match_the_walk():
                            "little") for row in rel]
     got = _sequences(np.triu(rel, 1), 3)
     assert len(got) > 0
-    assert list(map(tuple, got.tolist())) == list(_cliques(rows, 3, (1 << n) - 1))
+    assert list(map(tuple, got.tolist())) == list(
+        _cliques(rows, 3, (1 << n) - 1, _Counter()))
 
 
 def test_clique_walk_skips_hopeless_frames():
@@ -517,7 +518,7 @@ def test_hyper_independence_pinned_node_count():
     # the triangles of the dense G(40, 0.8) at seed 1
     g = dense_gnp(40, 0.8, 1)
     dense = PartitionedHypergraph(40, 3, list(
-        _cliques(g.adjacency_masks(), 3, (1 << 40) - 1)))
+        _cliques(g.adjacency_masks(), 3, (1 << 40) - 1, _Counter())))
     for h, nodes, alpha in ((sparse, 197, 6), (dense, 30_096, 8)):
         assert hyper_independence(h, budget=nodes) == alpha
         with pytest.raises(BudgetExceeded) as info:
