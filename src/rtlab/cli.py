@@ -283,7 +283,7 @@ def _cmd_sphere(args) -> int:
         return EXIT_HOLDS
     if args.action == "eps-k":
         try:
-            eps, k = sph.find_eps_k(args.alpha, args.beta, args.t_max)
+            eps, k = sph.find_eps_k(args.alpha, args.beta)
         except sph.InfeasibleSearch as exc:
             print(f"eps-k: {exc}", file=sys.stderr)
             return EXIT_BUDGET
@@ -349,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float)
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
-    p.add_argument("--t-max", dest="t_max", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sphere)

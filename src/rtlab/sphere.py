@@ -176,7 +176,10 @@ def cap_intersection_measure_mc(k: int, centers: np.ndarray, s: float,
     in R^m and c an independent chi-square with k+1-m degrees of freedom
     (c = 0 when m = k+1).  So each sample draws m + 1 numbers instead of
     k + 1, and the estimate is exact in distribution: the hit count is
-    Binomial(samples, mu).
+    Binomial(samples, mu).  Nothing in the package calls it: the (eps, k)
+    search derives its intersection floor from the large-cap floor in
+    closed form (`properties_hold`), and the tests hold these estimates
+    against that floor.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     _, r = np.linalg.qr(centers.T)
@@ -197,7 +200,6 @@ class InfeasibleSearch(RuntimeError):
     """No (eps, k) within the search caps satisfies the cap properties."""
 
 
-_P2_SAMPLES = 40_000
 # largest sphere dimension the (eps, k) search tries
 K_CAP = 1_000_000
 
@@ -212,46 +214,40 @@ def _p3_threshold(eps: float, k: int) -> float:
     return threshold_for_base_diameter(2.0 - eps / (2.0 * math.sqrt(k)))
 
 
-def properties_hold(eps: float, alpha: float, beta: float, k: int,
-                    t_max: int = 2) -> bool:
-    """Numeric check of the three cap properties at a given (eps, k).
+def properties_hold(eps: float, alpha: float, beta: float, k: int) -> bool:
+    """Closed-form check of the three cap properties at a given (eps, k).
 
-    Large-cap floor: the cap of radius sqrt(2) - eps/sqrt(k) has measure
-    >= 1/2 - alpha.  Intersection floor: t such caps with pairwise-
-    orthogonal centers (the extreme admissible configuration, centers at
-    pairwise distance sqrt(2)) keep a Monte Carlo measure >= 2^-t -
-    t*alpha, for 2 <= t <= t_max.  Each of its 40,000 samples is the
-    projection of a uniform point onto the span of the centers, drawn from
-    its exact law g / sqrt(|g|^2 + chi^2_(k+1-t)) with g standard normal
-    in R^t (`cap_intersection_measure_mc`): the estimate is exact in
-    distribution and costs t + 1 draws per sample.  Small-cap ceiling: the
-    cap of base diameter 2 - eps/(2 sqrt(k)) has measure <= beta.  The
-    working scale eps/sqrt(k) is additionally required to stay below 1/4,
-    the regime in which the four-point exclusion is available downstream.
+    Large-cap floor: the cap of radius sqrt(2) - eps/sqrt(k), threshold
+    s1 = sqrt(2) theta - theta^2/2 for theta = eps/sqrt(k), has measure
+    >= 1/2 - alpha.  Small-cap ceiling: the cap of base diameter
+    2 - eps/(2 sqrt(k)) has measure <= beta.  The working scale theta is
+    additionally required to stay below 1/4, the regime in which the
+    four-point exclusion is available downstream.
+
+    Intersection floor: t such caps with pairwise-orthogonal centers (the
+    extreme admissible configuration, centers at pairwise distance
+    sqrt(2)) meet in measure >= 2^-t - t*alpha, for every t <= k+1.  The
+    large-cap floor implies it, so it is not checked separately.  For
+    theta < 1/4, s1 > 0, so each cap lies in its half-space {x . c >= 0}.
+    The t half-spaces meet in an orthant of measure exactly 2^-t, by
+    sign symmetry, and each half-space minus its cap is a slab of
+    measure 1/2 - mu(s1) <= alpha.  By the union bound the caps meet in
+    measure >= 2^-t - t*alpha.  (`cap_intersection_measure_mc` samples
+    that measure; the tests hold it against this bound.)
     """
     theta = eps / math.sqrt(k)
     if theta >= 0.25:
         return False
-    s1 = _p1_threshold(eps, k)
-    if cap_measure(k, s1) < 0.5 - alpha:
+    if cap_measure(k, _p1_threshold(eps, k)) < 0.5 - alpha:
         return False
-    if cap_measure(k, _p3_threshold(eps, k)) > beta:
-        return False
-    for t in range(2, min(t_max, k + 1) + 1):
-        floor = 2.0 ** (-t) - t * alpha
-        if floor <= 0.0:
-            continue
-        centers = np.eye(t, k + 1)
-        rng = substream(k * 1_000_003 + t, "p2-mc")
-        if cap_intersection_measure_mc(k, centers, s1, _P2_SAMPLES, rng) < floor:
-            return False
-    return True
+    return cap_measure(k, _p3_threshold(eps, k)) <= beta
 
 
-def find_eps_k(alpha: float, beta: float,
-               t_max: int = 2) -> tuple[float, int]:
+def find_eps_k(alpha: float, beta: float) -> tuple[float, int]:
     """Smallest workable (eps, k): eps halved down a ladder, then the
-    minimal k located by doubling followed by bisection.
+    minimal k located by doubling followed by bisection.  Every step is
+    the closed-form `properties_hold`, so the answer draws no random
+    number.
 
     Raises InfeasibleSearch when no k <= K_CAP (1,000,000) works for any
     ladder eps.
@@ -260,7 +256,7 @@ def find_eps_k(alpha: float, beta: float,
         raise ValueError("alpha and beta must lie in (0, 1/2)")
     eps = 1.0
     for _ in range(24):
-        k = _minimal_k(eps, alpha, beta, t_max)
+        k = _minimal_k(eps, alpha, beta)
         if k is not None:
             return eps, k
         eps /= 2.0
@@ -269,8 +265,8 @@ def find_eps_k(alpha: float, beta: float,
         f"alpha={alpha}, beta={beta}")
 
 
-def _minimal_k(eps, alpha, beta, t_max):
-    ok = lambda k: properties_hold(eps, alpha, beta, k, t_max)
+def _minimal_k(eps, alpha, beta):
+    ok = lambda k: properties_hold(eps, alpha, beta, k)
     # doubling phase: first k that works
     k = max(1, math.ceil((4.0 * eps) ** 2))  # below this theta >= 1/4
     lo = 0

@@ -28,7 +28,9 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import numpy as np
 
@@ -100,7 +102,8 @@ def _color_sort(cand: int, nonadj: list, kmin: int) -> list:
     """Greedy coloring of the candidate bitmask in vertex order; the
     classes of color >= kmin, as bitmasks, in color order.
 
-    `nonadj[v]` is ~(adj[v] | 1 << v) within the vertex bitmask: a color
+    `nonadj[v]` is ~(adj[v] | 1 << v) within a bitmask holding every
+    candidate, for each vertex v that can be one: a color
     class takes the lowest vertex left and keeps the candidates outside
     its neighbourhood.  The classes below kmin are only cleared from the
     candidates."""
@@ -132,6 +135,12 @@ def find_clique(g: SimpleGraph, s: int, budget=None) -> Embedding | None:
     a frame per level, its untried candidates and the classes left to
     branch on; the search places the highest vertex of the last class
     and clears it from both, so backtracking only pops the frame.
+
+    The root candidates are the vertices with a neighbour, and only they
+    get a non-neighbour mask (the others' entry is 0, never read), so a
+    vertex without one costs no n-bit mask.  Leaving such vertices out changes no branch: each would fall
+    in color class 1, which bounds no other class and, as s >= 2, is not
+    branched on at the root; deeper candidates lie in neighbourhoods.
     Returns an embedding of K_s or None if the graph is K_s-free.
     """
     if s < 1:
@@ -140,13 +149,13 @@ def find_clique(g: SimpleGraph, s: int, budget=None) -> Embedding | None:
         return _core_embedding([0], lambda a, b: [(a, b)]) if g.n else None
     adj = g.adjacency_masks()
     counter = _Counter(budget)
-    full = (1 << g.n) - 1
-    nonadj = [full ^ (a | 1 << v) for v, a in enumerate(adj)]
+    root = reduce(or_, adj, 0)
+    nonadj = [a and root ^ (a | 1 << v) for v, a in enumerate(adj)]
     # an explicit stack, so the depth is not bounded by the recursion
     # limit: clique[i] was placed from stack[i], a frame [untried
     # candidates, class, ..., class] of the classes left to branch on
     clique: list = []
-    stack = [[full, *_color_sort(full, nonadj, s)]]
+    stack = [[root, *_color_sort(root, nonadj, s)]]
     while stack:
         frame = stack[-1]
         if len(frame) == 1:

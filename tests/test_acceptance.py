@@ -54,7 +54,7 @@ def test_criterion_2_corollary_optimization():
 
 def test_criterion_3_two_sided_sphere_graph():
     t0 = time.time()
-    eps, k = find_eps_k(0.3, 0.3, 2)
+    eps, k = find_eps_k(0.3, 0.3)
     z = 150
     params = ConstructionParams(r=2, z=z, alpha=0.3, beta=0.3, epsilon=eps,
                                 k=k, seed=11)

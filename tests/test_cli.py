@@ -622,6 +622,26 @@ def test_drc_hypergraph_pipeline_failure_exit_3(tmp_path, capsys, action):
     assert not out.exists()
 
 
+def test_drc_find_f_empty_auxiliary_graph_exit_3(tmp_path, monkeypatch,
+                                                 capsys):
+    # the hypergraph form keeps no pair: the one trial fails at its stage,
+    # which the stdout line names, and nothing is written
+    from rtlab import drc
+    monkeypatch.setattr(drc, "hyper_drc", lambda g, s, seed: (
+        PartitionedHypergraph(g.n, 2, frozenset(), g.part_of)))
+    hpath = tmp_path / "h.hg"
+    write_hypergraph(complete_uniform(12, 3), str(hpath))
+    ppath = tmp_path / "drc.json"
+    ppath.write_text(json.dumps({"a": 3, "m": 3, "t": 2, "s": 1,
+                                 "codegree_threshold": 2, "retries": 1}))
+    out = tmp_path / "w.json"
+    assert main(["drc", "find-f", "--params", str(ppath), "--seed", "2",
+                 "--out", str(out), str(hpath)]) == 3
+    assert capsys.readouterr().out == (
+        "find-f failed at stage 'hyper-drc': empty auxiliary graph\n")
+    assert not out.exists()
+
+
 def test_drc_find_f_31_vertices(tmp_path, capsys):
     # a balanced partition of 31 vertices has parts 11, 10, 10
     rng = np.random.default_rng(7)
@@ -736,6 +756,14 @@ def test_sphere_partition_prints_volume_bound(tmp_path, capsys, k, z, theta,
     printed = capsys.readouterr().out
     assert f"theta/4 = {theta / 4:.4f}" in printed
     assert printed.rstrip().endswith(f"{verdict})")
+
+
+def test_sphere_eps_k_takes_no_t_max(capsys):
+    # the search decides every property in closed form, so there is no
+    # intersection depth to set: the flag is an unknown argument
+    assert main(["sphere", "eps-k", "--alpha", "0.3", "--beta", "0.3",
+                 "--t-max", "3"]) == 2
+    assert "unrecognized arguments: --t-max 3" in capsys.readouterr().err
 
 
 def test_sphere_missing_flags_exit_2():
@@ -995,9 +1023,11 @@ ONE_EDGE = "HG 2 100000 1 0\n" + "-1\n" * 100000 + "0 1\n"
     # packed only for the two vertices that have a neighbour
     (ONE_EDGE, "verify --check alpha_t --t 3", 0, "alpha_3 = 100000"),
     (ONE_EDGE, "verify --check tk --s 3", 0, "tk: holds"),
+    (ONE_EDGE, "verify --check clique --s 3", 0, "clique: holds"),
+    (ONE_EDGE, "verify --check tkf --s 3", 0, "tkf: holds"),
 ], ids=["label-count", "split-core", "tk", "tkf", "sparse",
         "wide-edge-split-core", "wide-edge-sparse", "one-edge-alpha-t",
-        "one-edge-tk"])
+        "one-edge-tk", "one-edge-clique", "one-edge-tkf"])
 def test_header_counts_cost_nothing(tmp_path, text, argv, code, out):
     # a small file whose header gives a huge count, or whose one edge is
     # huge, is answered within 2 s

@@ -124,7 +124,7 @@ def test_be_cross_degree_floor():
     # large-cap floor surrogate: with (eps, k) from the (0.2, 0.2) search,
     # every vertex sees at least (1/2 - 0.25) z cross neighbors
     from rtlab.sphere import find_eps_k
-    eps, k = find_eps_k(0.2, 0.2, 2)
+    eps, k = find_eps_k(0.2, 0.2)
     z = 100
     part = build_partition(k, z, eps / math.sqrt(k), seed=7, balance_iters=8,
                            diag_samples=8000)

@@ -296,6 +296,33 @@ def test_find_f_cleans_own_parts_once(monkeypatch):
     assert calls == {"clean": 1, "hyper_drc": 4}
 
 
+@pytest.mark.parametrize("stage,nth", [
+    ("hyper-drc", None), ("edge-in-neighborhood", 2),
+    ("edge-in-extensions", 3)],
+    ids=["hyper-drc", "edge-in-neighborhood", "edge-in-extensions"])
+def test_find_f_names_the_stage_that_failed(monkeypatch, stage, nth):
+    # one trial, which finds a witness at seed 2 unstubbed; made to find
+    # nothing at one stage (an empty auxiliary graph, or no edge at the
+    # trial's nth edge lookup, the first being "edge-in-set"), the
+    # failure names that stage
+    h = complete_uniform(12, 3)
+    p = DrcParams(a=3, m=3, t=2, s=1, codegree_threshold=2, retries=1)
+    assert recheck_f_witness(h, find_f_witness(h, p, seed=2))
+    if nth is None:
+        monkeypatch.setattr(drc, "hyper_drc", lambda g, s, seed: (
+            PartitionedHypergraph(g.n, 2, frozenset(), g.part_of)))
+    else:
+        real, calls = drc.contained_edge, []
+
+        def lookup(host, vertices):
+            calls.append(vertices)
+            return None if len(calls) == nth else real(host, vertices)
+        monkeypatch.setattr(drc, "contained_edge", lookup)
+    with pytest.raises(PipelineFailure) as info:
+        find_f_witness(h, p, seed=2)
+    assert info.value.stage == stage
+
+
 def test_find_tkf5_on_complete_12():
     # the 4-core subdivision needs 10 distinct vertices, so 12 suffice
     h = complete_uniform(12, 3)

@@ -239,7 +239,7 @@ def test_cap_measure_rejects_out_of_range():
 
 
 def test_find_eps_k_loose_tolerances_small_k():
-    eps, k = find_eps_k(0.49, 0.49, 2)
+    eps, k = find_eps_k(0.49, 0.49)
     assert k <= 50
     # the returned pair satisfies the small-cap ceiling (postcondition recheck)
     from rtlab.sphere import _p3_threshold
@@ -248,8 +248,8 @@ def test_find_eps_k_loose_tolerances_small_k():
 
 def test_find_eps_k_monotone_in_alpha():
     # rerun-search oracle: stricter alpha never returns a smaller k
-    _, k_loose = find_eps_k(0.45, 0.05, 2)
-    _, k_tight = find_eps_k(0.20, 0.05, 2)
+    _, k_loose = find_eps_k(0.45, 0.05)
+    _, k_tight = find_eps_k(0.20, 0.05)
     assert k_tight >= k_loose
 
 
@@ -262,21 +262,21 @@ def test_find_eps_k_reports_infeasible_at_cap(monkeypatch):
     from rtlab import sphere
     monkeypatch.setattr(sphere, "K_CAP", 64)
     with pytest.raises(sphere.InfeasibleSearch):
-        find_eps_k(0.3, 1e-9, 2)
+        find_eps_k(0.3, 1e-9)
 
 
-@pytest.mark.parametrize("alpha,beta,t_max,want", [
-    (0.1, 0.1, 2, (0.125, 691)), (0.3, 0.3, 2, (0.5, 5)),
-    (0.49, 0.49, 2, (1.0, 17)), (0.45, 0.05, 2, (1.0, 29)),
-    (0.2, 0.05, 2, (0.25, 469)), (0.45, 0.45, 3, (1.0, 17)),
-    (0.2, 0.2, 2, (0.25, 33))])
-def test_find_eps_k_pinned_answers(alpha, beta, t_max, want):
-    assert find_eps_k(alpha, beta, t_max) == want
+@pytest.mark.parametrize("alpha,beta,want", [
+    (0.1, 0.1, (0.125, 691)), (0.3, 0.3, (0.5, 5)),
+    (0.49, 0.49, (1.0, 17)), (0.45, 0.05, (1.0, 29)),
+    (0.2, 0.05, (0.25, 469)), (0.45, 0.45, (1.0, 17)),
+    (0.2, 0.2, (0.25, 33)), (0.002, 0.3, (0.001953125, 79298))])
+def test_find_eps_k_pinned_answers(alpha, beta, want):
+    assert find_eps_k(alpha, beta) == want
 
 
 def test_find_eps_k_large_k_in_small_memory():
-    # the intersection floor takes its t orthogonal centres as a (t, k+1)
-    # array, not as rows of a (k+1, k+1) identity (8 GiB at k = 32,768)
+    # the search holds no array whose size grows with k: each step is two
+    # closed-form cap measures
     assert find_eps_k(0.1, 0.1) == (0.125, 691)
     assert find_eps_k(0.05, 0.05) == (0.0625, 7496)
     assert find_eps_k(0.1, 0.001) == (0.125, 23342)
@@ -289,11 +289,36 @@ def test_find_eps_k_large_k_in_small_memory():
     assert peak < 8 * 2 ** 20, peak
 
 
-def test_find_eps_k_with_triple_intersections():
-    eps, k = find_eps_k(0.45, 0.45, 3)
-    assert k >= 2
-    from rtlab.sphere import properties_hold
-    assert properties_hold(eps, 0.45, 0.45, k, t_max=3)
+def test_find_eps_k_draws_no_random_number(monkeypatch):
+    # every decision of the search is a closed-form cap measure
+    from rtlab import sphere
+
+    def refuse(*args):
+        raise AssertionError("the (eps, k) search drew a random number")
+
+    monkeypatch.setattr(sphere, "substream", refuse)
+    assert find_eps_k(0.1, 0.1) == (0.125, 691)
+    assert find_eps_k(0.05, 0.05) == (0.0625, 7496)
+
+
+@pytest.mark.parametrize("eps,k", [(0.015625, 1240), (0.0078125, 4957),
+                                   (0.00390625, 19825), (0.001953125, 79298)])
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_intersection_floor_follows_from_large_cap_floor(eps, k, t):
+    # t caps of threshold s1 on orthonormal centres meet in measure at
+    # least 2^-t - t (1/2 - mu(s1)): the orthant minus t slabs.  The
+    # search checks only the large-cap floor and relies on this bound.
+    # The pairs are find_eps_k's answers for beta = 0.3 and alpha = 0.01,
+    # 0.005, 0.003 and 0.002, where the bound is positive up to t = 4.
+    from rtlab.sphere import _p1_threshold
+    s1 = _p1_threshold(eps, k)
+    floor = 2.0 ** -t - t * (0.5 - cap_measure(k, s1))
+    assert floor > 0.0
+    n = 200_000
+    got = cap_intersection_measure_mc(k, np.eye(t, k + 1), s1, n,
+                                      substream(k * 10 + t, "p2-floor"))
+    assert got >= floor - 5.0 * math.sqrt(floor * (1.0 - floor) / n), \
+        (got, floor)
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,37 @@ def test_clique_pinned_node_counts():
         assert info.value.nodes == nodes
 
 
+def test_clique_search_ignores_interleaved_isolated_vertices(monkeypatch):
+    # isolated vertices put between the others change neither the witness,
+    # relabelled, nor the node count: the search never reaches them
+    from rtlab import verifiers
+    counters = []
+
+    class Recording(_Counter):
+        def __init__(self, budget):
+            super().__init__(budget)
+            counters.append(self)
+
+    monkeypatch.setattr(verifiers, "_Counter", Recording)
+    rng = substream(42, "isolated-interleave")
+    for p, n, seed in product((0.3, 0.6, 0.9), (2, 6, 15, 30), range(3)):
+        g = random_graph(n, p, seed)
+        # vertex v of g becomes f[v], after 0..2 new isolated vertices
+        f = np.cumsum(rng.integers(1, 4, n)).tolist()
+        wide = SimpleGraph(f[-1] + 1 + int(rng.integers(0, 3)),
+                           frozenset((f[a], f[b]) for a, b in g.edge_array.tolist()))
+        s, misses = 2, 0
+        while misses < 2:
+            emb = find_clique(g, s)
+            got = find_clique(wide, s)
+            assert counters[-1].nodes == counters[-2].nodes, (p, n, seed, s)
+            assert (got and got.vertex_map) == (
+                emb and {i: f[v] for i, v in emb.vertex_map.items()}), \
+                (p, n, seed, s)
+            misses += emb is None
+            s += 1
+
+
 @pytest.mark.parametrize("solve", [
     lambda: find_clique(SimpleGraph(5, frozenset(combinations(range(5), 2))), 3,
                         budget=1),
