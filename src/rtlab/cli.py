@@ -11,12 +11,12 @@ over its cap, nothing written), 4 internal error (any other exception,
 including a witness that fails its recheck).  `verify` runs one search
 check on a file; `report` writes its density report.  One reader takes
 params.json and drc.json and checks every value against its field's
-annotation.  The construction flags of `construct` and `report` mirror
-the params.json keys and override file values; all randomness flows
-from the single seed.  A command runs only the modules it uses: each is
-registered at import but runs when a command first reads from it, so
-`optimize` (the `bounds` module alone) runs without numpy, and only a
-command that draws from a seed imports numpy.random.
+annotation; `construct` and `report` take the construction params from
+`--params` alone, and all randomness flows from the single seed.  A
+command runs only the modules it uses: each is registered at import but
+runs when a command first reads from it, so `optimize` (the `bounds`
+module alone) runs without numpy, and only a command that draws from a
+seed imports numpy.random.
 """
 
 from __future__ import annotations
@@ -57,13 +57,6 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
-# the construction flags, one per params field (--blowup-t for blowup_t)
-# but the derived theta and u and the corollary's ell, q and mix_a, which
-# only a params file sets; a literal, so building the parser runs no module
-PARAM_FLAGS = {"r": int, "z": int, "alpha": float, "beta": float,
-               "epsilon": float, "k": int, "blowup_t": int, "gamma": float,
-               "pattern_cap": int, "seed": int}
-
 # each `construct --type` and the `constructions` builder it calls with
 # (params, partition); names, so building the parser runs no module
 CONSTRUCTIONS = {"be": "bollobas_erdos", "sphere": "sphere_hypergraph",
@@ -71,24 +64,20 @@ CONSTRUCTIONS = {"be": "bollobas_erdos", "sphere": "sphere_hypergraph",
                  "corollary": "corollary_construction"}
 
 
-def _read_params(cls, what: str, path, flags=None):
+def _read_params(cls, what: str, path):
     """A `cls` (ConstructionParams or DrcParams) of the JSON object in
-    the file at `path` (none when path is None), each value of `flags`
-    that is not None overriding the file's.  Every value is checked
-    against its field's annotation: an int field takes an int, a float
-    field an int or a float, neither a bool, and a field declared
-    `X | None` also null.  ValueError for a file that is not a JSON
-    object, a key that names no field, a missing field without a default
-    or a value not of its field's type."""
+    the file at `path`.  Every value is checked against its field's
+    annotation: an int field takes an int, a float field an int or a
+    float, neither a bool, and a field declared `X | None` also null.
+    ValueError for a file that is not a JSON object, a key that names no
+    field, a missing field without a default or a value not of its
+    field's type."""
     from dataclasses import MISSING
-    data = {}
-    if path:
-        with open(path) as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}: params must be a JSON object, "
-                             f"got {type(data).__name__}")
-    data.update((k, v) for k, v in (flags or {}).items() if v is not None)
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: params must be a JSON object, "
+                         f"got {type(data).__name__}")
     fields = cls.__dataclass_fields__
     unknown = sorted(set(data) - set(fields))
     if unknown:
@@ -106,17 +95,6 @@ def _read_params(cls, what: str, path, flags=None):
             kind = "an integer" if int in kinds else "a number"
             raise ValueError(f"{name} must be {kind}, got {value!r}")
     return cls(**data)
-
-
-def _load_params(args) -> con.ConstructionParams:
-    return _read_params(con.ConstructionParams, "construction", args.params,
-                        {key: getattr(args, key) for key in PARAM_FLAGS})
-
-
-def _add_param_flags(p: argparse.ArgumentParser):
-    p.add_argument("--params", help="params.json path")
-    for key, kind in PARAM_FLAGS.items():
-        p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind)
 
 
 def _read_input(path: str) -> hg.PartitionedHypergraph:
@@ -142,7 +120,7 @@ def _emit_json(payload, path):
 
 
 def _cmd_construct(args) -> int:
-    params = _load_params(args)
+    params = _read_params(con.ConstructionParams, "construction", args.params)
     build = getattr(con, CONSTRUCTIONS[args.type])
     try:
         out = build(params, params.build_partition())
@@ -220,9 +198,8 @@ def _cmd_report(args) -> int:
     --out or stdout; exit 1 only when an asserted row fails, so a report
     with nothing asserted (verdict `unchecked`) exits 0."""
     h = _read_input(args.file)
-    given = args.params or any(getattr(args, k) is not None
-                               for k in PARAM_FLAGS)
-    params = _load_params(args) if given else None
+    params = (_read_params(con.ConstructionParams, "construction", args.params)
+              if args.params else None)
     rep = ver.density_report(h, params)
     _emit(reports.emit_report(rep, args.format,
                               params.to_json() if params else {}), args.out)
@@ -304,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a construction and write it")
     p.add_argument("--type", required=True, choices=list(CONSTRUCTIONS))
-    _add_param_flags(p)
+    p.add_argument("--params", required=True, help="params.json path")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_construct)
 
@@ -321,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("report", help="density report for a file")
-    _add_param_flags(p)
+    p.add_argument("--params", help="params.json path")
     p.add_argument("--format", default="csv", choices=["csv", "json"])
     p.add_argument("--out")
     p.add_argument("file")

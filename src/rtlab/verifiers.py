@@ -138,9 +138,10 @@ def find_clique(g: SimpleGraph, s: int, budget=None) -> Embedding | None:
 
     The root candidates are the vertices with a neighbour, and only they
     get a non-neighbour mask (the others' entry is 0, never read), so a
-    vertex without one costs no n-bit mask.  Leaving such vertices out changes no branch: each would fall
-    in color class 1, which bounds no other class and, as s >= 2, is not
-    branched on at the root; deeper candidates lie in neighbourhoods.
+    vertex without one costs no n-bit mask.  Leaving such vertices out
+    changes no branch: each would fall in color class 1, which bounds no
+    other class and, as s >= 2, is not branched on at the root; deeper
+    candidates lie in neighbourhoods.
     Returns an embedding of K_s or None if the graph is K_s-free.
     """
     if s < 1:
@@ -308,16 +309,18 @@ def alpha_t(g: SimpleGraph, t: int, budget=None) -> int:
     alpha_2 is the usual independence number.  A vertex set is K_t-free
     exactly when it holds no t-clique of g, so this is the independence
     number of the t-uniform hypergraph of g's t-cliques: the clique walk
-    lists them and `hyper_independence` searches it.  The listing and the
-    search each run under the node budget; a listing that runs out raises
-    BudgetExceeded with the certified lower bound 0.
+    lists them and `hyper_independence` searches it.  The walk starts
+    only from the vertices with a neighbour, since no other vertex lies
+    in a t-clique, so an isolated vertex costs it nothing.  The listing
+    and the search each run under the node budget; a listing that runs
+    out raises BudgetExceeded with the certified lower bound 0.
     """
     if t < 2:
         raise ValueError(f"need t >= 2, got {t}")
     counter = _Counter(budget)
+    rows = g.adjacency_masks()
     try:
-        cliques = list(_cliques(g.adjacency_masks(), t, (1 << g.n) - 1,
-                                counter))
+        cliques = list(_cliques(rows, t, reduce(or_, rows, 0), counter))
     except BudgetExceeded as exc:
         exc.certified = 0
         raise
@@ -441,14 +444,16 @@ def subdivision(cover: PairCoverIndex, cores, counter: _Counter,
 def find_tk(h: PartitionedHypergraph, s: int, budget=None) -> Embedding | None:
     """Embedding of the r-uniform K_s subdivision: s core vertices plus,
     for every core pair, a hyperedge through the pair whose other r-2
-    vertices are fresh across the whole embedding."""
+    vertices are fresh across the whole embedding.  The cores are tried
+    as the s-cliques of the shadow graph in lexicographic order, the walk
+    starting only from the vertices that some hyperedge covers."""
     if s < 2:
         raise ValueError(f"need at least 2 core vertices, got {s}")
     counter = _Counter(budget)
     cover = h.pair_cover_index()
     shadow_rows = SimpleGraph(h.n, cover.pairs).adjacency_masks()
-    # the cores are the s-cliques of the shadow, tried in lexicographic order
-    for cores in _cliques(shadow_rows, s, (1 << h.n) - 1, counter):
+    for cores in _cliques(shadow_rows, s, reduce(or_, shadow_rows, 0),
+                          counter):
         emb = subdivision(cover, cores, counter)
         if emb is not None:
             return emb

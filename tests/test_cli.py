@@ -380,32 +380,21 @@ def test_report_byte_reproducible(tmp_path):
     assert r1.read_bytes() == r2.read_bytes()
 
 
-def test_report_flags_without_params_file(tmp_path):
-    # construction flags alone carry the parameters into the report
-    path = tmp_path / "k5.hg"
-    write_hypergraph(complete_uniform(5, 3), str(path))
-    out = tmp_path / "report.csv"
-    assert main(["report", "--r", "3", "--z", "99", "--alpha", "0.3",
-                 "--beta", "0.3", "--epsilon", "0.5", "--k", "5",
-                 "--seed", "7", "--out", str(out), str(path)]) == 0
-    text = out.read_text()
-    assert "# param z=99\n" in text and "# param seed=7\n" in text
-    assert "vertex_bound_reference" in text
-
-
 def test_report_flags_missing_keys_exit_2(tmp_path, capsys):
     path = tmp_path / "k5.hg"
     write_hypergraph(complete_uniform(5, 3), str(path))
     out = tmp_path / "report.csv"
-    assert main(["report", "--z", "99", "--seed", "7", "--out", str(out),
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"z": 99, "seed": 7}))
+    assert main(["report", "--params", str(params), "--out", str(out),
                  str(path)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err.startswith("input error:")
     # every key given, but an epsilon that is not a positive finite number
-    for epsilon in ["-1", "0", "inf", "nan"]:
-        assert main(["report", "--r", "3", "--z", "14", "--alpha", "0.3",
-                     "--beta", "0.3", "--epsilon", epsilon, "--k", "5",
-                     "--out", str(out), str(path)]) == 2, epsilon
+    for epsilon in [-1, 0, math.inf, math.nan]:
+        params = write_params(tmp_path, z=14, epsilon=epsilon, k=5)
+        assert main(["report", "--params", params, "--out", str(out),
+                     str(path)]) == 2, epsilon
         assert not out.exists()
         assert "epsilon must be a positive finite number" in \
             capsys.readouterr().err
@@ -519,13 +508,21 @@ def test_construct_corollary_digests(tmp_path, extra, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-def test_flag_overrides_params_file(tmp_path):
-    params = write_params(tmp_path, z=10)
-    out1 = tmp_path / "s1.hg"
-    assert main(["construct", "--type", "sphere", "--params", params,
-                 "--z", "6", "--out", str(out1)]) == 0
-    h = read_hypergraph(str(out1))
-    assert h.n % 6 == 0  # parts are copies of 6 tuple vertices
+@pytest.mark.parametrize("command", ["construct --type sphere", "report"])
+@pytest.mark.parametrize("flag", ["--z 6", "--seed 7", "--blowup-t 3"])
+def test_construction_flags_are_refused(tmp_path, capsys, command, flag):
+    # the construction params come from the params file alone: a flag
+    # named after one of its keys is a usage error, and nothing is written
+    path = tmp_path / "k5.hg"
+    write_hypergraph(complete_uniform(5, 3), str(path))
+    out = tmp_path / "out"
+    argv = [*command.split(), "--params", write_params(tmp_path),
+            *flag.split(), "--out", str(out)]
+    if command == "report":
+        argv.append(str(path))
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_drc_find_set_cli(tmp_path):
@@ -912,8 +909,8 @@ def test_report_volume_bound_row(tmp_path, k, z, ok):
     path = tmp_path / "k5.hg"
     write_hypergraph(complete_uniform(5, 3), str(path))
     csv, js = tmp_path / "report.csv", tmp_path / "report.json"
-    flags = ["--r", "3", "--z", str(z), "--alpha", "0.3", "--beta", "0.3",
-             "--epsilon", "0.5", "--k", str(k), str(path)]
+    flags = ["--params", write_params(tmp_path, z=z, epsilon=0.5, k=k),
+             str(path)]
     assert main(["report", "--out", str(csv)] + flags) == 0
     assert main(["report", "--format", "json", "--out", str(js)] + flags) == 0
     want = cap_measure(k, 1.0 - (0.5 / math.sqrt(k)) ** 2 / 32.0)
@@ -1119,8 +1116,7 @@ REPORT_LAYERS = {"bounds", "constructions", "hypergraph", "reports", "rng",
     # an input error is reported without running verifiers for its type
     ("sphere partition --k 5 --z 0 --theta 0.5 --out p.sphere", 2,
      "input error:", {"rng", "sphere"}, ["hashlib"]),
-    ("report --r 2 --z 4 --alpha 0.3 --beta 0.3 --epsilon 0.5 --k 5 k4.g", 0,
-     "", REPORT_LAYERS, ["hashlib"]),
+    ("report --params params.json k4.g", 0, "", REPORT_LAYERS, ["hashlib"]),
     ("optimize --t 3 --ell 2 --q 2", 0, "", {"bounds"}, []),
 ], ids=["verify", "verify-budget", "cap-measure", "partition-input-error",
         "report", "optimize"])
@@ -1131,6 +1127,7 @@ def test_fresh_cli_runs_only_its_modules(tmp_path, argv, code, err, ran,
     # and only a command that draws loads numpy.random
     write_graph(SimpleGraph(4, frozenset(combinations(range(4), 2))),
                 str(tmp_path / "k4.g"))
+    write_params(tmp_path, r=2, z=4, epsilon=0.5, k=5)
     proc = run_fresh(CLI_PROBE, *argv.split(), cwd=tmp_path)
     assert proc.returncode == code, proc.stderr
     assert err in proc.stderr

@@ -7,10 +7,8 @@ function, class or method is reached by tests alone, no package code
 reads the `edges` view of the edge array, only the hypergraph
 constructor converts the part labels, only the node counter reads and
 spends the search budget, every clique walk counts on a counter, the
-CLI's construction flags
-mirror the construction params, its construction table names the
-`(params, partition)` builders and every params field has a kind the
-CLI's params reader checks."""
+CLI's construction table names the `(params, partition)` builders and
+every params field has a kind the CLI's params reader checks."""
 
 import ast
 import inspect
@@ -21,7 +19,7 @@ from pathlib import Path
 
 from helpers import run_fresh
 from rtlab import constructions
-from rtlab.cli import CONSTRUCTIONS, PARAM_FLAGS, build_parser
+from rtlab.cli import CONSTRUCTIONS, build_parser
 from rtlab.constructions import ConstructionParams
 from rtlab.drc import DrcParams
 
@@ -316,18 +314,6 @@ def test_clique_walks_count_on_a_counter():
                     found.append(f"{path.stem}:{node.lineno}: "
                                  "counter vs None")
     assert found == []
-
-
-def test_param_flags_mirror_the_params():
-    # one flag per params field but the derived theta and u and the
-    # corollary's ell, q and mix_a (set in a params file only), of the
-    # field's type; PARAM_FLAGS stays a literal, so the parser does not
-    # run `constructions`
-    types = {f.name: f.type for f in fields(ConstructionParams)
-             if f.name not in {"theta", "u", "ell", "q", "mix_a"}}
-    assert list(PARAM_FLAGS) == list(types)
-    assert [name for name, kind in PARAM_FLAGS.items()
-            if types[name] not in (kind, kind | None)] == []
 
 
 def test_construction_table_names_the_builders():

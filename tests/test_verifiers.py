@@ -243,7 +243,9 @@ def test_clique_pinned_node_counts():
 
 def test_clique_search_ignores_interleaved_isolated_vertices(monkeypatch):
     # isolated vertices put between the others change neither the witness,
-    # relabelled, nor the node count: the search never reaches them
+    # relabelled, nor the node count: the search never reaches them.  So
+    # for alpha_t's clique listing, where each inserted vertex adds one to
+    # the value, and for find_tk's walk over the shadow's cliques
     from rtlab import verifiers
     counters = []
 
@@ -270,6 +272,22 @@ def test_clique_search_ignores_interleaved_isolated_vertices(monkeypatch):
                 (p, n, seed, s)
             misses += emb is None
             s += 1
+        for t in (2, 3):
+            start = len(counters)
+            value = alpha_t(g, t)
+            middle = len(counters)
+            assert alpha_t(wide, t) == value + wide.n - g.n, (p, n, seed, t)
+            # the first counter of each call is the listing's
+            assert counters[start].nodes == counters[middle].nodes, \
+                (p, n, seed, t)
+        for s in (3, 4):
+            emb = find_tk(g, s)
+            got = find_tk(wide, s)
+            assert counters[-1].nodes == counters[-2].nodes, (p, n, seed, s)
+            assert (got and (got.vertex_map, got.edges_used)) == (
+                emb and ({i: f[v] for i, v in emb.vertex_map.items()},
+                         [tuple(f[v] for v in e) for e in emb.edges_used])), \
+                (p, n, seed, s)
 
 
 @pytest.mark.parametrize("solve", [
