@@ -201,8 +201,9 @@ def _cmd_report(args) -> int:
     params = (_read_params(con.ConstructionParams, "construction", args.params)
               if args.params else None)
     rep = ver.density_report(h, params)
-    _emit(reports.emit_report(rep, args.format,
-                              params.to_json() if params else {}), args.out)
+    header = (dict(params.to_json(), theta=params.theta, u=params.u)
+              if params else {})
+    _emit(reports.emit_report(rep, args.format, header), args.out)
     return EXIT_VIOLATED if rep.verdict == "violated" else EXIT_HOLDS
 
 
@@ -239,16 +240,7 @@ def _cmd_drc(args) -> int:
     return EXIT_HOLDS
 
 
-# the flags each sphere action needs, checked before it does any work
-SPHERE_FLAGS = {"partition": ["k", "z", "theta", "out"],
-                "eps-k": ["alpha", "beta"],
-                "cap-measure": ["k", "s"]}
-
-
 def _cmd_sphere(args) -> int:
-    for flag in SPHERE_FLAGS[args.action]:
-        if getattr(args, flag) is None:
-            raise ValueError(f"sphere {args.action} needs --{flag}")
     if args.action == "partition":
         part = sph.build_partition(args.k, args.z, args.theta, args.seed)
         sph.write_partition(part, args.out)
@@ -319,16 +311,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_drc)
 
     p = sub.add_parser("sphere", help="sphere utilities")
-    p.add_argument("action", choices=list(SPHERE_FLAGS))
-    p.add_argument("--k", type=int)
-    p.add_argument("--z", type=int)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--s", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_sphere)
+    actions = p.add_subparsers(dest="action", required=True)
+    # no abbreviations, so cap-measure's --s is refused, not read as --seed
+    a = actions.add_parser("partition", allow_abbrev=False,
+                           help="build and write a partition")
+    a.add_argument("--k", type=int, required=True)
+    a.add_argument("--z", type=int, required=True)
+    a.add_argument("--theta", type=float, required=True)
+    a.add_argument("--seed", type=int, default=0)
+    a.add_argument("--out", required=True)
+    a = actions.add_parser("eps-k", help="search (epsilon, k)")
+    a.add_argument("--alpha", type=float, required=True)
+    a.add_argument("--beta", type=float, required=True)
+    a = actions.add_parser("cap-measure", help="measure of a spherical cap")
+    a.add_argument("--k", type=int, required=True)
+    a.add_argument("--s", type=float, required=True)
 
     return ap
 

@@ -7,11 +7,10 @@ graphs restricted to leading parts and the complete-join corollary graph.
 Each of the four constructions (`bollobas_erdos`, `sphere_hypergraph`,
 `full_construction`, `corollary_construction`) is one call
 `builder(params, partition)` on a `ConstructionParams` and its sphere
-partition; theta = epsilon/sqrt(k) is worked out once, by the params,
-and every builder reads it from there.  The exact
-rational bound and mixing optimization live in `rtlab.bounds`, which
-needs no numpy; `theta_lower_bound` and `optimize_a` are re-exported
-here.
+partition; theta = epsilon/sqrt(k) and u = ceil(r/2) are properties of
+the params, which every builder reads.  The exact rational bound and
+mixing optimization live in `rtlab.bounds`, which needs no numpy;
+`theta_lower_bound` and `optimize_a` are re-exported here.
 """
 
 import math
@@ -37,8 +36,8 @@ from .verifiers import (_cliques, _Counter, blowup_deletion_condition,
 class ConstructionParams:
     """Knobs of the construction family.
 
-    theta = epsilon/sqrt(k) and u = ceil(r/2) are derived; a stored theta
-    must agree with epsilon/sqrt(k) to 1e-12.  pattern_cap defaults to
+    theta = epsilon/sqrt(k) and u = ceil(r/2) are properties worked out
+    from the fields, not fields themselves.  pattern_cap defaults to
     r^3.  All randomness flows from the single seed.  The field types
     are not checked here: the CLI's params reader checks each value
     against its field's annotation before it builds one.  ell, q and
@@ -58,8 +57,6 @@ class ConstructionParams:
     gamma: float = 0.3
     pattern_cap: int | None = None
     seed: int = 0
-    theta: float | None = None
-    u: int | None = None
     ell: int | None = None
     q: int | None = None
     mix_a: float | None = None
@@ -79,16 +76,6 @@ class ConstructionParams:
             raise ValueError("blowup factor must be >= 1")
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be a positive finite number")
-        derived = self.epsilon / math.sqrt(self.k)
-        if self.theta is None:
-            self.theta = derived
-        elif not abs(self.theta - derived) <= 1e-12:
-            raise ValueError("theta must equal epsilon/sqrt(k)")
-        derived_u = (self.r + 1) // 2
-        if self.u is None:
-            self.u = derived_u
-        elif self.u != derived_u:
-            raise ValueError("u must equal ceil(r/2)")
         if self.pattern_cap is None:
             self.pattern_cap = self.r ** 3
         if self.pattern_cap < self.r:
@@ -102,6 +89,16 @@ class ConstructionParams:
         if self.ell == 1 and self.mix_a is None:
             raise ValueError("ell = 1 needs mix_a: the default a* of "
                              "optimize_a needs ell >= 2")
+
+    @property
+    def theta(self) -> float:
+        """The working scale epsilon/sqrt(k)."""
+        return self.epsilon / math.sqrt(self.k)
+
+    @property
+    def u(self) -> int:
+        """The tuple length ceil(r/2)."""
+        return (self.r + 1) // 2
 
     def to_json(self) -> dict:
         """The set fields in declaration order (an unset ell, q or mix_a

@@ -45,8 +45,10 @@ def _sorted_rows(edges, n: int, r: int) -> np.ndarray:
     """The edges as an int64 array, one sorted row per edge in input
     order, every row a set of r distinct vertices in 0..n-1.  ValueError
     names the first edge without r distinct vertices (also when the
-    edges have different lengths) or with a vertex out of range; an
-    edge of the wrong length is found before any out-of-range one."""
+    edges have different lengths), with a vertex that is not an integer
+    (a float such as 0.5 or 1.0 among them) or with a vertex out of
+    range; an edge of the wrong length is found before any with a vertex
+    out of range."""
     def not_a_set(e):
         return ValueError(f"edge {e} is not a set of {r} distinct vertices")
 
@@ -54,27 +56,33 @@ def _sorted_rows(edges, n: int, r: int) -> np.ndarray:
         return ValueError(f"edge {e} out of range for n={n}")
 
     if isinstance(edges, np.ndarray):
-        rows = edges.astype(np.int64, copy=False)
+        rows = edges
     else:
         edges = list(edges)
         try:
-            rows = np.array(edges, dtype=np.int64)
-        except (ValueError, TypeError, OverflowError):
-            rows = None  # ragged, edges not sequences, or a vertex too large
-    if rows is None or rows.shape != (len(edges), r):
+            rows = np.array(edges)
+        except ValueError:
+            rows = None  # ragged
+    # integer rows of the right shape take the numpy path; anything else
+    # (floats, a vertex beyond int64, ragged rows) is read edge by edge
+    if (rows is None or rows.dtype.kind not in "biu"
+            or rows.shape != (len(edges), r)):
         if isinstance(edges, np.ndarray):
             edges = edges.tolist()
         edges = [tuple(sorted(e)) for e in edges]
         for e in edges:
             if len(e) != r:
                 raise not_a_set(e)
+            if not all(isinstance(v, (int, np.integer)) for v in e):
+                raise ValueError(f"edge {e} has a vertex that is not an "
+                                 f"integer")
         try:
             rows = np.array(edges, dtype=np.int64).reshape(len(edges), r)
         except OverflowError:
             raise out_of_range(next(
                 e for e in edges
                 if not all(-2 ** 63 <= v < 2 ** 63 for v in e))) from None
-    rows = np.sort(rows, axis=1)
+    rows = np.sort(rows.astype(np.int64, copy=False), axis=1)
     repeat = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
     bad = repeat | (rows[:, 0] < 0) | (rows[:, -1] >= n)
     if bad.any():

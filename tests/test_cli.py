@@ -792,8 +792,25 @@ def test_sphere_names_missing_flag_before_work(action, missing, tmp_path,
         if flag != missing:
             argv += [f"--{flag}", value or str(out)]
     assert main(argv) == 2
-    assert f"sphere {action} needs --{missing}" in capsys.readouterr().err
+    assert f"required: --{missing}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["eps-k", "--alpha", "0.3", "--beta", "0.3", "--k", "5"],
+    ["cap-measure", "--k", "2", "--s", "0.5", "--out", "f"],
+    # --s is a prefix of --seed, but not an abbreviation of it
+    ["partition", "--k", "2", "--z", "4", "--theta", "0.5", "--out", "f",
+     "--s", "3"],
+], ids=["eps-k-k", "cap-measure-out", "partition-s"])
+def test_sphere_action_refuses_foreign_flag(tmp_path, monkeypatch, capsys,
+                                            argv):
+    # each action takes only the flags it reads: another action's flag is
+    # a usage error, not ignored, and nothing is written
+    monkeypatch.chdir(tmp_path)
+    assert main(["sphere"] + argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not Path("f").exists()
 
 
 def test_density_report_json_roundtrip():
@@ -898,6 +915,26 @@ def test_params_file_unknown_key_exit_2(tmp_path, monkeypatch, capsys, argv):
     assert err.startswith("input error")
     assert "unknown construction params: gama" in err
     assert not Path("be.g").exists()
+
+
+@pytest.mark.parametrize("key,value", [("theta", 0.5), ("u", 2)])
+@pytest.mark.parametrize("argv", [
+    ["construct", "--type", "be", "--out", "be.g"],
+    ["report", "--out", "report.csv", "k5.hg"],
+])
+def test_params_file_derived_key_exit_2(tmp_path, monkeypatch, capsys, argv,
+                                        key, value):
+    # theta and u are worked out from the other params, so a file that
+    # sets either, even to the derived value, is refused and nothing is
+    # written
+    monkeypatch.chdir(tmp_path)
+    write_hypergraph(complete_uniform(5, 3), "k5.hg")
+    params = write_params(tmp_path, **{key: value})
+    assert main(argv + ["--params", params]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"input error: unknown construction params: {key}\n"
+    assert out == ""
+    assert not Path("be.g").exists() and not Path("report.csv").exists()
 
 
 @pytest.mark.parametrize("k,z,ok", [(5, 14, "no"), (2, 600, ""),
@@ -1092,6 +1129,7 @@ ran = {name: type(module) is types.ModuleType
 print(json.dumps({"ran": sorted(n for n in ran if ran[n]),
                   "lazy": sorted(n for n in ran if not ran[n]),
                   "numpy": "numpy" in sys.modules,
+                  "numpy.ma": "numpy.ma" in sys.modules,
                   "seeded": [n for n in ("numpy.random", "hashlib")
                              if n in sys.modules]}))
 sys.exit(code)
@@ -1124,7 +1162,8 @@ def test_fresh_cli_runs_only_its_modules(tmp_path, argv, code, err, ran,
                                          seeded):
     # every layer is in sys.modules after the import, but a command runs
     # only the ones it reads from; only `optimize` runs without numpy,
-    # and only a command that draws loads numpy.random
+    # only a command that draws loads numpy.random, and none loads
+    # numpy.ma (a plain first np.unique would, at about 15 ms)
     write_graph(SimpleGraph(4, frozenset(combinations(range(4), 2))),
                 str(tmp_path / "k4.g"))
     write_params(tmp_path, r=2, z=4, epsilon=0.5, k=5)
@@ -1136,4 +1175,5 @@ def test_fresh_cli_runs_only_its_modules(tmp_path, argv, code, err, ran,
     assert seen["lazy"] == sorted(f"rtlab.{name}"
                                   for name in LAZY_LAYERS - ran)
     assert seen["numpy"] == (ran != {"bounds"})
+    assert not seen["numpy.ma"]
     assert seen["seeded"] == seeded

@@ -52,14 +52,6 @@ def test_params_derived_fields():
     assert p.pattern_cap == 27
 
 
-def test_params_reject_inconsistent_theta():
-    # NaN compares false both ways, so it must be refused explicitly
-    for theta in (0.9, math.nan):
-        with pytest.raises(ValueError, match="theta must equal"):
-            ConstructionParams(r=3, z=5, alpha=0.3, beta=0.3, epsilon=1.0,
-                               k=4, theta=theta)
-
-
 def test_params_json_roundtrip():
     p = small_params()
     q = ConstructionParams(**json.loads(json.dumps(p.to_json())))

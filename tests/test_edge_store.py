@@ -396,6 +396,25 @@ def test_hypergraph_validation_messages(edges, message):
         PartitionedHypergraph(4, 3, edges)
 
 
+@pytest.mark.parametrize("r,edges,message", [
+    (2, [(0.5, 1.7)], r"edge \(0\.5, 1\.7\) has a vertex that is not an"),
+    (2, np.array([[0.5, 1.7]]), r"edge \(0\.5, 1\.7\) has a vertex"),
+    (3, [(0, 1, 2), (3, 1.0, 2)], r"edge \(1\.0, 2, 3\) has a vertex"),
+    (3, np.array([[0.0, 1.0, 2.0]]), r"edge \(0\.0, 1\.0, 2\.0\) has a"),
+], ids=["list", "array", "integral-float", "integral-array"])
+def test_float_vertices_are_refused(r, edges, message):
+    # a float vertex is not cast to an integer, even when it is integral
+    with pytest.raises(ValueError, match=message):
+        PartitionedHypergraph(4, r, edges)
+
+
+@pytest.mark.parametrize("edges", [
+    [(np.int32(2), 0, 1)], np.array([[2, 0, 1]], dtype=np.uint8),
+    np.array([[2, 0, 1]], dtype=object)])
+def test_integer_vertices_of_any_kind_are_kept(edges):
+    assert PartitionedHypergraph(4, 3, edges).edge_array.tolist() == [[0, 1, 2]]
+
+
 @pytest.mark.parametrize("part_of,message", [
     ((0, -2, 1, 1), "part label -2 is below -1"),
     ((0, 1, 2), "part_of must label every vertex"),

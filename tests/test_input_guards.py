@@ -42,7 +42,6 @@ GUARDS = [
      r"alpha and beta must lie in \(0, 1\)"),
     ("params-beta", lambda: params(beta=1.0),
      r"alpha and beta must lie in \(0, 1\)"),
-    ("params-u", lambda: params(u=1), r"u must equal ceil\(r/2\)"),
     ("params-pattern-cap", lambda: params(pattern_cap=2),
      "pattern cap must be >= r"),
     ("tuple-vertices-u",
