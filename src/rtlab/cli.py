@@ -7,7 +7,9 @@ bound found, even if the budget then ran out), 2 refused input (an
 OSError or ValueError), 3 search budget or cap exceeded (for drc: no
 witness verified within the retries; for sphere eps-k: no (eps, k)
 within the search caps; for construct: a part or the cross listing
-over its cap, nothing written), 4 internal error (any other exception,
+over its cap, nothing written; for construct and sphere partition: a
+partition whose points would pass their byte cap, refused before any
+draw, nothing written), 4 internal error (any other exception,
 including a witness that fails its recheck).  `verify` runs one search
 check on a file; `report` writes its density report.  One reader takes
 params.json and drc.json and checks every value against its field's
@@ -124,7 +126,7 @@ def _cmd_construct(args) -> int:
     build = getattr(con, CONSTRUCTIONS[args.type])
     try:
         out = build(params, params.build_partition())
-    except con.PartTooLarge as exc:
+    except (con.PartTooLarge, sph.PartitionTooLarge) as exc:
         print(f"construct: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     hg.write_hypergraph(out, args.out)
@@ -132,18 +134,29 @@ def _cmd_construct(args) -> int:
     return EXIT_HOLDS
 
 
-# each check's flag (None: no flag) and whether it needs a graph file (r=2);
-# the flag is checked before the file is read, the uniformity after
-VERIFY_NEEDS = {"clique": ("s", True), "alpha_t": ("t", True),
-                "tk": ("s", False), "tkf": ("s", False),
-                "split-core": (None, False), "sparse": (None, False)}
+# each check's required flag (None: none), the other flags it reads, and
+# whether it needs a graph file (r=2); the flags are checked before the
+# file is read, the uniformity after
+VERIFY_NEEDS = {
+    "clique": ("s", ("budget", "witness_out"), True),
+    "alpha_t": ("t", ("bound", "budget"), True),
+    "tk": ("s", ("budget", "witness_out"), False),
+    "tkf": ("s", ("budget", "witness_out"), False),
+    "split-core": (None, ("budget", "witness_out"), False),
+    "sparse": (None, ("ell", "budget", "witness_out"), False)}
+# every flag of `verify` besides --check, as argparse names them
+VERIFY_FLAGS = ("s", "t", "ell", "bound", "budget", "witness_out")
 
 
 def _cmd_verify(args) -> int:
     check = args.check
-    flag, graph_only = VERIFY_NEEDS[check]
+    flag, reads, graph_only = VERIFY_NEEDS[check]
     if flag and getattr(args, flag) is None:
         raise ValueError(f"{check} check needs --{flag}")
+    foreign = [f"--{f.replace('_', '-')}" for f in VERIFY_FLAGS
+               if f != flag and f not in reads and getattr(args, f) is not None]
+    if foreign:
+        raise ValueError(f"{check} check does not read {', '.join(foreign)}")
     h = _read_input(args.file)
     if graph_only and h.r != 2:
         raise ValueError(f"{check} check needs a graph file (r=2)")
@@ -242,7 +255,11 @@ def _cmd_drc(args) -> int:
 
 def _cmd_sphere(args) -> int:
     if args.action == "partition":
-        part = sph.build_partition(args.k, args.z, args.theta, args.seed)
+        try:
+            part = sph.build_partition(args.k, args.z, args.theta, args.seed)
+        except sph.PartitionTooLarge as exc:
+            print(f"sphere partition: {exc}", file=sys.stderr)
+            return EXIT_BUDGET
         sph.write_partition(part, args.out)
         min_z = part.precondition_min_z
         verdict = ("fails (volume bound)" if part.z < min_z

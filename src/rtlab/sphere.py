@@ -24,6 +24,12 @@ SQRT2 = math.sqrt(2.0)
 # the largest z whose owner pass runs over (z, B) blocks of products; above
 # it the pass over (B, z) blocks, one row per point, is faster
 LLOYD_COLUMN_MAX_Z = 64
+# the most bytes of float64 points a partition may hold at once: its
+# representatives, its Lloyd cloud and the cloud's transposed copy
+MAX_PARTITION_BYTES = 1 << 30
+# quadruples whose four-point margins are scored at once: 32 KB per
+# temporary, which stays in cache
+P4_BLOCK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +41,8 @@ def sample_uniform_points(k: int, count: int, rng: np.random.Generator) -> np.nd
     if k < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {k}")
     v = rng.standard_normal((count, k + 1))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return v
 
 
 def distance(p, q) -> float:
@@ -323,13 +330,16 @@ def p4_best_margin(k: int, gamma: float, n_random: int, n_refine: int,
     span form the lower-triangular Bartlett factor of a Wishart(k+1, I_4)
     matrix: normals below the diagonal and sqrt(chi^2_(k+1-i)) on it
     (`_bartlett_quadruples`).  So each random quadruple takes 10 draws,
-    whatever k, in batches of 50,000, so memory is O(batch).  Each batch
-    keeps its best starts, and the best n_refine of them are refined by
-    random coordinate ascent on their normalised frame rows: points of a
-    great S^3 (of S^k itself when k < 3).  This loses nothing, since any
-    four points of S^k lie on a great S^3 and the margin does not change
-    under rotation.  Each ascent step scores four proposals for one point
-    of every start at once and keeps the best when it raises the margin
+    whatever k, in batches of 50,000.  One batch is resident at a time:
+    it is drawn in place into one (4, m, 50,000) array, scored in blocks
+    of P4_BLOCK (4,096) columns into one margin array, and both go
+    before the next batch is drawn.  Each batch keeps its best starts,
+    and the best n_refine of them are refined by random coordinate
+    ascent on their normalised frame rows: points of a great S^3 (of S^k
+    itself when k < 3).  This loses nothing, since any four points of
+    S^k lie on a great S^3 and the margin does not change under
+    rotation.  Each ascent step scores four proposals for one point of
+    every start at once and keeps the best when it raises the margin
     (`_refine_quadruples`).  Returns the largest margin seen, always
     negative for gamma in (0, 1/4), the only gammas accepted.
     """
@@ -359,6 +369,8 @@ def p4_best_margin(k: int, gamma: float, n_random: int, n_refine: int,
             rows = lower[:, :, idx].transpose(2, 0, 1)
             top_quads.append(rows / np.linalg.norm(rows, axis=2, keepdims=True))
             top_margins.append(margins[idx])
+        # one batch resident: this one goes before the next is drawn
+        del lower, margins
     if n_refine > 0:
         order = np.argsort(-np.concatenate(top_margins), kind="stable")
         starts = np.concatenate(top_quads)[order[:n_refine]]
@@ -380,9 +392,14 @@ def _bartlett_quadruples(k: int, count: int,
     lower = np.zeros((4, m, count))
     for i in range(4):
         if i:
-            lower[i, :min(i, m)] = rng.standard_normal((min(i, m), count))
+            rng.standard_normal(out=lower[i, :min(i, m)])
         if i < m:
-            lower[i, i] = np.sqrt(rng.chisquare(k + 1 - i, count))
+            # chi^2_df is 2 standard_gamma(df/2) in numpy's own chisquare,
+            # so these are its floats and leave the generator as it does
+            diag = lower[i, i]
+            rng.standard_gamma((k + 1 - i) / 2, out=diag)
+            diag *= 2.0
+            np.sqrt(diag, out=diag)
     return lower
 
 
@@ -390,7 +407,19 @@ def _frame_margins(lower: np.ndarray, gamma: float) -> np.ndarray:
     """`check_p4` margins of the directions of the rows of (4, m, count)
     frame coordinates, zero above the diagonal as `_bartlett_quadruples`
     draws them.  Each distance is sqrt(max(2 - 2c, 0)) for the cosine c;
-    the largest cross distance is that of the smallest cross cosine."""
+    the largest cross distance is that of the smallest cross cosine.  The
+    columns are scored in blocks of P4_BLOCK into one output array, so the
+    temporaries hold one block, not the batch; each column's arithmetic
+    is the same in any block."""
+    count = lower.shape[2]
+    out = np.empty(count)
+    for lo in range(0, count, P4_BLOCK):
+        hi = min(lo + P4_BLOCK, count)
+        out[lo:hi] = _block_margins(lower[:, :, lo:hi], gamma)
+    return out
+
+
+def _block_margins(lower: np.ndarray, gamma: float) -> np.ndarray:
     m = lower.shape[1]
 
     def dot(i, l):
@@ -510,6 +539,10 @@ class SpherePartition:
         return pairwise_distances(self.reps)
 
 
+class PartitionTooLarge(RuntimeError):
+    """A partition refused before any draw: its points over the byte cap."""
+
+
 def build_partition(k: int, z: int, theta: float, seed: int,
                     balance_iters: int = 32,
                     diag_samples: int = 20_000) -> SpherePartition:
@@ -526,26 +559,40 @@ def build_partition(k: int, z: int, theta: float, seed: int,
     blocks against a C-ordered copy of reps.T, one row per point.  The
     block buffers are allocated once per call, at about 1 MB each, so
     memory is O(N (k+1) + 2^17) for N cloud points, never an (N, z)
-    matrix.  A block's dot products may differ from the full product
-    `cloud @ reps.T` in the last bit (BLAS picks its kernel by shape),
-    but in both layouts the owners, first index on exact ties, and so
-    the representatives, are the full product's on every seeded shape
-    tested.  Whether the diameters can meet theta/4 is left to the
+    matrix; the column layout keeps only the cloud's transpose, the row
+    layout both.  A block's dot products may differ from the full
+    product `cloud @ reps.T` in the last bit (BLAS picks its kernel by
+    shape), but in both layouts the owners, first index on exact ties,
+    and so the representatives, are the full product's on every seeded
+    shape tested.  Whether the diameters can meet theta/4 is left to the
     volume bound (`precondition_min_z`); no diameter is sampled.
     Bit-reproducible for a fixed seed.  ValueError for z < 1, a negative
-    `balance_iters`, or a theta that is not a positive finite number.
+    `balance_iters`, or a theta that is not a positive finite number;
+    PartitionTooLarge, before any draw, when the representatives, the
+    cloud and its transposed copy would take over MAX_PARTITION_BYTES
+    (1 GiB) of float64.
     """
     if z < 1:
         raise ValueError(f"domain count must be >= 1, got {z}")
     if balance_iters < 0:
         raise ValueError(f"balance_iters must be >= 0, got {balance_iters}")
     _check_theta(theta)
+    lloyd = z > 1 and balance_iters > 0
+    samples = max(diag_samples, 40 * z) if lloyd else 0
+    size = 8 * (k + 1) * (z + 2 * samples)
+    if size > MAX_PARTITION_BYTES:
+        raise PartitionTooLarge(
+            f"a partition of S^{k} into {z} domains would hold {size} bytes "
+            f"of points, over the cap {MAX_PARTITION_BYTES}")
     rng = substream(seed, "partition-reps")
     reps = sample_uniform_points(k, z, rng)
-    if z > 1 and balance_iters > 0:
-        cloud = sample_uniform_points(k, max(diag_samples, 40 * z),
+    if lloyd:
+        cloud = sample_uniform_points(k, samples,
                                       substream(seed, "partition-lloyd"))
         columns = np.ascontiguousarray(cloud.T)
+        if z <= LLOYD_COLUMN_MAX_Z:
+            # the column layout reads the cloud through `columns` alone
+            cloud = None
         owners = _owner_pass(cloud, columns, z)
         for _ in range(balance_iters):
             owner = owners(reps)
@@ -561,11 +608,13 @@ def build_partition(k: int, z: int, theta: float, seed: int,
     return SpherePartition(k=k, z=z, reps=reps, theta=theta, seed=seed)
 
 
-def _owner_pass(cloud: np.ndarray, columns: np.ndarray, z: int):
+def _owner_pass(cloud: np.ndarray | None, columns: np.ndarray, z: int):
     """owners(reps): for each row of `cloud` (whose transpose, C-ordered,
     is `columns`) the index of its largest product with one of the z rows
     of `reps`, the first on exact ties, as np.argmax(cloud @ reps.T,
     axis=1) gives it.  Every call fills and returns the same intp array.
+    Up to LLOYD_COLUMN_MAX_Z cells only `columns` is read, and `cloud`
+    may be None.
 
     The points go in blocks of B = 2^17 // z, so a block holds at most
     2^17 products (1 MB of float64), written into a buffer allocated
@@ -582,7 +631,7 @@ def _owner_pass(cloud: np.ndarray, columns: np.ndarray, z: int):
     as against the transposed view), and np.argmax takes each row's
     owner.
     """
-    n = len(cloud)
+    n = columns.shape[1]
     owner = np.empty(n, dtype=np.intp)
     # 2^17 products per block: 1 MB of float64
     width = max(1, min(n, (1 << 17) // z))

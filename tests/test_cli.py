@@ -233,6 +233,40 @@ def test_verify_missing_flag_reported_before_file_read(tmp_path, capsys,
         f"input error: {check} check needs --{flag}\n"
 
 
+@pytest.mark.parametrize("check,argv,foreign", [
+    ("clique", ["--s", "3", "--bound", "5"], "--bound"),
+    ("clique", ["--s", "3", "--bound", "5", "--ell", "2", "--t", "9"],
+     "--t, --ell, --bound"),
+    ("split-core", ["--s", "3"], "--s"),
+    ("sparse", ["--t", "3"], "--t"),
+    ("alpha_t", ["--t", "3", "--witness-out", "w.json"], "--witness-out"),
+    ("tk", ["--s", "4", "--ell", "2"], "--ell"),
+    ("tkf", ["--s", "4", "--bound", "1"], "--bound")])
+def test_verify_refuses_flags_its_check_does_not_read(tmp_path, capsys, check,
+                                                      argv, foreign):
+    # a flag the check would ignore is refused before the file is read
+    missing = tmp_path / "absent.hg"
+    assert main(["verify", "--check", check, *argv, str(missing)]) == 2
+    assert capsys.readouterr().err == \
+        f"input error: {check} check does not read {foreign}\n"
+
+
+@pytest.mark.parametrize("check,argv", [
+    ("clique", ["--s", "3", "--budget", "9", "--witness-out", "w.json"]),
+    ("alpha_t", ["--t", "3", "--bound", "5", "--budget", "9"]),
+    ("tk", ["--s", "3", "--budget", "9", "--witness-out", "w.json"]),
+    ("tkf", ["--s", "3", "--budget", "9", "--witness-out", "w.json"]),
+    ("split-core", ["--budget", "9", "--witness-out", "w.json"]),
+    ("sparse", ["--ell", "9", "--budget", "9", "--witness-out", "w.json"])])
+def test_verify_accepts_every_flag_its_check_reads(tmp_path, capsys, check,
+                                                   argv):
+    # every flag the check reads passes the flag check: the run goes on
+    # to read the file, which is missing
+    missing = tmp_path / "absent.hg"
+    assert main(["verify", "--check", check, *argv, str(missing)]) == 2
+    assert "absent.hg" in capsys.readouterr().err
+
+
 def test_sparse_scan_budget_covers_every_part(tmp_path, monkeypatch, capsys):
     # the README full.hg (z=14, seed 3): the scan over all parts' inside
     # edges takes 48 nodes, its largest part alone 23
@@ -297,14 +331,15 @@ def test_verify_short_witness_exit_4(tmp_path, monkeypatch, capsys, check,
                                      finder, r):
     # the first edge of a path holds in the file, but its two vertices are
     # no K_4, no four-core set and no split core: the recheck counts them
-    # against --s (four cores for split-core)
+    # against --s (four cores for split-core, which takes no --s)
     path = tmp_path / "path.hg"
     write_hypergraph(PartitionedHypergraph(8, r, frozenset(
         tuple(range(i, i + r)) for i in range(0, 8 - r + 1, r - 1))), str(path))
     short = Embedding({0: 0, 1: 1}, {0: "core", 1: "core"}, [tuple(range(r))])
     monkeypatch.setattr(ver, finder, lambda *a, **kw: short)
     wit = tmp_path / "witness.json"
-    assert main(["verify", "--check", check, "--s", "4", "--witness-out",
+    flags = [] if check == "split-core" else ["--s", "4"]
+    assert main(["verify", "--check", check, *flags, "--witness-out",
                  str(wit), str(path)]) == 4
     assert not wit.exists()
     err = capsys.readouterr().err
@@ -711,6 +746,29 @@ def test_construct_over_part_cap_exit_3(tmp_path, monkeypatch, capsys, kind):
     stdout, err = capsys.readouterr()
     assert stdout == "" and err.startswith("construct: ")
     assert err.endswith("exceed the cap 3\n") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["be", "sphere", "full", "corollary"])
+def test_construct_large_k_exit_3(tmp_path, capsys, kind):
+    # the partition's points would take over their byte cap: refused
+    # before any draw, one stderr line, no file
+    out = tmp_path / "h.hg"
+    assert main(["construct", "--type", kind, "--params",
+                 write_params(tmp_path, k=1_000_000), "--out", str(out)]) == 3
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("construct: a partition of S^1000000")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_sphere_partition_large_k_exit_3(tmp_path, capsys):
+    out = tmp_path / "big.sphere"
+    assert main(["sphere", "partition", "--k", "1000000", "--z", "14",
+                 "--theta", "0.5", "--seed", "1", "--out", str(out)]) == 3
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("sphere partition: ")
+    assert err.endswith("over the cap 1073741824\n")
     assert not out.exists()
 
 

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from helpers import nearest_rep
 from rtlab.rng import substream
-from rtlab.sphere import (LLOYD_COLUMN_MAX_Z, SQRT2, SphericalCap, _into_union,
+from rtlab.sphere import (LLOYD_COLUMN_MAX_Z, P4_BLOCK, SQRT2,
+                          PartitionTooLarge, SphericalCap,
+                          _bartlett_quadruples, _frame_margins, _into_union,
                           _owner_pass, _P4_ROLES, _refine_quadruples, _spread,
                           build_partition,
                           cap_intersection_measure_mc, cap_measure,
@@ -522,6 +524,81 @@ def test_p4_starts_match_full_sort(monkeypatch):
     assert same == [True] * 6
 
 
+def _chisquare_bartlett(k, count, rng):
+    # the draw that took each diagonal from rng.chisquare and every row
+    # into a new array: the reference for the in-place draw
+    m = min(4, k + 1)
+    lower = np.zeros((4, m, count))
+    for i in range(4):
+        if i:
+            lower[i, :min(i, m)] = rng.standard_normal((min(i, m), count))
+        if i < m:
+            lower[i, i] = np.sqrt(rng.chisquare(k + 1 - i, count))
+    return lower
+
+
+def _whole_batch_margins(lower, gamma):
+    # the margins scored over the whole batch at once: the reference for
+    # the scoring in blocks of P4_BLOCK columns
+    m = lower.shape[1]
+
+    def dot(i, l):
+        c = min(i, l, m - 1) + 1
+        return np.einsum("jn,jn->n", lower[i, :c], lower[l, :c])
+
+    inv = [1.0 / np.sqrt(dot(i, i)) for i in range(4)]
+    cos = {(i, l): dot(i, l) * (inv[i] * inv[l])
+           for i, l in ((0, 1), (2, 3), (0, 2), (0, 3), (1, 2), (1, 3))}
+    cross = np.minimum(np.minimum(cos[0, 2], cos[0, 3]),
+                       np.minimum(cos[1, 2], cos[1, 3]))
+    d = [np.sqrt(np.maximum(2.0 - 2.0 * c, 0.0))
+         for c in (cos[0, 1], cos[2, 3], cross)]
+    return np.minimum(np.minimum(d[0], d[1]) - (2.0 - gamma),
+                      (SQRT2 - gamma) - d[2])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 20])
+@pytest.mark.parametrize("count", [1, 2 * P4_BLOCK + 1234])
+def test_bartlett_in_place_matches_chisquare_draw(k, count):
+    # the same floats as the chisquare draw, the generator left in the same
+    # state, and the blocked margins those of the whole batch, also on a
+    # count that is not a multiple of the block
+    got_rng, want_rng = substream(k, "bartlett"), substream(k, "bartlett")
+    got = _bartlett_quadruples(k, count, got_rng)
+    want = _chisquare_bartlett(k, count, want_rng)
+    assert np.array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    for gamma in (0.05, 0.2):
+        assert np.array_equal(_frame_margins(got, gamma),
+                              _whole_batch_margins(got, gamma))
+
+
+# the six calls of the perfbench `sphere` workload at seed 1 (criterion-8
+# sizes) and the margins they returned when each batch was drawn into new
+# arrays and scored whole
+@pytest.mark.parametrize("k,gamma,seed,want", [
+    (5, 0.1, 1014235352, -0.01735024189912271),
+    (5, 0.2, 874687064, -0.034464923190308694),
+    (10, 0.1, 339148287, -0.017298859728732907),
+    (10, 0.2, 191541984, -0.03452336227343178),
+    (20, 0.1, 635200176, -0.017322585253084277),
+    (20, 0.2, 758827552, -0.03450439132804406)])
+def test_p4_best_margin_pinned(k, gamma, seed, want):
+    assert p4_best_margin(k, gamma, 100_000, 100, seed=seed) == want
+
+
+def test_p4_best_margin_holds_one_batch():
+    # a batch's (4, 4, 50,000) frame is 6.1 MiB and is freed before the
+    # next is drawn; its margins and the block temporaries add about 1 MiB
+    tracemalloc.start()
+    try:
+        p4_best_margin(20, 0.2, 100_000, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
+
+
 # ---------------------------------------------------------------------------
 # partitions
 
@@ -625,6 +702,33 @@ def test_owner_pass_rows_match_full_product(k, z, n):
     for _ in range(2):
         reps = sample_uniform_points(k, z, rng)
         assert np.array_equal(owners(reps), np.argmax(cloud @ reps.T, axis=1))
+
+
+def test_partition_refuses_large_k_before_drawing():
+    # the Lloyd cloud alone would take 160 GB at k = 1,000,000
+    tracemalloc.start()
+    try:
+        with pytest.raises(PartitionTooLarge, match="over the cap"):
+            build_partition(1_000_000, 14, 0.5, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+
+
+@pytest.mark.parametrize("balance_iters,size", [
+    # the 14 representatives, the 20,000-point cloud and its copy at k=5
+    (32, 8 * 6 * (14 + 2 * 20_000)),
+    # no Lloyd step, no cloud
+    (0, 8 * 6 * 14)])
+def test_partition_byte_cap_counts_reps_and_cloud(monkeypatch, balance_iters,
+                                                  size):
+    from rtlab import sphere
+    monkeypatch.setattr(sphere, "MAX_PARTITION_BYTES", size)
+    build_partition(5, 14, 0.5, 1, balance_iters=balance_iters)
+    monkeypatch.setattr(sphere, "MAX_PARTITION_BYTES", size - 1)
+    with pytest.raises(PartitionTooLarge, match=f"hold {size} bytes"):
+        build_partition(5, 14, 0.5, 1, balance_iters=balance_iters)
 
 
 def test_partition_rejects_negative_balance_iters():
