@@ -9,7 +9,9 @@ witness verified within the retries; for sphere eps-k: no (eps, k)
 within the search caps; for construct: a part or the cross listing
 over its cap, nothing written; for construct and sphere partition: a
 partition whose points would pass their byte cap, refused before any
-draw, nothing written), 4 internal error (any other exception,
+draw, nothing written; for any command: a pair-cover index, as `verify`
+builds for tk and tkf, whose keys would pass their byte cap, refused
+before it is built), 4 internal error (any other exception,
 including a witness that fails its recheck).  `verify` runs one search
 check on a file; `report` writes its density report.  One reader takes
 params.json and drc.json and checks every value against its field's
@@ -369,6 +371,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except ver.BudgetExceeded as exc:
         print(_budget_line(exc), file=sys.stderr)
+        return EXIT_BUDGET
+    except hg.PairIndexTooLarge as exc:
+        print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except Exception as exc:
         detail = " ".join(str(exc).split())

@@ -7,7 +7,12 @@ and core-cover (TKF) pattern finders, the two-parts split-core scan, the
 sparse connected-pattern scan, and density reports.  The searches hold
 vertex sets as int bitmasks: the clique, TK and split-core searches read
 the graph's or the shadow's adjacency rows, and the sparse scan one
-vertex mask per edge, each made by one numpy pass.
+vertex mask per edge, each made by one numpy pass.  The two exact
+solvers, the clique search (and TKF through it) and the hypergraph
+independence search (and alpha_t through it), first number the
+vertices by non-increasing degree (`_degree_order`, the initial order
+of Tomita and Seki's colouring bound), which keeps their search trees
+smaller; a clique witness is mapped back to the input's labels.
 
 Every search counts its nodes on one `_Counter`, which resolves the
 budget (per-call argument, else env RTLAB_BUDGET, else DEFAULT_BUDGET),
@@ -99,7 +104,7 @@ class _Counter:
 
 
 def _color_sort(cand: int, nonadj: list, kmin: int) -> list:
-    """Greedy coloring of the candidate bitmask in vertex order; the
+    """Greedy coloring of the candidate bitmask in bit order; the
     classes of color >= kmin, as bitmasks, in color order.
 
     `nonadj[v]` is ~(adj[v] | 1 << v) within a bitmask holding every
@@ -123,35 +128,51 @@ def _color_sort(cand: int, nonadj: list, kmin: int) -> list:
     return classes
 
 
+def _degree_order(n: int, edges: np.ndarray):
+    """The vertices numbered by non-increasing degree in the edge rows,
+    ties in vertex order, so the vertices in no row come last: (order,
+    rank, held), where order[i] is the vertex numbered i, rank[v] the
+    number of vertex v, and held the count of vertices in some row."""
+    degree = np.bincount(edges.ravel(), minlength=n)
+    order = np.argsort(-degree, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    return order, rank, int(np.count_nonzero(degree))
+
+
 def find_clique(g: SimpleGraph, s: int, budget=None) -> Embedding | None:
     """Exact K_s search (branch and bound on a greedy coloring).
 
-    Each level colors its candidates greedily in vertex order and
-    branches, highest color first, only on those of color at least s
-    minus the clique size there: a vertex of color c leaves open only
-    candidates of its c color classes, each an independent set.  The
-    vertex sets are int bitmasks, and the coloring reads each vertex's
-    non-neighbour mask, made once per search.  One explicit stack holds
-    a frame per level, its untried candidates and the classes left to
-    branch on; the search places the highest vertex of the last class
-    and clears it from both, so backtracking only pops the frame.
+    The search numbers the vertices by non-increasing degree
+    (`_degree_order`) and maps its witness back to g's labels.  Each
+    level colors its candidates greedily in that order and branches,
+    highest color first, only on those of color at least s minus the
+    clique size there: a vertex of color c leaves open only candidates
+    of its c color classes, each an independent set.  The vertex sets
+    are int bitmasks, and the coloring reads each vertex's non-neighbour
+    mask, made once per search.  One explicit stack holds a frame per
+    level, its untried candidates and the classes left to branch on; the
+    search places the highest-numbered vertex of the last class and
+    clears it from both, so backtracking only pops the frame.
 
-    The root candidates are the vertices with a neighbour, and only they
-    get a non-neighbour mask (the others' entry is 0, never read), so a
-    vertex without one costs no n-bit mask.  Leaving such vertices out
-    changes no branch: each would fall in color class 1, which bounds no
-    other class and, as s >= 2, is not branched on at the root; deeper
-    candidates lie in neighbourhoods.
+    The vertices without a neighbour are numbered last and left out: the
+    masks span only the vertices with a neighbour, which are the root
+    candidates.  Leaving the others out changes no branch: each would
+    fall in color class 1, which bounds no other class and, as s >= 2,
+    is not branched on at the root; deeper candidates lie in
+    neighbourhoods.
     Returns an embedding of K_s or None if the graph is K_s-free.
     """
     if s < 1:
         raise ValueError(f"clique size must be >= 1, got {s}")
     if s == 1:
         return _core_embedding([0], lambda a, b: [(a, b)]) if g.n else None
-    adj = g.adjacency_masks()
+    order, rank, held = _degree_order(g.n, g.edge_array)
+    a, b = rank[g.edge_array].T
+    adj = _bit_rows(held, held, np.concatenate((a, b)), np.concatenate((b, a)))
     counter = _Counter(budget)
-    root = reduce(or_, adj, 0)
-    nonadj = [a and root ^ (a | 1 << v) for v, a in enumerate(adj)]
+    root = (1 << held) - 1
+    nonadj = [root ^ (a | 1 << v) for v, a in enumerate(adj)]
     # an explicit stack, so the depth is not bounded by the recursion
     # limit: clique[i] was placed from stack[i], a frame [untried
     # candidates, class, ..., class] of the classes left to branch on
@@ -179,7 +200,8 @@ def find_clique(g: SimpleGraph, s: int, budget=None) -> Embedding | None:
         stack.append([cand, *_color_sort(cand, nonadj, s - len(clique))])
     else:
         return None
-    return _core_embedding(sorted(clique), lambda a, b: [(a, b)])
+    return _core_embedding(sorted(order[clique].tolist()),
+                           lambda a, b: [(a, b)])
 
 
 def recheck_clique(g: SimpleGraph, emb: Embedding) -> bool:
@@ -245,27 +267,31 @@ def hyper_independence(h: PartitionedHypergraph, budget=None) -> int:
     Depth-first over an explicit stack of (live edges, forced mask, size)
     nodes.  The current set is every vertex not yet dropped, `live` holds
     the edges wholly inside it, and forced vertices may not be dropped.
-    The edges are numbered in the order of their vertex bitmasks, and
-    `live` is an int bitmask over those numbers.  Each live edge needs a
-    removed vertex of its own, so a greedy packing of pairwise-disjoint
-    live edges bounds the set by size - packing, and the node is pruned
-    when that is <= best.  The packing takes the lowest live edge and
-    clears every edge meeting it, by one mask per picked edge, made on
-    the edge's first pick and kept.  A node with live edges branches on
-    the free vertices f1 < f2 < ... of the lowest: branch i drops f_i,
-    keeping the live edges without it (one incidence mask per vertex),
-    and forces f_1 .. f_(i-1), so the branches are disjoint and cover
-    every case.  No live edge is ever all forced: its largest vertex was
-    forced beside a larger dropped vertex of an ancestor's lowest edge,
-    which would then have had the larger mask.  One budget node per
-    expanded node.
+    The vertices are numbered by non-increasing degree (`_degree_order`),
+    the edges in the order of their vertex bitmasks in that numbering,
+    and `live` is an int bitmask over the edge numbers.  Each live edge
+    needs a removed vertex of its own, so a greedy packing of
+    pairwise-disjoint live edges bounds the set by size - packing, and
+    the node is pruned when that is <= best.  The packing takes the
+    lowest live edge and clears every edge meeting it, by one mask per
+    picked edge, made on the edge's first pick and kept.  A node with
+    live edges branches on the free vertices f1 < f2 < ... of the
+    lowest: branch i drops f_i, keeping the live edges without it (one
+    incidence mask per vertex), and forces f_1 .. f_(i-1), so the
+    branches are disjoint and cover every case.  No live edge is ever
+    all forced: its largest vertex was forced beside a larger dropped
+    vertex of an ancestor's lowest edge, which would then have had the
+    larger mask.  One budget node per expanded node.
     """
     counter = _Counter(budget)
-    # ascending vertex bitmasks: the rows by last vertex, then the ones before
-    rows = h.edge_array[np.lexsort(h.edge_array.T)]
+    _, rank, held = _degree_order(h.n, h.edge_array)
+    # each row renumbered and ascending, the rows in ascending vertex
+    # bitmasks: by last vertex, then the ones before
+    rows = np.sort(rank[h.edge_array], axis=1)
+    rows = rows[np.lexsort(rows.T)]
     m, r = rows.shape
     full = (1 << m) - 1
-    inc = _bit_rows(h.n, m, rows.ravel(), np.repeat(np.arange(m), r))
+    inc = _bit_rows(held, m, rows.ravel(), np.repeat(np.arange(m), r))
     without = [full ^ e for e in inc]  # the edges missing each vertex
     rows = rows.tolist()
     apart = [None] * m  # the edges disjoint from each picked edge

@@ -1111,6 +1111,10 @@ ONE_EDGE = "HG 2 100000 1 0\n" + "-1\n" * 100000 + "0 1\n"
     # with no two parts and no two edges no witness can exist
     (WIDE_EDGE, "verify --check split-core", 0, "split-core: holds"),
     (WIDE_EDGE, "verify --check sparse", 0, "sparse: holds"),
+    # tk and tkf need the index of those pairs, 3.2 GB of keys and order:
+    # refused before it is built
+    (WIDE_EDGE, "verify --check tk --s 3", 3, "over the cap 1073741824"),
+    (WIDE_EDGE, "verify --check tkf --s 3", 3, "over the cap 1073741824"),
     # one edge over 100,000 vertices: the searches' bitmask rows are
     # packed only for the two vertices that have a neighbour
     (ONE_EDGE, "verify --check alpha_t --t 3", 0, "alpha_3 = 100000"),
@@ -1118,16 +1122,18 @@ ONE_EDGE = "HG 2 100000 1 0\n" + "-1\n" * 100000 + "0 1\n"
     (ONE_EDGE, "verify --check clique --s 3", 0, "clique: holds"),
     (ONE_EDGE, "verify --check tkf --s 3", 0, "tkf: holds"),
 ], ids=["label-count", "split-core", "tk", "tkf", "sparse",
-        "wide-edge-split-core", "wide-edge-sparse", "one-edge-alpha-t",
+        "wide-edge-split-core", "wide-edge-sparse", "wide-edge-tk",
+        "wide-edge-tkf", "one-edge-alpha-t",
         "one-edge-tk", "one-edge-clique", "one-edge-tkf"])
 def test_header_counts_cost_nothing(tmp_path, text, argv, code, out):
     # a small file whose header gives a huge count, or whose one edge is
-    # huge, is answered within 2 s
+    # huge, is answered within 2 s; a refusal prints nothing on stdout
     path = tmp_path / "tiny.hg"
     path.write_text(text)
     proc = run_fresh(CLI_CAPPED, *argv.split(), str(path), timeout=10)
     assert proc.returncode == code, proc.stderr
     assert out in proc.stdout + proc.stderr
+    assert code != 3 or proc.stdout == ""
     assert float(proc.stderr.split()[-1]) < 2
 
 

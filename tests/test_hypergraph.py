@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -91,6 +92,34 @@ def test_shadow_complete_3uniform_is_k4():
     h = complete_uniform(4, 3)
     want = frozenset(combinations(range(4), 2))
     assert shadow(h).edges == want
+
+
+def test_pair_cover_index_refused_over_its_cap(monkeypatch):
+    # 16 bytes per covered pair of each row: a cap at exactly that builds,
+    # a byte less refuses before any array is made
+    h = random_hypergraph(12, 4, 30, 1)
+    need = 16 * 6 * 30
+    monkeypatch.setattr(hypergraph, "MAX_PAIR_INDEX_BYTES", need)
+    assert h.pair_cover_index().covering_rows.size == 6 * 30
+    monkeypatch.setattr(hypergraph, "MAX_PAIR_INDEX_BYTES", need - 1)
+    monkeypatch.setattr(hypergraph, "_runs", lambda keys: pytest.fail())
+    with pytest.raises(hypergraph.PairIndexTooLarge,
+                       match=f"hold {need} bytes"):
+        h.pair_cover_index()
+
+
+def test_pair_cover_index_of_one_wide_edge_is_refused_at_once():
+    # one edge over 20,000 vertices: 3.2 GB of keys and order at the
+    # default cap, refused with under 1 MB traced
+    h = PartitionedHypergraph(20_000, 20_000, np.arange(20_000)[None])
+    tracemalloc.start()
+    try:
+        with pytest.raises(hypergraph.PairIndexTooLarge):
+            h.pair_cover_index()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,21 @@ def brute_sequences(rows, size, cand, ordered):
             if all(rows[a] >> b & 1 for a, b in combinations(seq, 2))]
 
 
+def degree_relabelled(h):
+    """h with its vertices renamed by non-increasing degree, ties in
+    vertex order, and that order: vertex order[i] of h is vertex i of the
+    copy.  The exact solvers search this copy, so their references run
+    on it."""
+    degree = np.bincount(h.edge_array.ravel(), minlength=h.n).tolist()
+    order = sorted(range(h.n), key=lambda v: -degree[v])
+    rank = {v: i for i, v in enumerate(order)}
+    edges = frozenset(tuple(sorted(rank[v] for v in e))
+                      for e in h.edge_array.tolist())
+    if isinstance(h, SimpleGraph):
+        return SimpleGraph(h.n, edges), order
+    return PartitionedHypergraph(h.n, h.r, edges), order
+
+
 # ---------------------------------------------------------------------------
 # clique search
 
@@ -209,15 +224,24 @@ def _colour_tuple_find_clique(g, s, counter):
 
 
 def test_clique_search_matches_colour_tuple_reference():
-    # the same witness from the same number of nodes, for s = 1 .. omega + 2
+    # the same witness, mapped back from the degree-relabelled copy the
+    # reference searches, from the same number of nodes, for
+    # s = 2 .. omega + 2; s = 1 is no search, vertex 0 in both
     for p, n, seed in product((0.3, 0.5, 0.8, 0.9),
                               (0, 1, 2, 3, 5, 8, 12, 17, 23, 30, 35, 40),
                               range(3)):
         g = random_graph(n, p, seed)
-        s, misses = 1, 0
+        assert find_clique(g, 1, budget=0) == \
+            _colour_tuple_find_clique(g, 1, _Counter(0))
+        relabelled, order = degree_relabelled(g)
+        s, misses = 2, 0
         while misses < 2:
             counter = _Counter(10 ** 9)
-            want = _colour_tuple_find_clique(g, s, counter)
+            want = _colour_tuple_find_clique(relabelled, s, counter)
+            if want is not None:
+                want = _core_embedding(
+                    sorted(order[v] for v in want.vertex_map.values()),
+                    lambda a, b: [(a, b)])
             assert find_clique(g, s, budget=counter.nodes) == want, (p, n, seed, s)
             if counter.nodes:
                 with pytest.raises(BudgetExceeded) as info:
@@ -228,12 +252,12 @@ def test_clique_search_matches_colour_tuple_reference():
 
 
 def test_clique_pinned_node_counts():
-    # G(140, 1/2) at seed 3 has clique number 10: a K_10 is found in 93
-    # nodes, and no K_11 is certified in 2,108
+    # G(140, 1/2) at seed 3 has clique number 10: a K_10 is found in 389
+    # nodes, and no K_11 is certified in 1,263
     g = random_graph(140, 0.5, 3)
     for s, nodes, want in (
-            (10, 93, [38, 39, 59, 72, 73, 91, 122, 129, 136, 137]),
-            (11, 2108, None)):
+            (10, 389, [16, 18, 23, 54, 61, 72, 75, 84, 119, 137]),
+            (11, 1263, None)):
         emb = find_clique(g, s, budget=nodes)
         assert (emb and sorted(emb.vertex_map.values())) == want
         with pytest.raises(BudgetExceeded) as info:
@@ -288,6 +312,39 @@ def test_clique_search_ignores_interleaved_isolated_vertices(monkeypatch):
                 emb and ({i: f[v] for i, v in emb.vertex_map.items()},
                          [tuple(f[v] for v in e) for e in emb.edges_used])), \
                 (p, n, seed, s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 3), st.floats(0, 1),
+       st.randoms(use_true_random=False))
+def test_exact_solvers_ignore_vertex_labels(n, isolated, p, rnd):
+    # a random graph and 3-graph on n vertices, `isolated` vertices added
+    # and all renamed by a random permutation, which interleaves the
+    # isolated ones: the clique verdicts, alpha_t and hyper_independence
+    # match the unrenamed inputs and brute force, and every clique witness
+    # rechecks in the labels of the graph it was found in
+    total = n + isolated
+    perm = list(range(total))
+    rnd.shuffle(perm)
+    pairs = [e for e in combinations(range(n), 2) if rnd.random() < p]
+    triples = [e for e in combinations(range(n), 3) if rnd.random() < p]
+
+    def renamed(edges):
+        return frozenset(tuple(sorted(perm[v] for v in e)) for e in edges)
+
+    g = SimpleGraph(total, frozenset(pairs))
+    moved = SimpleGraph(total, renamed(pairs))
+    for s in (2, 3, 4, 5):
+        want = brute_has_clique(g, s)
+        for graph in (g, moved):
+            emb = find_clique(graph, s)
+            assert (emb is not None) == want, s
+            assert emb is None or recheck_cores(graph, emb, s)
+    for t in (2, 3):
+        assert alpha_t(g, t) == alpha_t(moved, t) == brute_alpha_t(g, t), t
+    h = PartitionedHypergraph(total, 3, frozenset(triples))
+    assert hyper_independence(h) == brute_hyper_independence(h) == \
+        hyper_independence(PartitionedHypergraph(total, 3, renamed(triples)))
 
 
 @pytest.mark.parametrize("solve", [
@@ -535,8 +592,9 @@ def _list_hyper_independence(h, counter):
 
 
 def test_hyper_independence_matches_list_reference():
-    # the same value from the same number of nodes, on seeded random
-    # hypergraphs of rank 2-4 from sparse to dense
+    # the same value from the same number of nodes as the reference on the
+    # degree-relabelled copy, on seeded random hypergraphs of rank 2-4
+    # from sparse to dense
     for r, n, p, seed in product((2, 3, 4), (0, 4, 9, 14, 18), (0.1, 0.4, 0.8),
                                  range(2)):
         rng = np.random.default_rng([r, n, seed])
@@ -545,7 +603,7 @@ def test_hyper_independence_matches_list_reference():
             [e for e, x in zip(tuples, rng.random(len(tuples))) if x < p],
             dtype=np.int64).reshape(-1, r))
         counter = _Counter(10 ** 9)
-        want = _list_hyper_independence(h, counter)
+        want = _list_hyper_independence(degree_relabelled(h)[0], counter)
         assert hyper_independence(h, budget=counter.nodes) == want, (r, n, p, seed)
         if counter.nodes:
             with pytest.raises(BudgetExceeded) as info:
@@ -568,7 +626,7 @@ def test_hyper_independence_pinned_node_count():
     g = dense_gnp(40, 0.8, 1)
     dense = PartitionedHypergraph(40, 3, list(
         _cliques(g.adjacency_masks(), 3, (1 << 40) - 1, _Counter())))
-    for h, nodes, alpha in ((sparse, 197, 6), (dense, 30_096, 8)):
+    for h, nodes, alpha in ((sparse, 155, 6), (dense, 16_273, 8)):
         assert hyper_independence(h, budget=nodes) == alpha
         with pytest.raises(BudgetExceeded) as info:
             hyper_independence(h, budget=nodes - 1)
