@@ -2,3 +2,20 @@
 graph and hypergraph constructions."""
 
 __version__ = "0.1.0"
+
+# the most bytes of arrays one build may hold at once
+MAX_BYTES = 1 << 30
+
+
+class CapExceeded(RuntimeError):
+    """A cap stopped the run before it decided anything: a node budget,
+    the retries of a witness pipeline, a part or prefix count, or
+    MAX_BYTES of arrays.  The CLI exits 3 on it, printing the message."""
+
+
+def check_bytes(size: int, what: str) -> None:
+    """CapExceeded, to be raised before anything is allocated, when
+    `what` would hold `size` bytes, over MAX_BYTES (1 GiB)."""
+    if size > MAX_BYTES:
+        raise CapExceeded(f"{what} would hold {size} bytes, over the cap "
+                          f"{MAX_BYTES}")

@@ -4,23 +4,19 @@ Subcommands: construct, verify, report, optimize, drc, sphere.  Exit
 codes: 0 property holds / success, 1 property violated (witness rechecked,
 then written as JSON; for `alpha_t --bound`, a K_t-free set above the
 bound found, even if the budget then ran out), 2 refused input (an
-OSError or ValueError), 3 search budget or cap exceeded (for drc: no
-witness verified within the retries; for sphere eps-k: no (eps, k)
-within the search caps; for construct: a part or the cross listing
-over its cap, nothing written; for construct and sphere partition: a
-partition whose points would pass their byte cap, refused before any
-draw, nothing written; for any command: a pair-cover index, as `verify`
-builds for tk and tkf, whose keys would pass their byte cap, refused
-before it is built), 4 internal error (any other exception,
-including a witness that fails its recheck).  `verify` runs one search
-check on a file; `report` writes its density report.  One reader takes
-params.json and drc.json and checks every value against its field's
-annotation; `construct` and `report` take the construction params from
-`--params` alone, and all randomness flows from the single seed.  A
-command runs only the modules it uses: each is registered at import but
-runs when a command first reads from it, so `optimize` (the `bounds`
-module alone) runs without numpy, and only a command that draws from a
-seed imports numpy.random.
+OSError or ValueError), 3 a cap stopped the run and nothing was decided
+(a CapExceeded: a node budget, the drc retries, a part or prefix count,
+or 1 GiB of arrays, refused before it is allocated; one line on stderr,
+nothing on stdout, no file written), 4 internal error (any other
+exception, including a witness that fails its recheck).  `verify` runs
+one search check on a file; `report` writes its density report.  One
+reader takes params.json and drc.json and checks every value against
+its field's annotation; `construct` and `report` take the construction
+params from `--params` alone, and all randomness flows from the single
+seed.  A command runs only the modules it uses: each is registered at
+import but runs when a command first reads from it, so `optimize` (the
+`bounds` module alone) runs without numpy, and only a command that
+draws from a seed imports numpy.random.
 """
 
 from __future__ import annotations
@@ -29,6 +25,8 @@ import argparse
 import importlib.util
 import json
 import sys
+
+from . import CapExceeded
 
 
 def _lazy(name: str):
@@ -58,7 +56,7 @@ ver = _lazy("verifiers")
 EXIT_HOLDS = 0
 EXIT_VIOLATED = 1
 EXIT_INPUT = 2
-EXIT_BUDGET = 3
+EXIT_CAP = 3
 EXIT_INTERNAL = 4
 
 # each `construct --type` and the `constructions` builder it calls with
@@ -126,11 +124,7 @@ def _emit_json(payload, path):
 def _cmd_construct(args) -> int:
     params = _read_params(con.ConstructionParams, "construction", args.params)
     build = getattr(con, CONSTRUCTIONS[args.type])
-    try:
-        out = build(params, params.build_partition())
-    except (con.PartTooLarge, sph.PartitionTooLarge) as exc:
-        print(f"construct: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    out = build(params, params.build_partition())
     hg.write_hypergraph(out, args.out)
     print(f"wrote {args.type} construction to {args.out}")
     return EXIT_HOLDS
@@ -173,7 +167,7 @@ def _cmd_verify(args) -> int:
             if (args.bound is None or exc.certified is None
                     or exc.certified <= args.bound):
                 raise
-            print(_budget_line(exc), file=sys.stderr)
+            print(exc, file=sys.stderr)
             print(f"alpha_{args.t} >= {exc.certified}")
             return EXIT_VIOLATED
         print(f"alpha_{args.t} = {value}")
@@ -182,7 +176,7 @@ def _cmd_verify(args) -> int:
         return EXIT_HOLDS
     elif check == "tk":
         witness = ver.find_tk(h, args.s, args.budget)
-        recheck = lambda w: ver.recheck_tk(h, w, args.s)
+        recheck = lambda w: ver.recheck_cores(h, w, args.s, fresh=True)
     elif check == "tkf":
         witness = ver.find_tkf_core(h, args.s, args.budget)
         recheck = lambda w: ver.recheck_cores(h, w, args.s)
@@ -232,36 +226,28 @@ def _cmd_optimize(args) -> int:
 def _cmd_drc(args) -> int:
     p = _read_params(drcmod.DrcParams, "drc", args.params)
     h = _read_input(args.file)
-    try:
-        if args.action == "find-set":
-            if h.r != 2:
-                raise ValueError("find-set needs a graph file (r=2)")
-            u = drcmod.drc_find_set(h, p, seed=args.seed)
-            if u is None:
-                print("find-set: no verified set within the retry budget")
-                return EXIT_BUDGET
-            payload = {"U": sorted(u)}
-        elif args.action == "find-f":
-            payload = drcmod.find_f_witness(h, p, seed=args.seed).as_json()
-        else:
-            tkf5, tk4 = drcmod.find_tkf5_tk4(h, p.epsilon, p.codegree_threshold,
-                                             seed=args.seed, retries=p.retries)
-            payload = {"tkf5": tkf5.as_json(),
-                       "tk4": tk4.as_json() if tk4 else None}
-    except drcmod.PipelineFailure as exc:
-        print(f"{args.action} failed at stage '{exc.stage}': {exc.detail}")
-        return EXIT_BUDGET
+    if args.action == "find-set":
+        if h.r != 2:
+            raise ValueError("find-set needs a graph file (r=2)")
+        u = drcmod.drc_find_set(h, p, seed=args.seed)
+        if u is None:
+            raise drcmod.PipelineFailure("drc-set",
+                                         "no verified set within retries")
+        payload = {"U": sorted(u)}
+    elif args.action == "find-f":
+        payload = drcmod.find_f_witness(h, p, seed=args.seed).as_json()
+    else:
+        tkf5, tk4 = drcmod.find_tkf5_tk4(h, p.epsilon, p.codegree_threshold,
+                                         seed=args.seed, retries=p.retries)
+        payload = {"tkf5": tkf5.as_json(),
+                   "tk4": tk4.as_json() if tk4 else None}
     _emit_json(payload, args.out)
     return EXIT_HOLDS
 
 
 def _cmd_sphere(args) -> int:
     if args.action == "partition":
-        try:
-            part = sph.build_partition(args.k, args.z, args.theta, args.seed)
-        except sph.PartitionTooLarge as exc:
-            print(f"sphere partition: {exc}", file=sys.stderr)
-            return EXIT_BUDGET
+        part = sph.build_partition(args.k, args.z, args.theta, args.seed)
         sph.write_partition(part, args.out)
         min_z = part.precondition_min_z
         verdict = ("fails (volume bound)" if part.z < min_z
@@ -270,11 +256,7 @@ def _cmd_sphere(args) -> int:
               f"{part.domain_diam_bound:.4f}, needs z >= {min_z:.6g}: {verdict})")
         return EXIT_HOLDS
     if args.action == "eps-k":
-        try:
-            eps, k = sph.find_eps_k(args.alpha, args.beta)
-        except sph.InfeasibleSearch as exc:
-            print(f"eps-k: {exc}", file=sys.stderr)
-            return EXIT_BUDGET
+        eps, k = sph.find_eps_k(args.alpha, args.beta)
         print(f"eps={eps} k={k}")
         return EXIT_HOLDS
     print(f"{sph.cap_measure(args.k, args.s):.12f}")
@@ -350,11 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _budget_line(exc: ver.BudgetExceeded) -> str:
-    return (f"budget exceeded after {exc.nodes} nodes "
-            f"(certified: {exc.certified})")
-
-
 def main(argv=None) -> int:
     ap = build_parser()
     try:
@@ -364,17 +341,13 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    # input errors first: a command that never read `ver` does not run it
-    # just to test the type (BudgetExceeded is a RuntimeError)
     except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ver.BudgetExceeded as exc:
-        print(_budget_line(exc), file=sys.stderr)
-        return EXIT_BUDGET
-    except hg.PairIndexTooLarge as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    # the package's own class, so testing the type runs no lazy module
+    except CapExceeded as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_CAP
     except Exception as exc:
         detail = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {detail}",

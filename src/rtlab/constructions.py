@@ -19,6 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
+from . import CapExceeded
 from .bounds import optimize_a, theta_lower_bound
 from .hypergraph import (PartitionedHypergraph, SimpleGraph, as_graph,
                          blowup, complete_join, shadow)
@@ -120,7 +121,7 @@ def bollobas_erdos(params: ConstructionParams,
     joins near-antipodal points (d >= 2 - theta), across the sides an
     edge joins near-orthogonal points (d <= sqrt(2) - theta), where
     theta = params.theta.  This is the r = 2, u = 1 tuple hypergraph of
-    `sphere_hypergraph` whatever params.r, caps included: PartTooLarge
+    `sphere_hypergraph` whatever params.r, caps included: CapExceeded
     over 5,000 points per side or about 5 M close pairs."""
     return as_graph(_tuple_hypergraph(partition, 2, 1, params.theta))
 
@@ -139,10 +140,6 @@ def tuple_vertices(partition: SpherePartition, u: int, theta: float) -> list:
     return list(map(tuple, _sequences(close, u).tolist()))
 
 
-class PartTooLarge(RuntimeError):
-    """Exhaustive listing refused: a part or the cross prefixes over a cap."""
-
-
 # tuple vertices a part may hold
 MAX_PART_SIZE = 5000
 # cross-edge prefixes (1 .. r tuples) listed before the listing gives up
@@ -153,7 +150,7 @@ def _sequences(rel: np.ndarray, length: int, cap=math.inf) -> np.ndarray:
     """The sequences of `length` indices whose every entry is related by
     the boolean matrix `rel` to every later one, as lexicographic rows.
     They grow one entry per level, in blocks of prefixes reading about
-    2^20 entries of `rel`; PartTooLarge once over `cap` prefixes, of all
+    2^20 entries of `rel`; CapExceeded once over `cap` prefixes, of all
     lengths 1 .. length, are listed."""
     block = max(1, (1 << 20) // max(len(rel), 1))
     seqs, listed = np.zeros((1, 0), dtype=np.intp), 0
@@ -165,7 +162,8 @@ def _sequences(rel: np.ndarray, length: int, cap=math.inf) -> np.ndarray:
             rows, nxt = np.nonzero(rel[prefix].all(axis=1))
             listed += len(rows)
             if listed > cap:
-                raise PartTooLarge(f"over {cap} prefixes listed")
+                raise CapExceeded(f"{listed} prefixes listed, over the cap "
+                                  f"{cap}")
             grown.append(np.column_stack([prefix[rows], nxt]))
         seqs = np.concatenate(grown)
     return seqs
@@ -178,7 +176,7 @@ def sphere_hypergraph(params: ConstructionParams,
     coordinate position (d >= 2 - theta); a transversal r-set is an edge
     when every coordinate pair across the tuples is close
     (d <= sqrt(2) - theta).  Both families are listed exhaustively by
-    `_sequences`.  Raises PartTooLarge over MAX_PART_SIZE (5,000) tuples
+    `_sequences`.  Raises CapExceeded over MAX_PART_SIZE (5,000) tuples
     per part, or when the cross listing reaches over
     MAX_CROSS_ASSIGNMENTS (5,000,000) prefixes of 1 .. r tuples.
     """
@@ -190,7 +188,7 @@ def _tuple_hypergraph(partition: SpherePartition, r: int, u: int,
     V = tuple_vertices(partition, u, theta)
     nv = len(V)
     if nv > MAX_PART_SIZE:
-        raise PartTooLarge(f"{nv} tuple vertices exceed the cap {MAX_PART_SIZE}")
+        raise CapExceeded(f"{nv} tuple vertices exceed the cap {MAX_PART_SIZE}")
     n = r * nv
     part_of = np.repeat(np.arange(r), nv)
     meta = {"tuple_count": nv, "z": partition.z, "theta": theta,

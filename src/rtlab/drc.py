@@ -18,17 +18,17 @@ from operator import and_
 
 import numpy as np
 
+from . import CapExceeded
 from .hypergraph import (UNPARTITIONED, PairCoverIndex, PartitionedHypergraph,
                          SimpleGraph, as_graph, clean_low_codegree)
 from .rng import substream
 from .verifiers import (BudgetExceeded, Embedding, _core_embedding, _Counter,
-                        contained_edge, recheck_cores, recheck_tkf_core,
-                        subdivision)
+                        contained_edge, recheck_cores, subdivision)
 
 DEFAULT_RETRIES = 64
 
 
-class PipelineFailure(RuntimeError):
+class PipelineFailure(CapExceeded):
     """A witness pipeline stage failed after all retries."""
 
     def __init__(self, stage: str, detail: str = ""):
@@ -41,15 +41,29 @@ class PipelineFailure(RuntimeError):
 class DrcParams:
     """Parameters of the two dependent-random-choice forms.
 
-    Graph form: a, m, n, r, t.  Hypergraph form: s samples.  epsilon is
-    the codegree fraction `find-tkf5` asks of its pair; `find_tkf5_tk4`
-    refuses one outside (0, 1], NaN included.  retries bounds
-    the Las Vegas loops; codegree_threshold drives the cleaning pass (16
-    in the asymptotic statements, lower it for desk-scale hosts whose
-    codegrees cannot reach 16).  a, m, r, t, s and retries are >= 1, a
-    given n > 0 and codegree_threshold >= 0, else ValueError.  The field
-    types are not checked here: the CLI's params reader checks each
-    value against its field's annotation before it builds one.
+    Graph form: a, m, n, r, t.  Hypergraph form: s samples.  retries
+    bounds the Las Vegas loops; codegree_threshold drives the cleaning
+    pass (16 in the asymptotic statements, lower it for desk-scale hosts
+    whose codegrees cannot reach 16).  Each `rtlab drc` action reads
+    only some fields:
+
+    - find-set: a, m, r, t and retries (the graph form);
+    - find-f: a, m, t and retries for its graph form, which runs at
+      r = 3 whatever r holds, s for its hypergraph form, and retries
+      and codegree_threshold for its trial loop;
+    - find-tkf5: epsilon, the codegree fraction it asks of its pair,
+      codegree_threshold, and retries when the file has no three parts
+      of its own.
+
+    So r reaches find-set alone, s find-f alone and epsilon find-tkf5
+    alone.  n is replaced by the graph's vertex count in find-set's
+    feasibility test, and find-f's graph form reads none, so only a
+    direct `drc_feasible` call reads it.  `find_tkf5_tk4` refuses an
+    epsilon outside (0, 1], NaN included.  a, m, r, t, s and retries
+    are >= 1, a given n > 0 and codegree_threshold >= 0, else
+    ValueError.  The field types are not checked here: the CLI's params
+    reader checks each value against its field's annotation before it
+    builds one.
     """
 
     a: int = 4
@@ -407,7 +421,7 @@ def _tkf5_once(h, cleaned, eps):
     # x y and each vertex of Z share a cleaned edge, E covers its own pairs
     tkf5 = _core_embedding(sorted([x, y, *e_in_z]), lambda a, b: (
         cleaned_cover.covering(a, b) or cover.covering(a, b)))
-    if not recheck_tkf_core(h, tkf5):
+    if not recheck_cores(h, tkf5, 5):
         raise PipelineFailure("verification", "five-core witness failed recheck")
 
     # x, y and two vertices of E; the third vertex of E is the fresh one
@@ -416,4 +430,5 @@ def _tkf5_once(h, cleaned, eps):
 
 
 def recheck_tk4(h: PartitionedHypergraph, emb: Embedding) -> bool:
+    """`recheck_cores` of a TK_4; perfbench/wl_search.py calls it."""
     return recheck_cores(h, emb, 4, fresh=True)

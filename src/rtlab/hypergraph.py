@@ -38,10 +38,9 @@ from itertools import combinations, islice, product
 
 import numpy as np
 
+from . import check_bytes
+
 UNPARTITIONED = -1
-# the most bytes a pair-cover index may hold at once: one int64 key and
-# one int64 sort position per covered pair of each edge
-MAX_PAIR_INDEX_BYTES = 1 << 30
 
 
 def _sorted_rows(edges, n: int, r: int) -> np.ndarray:
@@ -276,11 +275,6 @@ class PartitionedHypergraph:
         return PairCoverIndex(self.edge_array, self.n)
 
 
-class PairIndexTooLarge(RuntimeError):
-    """A pair-cover index refused before it is built: its keys and sort
-    order over the byte cap."""
-
-
 class PairCoverIndex:
     """The covered pairs of a hypergraph and the rows of its
     `edge_array` that cover each.
@@ -293,9 +287,9 @@ class PairCoverIndex:
     each; `covering_rows` lists the covering rows pair after pair, the
     codegrees[i] rows of pairs[i] in ascending order.  `edge_indices(i)`
     are the covering rows of pairs[i] and `covering(a, b)` the covering
-    edges of one pair.  PairIndexTooLarge, before anything is allocated,
-    when the keys and their sort order, 16 bytes per pair of each row,
-    would pass MAX_PAIR_INDEX_BYTES (1 GiB).
+    edges of one pair.  CapExceeded, before anything is allocated, when
+    the keys and their sort order, 16 bytes per pair of each row, would
+    pass the package's byte cap (`check_bytes`, 1 GiB).
     """
 
     def __init__(self, edges: np.ndarray, n: int):
@@ -303,11 +297,8 @@ class PairCoverIndex:
         self._n = n
         # an edge-free store covers no pair whatever its r
         r = edges.shape[1] if len(edges) else 0
-        size = 16 * (r * (r - 1) // 2) * len(edges)
-        if size > MAX_PAIR_INDEX_BYTES:
-            raise PairIndexTooLarge(
-                f"a pair-cover index of {len(edges)} x C({r}, 2) pairs would "
-                f"hold {size} bytes, over the cap {MAX_PAIR_INDEX_BYTES}")
+        check_bytes(16 * (r * (r - 1) // 2) * len(edges),
+                    f"a pair-cover index of {len(edges)} x C({r}, 2) pairs")
         # the C(r, 2) column pairs in `combinations` order
         first, second = np.triu_indices(r, 1)
         keys = edges[:, first].astype(np.int64, copy=False)

@@ -18,15 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import CapExceeded, check_bytes
 from .rng import substream
 
 SQRT2 = math.sqrt(2.0)
 # the largest z whose owner pass runs over (z, B) blocks of products; above
 # it the pass over (B, z) blocks, one row per point, is faster
 LLOYD_COLUMN_MAX_Z = 64
-# the most bytes of float64 points a partition may hold at once: its
-# representatives, its Lloyd cloud and the cloud's transposed copy
-MAX_PARTITION_BYTES = 1 << 30
 # quadruples whose four-point margins are scored at once: 32 KB per
 # temporary, which stays in cache
 P4_BLOCK = 4096
@@ -203,10 +201,6 @@ def cap_intersection_measure_mc(k: int, centers: np.ndarray, s: float,
 # the (eps, k) search
 
 
-class InfeasibleSearch(RuntimeError):
-    """No (eps, k) within the search caps satisfies the cap properties."""
-
-
 # largest sphere dimension the (eps, k) search tries
 K_CAP = 1_000_000
 
@@ -256,7 +250,7 @@ def find_eps_k(alpha: float, beta: float) -> tuple[float, int]:
     the closed-form `properties_hold`, so the answer draws no random
     number.
 
-    Raises InfeasibleSearch when no k <= K_CAP (1,000,000) works for any
+    Raises CapExceeded when no k <= K_CAP (1,000,000) works for any
     ladder eps.
     """
     if not (0.0 < alpha < 0.5 and 0.0 < beta < 0.5):
@@ -267,7 +261,7 @@ def find_eps_k(alpha: float, beta: float) -> tuple[float, int]:
         if k is not None:
             return eps, k
         eps /= 2.0
-    raise InfeasibleSearch(
+    raise CapExceeded(
         f"no (eps, k) with k <= {K_CAP} satisfies the cap properties for "
         f"alpha={alpha}, beta={beta}")
 
@@ -539,10 +533,6 @@ class SpherePartition:
         return pairwise_distances(self.reps)
 
 
-class PartitionTooLarge(RuntimeError):
-    """A partition refused before any draw: its points over the byte cap."""
-
-
 def build_partition(k: int, z: int, theta: float, seed: int,
                     balance_iters: int = 32,
                     diag_samples: int = 20_000) -> SpherePartition:
@@ -568,9 +558,9 @@ def build_partition(k: int, z: int, theta: float, seed: int,
     volume bound (`precondition_min_z`); no diameter is sampled.
     Bit-reproducible for a fixed seed.  ValueError for z < 1, a negative
     `balance_iters`, or a theta that is not a positive finite number;
-    PartitionTooLarge, before any draw, when the representatives, the
-    cloud and its transposed copy would take over MAX_PARTITION_BYTES
-    (1 GiB) of float64.
+    CapExceeded, before any draw, when the representatives, the cloud
+    and its transposed copy would take over the package's byte cap
+    (`check_bytes`, 1 GiB) of float64.
     """
     if z < 1:
         raise ValueError(f"domain count must be >= 1, got {z}")
@@ -579,11 +569,8 @@ def build_partition(k: int, z: int, theta: float, seed: int,
     _check_theta(theta)
     lloyd = z > 1 and balance_iters > 0
     samples = max(diag_samples, 40 * z) if lloyd else 0
-    size = 8 * (k + 1) * (z + 2 * samples)
-    if size > MAX_PARTITION_BYTES:
-        raise PartitionTooLarge(
-            f"a partition of S^{k} into {z} domains would hold {size} bytes "
-            f"of points, over the cap {MAX_PARTITION_BYTES}")
+    check_bytes(8 * (k + 1) * (z + 2 * samples),
+                f"a partition of S^{k} into {z} domains")
     rng = substream(seed, "partition-reps")
     reps = sample_uniform_points(k, z, rng)
     if lloyd:

@@ -39,19 +39,25 @@ from operator import or_
 
 import numpy as np
 
+from . import CapExceeded
 from .hypergraph import (UNPARTITIONED, PairCoverIndex, PartitionedHypergraph,
                          SimpleGraph, _bit_rows, _runs)
 
 DEFAULT_BUDGET = 20_000_000
 
 
-class BudgetExceeded(RuntimeError):
-    """Search ran out of nodes; `certified` holds the best bound so far."""
+class BudgetExceeded(CapExceeded):
+    """A search ran out of its node budget after `nodes` nodes;
+    `certified` holds the best bound it had proved, None for none."""
 
-    def __init__(self, message, certified=None, nodes=0):
-        super().__init__(message)
+    def __init__(self, certified=None, nodes=0):
+        super().__init__(certified, nodes)
         self.certified = certified
         self.nodes = nodes
+
+    def __str__(self):
+        return (f"budget exceeded after {self.nodes} nodes "
+                f"(certified: {self.certified})")
 
 
 @dataclass
@@ -96,7 +102,7 @@ class _Counter:
     def tick(self, certified=None):
         self.nodes += 1
         if self.nodes > self.budget:
-            raise BudgetExceeded("node budget exceeded", certified, self.nodes)
+            raise BudgetExceeded(certified, self.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +211,7 @@ def find_clique(g: SimpleGraph, s: int, budget=None) -> Embedding | None:
 
 
 def recheck_clique(g: SimpleGraph, emb: Embedding) -> bool:
+    """`recheck_cores` of a clique; perfbench/wl_search.py calls it."""
     return recheck_cores(g, emb, len(emb.vertex_map))
 
 
@@ -407,6 +414,7 @@ def recheck_cores(h: PartitionedHypergraph, emb: Embedding, s: int,
 
 
 def recheck_tkf_core(h: PartitionedHypergraph, emb: Embedding) -> bool:
+    """`recheck_cores` of a core cover; perfbench/wl_search.py calls it."""
     return recheck_cores(h, emb, len(emb.vertex_map))
 
 
@@ -487,6 +495,7 @@ def find_tk(h: PartitionedHypergraph, s: int, budget=None) -> Embedding | None:
 
 
 def recheck_tk(h: PartitionedHypergraph, emb: Embedding, s: int) -> bool:
+    """`recheck_cores` of a TK_s; perfbench/wl_search.py calls it."""
     return recheck_cores(h, emb, s, fresh=True)
 
 

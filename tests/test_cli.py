@@ -28,6 +28,15 @@ def write_params(tmp_path, **kw):
     return str(path)
 
 
+def dense_graph(path):
+    """G(40, 0.8) from seed 1, written to the path."""
+    from rtlab.rng import substream
+    rng = substream(1, "gnp")
+    write_graph(SimpleGraph(40, frozenset(
+        (a, b) for a, b in combinations(range(40), 2)
+        if rng.random() < 0.8)), str(path))
+
+
 def test_optimize_prints_exact_values(capsys):
     assert main(["optimize", "--t", "3", "--ell", "2", "--q", "2"]) == 0
     assert capsys.readouterr().out.strip() == "a*=32/63 bound=16/63"
@@ -87,13 +96,8 @@ def test_verify_missing_file_exit_2(tmp_path):
 
 
 def test_verify_budget_exit_3(tmp_path):
-    from rtlab.rng import substream
-    rng = substream(1, "gnp")
-    n = 40
-    edges = frozenset((a, b) for a in range(n) for b in range(a + 1, n)
-                      if rng.random() < 0.8)
     path = tmp_path / "dense.g"
-    write_graph(SimpleGraph(n, edges), str(path))
+    dense_graph(path)
     assert main(["verify", "--check", "clique", "--s", "12",
                  "--budget", "2", str(path)]) == 3
     # a negative budget is an input error, not an exhausted one
@@ -105,13 +109,8 @@ def test_verify_alpha_t_budget_out_above_bound_exit_1(tmp_path, capsys):
     # G(40, 0.8): listing the triangles takes about 6,000 nodes, and at
     # 8,000 the search has already found a triangle-free set of 8 (its
     # alpha_3), so the budget runs out with alpha_3 > 7 certified
-    from rtlab.rng import substream
-    rng = substream(1, "gnp")
-    n = 40
-    edges = frozenset((a, b) for a in range(n) for b in range(a + 1, n)
-                      if rng.random() < 0.8)
     path = tmp_path / "dense.g"
-    write_graph(SimpleGraph(n, edges), str(path))
+    dense_graph(path)
     argv = ["verify", "--check", "alpha_t", "--t", "3", str(path)]
     capsys.readouterr()
     assert main(argv + ["--budget", "8000", "--bound", "7"]) == 1
@@ -608,23 +607,6 @@ def test_drc_find_tkf5_cli(tmp_path):
     assert payload["tkf5"] is not None and payload["tk4"] is not None
 
 
-def test_drc_find_set_exhausted_retries_exit_3(tmp_path, capsys):
-    # K_{50,50}: three picks on both sides have no common neighbour, and
-    # both retries at seed 0 draw such picks
-    g = SimpleGraph(100, frozenset((a, b) for a in range(50)
-                                   for b in range(50, 100)))
-    gpath = tmp_path / "g.hg"
-    write_graph(g, str(gpath))
-    ppath = tmp_path / "drc.json"
-    ppath.write_text(json.dumps({"a": 4, "m": 5, "t": 3, "r": 2,
-                                 "retries": 2}))
-    out = tmp_path / "u.json"
-    assert main(["drc", "find-set", "--params", str(ppath), "--seed", "0",
-                 "--out", str(out), str(gpath)]) == 3
-    assert "no verified set" in capsys.readouterr().out
-    assert not out.exists()
-
-
 def test_drc_find_set_zero_vertices_exit_2(tmp_path, capsys):
     # no vertices, no average degree: an input error, nothing written
     gpath = tmp_path / "g.hg"
@@ -638,26 +620,10 @@ def test_drc_find_set_zero_vertices_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("action", ["find-f", "find-tkf5"])
-def test_drc_hypergraph_pipeline_failure_exit_3(tmp_path, capsys, action):
-    # one edge: no edge survives the codegree sweep in any retry
-    hpath = tmp_path / "h.hg"
-    write_hypergraph(PartitionedHypergraph(30, 3, frozenset([(0, 1, 2)])),
-                     str(hpath))
-    ppath = tmp_path / "drc.json"
-    ppath.write_text(json.dumps({"epsilon": 0.5, "codegree_threshold": 1,
-                                 "retries": 2}))
-    out = tmp_path / "w.json"
-    assert main(["drc", action, "--params", str(ppath), "--seed", "1",
-                 "--out", str(out), str(hpath)]) == 3
-    assert f"{action} failed at stage" in capsys.readouterr().out
-    assert not out.exists()
-
-
 def test_drc_find_f_empty_auxiliary_graph_exit_3(tmp_path, monkeypatch,
                                                  capsys):
     # the hypergraph form keeps no pair: the one trial fails at its stage,
-    # which the stdout line names, and nothing is written
+    # which the stderr line names, and nothing is written
     from rtlab import drc
     monkeypatch.setattr(drc, "hyper_drc", lambda g, s, seed: (
         PartitionedHypergraph(g.n, 2, frozenset(), g.part_of)))
@@ -669,8 +635,8 @@ def test_drc_find_f_empty_auxiliary_graph_exit_3(tmp_path, monkeypatch,
     out = tmp_path / "w.json"
     assert main(["drc", "find-f", "--params", str(ppath), "--seed", "2",
                  "--out", str(out), str(hpath)]) == 3
-    assert capsys.readouterr().out == (
-        "find-f failed at stage 'hyper-drc': empty auxiliary graph\n")
+    assert capsys.readouterr() == (
+        "", "stage 'hyper-drc' failed: empty auxiliary graph\n")
     assert not out.exists()
 
 
@@ -710,7 +676,7 @@ def test_drc_bad_params_exit_2(tmp_path, capsys, action, params, problem):
     assert main(["drc", action, "--params", str(ppath),
                  "--out", str(out), str(hpath)]) == 2
     captured = capsys.readouterr()
-    assert problem in captured.err and "failed at stage" not in captured.out
+    assert problem in captured.err and "stage '" not in captured.err
     assert not out.exists()
 
 
@@ -744,8 +710,8 @@ def test_construct_over_part_cap_exit_3(tmp_path, monkeypatch, capsys, kind):
     assert main(["construct", "--type", kind,
                  "--params", write_params(tmp_path), "--out", str(out)]) == 3
     stdout, err = capsys.readouterr()
-    assert stdout == "" and err.startswith("construct: ")
-    assert err.endswith("exceed the cap 3\n") and err.count("\n") == 1
+    assert stdout == "" and err.endswith("exceed the cap 3\n")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 
@@ -757,19 +723,93 @@ def test_construct_large_k_exit_3(tmp_path, capsys, kind):
     assert main(["construct", "--type", kind, "--params",
                  write_params(tmp_path, k=1_000_000), "--out", str(out)]) == 3
     stdout, err = capsys.readouterr()
-    assert stdout == "" and err.startswith("construct: a partition of S^1000000")
+    assert stdout == "" and err.startswith("a partition of S^1000000")
     assert err.count("\n") == 1
     assert not out.exists()
 
 
-def test_sphere_partition_large_k_exit_3(tmp_path, capsys):
-    out = tmp_path / "big.sphere"
-    assert main(["sphere", "partition", "--k", "1000000", "--z", "14",
-                 "--theta", "0.5", "--seed", "1", "--out", str(out)]) == 3
-    stdout, err = capsys.readouterr()
-    assert stdout == "" and err.startswith("sphere partition: ")
-    assert err.endswith("over the cap 1073741824\n")
-    assert not out.exists()
+def _budget_route(monkeypatch):
+    dense_graph("dense.g")
+    return ("verify --check clique --s 12 --budget 2 --witness-out out "
+            "dense.g")
+
+
+def _part_cap_route(monkeypatch):
+    monkeypatch.setattr(constructions, "MAX_PART_SIZE", 3)
+    write_params(Path("."))
+    return "construct --type sphere --params params.json --out out"
+
+
+def _construct_bytes_route(monkeypatch):
+    write_params(Path("."), k=1_000_000)
+    return "construct --type be --params params.json --out out"
+
+
+def _partition_bytes_route(monkeypatch):
+    return "sphere partition --k 1000000 --z 14 --theta 0.5 --out out"
+
+
+def _eps_k_route(monkeypatch):
+    from rtlab import sphere
+    monkeypatch.setattr(sphere, "K_CAP", 64)
+    return "sphere eps-k --alpha 0.3 --beta 1e-9"
+
+
+def _find_set_route(monkeypatch):
+    # K_{50,50}: three picks on both sides have no common neighbour, and
+    # both retries at seed 0 draw such picks
+    write_graph(SimpleGraph(100, frozenset(
+        (a, b) for a in range(50) for b in range(50, 100))), "g.hg")
+    Path("drc.json").write_text(json.dumps(
+        {"a": 4, "m": 5, "t": 3, "r": 2, "retries": 2}))
+    return "drc find-set --params drc.json --seed 0 --out out g.hg"
+
+
+def _stage_route(action):
+    def route(monkeypatch):
+        # one edge: no edge survives the codegree sweep in any retry
+        write_hypergraph(PartitionedHypergraph(
+            30, 3, frozenset([(0, 1, 2)])), "h.hg")
+        Path("drc.json").write_text(json.dumps(
+            {"epsilon": 0.5, "codegree_threshold": 1, "retries": 2}))
+        return f"drc {action} --params drc.json --seed 1 --out out h.hg"
+    return route
+
+
+def _pair_index_route(monkeypatch):
+    # one edge over 20,000 vertices: 3.2 GB of pair keys and order
+    Path("wide.h").write_text(WIDE_EDGE)
+    return "verify --check tkf --s 3 --witness-out out wide.h"
+
+
+@pytest.mark.parametrize("route,line", [
+    (_budget_route, "budget exceeded after 3 nodes (certified: None)"),
+    (_part_cap_route, "10 tuple vertices exceed the cap 3"),
+    (_construct_bytes_route, "a partition of S^1000000 into 10 domains "
+     "would hold 320080320080 bytes, over the cap 1073741824"),
+    (_partition_bytes_route, "a partition of S^1000000 into 14 domains "
+     "would hold 320112320112 bytes, over the cap 1073741824"),
+    (_eps_k_route, "no (eps, k) with k <= 64 satisfies the cap properties "
+     "for alpha=0.3, beta=1e-09"),
+    (_find_set_route, "stage 'drc-set' failed: no verified set within "
+     "retries"),
+    (_stage_route("find-f"), "stage 'cleaning' failed: no edges survive "
+     "the codegree sweep"),
+    (_stage_route("find-tkf5"), "stage 'cleaning' failed: no edges survive "
+     "the codegree sweep"),
+    (_pair_index_route, "a pair-cover index of 1 x C(20000, 2) pairs would "
+     "hold 3199840000 bytes, over the cap 1073741824"),
+], ids=["verify-budget", "construct-part-cap", "construct-bytes",
+        "partition-bytes", "eps-k", "drc-find-set-retries",
+        "drc-find-f-stage", "drc-find-tkf5-stage", "tkf-pair-index"])
+def test_cap_routes_exit_3(tmp_path, monkeypatch, capsys, route, line):
+    # every cap that stops a command exits 3 the same way: one line on
+    # stderr, nothing on stdout and no file written
+    monkeypatch.chdir(tmp_path)
+    argv = route(monkeypatch).split()
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", line + "\n")
+    assert not Path("out").exists()
 
 
 def test_sphere_eps_k_infeasible_exit_3(capsys):

@@ -6,13 +6,13 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from rtlab import constructions
-from rtlab.constructions import (ConstructionParams, PartTooLarge,
-                                 bollobas_erdos, corollary_graph,
-                                 full_construction, maximal_ktfree_graph,
-                                 optimize_a, random_blowup,
-                                 shadow_first_parts, sphere_hypergraph,
-                                 theta_lower_bound, tuple_vertices)
+from rtlab import CapExceeded, constructions
+from rtlab.constructions import (ConstructionParams, bollobas_erdos,
+                                 corollary_graph, full_construction,
+                                 maximal_ktfree_graph, optimize_a,
+                                 random_blowup, shadow_first_parts,
+                                 sphere_hypergraph, theta_lower_bound,
+                                 tuple_vertices)
 from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph, as_graph,
                               blowup, shadow, turan_hypergraph)
 from rtlab.rng import substream
@@ -254,7 +254,7 @@ def test_sphere_hypergraph_part_cap(monkeypatch):
     p = small_params(z=20)
     part = quick_partition(p)
     monkeypatch.setattr(constructions, "MAX_PART_SIZE", 3)
-    with pytest.raises(PartTooLarge):
+    with pytest.raises(CapExceeded):
         sphere_hypergraph(p, part)
 
 
@@ -273,7 +273,7 @@ def test_sphere_hypergraph_cross_cap(monkeypatch):
     h = sphere_hypergraph(p, part)
     assert h.meta["base_cross"] == int((tclose * (tclose @ tclose)).sum())
     monkeypatch.setattr(constructions, "MAX_CROSS_ASSIGNMENTS", placed - 1)
-    with pytest.raises(PartTooLarge):
+    with pytest.raises(CapExceeded):
         sphere_hypergraph(p, part)
 
 

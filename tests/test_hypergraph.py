@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import complete_uniform
-from rtlab import hypergraph
+import rtlab
+from rtlab import CapExceeded, hypergraph
 from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph, _bit_rows,
                               blowup, clean_low_codegree, complete_join, read_graph, read_hypergraph,
                               shadow, turan_hypergraph, write_graph,
@@ -99,12 +100,11 @@ def test_pair_cover_index_refused_over_its_cap(monkeypatch):
     # a byte less refuses before any array is made
     h = random_hypergraph(12, 4, 30, 1)
     need = 16 * 6 * 30
-    monkeypatch.setattr(hypergraph, "MAX_PAIR_INDEX_BYTES", need)
+    monkeypatch.setattr(rtlab, "MAX_BYTES", need)
     assert h.pair_cover_index().covering_rows.size == 6 * 30
-    monkeypatch.setattr(hypergraph, "MAX_PAIR_INDEX_BYTES", need - 1)
+    monkeypatch.setattr(rtlab, "MAX_BYTES", need - 1)
     monkeypatch.setattr(hypergraph, "_runs", lambda keys: pytest.fail())
-    with pytest.raises(hypergraph.PairIndexTooLarge,
-                       match=f"hold {need} bytes"):
+    with pytest.raises(CapExceeded, match=f"hold {need} bytes"):
         h.pair_cover_index()
 
 
@@ -114,7 +114,7 @@ def test_pair_cover_index_of_one_wide_edge_is_refused_at_once():
     h = PartitionedHypergraph(20_000, 20_000, np.arange(20_000)[None])
     tracemalloc.start()
     try:
-        with pytest.raises(hypergraph.PairIndexTooLarge):
+        with pytest.raises(CapExceeded):
             h.pair_cover_index()
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import nearest_rep
+from rtlab import CapExceeded
 from rtlab.rng import substream
-from rtlab.sphere import (LLOYD_COLUMN_MAX_Z, P4_BLOCK, SQRT2,
-                          PartitionTooLarge, SphericalCap,
+from rtlab.sphere import (LLOYD_COLUMN_MAX_Z, P4_BLOCK, SQRT2, SphericalCap,
                           _bartlett_quadruples, _frame_margins, _into_union,
                           _owner_pass, _P4_ROLES, _refine_quadruples, _spread,
                           build_partition,
@@ -263,7 +263,7 @@ def test_find_eps_k_rejects_bad_tolerances():
 def test_find_eps_k_reports_infeasible_at_cap(monkeypatch):
     from rtlab import sphere
     monkeypatch.setattr(sphere, "K_CAP", 64)
-    with pytest.raises(sphere.InfeasibleSearch):
+    with pytest.raises(CapExceeded):
         find_eps_k(0.3, 1e-9)
 
 
@@ -708,7 +708,7 @@ def test_partition_refuses_large_k_before_drawing():
     # the Lloyd cloud alone would take 160 GB at k = 1,000,000
     tracemalloc.start()
     try:
-        with pytest.raises(PartitionTooLarge, match="over the cap"):
+        with pytest.raises(CapExceeded, match="over the cap"):
             build_partition(1_000_000, 14, 0.5, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -723,11 +723,11 @@ def test_partition_refuses_large_k_before_drawing():
     (0, 8 * 6 * 14)])
 def test_partition_byte_cap_counts_reps_and_cloud(monkeypatch, balance_iters,
                                                   size):
-    from rtlab import sphere
-    monkeypatch.setattr(sphere, "MAX_PARTITION_BYTES", size)
+    import rtlab
+    monkeypatch.setattr(rtlab, "MAX_BYTES", size)
     build_partition(5, 14, 0.5, 1, balance_iters=balance_iters)
-    monkeypatch.setattr(sphere, "MAX_PARTITION_BYTES", size - 1)
-    with pytest.raises(PartitionTooLarge, match=f"hold {size} bytes"):
+    monkeypatch.setattr(rtlab, "MAX_BYTES", size - 1)
+    with pytest.raises(CapExceeded, match=f"hold {size} bytes"):
         build_partition(5, 14, 0.5, 1, balance_iters=balance_iters)
 
 

@@ -7,10 +7,12 @@ function, class or method is reached by tests alone, no package code
 reads the `edges` view of the edge array, only the hypergraph
 constructor converts the part labels, only the node counter reads and
 spends the search budget, every clique walk counts on a counter, the
-CLI's construction table names the `(params, partition)` builders and
-every params field has a kind the CLI's params reader checks."""
+CLI's construction table names the `(params, partition)` builders,
+every params field has a kind the CLI's params reader checks, and every
+cap reaches the CLI's exit 3 as one exception through one handler."""
 
 import ast
+import importlib
 import inspect
 import json
 import sys
@@ -18,7 +20,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from helpers import run_fresh
-from rtlab import constructions
+from rtlab import CapExceeded, constructions
 from rtlab.cli import CONSTRUCTIONS, build_parser
 from rtlab.constructions import ConstructionParams
 from rtlab.drc import DrcParams
@@ -344,3 +346,32 @@ def test_params_fields_have_checked_kinds():
     kinds = {int, float, int | None, float | None}
     assert [f"{cls.__name__}.{f.name}" for cls in (ConstructionParams, DrcParams)
             for f in fields(cls) if f.type not in kinds] == []
+
+
+def test_caps_reach_exit_3_through_one_handler():
+    # `main` maps input errors, caps and everything else to exits 2, 3
+    # and 4, each in one handler; no command catches a package exception
+    # but `verify --check alpha_t --bound`, whose budget-out can still
+    # prove a violation; and every exception the package defines is an
+    # input error or a cap, so no other refusal can reach exit 4
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    (call,) = [node for node in ast.walk(functions["main"])
+               if isinstance(node, ast.Try)
+               and "args.func(args)" in ast.unparse(node.body)]
+    assert [ast.unparse(h.type) for h in call.handlers] == [
+        "(OSError, ValueError)", "CapExceeded", "Exception"]
+    caught = [(name, ast.unparse(node.type))
+              for name, fn in functions.items() if name.startswith("_cmd_")
+              for node in ast.walk(fn) if isinstance(node, ast.ExceptHandler)]
+    assert caught == [("_cmd_verify", "ver.BudgetExceeded")]
+    defined = {cls for path in sorted(PACKAGE.glob("*.py"))
+               for cls in vars(importlib.import_module(
+                   "rtlab" if path.stem == "__init__" else f"rtlab.{path.stem}"
+               )).values()
+               if isinstance(cls, type) and issubclass(cls, BaseException)
+               and cls.__module__.startswith("rtlab")}
+    assert CapExceeded in defined
+    assert [cls.__qualname__ for cls in defined
+            if not issubclass(cls, (ValueError, CapExceeded))] == []

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rtlab.constructions import (ConstructionParams, PartTooLarge,
-                                 _sequences, bollobas_erdos)
+from rtlab import CapExceeded
+from rtlab.constructions import (ConstructionParams, _sequences,
+                                 bollobas_erdos)
 from helpers import complete_uniform
 from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph,
                               turan_hypergraph)
@@ -429,7 +430,7 @@ def test_sequences_match_brute_force(n, size, rnd):
                    for k in range(1, size + 1))
     assert _sequences(rel, size, prefixes).tolist() == got.tolist()
     if size:
-        with pytest.raises(PartTooLarge):
+        with pytest.raises(CapExceeded):
             _sequences(rel, size, prefixes - 1)
 
 
