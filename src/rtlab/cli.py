@@ -15,8 +15,9 @@ its field's annotation; `construct` and `report` take the construction
 params from `--params` alone, and all randomness flows from the single
 seed.  A command runs only the modules it uses: each is registered at
 import but runs when a command first reads from it, so `optimize` (the
-`bounds` module alone) runs without numpy, and only a command that
-draws from a seed imports numpy.random.
+`bounds` module alone) and `sphere eps-k` and `sphere cap-measure` (the
+`capmeasure` module alone) run without numpy, and numpy.random and
+hashlib load only in a command that draws.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ def _lazy(name: str):
 
 
 bounds = _lazy("bounds")
+capmeasure = _lazy("capmeasure")
 con = _lazy("constructions")
 drcmod = _lazy("drc")
 hg = _lazy("hypergraph")
@@ -256,10 +258,10 @@ def _cmd_sphere(args) -> int:
               f"{part.domain_diam_bound:.4f}, needs z >= {min_z:.6g}: {verdict})")
         return EXIT_HOLDS
     if args.action == "eps-k":
-        eps, k = sph.find_eps_k(args.alpha, args.beta)
+        eps, k = capmeasure.find_eps_k(args.alpha, args.beta)
         print(f"eps={eps} k={k}")
         return EXIT_HOLDS
-    print(f"{sph.cap_measure(args.k, args.s):.12f}")
+    print(f"{capmeasure.cap_measure(args.k, args.s):.12f}")
     return EXIT_HOLDS
 
 

@@ -8,15 +8,16 @@ bit-reproducible from a single 64-bit seed.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
 
 def _name_key(name: str) -> int:
-    # Stable 64-bit digest of the operation name (no PYTHONHASHSEED issues).
+    # Stable 64-bit digest of the operation name (no PYTHONHASHSEED issues);
+    # hashlib is imported here, at the first substream, so a command that
+    # never draws does not load OpenSSL
+    import hashlib
     return int.from_bytes(hashlib.sha256(name.encode("utf-8")).digest()[:8], "little")
 
 

@@ -822,9 +822,9 @@ def density_report(obj, params=None) -> VerificationReport:
             rows.append(_row("cross_bound_alpha_slack",
                              params.alpha * z ** (r * u)))
     if params is not None:
-        # the one use of sphere here; imported on the call so that the
-        # searches run without it
-        from .sphere import min_domains
+        # the one use of the cap measures here; imported on the call so
+        # that the searches run without it
+        from .capmeasure import min_domains
         min_z = min_domains(params.k, params.theta / 4.0)
         rows.append(_row("partition_z_volume_bound", params.z, reference=min_z,
                          ok=False if params.z < min_z else None))

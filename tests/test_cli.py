@@ -750,8 +750,8 @@ def _partition_bytes_route(monkeypatch):
 
 
 def _eps_k_route(monkeypatch):
-    from rtlab import sphere
-    monkeypatch.setattr(sphere, "K_CAP", 64)
+    from rtlab import capmeasure
+    monkeypatch.setattr(capmeasure, "K_CAP", 64)
     return "sphere eps-k --alpha 0.3 --beta 1e-9"
 
 
@@ -877,13 +877,15 @@ def test_sphere_names_missing_flag_before_work(action, missing, tmp_path,
                                                monkeypatch, capsys):
     # each required flag is checked before the action runs: exit 2 with
     # the flag named, nothing computed and nothing written
-    from rtlab import sphere
+    from rtlab import capmeasure, sphere
 
     def no_work(*args, **kwargs):
         raise AssertionError("ran without a required flag")
 
-    for name in ("build_partition", "find_eps_k", "cap_measure"):
-        monkeypatch.setattr(sphere, name, no_work)
+    # the functions each action calls
+    monkeypatch.setattr(sphere, "build_partition", no_work)
+    for name in ("find_eps_k", "cap_measure"):
+        monkeypatch.setattr(capmeasure, name, no_work)
     out = tmp_path / "p.sphere"
     argv = ["sphere", action]
     for flag, value in SPHERE_ARGS[action].items():
@@ -1206,11 +1208,13 @@ def test_empty_report_header_only():
 
 
 def test_runs_without_scipy():
-    # the runtime needs numpy only: with scipy blocked, the CLI still
-    # imports and computes a cap measure
+    # the runtime needs numpy only: with scipy blocked, every layer
+    # imports and the CLI computes a cap measure (which reads no numpy
+    # layer, so they are imported first)
     code = ("import sys\n"
             "sys.modules['scipy'] = None\n"
-            "import rtlab.cli\n"
+            "import rtlab.cli, rtlab.constructions, rtlab.drc, "
+            "rtlab.reports, rtlab.verifiers\n"
             "sys.exit(rtlab.cli.main(['sphere', 'cap-measure', '--k', '5', "
             "'--s', '0.3']))\n")
     proc = run_fresh(code)
@@ -1239,11 +1243,13 @@ print(json.dumps({"ran": sorted(n for n in ran if ran[n]),
 sys.exit(code)
 """
 
-LAZY_LAYERS = {"bounds", "constructions", "drc", "hypergraph", "reports",
-               "sphere", "verifiers"}
+LAZY_LAYERS = {"bounds", "capmeasure", "constructions", "drc", "hypergraph",
+               "reports", "sphere", "verifiers"}
+# the layers that import the standard library only
+NUMPY_FREE = {"bounds", "capmeasure"}
 # the layers a report with construction params runs
-REPORT_LAYERS = {"bounds", "constructions", "hypergraph", "reports", "rng",
-                 "sphere", "verifiers"}
+REPORT_LAYERS = {"bounds", "capmeasure", "constructions", "hypergraph",
+                 "reports", "rng", "sphere", "verifiers"}
 
 
 @pytest.mark.parametrize("argv,code,err,ran,seeded", [
@@ -1252,22 +1258,25 @@ REPORT_LAYERS = {"bounds", "constructions", "hypergraph", "reports", "rng",
     # BudgetExceeded is caught after the input errors, from a loaded module
     ("verify --check clique --s 3 --budget 1 k4.g", 3,
      "budget exceeded after", {"hypergraph", "verifiers"}, []),
-    # numpy.random loads only when a generator is made
-    ("sphere cap-measure --k 5 --s 0.3", 0, "", {"rng", "sphere"},
-     ["hashlib"]),
+    ("sphere cap-measure --k 5 --s 0.3", 0, "", {"capmeasure"}, []),
+    ("sphere eps-k --alpha 0.3 --beta 0.3", 0, "", {"capmeasure"}, []),
+    # numpy.random and hashlib load only when a generator is made
+    ("sphere partition --k 2 --z 4 --theta 0.5 --out p.sphere", 0, "",
+     {"capmeasure", "rng", "sphere"}, ["numpy.random", "hashlib"]),
     # an input error is reported without running verifiers for its type
     ("sphere partition --k 5 --z 0 --theta 0.5 --out p.sphere", 2,
-     "input error:", {"rng", "sphere"}, ["hashlib"]),
-    ("report --params params.json k4.g", 0, "", REPORT_LAYERS, ["hashlib"]),
+     "input error:", {"capmeasure", "rng", "sphere"}, []),
+    ("report --params params.json k4.g", 0, "", REPORT_LAYERS, []),
     ("optimize --t 3 --ell 2 --q 2", 0, "", {"bounds"}, []),
-], ids=["verify", "verify-budget", "cap-measure", "partition-input-error",
-        "report", "optimize"])
+], ids=["verify", "verify-budget", "cap-measure", "eps-k", "partition",
+        "partition-input-error", "report", "optimize"])
 def test_fresh_cli_runs_only_its_modules(tmp_path, argv, code, err, ran,
                                          seeded):
     # every layer is in sys.modules after the import, but a command runs
-    # only the ones it reads from; only `optimize` runs without numpy,
-    # only a command that draws loads numpy.random, and none loads
-    # numpy.ma (a plain first np.unique would, at about 15 ms)
+    # only the ones it reads from; only `optimize`, `sphere eps-k` and
+    # `sphere cap-measure` run without numpy, only a command that draws
+    # loads numpy.random and hashlib, and none loads numpy.ma (a plain
+    # first np.unique would, at about 15 ms)
     write_graph(SimpleGraph(4, frozenset(combinations(range(4), 2))),
                 str(tmp_path / "k4.g"))
     write_params(tmp_path, r=2, z=4, epsilon=0.5, k=5)
@@ -1278,6 +1287,6 @@ def test_fresh_cli_runs_only_its_modules(tmp_path, argv, code, err, ran,
     assert seen["ran"] == sorted(f"rtlab.{name}" for name in ran)
     assert seen["lazy"] == sorted(f"rtlab.{name}"
                                   for name in LAZY_LAYERS - ran)
-    assert seen["numpy"] == (ran != {"bounds"})
+    assert seen["numpy"] == bool(ran - NUMPY_FREE)
     assert not seen["numpy.ma"]
     assert seen["seeded"] == seeded

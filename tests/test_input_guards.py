@@ -9,6 +9,7 @@ import pytest
 
 from helpers import complete_uniform
 from rtlab.bounds import optimize_a
+from rtlab.capmeasure import threshold_for_base_diameter
 from rtlab.constructions import (ConstructionParams, corollary_graph,
                                  random_blowup, tuple_vertices)
 from rtlab.drc import DrcParams, drc_feasible, find_f_witness, hyper_drc
@@ -16,8 +17,7 @@ from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph, as_graph,
                               clean_low_codegree)
 from rtlab.reports import emit_report
 from rtlab.sphere import (SpherePartition, SphericalCap, build_partition,
-                          cap_measure, check_p4, estimate_dt, read_partition,
-                          threshold_for_base_diameter)
+                          cap_measure, check_p4, estimate_dt, read_partition)
 from rtlab.verifiers import (VerificationReport, alpha_t, find_clique,
                              find_tk, find_tkf_core)
 

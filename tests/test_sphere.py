@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import nearest_rep
+from helpers import nearest_rep, run_fresh
 from rtlab import CapExceeded
 from rtlab.rng import substream
 from rtlab.sphere import (LLOYD_COLUMN_MAX_Z, P4_BLOCK, SQRT2, SphericalCap,
@@ -244,7 +244,7 @@ def test_find_eps_k_loose_tolerances_small_k():
     eps, k = find_eps_k(0.49, 0.49)
     assert k <= 50
     # the returned pair satisfies the small-cap ceiling (postcondition recheck)
-    from rtlab.sphere import _p3_threshold
+    from rtlab.capmeasure import _p3_threshold
     assert cap_measure(k, _p3_threshold(eps, k)) <= 0.49
 
 
@@ -261,8 +261,8 @@ def test_find_eps_k_rejects_bad_tolerances():
 
 
 def test_find_eps_k_reports_infeasible_at_cap(monkeypatch):
-    from rtlab import sphere
-    monkeypatch.setattr(sphere, "K_CAP", 64)
+    from rtlab import capmeasure
+    monkeypatch.setattr(capmeasure, "K_CAP", 64)
     with pytest.raises(CapExceeded):
         find_eps_k(0.3, 1e-9)
 
@@ -291,16 +291,17 @@ def test_find_eps_k_large_k_in_small_memory():
     assert peak < 8 * 2 ** 20, peak
 
 
-def test_find_eps_k_draws_no_random_number(monkeypatch):
-    # every decision of the search is a closed-form cap measure
-    from rtlab import sphere
-
-    def refuse(*args):
-        raise AssertionError("the (eps, k) search drew a random number")
-
-    monkeypatch.setattr(sphere, "substream", refuse)
-    assert find_eps_k(0.1, 0.1) == (0.125, 691)
-    assert find_eps_k(0.05, 0.05) == (0.0625, 7496)
+def test_find_eps_k_draws_no_random_number():
+    # every decision of the search is a closed-form cap measure: in a
+    # fresh interpreter where numpy and the random module cannot be
+    # imported, it gives the same answers
+    code = ("import sys\n"
+            "sys.modules['numpy'] = sys.modules['random'] = None\n"
+            "from rtlab.capmeasure import find_eps_k\n"
+            "print(find_eps_k(0.1, 0.1), find_eps_k(0.05, 0.05))\n")
+    proc = run_fresh(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "(0.125, 691) (0.0625, 7496)\n"
 
 
 @pytest.mark.parametrize("eps,k", [(0.015625, 1240), (0.0078125, 4957),
@@ -312,7 +313,7 @@ def test_intersection_floor_follows_from_large_cap_floor(eps, k, t):
     # search checks only the large-cap floor and relies on this bound.
     # The pairs are find_eps_k's answers for beta = 0.3 and alpha = 0.01,
     # 0.005, 0.003 and 0.002, where the bound is positive up to t = 4.
-    from rtlab.sphere import _p1_threshold
+    from rtlab.capmeasure import _p1_threshold
     s1 = _p1_threshold(eps, k)
     floor = 2.0 ** -t - t * (0.5 - cap_measure(k, s1))
     assert floor > 0.0

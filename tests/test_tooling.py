@@ -2,14 +2,16 @@
 and methods that exist in rtlab, so a rename in the package cannot
 silently break a traced run, no search recurses to a depth that grows
 with its input, the package imports nothing but the standard library
-and numpy, no private helper is left without a caller, no public
-function, class or method is reached by tests alone, no package code
-reads the `edges` view of the edge array, only the hypergraph
-constructor converts the part labels, only the node counter reads and
-spends the search budget, every clique walk counts on a counter, the
-CLI's construction table names the `(params, partition)` builders,
-every params field has a kind the CLI's params reader checks, and every
-cap reaches the CLI's exit 3 as one exception through one handler."""
+and numpy, `bounds` and `capmeasure` nothing but the standard library
+and names of the package's `__init__`, no private helper is left
+without a caller, no public function, class or method is reached by
+tests alone, no package code reads the `edges` view of the edge array,
+only the hypergraph constructor converts the part labels, only the node
+counter reads and spends the search budget, every clique walk counts on
+a counter, the CLI's construction table names the `(params, partition)`
+builders, every params field has a kind the CLI's params reader checks,
+and every cap reaches the CLI's exit 3 as one exception through one
+handler."""
 
 import ast
 import importlib
@@ -135,6 +137,32 @@ def test_runtime_imports_stdlib_or_numpy():
                 continue
             found += [f"{path.stem}: {name}" for name in names
                       if name.split(".")[0] not in allowed]
+    assert found == []
+
+
+def test_closed_form_layers_import_stdlib_only():
+    # `optimize`, `sphere eps-k` and `sphere cap-measure` run without
+    # numpy: these layers import the standard library, and from the
+    # package only names its `__init__` defines (it imports nothing),
+    # never a module, which could import numpy
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    stdlib = sys.stdlib_module_names
+    found = []
+    for stem in ("bounds", "capmeasure"):
+        for node in ast.walk(ast.parse((PACKAGE / f"{stem}.py").read_text())):
+            if isinstance(node, ast.Import):
+                bad = [alias.name for alias in node.names
+                       if alias.name.split(".")[0] not in stdlib]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                bad = ([node.module] if node.module.split(".")[0] not in stdlib
+                       else [])
+            elif isinstance(node, ast.ImportFrom):
+                bad = [f"{'.' * node.level}{node.module or ''} {alias.name}"
+                       for alias in node.names if node.module
+                       or node.level > 1 or alias.name in modules]
+            else:
+                continue
+            found += [f"{stem}: {name}" for name in bad]
     assert found == []
 
 
