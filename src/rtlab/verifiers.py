@@ -12,7 +12,15 @@ solvers, the clique search (and TKF through it) and the hypergraph
 independence search (and alpha_t through it), first number the
 vertices by non-increasing degree (`_degree_order`, the initial order
 of Tomita and Seki's colouring bound), which keeps their search trees
-smaller; a clique witness is mapped back to the input's labels.
+smaller; a clique witness is mapped back to the input's labels.  Both
+number their bits mirrored, so that each step reads the vertex or edge
+it takes next as the highest bit, by one `bit_length()`: the clique
+search gives the vertex numbered i of the h with a neighbour bit
+h - 1 - i, and the independence search numbers the edges in descending
+vertex-mask order.  Each step still takes the vertex or edge that the
+degree order names, so the trees, node counts and witnesses are those
+of that order.  `_cliques` walks from the lowest bit, since its
+lexicographic order fixes its callers' witnesses.
 
 Every search counts its nodes on one `_Counter`, which resolves the
 budget (per-call argument, else env RTLAB_BUDGET, else DEFAULT_BUDGET),
@@ -109,24 +117,26 @@ class _Counter:
 # exact clique search
 
 
-def _color_sort(cand: int, nonadj: list, kmin: int) -> list:
-    """Greedy coloring of the candidate bitmask in bit order; the
+def _color_sort(cand: int, nonadj: list, bits: list, kmin: int) -> list:
+    """Greedy coloring of the candidate bitmask, highest bit first; the
     classes of color >= kmin, as bitmasks, in color order.
 
-    `nonadj[v]` is ~(adj[v] | 1 << v) within a bitmask holding every
-    candidate, for each vertex v that can be one: a color
-    class takes the lowest vertex left and keeps the candidates outside
-    its neighbourhood.  The classes below kmin are only cleared from the
-    candidates."""
+    Indexed by a bit's `bit_length()`, v + 1 for bit v, `bits` holds the
+    bit and `nonadj` ~(adj[v] | 1 << v) within a bitmask holding every
+    candidate, for each vertex v that can be one (index 0 holds 0): a
+    color class takes the highest vertex left and keeps the candidates
+    outside its neighbourhood.  The classes below kmin are only cleared
+    from the candidates.  `find_clique` numbers its bits mirrored, so the
+    highest bit is the first vertex of its order."""
     classes = []
     color = 1
     while cand:
         q = cand
         cls = 0
         while q:
-            low = q & -q
-            q &= nonadj[low.bit_length() - 1]
-            cls |= low
+            b = q.bit_length()
+            q &= nonadj[b]
+            cls |= bits[b]
         cand ^= cls
         if color >= kmin:
             classes.append(cls)
@@ -158,8 +168,15 @@ def find_clique(g: SimpleGraph, s: int, budget=None) -> Embedding | None:
     are int bitmasks, and the coloring reads each vertex's non-neighbour
     mask, made once per search.  One explicit stack holds a frame per
     level, its untried candidates and the classes left to branch on; the
-    search places the highest-numbered vertex of the last class and
+    search places the last vertex, in the order, of the last class and
     clears it from both, so backtracking only pops the frame.
+
+    The bits are the order mirrored: of the h vertices with a neighbour,
+    the one numbered i holds bit h - 1 - i, so the coloring takes each
+    class's next vertex as the highest bit left and the branch places
+    the lowest bit of the last class.  Those are the vertices that the
+    order names, so the search tree, its node count and the witness are
+    those of the degree order.
 
     The vertices without a neighbour are numbered last and left out: the
     masks span only the vertices with a neighbour, which are the root
@@ -174,16 +191,18 @@ def find_clique(g: SimpleGraph, s: int, budget=None) -> Embedding | None:
     if s == 1:
         return _core_embedding([0], lambda a, b: [(a, b)]) if g.n else None
     order, rank, held = _degree_order(g.n, g.edge_array)
-    a, b = rank[g.edge_array].T
+    a, b = (held - 1 - rank[g.edge_array]).T
     adj = _bit_rows(held, held, np.concatenate((a, b)), np.concatenate((b, a)))
     counter = _Counter(budget)
     root = (1 << held) - 1
-    nonadj = [root ^ (a | 1 << v) for v, a in enumerate(adj)]
+    # indexed by bit_length: entry v + 1 belongs to bit v
+    bits = [0, *(1 << v for v in range(held))]
+    nonadj = [0, *(root ^ (a | bits[v + 1]) for v, a in enumerate(adj))]
     # an explicit stack, so the depth is not bounded by the recursion
     # limit: clique[i] was placed from stack[i], a frame [untried
     # candidates, class, ..., class] of the classes left to branch on
     clique: list = []
-    stack = [[root, *_color_sort(root, nonadj, s)]]
+    stack = [[root, *_color_sort(root, nonadj, bits, s)]]
     while stack:
         frame = stack[-1]
         if len(frame) == 1:
@@ -191,22 +210,23 @@ def find_clique(g: SimpleGraph, s: int, budget=None) -> Embedding | None:
             if clique:
                 clique.pop()
             continue
-        # the highest vertex of the last class, cleared from the frame
-        v = frame[-1].bit_length() - 1
-        bit = 1 << v
+        # the lowest bit of the last class, cleared from the frame
+        bit = frame[-1] & -frame[-1]
         frame[-1] ^= bit
         if not frame[-1]:
             frame.pop()
         frame[0] ^= bit
         counter.tick()
+        v = bit.bit_length() - 1
         clique.append(v)
         if len(clique) == s:
             break
         cand = frame[0] & adj[v]
-        stack.append([cand, *_color_sort(cand, nonadj, s - len(clique))])
+        stack.append([cand, *_color_sort(cand, nonadj, bits,
+                                         s - len(clique))])
     else:
         return None
-    return _core_embedding(sorted(order[clique].tolist()),
+    return _core_embedding(sorted(order[held - 1 - np.array(clique)].tolist()),
                            lambda a, b: [(a, b)])
 
 
@@ -274,28 +294,31 @@ def hyper_independence(h: PartitionedHypergraph, budget=None) -> int:
     Depth-first over an explicit stack of (live edges, forced mask, size)
     nodes.  The current set is every vertex not yet dropped, `live` holds
     the edges wholly inside it, and forced vertices may not be dropped.
-    The vertices are numbered by non-increasing degree (`_degree_order`),
-    the edges in the order of their vertex bitmasks in that numbering,
-    and `live` is an int bitmask over the edge numbers.  Each live edge
+    The vertices are numbered by non-increasing degree (`_degree_order`)
+    and `live` is an int bitmask over the edge numbers.  An edge's mask
+    is its vertex bitmask in that numbering; the edges are numbered in
+    descending mask order, so the live edge of lowest mask is the
+    highest bit of `live`, read by one `bit_length()`.  Each live edge
     needs a removed vertex of its own, so a greedy packing of
     pairwise-disjoint live edges bounds the set by size - packing, and
     the node is pruned when that is <= best.  The packing takes the
-    lowest live edge and clears every edge meeting it, by one mask per
-    picked edge, made on the edge's first pick and kept.  A node with
-    live edges branches on the free vertices f1 < f2 < ... of the
-    lowest: branch i drops f_i, keeping the live edges without it (one
-    incidence mask per vertex), and forces f_1 .. f_(i-1), so the
-    branches are disjoint and cover every case.  No live edge is ever
-    all forced: its largest vertex was forced beside a larger dropped
-    vertex of an ancestor's lowest edge, which would then have had the
-    larger mask.  One budget node per expanded node.
+    live edge of lowest mask and clears every edge meeting it, by one
+    mask per picked edge, made on the edge's first pick and kept.  A
+    node with live edges branches on the free vertices f1 < f2 < ... of
+    the one of lowest mask: branch i drops f_i, keeping the live edges
+    without it (one incidence mask per vertex), and forces f_1 ..
+    f_(i-1), so the branches are disjoint and cover every case.  No
+    live edge is ever all forced: its largest vertex was forced beside
+    a larger dropped vertex of an ancestor's lowest-mask edge, which
+    would then have had the larger mask.  One budget node per expanded
+    node.
     """
     counter = _Counter(budget)
     _, rank, held = _degree_order(h.n, h.edge_array)
-    # each row renumbered and ascending, the rows in ascending vertex
+    # each row renumbered and ascending, the rows in descending vertex
     # bitmasks: by last vertex, then the ones before
     rows = np.sort(rank[h.edge_array], axis=1)
-    rows = rows[np.lexsort(rows.T)]
+    rows = rows[np.lexsort(rows.T)[::-1]]
     m, r = rows.shape
     full = (1 << m) - 1
     inc = _bit_rows(held, m, rows.ravel(), np.repeat(np.arange(m), r))
@@ -310,7 +333,7 @@ def hyper_independence(h: PartitionedHypergraph, budget=None) -> int:
         rest = live
         packed = 0
         while rest and packed < room:
-            i = (rest & -rest).bit_length() - 1
+            i = rest.bit_length() - 1
             keep = apart[i]
             if keep is None:
                 keep = full
@@ -326,7 +349,7 @@ def hyper_independence(h: PartitionedHypergraph, budget=None) -> int:
             best = size
             continue
         children = []
-        for v in rows[(live & -live).bit_length() - 1]:
+        for v in rows[live.bit_length() - 1]:
             bit = 1 << v
             if not forced & bit:
                 children.append((live & without[v], forced, size - 1))

@@ -17,7 +17,7 @@ from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph,
 from rtlab.rng import substream
 from rtlab.sphere import build_partition
 from rtlab.verifiers import (BudgetExceeded, Embedding, _cliques,
-                             _core_embedding, _Counter, alpha_t,
+                             _color_sort, _core_embedding, _Counter, alpha_t,
                              blowup_deletion_condition, find_clique, find_tk,
                              find_tkf_core, hyper_independence,
                              private_edges, recheck_clique, recheck_cores,
@@ -250,6 +250,50 @@ def test_clique_search_matches_colour_tuple_reference():
                 assert info.value.nodes == counter.nodes, (p, n, seed, s)
             misses += want is None
             s += 1
+
+
+def _lowest_bit_color_sort(cand, nonadj, kmin):
+    # the colouring that took each class's lowest bit, nonadj indexed by
+    # the vertex: the reference for the kernel's mirrored numbering
+    classes = []
+    color = 1
+    while cand:
+        q = cand
+        cls = 0
+        while q:
+            low = q & -q
+            q &= nonadj[low.bit_length() - 1]
+            cls |= low
+        cand ^= cls
+        if color >= kmin:
+            classes.append(cls)
+        color += 1
+    return classes
+
+
+def test_color_sort_matches_lowest_bit_reference():
+    # vertex v of the reference is bit n - 1 - v of the kernel: each
+    # class, mapped back, is the reference's, in the same order, for the
+    # root and random candidate sets
+    def mirrored(mask, n):
+        return sum(1 << (n - 1 - v) for v in range(n) if mask >> v & 1)
+
+    for p, n, seed in product((0.3, 0.5, 0.9), (0, 1, 2, 5, 9, 17, 28, 40),
+                              range(3)):
+        g = random_graph(n, p, seed)
+        adj = g.adjacency_masks()
+        root = (1 << n) - 1
+        nonadj = [root ^ (a | 1 << v) for v, a in enumerate(adj)]
+        bits = [0, *(1 << u for u in range(n))]
+        high = [0, *(root ^ (mirrored(adj[n - 1 - u], n) | 1 << u)
+                     for u in range(n))]
+        rng = substream(seed, "colour-sort")
+        cands = [root, *(int(rng.integers(0, 1 << n)) if n else 0
+                         for _ in range(4))]
+        for cand, kmin in product(cands, range(1, 6)):
+            want = _lowest_bit_color_sort(cand, nonadj, kmin)
+            got = _color_sort(mirrored(cand, n), high, bits, kmin)
+            assert [mirrored(c, n) for c in got] == want, (p, n, seed, kmin)
 
 
 def test_clique_pinned_node_counts():
