@@ -391,9 +391,11 @@ def find_tkf5_tk4(h: PartitionedHypergraph, eps: float,
     fresh third vertices extend x, y and two of E to a four-core
     subdivision.  Returns (five_core, four_core_or_None); raises
     PipelineFailure when no qualifying pair or no edge in Z exists, and
-    ValueError for an eps outside (0, 1]."""
+    ValueError for an eps outside (0, 1] or retries below 1."""
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    if retries < 1:
+        raise ValueError("retries must be >= 1")
     tries = 1 if _has_three_parts(h) else retries
     return _trials(h, "tkf5-partition", seed, tries, codegree_threshold,
                    lambda cleaned, trial: _tkf5_once(h, cleaned, eps))

@@ -32,6 +32,7 @@ always iterated in lexicographic order, so every pipeline built on
 these types is reproducible.
 """
 
+import io
 from bisect import bisect_left
 from functools import cached_property
 from itertools import combinations, islice, product
@@ -461,39 +462,40 @@ def write_hypergraph(h: PartitionedHypergraph, path: str) -> None:
 _EDGE_TEXT = b"0123456789- \n"
 
 
-def _edge_rows(fh, m: int, r: int):
-    """The rest of the open file as an (m, r) int64 array, parsed by one
-    numpy call, when it is m lines of r integers, then blank lines only,
-    written in digits, '-', spaces and newlines; None for any other
-    text, which the line scan then reads or refuses."""
-    start = fh.tell()
-    text = fh.read()
+def _edge_rows(text: str, m: int, r: int):
+    """The edge block `text` as an (m, r) int64 array, parsed by one
+    numpy call over its lines, when it is m lines of r integers, then
+    blank lines only, written in digits, '-', spaces and newlines; None
+    for any other text, which the line scan then reads or refuses.  The
+    lines are read from the block's bytes in place, so no list of them
+    is built."""
     block = text.rstrip()
+    data = text.encode()
     if ((block.count("\n") + 1 if block else 0) != m
-            or text.encode().translate(None, _EDGE_TEXT)):
+            or data.translate(None, _EDGE_TEXT)):
         return None
     if m == 0:
         return np.empty((0, r), dtype=np.int64)
-    fh.seek(start)
     try:
-        rows = np.loadtxt(fh, dtype=np.int64, comments=None, ndmin=2)
+        rows = np.loadtxt(io.BytesIO(data), dtype=np.int64, comments=None,
+                          ndmin=2)
     except ValueError:  # a token beyond int64, or lines of unequal length
         return None
     return rows if rows.shape == (m, r) else None
 
 
-def _scan_edges(fh, path: str, m: int) -> list:
-    """The m edge lines of the open file as lists of ints, one line at a
-    time; ValueError on a token that is not an integer, fewer than m
-    lines, or a non-blank line after the m-th."""
-    edges = []
-    for i in range(m):
-        line = fh.readline()
-        if not line:
-            raise ValueError(f"{path}: header gives {m} edges, "
-                             f"file ends after {i}")
-        edges.append([int(x) for x in line.split()])
-    if any(line.strip() for line in fh):
+def _scan_edges(text: str, path: str, m: int) -> list:
+    """The first m lines of the edge block `text` as lists of ints, line
+    by line; ValueError on a token that is not an integer, fewer than m
+    lines, or a non-blank line after the m-th.  The lines are the ones
+    `readline` gives: split at "\n" only, as `str.splitlines` would also
+    split at form feeds and other characters a line may hold."""
+    lines = text.removesuffix("\n").split("\n") if text else []
+    edges = [[int(x) for x in line.split()] for line in lines[:m]]
+    if len(edges) < m:
+        raise ValueError(f"{path}: header gives {m} edges, "
+                         f"file ends after {len(edges)}")
+    if any(line.strip() for line in lines[m:]):
         raise ValueError(f"{path}: lines after the header's {m} edges")
     return edges
 
@@ -505,10 +507,11 @@ def read_hypergraph(path: str) -> PartitionedHypergraph:
     labels give, an edge line without r distinct vertices (a token int()
     refuses, such as `2.0` or `#`, included), an edge listed twice,
     fewer than m edge lines, a blank line among them, or a non-blank
-    line after the m-th; blank lines may end the file.  An edge block in plain decimal
-    integers and spaces is parsed by one numpy call (`_edge_rows`); any
-    other is read line by line, which words the error when there is
-    one."""
+    line after the m-th; blank lines may end the file.  The edge block
+    is read once, as text, and never sought, so a pipe or /dev/stdin
+    reads as a file does.  A block in plain decimal integers and spaces
+    is parsed by one numpy call (`_edge_rows`); any other is read line by
+    line (`_scan_edges`), which words the error when there is one."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 5 or header[0] != "HG":
@@ -524,11 +527,10 @@ def read_hypergraph(path: str) -> PartitionedHypergraph:
             raise ValueError(f"{path}: header gives {n} part labels, "
                              f"file ends after {len(labels)}")
         part_of = tuple(map(int, labels))
-        start = fh.tell()
-        edges = _edge_rows(fh, m, r)
-        if edges is None:
-            fh.seek(start)
-            edges = _scan_edges(fh, path, m)
+        text = fh.read()
+    edges = _edge_rows(text, m, r)
+    if edges is None:
+        edges = _scan_edges(text, path, m)
     h = PartitionedHypergraph(n, r, edges, part_of)
     # the store keeps each edge once
     if len(h.edge_array) < m:

@@ -289,7 +289,14 @@ def contained_edge(h: PartitionedHypergraph, vertices) -> tuple | None:
 
 
 def hyper_independence(h: PartitionedHypergraph, budget=None) -> int:
-    """Exact maximum size of a vertex set containing no full hyperedge.
+    """Exact maximum size of a vertex set containing no full hyperedge,
+    by `_independence` under one node budget."""
+    return _independence(h.n, h.edge_array, _Counter(budget))
+
+
+def _independence(n: int, edges: np.ndarray, counter: _Counter) -> int:
+    """Exact maximum size of a set of the n vertices containing no row of
+    the int64 (m, r) array `edges` whole; the rows are distinct sets.
 
     Depth-first over an explicit stack of (live edges, forced mask, size)
     nodes.  The current set is every vertex not yet dropped, `live` holds
@@ -310,14 +317,14 @@ def hyper_independence(h: PartitionedHypergraph, budget=None) -> int:
     f_(i-1), so the branches are disjoint and cover every case.  No
     live edge is ever all forced: its largest vertex was forced beside
     a larger dropped vertex of an ancestor's lowest-mask edge, which
-    would then have had the larger mask.  One budget node per expanded
-    node.
+    would then have had the larger mask.  One tick of `counter` per
+    expanded node, which raises BudgetExceeded with the best size found
+    so far as its certified bound.
     """
-    counter = _Counter(budget)
-    _, rank, held = _degree_order(h.n, h.edge_array)
+    _, rank, held = _degree_order(n, edges)
     # each row renumbered and ascending, the rows in descending vertex
     # bitmasks: by last vertex, then the ones before
-    rows = np.sort(rank[h.edge_array], axis=1)
+    rows = np.sort(rank[edges], axis=1)
     rows = rows[np.lexsort(rows.T)[::-1]]
     m, r = rows.shape
     full = (1 << m) - 1
@@ -326,7 +333,7 @@ def hyper_independence(h: PartitionedHypergraph, budget=None) -> int:
     rows = rows.tolist()
     apart = [None] * m  # the edges disjoint from each picked edge
     best = 0
-    stack = [(full, 0, h.n)]
+    stack = [(full, 0, n)]
     while stack:
         live, forced, size = stack.pop()
         room = size - best  # a packing this large prunes the node
@@ -365,11 +372,12 @@ def alpha_t(g: SimpleGraph, t: int, budget=None) -> int:
     alpha_2 is the usual independence number.  A vertex set is K_t-free
     exactly when it holds no t-clique of g, so this is the independence
     number of the t-uniform hypergraph of g's t-cliques: the clique walk
-    lists them and `hyper_independence` searches it.  The walk starts
+    lists them and `_independence` searches their rows.  The walk starts
     only from the vertices with a neighbour, since no other vertex lies
     in a t-clique, so an isolated vertex costs it nothing.  The listing
-    and the search each run under the node budget; a listing that runs
-    out raises BudgetExceeded with the certified lower bound 0.
+    and the search share one node budget, so the search gets what the
+    listing left; a listing that runs out raises BudgetExceeded with the
+    certified lower bound 0.
     """
     if t < 2:
         raise ValueError(f"need t >= 2, got {t}")
@@ -380,7 +388,9 @@ def alpha_t(g: SimpleGraph, t: int, budget=None) -> int:
     except BudgetExceeded as exc:
         exc.certified = 0
         raise
-    return hyper_independence(PartitionedHypergraph(g.n, t, cliques), budget)
+    # int64 even when empty, as `rank[...]` indexes by it
+    edges = np.array(cliques, dtype=np.int64).reshape(len(cliques), t)
+    return _independence(g.n, edges, counter)
 
 
 # ---------------------------------------------------------------------------
@@ -609,18 +619,17 @@ def connected_edge_subsets(h: PartitionedHypergraph, masks: list,
     is 0): otherwise it neighbours an earlier edge of the subset, so it
     already sits in an extension list on this path, or is dead.
 
-    `dead` is read at every step, so the caller may add to it between
-    yields.  Deleting edges changes no adjacency among the others, so the
-    walk over the surviving edges is this walk with every node that holds
-    a dead edge cut off, in the same order: after an addition the walk
+    `dead` is read at every step, so its owner (`_sparse_witnesses`) may
+    add to it between yields; the walk itself never changes it.
+    Deleting edges changes no adjacency among the others, so the walk
+    over the surviving edges is this walk with every node that holds a
+    dead edge cut off, in the same order: after an addition the walk
     goes on exactly as a fresh walk of the survivors would after the
     subset just yielded.
     """
     rows = h.edge_array
     m, r = rows.shape
-    live = np.ones(m, dtype=bool)  # edges dead already have no neighbours
-    live[list(dead)] = False
-    kept = np.flatnonzero(live)
+    kept = np.delete(np.arange(m), list(dead))  # the dead have no neighbours
     order, _, start = _runs(rows[kept].ravel())
     incident = kept[order // r].tolist()  # each vertex's edges, ascending
     bounds = [*start.tolist(), len(incident)]
@@ -667,11 +676,13 @@ def _pattern_embedding(edges_used: list) -> Embedding:
 
 
 def _sparse_witnesses(h: PartitionedHypergraph, ell: int, condition,
-                      counter: _Counter, dead):
+                      counter: _Counter):
     """Sorted edge-index tuples (rows of h.edge_array) of the connected
-    sub-collections with at most ell vertices that satisfy the condition
-    and hold no edge of `dead`, in scan order; the caller may add to
-    `dead` between yields.
+    sub-collections with at most ell vertices that satisfy the condition,
+    in scan order, each with its last edge deleted once the consumer
+    resumes the scan: the scan goes on over the survivors and never
+    yields a collection holding a deleted edge.  A consumer that stops
+    at the first witness deletes nothing.
 
     Pairs first: every pair of edges sharing two or more vertices within
     ell vertices, in lexicographic order, then the `connected_edge_subsets`
@@ -699,13 +710,16 @@ def _sparse_witnesses(h: PartitionedHypergraph, ell: int, condition,
         for e, f in combinations(cover.edge_indices(i), 2):
             if (masks[e] | masks[f]).bit_count() <= ell:
                 pairs.add((e, f))
+    dead = set()  # the last edge of each witness yielded
     for pair in sorted(pairs):
         if dead.isdisjoint(pair):
             yield pair
+            dead.add(pair[-1])
     for subset, v in connected_edge_subsets(h, masks, ell, counter, condition,
                                             dead):
         if condition(v, len(subset)):
             yield subset
+            dead.add(subset[-1])
 
 
 def scan_sparse_patterns(h_part: PartitionedHypergraph, r: int, ell: int,
@@ -724,8 +738,8 @@ def scan_sparse_patterns(h_part: PartitionedHypergraph, r: int, ell: int,
         raise ValueError(f"r={r} does not match the hypergraph's r={h_part.r}")
     if condition is None:
         condition = sparsity_condition(r)
-    witness = next(_sparse_witnesses(h_part, ell, condition, _Counter(budget),
-                                     frozenset()), None)
+    witness = next(_sparse_witnesses(h_part, ell, condition, _Counter(budget)),
+                   None)
     if witness is None:
         return None
     rows = h_part.edge_array[list(witness)].tolist()
@@ -767,13 +781,12 @@ def sparse_pattern_doomed_edges(h: PartitionedHypergraph, ell: int,
     a restart of the scan after every deletion would produce, since the
     scan of the survivors revisits only nodes already found clean.  The
     completed pass is therefore the exhaustive scan of the final edge
-    set, which certifies it.  `budget` bounds the whole pass.
+    set, which certifies it.  `budget` bounds the whole pass.  The scan
+    deletes each witness's last edge itself, so the deleted set is the
+    last edges of the witnesses it yields.
     """
-    dead = set()
-    for witness in _sparse_witnesses(h, ell, condition, _Counter(budget),
-                                     dead):
-        dead.add(witness[-1])
-    return sorted(dead)
+    return sorted(w[-1] for w in _sparse_witnesses(h, ell, condition,
+                                                   _Counter(budget)))
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,14 @@ def nearest_rep(part: SpherePartition, points) -> np.ndarray:
     return np.argmax(pts @ part.reps.T, axis=1)
 
 
-def run_fresh(code: str, *args: str, cwd=None,
-              timeout=120) -> subprocess.CompletedProcess:
+def run_fresh(code: str, *args: str, cwd=None, timeout=120,
+              input=None) -> subprocess.CompletedProcess:
     """`python -c code *args` in a fresh interpreter that imports rtlab
-    from this checkout's src, killed after `timeout` seconds."""
+    from this checkout's src, killed after `timeout` seconds; `input`,
+    when given, is written to its stdin through a pipe."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-c", code, *args], env=env,
                           cwd=cwd, capture_output=True, text=True,
-                          timeout=timeout)
+                          timeout=timeout, input=input)

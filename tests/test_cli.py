@@ -57,6 +57,18 @@ def test_construct_and_verify_be(tmp_path, capsys):
     assert main(["verify", "--check", "clique", "--s", "4", str(out)]) == 0
 
 
+def test_verify_reads_a_pipe():
+    # the edge block is read once and never sought, so /dev/stdin on a
+    # pipe reads as a file does: five triangles on seven vertices, no K4
+    text = "HG 2 7 11 0\n" + "-1\n" * 7 + "".join(
+        f"{e[0]} {e[1]}\n" for e in "01 12 23 34 45 56 06 14 24 46 04".split())
+    proc = run_fresh("import sys; from rtlab.cli import main; "
+                     "sys.exit(main(sys.argv[1:]))", "verify", "--check",
+                     "clique", "--s", "4", "/dev/stdin", input=text)
+    assert (proc.returncode, proc.stdout) == (0, "clique: holds\n"), \
+        proc.stderr
+
+
 def test_verify_violation_writes_witness(tmp_path):
     g = SimpleGraph(5, frozenset(combinations(range(5), 2)))
     path = tmp_path / "k5.g"

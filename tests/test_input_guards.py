@@ -12,7 +12,8 @@ from rtlab.bounds import optimize_a
 from rtlab.capmeasure import threshold_for_base_diameter
 from rtlab.constructions import (ConstructionParams, corollary_graph,
                                  random_blowup, tuple_vertices)
-from rtlab.drc import DrcParams, drc_feasible, find_f_witness, hyper_drc
+from rtlab.drc import (DrcParams, drc_feasible, find_f_witness,
+                       find_tkf5_tk4, hyper_drc)
 from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph, as_graph,
                               clean_low_codegree)
 from rtlab.reports import emit_report
@@ -65,6 +66,9 @@ GUARDS = [
      "need an 3-partite input, found 2 parts"),
     ("f-witness-r", lambda: find_f_witness(K4, DrcParams()),
      "witness pipelines are for 3-uniform hypergraphs"),
+    # a bad count, not a pipeline that ran out of tries
+    ("tkf5-retries", lambda: find_tkf5_tk4(K4_3, 0.5, retries=0),
+     "retries must be >= 1"),
     ("as-graph-r", lambda: as_graph(K4_3), r"expected a graph \(r=2\)"),
     ("clean-threshold", lambda: clean_low_codegree(K4_3, -1),
      "threshold must be >= 0"),

@@ -1,6 +1,8 @@
 import math
 from collections import defaultdict
+from functools import reduce
 from itertools import combinations, product
+from operator import or_
 
 import networkx as nx
 import numpy as np
@@ -574,6 +576,33 @@ def test_alpha_t_budget_carries_bound():
     with pytest.raises(BudgetExceeded) as exc:
         alpha_t(g, 2, budget=5)
     assert exc.value.certified is not None
+
+
+def test_alpha_t_spends_one_budget():
+    # the clique listing and the independence search share one counter:
+    # a call finishes on the sum of their node counts and on no less; a
+    # search cut short certifies what it found, a listing cut short 0.
+    # The G(20, 95) is drawn as perfbench's gnm draws it
+    rng = np.random.default_rng(7)
+    pairs = np.stack(np.triu_indices(20, 1), axis=1)
+    g = SimpleGraph(20, pairs[np.sort(rng.choice(len(pairs), 95,
+                                                 replace=False))])
+    rows = g.adjacency_masks()
+    listing = _Counter()
+    h = PartitionedHypergraph(20, 3, list(_cliques(rows, 3,
+                                                   reduce(or_, rows, 0),
+                                                   listing)))
+    search = _Counter(10 ** 9)
+    value = _list_hyper_independence(degree_relabelled(h)[0], search)
+    assert hyper_independence(h, budget=search.nodes) == value
+    assert (listing.nodes, search.nodes, value) == (248, 81, 11)
+    assert alpha_t(g, 3, budget=listing.nodes + search.nodes) == value
+    for budget, certified in ((listing.nodes + search.nodes - 1, value),
+                              (listing.nodes, 0)):
+        with pytest.raises(BudgetExceeded) as exc:
+            alpha_t(g, 3, budget=budget)
+        assert (exc.value.nodes, exc.value.certified) == (budget + 1,
+                                                          certified)
 
 
 # ---------------------------------------------------------------------------
