@@ -10,8 +10,6 @@ import io
 import json
 import math
 
-from .verifiers import VerificationReport
-
 CSV_COLUMNS = ["quantity", "value", "value_decimal", "reference", "asserted", "ok"]
 
 
@@ -28,9 +26,11 @@ def _json_value(v):
     return v
 
 
-def emit_report(report: VerificationReport, fmt: str = "csv",
+def emit_report(report, fmt: str = "csv",
                 params: dict | None = None) -> str:
-    """Render a report to text; fmt is 'csv' or 'json'."""
+    """Render a report, a `verifiers.VerificationReport` or anything with
+    its property_name, verdict and rows, to text; fmt is 'csv' or
+    'json'."""
     if fmt == "json":
         payload = {
             "property": report.property_name,

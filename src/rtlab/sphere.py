@@ -357,25 +357,26 @@ def build_partition(k: int, z: int, theta: float, seed: int,
     by `balance_iters` Lloyd steps (Monte Carlo cell means re-projected to
     the sphere), which push the empirical cell measures toward 1/z.  The
     Lloyd cloud has max(diag_samples, 40 z) uniform points: `diag_samples`
-    only sets that floor.  Each step finds the points' nearest
-    representatives in blocks of B = 2^17 // z points, in one of two
-    layouts chosen by z alone: for z <= LLOYD_COLUMN_MAX_Z = 64, (z, B)
-    blocks of products reduced down their columns; above it, (B, z)
-    blocks against a C-ordered copy of reps.T, one row per point.  The
-    block buffers are allocated once per call, at about 1 MB each, so
-    memory is O(N (k+1) + 2^17) for N cloud points, never an (N, z)
-    matrix; the column layout keeps only the cloud's transpose, the row
-    layout both.  A block's dot products may differ from the full
-    product `cloud @ reps.T` in the last bit (BLAS picks its kernel by
-    shape), but in both layouts the owners, first index on exact ties,
-    and so the representatives, are the full product's on every seeded
-    shape tested.  Whether the diameters can meet theta/4 is left to the
-    volume bound (`precondition_min_z`); no diameter is sampled.
-    Bit-reproducible for a fixed seed.  ValueError for z < 1, a negative
-    `balance_iters`, or a theta that is not a positive finite number;
-    CapExceeded, before any draw, when the representatives, the cloud
-    and its transposed copy would take over the package's byte cap
-    (`check_bytes`, 1 GiB) of float64.
+    only sets that floor.  It is held once, as its transpose `columns`, a
+    C-ordered (k+1, N) array for N cloud points, drawn into it in blocks
+    of 2^17 floats; those are the floats of one (N, k+1) draw.  Each step
+    finds the points' nearest representatives in blocks of B = 2^17 // z
+    points, in one of two layouts chosen by z alone: for z <=
+    LLOYD_COLUMN_MAX_Z = 64, (z, B) blocks of products reduced down their
+    columns; above it, (B, z) blocks of the transposed column slices
+    against a C-ordered copy of reps.T, one row per point.  The block
+    buffers are allocated once per call, at about 1 MB each, so memory
+    is O(N (k+1) + 2^17), never an (N, z) matrix.  A block's dot
+    products may differ from the full product `columns.T @ reps.T` in
+    the last bit (BLAS picks its kernel by shape), but in both layouts the
+    owners, first index on exact ties, and so the representatives, are
+    the full product's on every seeded shape tested.  Whether the
+    diameters can meet theta/4 is left to the volume bound
+    (`precondition_min_z`); no diameter is sampled.  Bit-reproducible
+    for a fixed seed.  ValueError for z < 1, a negative `balance_iters`,
+    or a theta that is not a positive finite number; CapExceeded, before
+    any draw, when the representatives and the cloud would take over
+    the package's byte cap (`check_bytes`, 1 GiB) of float64.
     """
     if z < 1:
         raise ValueError(f"domain count must be >= 1, got {z}")
@@ -384,18 +385,18 @@ def build_partition(k: int, z: int, theta: float, seed: int,
     _check_theta(theta)
     lloyd = z > 1 and balance_iters > 0
     samples = max(diag_samples, 40 * z) if lloyd else 0
-    check_bytes(8 * (k + 1) * (z + 2 * samples),
+    check_bytes(8 * (k + 1) * (z + samples),
                 f"a partition of S^{k} into {z} domains")
-    rng = substream(seed, "partition-reps")
-    reps = sample_uniform_points(k, z, rng)
+    reps = sample_uniform_points(k, z, substream(seed, "partition-reps"))
     if lloyd:
-        cloud = sample_uniform_points(k, samples,
-                                      substream(seed, "partition-lloyd"))
-        columns = np.ascontiguousarray(cloud.T)
-        if z <= LLOYD_COLUMN_MAX_Z:
-            # the column layout reads the cloud through `columns` alone
-            cloud = None
-        owners = _owner_pass(cloud, columns, z)
+        # one stream's rows, block after block: one big draw's floats
+        rng = substream(seed, "partition-lloyd")
+        columns = np.empty((k + 1, samples))
+        step = max(1, (1 << 17) // (k + 1))
+        for lo in range(0, samples, step):
+            hi = min(lo + step, samples)
+            columns[:, lo:hi] = sample_uniform_points(k, hi - lo, rng).T
+        owners = _owner_pass(columns, z)
         for _ in range(balance_iters):
             owner = owners(reps)
             # bincount adds each cell's rows in sampling order, as a sum
@@ -410,13 +411,12 @@ def build_partition(k: int, z: int, theta: float, seed: int,
     return SpherePartition(k=k, z=z, reps=reps, theta=theta, seed=seed)
 
 
-def _owner_pass(cloud: np.ndarray | None, columns: np.ndarray, z: int):
-    """owners(reps): for each row of `cloud` (whose transpose, C-ordered,
-    is `columns`) the index of its largest product with one of the z rows
-    of `reps`, the first on exact ties, as np.argmax(cloud @ reps.T,
-    axis=1) gives it.  Every call fills and returns the same intp array.
-    Up to LLOYD_COLUMN_MAX_Z cells only `columns` is read, and `cloud`
-    may be None.
+def _owner_pass(columns: np.ndarray, z: int):
+    """owners(reps): for each column of `columns`, a (k+1, N) array of
+    N cloud points, the index of its largest product with one of the z
+    rows of `reps`, the first on exact ties, as np.argmax(columns.T @
+    reps.T, axis=1) gives it.  Every call fills and returns the same
+    intp array.
 
     The points go in blocks of B = 2^17 // z, so a block holds at most
     2^17 products (1 MB of float64), written into a buffer allocated
@@ -427,11 +427,11 @@ def _owner_pass(cloud: np.ndarray | None, columns: np.ndarray, z: int):
     largest z - j over the mask, which is z minus the first maximal j.
     (np.argmax along axis 0 would transpose; along axis 1 it pays per
     row, which dominates when rows hold a few dozen entries.)  Above it
-    each block is a (B, z) array, the product of its cloud rows with a
-    C-ordered copy of reps.T made once per call of owners (at k = 5,
-    single-thread OpenBLAS runs this product 1.3 to 1.5 times as fast
-    as against the transposed view), and np.argmax takes each row's
-    owner.
+    each block is a (B, z) array, the product of its transposed column
+    slice, one row per point, with a C-ordered copy of reps.T made once
+    per call of owners (at k = 5, single-thread OpenBLAS runs this
+    product 1.3 to 1.5 times as fast as against the transposed view),
+    and np.argmax takes each row's owner.
     """
     n = columns.shape[1]
     owner = np.empty(n, dtype=np.intp)
@@ -444,7 +444,8 @@ def _owner_pass(cloud: np.ndarray | None, columns: np.ndarray, z: int):
             reps_t = np.ascontiguousarray(reps.T)
             for lo in range(0, n, width):
                 hi = min(lo + width, n)
-                p = np.matmul(cloud[lo:hi], reps_t, out=block[:hi - lo])
+                p = np.matmul(columns[:, lo:hi].T, reps_t,
+                              out=block[:hi - lo])
                 np.argmax(p, axis=1, out=owner[lo:hi])
             return owner
         return owners

@@ -798,9 +798,9 @@ def _pair_index_route(monkeypatch):
     (_budget_route, "budget exceeded after 3 nodes (certified: None)"),
     (_part_cap_route, "10 tuple vertices exceed the cap 3"),
     (_construct_bytes_route, "a partition of S^1000000 into 10 domains "
-     "would hold 320080320080 bytes, over the cap 1073741824"),
+     "would hold 160080160080 bytes, over the cap 1073741824"),
     (_partition_bytes_route, "a partition of S^1000000 into 14 domains "
-     "would hold 320112320112 bytes, over the cap 1073741824"),
+     "would hold 160112160112 bytes, over the cap 1073741824"),
     (_eps_k_route, "no (eps, k) with k <= 64 satisfies the cap properties "
      "for alpha=0.3, beta=1e-09"),
     (_find_set_route, "stage 'drc-set' failed: no verified set within "

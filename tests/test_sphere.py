@@ -645,6 +645,10 @@ def _masked_lloyd_partition(k, z, seed, balance_iters=32, samples=20_000):
     pytest.param(10, 30, 8, 4000, id="10-30-search"),
     # a cloud smaller than one block
     pytest.param(3, 5, 32, 500, id="3-5-sub-block"),
+    # a cloud drawn in 7 blocks of 3,196 points, the last one partial, in
+    # each layout
+    pytest.param(40, 14, 32, 20_000, id="40-14-blocks"),
+    pytest.param(40, LLOYD_COLUMN_MAX_Z + 1, 32, 20_000, id="40-65-blocks"),
 ])
 def test_partition_matches_masked_lloyd(k, z, balance_iters, samples):
     # one seed at z=250, where the masked reference takes seconds
@@ -669,6 +673,18 @@ def test_partition_never_builds_cloud_by_cells_matrix():
         assert peak < 8 * 2 ** 20, (z, peak)
 
 
+def test_partition_holds_cloud_once():
+    # the 20,000-point cloud at k=200 takes 32 MB; a second copy of it
+    # would double the peak
+    tracemalloc.start()
+    try:
+        build_partition(200, 14, 0.5, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * 201 * 20_000, peak
+
+
 @pytest.mark.parametrize("z", [2, LLOYD_COLUMN_MAX_Z, LLOYD_COLUMN_MAX_Z + 1])
 def test_owner_pass_first_index_on_exact_ties(z):
     # both layouts give np.argmax's owners, the first index on ties:
@@ -681,7 +697,7 @@ def test_owner_pass_first_index_on_exact_ties(z):
     ints = rng.integers(-2, 3, size=(5000, 4)).astype(float)
     int_reps = rng.integers(-2, 3, size=(z, 4)).astype(float)
     for pts, reps in ((cloud, dup), (ints, int_reps)):
-        owners = _owner_pass(pts, np.ascontiguousarray(pts.T), z)
+        owners = _owner_pass(np.ascontiguousarray(pts.T), z)
         want = np.argmax(pts @ reps.T, axis=1)
         assert np.array_equal(owners(reps), want)
         # the buffers are reused: a second call still gives the owners
@@ -699,7 +715,7 @@ def test_owner_pass_first_index_on_exact_ties(z):
 def test_owner_pass_rows_match_full_product(k, z, n):
     rng = substream(z, "owner-rows")
     cloud = sample_uniform_points(k, n, rng)
-    owners = _owner_pass(cloud, np.ascontiguousarray(cloud.T), z)
+    owners = _owner_pass(np.ascontiguousarray(cloud.T), z)
     for _ in range(2):
         reps = sample_uniform_points(k, z, rng)
         assert np.array_equal(owners(reps), np.argmax(cloud @ reps.T, axis=1))
@@ -718,8 +734,8 @@ def test_partition_refuses_large_k_before_drawing():
 
 
 @pytest.mark.parametrize("balance_iters,size", [
-    # the 14 representatives, the 20,000-point cloud and its copy at k=5
-    (32, 8 * 6 * (14 + 2 * 20_000)),
+    # the 14 representatives and the 20,000-point cloud, held once, at k=5
+    (32, 8 * 6 * (14 + 20_000)),
     # no Lloyd step, no cloud
     (0, 8 * 6 * 14)])
 def test_partition_byte_cap_counts_reps_and_cloud(monkeypatch, balance_iters,
