@@ -185,8 +185,11 @@ def sphere_hypergraph(params: ConstructionParams,
 
 def _tuple_hypergraph(partition: SpherePartition, r: int, u: int,
                       theta: float) -> PartitionedHypergraph:
-    V = tuple_vertices(partition, u, theta)
-    nv = len(V)
+    dm = partition.distance_matrix()
+    closeM = dm <= SQRT2 - theta
+    # the tuple rows: the (nv, u) array of what `tuple_vertices` lists
+    T = _sequences(closeM, u)
+    nv = len(T)
     if nv > MAX_PART_SIZE:
         raise CapExceeded(f"{nv} tuple vertices exceed the cap {MAX_PART_SIZE}")
     n = r * nv
@@ -194,11 +197,7 @@ def _tuple_hypergraph(partition: SpherePartition, r: int, u: int,
     meta = {"tuple_count": nv, "z": partition.z, "theta": theta,
             "r": r, "u": u}
 
-    dm = partition.distance_matrix()
-    T = np.array(V, dtype=int).reshape(nv, u)
-
     # tuple-close: all u^2 coordinate pairs within sqrt(2) - theta
-    closeM = dm <= SQRT2 - theta
     tclose = np.ones((nv, nv), dtype=bool)
     for j in range(u):
         for m in range(u):

@@ -550,11 +550,13 @@ def estimate_dt(regions, t: int, samples: int = 4000, seed: int = 0,
     where the optima of small caps lie.  Then `samples // multistarts`
     redraw rounds: each start redraws one random point and keeps the draw
     unless its spread falls.  Then 80 ascent rounds: every point gets six
-    Gaussian proposals, moved into the union and scored as one batch, and
-    the best of them (the first on ties) is kept when it raises the
-    spread; a start's step, 0.4 at first, halves after a round with no
-    gain.  Returns the largest spread of any start.  ValueError for no
-    cap, t < 2, multistarts < 1 or samples < 0.
+    Gaussian proposals, all drawn once at the round's start (a point moves
+    only at its own step) and moved into the union in one pass; point by
+    point, its six are scored as one batch, and the best of them (the
+    first on ties) is kept when it raises the spread; a start's step, 0.4
+    at first, halves after a round with no gain.  Returns the largest
+    spread of any start.  ValueError for no cap, t < 2, multistarts < 1 or
+    samples < 0.
     """
     caps = list(regions)
     if not caps:
@@ -583,12 +585,15 @@ def estimate_dt(regions, t: int, samples: int = 4000, seed: int = 0,
     step = np.full(multistarts, 0.4)
     for _ in range(80):
         gained = np.zeros(multistarts, dtype=bool)
+        # point i moves only at its own step, so the round's proposals are
+        # fixed at its start: one draw, the floats of t draws in turn
+        x = (pts.transpose(1, 0, 2)[:, None] + step[:, None]
+             * rng.standard_normal((t, 6, multistarts, k + 1)))
+        x = _into_union(x / np.linalg.norm(x, axis=-1, keepdims=True),
+                        centers, s)
         for i in range(t):
-            x = pts[:, i] + step[:, None] * rng.standard_normal(
-                (6, multistarts, k + 1))
-            x /= np.linalg.norm(x, axis=-1, keepdims=True)
             cand = np.repeat(pts[None], 6, axis=0)
-            cand[:, :, i] = _into_union(x, centers, s)
+            cand[:, :, i] = x[i]
             v = _spread(cand.reshape(-1, t, k + 1)).reshape(6, multistarts)
             r = np.argmax(v, axis=0)
             best = v[r, rows]

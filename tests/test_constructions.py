@@ -747,6 +747,22 @@ def test_tuple_listing_matches_the_former_walk(case):
                                                                 p.theta)))
 
 
+@pytest.mark.parametrize("build", [sphere_hypergraph, bollobas_erdos])
+def test_tuple_hypergraph_builds_one_distance_matrix(monkeypatch, build):
+    p = small_params()
+    part = quick_partition(p)
+    calls = []
+    real = type(part).distance_matrix
+
+    def counted(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(type(part), "distance_matrix", counted)
+    build(p, part)
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # shadows of leading parts
 

@@ -939,7 +939,8 @@ def test_estimate_dt_whole_sphere_simplex():
 
 
 def test_estimate_dt_pinned_values():
-    # the criterion-9 calls and the whole-sphere call, to the last bit
+    # the criterion-9 calls, the whole-sphere call and a t = 4 call with
+    # two caps, to the last bit
     pole = np.array([0.0, 0.0, 1.0])
     two_caps = [SphericalCap(pole, 1 - 2e-3), SphericalCap(-pole, 1 - 2e-3)]
     one_cap = [SphericalCap(pole, 1 - 4e-3)]
@@ -950,6 +951,11 @@ def test_estimate_dt_pinned_values():
                        multistarts=24) == 0.15476433697722475
     assert estimate_dt(whole, 3, samples=2000, seed=1,
                        multistarts=20) == 1.7320507698797492
+    # t = 4 on S^4, two in each antipodal cap at opposite rim ends
+    e4 = np.eye(5)[4]
+    caps4 = [SphericalCap(e4, 0.9), SphericalCap(-e4, 0.9)]
+    assert estimate_dt(caps4, 4, samples=300, seed=5,
+                       multistarts=7) == 0.8717797887081343
 
 
 def test_estimate_dt_closed_forms():
