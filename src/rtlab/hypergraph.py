@@ -26,10 +26,11 @@ codegree cleaning and the file writer each read it in one numpy pass,
 and no other module converts it.
 `pair_cover_index` returns a `PairCoverIndex`: the covered pairs (a, b),
 a < b, their codegrees, and the rows of the array covering each, in row
-order.  It is the only sort of pair keys: the shadow is its pairs and
-codegree cleaning reads its codegrees and covering rows.  Edges are
-always iterated in lexicographic order, so every pipeline built on
-these types is reproducible.
+order.  It is the only sort of pair keys, a stable LSD radix sort by
+16-bit digits (`_runs`): the shadow is its pairs and codegree cleaning
+reads its codegrees and covering rows.  Edges are always iterated in
+lexicographic order, so every pipeline built on these types is
+reproducible.
 """
 
 import io
@@ -85,8 +86,12 @@ def _sorted_rows(edges, n: int, r: int) -> np.ndarray:
             raise out_of_range(next(
                 e for e in edges
                 if not all(-2 ** 63 <= v < 2 ** 63 for v in e))) from None
-    rows = np.sort(rows.astype(np.int64, copy=False), axis=1)
-    repeat = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+    rows = rows.astype(np.int64, copy=False)
+    repeat = np.zeros(len(rows), dtype=bool)
+    # rows that already strictly rise are sorted and hold no repeat
+    if not (rows[:, 1:] > rows[:, :-1]).all():
+        rows = np.sort(rows, axis=1)
+        repeat = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
     bad = repeat | (rows[:, 0] < 0) | (rows[:, -1] >= n)
     if bad.any():
         i = int(bad.argmax())
@@ -120,19 +125,23 @@ def _strictly_increasing(rows: np.ndarray) -> bool:
 
 def _bit_rows(n: int, width: int, row: np.ndarray, bit: np.ndarray) -> list:
     """n int bitmasks of `width` bits, bit bit[i] set in mask row[i]: the
-    rows of a packed 0/1 matrix, made by one numpy pass.  The matrix has
-    a row only for each mask that holds a bit, so a few bits in many
-    masks cost what the bits do, not n times the width."""
+    rows of a packed 0/1 matrix, made by one numpy pass.  The (row, bit)
+    pairs must be distinct, so adding each bit into its byte sets it as
+    OR-ing would.  The matrix has a row only for each mask that holds a
+    bit, so a few bits in many masks cost what the bits do, not n times
+    the width."""
     counts = np.bincount(row, minlength=n)
     held = np.flatnonzero(counts)
     if len(held) < n:  # number the masks that hold a bit 0, 1, ...
         row = (np.cumsum(counts > 0) - 1)[row]
-    packed = np.zeros((len(held), (width + 7) // 8), dtype=np.uint8)
-    np.bitwise_or.at(packed, (row, bit >> 3),
-                     np.left_shift(1, bit & 7).astype(np.uint8))
+    stride = (width + 7) // 8
+    packed = np.zeros(len(held) * stride, dtype=np.uint8)
+    np.add.at(packed, row * stride + (bit >> 3),
+              np.left_shift(1, bit & 7).astype(np.uint8))
+    data = packed.tobytes()
     masks = [0] * n
-    for v, r in zip(held.tolist(), packed):
-        masks[v] = int.from_bytes(r.tobytes(), "little")
+    for i, v in enumerate(held.tolist()):
+        masks[v] = int.from_bytes(data[i * stride:(i + 1) * stride], "little")
     return masks
 
 
@@ -143,9 +152,16 @@ def _tuples(rows: np.ndarray):
 
 
 def _runs(keys: np.ndarray):
-    """A stable sort of the non-negative keys and where its runs of equal
-    keys start: (order, sorted keys, run starts)."""
-    order = np.argsort(keys, kind="stable")
+    """A stable sort of the non-negative int64 keys and where its runs of
+    equal keys start: (order, sorted keys, run starts).  The order is
+    `np.argsort(keys, kind="stable")`, made as an LSD radix sort: one
+    stable argsort per 16-bit digit, which numpy does by radix, the low
+    digit first, up to the largest key's bit length (at most four)."""
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    for shift in range(16, int(keys.max(initial=0)).bit_length(), 16):
+        # the digit's temporaries are freed before the gather
+        order = order[np.argsort((keys[order] >> shift).astype(np.uint16),
+                                 kind="stable")]
     keys = keys[order]
     return order, keys, np.flatnonzero(np.diff(keys, prepend=-1))
 
@@ -280,9 +296,11 @@ class PairCoverIndex:
     """The covered pairs of a hypergraph and the rows of its
     `edge_array` that cover each.
 
-    Built by one stable sort of the pair keys a*n + b: the C(r, 2) key
-    columns of the rows side by side, raveled, so flat key i belongs to
-    row i // C(r, 2) and the sort keeps each pair's rows in row order.
+    Built by one stable sort of the pair keys a*n + b (`_runs`: one radix
+    pass per 16 bits of the largest key, so one pass below 256 vertices):
+    the C(r, 2) key columns of the rows side by side, raveled, so flat key
+    i belongs to row i // C(r, 2) and the sort keeps each pair's rows in
+    row order.
     `pairs` is the (k, 2) array of the covered pairs (a, b), a < b, in
     lexicographic order and `codegrees` the number of rows covering
     each; `covering_rows` lists the covering rows pair after pair, the

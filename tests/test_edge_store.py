@@ -389,8 +389,25 @@ def test_label_views_match_tuple_references(tmp_path_factory, inputs, t):
     ([(2, 0, 2)], r"edge \(0, 2, 2\) is not a set of 3 distinct vertices"),
     ([(0, 1, 4)], r"edge \(0, 1, 4\) out of range for n=4"),
     ([(1, -1, 0)], r"edge \(-1, 0, 1\) out of range for n=4"),
+    # rows that already rise skip the sort and the repeat scan, and name
+    # the same first bad edge as rows that are sorted first
+    ([(0, 1, 2), (1, 2, 4), (0, 1, 9)],
+     r"^edge \(1, 2, 4\) out of range for n=4$"),
+    (np.array([[0, 1, 2], [1, 2, 4]]),
+     r"^edge \(1, 2, 4\) out of range for n=4$"),
+    ([(-1, 0, 2)], r"^edge \(-1, 0, 2\) out of range for n=4$"),
+    ([(2, 1, 0), (3, 0, 3), (4, 0, 9)],
+     r"^edge \(0, 3, 3\) is not a set of 3 distinct vertices$"),
+    ([(9, 1, 0), (3, 0, 3)], r"^edge \(0, 1, 9\) out of range for n=4$"),
+    ([(0, 1, 9), (3, 0, 3)], r"^edge \(0, 1, 9\) out of range for n=4$"),
+    ([(1, 1, 2)], r"^edge \(1, 1, 2\) is not a set of 3 distinct vertices$"),
+    ([(0, 1, 9), (1, 2)],
+     r"^edge \(1, 2\) is not a set of 3 distinct vertices$"),
 ], ids=["short", "long", "ragged", "ragged-long-last", "array-width",
-        "repeated-vertex", "above-range", "negative"])
+        "repeated-vertex", "above-range", "negative", "rising-above-range",
+        "rising-array-above-range", "rising-negative", "repeat-before-range",
+        "unsorted-range-first", "rising-range-first", "rising-repeat",
+        "ragged-before-range"])
 def test_hypergraph_validation_messages(edges, message):
     with pytest.raises(ValueError, match=message):
         PartitionedHypergraph(4, 3, edges)

@@ -10,7 +10,8 @@ from helpers import complete_uniform
 import rtlab
 from rtlab import CapExceeded, hypergraph
 from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph, _bit_rows,
-                              blowup, clean_low_codegree, complete_join, read_graph, read_hypergraph,
+                              _runs, _sorted_rows, blowup, clean_low_codegree,
+                              complete_join, read_graph, read_hypergraph,
                               shadow, turan_hypergraph, write_graph,
                               write_hypergraph)
 from rtlab.rng import substream
@@ -44,6 +45,98 @@ def test_bit_rows_match_per_row_masks(m, r, spare, rnd):
                     dtype=np.int64).reshape(m, r)
     masks = _bit_rows(m, n, np.repeat(np.arange(m), r), rows.ravel())
     assert masks == [sum(1 << v for v in e) for e in rows.tolist()]
+
+
+def _python_masks(n, row, bit):
+    masks = [0] * n
+    for v, b in zip(row, bit):
+        masks[v] |= 1 << b
+    return masks
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 30).filter(lambda w: w % 8),
+       st.randoms(use_true_random=False))
+def test_bit_rows_with_empty_masks_and_ragged_width(n, width, rnd):
+    # fewer masks hold a bit than there are masks, at a width whose last
+    # byte is part-filled
+    pairs = sorted({(rnd.randrange(n), rnd.randrange(width))
+                    for _ in range(rnd.randrange(2 * n))})
+    row = np.array([v for v, _ in pairs], dtype=np.int64)
+    bit = np.array([b for _, b in pairs], dtype=np.int64)
+    assert _bit_rows(n, width, row, bit) == _python_masks(n, row.tolist(),
+                                                          bit.tolist())
+
+
+@pytest.mark.parametrize("n,width", [(0, 0), (5, 0), (5, 9), (3, 64)])
+def test_bit_rows_of_no_pairs(n, width):
+    none = np.empty(0, dtype=np.int64)
+    assert _bit_rows(n, width, none, none) == [0] * n
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 141), st.floats(0, 1), st.integers(0, 2 ** 32 - 1))
+def test_adjacency_masks_match_per_vertex_reference(n, p, seed):
+    # G(n, p): the masks' bits are each edge in both directions
+    rng = np.random.default_rng(seed)
+    edges = {e for e in combinations(range(n), 2) if rng.random() < p}
+    want = [sum(1 << u for u in range(n) if (min(u, v), max(u, v)) in edges)
+            for v in range(n)]
+    assert SimpleGraph(n, edges).adjacency_masks() == want
+
+
+# keys that take one, two, three and four radix passes, with repeats
+_KEYS = st.one_of(st.just(7), st.integers(0, 2 ** 8 - 1),
+                  st.integers(2 ** 16 - 20, 2 ** 16 + 20),
+                  st.integers(2 ** 32 - 20, 2 ** 32 + 20),
+                  st.sampled_from([0, 3, 2 ** 16, 2 ** 32 + 1, 2 ** 62]),
+                  st.integers(0, 2 ** 62))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_KEYS, max_size=200))
+def test_runs_match_stable_argsort(keys):
+    keys = np.array(keys, dtype=np.int64)
+    order, sorted_keys, starts = _runs(keys)
+    want = np.argsort(keys, kind="stable")
+    assert order.dtype == want.dtype and order.tolist() == want.tolist()
+    assert sorted_keys.tolist() == keys[want].tolist()
+    assert starts.tolist() == np.flatnonzero(
+        np.diff(keys[want], prepend=-1)).tolist()
+
+
+@pytest.mark.parametrize("keys", [[], [5], [2 ** 40], [9] * 20,
+                                  [2 ** 62, 0, 2 ** 62, 0]],
+                         ids=["empty", "one", "one-wide", "all-equal",
+                              "widest"])
+def test_runs_of_small_inputs(keys):
+    keys = np.array(keys, dtype=np.int64)
+    order, sorted_keys, starts = _runs(keys)
+    assert order.tolist() == np.argsort(keys, kind="stable").tolist()
+    assert sorted_keys.tolist() == sorted(keys.tolist())
+    assert starts.tolist() == [i for i, k in enumerate(sorted_keys.tolist())
+                               if i == 0 or k != sorted_keys[i - 1]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 20), st.integers(2, 5), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_sorted_rows_match_np_sort(m, r, rising, rnd):
+    # rows that already rise skip the sort; others are sorted, and both
+    # give np.sort's rows
+    rows = np.array([rnd.sample(range(3 * r), r) for _ in range(m)],
+                    dtype=np.int32).reshape(m, r)
+    if rising:
+        rows.sort(axis=1)
+    got = _sorted_rows(rows, 3 * r, r)
+    assert got.dtype == np.int64
+    assert got.tolist() == np.sort(rows, axis=1).tolist()
+
+
+def test_rising_rows_are_not_sorted_again(monkeypatch):
+    rows = np.array([[0, 2, 3], [1, 2, 4]])
+    monkeypatch.setattr(np, "sort", lambda *a, **k: pytest.fail())
+    assert _sorted_rows(rows, 5, 3).tolist() == rows.tolist()
 
 
 def test_graph_rejects_loops_and_range():
