@@ -5,7 +5,7 @@ codes: 0 property holds / success, 1 property violated (witness rechecked,
 then written as JSON; for `alpha_t --bound`, a K_t-free set above the
 bound found, even if the budget then ran out), 2 refused input (an
 OSError or ValueError), 3 a cap stopped the run and nothing was decided
-(a CapExceeded: a node budget, the drc retries, a part or prefix count,
+(a CapExceeded: a node budget, the drc retries, the eps-k search's k,
 or 1 GiB of arrays, refused before it is allocated; one line on stderr,
 nothing on stdout, no file written), 4 internal error (any other
 exception, including a witness that fails its recheck).  `verify` runs

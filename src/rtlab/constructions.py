@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from . import CapExceeded
+from . import check_bytes
 from .bounds import optimize_a, theta_lower_bound
 from .hypergraph import (PartitionedHypergraph, SimpleGraph, as_graph,
                          blowup, complete_join, shadow)
@@ -122,7 +122,8 @@ def bollobas_erdos(params: ConstructionParams,
     edge joins near-orthogonal points (d <= sqrt(2) - theta), where
     theta = params.theta.  This is the r = 2, u = 1 tuple hypergraph of
     `sphere_hypergraph` whatever params.r, caps included: CapExceeded
-    over 5,000 points per side or about 5 M close pairs."""
+    when its matrices or listings would pass the byte cap: the distance
+    matrices alone do over 10,362 points per side."""
     return as_graph(_tuple_hypergraph(partition, 2, 1, params.theta))
 
 
@@ -140,30 +141,25 @@ def tuple_vertices(partition: SpherePartition, u: int, theta: float) -> list:
     return list(map(tuple, _sequences(close, u).tolist()))
 
 
-# tuple vertices a part may hold
-MAX_PART_SIZE = 5000
-# cross-edge prefixes (1 .. r tuples) listed before the listing gives up
-MAX_CROSS_ASSIGNMENTS = 5_000_000
-
-
-def _sequences(rel: np.ndarray, length: int, cap=math.inf) -> np.ndarray:
+def _sequences(rel: np.ndarray, length: int) -> np.ndarray:
     """The sequences of `length` indices whose every entry is related by
     the boolean matrix `rel` to every later one, as lexicographic rows.
     They grow one entry per level, in blocks of prefixes reading about
-    2^20 entries of `rel`; CapExceeded once over `cap` prefixes, of all
-    lengths 1 .. length, are listed."""
+    2^20 entries of `rel`.  After each block, CapExceeded
+    (`check_bytes`) once the level before and the rows listed so far,
+    counted twice (the blocks and the array they are joined into), would
+    pass the byte cap."""
     block = max(1, (1 << 20) // max(len(rel), 1))
-    seqs, listed = np.zeros((1, 0), dtype=np.intp), 0
-    for _ in range(length):
-        grown = []
+    seqs = np.zeros((1, 0), dtype=np.intp)
+    for width in range(1, length + 1):
+        grown, listed = [], 0
         # one block even with no prefix, so the array keeps its shape
         for start in range(0, max(len(seqs), 1), block):
             prefix = seqs[start:start + block]
             rows, nxt = np.nonzero(rel[prefix].all(axis=1))
             listed += len(rows)
-            if listed > cap:
-                raise CapExceeded(f"{listed} prefixes listed, over the cap "
-                                  f"{cap}")
+            check_bytes(seqs.nbytes + 2 * seqs.itemsize * width * listed,
+                        f"a listing of {listed} sequences of length {width}")
             grown.append(np.column_stack([prefix[rows], nxt]))
         seqs = np.concatenate(grown)
     return seqs
@@ -176,26 +172,29 @@ def sphere_hypergraph(params: ConstructionParams,
     coordinate position (d >= 2 - theta); a transversal r-set is an edge
     when every coordinate pair across the tuples is close
     (d <= sqrt(2) - theta).  Both families are listed exhaustively by
-    `_sequences`.  Raises CapExceeded over MAX_PART_SIZE (5,000) tuples
-    per part, or when the cross listing reaches over
-    MAX_CROSS_ASSIGNMENTS (5,000,000) prefixes of 1 .. r tuples.
+    `_sequences`.  The package's byte cap (`check_bytes`, 1 GiB) is the
+    one size rule: CapExceeded, before they are built, when the z x z
+    distance, close and far matrices (10 bytes a cell) or the nv x nv
+    tuple matrices (3 bytes a cell: tuple-close, tuple-far and its upper
+    triangle) would pass it, and in the tuple, inside and cross listings
+    as `_sequences` counts them.
     """
     return _tuple_hypergraph(partition, params.r, params.u, params.theta)
 
 
 def _tuple_hypergraph(partition: SpherePartition, r: int, u: int,
                       theta: float) -> PartitionedHypergraph:
+    z = partition.z
+    check_bytes(10 * z * z, f"the distance matrices of {z} points")
     dm = partition.distance_matrix()
     closeM = dm <= SQRT2 - theta
     # the tuple rows: the (nv, u) array of what `tuple_vertices` lists
     T = _sequences(closeM, u)
     nv = len(T)
-    if nv > MAX_PART_SIZE:
-        raise CapExceeded(f"{nv} tuple vertices exceed the cap {MAX_PART_SIZE}")
+    check_bytes(3 * nv * nv, f"the tuple matrices of {nv} tuple vertices")
     n = r * nv
     part_of = np.repeat(np.arange(r), nv)
-    meta = {"tuple_count": nv, "z": partition.z, "theta": theta,
-            "r": r, "u": u}
+    meta = {"tuple_count": nv, "z": z, "theta": theta, "r": r, "u": u}
 
     # tuple-close: all u^2 coordinate pairs within sqrt(2) - theta
     tclose = np.ones((nv, nv), dtype=bool)
@@ -217,7 +216,7 @@ def _tuple_hypergraph(partition: SpherePartition, r: int, u: int,
     meta["base_inside"] = len(inside) * r
 
     # cross edges: ordered assignments (a_1..a_r), pairwise tuple-close
-    cross = _sequences(tclose, r, MAX_CROSS_ASSIGNMENTS) + shift
+    cross = _sequences(tclose, r) + shift
     meta["base_cross"] = len(cross)
 
     edges = np.concatenate([(inside + shift[:, None, None]).reshape(-1, r),
@@ -305,9 +304,12 @@ def maximal_ktfree_graph(n: int, t: int, seed: int = 0) -> SimpleGraph:
     K_{t-1} among the common neighbours of the two ends.  The walks of
     the whole build count on one node counter (the budget of env
     RTLAB_BUDGET, else DEFAULT_BUDGET), so a build past it raises
-    BudgetExceeded."""
+    BudgetExceeded.  CapExceeded, before anything is allocated, when the
+    shuffled list of the C(n, 2) pairs, 64 bytes a pair (its slot and a
+    2-tuple), would pass the byte cap."""
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
+    check_bytes(64 * (n * (n - 1) // 2), f"the pair list of {n} vertices")
     rng = substream(seed, "ktfree-greedy")
     pairs = list(combinations(range(n), 2))
     rng.shuffle(pairs)
@@ -328,13 +330,22 @@ def corollary_graph(g: SimpleGraph, q: int, t: int, seed: int,
                     mix_a: float) -> SimpleGraph:
     """Complete (q-1)-partite graph T with near-equal classes sized from
     the mixing fraction, a `maximal_ktfree_graph` of the seed inserted in
-    every class and rechecked K_{t+1}-free, completely joined to g."""
+    every class and rechecked K_{t+1}-free, completely joined to g.
+    CapExceeded, before anything is allocated, when the (rest, rest)
+    class matrix and the int64 rows of its pairs across classes would
+    pass the byte cap."""
     if q < 2:
         raise ValueError("need q >= 2")
     if not 0.0 < mix_a < 1.0:
         raise ValueError("mixing fraction must lie in (0, 1)")
     total = max(g.n + q - 1, round(g.n / mix_a))
     rest = total - g.n
+    # e classes of b + 1 vertices and the others of b: `across` ordered
+    # pairs lie in distinct classes
+    b, e = divmod(rest, q - 1)
+    across = rest * rest - (q - 1) * b * b - e * (2 * b + 1)
+    check_bytes(rest * rest + 8 * across,
+                f"a class matrix of {rest} x {rest} vertices")
     # near-equal classes 0 .. q-2, in vertex order; distinct classes join
     labels = np.array(sorted(v % (q - 1) for v in range(rest)))
     t_edges = [np.argwhere(labels[:, None] < labels)]

@@ -68,9 +68,11 @@ def _sorted_rows(edges, n: int, r: int) -> np.ndarray:
         except ValueError:
             rows = None  # ragged
     # integer rows of the right shape take the numpy path; anything else
-    # (floats, a vertex beyond int64, ragged rows) is read edge by edge
+    # (floats, a vertex beyond int64, uint64 ones among them, ragged rows)
+    # is read edge by edge
     if (rows is None or rows.dtype.kind not in "biu"
-            or rows.shape != (len(edges), r)):
+            or rows.shape != (len(edges), r)
+            or rows.dtype == np.uint64 and rows.max(initial=0) >= 2 ** 63):
         if isinstance(edges, np.ndarray):
             edges = edges.tolist()
         edges = [tuple(sorted(e)) for e in edges]
@@ -374,7 +376,11 @@ class SimpleGraph(PartitionedHypergraph):
 
 
 def complete_join(g: SimpleGraph, t_graph: SimpleGraph) -> SimpleGraph:
-    """Disjoint union of the two graphs plus all edges between them."""
+    """Disjoint union of the two graphs plus all edges between them.
+    CapExceeded, before anything is allocated, when the join's matrix and
+    its int64 rows, 17 bytes a pair, would pass the byte cap."""
+    check_bytes(17 * g.n * t_graph.n,
+                f"a join of {g.n} x {t_graph.n} vertices")
     join = np.argwhere(np.ones((g.n, t_graph.n), dtype=bool)) + (0, g.n)
     edges = [g.edge_array, t_graph.edge_array + g.n, join]
     return SimpleGraph(g.n + t_graph.n, np.concatenate(edges))
@@ -401,9 +407,16 @@ def blowup(h: PartitionedHypergraph, t: int) -> PartitionedHypergraph:
     """t-blowup: vertex v becomes clones v*t .. v*t+t-1; every edge is
     replaced by all t^r transversal copies.  Part labels are inherited;
     meta's blowup_t is the input's (1 when unset) times t, so composed
-    blowups record their product."""
+    blowups record their product.  CapExceeded, before anything is
+    allocated, when the t^r offsets and the int64 rows of the m t^r
+    copies, 8 r t^r (m + 1) bytes, would pass the package's byte cap
+    (`check_bytes`, 1 GiB); the build peaks at about three times the
+    rows, as the store's order check and int32 copy join them."""
     if t < 1:
         raise ValueError(f"blowup factor must be >= 1, got {t}")
+    m, copies = len(h.edge_array), t ** h.r
+    check_bytes(8 * h.r * copies * (m + 1),
+                f"a {t}-blowup of {m} edges into {m * copies} copies")
     offsets = np.array(list(product(range(t), repeat=h.r)), dtype=np.int64)
     edges = (h.edge_array[:, None, :].astype(np.int64) * t
              + offsets).reshape(-1, h.r)

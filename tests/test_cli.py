@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rtlab
 from rtlab import constructions, verifiers as ver
 from rtlab.cli import main
 from rtlab.drc import FWitness, recheck_f_witness
@@ -16,6 +17,12 @@ from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph,
 from rtlab.reports import emit_report
 from rtlab.sphere import cap_measure
 from rtlab.verifiers import Embedding, density_report
+
+
+# the README's params.json
+README_PARAMS = {"r": 3, "z": 14, "alpha": 0.3, "beta": 0.3, "epsilon": 0.5,
+                 "k": 5, "blowup_t": 3, "gamma": 0.3, "pattern_cap": 10,
+                 "seed": 3}
 
 
 def write_params(tmp_path, **kw):
@@ -715,14 +722,16 @@ def test_sphere_eps_k_cli(capsys):
 
 @pytest.mark.parametrize("kind", ["sphere", "full"])
 def test_construct_over_part_cap_exit_3(tmp_path, monkeypatch, capsys, kind):
-    # a part over the listing cap is a refusal, like the eps-k search
-    # caps: one stderr line, no file
-    monkeypatch.setattr(constructions, "MAX_PART_SIZE", 3)
+    # a part whose tuple matrices would pass the byte cap is a refusal,
+    # like the eps-k search caps: one stderr line, no file
+    monkeypatch.setattr(rtlab, "MAX_BYTES", 1 << 20)
     out = tmp_path / "h.hg"
-    assert main(["construct", "--type", kind,
-                 "--params", write_params(tmp_path), "--out", str(out)]) == 3
+    assert main(["construct", "--type", kind, "--params",
+                 write_params(tmp_path, z=50, epsilon=0.5),
+                 "--out", str(out)]) == 3
     stdout, err = capsys.readouterr()
-    assert stdout == "" and err.endswith("exceed the cap 3\n")
+    assert stdout == "" and err.startswith("the tuple matrices of ")
+    assert err.endswith("over the cap 1048576\n")
     assert err.count("\n") == 1
     assert not out.exists()
 
@@ -747,9 +756,18 @@ def _budget_route(monkeypatch):
 
 
 def _part_cap_route(monkeypatch):
-    monkeypatch.setattr(constructions, "MAX_PART_SIZE", 3)
-    write_params(Path("."))
+    # 1 MiB holds the partition's points but not the tuple matrices
+    monkeypatch.setattr(rtlab, "MAX_BYTES", 1 << 20)
+    write_params(Path("."), z=50, epsilon=0.5)
     return "construct --type sphere --params params.json --out out"
+
+
+def _oversized_route(kind, **kw):
+    # README params with one field changed, past what 1 GiB holds
+    def route(monkeypatch):
+        Path("params.json").write_text(json.dumps(dict(README_PARAMS, **kw)))
+        return f"construct --type {kind} --params params.json --out out"
+    return route
 
 
 def _construct_bytes_route(monkeypatch):
@@ -796,7 +814,15 @@ def _pair_index_route(monkeypatch):
 
 @pytest.mark.parametrize("route,line", [
     (_budget_route, "budget exceeded after 3 nodes (certified: None)"),
-    (_part_cap_route, "10 tuple vertices exceed the cap 3"),
+    (_part_cap_route, "the tuple matrices of 780 tuple vertices would hold "
+     "1825200 bytes, over the cap 1048576"),
+    (_oversized_route("sphere", r=10, z=200, pattern_cap=12),
+     "a listing of 11565702 sequences of length 5 would hold 1076816032 "
+     "bytes, over the cap 1073741824"),
+    (_oversized_route("full", blowup_t=60), "a 60-blowup of 224 edges into "
+     "48384000 copies would hold 1166400000 bytes, over the cap 1073741824"),
+    (_oversized_route("corollary", mix_a=0.001), "a class matrix of 119880 x "
+     "119880 vertices would hold 14371214400 bytes, over the cap 1073741824"),
     (_construct_bytes_route, "a partition of S^1000000 into 10 domains "
      "would hold 160080160080 bytes, over the cap 1073741824"),
     (_partition_bytes_route, "a partition of S^1000000 into 14 domains "
@@ -811,7 +837,8 @@ def _pair_index_route(monkeypatch):
      "the codegree sweep"),
     (_pair_index_route, "a pair-cover index of 1 x C(20000, 2) pairs would "
      "hold 3199840000 bytes, over the cap 1073741824"),
-], ids=["verify-budget", "construct-part-cap", "construct-bytes",
+], ids=["verify-budget", "construct-part-cap", "construct-tuple-listing",
+        "construct-blowup", "construct-class-matrix", "construct-bytes",
         "partition-bytes", "eps-k", "drc-find-set-retries",
         "drc-find-f-stage", "drc-find-tkf5-stage", "tkf-pair-index"])
 def test_cap_routes_exit_3(tmp_path, monkeypatch, capsys, route, line):

@@ -6,6 +6,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+import rtlab
 from rtlab import CapExceeded, constructions
 from rtlab.constructions import (ConstructionParams, bollobas_erdos,
                                  corollary_graph, full_construction,
@@ -16,7 +17,7 @@ from rtlab.constructions import (ConstructionParams, bollobas_erdos,
 from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph, as_graph,
                               blowup, shadow, turan_hypergraph)
 from rtlab.rng import substream
-from rtlab.sphere import SQRT2, build_partition
+from rtlab.sphere import SQRT2, SpherePartition, build_partition
 from rtlab.verifiers import (BudgetExceeded, _cliques, _Counter,
                              blowup_deletion_condition, density_report,
                              find_clique, scan_sparse_patterns,
@@ -251,29 +252,60 @@ def test_sphere_hypergraph_cross_antitone_in_theta():
 
 
 def test_sphere_hypergraph_part_cap(monkeypatch):
-    p = small_params(z=20)
+    # a part whose nv x nv tuple matrices, 3 bytes a cell, would pass the
+    # byte cap is refused before they are built
+    p = small_params(z=20, epsilon=0.5)
     part = quick_partition(p)
-    monkeypatch.setattr(constructions, "MAX_PART_SIZE", 3)
-    with pytest.raises(CapExceeded):
+    nv = len(tuple_vertices(part, p.u, p.theta))
+    monkeypatch.setattr(rtlab, "MAX_BYTES", 3 * nv * nv - 1)
+    with pytest.raises(CapExceeded, match=f"the tuple matrices of {nv} "
+                       f"tuple vertices would hold {3 * nv * nv} bytes"):
         sphere_hypergraph(p, part)
 
 
+def test_tuple_matrices_refused_over_their_cap(monkeypatch):
+    # 80 pairs of nearby points, the pairs mutually orthogonal: each pair
+    # gives 4 tuples, so the 320 x 320 tuple matrices (3 bytes a cell)
+    # outweigh the 160 x 160 distance matrices (10 bytes a cell) and every
+    # listing; a cap at exactly their bytes builds, a byte less refuses
+    # before the first is made
+    reps = np.zeros((160, 160))
+    reps[0::2, 0::2] = reps[1::2, 0::2] = np.eye(80)
+    reps[1::2, 0::2] *= math.cos(0.1)
+    reps[1::2, 1::2] = math.sin(0.1) * np.eye(80)
+    part = SpherePartition(k=159, z=160, reps=reps, theta=0.5, seed=0)
+    need = 3 * 320 * 320
+    monkeypatch.setattr(rtlab, "MAX_BYTES", need)
+    h = constructions._tuple_hypergraph(part, 3, 2, 0.5)
+    assert h.meta["tuple_count"] == 320
+    assert h.meta["base_cross"] == 80 * 4 ** 3
+    monkeypatch.setattr(rtlab, "MAX_BYTES", need - 1)
+    monkeypatch.setattr(np, "ix_", lambda *a: pytest.fail())
+    with pytest.raises(CapExceeded, match=f"hold {need} bytes"):
+        constructions._tuple_hypergraph(part, 3, 2, 0.5)
+
+
 def test_sphere_hypergraph_cross_cap(monkeypatch):
-    p = small_params(z=14, seed=3)
+    p = small_params(z=14, seed=3, epsilon=0.5)
     part = quick_partition(p)
     V = np.array(tuple_vertices(part, p.u, p.theta))
     close = part.distance_matrix() <= SQRT2 - p.theta
     tclose = np.ones((len(V), len(V)), dtype=np.int64)
     for j, m in product(range(p.u), repeat=2):
         tclose &= close[np.ix_(V[:, j], V[:, m])]
-    # the enumeration places every close prefix of 1, 2 and 3 tuples
-    placed = (len(V) + int(tclose.sum())
-              + int((tclose * (tclose @ tclose)).sum()))
-    monkeypatch.setattr(constructions, "MAX_CROSS_ASSIGNMENTS", placed)
+    # the close prefixes of 1, 2 and 3 tuples; the listing of each length
+    # counts the length before and its own rows twice, 8 bytes an entry,
+    # and at these params the cross listing is the build's largest count
+    placed = [1, len(V), int(tclose.sum()),
+              int((tclose * (tclose @ tclose)).sum())]
+    need = max(8 * (w - 1) * placed[w - 1] + 16 * w * placed[w]
+               for w in range(1, 4))
+    monkeypatch.setattr(rtlab, "MAX_BYTES", need)
     h = sphere_hypergraph(p, part)
-    assert h.meta["base_cross"] == int((tclose * (tclose @ tclose)).sum())
-    monkeypatch.setattr(constructions, "MAX_CROSS_ASSIGNMENTS", placed - 1)
-    with pytest.raises(CapExceeded):
+    assert h.meta["base_cross"] == placed[3]
+    monkeypatch.setattr(rtlab, "MAX_BYTES", need - 1)
+    with pytest.raises(CapExceeded, match=f"sequences of length 3 would "
+                       f"hold {need} bytes"):
         sphere_hypergraph(p, part)
 
 
@@ -865,6 +897,35 @@ def test_corollary_rejects_bad_inner(monkeypatch):
     monkeypatch.setattr(constructions, "maximal_ktfree_graph", bad)
     with pytest.raises(ValueError, match="not K_"):
         corollary_graph(g, 2, 3, 0, mix_a=0.5)
+
+
+def test_corollary_class_matrix_refused_over_its_cap(monkeypatch):
+    # 38 vertices in 4 classes: the class matrix, 1 byte a cell, and the
+    # int64 rows of its pairs across classes, 16 bytes each, outweigh each
+    # class's pair list and the join; a cap at exactly their bytes builds,
+    # a byte less refuses before the matrix is made
+    g = SimpleGraph(2, [(0, 1)])
+    need = 38 * 38 + 16 * sum(a % 4 != b % 4
+                              for a, b in combinations(range(38), 2))
+    monkeypatch.setattr(rtlab, "MAX_BYTES", need)
+    assert corollary_graph(g, 5, 3, 0, mix_a=0.05).n == 40
+    monkeypatch.setattr(rtlab, "MAX_BYTES", need - 1)
+    monkeypatch.setattr(np, "argwhere", lambda *a: pytest.fail())
+    with pytest.raises(CapExceeded, match=f"a class matrix of 38 x 38 "
+                       f"vertices would hold {need} bytes"):
+        corollary_graph(g, 5, 3, 0, mix_a=0.05)
+
+
+def test_maximal_ktfree_graph_refused_over_its_cap(monkeypatch):
+    # the shuffled list of the C(n, 2) pairs, 64 bytes a pair: a cap at
+    # exactly that builds, a byte less refuses before any pair is listed
+    need = 64 * 45
+    monkeypatch.setattr(rtlab, "MAX_BYTES", need)
+    assert maximal_ktfree_graph(10, 2, seed=1).n == 10
+    monkeypatch.setattr(rtlab, "MAX_BYTES", need - 1)
+    monkeypatch.setattr(constructions, "combinations", lambda *a: pytest.fail())
+    with pytest.raises(CapExceeded, match=f"hold {need} bytes"):
+        maximal_ktfree_graph(10, 2, seed=1)
 
 
 def test_maximal_ktfree_graph_is_ktfree():

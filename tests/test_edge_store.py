@@ -403,11 +403,16 @@ def test_label_views_match_tuple_references(tmp_path_factory, inputs, t):
     ([(1, 1, 2)], r"^edge \(1, 1, 2\) is not a set of 3 distinct vertices$"),
     ([(0, 1, 9), (1, 2)],
      r"^edge \(1, 2\) is not a set of 3 distinct vertices$"),
+    # a uint64 vertex beyond int64 is named as given, as in a list
+    (np.array([[0, 1, 2 ** 63 + 5]], dtype=np.uint64),
+     r"^edge \(0, 1, 9223372036854775813\) out of range for n=4$"),
+    ([(0, 1, 2 ** 63 + 5)],
+     r"^edge \(0, 1, 9223372036854775813\) out of range for n=4$"),
 ], ids=["short", "long", "ragged", "ragged-long-last", "array-width",
         "repeated-vertex", "above-range", "negative", "rising-above-range",
         "rising-array-above-range", "rising-negative", "repeat-before-range",
         "unsorted-range-first", "rising-range-first", "rising-repeat",
-        "ragged-before-range"])
+        "ragged-before-range", "uint64-beyond-int64", "list-beyond-int64"])
 def test_hypergraph_validation_messages(edges, message):
     with pytest.raises(ValueError, match=message):
         PartitionedHypergraph(4, 3, edges)

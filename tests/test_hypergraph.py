@@ -219,6 +219,33 @@ def test_pair_cover_index_of_one_wide_edge_is_refused_at_once():
 # blowup
 
 
+def test_blowup_refused_over_its_cap(monkeypatch):
+    # the t^r offsets and the int64 rows of the m t^r copies, 8 r t^r
+    # (m + 1) bytes: a cap at exactly that builds, a byte less refuses
+    # before the offsets are listed
+    h = random_hypergraph(12, 3, 30, 2)
+    need = 8 * 3 * 4 ** 3 * 31
+    monkeypatch.setattr(rtlab, "MAX_BYTES", need)
+    assert len(blowup(h, 4).edge_array) == 30 * 4 ** 3
+    monkeypatch.setattr(rtlab, "MAX_BYTES", need - 1)
+    monkeypatch.setattr(hypergraph, "product", lambda *a, **kw: pytest.fail())
+    with pytest.raises(CapExceeded, match=f"hold {need} bytes"):
+        blowup(h, 4)
+
+
+def test_join_refused_over_its_cap(monkeypatch):
+    # the join's bool matrix and its int64 rows, 17 bytes a pair: a cap at
+    # exactly that builds, a byte less refuses before the matrix is made
+    g, t_graph = SimpleGraph(3, [(0, 1)]), SimpleGraph(4, [(2, 3)])
+    need = 17 * 3 * 4
+    monkeypatch.setattr(rtlab, "MAX_BYTES", need)
+    assert len(complete_join(g, t_graph).edge_array) == 2 + 12
+    monkeypatch.setattr(rtlab, "MAX_BYTES", need - 1)
+    monkeypatch.setattr(np, "argwhere", lambda *a: pytest.fail())
+    with pytest.raises(CapExceeded, match=f"hold {need} bytes"):
+        complete_join(g, t_graph)
+
+
 def test_blowup_identity():
     h = random_hypergraph(6, 3, 4, seed=1)
     b = blowup(h, 1)

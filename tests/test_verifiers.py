@@ -3,6 +3,7 @@ from collections import defaultdict
 from functools import reduce
 from itertools import combinations, product
 from operator import or_
+from unittest.mock import patch
 
 import networkx as nx
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rtlab
 from rtlab import CapExceeded
 from rtlab.constructions import (ConstructionParams, _sequences,
                                  bollobas_erdos)
@@ -471,13 +473,19 @@ def test_sequences_match_brute_force(n, size, rnd):
     got = _sequences(rel, size)
     assert got.shape == (len(want), size)
     assert got.tolist() == [list(seq) for seq in want]
-    # the cap counts the listed prefixes of every length 1 .. size
-    prefixes = sum(len(brute_sequences(rows, k, full, True))
-                   for k in range(1, size + 1))
-    assert _sequences(rel, size, prefixes).tolist() == got.tolist()
+    # the listing of each length counts the length before and its own rows
+    # twice, 8 bytes an entry; the byte cap at the largest count lists
+    # them all, a byte less refuses
+    placed = [len(brute_sequences(rows, k, full, True))
+              for k in range(size + 1)]
+    need = max([8 * (k - 1) * placed[k - 1] + 16 * k * placed[k]
+                for k in range(1, size + 1)], default=0)
+    with patch.object(rtlab, "MAX_BYTES", need):
+        assert _sequences(rel, size).tolist() == got.tolist()
     if size:
-        with pytest.raises(CapExceeded):
-            _sequences(rel, size, prefixes - 1)
+        with patch.object(rtlab, "MAX_BYTES", need - 1), \
+                pytest.raises(CapExceeded, match=f"hold {need} bytes"):
+            _sequences(rel, size)
 
 
 def test_sequences_in_blocks_match_the_walk():
