@@ -6,7 +6,8 @@ then written as JSON; for `alpha_t --bound`, a K_t-free set above the
 bound found, even if the budget then ran out), 2 refused input (an
 OSError or ValueError), 3 a cap stopped the run and nothing was decided
 (a CapExceeded: a node budget, the drc retries, the eps-k search's k,
-or 1 GiB of arrays, refused before it is allocated; one line on stderr,
+1 GiB of arrays, refused before it is allocated, or an `optimize`
+answer past the interpreter's int-to-str digit limit; one line on stderr,
 nothing on stdout, no file written), 4 internal error (any other
 exception, including a witness that fails its recheck).  `verify` runs
 one search check on a file; `report` writes its density report.  One
@@ -219,6 +220,16 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    # the answer has at least the digits of 2^(u^2), u = ceil(t/2): a t
+    # whose 2^(u^2) passes the interpreter's limit on int-to-str digits
+    # (none before Python 3.10.7, or when set to 0) is refused before it
+    # is built, as its answer could not be printed; 3.32... is log2(10),
+    # and a negative t is left to optimize_a, which refuses it as input
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    u = (args.t + 1) // 2
+    if limit and u > 0 and u * u > limit * 3.321928094887362:
+        raise CapExceeded(f"optimize at t={args.t} would print more than "
+                          f"the interpreter's limit of {limit} digits")
     a_star, bound = bounds.optimize_a(args.t, args.ell, args.q)
     print(f"a*={a_star.numerator}/{a_star.denominator} "
           f"bound={bound.numerator}/{bound.denominator}")

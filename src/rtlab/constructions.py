@@ -3,26 +3,28 @@
 The two-sided sphere graph (antipodal inside rule, near-orthogonal cross
 rule), the r-part tuple-vertex hypergraph, the probabilistic blowup with
 sparse-pattern deletion, the fully assembled blown-up construction, shadow
-graphs restricted to leading parts and the complete-join corollary graph.
-Each of the four constructions (`bollobas_erdos`, `sphere_hypergraph`,
-`full_construction`, `corollary_construction`) is one call
-`builder(params, partition)` on a `ConstructionParams` and its sphere
-partition; theta = epsilon/sqrt(k) and u = ceil(r/2) are properties of
-the params, which every builder reads.  The exact rational bound and
-mixing optimization live in `rtlab.bounds`, which needs no numpy;
-`theta_lower_bound` and `optimize_a` are re-exported here.
+graphs restricted to leading parts and the corollary graph, a shadow
+joined to a complete multipartite graph and built as one complete
+q-partite frame.  Each of the four constructions (`bollobas_erdos`,
+`sphere_hypergraph`, `full_construction`, `corollary_construction`) is
+one call `builder(params, partition)` on a `ConstructionParams` and its
+sphere partition; theta = epsilon/sqrt(k) and u = ceil(r/2) are
+properties of the params, which every builder reads.  The exact rational
+bound and mixing optimization live in `rtlab.bounds`, which needs no
+numpy; the corollary reads its default mixing fraction from
+`optimize_a` there.
 """
 
 import math
 from dataclasses import dataclass, fields
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
-from . import check_bytes
-from .bounds import optimize_a, theta_lower_bound
+from . import CapExceeded, check_bytes
+from .bounds import optimize_a
 from .hypergraph import (PartitionedHypergraph, SimpleGraph, as_graph,
-                         blowup, complete_join, shadow)
+                         blowup, shadow)
 from .rng import substream
 from .sphere import SQRT2, SpherePartition, build_partition
 from .verifiers import (_cliques, _Counter, blowup_deletion_condition,
@@ -328,35 +330,39 @@ def maximal_ktfree_graph(n: int, t: int, seed: int = 0) -> SimpleGraph:
 
 def corollary_graph(g: SimpleGraph, q: int, t: int, seed: int,
                     mix_a: float) -> SimpleGraph:
-    """Complete (q-1)-partite graph T with near-equal classes sized from
-    the mixing fraction, a `maximal_ktfree_graph` of the seed inserted in
-    every class and rechecked K_{t+1}-free, completely joined to g.
-    CapExceeded, before anything is allocated, when the (rest, rest)
-    class matrix and the int64 rows of its pairs across classes would
-    pass the byte cap."""
+    """g joined to a complete (q-1)-partite graph with near-equal classes
+    sized from the mixing fraction, built as one complete q-partite
+    frame: g's vertices form class 0, every pair across classes is an
+    edge, g's edges lie in class 0 and a `maximal_ktfree_graph` of the
+    seed, rechecked K_{t+1}-free, in each other class.  CapExceeded,
+    before anything is allocated, when g.n / mix_a overflows a float, or
+    when the frame's class matrix and the int64 rows of its pairs across
+    classes would pass the byte cap."""
     if q < 2:
         raise ValueError("need q >= 2")
     if not 0.0 < mix_a < 1.0:
         raise ValueError("mixing fraction must lie in (0, 1)")
-    total = max(g.n + q - 1, round(g.n / mix_a))
-    rest = total - g.n
-    # e classes of b + 1 vertices and the others of b: `across` ordered
-    # pairs lie in distinct classes
-    b, e = divmod(rest, q - 1)
-    across = rest * rest - (q - 1) * b * b - e * (2 * b + 1)
-    check_bytes(rest * rest + 8 * across,
-                f"a class matrix of {rest} x {rest} vertices")
-    # near-equal classes 0 .. q-2, in vertex order; distinct classes join
-    labels = np.array(sorted(v % (q - 1) for v in range(rest)))
-    t_edges = [np.argwhere(labels[:, None] < labels)]
-    for ci in range(q - 1):
-        start, end = np.searchsorted(labels, [ci, ci + 1]).tolist()
-        inner = maximal_ktfree_graph(end - start, t, seed)
+    share = g.n / mix_a
+    if share == math.inf:
+        raise CapExceeded(f"a class matrix of {g.n} / {mix_a} vertices "
+                          f"overflows a float")
+    total = max(g.n + q - 1, round(share))
+    # class 0 is g; e of the q - 1 classes after it hold b + 1 vertices,
+    # the others b, so `across` pairs lie in distinct classes
+    b, e = divmod(total - g.n, q - 1)
+    across = (total * total - g.n * g.n - (q - 1) * b * b
+              - e * (2 * b + 1)) // 2
+    check_bytes(total * total + 16 * across,
+                f"a class matrix of {total} x {total} vertices")
+    sizes = [g.n] + [b + 1] * e + [b] * (q - 1 - e)
+    labels = np.repeat(np.arange(q), sizes)
+    edges = [np.argwhere(labels[:, None] < labels), g.edge_array]
+    for start, size in zip(accumulate(sizes), sizes[1:]):
+        inner = maximal_ktfree_graph(size, t, seed)
         if find_clique(inner, t + 1) is not None:
             raise ValueError("inner graph is not K_{t+1}-free")
-        t_edges.append(inner.edge_array + start)
-    t_graph = SimpleGraph(rest, np.concatenate(t_edges))
-    return complete_join(g, t_graph)
+        edges.append(inner.edge_array + start)
+    return SimpleGraph(total, np.concatenate(edges))
 
 
 def corollary_construction(params: ConstructionParams,

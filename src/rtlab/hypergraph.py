@@ -1,8 +1,8 @@
 """Graph and r-uniform hypergraph data model.
 
 Undirected simple graphs, partition-labelled r-uniform hypergraphs,
-blowups, shadow graphs, complete joins, Turán hypergraphs, codegree
-cleaning, and the shared text file format.
+blowups, shadow graphs, Turán hypergraphs, codegree cleaning, and the
+shared text file format.
 
 `PartitionedHypergraph` is the one edge store; `SimpleGraph` is its
 r = 2 subclass, with neighbour bitmasks added.  The edges are stored
@@ -373,17 +373,6 @@ class SimpleGraph(PartitionedHypergraph):
         vs = sorted(vertices)
         return SimpleGraph(len(vs), _induced_rows(self.n, self.edge_array, vs),
                            self.part_of[vs])
-
-
-def complete_join(g: SimpleGraph, t_graph: SimpleGraph) -> SimpleGraph:
-    """Disjoint union of the two graphs plus all edges between them.
-    CapExceeded, before anything is allocated, when the join's matrix and
-    its int64 rows, 17 bytes a pair, would pass the byte cap."""
-    check_bytes(17 * g.n * t_graph.n,
-                f"a join of {g.n} x {t_graph.n} vertices")
-    join = np.argwhere(np.ones((g.n, t_graph.n), dtype=bool)) + (0, g.n)
-    edges = [g.edge_array, t_graph.edge_array + g.n, join]
-    return SimpleGraph(g.n + t_graph.n, np.concatenate(edges))
 
 
 # ---------------------------------------------------------------------------

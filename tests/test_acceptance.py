@@ -10,10 +10,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from rtlab.bounds import theta_lower_bound
 from rtlab.constructions import (ConstructionParams, bollobas_erdos,
                                  full_construction, optimize_a,
-                                 shadow_first_parts, sphere_hypergraph,
-                                 theta_lower_bound)
+                                 shadow_first_parts, sphere_hypergraph)
 from rtlab.drc import (DrcParams, drc_find_set, drc_recheck, find_f_witness,
                        find_tkf5_tk4, recheck_f_witness, recheck_tk4)
 from rtlab.hypergraph import PartitionedHypergraph, SimpleGraph, turan_hypergraph

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import rtlab
-from rtlab import constructions, verifiers as ver
+from rtlab import bounds, constructions, verifiers as ver
 from rtlab.cli import main
 from rtlab.drc import FWitness, recheck_f_witness
 from helpers import complete_uniform, run_fresh
@@ -52,6 +53,16 @@ def test_optimize_prints_exact_values(capsys):
 def test_optimize_second_row(capsys):
     assert main(["optimize", "--t", "3", "--ell", "3", "--q", "2"]) == 0
     assert capsys.readouterr().out.strip() == "a*=24/47 bound=12/47"
+
+
+def test_optimize_at_the_digit_limit(capsys):
+    # t = 238 is the last t whose answer fits the interpreter's default
+    # limit of 4,300 digits for an int printed as text; its 17,068-byte
+    # output is pinned
+    assert main(["optimize", "--t", "238", "--ell", "2", "--q", "2"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "767b98d04feae90fc5cf8750c6cc1eac4cc3d731589f9cb9d74a6969a4a30bca")
 
 
 def test_construct_and_verify_be(tmp_path, capsys):
@@ -749,6 +760,16 @@ def test_construct_large_k_exit_3(tmp_path, capsys, kind):
     assert not out.exists()
 
 
+def _optimize_route(t):
+    def route(monkeypatch):
+        # refused before optimize_a builds 2^(u^2), at the default limit
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300,
+                            raising=False)
+        monkeypatch.setattr(bounds, "optimize_a", lambda *a: pytest.fail())
+        return f"optimize --t {t} --ell 2 --q 2"
+    return route
+
+
 def _budget_route(monkeypatch):
     dense_graph("dense.g")
     return ("verify --check clique --s 12 --budget 2 --witness-out out "
@@ -821,8 +842,10 @@ def _pair_index_route(monkeypatch):
      "bytes, over the cap 1073741824"),
     (_oversized_route("full", blowup_t=60), "a 60-blowup of 224 edges into "
      "48384000 copies would hold 1166400000 bytes, over the cap 1073741824"),
-    (_oversized_route("corollary", mix_a=0.001), "a class matrix of 119880 x "
-     "119880 vertices would hold 14371214400 bytes, over the cap 1073741824"),
+    (_oversized_route("corollary", mix_a=0.001), "a class matrix of 120000 x "
+     "120000 vertices would hold 14630169600 bytes, over the cap 1073741824"),
+    (_oversized_route("corollary", mix_a=5e-324), "a class matrix of 120 / "
+     "5e-324 vertices overflows a float"),
     (_construct_bytes_route, "a partition of S^1000000 into 10 domains "
      "would hold 160080160080 bytes, over the cap 1073741824"),
     (_partition_bytes_route, "a partition of S^1000000 into 14 domains "
@@ -837,10 +860,15 @@ def _pair_index_route(monkeypatch):
      "the codegree sweep"),
     (_pair_index_route, "a pair-cover index of 1 x C(20000, 2) pairs would "
      "hold 3199840000 bytes, over the cap 1073741824"),
+    (_optimize_route(239), "optimize at t=239 would print more than the "
+     "interpreter's limit of 4300 digits"),
+    (_optimize_route(10 ** 6), "optimize at t=1000000 would print more than "
+     "the interpreter's limit of 4300 digits"),
 ], ids=["verify-budget", "construct-part-cap", "construct-tuple-listing",
-        "construct-blowup", "construct-class-matrix", "construct-bytes",
-        "partition-bytes", "eps-k", "drc-find-set-retries",
-        "drc-find-f-stage", "drc-find-tkf5-stage", "tkf-pair-index"])
+        "construct-blowup", "construct-class-matrix", "construct-mix-a-overflow",
+        "construct-bytes", "partition-bytes", "eps-k", "drc-find-set-retries",
+        "drc-find-f-stage", "drc-find-tkf5-stage", "tkf-pair-index",
+        "optimize-t-239", "optimize-t-1000000"])
 def test_cap_routes_exit_3(tmp_path, monkeypatch, capsys, route, line):
     # every cap that stops a command exits 3 the same way: one line on
     # stderr, nothing on stdout and no file written

@@ -8,12 +8,12 @@ import pytest
 
 import rtlab
 from rtlab import CapExceeded, constructions
+from rtlab.bounds import theta_lower_bound
 from rtlab.constructions import (ConstructionParams, bollobas_erdos,
                                  corollary_graph, full_construction,
                                  maximal_ktfree_graph, optimize_a,
                                  random_blowup, shadow_first_parts,
-                                 sphere_hypergraph, theta_lower_bound,
-                                 tuple_vertices)
+                                 sphere_hypergraph, tuple_vertices)
 from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph, as_graph,
                               blowup, shadow, turan_hypergraph)
 from rtlab.rng import substream
@@ -900,18 +900,20 @@ def test_corollary_rejects_bad_inner(monkeypatch):
 
 
 def test_corollary_class_matrix_refused_over_its_cap(monkeypatch):
-    # 38 vertices in 4 classes: the class matrix, 1 byte a cell, and the
-    # int64 rows of its pairs across classes, 16 bytes each, outweigh each
-    # class's pair list and the join; a cap at exactly their bytes builds,
-    # a byte less refuses before the matrix is made
+    # g's 2 vertices and 38 more in 4 classes: the frame's class matrix,
+    # 1 byte a cell, and the int64 rows of its pairs across classes, 16
+    # bytes each, outweigh each class's pair list; a cap at exactly their
+    # bytes builds, a byte less refuses before the matrix is made
     g = SimpleGraph(2, [(0, 1)])
-    need = 38 * 38 + 16 * sum(a % 4 != b % 4
-                              for a, b in combinations(range(38), 2))
+    label = [0, 0] + sorted(1 + v % 4 for v in range(38))
+    need = 40 * 40 + 16 * sum(label[a] != label[b]
+                              for a, b in combinations(range(40), 2))
+    assert need == 40 * 40 + 16 * 617
     monkeypatch.setattr(rtlab, "MAX_BYTES", need)
     assert corollary_graph(g, 5, 3, 0, mix_a=0.05).n == 40
     monkeypatch.setattr(rtlab, "MAX_BYTES", need - 1)
     monkeypatch.setattr(np, "argwhere", lambda *a: pytest.fail())
-    with pytest.raises(CapExceeded, match=f"a class matrix of 38 x 38 "
+    with pytest.raises(CapExceeded, match=f"a class matrix of 40 x 40 "
                        f"vertices would hold {need} bytes"):
         corollary_graph(g, 5, 3, 0, mix_a=0.05)
 

@@ -11,9 +11,8 @@ import rtlab
 from rtlab import CapExceeded, hypergraph
 from rtlab.hypergraph import (PartitionedHypergraph, SimpleGraph, _bit_rows,
                               _runs, _sorted_rows, blowup, clean_low_codegree,
-                              complete_join, read_graph, read_hypergraph,
-                              shadow, turan_hypergraph, write_graph,
-                              write_hypergraph)
+                              read_graph, read_hypergraph, shadow,
+                              turan_hypergraph, write_graph, write_hypergraph)
 from rtlab.rng import substream
 
 
@@ -233,19 +232,6 @@ def test_blowup_refused_over_its_cap(monkeypatch):
         blowup(h, 4)
 
 
-def test_join_refused_over_its_cap(monkeypatch):
-    # the join's bool matrix and its int64 rows, 17 bytes a pair: a cap at
-    # exactly that builds, a byte less refuses before the matrix is made
-    g, t_graph = SimpleGraph(3, [(0, 1)]), SimpleGraph(4, [(2, 3)])
-    need = 17 * 3 * 4
-    monkeypatch.setattr(rtlab, "MAX_BYTES", need)
-    assert len(complete_join(g, t_graph).edge_array) == 2 + 12
-    monkeypatch.setattr(rtlab, "MAX_BYTES", need - 1)
-    monkeypatch.setattr(np, "argwhere", lambda *a: pytest.fail())
-    with pytest.raises(CapExceeded, match=f"hold {need} bytes"):
-        complete_join(g, t_graph)
-
-
 def test_blowup_identity():
     h = random_hypergraph(6, 3, 4, seed=1)
     b = blowup(h, 1)
@@ -345,34 +331,6 @@ def test_turan_matches_former_builder(r):
 def test_turan_rejects_s_below_r():
     with pytest.raises(ValueError):
         turan_hypergraph(6, 2, 3)
-
-
-# ---------------------------------------------------------------------------
-# joins
-
-
-def test_join_with_empty():
-    g = SimpleGraph(3, frozenset([(0, 1)]))
-    j = complete_join(g, SimpleGraph(0, frozenset()))
-    assert j.edges == g.edges
-
-
-def test_join_two_singletons():
-    j = complete_join(SimpleGraph(1, frozenset()), SimpleGraph(1, frozenset()))
-    assert j.edges == frozenset([(0, 1)])
-
-
-def test_join_k2_k2_is_k4():
-    k2 = SimpleGraph(2, frozenset([(0, 1)]))
-    j = complete_join(k2, k2)
-    assert j.edges == frozenset(combinations(range(4), 2))
-
-
-def test_join_edge_count_identity():
-    g = SimpleGraph(4, frozenset([(0, 1), (2, 3)]))
-    t = SimpleGraph(3, frozenset([(0, 2)]))
-    j = complete_join(g, t)
-    assert len(j.edges) == len(g.edges) + len(t.edges) + g.n * t.n
 
 
 # ---------------------------------------------------------------------------
